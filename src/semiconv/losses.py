@@ -15,31 +15,41 @@ class SegmentSet:
     ``segments`` is a list of 1-d linear pixel index arrays S_1..S_K;
     ``background`` holds the complementary indices. Segments must be pairwise
     disjoint, non-empty, and together with the background cover every pixel.
+
+    The loss reads the same partition as one concatenated pixel order:
+    ``pixels`` lists S_1..S_K and then the background, ``ids`` gives each of
+    those pixels its segment number (0..K-1, the background K), and
+    ``counts`` the K+1 segment sizes.
     """
 
     def __init__(self, segments, background, total_pixels):
         segs = [np.asarray(s, dtype=np.intp).ravel() for s in segments]
         bg = np.asarray(background, dtype=np.intp).ravel()
-        for s in segs:
-            if s.size == 0:
-                raise ValueError("empty segment")
-        counts = np.zeros(total_pixels, dtype=np.intp)
-        for s in segs + [bg]:
-            counts[s] += 1
-        if not np.all(counts == 1):
+        sizes = np.array([s.size for s in segs] + [bg.size], dtype=np.intp)
+        if np.any(sizes[:-1] == 0):
+            raise ValueError("empty segment")
+        pixels = np.concatenate(segs + [bg])
+        # as many indices as pixels, none negative, none repeated: a partition
+        if (pixels.size != total_pixels or np.any(pixels < 0)
+                or np.any(np.bincount(pixels, minlength=total_pixels) != 1)):
             raise ValueError("segments plus background must partition the pixels")
         self.segments = segs
         self.background = bg
         self.total_pixels = total_pixels
+        self.pixels = pixels
+        self.ids = np.repeat(np.arange(sizes.size), sizes)
+        self.counts = sizes
 
     @classmethod
     def from_labels(cls, labels):
         """Build from an integer label map; 0 is background, 1..K instances."""
         arr = np.asarray(getattr(labels, "labels", labels))
         flat = arr.reshape(-1)
-        ids = [int(k) for k in np.unique(flat) if k > 0]
-        segments = [np.flatnonzero(flat == k) for k in ids]
-        return cls(segments, np.flatnonzero(flat == 0), flat.size)
+        order = np.argsort(flat, kind="stable")
+        values, starts = np.unique(flat[order], return_index=True)
+        runs = dict(zip(values.tolist(), np.split(order, starts[1:])))
+        background = runs.pop(0, [])
+        return cls([run for v, run in runs.items() if v > 0], background, flat.size)
 
     def __len__(self):
         return len(self.segments)
@@ -57,6 +67,9 @@ def pull_to_mean_loss(field, segs, eps=1e-8, include_background=False):
 
     Background pixels are ignored unless ``include_background`` adds them as
     one extra segment; the loss is then and only then sensitive to them.
+
+    All segments go through one gather and two segment sums, so the tape has
+    the same dozen nodes whatever the number of segments.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -68,24 +81,23 @@ def pull_to_mean_loss(field, segs, eps=1e-8, include_background=False):
     else:
         raise ValueError("expected [D,H,W] field values or [N,D] rows")
 
-    groups = list(segs.segments)
+    k = len(segs)
     if include_background:
         if segs.background.size == 0:
             raise ValueError("empty segment")
-        groups.append(segs.background)
-
-    total = None
-    for idx in groups:
-        if len(idx) == 0:
-            raise ValueError("empty segment")
-        sel = T.index_select(rows, 0, idx)
-        center = T.mean(sel, axes=0, keepdims=True)
-        dev = T.sub(sel, T.broadcast_to(center, sel.data.shape))
-        term = T.mean(T.l2norm_rows(dev, eps))
-        total = term if total is None else T.add(total, term)
-    if total is None:
+        k += 1
+    if k == 0:
         raise ValueError("no segments to evaluate")
-    return total
+    n = int(segs.counts[:k].sum())
+    ids = segs.ids[:n]
+    inv_counts = 1.0 / segs.counts[:k]
+
+    sel = T.index_select(rows, 0, segs.pixels[:n])
+    sums = T.segment_sum(sel, ids, k)
+    centers = T.mul(sums, Tensor(np.broadcast_to(inv_counts[:, None], sums.data.shape)))
+    dev = T.sub(sel, T.index_select(centers, 0, ids))
+    dists = T.segment_sum(T.l2norm_rows(dev, eps), ids, k)
+    return T.tsum(T.mul(dists, Tensor(inv_counts)))
 
 
 def mask_bce(kernel_row, gt_mask):

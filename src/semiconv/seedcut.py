@@ -178,17 +178,10 @@ def cut_all_boxes(scene, model, params, cfg_mode="semiconv", mode="hard",
 def rle_encode(mask):
     """Row-major run lengths, starting with the count of leading zeros."""
     flat = np.asarray(mask, dtype=bool).reshape(-1)
-    counts = []
-    value = False
-    run = 0
-    for v in flat:
-        if v == value:
-            run += 1
-        else:
-            counts.append(run)
-            value = v
-            run = 1
-    counts.append(run)
+    edges = np.flatnonzero(np.diff(flat)) + 1
+    counts = np.diff(np.concatenate(([0], edges, [flat.size]))).tolist()
+    if flat.size and flat[0]:
+        counts.insert(0, 0)
     return {"size": list(mask.shape), "counts": counts}
 
 

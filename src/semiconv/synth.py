@@ -211,16 +211,15 @@ def decode_kmeans(field, fg_mask, K, seed=0, max_iter=300, tol=1e-6):
     for _ in range(max_iter):
         dists = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         assign = np.argmin(dists, axis=1)
-        moved = 0.0
-        for k in range(K):
-            sel = assign == k
-            if not np.any(sel):
-                far = int(np.argmax(dists[np.arange(idx.size), assign]))
-                new = pts[far]
-            else:
-                new = pts[sel].mean(axis=0)
-            moved = max(moved, float(np.linalg.norm(new - centers[k])))
-            centers[k] = new
+        counts = np.bincount(assign, minlength=K)
+        new = np.zeros_like(centers)
+        np.add.at(new, assign, pts)  # rows in index order, as pts[sel].sum(axis=0)
+        filled = counts > 0
+        new[filled] /= counts[filled, None]
+        if not np.all(filled):
+            new[~filled] = pts[np.argmax(dists[np.arange(idx.size), assign])]
+        moved = float(np.sqrt(np.max(np.sum((new - centers) ** 2, axis=1))))
+        centers = new
         if moved < tol:
             break
 
@@ -244,37 +243,28 @@ def score(pred, gt):
     if p.size != g.size:
         raise ValueError("labelings cover different grids")
 
-    pairs = []
-    for gk in range(1, gt.K + 1):
-        gsel = g == gk
-        for pk in range(1, pred.K + 1):
-            psel = p == pk
-            inter = np.count_nonzero(gsel & psel)
-            if inter == 0:
-                continue
-            union = np.count_nonzero(gsel | psel)
-            pairs.append((inter / union, gk, pk))
-    pairs.sort(key=lambda t: (-t[0], t[1], t[2]))
+    # table[gk, pk]: pixels labelled gk in the truth and pk in the prediction
+    n_cols = pred.K + 1
+    table = np.bincount(g.astype(np.int64) * n_cols + p,
+                        minlength=(gt.K + 1) * n_cols).reshape(gt.K + 1, n_cols)
+    inter = table[1:, 1:]
+    union = table[1:].sum(axis=1)[:, None] + table[:, 1:].sum(axis=0)[None, :] - inter
+    gks, pks = np.nonzero(inter)
+    ious = inter[gks, pks] / union[gks, pks]
     used_g, used_p = set(), set()
     iou_sum = 0.0
-    for iou, gk, pk in pairs:
+    for i in np.lexsort((pks, gks, -ious)):
+        gk, pk = gks[i], pks[i]
         if gk in used_g or pk in used_p:
             continue
         used_g.add(gk)
         used_p.add(pk)
-        iou_sum += iou
+        iou_sum += float(ious[i])
     mean_iou = iou_sum / gt.K
 
-    fg = g > 0
-    correct = 0
-    for pk in range(1, pred.K + 1):
-        sel = (p == pk) & fg
-        if not np.any(sel):
-            continue
-        ids, counts = np.unique(g[sel], return_counts=True)
-        majority = ids[np.argmax(counts)]  # ties resolve to the lowest id
-        correct += int(np.count_nonzero(g[sel] == majority))
-    purity = correct / np.count_nonzero(fg)
+    # a column's first maximum is its majority instance, ties to the lowest id
+    correct = int(inter.max(axis=0, initial=0).sum())
+    purity = correct / int(table[1:].sum())
     return {"mean_iou": mean_iou, "purity": purity}
 
 
@@ -292,6 +282,9 @@ def controlled_pair(scene, cfg):
 def scene_to_json(scene):
     h, w = scene.shape
     img32 = np.ascontiguousarray(scene.image.data[0], dtype="<f4")
+    if scene.gt.labels.max() > 65535:
+        raise ValueError(f"scene has {scene.gt.K} instances; "
+                         "scene JSON stores at most 65535")
     lab16 = np.ascontiguousarray(scene.gt.labels, dtype="<u2")
     doc = {"h": h, "w": w,
            "image": base64.b64encode(img32.tobytes()).decode("ascii"),

@@ -253,25 +253,6 @@ def sigmoid(a):
     return _node(out_data, (a,), backward, "sigmoid")
 
 
-_ELEMENTWISE = {"add": add, "sub": sub, "mul": mul, "div": div,
-                "relu": relu, "exp": exp, "log": log, "sqrt": sqrt,
-                "sigmoid": sigmoid}
-
-
-def elementwise(op, a, b=None):
-    """Dispatch an elementwise op by name; binary ops require ``b``."""
-    if op not in _ELEMENTWISE:
-        raise ValueError(f"unknown elementwise op '{op}'")
-    fn = _ELEMENTWISE[op]
-    if op in ("add", "sub", "mul", "div"):
-        if b is None:
-            raise ValueError(f"'{op}' needs two operands")
-        return fn(a, b)
-    if b is not None:
-        raise ValueError(f"'{op}' is unary")
-    return fn(a)
-
-
 def clamp(a, lo, hi):
     """Clip values to [lo, hi]; gradient passes where the input lies inside."""
     a = _coerce(a)
@@ -369,6 +350,27 @@ def index_select(a, axis, indices):
     return _node(np.take(a.data, idx, axis=axis), (a,), backward, "index_select")
 
 
+def segment_sum(rows, ids, K):
+    """Sum the rows of ``rows[N, ...]`` into ``K`` segments: out[k] = sum of rows[ids == k].
+
+    Rows are added in index order, so the result is bit-reproducible; a
+    segment no id names is a zero row. Backward gathers the gradient, g[ids].
+    """
+    rows = _coerce(rows)
+    ids = np.asarray(ids, dtype=np.intp)
+    if ids.ndim != 1 or rows.data.ndim < 1 or ids.size != rows.data.shape[0]:
+        raise ValueError("segment_sum needs rows[N, ...] and ids[N]")
+    if ids.size and (ids.min() < 0 or ids.max() >= K):
+        raise ValueError(f"segment ids must lie in [0, {K})")
+    out = np.zeros((K,) + rows.data.shape[1:])
+    np.add.at(out, ids, rows.data)
+
+    def backward(g):
+        _accum(rows, g[ids])
+
+    return _node(out, (rows,), backward, "segment_sum")
+
+
 # -- reductions -----------------------------------------------------------
 
 def _norm_axes(axes, ndim):
@@ -380,15 +382,6 @@ def _norm_axes(axes, ndim):
     if len(set(axes)) != len(axes):
         raise ValueError("duplicate reduction axes")
     return axes
-
-
-def reduce(op, a, axes=None, keepdims=False):
-    """Reduce with 'sum' or 'mean' over ``axes`` (all axes when None)."""
-    if op == "sum":
-        return tsum(a, axes, keepdims)
-    if op == "mean":
-        return mean(a, axes, keepdims)
-    raise ValueError(f"unknown reduce op '{op}'")
 
 
 def tsum(a, axes=None, keepdims=False):

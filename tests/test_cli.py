@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from semiconv import synth
 from semiconv.cli import canonical_json, main
+from semiconv.tensor import Tensor
 
 
 def run(*argv):
@@ -163,3 +165,12 @@ def test_threads_env_validated(tmp_path, monkeypatch, capsys):
     assert "SEMICONV_THREADS" in capsys.readouterr().err
     monkeypatch.setenv("SEMICONV_THREADS", "8")
     assert run("dilemma", "--out", tmp_path / "d.json") == 0
+
+
+def test_scene_with_too_many_instances_exit_1(tmp_path, monkeypatch, capsys):
+    labels = np.arange(1, 65537).reshape(256, 256)
+    big = synth.Scene(Tensor(np.zeros((1, 256, 256))), synth.InstanceLabeling(labels), {})
+    monkeypatch.setattr(synth, "generate_scene", lambda *args: big)
+    assert run("synth-gen", "--out", tmp_path / "s.json") == 1
+    err = capsys.readouterr().err
+    assert "65535" in err and err.count("\n") == 1

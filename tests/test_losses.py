@@ -5,6 +5,7 @@ from semiconv import tensor as T
 from semiconv.tensor import Tensor
 from semiconv.embedding import EmbeddingField
 from semiconv.losses import SegmentSet, pull_to_mean_loss, mask_bce
+from semiconv.synth import generate_scene
 
 
 def field_from_rows(rows):
@@ -108,6 +109,49 @@ def test_loss_grad_check():
         rng = np.random.default_rng(seed)
         rows = rng.standard_normal((5, 3))  # generic position: deviations well off zero
         assert T.grad_check(f, Tensor(rows)) < 1e-4
+
+
+def loop_pull_to_mean_loss(rows, segs, eps=1e-8, include_background=False):
+    """Reference: one tape chain per segment, terms added in segment order."""
+    groups = list(segs.segments) + ([segs.background] if include_background else [])
+    total = None
+    for idx in groups:
+        sel = T.index_select(rows, 0, idx)
+        center = T.mean(sel, axes=0, keepdims=True)
+        dev = T.sub(sel, T.broadcast_to(center, sel.data.shape))
+        term = T.mean(T.l2norm_rows(dev, eps))
+        total = term if total is None else T.add(total, term)
+    return total
+
+
+@pytest.mark.parametrize("include_background", [False, True])
+def test_loss_matches_per_segment_loop(include_background):
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, 7, size=(9, 11))
+        segs = SegmentSet.from_labels(labels)
+        rows = rng.standard_normal((labels.size, 4)) * 3.0
+        got_rows = Tensor(rows, requires_grad=True)
+        got = pull_to_mean_loss(got_rows, segs, include_background=include_background)
+        want_rows = Tensor(rows, requires_grad=True)
+        want = loop_pull_to_mean_loss(want_rows, segs, include_background=include_background)
+        assert abs(got.item() - want.item()) <= 1e-12 * abs(want.item())
+        got.backward()
+        want.backward()
+        scale = np.max(np.abs(want_rows.grad))
+        assert np.max(np.abs(got_rows.grad - want_rows.grad)) <= 1e-12 * scale
+
+
+def test_loss_tape_size_independent_of_segment_count():
+    sizes = []
+    for n in (2, 4, 6):
+        scene = generate_scene(n, n, dot_radius=2, spacing=8)
+        values = Tensor(np.random.default_rng(n).standard_normal((3,) + scene.shape),
+                        requires_grad=True)
+        loss = pull_to_mean_loss(EmbeddingField(values, "convolutional"),
+                                 SegmentSet.from_labels(scene.gt))
+        sizes.append(len(T._topo_order(loss)))
+    assert sizes[0] == sizes[1] == sizes[2] < 24
 
 
 def test_bce_perfect_prediction():

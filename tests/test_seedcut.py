@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,34 @@ def test_rle_round_trip():
     assert rle_encode(empty)["counts"] == [9]
     with pytest.raises(ValueError):
         rle_decode({"size": [2, 2], "counts": [3]})
+
+
+def loop_rle_encode(mask):
+    """Reference: run lengths counted one pixel at a time."""
+    counts, value, run = [], False, 0
+    for v in np.asarray(mask, dtype=bool).reshape(-1):
+        if v == value:
+            run += 1
+        else:
+            counts.append(run)
+            value, run = v, 1
+    counts.append(run)
+    return {"size": list(mask.shape), "counts": counts}
+
+
+def test_rle_encode_matches_loop():
+    rng = np.random.default_rng(2)
+    masks = [rng.random((rng.integers(1, 12), rng.integers(1, 12))) > rng.random()
+             for _ in range(50)]
+    masks += [np.zeros((4, 5), dtype=bool), np.ones((4, 5), dtype=bool),
+              np.zeros((1, 1), dtype=bool), np.ones((1, 1), dtype=bool),
+              np.eye(3, dtype=bool)]
+    for mask in masks:
+        doc = rle_encode(mask)
+        assert json.dumps(doc) == json.dumps(loop_rle_encode(mask))
+        assert all(type(c) is int for c in doc["counts"])
+    assert rle_encode(np.ones((4, 5), dtype=bool))["counts"] == [0, 20]
+    assert rle_encode(np.eye(3, dtype=bool))["counts"] == [0, 1, 3, 1, 3, 1]
 
 
 def test_bce_weight_zero_reduces_to_plain_training():

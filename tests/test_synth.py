@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from semiconv.tensor import Tensor, NumericError
-from semiconv.embedding import EmbeddingField, attach_coords
+from semiconv.embedding import EmbeddingField, attach_coords, field_rows
 from semiconv.synth import (InstanceLabeling, Scene, TrainConfig, build_field,
                             controlled_pair, decode_kmeans, generate_scene,
                             load_scene, make_model, save_scene, scene_from_json,
@@ -193,6 +193,91 @@ def test_kmeans_identical_points():
     assert out.labels.shape == (2, 5)
 
 
+def loop_decode_kmeans(field, fg_mask, K, seed=0, max_iter=300, tol=1e-6):
+    """Reference: the k-means update as one loop over clusters."""
+    mask = np.asarray(fg_mask, dtype=bool)
+    idx = np.flatnonzero(mask.reshape(-1))
+    pts = field_rows(field).data[idx]
+    rng = np.random.default_rng(seed)
+    centers = np.empty((K, pts.shape[1]))
+    centers[0] = pts[rng.integers(idx.size)]
+    d2 = np.sum((pts - centers[0]) ** 2, axis=1)
+    for k in range(1, K):
+        total = d2.sum()
+        if total <= 0:
+            centers[k:] = pts[rng.integers(idx.size, size=K - k)]
+            break
+        centers[k] = pts[rng.choice(idx.size, p=d2 / total)]
+        d2 = np.minimum(d2, np.sum((pts - centers[k]) ** 2, axis=1))
+    for _ in range(max_iter):
+        dists = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        assign = np.argmin(dists, axis=1)
+        moved = 0.0
+        for k in range(K):
+            sel = assign == k
+            if not np.any(sel):
+                new = pts[int(np.argmax(dists[np.arange(idx.size), assign]))]
+            else:
+                new = pts[sel].mean(axis=0)
+            moved = max(moved, float(np.linalg.norm(new - centers[k])))
+            centers[k] = new
+        if moved < tol:
+            break
+    labels = np.zeros(mask.size, dtype=np.int32)
+    labels[idx] = assign + 1
+    return labels.reshape(mask.shape)
+
+
+def loop_score(pred, gt):
+    """Reference: IoU for every pair of instances, purity one cluster at a time."""
+    p, g = pred.labels.reshape(-1), gt.labels.reshape(-1)
+    pairs = []
+    for gk in range(1, gt.K + 1):
+        for pk in range(1, pred.K + 1):
+            inter = np.count_nonzero((g == gk) & (p == pk))
+            if inter:
+                pairs.append((inter / np.count_nonzero((g == gk) | (p == pk)), gk, pk))
+    pairs.sort(key=lambda t: (-t[0], t[1], t[2]))
+    used_g, used_p, iou_sum = set(), set(), 0.0
+    for iou, gk, pk in pairs:
+        if gk not in used_g and pk not in used_p:
+            used_g.add(gk)
+            used_p.add(pk)
+            iou_sum += iou
+    fg = g > 0
+    correct = 0
+    for pk in range(1, pred.K + 1):
+        sel = (p == pk) & fg
+        if np.any(sel):
+            ids, counts = np.unique(g[sel], return_counts=True)
+            correct += int(np.count_nonzero(g[sel] == ids[np.argmax(counts)]))
+    return {"mean_iou": iou_sum / gt.K, "purity": correct / np.count_nonzero(fg)}
+
+
+@pytest.mark.parametrize("n,spacing", [(4, 12), (8, 10)])
+def test_kmeans_and_score_match_loops(n, spacing):
+    scene = generate_scene(n, n, dot_radius=3, spacing=spacing)
+    fg = scene.gt.foreground_mask()
+    for seed in range(20):
+        # an untrained semiconv field: coordinates plus random features
+        field = build_field(make_model(quick_cfg(seed=seed)), scene.image, "semiconv")
+        k = scene.gt.K if seed % 2 == 0 else scene.gt.K // 2 + seed
+        pred = decode_kmeans(field, fg, k, seed=seed)
+        assert np.array_equal(pred.labels, loop_decode_kmeans(field, fg, k, seed=seed))
+        assert score(pred, scene.gt) == loop_score(pred, scene.gt)
+        assert score(scene.gt, pred) == loop_score(scene.gt, pred)
+
+
+def test_kmeans_empty_cluster_matches_loop():
+    rows = np.ones((10, 2))
+    rows[7] = [1.0, 1.0 + 1e-9]
+    field = rows_field(rows)
+    fg = np.ones(10, dtype=bool).reshape(2, 5)
+    for seed in range(5):
+        out = decode_kmeans(field, fg, K=4, seed=seed)
+        assert np.array_equal(out.labels, loop_decode_kmeans(field, fg, 4, seed=seed))
+
+
 # -- scoring --------------------------------------------------------------------
 
 def test_score_perfect():
@@ -245,6 +330,16 @@ def test_scene_json_round_trip(tmp_path):
     save_scene(scene, path)
     again = load_scene(path)
     assert np.array_equal(again.gt.labels, scene.gt.labels)
+
+
+def test_scene_json_rejects_ids_beyond_u16():
+    def scene_of(labels):
+        return Scene(Tensor(np.zeros((1, 256, 256))), InstanceLabeling(labels), {})
+
+    with pytest.raises(ValueError, match="65535"):
+        scene_to_json(scene_of(np.arange(1, 65537).reshape(256, 256)))
+    fits = np.arange(65536).reshape(256, 256)  # ids up to 65535 still round-trip
+    assert np.array_equal(scene_from_json(scene_to_json(scene_of(fits))).gt.labels, fits)
 
 
 def test_scene_json_rejects_truncated():

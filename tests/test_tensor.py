@@ -46,17 +46,6 @@ def test_exp_grad_at_zero():
     assert a.grad == 1.0
 
 
-def test_elementwise_dispatch():
-    out = T.elementwise("mul", Tensor([2.0]), Tensor([3.0]))
-    assert out.data[0] == 6.0
-    with pytest.raises(ValueError):
-        T.elementwise("add", Tensor([1.0]))
-    with pytest.raises(ValueError):
-        T.elementwise("relu", Tensor([1.0]), Tensor([1.0]))
-    with pytest.raises(ValueError):
-        T.elementwise("matmul", Tensor([1.0]), Tensor([1.0]))
-
-
 def test_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         T.add(Tensor([1.0, 2.0]), Tensor([1.0, 2.0, 3.0]))
@@ -105,14 +94,12 @@ def test_mean():
     assert T.mean(Tensor([1.0, 2.0, 3.0])).item() == 2.0
 
 
-def test_reduce_dispatch_and_empty_axis():
+def test_tsum_mean_and_empty_axis():
     a = Tensor(np.arange(6.0).reshape(2, 3))
-    assert T.reduce("sum", a).item() == 15.0
-    assert np.array_equal(T.reduce("mean", a, axes=0).data, [1.5, 2.5, 3.5])
+    assert T.tsum(a).item() == 15.0
+    assert np.array_equal(T.mean(a, axes=0).data, [1.5, 2.5, 3.5])
     with pytest.raises(ValueError):
-        T.reduce("sum", Tensor(np.zeros((0, 2))), axes=0)
-    with pytest.raises(ValueError):
-        T.reduce("prod", a)
+        T.tsum(Tensor(np.zeros((0, 2))), axes=0)
 
 
 # -- conv2d -----------------------------------------------------------------
@@ -228,6 +215,34 @@ def test_scale_gradient():
     assert T.scale_gradient(b, 1.0) is b  # exact identity at factor 1
 
 
+def test_segment_sum_matches_loop():
+    rng = np.random.default_rng(5)
+    rows = rng.standard_normal((9, 3))
+    ids = np.array([3, 0, 3, 1, 0, 3, 1, 1, 0])  # unordered, repeated; segment 2 empty
+    out = T.segment_sum(Tensor(rows), ids, 4)
+    expected = np.zeros((4, 3))
+    for n, k in enumerate(ids):
+        expected[k] += rows[n]
+    assert np.array_equal(out.data, expected)
+    assert np.array_equal(out.data[2], np.zeros(3))
+
+
+def test_segment_sum_backward_gathers():
+    a = Tensor(np.arange(8.0).reshape(4, 2), requires_grad=True)
+    out = T.segment_sum(a, [1, 0, 1, 1], 3)
+    T.tsum(T.mul(out, Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))).backward()
+    assert np.array_equal(a.grad, [[3.0, 4.0], [1.0, 2.0], [3.0, 4.0], [3.0, 4.0]])
+
+
+def test_segment_sum_validation():
+    with pytest.raises(ValueError):
+        T.segment_sum(Tensor(np.zeros((3, 2))), [0, 1], 2)     # one id per row
+    with pytest.raises(ValueError):
+        T.segment_sum(Tensor(np.zeros((2, 2))), [0, 2], 2)     # id out of range
+    with pytest.raises(ValueError):
+        T.segment_sum(Tensor(np.zeros((2, 2))), [-1, 0], 2)
+
+
 # -- grad_check harness -------------------------------------------------------
 
 def test_grad_check_quadratic():
@@ -269,6 +284,9 @@ OPS_FOR_GRADCHECK = [
     ("softmax", lambda t: T.tsum(T.mul(T.softmax(t, axis=0), Tensor(np.arange(t.size, dtype=float))))),
     ("l2norm", lambda t: T.tsum(T.l2norm_rows(T.reshape(t, (2, -1))))),
     ("mean", lambda t: T.mean(T.mul(t, t))),
+    ("segment_sum", lambda t: T.tsum(T.sqrt(T.add(T.mul(
+        T.segment_sum(T.reshape(t, (4, 2)), [2, 0, 2, 1], 4),
+        T.segment_sum(T.reshape(t, (4, 2)), [1, 1, 0, 3], 4)), 9.0)))),
 ]
 
 
