@@ -2,12 +2,13 @@
 
 Three conv layers with ReLU in between produce a D-channel map aligned 1:1
 with the input pixels. The network is deliberately tiny; what matters for
-this package is that it is translation-equivariant (exactly so under
-circular padding) and contains no coordinate information of its own.
+this package is that it is translation-equivariant (exactly so for circular
+shifts, since every conv wraps around the image edges) and contains no
+coordinate information of its own.
 """
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +25,6 @@ class BackboneConfig:
     hidden: tuple = (16, 32)
     dims: int = 8                  # final layer width = embedding dimension
     kernels: tuple = (3, 3, 3)
-    padding: str = "circular"
     seed: int = 0
     head_grad_scale: float = 1.0   # multiplier on gradients entering the last layer
 
@@ -38,8 +38,6 @@ class BackboneConfig:
             raise ValueError("need one kernel size per layer")
         if any(k % 2 == 0 or k < 1 for k in self.kernels):
             raise ValueError("kernel extents must be odd and positive")
-        if self.padding not in ("zero", "circular"):
-            raise ValueError(f"unknown padding mode '{self.padding}'")
         if self.head_grad_scale <= 0:
             raise ValueError("head_grad_scale must be positive")
 
@@ -81,21 +79,13 @@ class Backbone:
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             if i == last:
                 h = T.scale_gradient(h, self.cfg.head_grad_scale)
-            k = w.data.shape[2]
-            h = T.conv2d(h, w, b, padding=self.cfg.padding, pad=T.same_pad(k))
+            h = T.conv2d(h, w, b)
             if i < last:
                 h = T.relu(h)
         return h
 
     def params(self):
         return list(self.weights) + list(self.biases)
-
-    def zero_grad(self):
-        for p in self.params():
-            p.grad = None
-
-    def state_copy(self):
-        return [p.data.copy() for p in self.params()]
 
     def save(self, path):
         """Write weights to a little-endian binary file (f32 payload)."""
@@ -109,22 +99,31 @@ class Backbone:
                 fh.write(np.ascontiguousarray(b.data, dtype="<f4").tobytes())
 
     @classmethod
-    def load(cls, path, padding="circular", head_grad_scale=1.0):
-        """Read a file written by save(). Padding mode is not stored in the
-        file, so the caller restates it."""
+    def load(cls, path, head_grad_scale=1.0):
+        """Read a file written by save(); a short or malformed file raises ValueError."""
         with open(path, "rb") as fh:
             blob = fh.read()
         if blob[:4] != MAGIC:
             raise ValueError("not a model file (bad magic)")
+        if len(blob) < 12:
+            raise ValueError("model file truncated inside its header")
         version, n_layers = struct.unpack_from("<II", blob, 4)
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported model format version {version}")
+        # every layer needs at least its 16-byte header
+        if not 1 <= n_layers <= (len(blob) - 12) // 16:
+            raise ValueError(f"model file claims {n_layers} layers, which its "
+                             f"{len(blob)} bytes cannot hold")
         off = 12
         weights, biases = [], []
         for _ in range(n_layers):
+            if off + 16 > len(blob):
+                raise ValueError("model file truncated inside a layer header")
             c_in, c_out, kh, kw = struct.unpack_from("<IIII", blob, off)
             off += 16
             nw = c_out * c_in * kh * kw
+            if off + 4 * (nw + c_out) > len(blob):
+                raise ValueError("model file truncated inside a layer payload")
             w = np.frombuffer(blob, dtype="<f4", count=nw, offset=off)
             off += 4 * nw
             b = np.frombuffer(blob, dtype="<f4", count=c_out, offset=off)
@@ -138,5 +137,5 @@ class Backbone:
         cfg = BackboneConfig(in_channels=chans[0], hidden=tuple(chans[1:-1]),
                              dims=chans[-1],
                              kernels=tuple(w.data.shape[2] for w in weights),
-                             padding=padding, head_grad_scale=head_grad_scale)
+                             head_grad_scale=head_grad_scale)
         return cls(cfg, weights=weights, biases=biases)

@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 usage or input problem, 2 numeric failure.
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -109,7 +108,7 @@ def gradcheck_report(instances=20, seed=0):
         x = rng.standard_normal((2, 5, 5))
         w0 = rng.standard_normal((3, 2, 3, 3)) * 0.5
         record("conv2d", T.grad_check(
-            lambda w: T.tsum(T.conv2d(Tensor(x), w, padding="circular", pad=1)),
+            lambda w: T.tsum(T.conv2d(Tensor(x), w)),
             Tensor(w0)))
 
         rows = rng.standard_normal((6, 3))
@@ -239,6 +238,21 @@ def cmd_render_arrows(args):
 
 # -- wiring -------------------------------------------------------------------------
 
+# argparse reports a ValueError from int() as "invalid <type> value"
+def positive_int(text):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return n
+
+
+def non_negative_int(text):
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return n
+
+
 def _add_common(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -248,10 +262,10 @@ def _add_common(p):
 
 def _add_train_flags(p):
     p.add_argument("--mode", choices=("semiconv", "conv"), default="semiconv")
-    p.add_argument("--epochs", type=int, default=400)
+    p.add_argument("--epochs", type=non_negative_int, default=400)
     p.add_argument("--lr", type=float, default=0.03)
     p.add_argument("--lr-decay", type=float, default=0.02)
-    p.add_argument("--dims", type=int, default=8)
+    p.add_argument("--dims", type=positive_int, default=8)
 
 
 def build_parser():
@@ -263,15 +277,15 @@ def build_parser():
     _add_common(p)
     p.add_argument("--half-extent", type=float, default=4.0)
     p.add_argument("--step", type=float, default=0.25)
-    p.add_argument("--stacks", type=int, default=5)
+    p.add_argument("--stacks", type=positive_int, default=5)
     p.set_defaults(func=cmd_dilemma)
 
     p = sub.add_parser("synth-gen", help="generate a dot-grid scene")
     _add_common(p)
-    p.add_argument("--rows", type=int, default=4)
-    p.add_argument("--cols", type=int, default=4)
-    p.add_argument("--radius", type=int, default=3)
-    p.add_argument("--spacing", type=int, default=32)
+    p.add_argument("--rows", type=positive_int, default=4)
+    p.add_argument("--cols", type=positive_int, default=4)
+    p.add_argument("--radius", type=positive_int, default=3)
+    p.add_argument("--spacing", type=positive_int, default=32)
     p.add_argument("--noise", type=float, default=0.0)
     p.set_defaults(func=cmd_synth_gen)
 
@@ -287,7 +301,7 @@ def build_parser():
     p.add_argument("--scene", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--mode", choices=("semiconv", "conv"), default="semiconv")
-    p.add_argument("--k", type=int, default=0, help="0 uses the true count")
+    p.add_argument("--k", type=non_negative_int, default=0, help="0 uses the true count")
     p.add_argument("--render", default=None, help="also write a cluster PPM")
     p.set_defaults(func=cmd_cluster)
 
@@ -302,7 +316,7 @@ def build_parser():
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient audit")
     _add_common(p)
-    p.add_argument("--instances", type=int, default=20)
+    p.add_argument("--instances", type=positive_int, default=20)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("render-arrows", help="displacement arrow overlay")
@@ -310,37 +324,29 @@ def build_parser():
     p.add_argument("--scene", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--mode", choices=("semiconv", "conv"), default="semiconv")
-    p.add_argument("--stride", type=int, default=4)
+    p.add_argument("--stride", type=positive_int, default=4)
     p.set_defaults(func=cmd_render_arrows)
 
     return parser
 
 
-def _apply_config_file(args):
+def _config_tokens(args):
+    """Entries of the --config JSON object as ``--flag=value`` argv tokens."""
     if not getattr(args, "config", None):
-        return
+        return []
     with open(args.config) as fh:
         overrides = json.load(fh)
     if not isinstance(overrides, dict):
         raise UsageError("config file must hold a JSON object")
+    tokens = []
     for key, val in overrides.items():
         attr = key.replace("-", "_")
         if not hasattr(args, attr) or attr in ("func", "config", "subcommand"):
             raise UsageError(f"config key '{key}' is not a flag of this subcommand")
-        setattr(args, attr, val)
-
-
-def _check_threads_env():
-    raw = os.environ.get("SEMICONV_THREADS")
-    if raw is None:
-        return
-    try:
-        n = int(raw)
-    except ValueError:
-        raise UsageError(f"SEMICONV_THREADS must be an integer, got '{raw}'")
-    if n < 0:
-        raise UsageError("SEMICONV_THREADS must be >= 0")
-    # execution is serial either way; the cap is accepted for compatibility
+        if isinstance(val, bool) or not isinstance(val, (str, int, float)):
+            raise UsageError(f"config key '{key}' must be a string or a number")
+        tokens.append(f"--{attr.replace('_', '-')}={val}")
+    return tokens
 
 
 def main(argv=None):
@@ -355,8 +361,11 @@ def main(argv=None):
         if not hasattr(args, "func"):
             parser.print_usage(sys.stderr)
             return 1
-        _check_threads_env()
-        _apply_config_file(args)
+        # config entries go after the command line, so they override its flags
+        # and pass the same type checks
+        tokens = _config_tokens(args)
+        if tokens:
+            args = parser.parse_args(argv + tokens)
         # non-finite intermediates raise NumericError from the op itself;
         # numpy's warnings on the same event are just noise on stderr
         with np.errstate(all="ignore"):

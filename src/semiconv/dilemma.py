@@ -100,7 +100,6 @@ class ConvStack1D:
     def __init__(self, weights, biases):
         self.weights = weights
         self.biases = biases
-        self.padding = "circular"
 
     @classmethod
     def random(cls, seed, hidden=(8, 8), ksize=3):
@@ -118,8 +117,7 @@ class ConvStack1D:
         h = Tensor(np.asarray(x, dtype=np.float64).reshape(1, 1, -1))
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            pad = (0, (w.shape[3] - 1) // 2)
-            h = T.conv2d(h, Tensor(w), Tensor(b), padding="circular", pad=pad)
+            h = T.conv2d(h, Tensor(w), Tensor(b))
             if i < last:
                 h = T.relu(h)
         return h.data.reshape(-1)

@@ -70,7 +70,6 @@ class TrainConfig:
     momentum: float = 0.0
     seed: int = 0
     eps: float = 1e-8
-    padding: str = "circular"
     head_grad_scale: float = 1.0
     include_background: bool = False
 
@@ -88,9 +87,9 @@ class TrainConfig:
 def generate_scene(rows, cols, dot_radius=3, spacing=32, img_noise_std=0.0, seed=0):
     """Regular grid of identical filled discs on a black background.
 
-    The image extent is rows*spacing by cols*spacing, so with circular
-    padding the scene is exactly periodic: every dot is a bit-identical
-    translate of every other. Requires spacing > 2*dot_radius so dots stay
+    The image extent is rows*spacing by cols*spacing, so under the
+    backbone's wrap-around convolutions the scene is exactly periodic: every
+    dot is a bit-identical translate of every other. Requires spacing > 2*dot_radius so dots stay
     disjoint.
     """
     if rows < 1 or cols < 1 or dot_radius < 1:
@@ -122,8 +121,7 @@ def build_field(model, image, mode):
 
 
 def make_model(cfg, in_channels=1):
-    return Backbone(BackboneConfig(in_channels=in_channels, dims=cfg.dims,
-                                   padding=cfg.padding, seed=cfg.seed,
+    return Backbone(BackboneConfig(in_channels=in_channels, dims=cfg.dims, seed=cfg.seed,
                                    head_grad_scale=cfg.head_grad_scale))
 
 

@@ -438,55 +438,31 @@ def l2norm_rows(a, eps=NORM_EPS):
 
 # -- convolution ------------------------------------------------------------
 
-def _pad_chw(x, ph, pw, mode):
-    if mode == "zero":
-        return np.pad(x, ((0, 0), (ph, ph), (pw, pw)))
-    if mode == "circular":
-        if ph > x.shape[1] or pw > x.shape[2]:
-            raise ValueError("circular pad wider than the input")
-        return np.pad(x, ((0, 0), (ph, ph), (pw, pw)), mode="wrap")
-    raise ValueError(f"unknown padding mode '{mode}'")
+def _taps(a, kh, kw):
+    """Wrap-pad a[C,H,W] by (kh//2, kw//2) and stack its kh*kw shifted views.
 
-
-def _unpad_circular(gp, ph, pw):
-    # adjoint of wrap-padding: fold the margins back onto the core
-    c, hp, wp = gp.shape
-    h, w = hp - 2 * ph, wp - 2 * pw
-    t = gp[:, :, pw:pw + w].copy()
-    if pw:
-        t[:, :, w - pw:] += gp[:, :, :pw]
-        t[:, :, :pw] += gp[:, :, pw + w:]
-    out = t[:, ph:ph + h, :].copy()
-    if ph:
-        out[:, h - ph:, :] += t[:, :ph, :]
-        out[:, :ph, :] += t[:, ph + h:, :]
-    return out
-
-
-def _im2col(xp, kh, kw, stride, hout, wout):
-    c = xp.shape[0]
-    cols = np.empty((c, kh, kw, hout, wout), dtype=np.float64)
+    Row (c, i, j) of the [C*kh*kw, H*W] result is channel c shifted by tap
+    (i, j), so a kernel reshaped to [C_out, C*kh*kw] correlates by one GEMM.
+    """
+    c, h, w = a.shape
+    ph, pw = kh // 2, kw // 2
+    if ph > h or pw > w:
+        raise ValueError("kernel half-extent wider than the input")
+    ap = np.pad(a, ((0, 0), (ph, ph), (pw, pw)), mode="wrap")
+    cols = np.empty((c, kh, kw, h, w), dtype=np.float64)
     for i in range(kh):
         for j in range(kw):
-            cols[:, i, j] = xp[:, i:i + stride * hout:stride, j:j + stride * wout:stride]
-    return cols.reshape(c * kh * kw, hout * wout)
+            cols[:, i, j] = ap[:, i:i + h, j:j + w]
+    return cols.reshape(c * kh * kw, h * w)
 
 
-def _col2im(gcols, c, hp, wp, kh, kw, stride, hout, wout):
-    g = np.zeros((c, hp, wp), dtype=np.float64)
-    gc = gcols.reshape(c, kh, kw, hout, wout)
-    for i in range(kh):
-        for j in range(kw):
-            g[:, i:i + stride * hout:stride, j:j + stride * wout:stride] += gc[:, i, j]
-    return g
+def conv2d(x, weight, bias=None):
+    """Circular 2-d cross-correlation of x[C_in,H,W] with weight[C_out,C_in,kh,kw].
 
-
-def conv2d(x, weight, bias=None, stride=1, padding="zero", pad=0):
-    """2-d convolution (cross-correlation) of [C_in,H,W] with [C_out,C_in,kh,kw].
-
-    ``pad`` is an int or (pad_h, pad_w); output spatial size is
-    floor((H + 2*pad - k) / stride) + 1 per dimension. Circular padding makes
-    the operator exactly periodic-equivariant.
+    Odd kernels only; stride 1 and wrap-around padding by (kh//2, kw//2), so
+    the output is [C_out,H,W] and the operator is exactly equivariant to
+    circular shifts. The input gradient is the same correlation of the output
+    gradient with the kernel flipped in both axes and its channel axes swapped.
     """
     x, weight = _coerce(x), _coerce(weight)
     if x.data.ndim != 3 or weight.data.ndim != 4:
@@ -496,51 +472,29 @@ def conv2d(x, weight, bias=None, stride=1, padding="zero", pad=0):
         raise ValueError(f"input channels {x.data.shape[0]} != weight c_in {c_in}")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError("kernel extents must be odd")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    ph, pw = (pad, pad) if isinstance(pad, int) else pad
-
-    xp = _pad_chw(x.data, ph, pw, padding)
-    hp, wp = xp.shape[1], xp.shape[2]
-    hout = (hp - kh) // stride + 1
-    wout = (wp - kw) // stride + 1
-    if hout < 1 or wout < 1:
-        raise ValueError("kernel larger than padded input")
-
-    cols = _im2col(xp, kh, kw, stride, hout, wout)
-    w2 = weight.data.reshape(c_out, -1)
-    out = (w2 @ cols).reshape(c_out, hout, wout)
     if bias is not None:
         bias = _coerce(bias)
         if bias.data.shape != (c_out,):
             raise ValueError("bias must have shape (C_out,)")
+
+    cols = _taps(x.data, kh, kw)
+    w2 = weight.data.reshape(c_out, -1)
+    out = (w2 @ cols).reshape(c_out, *x.data.shape[1:])
+    if bias is not None:
         out = out + bias.data[:, None, None]
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(g):
-        g2 = g.reshape(c_out, -1)
         if weight.requires_grad:
-            _accum(weight, (g2 @ cols.T).reshape(weight.data.shape))
+            _accum(weight, (g.reshape(c_out, -1) @ cols.T).reshape(weight.data.shape))
         if bias is not None and bias.requires_grad:
             _accum(bias, g.sum(axis=(1, 2)))
         if x.requires_grad:
-            gcols = w2.T @ g2
-            gxp = _col2im(gcols, c_in, hp, wp, kh, kw, stride, hout, wout)
-            if padding == "circular":
-                _accum(x, _unpad_circular(gxp, ph, pw))
-            else:
-                gx = gxp[:, ph:ph + x.data.shape[1], pw:pw + x.data.shape[2]]
-                _accum(x, np.ascontiguousarray(gx))
+            w_adj = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, -1)
+            _accum(x, (w_adj @ _taps(g, kh, kw)).reshape(x.data.shape))
 
     return _node(out, parents, backward, "conv2d")
-
-
-def same_pad(k):
-    """Padding that preserves spatial size for an odd kernel extent at stride 1."""
-    if k % 2 == 0:
-        raise ValueError("same_pad requires an odd kernel")
-    return (k - 1) // 2
 
 
 # -- gradient checking ------------------------------------------------------

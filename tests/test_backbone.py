@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -73,8 +75,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         BackboneConfig(kernels=(3, 3, 4)).validate()
     with pytest.raises(ValueError):
-        BackboneConfig(padding="reflect").validate()
-    with pytest.raises(ValueError):
         BackboneConfig(dims=0).validate()
     with pytest.raises(ValueError):
         BackboneConfig(head_grad_scale=0.0).validate()
@@ -102,7 +102,8 @@ def test_head_grad_scale_scales_trunk_only():
     for scale in (1.0, 0.1):
         model = Backbone(small_cfg(seed=9, head_grad_scale=scale))
         loss = T.mean(model.forward(Tensor(x)))
-        model.zero_grad()
+        for p in model.params():
+            p.grad = None
         loss.backward()
         grads[scale] = [w.grad.copy() for w in model.weights]
     # trunk layers see scaled gradients, the head layer itself does not
@@ -123,6 +124,22 @@ def test_serialization_round_trip(tmp_path):
         assert np.max(np.abs(a.data - b.data)) < 1e-6  # f32 payload
     loaded.save(p2)
     assert p1.read_bytes() == p2.read_bytes()  # quantization is idempotent
+
+
+def test_load_rejects_every_truncation(tmp_path):
+    good = tmp_path / "good.bin"
+    Backbone(small_cfg()).save(good)
+    blob = good.read_bytes()
+    cut = tmp_path / "cut.bin"
+    for n in range(len(blob)):
+        cut.write_bytes(blob[:n])
+        with pytest.raises(ValueError):
+            Backbone.load(cut)
+    # a header claiming 2^31 layers, and one claiming none
+    for n_layers in (2 ** 31, 0):
+        cut.write_bytes(blob[:8] + struct.pack("<I", n_layers) + blob[12:])
+        with pytest.raises(ValueError):
+            Backbone.load(cut)
 
 
 def test_load_rejects_garbage(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -159,12 +160,51 @@ def test_seedcut_subcommand_outputs(tmp_path, scene_path):
     assert 0.0 <= doc["mean_iou"] <= 1.0
 
 
-def test_threads_env_validated(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("SEMICONV_THREADS", "banana")
-    assert run("dilemma", "--out", tmp_path / "d.json") == 1
-    assert "SEMICONV_THREADS" in capsys.readouterr().err
-    monkeypatch.setenv("SEMICONV_THREADS", "8")
-    assert run("dilemma", "--out", tmp_path / "d.json") == 0
+@pytest.mark.parametrize("stride", ["0", "-2"])
+def test_nonpositive_stride_exit_1(tmp_path, scene_path, capsys, stride):
+    model = tmp_path / "m.bin"
+    assert run("train", "--scene", scene_path, "--epochs", 0, "--dims", 4,
+               "--out", model) == 0
+    capsys.readouterr()
+    out = tmp_path / "a.ppm"
+    assert run("render-arrows", "--scene", scene_path, "--model", model,
+               "--stride", stride, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert "--stride" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_config_values_are_type_checked(tmp_path, scene_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"epochs": "3", "dims": 4}))
+    model = tmp_path / "m.bin"
+    losses = tmp_path / "losses.json"
+    assert run("train", "--scene", scene_path, "--epochs", 500, "--config", cfg,
+               "--out", model, "--losses", losses) == 0
+    assert read(str(model) + ".manifest.json")["config"]["epochs"] == 3
+    assert len(read(losses)["losses"]) == 3
+    capsys.readouterr()
+    cfg.write_text(json.dumps({"epochs": "x"}))
+    assert run("train", "--scene", scene_path, "--config", cfg,
+               "--out", tmp_path / "m2.bin") == 1
+    err = capsys.readouterr().err
+    assert "--epochs" in err and err.count("\n") == 1
+
+
+def test_truncated_model_exit_1(tmp_path, scene_path, capsys):
+    model = tmp_path / "m.bin"
+    assert run("train", "--scene", scene_path, "--epochs", 0, "--dims", 4,
+               "--out", model) == 0
+    blob = model.read_bytes()
+    cut = tmp_path / "cut.bin"
+    # inside the file header, inside a layer header, a header claiming 2^31 layers
+    for bad in (blob[:10], blob[:20], blob[:8] + struct.pack("<I", 2 ** 31) + blob[12:]):
+        cut.write_bytes(bad)
+        capsys.readouterr()
+        assert run("cluster", "--scene", scene_path, "--model", cut,
+                   "--out", tmp_path / "c.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_scene_with_too_many_instances_exit_1(tmp_path, monkeypatch, capsys):

@@ -113,7 +113,7 @@ def test_period_shift_moves_geometric_dims_only():
     tile = rng.standard_normal((1, p, p))
     img = Tensor(np.tile(tile, (1, 3, 3)))
     w = Tensor(rng.standard_normal((4, 1, 3, 3)))
-    phi = T.conv2d(img, w, padding="circular", pad=1)
+    phi = T.conv2d(img, w)
     psi = E.attach_coords(phi).values.data
     a = psi[:, 2, 3]
     b = psi[:, 2 + p, 3 + p]

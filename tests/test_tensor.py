@@ -5,25 +5,19 @@ from semiconv import tensor as T
 from semiconv.tensor import Tensor, NumericError
 
 
-def conv2d_bruteforce(x, w, stride=1, padding="zero", pad=0):
-    """Independent direct-summation convolution oracle."""
+def conv2d_bruteforce(x, w):
+    """Independent direct-summation oracle: circular, size-preserving, stride 1."""
     c_out, c_in, kh, kw = w.shape
-    ph, pw = (pad, pad) if isinstance(pad, int) else pad
-    if padding == "zero":
-        xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw)))
-    else:
-        xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw)), mode="wrap")
-    hout = (xp.shape[1] - kh) // stride + 1
-    wout = (xp.shape[2] - kw) // stride + 1
-    out = np.zeros((c_out, hout, wout))
+    h, wd = x.shape[1:]
+    out = np.zeros((c_out, h, wd))
     for o in range(c_out):
-        for y in range(hout):
-            for xx in range(wout):
+        for y in range(h):
+            for xx in range(wd):
                 acc = 0.0
                 for c in range(c_in):
                     for i in range(kh):
                         for j in range(kw):
-                            acc += xp[c, y * stride + i, xx * stride + j] * w[o, c, i, j]
+                            acc += x[c, (y + i - kh // 2) % h, (xx + j - kw // 2) % wd] * w[o, c, i, j]
                 out[o, y, xx] = acc
     return out
 
@@ -117,23 +111,22 @@ def test_conv2d_identity_1x1():
 def test_conv2d_ones_center():
     x = np.ones((1, 3, 3))
     w = np.ones((1, 1, 3, 3))
-    out = T.conv2d(Tensor(x), Tensor(w), pad=1)
-    expected = conv2d_bruteforce(x, w, pad=1)
+    out = T.conv2d(Tensor(x), Tensor(w))
+    expected = conv2d_bruteforce(x, w)
     assert out.data[0, 1, 1] == 9.0
     assert np.allclose(out.data, expected, atol=1e-12, rtol=0)
 
 
-@pytest.mark.parametrize("padding,pad,stride", [
-    ("zero", 1, 1), ("zero", 0, 1), ("circular", 1, 1),
-    ("zero", 1, 2), ("circular", 2, 1), ("zero", (1, 2), 1),
-])
-def test_conv2d_matches_bruteforce(padding, pad, stride):
+@pytest.mark.parametrize("kh,kw", [(3, 3), (3, 5), (1, 3), (5, 5)],
+                         ids=["3x3", "3x5", "1x3", "5x5"])
+def test_conv2d_matches_bruteforce(kh, kw):
     rng = np.random.default_rng(7)
-    x = rng.standard_normal((2, 6, 8))
-    w = rng.standard_normal((3, 2, 3, 5))
-    out = T.conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding, pad=pad)
-    expected = conv2d_bruteforce(x, w, stride=stride, padding=padding, pad=pad)
-    assert out.data.shape == expected.shape
+    x = rng.standard_normal((2, 7, 9))
+    w = rng.standard_normal((3, 2, kh, kw))
+    b = rng.standard_normal(3)
+    out = T.conv2d(Tensor(x), Tensor(w), Tensor(b))
+    expected = conv2d_bruteforce(x, w) + b[:, None, None]
+    assert out.data.shape == (3, 7, 9)
     assert np.allclose(out.data, expected, atol=1e-12, rtol=0)
 
 
@@ -143,7 +136,7 @@ def test_conv2d_weight_grad_finite_differences():
     w0 = rng.standard_normal((3, 2, 3, 3)) * 0.5
 
     def f(w):
-        return T.tsum(T.conv2d(Tensor(x), w, pad=1))
+        return T.tsum(T.conv2d(Tensor(x), w))
 
     assert T.grad_check(f, Tensor(w0), h=1e-5) < 1e-6
 
@@ -154,8 +147,20 @@ def test_conv2d_input_grad_finite_differences():
     w = rng.standard_normal((2, 2, 3, 3)) * 0.5
 
     def f(x):
-        return T.tsum(T.mul(T.conv2d(x, Tensor(w), padding="circular", pad=1),
-                            T.conv2d(x, Tensor(w), padding="circular", pad=1)))
+        return T.tsum(T.mul(T.conv2d(x, Tensor(w)), T.conv2d(x, Tensor(w))))
+
+    assert T.grad_check(f, Tensor(x0), h=1e-5) < 1e-6
+
+
+def test_conv2d_input_grad_nonsquare_kernel():
+    # a flip along the wrong axis or an unswapped channel pair shows up here
+    rng = np.random.default_rng(5)
+    x0 = rng.standard_normal((2, 5, 7))
+    w = rng.standard_normal((3, 2, 3, 5)) * 0.5
+
+    def f(x):
+        y = T.conv2d(x, Tensor(w))
+        return T.tsum(T.mul(y, y))
 
     assert T.grad_check(f, Tensor(x0), h=1e-5) < 1e-6
 
@@ -167,19 +172,22 @@ def test_conv2d_validation():
     with pytest.raises(ValueError):
         T.conv2d(x, Tensor(np.zeros((1, 2, 2, 2))))  # even kernel
     with pytest.raises(ValueError):
-        T.conv2d(Tensor(np.zeros((1, 2, 2))), Tensor(np.zeros((1, 1, 5, 5))))
-    assert T.conv2d(x, w, pad=1).data.shape == (1, 4, 4)
-    assert T.same_pad(5) == 2
+        T.conv2d(x, w, Tensor(np.zeros(2)))  # bias is not (C_out,)
+    with pytest.raises(ValueError):  # half-extent 3 wider than the 2-pixel input
+        T.conv2d(Tensor(np.zeros((1, 2, 2))), Tensor(np.zeros((1, 1, 7, 7))))
+    assert T.conv2d(x, w).data.shape == (1, 4, 4)
+    edge = T.conv2d(Tensor(np.zeros((1, 2, 2))), Tensor(np.zeros((1, 1, 5, 5))))
+    assert edge.data.shape == (1, 2, 2)  # half-extent 2 still fits
 
 
 def test_conv2d_circular_shift_equivariance():
     rng = np.random.default_rng(11)
     x = rng.standard_normal((2, 8, 9))
     w = rng.standard_normal((3, 2, 3, 3))
-    out = T.conv2d(Tensor(x), Tensor(w), padding="circular", pad=1).data
+    out = T.conv2d(Tensor(x), Tensor(w)).data
     for dy, dx in [(1, 0), (0, 3), (5, 2)]:
         xs = np.roll(x, (dy, dx), axis=(1, 2))
-        outs = T.conv2d(Tensor(xs), Tensor(w), padding="circular", pad=1).data
+        outs = T.conv2d(Tensor(xs), Tensor(w)).data
         assert np.max(np.abs(outs - np.roll(out, (dy, dx), axis=(1, 2)))) < 1e-9
 
 
@@ -306,7 +314,7 @@ def test_forward_backward_bit_reproducible():
         rng = np.random.default_rng(42)
         x = Tensor(rng.standard_normal((2, 6, 6)))
         w = Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
-        h = T.relu(T.conv2d(x, w, padding="circular", pad=1))
+        h = T.relu(T.conv2d(x, w))
         loss = T.mean(T.mul(h, h))
         loss.backward()
         return loss.item(), w.grad.copy()
