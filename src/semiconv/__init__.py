@@ -19,7 +19,6 @@ from .embedding import (
     check_margin,
     conv_field,
     coord_grid,
-    detach_coords,
     displacement_field,
     field_rows,
     flatten_rows,
@@ -61,7 +60,7 @@ from .dilemma import conv_collision_witness, make_signal, semiconv_color
 __all__ = [
     "Tensor", "NumericError", "grad_check",
     "EmbeddingField", "attach_coords", "bilateral_rows", "check_margin",
-    "conv_field", "coord_grid", "detach_coords", "displacement_field",
+    "conv_field", "coord_grid", "displacement_field",
     "field_rows", "flatten_rows",
     "SegmentSet", "mask_bce", "pull_to_mean_loss",
     "KernelParams", "SeedFusionResult", "factorized_kernel", "fuse_scores",

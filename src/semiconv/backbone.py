@@ -26,7 +26,6 @@ class BackboneConfig:
     dims: int = 8                  # final layer width = embedding dimension
     kernels: tuple = (3, 3, 3)
     seed: int = 0
-    head_grad_scale: float = 1.0   # multiplier on gradients entering the last layer
 
     def layer_channels(self):
         return (self.in_channels, *self.hidden, self.dims)
@@ -38,8 +37,6 @@ class BackboneConfig:
             raise ValueError("need one kernel size per layer")
         if any(k % 2 == 0 or k < 1 for k in self.kernels):
             raise ValueError("kernel extents must be odd and positive")
-        if self.head_grad_scale <= 0:
-            raise ValueError("head_grad_scale must be positive")
 
 
 class Backbone:
@@ -71,14 +68,11 @@ class Backbone:
         """Map [C,H,W] input to a [D,H,W] feature map.
 
         ReLU between layers, none after the last so embeddings can go
-        negative. head_grad_scale rescales only gradients flowing back from
-        the final layer into the trunk; forward values are untouched.
+        negative.
         """
         h = x if isinstance(x, Tensor) else Tensor(x)
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if i == last:
-                h = T.scale_gradient(h, self.cfg.head_grad_scale)
             h = T.conv2d(h, w, b)
             if i < last:
                 h = T.relu(h)
@@ -99,7 +93,7 @@ class Backbone:
                 fh.write(np.ascontiguousarray(b.data, dtype="<f4").tobytes())
 
     @classmethod
-    def load(cls, path, head_grad_scale=1.0):
+    def load(cls, path):
         """Read a file written by save(); a short or malformed file raises ValueError."""
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -116,11 +110,18 @@ class Backbone:
                              f"{len(blob)} bytes cannot hold")
         off = 12
         weights, biases = [], []
-        for _ in range(n_layers):
+        for layer in range(n_layers):
             if off + 16 > len(blob):
                 raise ValueError("model file truncated inside a layer header")
             c_in, c_out, kh, kw = struct.unpack_from("<IIII", blob, off)
             off += 16
+            if weights and c_in != weights[-1].data.shape[0]:
+                raise ValueError(f"model layer {layer} expects {c_in} input channels, "
+                                 f"but layer {layer - 1} outputs "
+                                 f"{weights[-1].data.shape[0]}")
+            if kh != kw:
+                raise ValueError(f"model layer {layer} has a non-square "
+                                 f"{kh}x{kw} kernel")
             nw = c_out * c_in * kh * kw
             if off + 4 * (nw + c_out) > len(blob):
                 raise ValueError("model file truncated inside a layer payload")
@@ -136,6 +137,5 @@ class Backbone:
         chans = [weights[0].data.shape[1]] + [w.data.shape[0] for w in weights]
         cfg = BackboneConfig(in_channels=chans[0], hidden=tuple(chans[1:-1]),
                              dims=chans[-1],
-                             kernels=tuple(w.data.shape[2] for w in weights),
-                             head_grad_scale=head_grad_scale)
+                             kernels=tuple(w.data.shape[2] for w in weights))
         return cls(cfg, weights=weights, biases=biases)

@@ -73,9 +73,10 @@ def canonical_json(obj, indent=0):
 
 
 def write_json(path, obj):
+    # serialize first, so a non-finite value leaves no partial file behind
+    text = canonical_json(obj) + "\n"
     with open(path, "w") as fh:
-        fh.write(canonical_json(obj))
-        fh.write("\n")
+        fh.write(text)
 
 
 def write_manifest(subcommand, args, outputs, started):
@@ -253,6 +254,13 @@ def non_negative_int(text):
     return n
 
 
+def finite_float(text):
+    x = float(text)
+    if not np.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    return x
+
+
 def _add_common(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -263,8 +271,8 @@ def _add_common(p):
 def _add_train_flags(p):
     p.add_argument("--mode", choices=("semiconv", "conv"), default="semiconv")
     p.add_argument("--epochs", type=non_negative_int, default=400)
-    p.add_argument("--lr", type=float, default=0.03)
-    p.add_argument("--lr-decay", type=float, default=0.02)
+    p.add_argument("--lr", type=finite_float, default=0.03)
+    p.add_argument("--lr-decay", type=finite_float, default=0.02)
     p.add_argument("--dims", type=positive_int, default=8)
 
 
@@ -275,8 +283,8 @@ def build_parser():
 
     p = sub.add_parser("dilemma", help="1-d coloring contrast report")
     _add_common(p)
-    p.add_argument("--half-extent", type=float, default=4.0)
-    p.add_argument("--step", type=float, default=0.25)
+    p.add_argument("--half-extent", type=finite_float, default=4.0)
+    p.add_argument("--step", type=finite_float, default=0.25)
     p.add_argument("--stacks", type=positive_int, default=5)
     p.set_defaults(func=cmd_dilemma)
 
@@ -286,7 +294,7 @@ def build_parser():
     p.add_argument("--cols", type=positive_int, default=4)
     p.add_argument("--radius", type=positive_int, default=3)
     p.add_argument("--spacing", type=positive_int, default=32)
-    p.add_argument("--noise", type=float, default=0.0)
+    p.add_argument("--noise", type=finite_float, default=0.0)
     p.set_defaults(func=cmd_synth_gen)
 
     p = sub.add_parser("train", help="fit embeddings to a scene")
@@ -309,8 +317,8 @@ def build_parser():
     _add_common(p)
     _add_train_flags(p)
     p.add_argument("--scene", required=True)
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--sigma-init", type=float, default=1.0)
+    p.add_argument("--threshold", type=finite_float, default=0.5)
+    p.add_argument("--sigma-init", type=finite_float, default=1.0)
     p.add_argument("--render", default=None)
     p.set_defaults(func=cmd_seedcut)
 

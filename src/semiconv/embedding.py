@@ -97,16 +97,6 @@ def attach_coords(phi):
     return EmbeddingField(T.add(phi, Tensor(mix)), "semiconvolutional")
 
 
-def detach_coords(field):
-    """Invert attach_coords, recovering the underlying feature map."""
-    if field.kind != "semiconvolutional":
-        raise ValueError("field carries no coordinates to remove")
-    d, h, w = field.values.data.shape
-    mix = np.zeros((d, h, w))
-    mix[:2] = coord_grid(h, w)
-    return T.sub(field.values, Tensor(mix))
-
-
 def displacement_field(field):
     """Per-pixel offset vectors: geometric embedding minus the pixel's own position.
 

@@ -22,21 +22,17 @@ class KernelParams:
 
     sigma is stored as log(sigma) so gradient steps can never push it out of
     the positive range; it is a learnable tensor for the steered Laplacian
-    family (pass ``learnable`` to override).
+    family, the only one whose kernel reads it.
     """
 
-    def __init__(self, family="gaussian", sigma=1.0, learnable=None, eps=NORM_EPS):
+    def __init__(self, family="gaussian", sigma=1.0):
         if family not in FAMILIES:
             raise ValueError(f"unknown kernel family '{family}'")
         if not sigma > 0:
             raise ValueError("sigma must be positive")
-        if eps < 0:
-            raise ValueError("eps must be >= 0")
-        if learnable is None:
-            learnable = family == "steered_laplacian"
         self.family = family
-        self.eps = float(eps)
-        self.log_sigma = Tensor(np.log(sigma), requires_grad=bool(learnable))
+        self.log_sigma = Tensor(np.log(sigma),
+                                requires_grad=family == "steered_laplacian")
 
     @property
     def sigma(self):
@@ -72,6 +68,15 @@ class SeedFusionResult:
     def __repr__(self):
         return (f"SeedFusionResult(mode={self.mode}, seed={self.seed_index}, "
                 f"n={self.fused_scores.data.size})")
+
+
+def kernel_rows(field, family):
+    """The [N, D] rows a kernel of this family compares, one per pixel.
+
+    The bilateral family compares raw pixel coordinates plus appearance
+    channels; every other family compares the field's own embeddings.
+    """
+    return bilateral_rows(field) if family == "bilateral" else field_rows(field)
 
 
 def _as_vector(v, name):
@@ -149,15 +154,12 @@ def fuse_scores(scores, field, params, mode="hard"):
     scores. Both modes add log K(seed, i) to score i and squash through a
     logistic to get per-pixel probabilities.
 
-    For the bilateral family an EmbeddingField is converted to raw-coordinate
-    rows; precomputed row tensors are used as given for every family.
+    An EmbeddingField is converted to rows by kernel_rows; precomputed row
+    tensors are used as given for every family.
     """
     if mode not in ("hard", "soft"):
         raise ValueError(f"unknown fusion mode '{mode}'")
-    if isinstance(field, EmbeddingField):
-        rows = bilateral_rows(field) if params.family == "bilateral" else field_rows(field)
-    else:
-        rows = field
+    rows = kernel_rows(field, params.family) if isinstance(field, EmbeddingField) else field
     if rows.data.ndim != 2:
         raise ValueError("embedding rows must be [N, D]")
     s = _as_vector(scores, None)
@@ -179,7 +181,7 @@ def fuse_scores(scores, field, params, mode="hard"):
     diff = T.sub(rows, T.broadcast_to(seed_emb, (n, d)))
     sumsq = T.tsum(T.mul(diff, diff), axes=1)
     if params.family == "steered_laplacian":
-        dist = shifted_norm(sumsq, params.eps)
+        dist = shifted_norm(sumsq, NORM_EPS)
         log_kernel = T.mul(T.div(dist, params.sigma_tensor()), -1.0)
     else:
         log_kernel = T.mul(sumsq, -0.5)

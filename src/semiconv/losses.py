@@ -16,17 +16,16 @@ class SegmentSet:
     ``background`` holds the complementary indices. Segments must be pairwise
     disjoint, non-empty, and together with the background cover every pixel.
 
-    The loss reads the same partition as one concatenated pixel order:
-    ``pixels`` lists S_1..S_K and then the background, ``ids`` gives each of
-    those pixels its segment number (0..K-1, the background K), and
-    ``counts`` the K+1 segment sizes.
+    The loss reads the foreground as one concatenated pixel order:
+    ``pixels`` lists S_1..S_K, ``ids`` gives each of those pixels its
+    segment number 0..K-1, and ``counts`` the K segment sizes.
     """
 
     def __init__(self, segments, background, total_pixels):
         segs = [np.asarray(s, dtype=np.intp).ravel() for s in segments]
         bg = np.asarray(background, dtype=np.intp).ravel()
-        sizes = np.array([s.size for s in segs] + [bg.size], dtype=np.intp)
-        if np.any(sizes[:-1] == 0):
+        sizes = np.array([s.size for s in segs], dtype=np.intp)
+        if np.any(sizes == 0):
             raise ValueError("empty segment")
         pixels = np.concatenate(segs + [bg])
         # as many indices as pixels, none negative, none repeated: a partition
@@ -36,7 +35,7 @@ class SegmentSet:
         self.segments = segs
         self.background = bg
         self.total_pixels = total_pixels
-        self.pixels = pixels
+        self.pixels = pixels[:pixels.size - bg.size]
         self.ids = np.repeat(np.arange(sizes.size), sizes)
         self.counts = sizes
 
@@ -55,24 +54,20 @@ class SegmentSet:
         return len(self.segments)
 
 
-def pull_to_mean_loss(field, segs, eps=1e-8, include_background=False):
+def pull_to_mean_loss(field, segs):
     """Sum over segments of the mean unsquared distance to the segment mean.
 
     For each segment S the term is (1/|S|) * sum_u sqrt(||psi_u - m_S||^2 + eps)
     with m_S the segment's mean embedding. Distances are not squared, so one
     far-off pixel cannot dominate training. There is no explicit push term
     between segments; with position mixed into the embeddings, pulling each
-    segment to its own mean is enough to separate them. eps > 0 keeps the
-    square root differentiable when a segment is already perfectly tight.
-
-    Background pixels are ignored unless ``include_background`` adds them as
-    one extra segment; the loss is then and only then sensitive to them.
+    segment to its own mean is enough to separate them. eps (NORM_EPS) keeps
+    the square root differentiable when a segment is already perfectly tight.
+    Background pixels are ignored.
 
     All segments go through one gather and two segment sums, so the tape has
     the same dozen nodes whatever the number of segments.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     values = field.values if isinstance(field, EmbeddingField) else field
     if values.data.ndim == 3:
         rows = flatten_rows(values)
@@ -82,21 +77,15 @@ def pull_to_mean_loss(field, segs, eps=1e-8, include_background=False):
         raise ValueError("expected [D,H,W] field values or [N,D] rows")
 
     k = len(segs)
-    if include_background:
-        if segs.background.size == 0:
-            raise ValueError("empty segment")
-        k += 1
     if k == 0:
         raise ValueError("no segments to evaluate")
-    n = int(segs.counts[:k].sum())
-    ids = segs.ids[:n]
-    inv_counts = 1.0 / segs.counts[:k]
+    inv_counts = 1.0 / segs.counts
 
-    sel = T.index_select(rows, 0, segs.pixels[:n])
-    sums = T.segment_sum(sel, ids, k)
+    sel = T.index_select(rows, 0, segs.pixels)
+    sums = T.segment_sum(sel, segs.ids, k)
     centers = T.mul(sums, Tensor(np.broadcast_to(inv_counts[:, None], sums.data.shape)))
-    dev = T.sub(sel, T.index_select(centers, 0, ids))
-    dists = T.segment_sum(T.l2norm_rows(dev, eps), ids, k)
+    dev = T.sub(sel, T.index_select(centers, 0, segs.ids))
+    dists = T.segment_sum(T.l2norm_rows(dev), segs.ids, k)
     return T.tsum(T.mul(dists, Tensor(inv_counts)))
 
 

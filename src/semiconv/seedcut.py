@@ -15,8 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .embedding import field_rows, bilateral_rows
-from .kernels import KernelParams, fuse_scores
+from .kernels import KernelParams, fuse_scores, kernel_rows
 from .losses import mask_bce
 from . import synth
 
@@ -61,18 +60,21 @@ def crop_region(field, rect, scores, params=None):
     if not (0 <= x0 < x1 <= w and 0 <= y0 < y1 <= h):
         raise ValueError(f"rect {rect} falls outside the {h}x{w} image")
     family = params.family if params is not None else "gaussian"
-    all_rows = bilateral_rows(field) if family == "bilateral" else field_rows(field)
+    all_rows = kernel_rows(field, family)
     idx = region_pixel_indices(rect, w)
     rows = T.index_select(all_rows, 0, idx)
     s = scores if isinstance(scores, Tensor) else Tensor(np.asarray(scores, dtype=float))
     return RegionProposal(rect, T.reshape(s, (idx.size,)), rows)
 
 
-def cut_region(region, params, mode="hard", threshold=0.5):
-    """Binary mask over the region: probability(seed affinity) >= threshold."""
+def cut_region(region, params, threshold=0.5):
+    """Binary mask over the region: probability(seed affinity) >= threshold.
+
+    The seed is the region's highest-scoring pixel (hard fusion).
+    """
     if not (0.0 < threshold < 1.0):
         raise ValueError("threshold must lie in (0, 1)")
-    fused = fuse_scores(region.scores, region.rows, params, mode)
+    fused = fuse_scores(region.scores, region.rows, params, "hard")
     mask = fused.probabilities.data >= threshold
     return mask.reshape(region.shape)
 
@@ -106,37 +108,30 @@ def _box_instance(gt, rect):
     return int(ids[np.argmax(counts)])
 
 
-def train_seedcut(scene, gt_boxes, cfg, params=None, bce_weight=1.0):
+def train_seedcut(scene, gt_boxes, cfg, params=None):
     """Joint training of the embedding backbone and the kernel scale.
 
-    Every step evaluates the pull-to-mean loss on the whole image plus, for
-    each box, the cross entropy between the seed's kernel row and the mask of
-    the instance the (hard) seed lands in. The per-box scores are synthetic:
-    +1 on the box's instance, -1 elsewhere, standing in for an upstream
-    detector's confidence. With bce_weight 0 the kernel term is skipped
-    entirely and the run is identical to plain embedding training.
+    Every step evaluates the pull-to-mean loss on the whole image plus the
+    mean over boxes of the cross entropy between the seed's fused
+    probabilities and the mask of the instance the (hard) seed lands in. The
+    box loss reads the same kernel rows as crop_region, so training and
+    cutting see one kernel. The per-box scores are synthetic: +1 on the box's
+    instance, -1 elsewhere, standing in for an upstream detector's confidence.
 
     Returns (model, params, losses).
     """
     if params is None:
         params = KernelParams("steered_laplacian", sigma=1.0)
-    if bce_weight < 0:
-        raise ValueError("bce_weight must be >= 0")
     boxes = [tuple(int(v) for v in b) for b in gt_boxes]
     gt = scene.gt
     width = scene.shape[1]
     box_instances = [_box_instance(gt, b) for b in boxes]
     box_scores = [synthetic_scores(gt, b, k) for b, k in zip(boxes, box_instances)]
     box_indices = [region_pixel_indices(b, width) for b in boxes]
-
-    if bce_weight == 0.0:
-        model, losses = synth.train(scene, cfg)
-        return model, params, losses
-
     flat_labels = gt.labels.reshape(-1)
 
     def kernel_cut_loss(field):
-        rows_all = field_rows(field)
+        rows_all = kernel_rows(field, params.family)
         total = None
         for rect, idx, s in zip(boxes, box_indices, box_scores):
             rows = T.index_select(rows_all, 0, idx)
@@ -147,15 +142,14 @@ def train_seedcut(scene, gt_boxes, cfg, params=None, bce_weight=1.0):
                 if seed_instance > 0 else np.zeros(idx.size)
             term = mask_bce(fused.probabilities, target)
             total = term if total is None else T.add(total, term)
-        return T.mul(total, bce_weight / len(boxes))
+        return T.mul(total, 1.0 / len(boxes))
 
     model, losses = synth.train(scene, cfg, extra_loss=kernel_cut_loss,
                                 extra_params=params.learnables())
     return model, params, losses
 
 
-def cut_all_boxes(scene, model, params, cfg_mode="semiconv", mode="hard",
-                  threshold=0.5):
+def cut_all_boxes(scene, model, params, cfg_mode="semiconv", threshold=0.5):
     """Cut every ground-truth box; returns (masks, boxes, per-box IoU)."""
     field = synth.build_field(model, scene.image, cfg_mode)
     gt = scene.gt
@@ -163,7 +157,7 @@ def cut_all_boxes(scene, model, params, cfg_mode="semiconv", mode="hard",
     masks, ious = [], []
     for rect, k in zip(boxes, range(1, gt.K + 1)):
         region = crop_region(field, rect, synthetic_scores(gt, rect, k), params)
-        mask = cut_region(region, params, mode, threshold)
+        mask = cut_region(region, params, threshold)
         x0, y0, x1, y1 = rect
         truth = gt.labels[y0:y1, x0:x1] == k
         inter = np.count_nonzero(mask & truth)

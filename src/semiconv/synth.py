@@ -21,15 +21,18 @@ from .backbone import Backbone, BackboneConfig
 from .embedding import attach_coords, conv_field, field_rows
 from .losses import SegmentSet, pull_to_mean_loss
 
+KMEANS_MAX_ITER = 300
+KMEANS_TOL = 1e-6  # stop once no centroid moves farther than this
+
 
 class InstanceLabeling:
     """Integer instance id per pixel: 0 is background, 1..K are instances."""
 
-    def __init__(self, labels, K=None):
+    def __init__(self, labels):
         arr = np.asarray(labels)
         if not np.issubdtype(arr.dtype, np.integer):
             raise ValueError("labels must be integers")
-        k = int(arr.max()) if K is None else int(K)
+        k = int(arr.max())
         present = set(np.unique(arr).tolist())
         if arr.min() < 0 or (present - set(range(k + 1))):
             raise ValueError(f"label values must lie in [0, {k}]")
@@ -67,11 +70,7 @@ class TrainConfig:
     epochs: int = 2000
     lr: float = 0.03
     lr_decay: float = 0.02         # lr_t = lr / (1 + lr_decay * t)
-    momentum: float = 0.0
     seed: int = 0
-    eps: float = 1e-8
-    head_grad_scale: float = 1.0
-    include_background: bool = False
 
     def validate(self):
         if self.mode not in ("semiconv", "conv"):
@@ -80,8 +79,6 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0 and lr positive")
         if self.lr_decay < 0:
             raise ValueError("lr_decay must be >= 0")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
 
 
 def generate_scene(rows, cols, dot_radius=3, spacing=32, img_noise_std=0.0, seed=0):
@@ -121,23 +118,14 @@ def build_field(model, image, mode):
 
 
 def make_model(cfg, in_channels=1):
-    return Backbone(BackboneConfig(in_channels=in_channels, dims=cfg.dims, seed=cfg.seed,
-                                   head_grad_scale=cfg.head_grad_scale))
+    return Backbone(BackboneConfig(in_channels=in_channels, dims=cfg.dims, seed=cfg.seed))
 
 
-def sgd_step(params, lr, momentum=0.0, velocity=None):
-    """In-place SGD update; returns the (possibly fresh) velocity buffers."""
-    if momentum > 0 and velocity is None:
-        velocity = [np.zeros_like(p.data) for p in params]
-    for i, p in enumerate(params):
-        if p.grad is None:
-            continue
-        if momentum > 0:
-            velocity[i] = momentum * velocity[i] + p.grad
-            p.data -= lr * velocity[i]
-        else:
+def sgd_step(params, lr):
+    """In-place plain SGD update of every parameter that received a gradient."""
+    for p in params:
+        if p.grad is not None:
             p.data -= lr * p.grad
-    return velocity
 
 
 def train(scene, cfg, extra_loss=None, extra_params=()):
@@ -156,32 +144,31 @@ def train(scene, cfg, extra_loss=None, extra_params=()):
     model = make_model(cfg, in_channels=scene.image.data.shape[0])
     params = model.params() + list(extra_params)
     losses = []
-    velocity = None
     for step in range(cfg.epochs):
         try:
             field = build_field(model, scene.image, cfg.mode)
-            loss = pull_to_mean_loss(field, segs, cfg.eps,
-                                     include_background=cfg.include_background)
+            loss = pull_to_mean_loss(field, segs)
             if extra_loss is not None:
                 loss = T.add(loss, extra_loss(field))
             for p in params:
                 p.grad = None
             loss.backward()
             step_lr = cfg.lr / (1.0 + cfg.lr_decay * step)
-            velocity = sgd_step(params, step_lr, cfg.momentum, velocity)
+            sgd_step(params, step_lr)
         except NumericError as err:
             raise NumericError(f"training diverged at step {step}: {err}") from err
         losses.append(loss.item())
     return model, losses
 
 
-def decode_kmeans(field, fg_mask, K, seed=0, max_iter=300, tol=1e-6):
+def decode_kmeans(field, fg_mask, K, seed=0):
     """Cluster foreground embeddings into K instances.
 
     Deterministic k-means: careful seeding (distance-weighted, from the given
     rng), then standard mean/assign iterations until centroids move less than
-    tol. An emptied cluster is reseeded on the point farthest from its
-    centroid. Background pixels keep label 0; clusters get ids 1..K.
+    KMEANS_TOL, at most KMEANS_MAX_ITER times. An emptied cluster is reseeded
+    on the point farthest from its centroid. Background pixels keep label 0;
+    clusters get ids 1..K.
     """
     mask = np.asarray(fg_mask, dtype=bool)
     idx = np.flatnonzero(mask.reshape(-1))
@@ -206,7 +193,7 @@ def decode_kmeans(field, fg_mask, K, seed=0, max_iter=300, tol=1e-6):
         d2 = np.minimum(d2, np.sum((pts - centers[k]) ** 2, axis=1))
 
     assign = np.zeros(idx.size, dtype=np.intp)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         dists = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         assign = np.argmin(dists, axis=1)
         counts = np.bincount(assign, minlength=K)
@@ -218,7 +205,7 @@ def decode_kmeans(field, fg_mask, K, seed=0, max_iter=300, tol=1e-6):
             new[~filled] = pts[np.argmax(dists[np.arange(idx.size), assign])]
         moved = float(np.sqrt(np.max(np.sum((new - centers) ** 2, axis=1))))
         centers = new
-        if moved < tol:
+        if moved < KMEANS_TOL:
             break
 
     labels = np.zeros(mask.size, dtype=np.int32)
@@ -292,7 +279,15 @@ def scene_to_json(scene):
 
 
 def scene_from_json(doc):
-    h, w = int(doc["h"]), int(doc["w"])
+    if not isinstance(doc, dict):
+        raise ValueError("scene file must hold a JSON object")
+    for key in ("h", "w"):
+        if not isinstance(doc.get(key), int) or isinstance(doc[key], bool) or doc[key] < 1:
+            raise ValueError(f"scene field '{key}' must be a positive integer")
+    for key in ("image", "labels"):
+        if not isinstance(doc.get(key), str):
+            raise ValueError(f"scene field '{key}' must be a base64 string")
+    h, w = doc["h"], doc["w"]
     img = np.frombuffer(base64.b64decode(doc["image"]), dtype="<f4")
     lab = np.frombuffer(base64.b64decode(doc["labels"]), dtype="<u2")
     if img.size != h * w or lab.size != h * w:

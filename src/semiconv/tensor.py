@@ -51,9 +51,6 @@ class Tensor:
             raise ValueError(f"item() on tensor of size {self.data.size}")
         return float(self.data.reshape(()))
 
-    def detach(self):
-        return Tensor(self.data.copy())
-
     def backward(self):
         """Accumulate gradients of this scalar into every requires_grad leaf.
 
@@ -262,18 +259,6 @@ def clamp(a, lo, hi):
         _accum(a, g * inside)
 
     return _node(np.clip(a.data, lo, hi), (a,), backward, "clamp")
-
-
-def scale_gradient(a, factor):
-    """Identity in the forward pass; multiplies the gradient by ``factor``."""
-    a = _coerce(a)
-    if factor == 1.0:
-        return a
-
-    def backward(g):
-        _accum(a, g * factor)
-
-    return _node(a.data, (a,), backward, "scale_gradient")
 
 
 # -- shape ops ------------------------------------------------------------

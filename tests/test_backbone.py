@@ -76,8 +76,6 @@ def test_config_validation():
         BackboneConfig(kernels=(3, 3, 4)).validate()
     with pytest.raises(ValueError):
         BackboneConfig(dims=0).validate()
-    with pytest.raises(ValueError):
-        BackboneConfig(head_grad_scale=0.0).validate()
 
 
 def test_weight_gradients_pass_grad_check():
@@ -94,22 +92,6 @@ def test_weight_gradients_pass_grad_check():
             return out
 
         assert T.grad_check(f, Tensor(model.weights[layer].data.copy())) < 1e-4
-
-
-def test_head_grad_scale_scales_trunk_only():
-    x = np.random.default_rng(3).standard_normal((1, 6, 6))
-    grads = {}
-    for scale in (1.0, 0.1):
-        model = Backbone(small_cfg(seed=9, head_grad_scale=scale))
-        loss = T.mean(model.forward(Tensor(x)))
-        for p in model.params():
-            p.grad = None
-        loss.backward()
-        grads[scale] = [w.grad.copy() for w in model.weights]
-    # trunk layers see scaled gradients, the head layer itself does not
-    assert np.allclose(grads[0.1][0], 0.1 * grads[1.0][0], atol=1e-15)
-    assert np.allclose(grads[0.1][1], 0.1 * grads[1.0][1], atol=1e-15)
-    assert np.array_equal(grads[0.1][2], grads[1.0][2])
 
 
 def test_serialization_round_trip(tmp_path):
@@ -140,6 +122,25 @@ def test_load_rejects_every_truncation(tmp_path):
         cut.write_bytes(blob[:8] + struct.pack("<I", n_layers) + blob[12:])
         with pytest.raises(ValueError):
             Backbone.load(cut)
+
+
+def save_unchecked(path, shapes):
+    """Save zero weights of the given (c_out, c_in, kh, kw) shapes, unchecked."""
+    weights = [Tensor(np.zeros(s)) for s in shapes]
+    biases = [Tensor(np.zeros(s[0])) for s in shapes]
+    Backbone(small_cfg(), weights=weights, biases=biases).save(path)
+
+
+def test_load_rejects_layers_that_do_not_chain(tmp_path):
+    p = tmp_path / "m.bin"
+    save_unchecked(p, [(5, 1, 3, 3), (4, 5, 3, 3)])
+    assert Backbone.load(p).cfg.hidden == (5,)
+    save_unchecked(p, [(5, 1, 3, 3), (4, 6, 3, 3)])
+    with pytest.raises(ValueError, match="layer 1 expects 6 input channels"):
+        Backbone.load(p)
+    save_unchecked(p, [(5, 1, 3, 5), (4, 5, 3, 3)])
+    with pytest.raises(ValueError, match="layer 0 has a non-square 3x5 kernel"):
+        Backbone.load(p)
 
 
 def test_load_rejects_garbage(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 
@@ -5,8 +6,9 @@ import numpy as np
 import pytest
 
 from semiconv import synth
-from semiconv.cli import canonical_json, main
-from semiconv.tensor import Tensor
+from semiconv.backbone import Backbone, BackboneConfig
+from semiconv.cli import canonical_json, main, write_json
+from semiconv.tensor import NumericError, Tensor
 
 
 def run(*argv):
@@ -205,6 +207,65 @@ def test_truncated_model_exit_1(tmp_path, scene_path, capsys):
                    "--out", tmp_path / "c.json") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_unchained_model_exit_1(tmp_path, scene_path, capsys):
+    # layer 1 expects 6 input channels, layer 0 outputs 5
+    weights = [Tensor(np.zeros((5, 1, 3, 3))), Tensor(np.zeros((8, 6, 3, 3)))]
+    biases = [Tensor(np.zeros(5)), Tensor(np.zeros(8))]
+    model = tmp_path / "m.bin"
+    Backbone(BackboneConfig(), weights=weights, biases=biases).save(model)
+    assert run("cluster", "--scene", scene_path, "--model", model,
+               "--out", tmp_path / "c.json") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "layer 1" in err
+
+
+@pytest.mark.parametrize("doc", [[1], {"h": 2, "w": 2, "image": 5, "labels": ""}],
+                         ids=["list", "image-not-string"])
+def test_malformed_scene_exit_1(tmp_path, capsys, doc):
+    scene = tmp_path / "s.json"
+    scene.write_text(json.dumps(doc))
+    assert run("train", "--scene", scene, "--epochs", 0,
+               "--out", tmp_path / "m.bin") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [("dilemma", "--half-extent", "inf"),
+                                  ("train", "--scene", "s.json", "--lr", "nan"),
+                                  ("synth-gen", "--noise", "nan")],
+                         ids=["dilemma", "train", "synth-gen"])
+def test_non_finite_float_flag_exit_1(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run(*argv, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert f"argument {argv[-2]}: must be a finite number" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_write_json_leaves_no_partial_file(tmp_path):
+    path = tmp_path / "x.json"
+    with pytest.raises(NumericError):
+        write_json(path, {"x": float("nan")})
+    assert not path.exists()
+
+
+def test_train_config_fields_are_cli_flags(tmp_path, scene_path, monkeypatch):
+    seen = []
+
+    def fake_train(scene, cfg):
+        seen.append(cfg)
+        return synth.make_model(cfg), []
+
+    monkeypatch.setattr(synth, "train", fake_train)
+    assert run("train", "--scene", scene_path, "--mode", "conv", "--dims", 3,
+               "--epochs", 7, "--lr", 0.5, "--lr-decay", 0.25, "--seed", 9,
+               "--out", tmp_path / "m.bin") == 0
+    # every field carries its flag's value: no setting the CLI cannot reach
+    assert dataclasses.asdict(seen[0]) == dict(mode="conv", dims=3, epochs=7, lr=0.5,
+                                               lr_decay=0.25, seed=9)
 
 
 def test_scene_with_too_many_instances_exit_1(tmp_path, monkeypatch, capsys):

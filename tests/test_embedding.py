@@ -44,15 +44,6 @@ def test_attach_coords_needs_two_channels():
         E.attach_coords(Tensor(np.zeros((4, 4))))
 
 
-def test_detach_coords_round_trip():
-    rng = np.random.default_rng(1)
-    phi = rng.standard_normal((5, 6, 6))
-    back = E.detach_coords(E.attach_coords(Tensor(phi)))
-    assert np.max(np.abs(back.data - phi)) < 1e-12
-    with pytest.raises(ValueError):
-        E.detach_coords(E.conv_field(Tensor(phi)))
-
-
 def test_channel_split():
     f = E.attach_coords(Tensor(np.zeros((5, 3, 3))))
     assert f.geometric_dims == (0, 1)

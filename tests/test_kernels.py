@@ -147,9 +147,8 @@ def test_fuse_never_raises_scores():
                 n = int(r.integers(1, 12))
                 s = r.standard_normal(n) * 3
                 rows = r.standard_normal((n, 5))
-                out = fuse_scores(Tensor(s), Tensor(rows),
-                                  KernelParams(fam, sigma=float(r.uniform(0.3, 3.0)),
-                                               learnable=False), mode)
+                params = KernelParams(fam, sigma=float(r.uniform(0.3, 3.0)))
+                out = fuse_scores(Tensor(s), Tensor(rows), params, mode)
                 assert np.all(out.fused_scores.data <= s)
                 assert np.all(out.kernel_row.data <= 1.0)
                 assert np.all(out.kernel_row.data > 0.0)
@@ -227,8 +226,7 @@ def test_fuse_soft_grad_check():
     def f_rows(rflat):
         rows = T.reshape(rflat, (6, 3))
         out = fuse_scores(Tensor(np.array([0.5, -0.2, 0.1, 0.0, 0.3, -1.0])),
-                          rows, KernelParams("steered_laplacian", sigma=1.5,
-                                             learnable=False), "soft")
+                          rows, KernelParams("steered_laplacian", sigma=1.5), "soft")
         from semiconv.losses import mask_bce
         return mask_bce(out.probabilities, gt)
 

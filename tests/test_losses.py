@@ -44,7 +44,7 @@ def test_loss_constant_segments_near_zero():
     labels = np.array([[1, 1, 2, 2]])
     segs = SegmentSet.from_labels(labels)
     rows = np.array([[5.0, 1.0], [5.0, 1.0], [-3.0, 2.0], [-3.0, 2.0]])
-    loss = pull_to_mean_loss(field_from_rows(rows), segs, eps=1e-10)
+    loss = pull_to_mean_loss(field_from_rows(rows), segs)
     assert 0.0 <= loss.item() < 1e-3
 
 
@@ -79,24 +79,12 @@ def test_loss_ignores_background_exactly():
     assert pull_to_mean_loss(field_from_rows(rows2), segs).item() == base
 
 
-def test_loss_include_background_flag():
-    rows = np.array([[0.0], [0.0], [10.0], [30.0]])
-    segs = SegmentSet([[0, 1]], [2, 3], 4)
-    without = pull_to_mean_loss(field_from_rows(rows), segs).item()
-    with_bg = pull_to_mean_loss(field_from_rows(rows), segs,
-                                include_background=True).item()
-    # background {10, 30} contributes mean distance 10 to its own mean
-    assert abs(with_bg - without - 10.0) < 1e-6
-
-
 def test_loss_rejects_bad_inputs():
     segs = SegmentSet([[0, 1]], [], 2)
-    with pytest.raises(ValueError):
-        pull_to_mean_loss(field_from_rows([[0.0], [1.0]]), segs, eps=0.0)
-    empty_bg = SegmentSet([[0, 1]], [], 2)
-    with pytest.raises(ValueError):
-        pull_to_mean_loss(field_from_rows([[0.0], [1.0]]), empty_bg,
-                          include_background=True)
+    with pytest.raises(ValueError, match="rows"):
+        pull_to_mean_loss(Tensor([0.0, 1.0]), segs)
+    with pytest.raises(ValueError, match="no segments"):
+        pull_to_mean_loss(field_from_rows([[0.0], [1.0]]), SegmentSet([], [0, 1], 2))
 
 
 def test_loss_grad_check():
@@ -111,11 +99,10 @@ def test_loss_grad_check():
         assert T.grad_check(f, Tensor(rows)) < 1e-4
 
 
-def loop_pull_to_mean_loss(rows, segs, eps=1e-8, include_background=False):
+def loop_pull_to_mean_loss(rows, segs, eps=1e-8):
     """Reference: one tape chain per segment, terms added in segment order."""
-    groups = list(segs.segments) + ([segs.background] if include_background else [])
     total = None
-    for idx in groups:
+    for idx in segs.segments:
         sel = T.index_select(rows, 0, idx)
         center = T.mean(sel, axes=0, keepdims=True)
         dev = T.sub(sel, T.broadcast_to(center, sel.data.shape))
@@ -124,17 +111,16 @@ def loop_pull_to_mean_loss(rows, segs, eps=1e-8, include_background=False):
     return total
 
 
-@pytest.mark.parametrize("include_background", [False, True])
-def test_loss_matches_per_segment_loop(include_background):
+def test_loss_matches_per_segment_loop():
     for seed in range(5):
         rng = np.random.default_rng(seed)
         labels = rng.integers(0, 7, size=(9, 11))
         segs = SegmentSet.from_labels(labels)
         rows = rng.standard_normal((labels.size, 4)) * 3.0
         got_rows = Tensor(rows, requires_grad=True)
-        got = pull_to_mean_loss(got_rows, segs, include_background=include_background)
+        got = pull_to_mean_loss(got_rows, segs)
         want_rows = Tensor(rows, requires_grad=True)
-        want = loop_pull_to_mean_loss(want_rows, segs, include_background=include_background)
+        want = loop_pull_to_mean_loss(want_rows, segs)
         assert abs(got.item() - want.item()) <= 1e-12 * abs(want.item())
         got.backward()
         want.backward()

@@ -5,7 +5,8 @@ import pytest
 
 from semiconv.tensor import Tensor
 from semiconv.kernels import KernelParams, fuse_scores
-from semiconv.synth import TrainConfig, generate_scene, train
+from semiconv.losses import SegmentSet, mask_bce, pull_to_mean_loss
+from semiconv.synth import TrainConfig, build_field, generate_scene, make_model, train
 from semiconv.seedcut import (RegionProposal, crop_region, cut_all_boxes,
                               cut_region, gt_boxes_from_labels, region_pixel_indices,
                               rle_decode, rle_encode, synthetic_scores,
@@ -172,15 +173,24 @@ def test_rle_encode_matches_loop():
     assert rle_encode(np.eye(3, dtype=bool))["counts"] == [0, 1, 3, 1, 3, 1]
 
 
-def test_bce_weight_zero_reduces_to_plain_training():
+@pytest.mark.parametrize("family", ["bilateral", "steered_laplacian"])
+def test_box_loss_reads_the_rows_the_cut_reads(family):
     scene = generate_scene(2, 2, dot_radius=3, spacing=12, seed=0)
-    cfg = TrainConfig(dims=4, epochs=25, seed=0)
+    cfg = TrainConfig(dims=4, epochs=1, seed=0)
     boxes = gt_boxes_from_labels(scene.gt)
-    model_a, _, losses_a = train_seedcut(scene, boxes, cfg, bce_weight=0.0)
-    model_b, losses_b = train(scene, cfg)
-    assert losses_a == losses_b
-    for pa, pb in zip(model_a.params(), model_b.params()):
-        assert np.array_equal(pa.data, pb.data)
+    _, _, losses = train_seedcut(scene, boxes, cfg, params=KernelParams(family))
+    # the same first-step loss, with every box cut as crop_region and cut_region do
+    params = KernelParams(family)
+    field = build_field(make_model(cfg), scene.image, cfg.mode)
+    flat = scene.gt.labels.reshape(-1)
+    bce = 0.0
+    for k, rect in enumerate(boxes, start=1):
+        region = crop_region(field, rect, synthetic_scores(scene.gt, rect, k), params)
+        fused = fuse_scores(region.scores, region.rows, params, "hard")
+        idx = region_pixel_indices(rect, scene.shape[1])
+        bce += mask_bce(fused.probabilities, flat[idx] == flat[idx[fused.seed_index]]).item()
+    want = pull_to_mean_loss(field, SegmentSet.from_labels(scene.gt)).item() + bce / len(boxes)
+    assert abs(losses[0] - want) <= 1e-12 * abs(want)
 
 
 def test_seedcut_training_keeps_sigma_positive():
@@ -209,5 +219,3 @@ def test_train_seedcut_validation():
     cfg = TrainConfig(dims=4, epochs=1, seed=0)
     with pytest.raises(ValueError):
         train_seedcut(scene, [(0, 0, 2, 2)], cfg)  # box without foreground
-    with pytest.raises(ValueError):
-        train_seedcut(scene, gt_boxes_from_labels(scene.gt), cfg, bce_weight=-1.0)

@@ -127,7 +127,7 @@ def test_divergence_reports_step():
 
 def test_train_config_validation():
     for bad in (dict(mode="hybrid"), dict(lr=0.0), dict(epochs=-1),
-                dict(momentum=1.0)):
+                dict(lr_decay=-0.1)):
         with pytest.raises(ValueError):
             cfg = quick_cfg()
             for k, v in bad.items():

@@ -215,14 +215,6 @@ def test_clamp_gradient_mask():
     assert np.array_equal(a.grad, [0.0, 1.0, 0.0])
 
 
-def test_scale_gradient():
-    a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    T.tsum(T.scale_gradient(a, 0.25)).backward()
-    assert np.array_equal(a.grad, [0.25, 0.25])
-    b = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    assert T.scale_gradient(b, 1.0) is b  # exact identity at factor 1
-
-
 def test_segment_sum_matches_loop():
     rng = np.random.default_rng(5)
     rows = rng.standard_normal((9, 3))
