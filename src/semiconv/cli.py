@@ -19,7 +19,7 @@ from . import __version__
 from . import tensor as T
 from .tensor import Tensor, NumericError
 from .backbone import Backbone
-from .embedding import attach_coords, displacement_field
+from .embedding import displacement_field
 from .kernels import KernelParams, fuse_scores, steered_laplacian
 from .losses import SegmentSet, mask_bce, pull_to_mean_loss
 from . import dilemma as dilemma_mod
@@ -261,6 +261,13 @@ def finite_float(text):
     return x
 
 
+def open_unit_float(text):
+    x = finite_float(text)
+    if not 0.0 < x < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie strictly between 0 and 1, got {text}")
+    return x
+
+
 def _add_common(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -317,7 +324,7 @@ def build_parser():
     _add_common(p)
     _add_train_flags(p)
     p.add_argument("--scene", required=True)
-    p.add_argument("--threshold", type=finite_float, default=0.5)
+    p.add_argument("--threshold", type=open_unit_float, default=0.5)
     p.add_argument("--sigma-init", type=finite_float, default=1.0)
     p.add_argument("--render", default=None)
     p.set_defaults(func=cmd_seedcut)

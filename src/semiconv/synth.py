@@ -168,7 +168,8 @@ def decode_kmeans(field, fg_mask, K, seed=0):
     rng), then standard mean/assign iterations until centroids move less than
     KMEANS_TOL, at most KMEANS_MAX_ITER times. An emptied cluster is reseeded
     on the point farthest from its centroid. Background pixels keep label 0;
-    clusters get ids 1..K.
+    clusters get ids 1..K, in cluster order. When coinciding points leave
+    clusters empty at the end, the K' filled ones get ids 1..K'.
     """
     mask = np.asarray(fg_mask, dtype=bool)
     idx = np.flatnonzero(mask.reshape(-1))
@@ -192,24 +193,43 @@ def decode_kmeans(field, fg_mask, K, seed=0):
         centers[k] = pts[rng.choice(idx.size, p=d2 / total)]
         d2 = np.minimum(d2, np.sum((pts - centers[k]) ** 2, axis=1))
 
-    assign = np.zeros(idx.size, dtype=np.intp)
+    sq_p = np.sum(pts ** 2, axis=1)
+    slack = 16 * pts.shape[1] * np.finfo(float).eps
     for _ in range(KMEANS_MAX_ITER):
-        dists = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        sq_c = np.sum(centers ** 2, axis=1)
+        dists = sq_p[:, None] - 2.0 * (pts @ centers.T) + sq_c
         assign = np.argmin(dists, axis=1)
+        # Both this expanded form (in any summation order) and the exact form
+        # np.sum((p - c) ** 2) lie within (2D + 4)·u·(|p|² + |c|²) of the true
+        # distance (u = eps / 2), so `bound` covers each; `tiny` covers what
+        # underflow can add. A row whose runner-up is more than 2·bound above
+        # its best has that argmin in exact form too. Every other row (a NaN
+        # row too) is recomputed in exact form, where ties go to the lowest index.
+        bound = slack * (sq_p + sq_c.max()) + np.finfo(float).tiny
+        best = dists[np.arange(idx.size), assign]
+        near = np.count_nonzero(~(dists > (best + 2.0 * bound)[:, None]), axis=1) > 1
+        if np.any(near):
+            sel = np.flatnonzero(near)
+            assign[sel] = np.argmin(
+                np.sum((pts[sel][:, None, :] - centers[None]) ** 2, axis=2), axis=1)
         counts = np.bincount(assign, minlength=K)
         new = np.zeros_like(centers)
         np.add.at(new, assign, pts)  # rows in index order, as pts[sel].sum(axis=0)
         filled = counts > 0
         new[filled] /= counts[filled, None]
         if not np.all(filled):
-            new[~filled] = pts[np.argmax(dists[np.arange(idx.size), assign])]
+            own = np.sum((pts - centers[assign]) ** 2, axis=1)
+            new[~filled] = pts[np.argmax(own)]
         moved = float(np.sqrt(np.max(np.sum((new - centers) ** 2, axis=1))))
         centers = new
         if moved < KMEANS_TOL:
             break
 
+    # coinciding points can leave a reseeded cluster empty: number the
+    # filled clusters 1..K' in cluster order
+    ids = np.cumsum(filled, dtype=np.int32)
     labels = np.zeros(mask.size, dtype=np.int32)
-    labels[idx] = assign + 1
+    labels[idx] = ids[assign]
     return InstanceLabeling(labels.reshape(mask.shape))
 
 

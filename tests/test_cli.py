@@ -245,6 +245,29 @@ def test_non_finite_float_flag_exit_1(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("threshold", ["1.5", "0", "1"])
+def test_threshold_outside_open_unit_interval_exit_1(tmp_path, scene_path, capsys, threshold):
+    out = tmp_path / "cuts.json"
+    assert run("seedcut", "--scene", scene_path, "--threshold", threshold,
+               "--out", out) == 1
+    err = capsys.readouterr().err
+    assert "argument --threshold: must lie strictly between 0 and 1" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_conv_cluster_with_coinciding_embeddings(tmp_path):
+    # every dot of the periodic 8x8 grid has the same conv embeddings, so
+    # k-means leaves clusters empty; the decode numbers the filled ones
+    scene, model, out = tmp_path / "s.json", tmp_path / "c.bin", tmp_path / "m.json"
+    assert run("synth-gen", "--rows", 8, "--cols", 8, "--spacing", 10, "--out", scene) == 0
+    assert run("train", "--scene", scene, "--mode", "conv", "--epochs", 0,
+               "--out", model) == 0
+    assert run("cluster", "--scene", scene, "--model", model, "--mode", "conv",
+               "--out", out) == 0
+    assert read(out)["mean_iou"] < 0.5
+
+
 def test_write_json_leaves_no_partial_file(tmp_path):
     path = tmp_path / "x.json"
     with pytest.raises(NumericError):

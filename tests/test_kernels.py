@@ -3,7 +3,7 @@ import pytest
 
 from semiconv import tensor as T
 from semiconv.tensor import Tensor
-from semiconv.embedding import EmbeddingField, attach_coords
+from semiconv.embedding import attach_coords
 from semiconv.kernels import (KernelParams, fuse_scores, gaussian_kernel,
                               factorized_kernel, steered_laplacian)
 

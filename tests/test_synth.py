@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from semiconv.tensor import Tensor, NumericError
-from semiconv.embedding import EmbeddingField, attach_coords, field_rows
+from semiconv.embedding import EmbeddingField, field_rows
 from semiconv.synth import (InstanceLabeling, Scene, TrainConfig, build_field,
                             controlled_pair, decode_kmeans, generate_scene,
                             load_scene, make_model, save_scene, scene_from_json,
@@ -276,6 +276,57 @@ def test_kmeans_empty_cluster_matches_loop():
     for seed in range(5):
         out = decode_kmeans(field, fg, K=4, seed=seed)
         assert np.array_equal(out.labels, loop_decode_kmeans(field, fg, 4, seed=seed))
+
+
+def renumbered(labels):
+    """Instance ids ranked 1..K' in id order, as decode_kmeans numbers them."""
+    ids = np.unique(labels[labels > 0])
+    out = np.zeros_like(labels)
+    out[labels > 0] = np.searchsorted(ids, labels[labels > 0]) + 1
+    return out
+
+
+def test_kmeans_gemm_matches_exact_on_trained_field():
+    scene = generate_scene(8, 8, dot_radius=3, spacing=10)
+    model, _ = train(scene, quick_cfg(dims=8, epochs=20))
+    field = build_field(model, scene.image, "semiconv")
+    fg = scene.gt.foreground_mask()
+    for seed in range(20):
+        pred = decode_kmeans(field, fg, scene.gt.K, seed=seed)
+        assert np.array_equal(pred.labels, loop_decode_kmeans(field, fg, scene.gt.K, seed=seed))
+
+
+def test_kmeans_conv_field_all_near_ties_renumbers_empty_clusters():
+    # ten conv epochs collapse every pixel onto one embedding: every row ties
+    # with every center, the reseeded clusters stay empty, and the decode used
+    # to raise "instance ids [...] have no pixels"
+    scene = generate_scene(4, 4, dot_radius=3, spacing=12)
+    model, _ = train(scene, quick_cfg(mode="conv", dims=8, epochs=10))
+    field = build_field(model, scene.image, "conv")
+    fg = scene.gt.foreground_mask()
+    for seed in range(5):
+        ref = loop_decode_kmeans(field, fg, scene.gt.K, seed=seed)
+        assert len(np.unique(ref[ref > 0])) < scene.gt.K
+        pred = decode_kmeans(field, fg, scene.gt.K, seed=seed)
+        assert np.array_equal(np.unique(pred.labels), np.arange(pred.K + 1))
+        assert np.array_equal(pred.labels, renumbered(ref))
+
+
+def test_kmeans_exact_tie_goes_to_lower_index():
+    # p is 50 from both c1 and c2 exactly; the expanded |p|² - 2p·c + |c|²
+    # misses the tie at this magnitude, so only the exact recheck settles it
+    p = np.array([115420894.81660748, 125435416.85115814])
+    c1, c2 = p + [30.0, 40.0], p + [50.0, 0.0]
+    assert np.sum((p - c1) ** 2) == np.sum((p - c2) ** 2) == 2500.0
+    assert p @ p - 2 * (p @ c1) + c1 @ c1 != p @ p - 2 * (p @ c2) + c2 @ c2
+    field = rows_field(np.vstack([np.tile(c1, (4, 1)), np.tile(c2, (4, 1)), p]))
+    fg = np.ones((1, 9), dtype=bool)
+    for seed in range(10):
+        out = decode_kmeans(field, fg, K=2, seed=seed)
+        assert np.array_equal(out.labels, loop_decode_kmeans(field, fg, 2, seed=seed))
+    # seeded with c2 as center 0, then with c1 as center 0: p joins center 0
+    assert decode_kmeans(field, fg, K=2, seed=0).labels.tolist() == [[2] * 4 + [1] * 5]
+    assert decode_kmeans(field, fg, K=2, seed=9).labels.tolist() == [[1] * 4 + [2] * 4 + [1]]
 
 
 # -- scoring --------------------------------------------------------------------
