@@ -16,7 +16,6 @@ from .embedding import (
     EmbeddingField,
     attach_coords,
     bilateral_rows,
-    check_margin,
     conv_field,
     coord_grid,
     displacement_field,
@@ -47,7 +46,6 @@ from .synth import (
 )
 from .seedcut import (
     RegionProposal,
-    crop_region,
     cut_all_boxes,
     cut_region,
     gt_boxes_from_labels,
@@ -59,7 +57,7 @@ from .dilemma import conv_collision_witness, make_signal, semiconv_color
 
 __all__ = [
     "Tensor", "NumericError", "grad_check",
-    "EmbeddingField", "attach_coords", "bilateral_rows", "check_margin",
+    "EmbeddingField", "attach_coords", "bilateral_rows",
     "conv_field", "coord_grid", "displacement_field",
     "field_rows", "flatten_rows",
     "SegmentSet", "mask_bce", "pull_to_mean_loss",
@@ -69,7 +67,7 @@ __all__ = [
     "InstanceLabeling", "Scene", "TrainConfig", "controlled_pair",
     "decode_kmeans", "generate_scene", "load_scene", "save_scene", "score",
     "train",
-    "RegionProposal", "crop_region", "cut_all_boxes", "cut_region",
+    "RegionProposal", "cut_all_boxes", "cut_region",
     "gt_boxes_from_labels", "rle_decode", "rle_encode", "train_seedcut",
     "conv_collision_witness", "make_signal", "semiconv_color",
     "__version__",

@@ -84,11 +84,6 @@ def semiconv_color(sig):
     return sig.grid + (1.0 - sig.samples) * xdot
 
 
-def region_index(colors):
-    """Region number k from a color value; boundary colors round toward lower k."""
-    return np.ceil((np.asarray(colors) - 1.0) / 2.0).astype(int)
-
-
 def interior_mask(sig):
     """Grid points strictly inside a region (excludes the valleys x == 0)."""
     return sig.samples > 0.0

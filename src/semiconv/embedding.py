@@ -60,14 +60,6 @@ class EmbeddingField:
         return self.values.data.shape[0]
 
     @property
-    def spatial_shape(self):
-        return self.values.data.shape[1:]
-
-    @property
-    def geometric_dims(self):
-        return (0, 1) if self.kind == "semiconvolutional" else ()
-
-    @property
     def appearance_dims(self):
         start = 2 if self.kind == "semiconvolutional" else 0
         return tuple(range(start, self.dims))
@@ -136,44 +128,3 @@ def bilateral_rows(field):
     app_rows = flatten_rows(T.index_select(field.values, 0, app))
     return T.concat([coords, app_rows], axis=1)
 
-
-def check_margin(field, gt, M, sample_pairs=1000, seed=0):
-    """Sampled diagnostic of instance separation in embedding space.
-
-    Draws random same-instance and cross-instance pixel pairs and reports
-    which fraction satisfies the separation that clustering needs: distance
-    at most 1-M within an instance, at least 1+M between instances. The field
-    is used as-is; scale embeddings before calling if needed.
-    """
-    if not (0.0 < M < 1.0):
-        raise ValueError("M must lie in (0, 1)")
-    if sample_pairs < 1:
-        raise ValueError("sample_pairs must be positive")
-    labels = np.asarray(getattr(gt, "labels", gt))
-    vals = field.values.data.reshape(field.dims, -1)
-    flat = labels.reshape(-1)
-    ids = [int(k) for k in np.unique(flat) if k > 0]
-    if len(ids) < 2:
-        raise ValueError("need at least 2 foreground instances")
-    pixels = {k: np.flatnonzero(flat == k) for k in ids}
-
-    rng = np.random.default_rng(seed)
-    within = between = 0
-    for _ in range(sample_pairs):
-        k = ids[rng.integers(len(ids))]
-        pool = pixels[k]
-        if pool.size >= 2:
-            u, v = rng.choice(pool, size=2, replace=False)
-        else:
-            u = v = pool[0]
-        if np.linalg.norm(vals[:, u] - vals[:, v]) <= 1.0 - M:
-            within += 1
-    for _ in range(sample_pairs):
-        ka, kb = rng.choice(len(ids), size=2, replace=False)
-        u = rng.choice(pixels[ids[ka]])
-        v = rng.choice(pixels[ids[kb]])
-        if np.linalg.norm(vals[:, u] - vals[:, v]) >= 1.0 + M:
-            between += 1
-
-    return {"satisfied_fraction_within": within / sample_pairs,
-            "satisfied_fraction_between": between / sample_pairs}

@@ -5,14 +5,16 @@ map over a region, the fusion step picks a seed pixel, evaluates the kernel
 row between the seed's embedding and every other pixel, and adds the
 log-kernel to the scores. Pixels that embed far from the seed get pushed
 down; the seed itself is untouched. Thresholding the resulting per-pixel
-probabilities cuts out the seed's instance.
+probabilities cuts out the seed's instance. fuse_boxes fuses many regions at
+once over one concatenated pixel list; fuse_scores is its one-region case,
+plus a soft variant.
 """
 
 import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor, NORM_EPS
-from .embedding import EmbeddingField, field_rows, bilateral_rows
+from .embedding import field_rows, bilateral_rows
 
 FAMILIES = ("gaussian", "bilateral", "steered_laplacian")
 
@@ -49,25 +51,19 @@ class KernelParams:
 
 
 class SeedFusionResult:
-    """Output bundle of fuse_scores.
+    """Output bundle of fuse_scores and fuse_boxes.
 
     fused_scores never exceed the input scores (the log-kernel is <= 0), and
-    in hard mode the seed's own score passes through unchanged.
+    in hard mode a seed's own score passes through unchanged.
     """
 
-    def __init__(self, seed_index, seed_embedding, fused_scores, kernel_row,
-                 probabilities, mode, seed_weights=None):
+    def __init__(self, seed_index, fused_scores, probabilities):
         self.seed_index = seed_index
-        self.seed_embedding = seed_embedding
         self.fused_scores = fused_scores
-        self.kernel_row = kernel_row
         self.probabilities = probabilities
-        self.mode = mode
-        self.seed_weights = seed_weights
 
     def __repr__(self):
-        return (f"SeedFusionResult(mode={self.mode}, seed={self.seed_index}, "
-                f"n={self.fused_scores.data.size})")
+        return f"SeedFusionResult(seed={self.seed_index}, n={self.fused_scores.data.size})"
 
 
 def kernel_rows(field, family):
@@ -144,55 +140,80 @@ def steered_laplacian(a, b, sigma, eps=NORM_EPS):
     return T.exp(T.mul(T.div(dist, st), -1.0))
 
 
-def fuse_scores(scores, field, params, mode="hard"):
-    """Combine per-pixel scores with kernel affinity to a seed pixel.
-
-    ``field`` is an EmbeddingField or an [N, D] row tensor aligned with the
-    scores. Hard mode seeds at the argmax score (ties break toward the lowest
-    index); soft mode replaces the argmax with a softmax-weighted expectation
-    of the embeddings, which keeps the whole fusion differentiable in the
-    scores. Both modes add log K(seed, i) to score i and squash through a
-    logistic to get per-pixel probabilities.
-
-    An EmbeddingField is converted to rows by kernel_rows; precomputed row
-    tensors are used as given for every family.
-    """
-    if mode not in ("hard", "soft"):
-        raise ValueError(f"unknown fusion mode '{mode}'")
-    rows = kernel_rows(field, params.family) if isinstance(field, EmbeddingField) else field
+def _region_scores(scores, rows):
+    s = _as_vector(scores, None)
     if rows.data.ndim != 2:
         raise ValueError("embedding rows must be [N, D]")
-    s = _as_vector(scores, None)
-    n, d = rows.data.shape
+    n = rows.data.shape[0]
     if n == 0 or s.data.size == 0:
         raise ValueError("empty region")
     if s.data.size != n:
         raise ValueError(f"{s.data.size} scores for {n} pixels")
+    return s
 
-    seed_index = int(np.argmax(s.data))
-    weights = None
+
+def box_seeds(scores, counts):
+    """List position of each box's seed: its first top-scoring pixel.
+
+    ``scores`` lists box 0's pixels, then box 1's, and so on; ``counts`` holds
+    the box sizes. Within a box ties go to the lowest position, the pixel
+    np.argmax picks. A NaN score sorts last, so every box still gets a seed
+    and the NaN surfaces in the fusion as a NumericError.
+    """
+    counts = np.asarray(counts, dtype=np.intp)
+    ids = np.repeat(np.arange(counts.size), counts)
+    order = np.lexsort((-np.asarray(scores, dtype=np.float64), ids))
+    return order[np.cumsum(counts) - counts]
+
+
+def fuse_boxes(scores, rows, counts, params):
+    """Hard fusion of every box at once, over one concatenated pixel list.
+
+    ``scores`` [P] and ``rows`` [P, D] list box 0's pixels, then box 1's, and
+    so on; ``counts`` holds the B box sizes. Boxes may overlap, so a pixel can
+    sit in several boxes. Each box seeds at box_seeds, each pixel is compared
+    with its own box's seed row, and the list goes through one chain of tape
+    nodes whatever B is. ``seed_index`` holds the B seed positions in the list.
+    """
+    s = _region_scores(scores, rows)
+    counts = np.asarray(counts, dtype=np.intp)
+    if np.any(counts <= 0) or counts.sum() != s.data.size:
+        raise ValueError(f"box sizes {counts.tolist()} do not split {s.data.size} pixels")
+    seeds = box_seeds(s.data, counts)
+    return _fuse(s, rows, T.index_select(rows, 0, np.repeat(seeds, counts)), seeds, params)
+
+
+def fuse_scores(scores, rows, params, mode="hard"):
+    """Combine one region's per-pixel scores with kernel affinity to a seed pixel.
+
+    ``rows`` is the [N, D] tensor of kernel rows aligned with the scores (see
+    kernel_rows). Hard mode is fuse_boxes with a single box: it seeds at the
+    argmax score, ties toward the lowest index. Soft mode replaces the seed
+    row with a softmax-weighted expectation of the rows, which keeps the whole
+    fusion differentiable in the scores. Both modes add log K(seed, i) to
+    score i and squash through a logistic to get per-pixel probabilities.
+    """
+    if mode not in ("hard", "soft"):
+        raise ValueError(f"unknown fusion mode '{mode}'")
     if mode == "hard":
-        seed_emb = T.index_select(rows, 0, [seed_index])
-    else:
-        weights = T.softmax(s, axis=0)
-        wcol = T.broadcast_to(T.reshape(weights, (n, 1)), (n, d))
-        seed_emb = T.tsum(T.mul(wcol, rows), axes=0, keepdims=True)
+        out = fuse_boxes(scores, rows, [rows.data.shape[0]], params)
+        out.seed_index = int(out.seed_index[0])
+        return out
+    s = _region_scores(scores, rows)
+    n, d = rows.data.shape
+    wcol = T.broadcast_to(T.reshape(T.softmax(s, axis=0), (n, 1)), (n, d))
+    seed = T.tsum(T.mul(wcol, rows), axes=0, keepdims=True)
+    return _fuse(s, rows, T.broadcast_to(seed, (n, d)), int(np.argmax(s.data)), params)
 
-    diff = T.sub(rows, T.broadcast_to(seed_emb, (n, d)))
+
+def _fuse(s, rows, seed_rows, seed_index, params):
+    # s + log K(seed row, row) for every pixel, then the logistic
+    diff = T.sub(rows, seed_rows)
     sumsq = T.tsum(T.mul(diff, diff), axes=1)
     if params.family == "steered_laplacian":
         dist = shifted_norm(sumsq, NORM_EPS)
         log_kernel = T.mul(T.div(dist, params.sigma_tensor()), -1.0)
     else:
         log_kernel = T.mul(sumsq, -0.5)
-
     fused = T.add(s, log_kernel)
-    return SeedFusionResult(
-        seed_index=seed_index,
-        seed_embedding=seed_emb,
-        fused_scores=fused,
-        kernel_row=T.exp(log_kernel),
-        probabilities=T.sigmoid(fused),
-        mode=mode,
-        seed_weights=weights,
-    )
+    return SeedFusionResult(seed_index, fused, T.sigmoid(fused))

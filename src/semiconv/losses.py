@@ -89,21 +89,24 @@ def pull_to_mean_loss(field, segs):
     return T.tsum(T.mul(dists, Tensor(inv_counts)))
 
 
-def mask_bce(kernel_row, gt_mask):
-    """Mean binary cross entropy between per-pixel probabilities and a 0/1 mask.
+def _bce_terms(probs, mask):
+    """Per-pixel m log p + (1 - m) log(1 - p), the negated binary cross entropy.
 
     Probabilities are clamped 1e-7 away from {0, 1} so a saturated kernel
-    cannot produce infinite loss.
+    cannot produce an infinite term. ``mask`` is a 0/1 array shaped like probs.
     """
-    k = kernel_row if isinstance(kernel_row, Tensor) else Tensor(kernel_row)
+    kc = T.clamp(probs, BCE_CLAMP, 1.0 - BCE_CLAMP)
+    pos = T.mul(Tensor(mask), T.log(kc))
+    neg = T.mul(Tensor(1.0 - mask), T.log(T.sub(1.0, kc)))
+    return T.add(pos, neg)
+
+
+def mask_bce(probs, gt_mask):
+    """Mean binary cross entropy between per-pixel probabilities and a 0/1 mask."""
+    k = probs if isinstance(probs, Tensor) else Tensor(probs)
     m = np.asarray(getattr(gt_mask, "data", gt_mask), dtype=np.float64).ravel()
     if k.data.size != m.size:
         raise ValueError(f"probability row has {k.data.size} entries, mask {m.size}")
     if not np.all((m == 0.0) | (m == 1.0)):
         raise ValueError("mask must be binary")
-    flat = T.reshape(k, (m.size,))
-    kc = T.clamp(flat, BCE_CLAMP, 1.0 - BCE_CLAMP)
-    mt = Tensor(m)
-    pos = T.mul(mt, T.log(kc))
-    neg = T.mul(Tensor(1.0 - m), T.log(T.sub(1.0, kc)))
-    return T.mul(T.mean(T.add(pos, neg)), -1.0)
+    return T.mul(T.mean(_bce_terms(T.reshape(k, (m.size,)), m)), -1.0)

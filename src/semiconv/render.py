@@ -1,4 +1,4 @@
-"""PPM rendering: cluster maps, displacement arrows, mask overlays.
+"""PPM rendering: cluster maps and displacement arrows.
 
 Binary PPM (P6) keeps outputs dependency-free and byte-stable, so runs can
 be diffed directly.
@@ -30,19 +30,6 @@ def write_ppm(path, rgb):
         fh.write(arr.tobytes())
 
 
-def read_ppm(path):
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    parts = blob.split(b"\n", 3)
-    if parts[0] != b"P6" or len(parts) < 4:
-        raise ValueError("not a binary PPM file")
-    w, h = (int(v) for v in parts[1].split())
-    if parts[2] != b"255":
-        raise ValueError("unsupported PPM depth")
-    data = np.frombuffer(parts[3], dtype=np.uint8, count=h * w * 3)
-    return data.reshape(h, w, 3).copy()
-
-
 def render_labels(labels):
     """Instance labeling to a color image: background black, fixed palette."""
     arr = np.asarray(getattr(labels, "labels", labels))
@@ -53,7 +40,7 @@ def render_labels(labels):
 
 
 def grayscale_base(image, lo=0.0, hi=1.0):
-    """Image channel to a dim gray backdrop for overlays."""
+    """Image channel to a dim gray backdrop for the arrows."""
     arr = np.asarray(getattr(image, "data", image))
     if arr.ndim == 3:
         arr = arr[0]
@@ -93,10 +80,3 @@ def render_arrows(image, displacement, stride=4, color=(255, 60, 60)):
             draw_line(rgb, y, x, y + dy, x + dx, col)
     return rgb
 
-
-def render_mask_overlay(image, mask, color=(0, 200, 80), alpha=0.6):
-    """Tint masked pixels on top of the grayscale image."""
-    rgb = grayscale_base(image).astype(np.float64)
-    m = np.asarray(mask, dtype=bool)
-    rgb[m] = (1 - alpha) * rgb[m] + alpha * np.array(color, dtype=np.float64)
-    return rgb.astype(np.uint8)

@@ -6,7 +6,8 @@ embedding and every pixel in the region, and fuses the log-kernel into the
 scores. Thresholding the per-pixel probabilities yields the instance mask of
 whatever the seed belongs to. Training adds a cross-entropy term that pushes
 the kernel row toward the true mask, so the embedding geometry and the
-kernel scale co-adapt.
+kernel scale co-adapt. Both the trainer and the cutter describe all boxes of
+a scene as one concatenated pixel list and fuse them in one pass.
 """
 
 from dataclasses import dataclass
@@ -15,8 +16,8 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .kernels import KernelParams, fuse_scores, kernel_rows
-from .losses import mask_bce
+from .kernels import KernelParams, box_seeds, fuse_boxes, fuse_scores, kernel_rows
+from .losses import _bce_terms
 from . import synth
 
 
@@ -45,26 +46,33 @@ class RegionProposal:
         return (y1 - y0, x1 - x0)
 
 
-def region_pixel_indices(rect, width):
-    """Linear pixel indices covered by the rect, row-major within the rect."""
-    x0, y0, x1, y1 = rect
-    ys = np.arange(y0, y1)
-    xs = np.arange(x0, x1)
-    return (ys[:, None] * width + xs[None, :]).reshape(-1)
+def region_pixel_indices(rects, shape):
+    """All rects of an image as one pixel list: (pixels, ids, counts).
+
+    ``pixels`` holds the linear indices of rect 0's pixels, row-major within
+    the rect, then rect 1's, and so on; ``ids`` gives each entry its rect
+    number and ``counts`` the rect sizes. Rects may overlap, so a pixel can
+    be listed more than once.
+    """
+    rects = np.asarray(rects, dtype=np.intp).reshape(-1, 4)
+    x0, y0, x1, y1 = rects.T
+    h, w = shape
+    bad = (x0 < 0) | (y0 < 0) | (x1 > w) | (y1 > h) | (x0 >= x1) | (y0 >= y1)
+    if bad.any():
+        raise ValueError(f"rect {tuple(rects[bad][0].tolist())} falls outside "
+                         f"the {h}x{w} image or is empty")
+    counts = (x1 - x0) * (y1 - y0)
+    ids = np.repeat(np.arange(counts.size), counts)
+    local = np.arange(ids.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    width = (x1 - x0)[ids]
+    pixels = (y0[ids] + local // width) * w + x0[ids] + local % width
+    return pixels, ids, counts
 
 
-def crop_region(field, rect, scores, params=None):
-    """Build a RegionProposal from a full-image field and a score map."""
-    h, w = field.spatial_shape
-    x0, y0, x1, y1 = rect
-    if not (0 <= x0 < x1 <= w and 0 <= y0 < y1 <= h):
-        raise ValueError(f"rect {rect} falls outside the {h}x{w} image")
-    family = params.family if params is not None else "gaussian"
-    all_rows = kernel_rows(field, family)
-    idx = region_pixel_indices(rect, w)
-    rows = T.index_select(all_rows, 0, idx)
-    s = scores if isinstance(scores, Tensor) else Tensor(np.asarray(scores, dtype=float))
-    return RegionProposal(rect, T.reshape(s, (idx.size,)), rows)
+def _cut(fused, threshold):
+    if not (0.0 < threshold < 1.0):
+        raise ValueError("threshold must lie in (0, 1)")
+    return fused.probabilities.data >= threshold
 
 
 def cut_region(region, params, threshold=0.5):
@@ -72,11 +80,8 @@ def cut_region(region, params, threshold=0.5):
 
     The seed is the region's highest-scoring pixel (hard fusion).
     """
-    if not (0.0 < threshold < 1.0):
-        raise ValueError("threshold must lie in (0, 1)")
     fused = fuse_scores(region.scores, region.rows, params, "hard")
-    mask = fused.probabilities.data >= threshold
-    return mask.reshape(region.shape)
+    return _cut(fused, threshold).reshape(region.shape)
 
 
 def gt_boxes_from_labels(gt, pad=1):
@@ -91,80 +96,83 @@ def gt_boxes_from_labels(gt, pad=1):
     return boxes
 
 
-def synthetic_scores(gt, rect, instance_id):
-    """Score map over the rect: +1 on the instance's pixels, -1 elsewhere."""
-    x0, y0, x1, y1 = rect
-    inside = gt.labels[y0:y1, x0:x1] == instance_id
-    return np.where(inside, 1.0, -1.0).reshape(-1)
+def synthetic_scores(gt, pixels, instances):
+    """Scores over a pixel list: +1 where the pixel belongs to its instance, -1 elsewhere.
+
+    ``instances`` is one instance id per listed pixel, or one for all of them.
+    """
+    return np.where(gt.labels.reshape(-1)[pixels] == instances, 1.0, -1.0)
 
 
-def _box_instance(gt, rect):
-    # the instance a ground-truth box encloses: majority foreground id inside
-    x0, y0, x1, y1 = rect
-    patch = gt.labels[y0:y1, x0:x1]
-    ids, counts = np.unique(patch[patch > 0], return_counts=True)
-    if ids.size == 0:
-        raise ValueError(f"box {rect} contains no foreground")
-    return int(ids[np.argmax(counts)])
+def box_loss(gt, boxes, params):
+    """The seed-cut box loss, as a function of the embedding field.
+
+    The mean over boxes of the cross entropy between the box's fused
+    probabilities and the mask of the instance its (hard) seed lands in. A
+    box's scores are synthetic: +1 on the instance the box encloses (its
+    majority foreground id, ties toward the lower id), -1 elsewhere, standing
+    in for an upstream detector's confidence. They never change, so the pixel
+    list, the seeds and the targets are built once here; each evaluation is
+    one fuse_boxes call and one cross-entropy sum weighted 1/(B * box size).
+    """
+    flat = np.asarray(gt.labels).reshape(-1)
+    pixels, ids, counts = region_pixel_indices(boxes, gt.labels.shape)
+    labels = flat[pixels]
+    n_ids = int(flat.max()) + 1
+    votes = np.bincount(ids * n_ids + labels, minlength=counts.size * n_ids)
+    votes = votes.reshape(counts.size, n_ids)
+    votes[:, 0] = 0
+    instances = votes.argmax(axis=1)
+    if np.any(instances == 0):
+        empty = boxes[int(np.argmin(instances))]
+        raise ValueError(f"box {tuple(int(v) for v in empty)} contains no foreground")
+    scores = Tensor(synthetic_scores(gt, pixels, instances[ids]))
+    seed_labels = labels[box_seeds(scores.data, counts)][ids]
+    target = ((labels == seed_labels) & (seed_labels > 0)).astype(np.float64)
+    weights = Tensor(1.0 / (counts.size * counts[ids]))
+
+    def loss(field):
+        rows = T.index_select(kernel_rows(field, params.family), 0, pixels)
+        fused = fuse_boxes(scores, rows, counts, params)
+        return T.mul(T.tsum(T.mul(_bce_terms(fused.probabilities, target), weights)), -1.0)
+
+    return loss
 
 
 def train_seedcut(scene, gt_boxes, cfg, params=None):
     """Joint training of the embedding backbone and the kernel scale.
 
     Every step evaluates the pull-to-mean loss on the whole image plus the
-    mean over boxes of the cross entropy between the seed's fused
-    probabilities and the mask of the instance the (hard) seed lands in. The
-    box loss reads the same kernel rows as crop_region, so training and
-    cutting see one kernel. The per-box scores are synthetic: +1 on the box's
-    instance, -1 elsewhere, standing in for an upstream detector's confidence.
+    box_loss over ``gt_boxes``. The box loss reads the same kernel rows as
+    cut_all_boxes, so training and cutting see one kernel.
 
     Returns (model, params, losses).
     """
     if params is None:
         params = KernelParams("steered_laplacian", sigma=1.0)
-    boxes = [tuple(int(v) for v in b) for b in gt_boxes]
-    gt = scene.gt
-    width = scene.shape[1]
-    box_instances = [_box_instance(gt, b) for b in boxes]
-    box_scores = [synthetic_scores(gt, b, k) for b, k in zip(boxes, box_instances)]
-    box_indices = [region_pixel_indices(b, width) for b in boxes]
-    flat_labels = gt.labels.reshape(-1)
-
-    def kernel_cut_loss(field):
-        rows_all = kernel_rows(field, params.family)
-        total = None
-        for rect, idx, s in zip(boxes, box_indices, box_scores):
-            rows = T.index_select(rows_all, 0, idx)
-            fused = fuse_scores(Tensor(s), rows, params, "hard")
-            seed_pixel = idx[fused.seed_index]
-            seed_instance = int(flat_labels[seed_pixel])
-            target = (flat_labels[idx] == seed_instance).astype(float) \
-                if seed_instance > 0 else np.zeros(idx.size)
-            term = mask_bce(fused.probabilities, target)
-            total = term if total is None else T.add(total, term)
-        return T.mul(total, 1.0 / len(boxes))
-
-    model, losses = synth.train(scene, cfg, extra_loss=kernel_cut_loss,
+    model, losses = synth.train(scene, cfg, extra_loss=box_loss(scene.gt, gt_boxes, params),
                                 extra_params=params.learnables())
     return model, params, losses
 
 
 def cut_all_boxes(scene, model, params, cfg_mode="semiconv", threshold=0.5):
-    """Cut every ground-truth box; returns (masks, boxes, per-box IoU)."""
+    """Cut every ground-truth box; returns (masks, boxes, per-box IoU).
+
+    Box k encloses instance k and scores +1 on it; all boxes go through one
+    fuse_boxes call, and the thresholded list splits into the box masks.
+    """
     field = synth.build_field(model, scene.image, cfg_mode)
     gt = scene.gt
     boxes = gt_boxes_from_labels(gt)
-    masks, ious = [], []
-    for rect, k in zip(boxes, range(1, gt.K + 1)):
-        region = crop_region(field, rect, synthetic_scores(gt, rect, k), params)
-        mask = cut_region(region, params, threshold)
-        x0, y0, x1, y1 = rect
-        truth = gt.labels[y0:y1, x0:x1] == k
-        inter = np.count_nonzero(mask & truth)
-        union = np.count_nonzero(mask | truth)
-        ious.append(inter / union if union else 1.0)
-        masks.append(mask)
-    return masks, boxes, ious
+    pixels, ids, counts = region_pixel_indices(boxes, scene.shape)
+    rows = T.index_select(kernel_rows(field, params.family), 0, pixels)
+    fused = fuse_boxes(synthetic_scores(gt, pixels, ids + 1), rows, counts, params)
+    mask = _cut(fused, threshold)
+    truth = gt.labels.reshape(-1)[pixels] == ids + 1
+    ious = np.bincount(ids, mask & truth, counts.size) / np.bincount(ids, mask | truth, counts.size)
+    masks = [m.reshape(y1 - y0, x1 - x0)
+             for m, (x0, y0, x1, y1) in zip(np.split(mask, np.cumsum(counts)[:-1]), boxes)]
+    return masks, boxes, ious.tolist()
 
 
 # -- run-length encoding -------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from semiconv.dilemma import (ConvStack1D, PeriodicSignal1D, conv_collision_witness,
-                              interior_mask, make_signal, pv_verify, region_index,
+                              interior_mask, make_signal, pv_verify,
                               report, semiconv_color)
 
 
@@ -69,17 +69,6 @@ def test_colors_differ_across_regions_by_twice_the_offset():
     for i, ki in enumerate(range(-2, 3)):
         for j, kj in enumerate(range(-2, 3)):
             assert peaks[i] - peaks[j] == 2.0 * (ki - kj)
-
-
-def test_region_index_recovery():
-    sig = make_signal(4.0, 0.25)
-    colors = semiconv_color(sig)
-    inside = interior_mask(sig)
-    k_true = np.round(sig.grid / 2.0).astype(int)
-    assert np.array_equal(region_index(colors[inside]), k_true[inside])
-    # valley colors sit on the boundary and resolve toward the lower region
-    assert region_index(np.array([3.0]))[0] == 1
-    assert region_index(np.array([-3.0]))[0] == -2
 
 
 def test_identity_op_has_zero_spread():

@@ -46,10 +46,8 @@ def test_attach_coords_needs_two_channels():
 
 def test_channel_split():
     f = E.attach_coords(Tensor(np.zeros((5, 3, 3))))
-    assert f.geometric_dims == (0, 1)
     assert f.appearance_dims == (2, 3, 4)
     c = E.conv_field(Tensor(np.zeros((5, 3, 3))))
-    assert c.geometric_dims == ()
     assert c.appearance_dims == (0, 1, 2, 3, 4)
 
 
@@ -110,42 +108,3 @@ def test_period_shift_moves_geometric_dims_only():
     b = psi[:, 2 + p, 3 + p]
     assert np.array_equal(b - a, [p, p, 0.0, 0.0])
 
-
-def test_check_margin_separated_constants():
-    labels = np.zeros((4, 6), dtype=int)
-    labels[:, :2], labels[:, 2:4], labels[:, 4:] = 1, 2, 3
-    vals = np.zeros((2, 4, 6))
-    for k, cx in [(1, 0.0), (2, 10.0), (3, 20.0)]:
-        vals[0][labels == k] = cx
-    field = E.EmbeddingField(Tensor(vals), "semiconvolutional")
-    out = E.check_margin(field, labels, M=0.5, sample_pairs=200, seed=0)
-    assert out == {"satisfied_fraction_within": 1.0,
-                   "satisfied_fraction_between": 1.0}
-
-
-def test_check_margin_single_instance_rejected():
-    labels = np.ones((3, 3), dtype=int)
-    field = E.EmbeddingField(Tensor(np.zeros((2, 3, 3))), "semiconvolutional")
-    with pytest.raises(ValueError):
-        E.check_margin(field, labels, M=0.5)
-    with pytest.raises(ValueError):
-        E.check_margin(field, np.zeros((3, 3), dtype=int), M=0.5)
-
-
-def test_check_margin_validates_m():
-    labels = np.zeros((2, 4), dtype=int)
-    labels[:, :2], labels[:, 2:] = 1, 2
-    field = E.EmbeddingField(Tensor(np.zeros((2, 2, 4))), "semiconvolutional")
-    for bad in (0.0, 1.0, -0.5, 2.0):
-        with pytest.raises(ValueError):
-            E.check_margin(field, labels, M=bad)
-
-
-def test_check_margin_colliding_field():
-    # all instances share one embedding: within passes, between fails
-    labels = np.zeros((2, 4), dtype=int)
-    labels[:, :2], labels[:, 2:] = 1, 2
-    field = E.EmbeddingField(Tensor(np.zeros((3, 2, 4))), "semiconvolutional")
-    out = E.check_margin(field, labels, M=0.5, sample_pairs=50, seed=1)
-    assert out["satisfied_fraction_within"] == 1.0
-    assert out["satisfied_fraction_between"] == 0.0

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from semiconv import tensor as T
-from semiconv.tensor import Tensor
+from semiconv.tensor import NumericError, Tensor
 from semiconv.embedding import attach_coords
-from semiconv.kernels import (KernelParams, fuse_scores, gaussian_kernel,
-                              factorized_kernel, steered_laplacian)
+from semiconv.kernels import (KernelParams, box_seeds, fuse_boxes, fuse_scores,
+                              gaussian_kernel, factorized_kernel, kernel_rows,
+                              steered_laplacian)
 
 
 def test_gaussian_identity_and_substitution():
@@ -117,10 +118,9 @@ def test_fuse_hard_seed_untouched():
     out = fuse_scores(Tensor([2.0, 0.5]), rows, KernelParams("gaussian"), "hard")
     assert out.seed_index == 0
     assert out.fused_scores.data[0] == 2.0
-    assert out.kernel_row.data[0] == 1.0
-    # other pixel at squared distance 2: kernel e^{-1}, score 0.5 - 1
-    assert out.kernel_row.data[1] == np.exp(-1.0)
-    assert abs(out.fused_scores.data[1] - (-0.5)) < 1e-15
+    # other pixel at squared distance 2: log-kernel exactly -1, score 0.5 - 1
+    assert out.fused_scores.data[1] - 0.5 == -1.0
+    assert out.probabilities.data[0] == 1.0 / (1.0 + np.exp(-2.0))
 
 
 def test_fuse_hard_tie_breaks_low_index():
@@ -130,12 +130,13 @@ def test_fuse_hard_tie_breaks_low_index():
 
 
 def test_fuse_soft_equal_scores_gives_mean_embedding():
+    # equal scores weigh every row 1/7: the seed row is the mean row
     rng = np.random.default_rng(3)
     rows = rng.standard_normal((7, 4))
     out = fuse_scores(Tensor(np.zeros(7)), Tensor(rows),
                       KernelParams("gaussian"), "soft")
-    assert np.allclose(out.seed_weights.data, 1.0 / 7.0, atol=1e-15, rtol=0)
-    assert np.max(np.abs(out.seed_embedding.data[0] - rows.mean(axis=0))) < 1e-12
+    want = -0.5 * np.sum((rows - rows.mean(axis=0)) ** 2, axis=1)
+    assert np.max(np.abs(out.fused_scores.data - want)) < 1e-12
 
 
 def test_fuse_never_raises_scores():
@@ -149,9 +150,9 @@ def test_fuse_never_raises_scores():
                 rows = r.standard_normal((n, 5))
                 params = KernelParams(fam, sigma=float(r.uniform(0.3, 3.0)))
                 out = fuse_scores(Tensor(s), Tensor(rows), params, mode)
+                # log K <= 0 lowers every score; K > 0 keeps every score finite
                 assert np.all(out.fused_scores.data <= s)
-                assert np.all(out.kernel_row.data <= 1.0)
-                assert np.all(out.kernel_row.data > 0.0)
+                assert np.all(np.isfinite(out.fused_scores.data))
     del rng
 
 
@@ -188,21 +189,14 @@ def test_fuse_bilateral_ignores_learned_displacement():
     f2 = attach_coords(Tensor(phi2))
     s = Tensor(rng.standard_normal(16))
     p = KernelParams("bilateral")
-    out1 = fuse_scores(s, f1, p).fused_scores.data
-    out2 = fuse_scores(s, f2, p).fused_scores.data
+    out1 = fuse_scores(s, kernel_rows(f1, "bilateral"), p).fused_scores.data
+    out2 = fuse_scores(s, kernel_rows(f2, "bilateral"), p).fused_scores.data
     assert np.array_equal(out1, out2)
     # the gaussian family on the same fields does see the steering
-    g1 = fuse_scores(s, f1, KernelParams("gaussian")).fused_scores.data
-    g2 = fuse_scores(s, f2, KernelParams("gaussian")).fused_scores.data
+    g = KernelParams("gaussian")
+    g1 = fuse_scores(s, kernel_rows(f1, "gaussian"), g).fused_scores.data
+    g2 = fuse_scores(s, kernel_rows(f2, "gaussian"), g).fused_scores.data
     assert not np.array_equal(g1, g2)
-
-
-def test_fuse_accepts_embedding_field():
-    field = attach_coords(Tensor(np.zeros((3, 2, 2))))
-    out = fuse_scores(Tensor([0.0, 1.0, 0.0, 0.0]), field,
-                      KernelParams("gaussian"))
-    assert out.seed_index == 1
-    assert out.fused_scores.data.shape == (4,)
 
 
 def test_fuse_validation():
@@ -213,6 +207,61 @@ def test_fuse_validation():
         fuse_scores(Tensor([1.0, 2.0]), Tensor(np.zeros((3, 2))), p)
     with pytest.raises(ValueError):
         fuse_scores(Tensor([1.0]), Tensor(np.zeros((1, 2))), p, mode="warm")
+
+
+def overlapping_boxes():
+    # an 8-pixel strip in two overlapping 5-pixel boxes, [0, 5) and [3, 8);
+    # the second box's top score 0.9 is tied at pixels 4 and 6
+    rng = np.random.default_rng(10)
+    rows = rng.standard_normal((8, 3))
+    scores = np.array([0.2, 1.5, -0.3, 0.7, 0.9, 0.1, 0.9, -1.0])
+    idx = [np.arange(0, 5), np.arange(3, 8)]
+    return rows, scores, idx
+
+
+@pytest.mark.parametrize("family", ["gaussian", "bilateral", "steered_laplacian"])
+def test_fuse_boxes_is_fuse_scores_per_box(family):
+    rows, scores, idx = overlapping_boxes()
+    params = KernelParams(family, sigma=0.8)
+    pixels = np.concatenate(idx)
+    out = fuse_boxes(scores[pixels], Tensor(rows[pixels]), [5, 5], params)
+    # list positions: box 0's seed is pixel 1, box 1's the lower tied pixel 4
+    assert out.seed_index.tolist() == [1, 6]
+    for b, i in enumerate(idx):
+        one = fuse_scores(scores[i], Tensor(rows[i]), params)
+        assert one.seed_index == int(np.argmax(scores[i]))
+        assert np.array_equal(out.fused_scores.data[5 * b:5 * b + 5], one.fused_scores.data)
+        assert np.array_equal(out.probabilities.data[5 * b:5 * b + 5], one.probabilities.data)
+
+
+def test_box_seeds_match_argmax():
+    rng = np.random.default_rng(11)
+    counts = rng.integers(1, 9, size=40)
+    scores = rng.integers(-2, 3, size=counts.sum()).astype(float)  # many ties
+    scores[3] = -0.0
+    starts = np.cumsum(counts) - counts
+    want = [s + int(np.argmax(scores[s:s + n])) for s, n in zip(starts, counts)]
+    assert box_seeds(scores, counts).tolist() == want
+
+
+def test_fuse_boxes_nan_score_is_numeric_error():
+    rows, scores, idx = overlapping_boxes()
+    pixels = np.concatenate(idx)
+    for where in (4, 0, 9):
+        s = scores[pixels]
+        s[where] = np.nan
+        with pytest.raises(NumericError):
+            fuse_boxes(s, Tensor(rows[pixels]), [5, 5], KernelParams("gaussian"))
+    with pytest.raises(NumericError):
+        fuse_scores(np.full(3, np.nan), Tensor(np.zeros((3, 2))), KernelParams("gaussian"))
+
+
+def test_fuse_boxes_validation():
+    p = KernelParams("gaussian")
+    rows = Tensor(np.zeros((4, 2)))
+    for counts in ([2, 1], [2, 3], [4, 0], []):
+        with pytest.raises(ValueError):
+            fuse_boxes(np.zeros(4), rows, counts, p)
 
 
 def test_fuse_soft_grad_check():

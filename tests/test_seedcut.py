@@ -3,14 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from semiconv.tensor import Tensor
-from semiconv.kernels import KernelParams, fuse_scores
+from semiconv import tensor as T
+from semiconv.tensor import NumericError, Tensor
+from semiconv.embedding import attach_coords
+from semiconv.kernels import KernelParams, fuse_scores, kernel_rows
 from semiconv.losses import SegmentSet, mask_bce, pull_to_mean_loss
-from semiconv.synth import TrainConfig, build_field, generate_scene, make_model, train
-from semiconv.seedcut import (RegionProposal, crop_region, cut_all_boxes,
-                              cut_region, gt_boxes_from_labels, region_pixel_indices,
-                              rle_decode, rle_encode, synthetic_scores,
-                              train_seedcut)
+from semiconv.synth import (InstanceLabeling, TrainConfig, build_field, generate_scene,
+                            make_model, train)
+from semiconv.seedcut import (RegionProposal, box_loss, cut_all_boxes, cut_region,
+                              gt_boxes_from_labels, region_pixel_indices, rle_decode,
+                              rle_encode, synthetic_scores, train_seedcut)
 
 
 def make_region(rows, scores, shape):
@@ -91,28 +93,34 @@ def test_soft_matches_hard_with_dominant_score():
     hard = fuse_scores(Tensor(s), Tensor(rows), p, "hard")
     soft = fuse_scores(Tensor(s), Tensor(rows), p, "soft")
     assert hard.seed_index == 4
-    gap = np.max(np.abs(soft.seed_embedding.data - hard.seed_embedding.data))
+    # the softmax-weighted seed row sits on pixel 4's row, so the fusions agree
+    gap = np.max(np.abs(soft.fused_scores.data - hard.fused_scores.data))
     assert gap < 1e-6
 
 
 def test_region_pixel_indices():
-    idx = region_pixel_indices((1, 2, 3, 4), width=5)
+    pixels, ids, counts = region_pixel_indices([(1, 2, 3, 4)], (5, 5))
     # rows y=2,3 and columns x=1,2 of a width-5 image
-    assert np.array_equal(idx, [11, 12, 16, 17])
+    assert np.array_equal(pixels, [11, 12, 16, 17])
+    # two overlapping rects: the shared pixels are listed once per rect
+    pixels, ids, counts = region_pixel_indices([(0, 0, 2, 2), (1, 1, 4, 2)], (3, 5))
+    assert pixels.tolist() == [0, 1, 5, 6, 6, 7, 8]
+    assert ids.tolist() == [0, 0, 0, 0, 1, 1, 1]
+    assert counts.tolist() == [4, 3]
+    for bad in ((4, 4, 20, 6), (-1, 0, 2, 2), (2, 0, 2, 3), (0, 0, 5, 6)):
+        with pytest.raises(ValueError):
+            region_pixel_indices([(0, 0, 1, 1), bad], (5, 5))
 
 
-def test_crop_region_extracts_matching_rows():
+def test_region_rows_match_the_field_crop():
     scene = generate_scene(1, 2, dot_radius=2, spacing=8, seed=0)
     cfg = TrainConfig(dims=4, epochs=0, seed=0)
     model, _ = train(scene, cfg)
-    from semiconv.synth import build_field
     field = build_field(model, scene.image, "semiconv")
-    rect = (2, 1, 6, 5)
-    region = crop_region(field, rect, np.zeros(16))
+    pixels, _, _ = region_pixel_indices([(2, 1, 6, 5)], scene.shape)
+    rows = T.index_select(kernel_rows(field, "gaussian"), 0, pixels)
     manual = field.values.data[:, 1:5, 2:6].reshape(4, -1).T
-    assert np.array_equal(region.rows.data, manual)
-    with pytest.raises(ValueError):
-        crop_region(field, (4, 4, 20, 6), np.zeros(32))
+    assert np.array_equal(rows.data, manual)
 
 
 def test_gt_boxes_cover_instances():
@@ -126,7 +134,8 @@ def test_gt_boxes_cover_instances():
 
 def test_synthetic_scores_pattern():
     scene = generate_scene(1, 1, dot_radius=2, spacing=8, seed=0)
-    s = synthetic_scores(scene.gt, (0, 0, 8, 8), 1)
+    pixels, _, _ = region_pixel_indices([(0, 0, 8, 8)], scene.shape)
+    s = synthetic_scores(scene.gt, pixels, 1)
     inside = scene.gt.labels.reshape(-1) == 1
     assert np.all(s[inside] == 1.0)
     assert np.all(s[~inside] == -1.0)
@@ -173,24 +182,82 @@ def test_rle_encode_matches_loop():
     assert rle_encode(np.eye(3, dtype=bool))["counts"] == [0, 1, 3, 1, 3, 1]
 
 
-@pytest.mark.parametrize("family", ["bilateral", "steered_laplacian"])
+def per_box_loss(field, gt, boxes, instances, params):
+    """Reference box loss: one fuse_scores and one mask_bce per box, as cut_region cuts."""
+    rows_all = kernel_rows(field, params.family)
+    flat = gt.labels.reshape(-1)
+    bce = 0.0
+    for rect, k in zip(boxes, instances):
+        x0, y0, x1, y1 = rect
+        idx = (np.arange(y0, y1)[:, None] * gt.labels.shape[1] + np.arange(x0, x1)).ravel()
+        scores = np.where(flat[idx] == k, 1.0, -1.0)
+        fused = fuse_scores(scores, T.index_select(rows_all, 0, idx), params, "hard")
+        seed_id = flat[idx[fused.seed_index]]
+        bce += mask_bce(fused.probabilities, (flat[idx] == seed_id) & (seed_id > 0)).item()
+    return bce / len(boxes)
+
+
+FAMILIES = ["gaussian", "bilateral", "steered_laplacian"]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
 def test_box_loss_reads_the_rows_the_cut_reads(family):
     scene = generate_scene(2, 2, dot_radius=3, spacing=12, seed=0)
     cfg = TrainConfig(dims=4, epochs=1, seed=0)
     boxes = gt_boxes_from_labels(scene.gt)
     _, _, losses = train_seedcut(scene, boxes, cfg, params=KernelParams(family))
-    # the same first-step loss, with every box cut as crop_region and cut_region do
+    # the same first-step loss, with every box fused and scored on its own
     params = KernelParams(family)
     field = build_field(make_model(cfg), scene.image, cfg.mode)
-    flat = scene.gt.labels.reshape(-1)
-    bce = 0.0
-    for k, rect in enumerate(boxes, start=1):
-        region = crop_region(field, rect, synthetic_scores(scene.gt, rect, k), params)
-        fused = fuse_scores(region.scores, region.rows, params, "hard")
-        idx = region_pixel_indices(rect, scene.shape[1])
-        bce += mask_bce(fused.probabilities, flat[idx] == flat[idx[fused.seed_index]]).item()
-    want = pull_to_mean_loss(field, SegmentSet.from_labels(scene.gt)).item() + bce / len(boxes)
+    want = (pull_to_mean_loss(field, SegmentSet.from_labels(scene.gt)).item()
+            + per_box_loss(field, scene.gt, boxes, range(1, 5), params))
     assert abs(losses[0] - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_box_loss_overlapping_boxes_and_tied_seed(family):
+    # 6x8 labels: instance 1 in columns 1-2, instance 2 in columns 4-6
+    labels = np.zeros((6, 8), dtype=int)
+    labels[1:5, 1:3] = 1
+    labels[0:4, 4:7] = 2
+    gt = InstanceLabeling(labels)
+    # box 0 holds all of 1 and part of 2, box 1 overlaps it and holds only 2,
+    # box 2 holds two pixels of each: the vote tie goes to instance 1, whose
+    # two tied +1 pixels (x=2, y=2) and (x=2, y=3) must seed at the first
+    boxes = [(0, 0, 5, 6), (3, 0, 8, 5), (2, 2, 5, 4)]
+    rng = np.random.default_rng(0)
+    field = attach_coords(Tensor(rng.standard_normal((4, 6, 8))))
+    params = KernelParams(family, sigma=1.7)
+    got = box_loss(gt, boxes, params)(field).item()
+    want = per_box_loss(field, gt, boxes, [1, 2, 1], params)
+    assert abs(got - want) <= 1e-12 * abs(want)
+    # box 2 seeded at the second tied pixel scores differently, so the match
+    # above pins the seed to the first
+    later = labels.copy()
+    later[2, 2] = 0
+    moved = per_box_loss(field, InstanceLabeling(later), boxes[2:], [1], params)
+    assert abs(moved - per_box_loss(field, gt, boxes[2:], [1], params)) > 1e-6
+
+
+def test_box_loss_tape_does_not_grow_with_boxes():
+    cfg = TrainConfig(dims=4, epochs=0, seed=0)
+    params = KernelParams("steered_laplacian")
+    nodes = []
+    for rows in (2, 4):
+        scene = generate_scene(rows, rows, dot_radius=3, spacing=12, seed=0)
+        field = build_field(make_model(cfg), scene.image, cfg.mode)
+        loss = box_loss(scene.gt, gt_boxes_from_labels(scene.gt), params)(field)
+        nodes.append(len(T._topo_order(loss)))
+    assert nodes[0] == nodes[1]
+
+
+def test_nan_score_is_numeric_error():
+    rows, _ = two_cluster_region()
+    for where in (0, 3):
+        scores = np.zeros(8)
+        scores[where] = np.nan
+        with pytest.raises(NumericError):
+            cut_region(make_region(rows, scores, (2, 4)), KernelParams("gaussian"))
 
 
 def test_seedcut_training_keeps_sigma_positive():
@@ -209,9 +276,17 @@ def test_seedcut_cuts_match_instances_after_training():
     cfg = TrainConfig(dims=6, epochs=150, seed=0)
     boxes = gt_boxes_from_labels(scene.gt)
     model, params, _ = train_seedcut(scene, boxes, cfg)
-    masks, _, ious = cut_all_boxes(scene, model, params)
+    masks, boxes, ious = cut_all_boxes(scene, model, params)
     assert len(masks) == 4
     assert float(np.mean(ious)) > 0.7
+    # the batched cut is the per-box cut_region, box for box
+    field = build_field(model, scene.image, "semiconv")
+    rows_all = kernel_rows(field, params.family)
+    for k, rect in enumerate(boxes, start=1):
+        pixels, _, _ = region_pixel_indices([rect], scene.shape)
+        region = RegionProposal(rect, synthetic_scores(scene.gt, pixels, k),
+                                T.index_select(rows_all, 0, pixels))
+        assert np.array_equal(masks[k - 1], cut_region(region, params))
 
 
 def test_train_seedcut_validation():
