@@ -15,7 +15,6 @@ from .tensor import Tensor, NumericError, grad_check
 from .embedding import (
     EmbeddingField,
     attach_coords,
-    bilateral_rows,
     conv_field,
     coord_grid,
     displacement_field,
@@ -57,7 +56,7 @@ from .dilemma import conv_collision_witness, make_signal, semiconv_color
 
 __all__ = [
     "Tensor", "NumericError", "grad_check",
-    "EmbeddingField", "attach_coords", "bilateral_rows",
+    "EmbeddingField", "attach_coords",
     "conv_field", "coord_grid", "displacement_field",
     "field_rows", "flatten_rows",
     "SegmentSet", "mask_bce", "pull_to_mean_loss",

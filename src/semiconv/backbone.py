@@ -60,10 +60,6 @@ class Backbone:
             self.weights.append(Tensor(w, requires_grad=True))
             self.biases.append(Tensor(np.zeros(c_out), requires_grad=True))
 
-    @property
-    def dims(self):
-        return self.weights[-1].data.shape[0]
-
     def forward(self, x):
         """Map [C,H,W] input to a [D,H,W] feature map.
 

@@ -156,10 +156,14 @@ def cmd_synth_gen(args):
     return [args.out]
 
 
+def _train_config(args):
+    return synth.TrainConfig(mode=args.mode, dims=args.dims, epochs=args.epochs,
+                             lr=args.lr, lr_decay=args.lr_decay, seed=args.seed)
+
+
 def cmd_train(args):
     scene = synth.load_scene(args.scene)
-    cfg = synth.TrainConfig(mode=args.mode, dims=args.dims, epochs=args.epochs,
-                            lr=args.lr, lr_decay=args.lr_decay, seed=args.seed)
+    cfg = _train_config(args)
     model, losses = synth.train(scene, cfg)
     model.save(args.out)
     outputs = [args.out]
@@ -189,8 +193,7 @@ def cmd_cluster(args):
 
 def cmd_seedcut(args):
     scene = synth.load_scene(args.scene)
-    cfg = synth.TrainConfig(mode=args.mode, dims=args.dims, epochs=args.epochs,
-                            lr=args.lr, lr_decay=args.lr_decay, seed=args.seed)
+    cfg = _train_config(args)
     params = KernelParams("steered_laplacian", sigma=args.sigma_init)
     boxes = seedcut_mod.gt_boxes_from_labels(scene.gt)
     model, params, losses = seedcut_mod.train_seedcut(scene, boxes, cfg,
@@ -386,13 +389,7 @@ def main(argv=None):
         with np.errstate(all="ignore"):
             outputs = args.func(args)
         write_manifest(args.subcommand, args, outputs, started)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (FileNotFoundError, json.JSONDecodeError, KeyError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except ValueError as err:
+    except (UsageError, OSError, KeyError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except NumericError as err:

@@ -125,25 +125,18 @@ def conv_collision_witness(sig, op):
     stack of circular convolutions and pointwise nonlinearities returns
     bit-identical values there; the spread quantifies the collision.
     """
-    if getattr(op, "padding", "circular") != "circular":
-        raise ValueError("witness requires periodic (circular) padding")
     y = op(sig.samples[:sig.n_cycle])
     peaks = y[::sig.per_period]
     return float(np.max(peaks) - np.min(peaks))
 
 
-def pv_verify(sig, exact=True):
+def pv_verify(sig):
     """Propose-and-verify readout: centers are the samples where x hits 1.
 
-    The exact test x == 1.0 works here because peaks are constructed on grid
-    points; ``exact=False`` uses the tolerance x > 1 - step/2 for signals
-    whose peaks may fall off-grid.
+    The exact test x == 1.0 works because peaks are constructed on grid
+    points.
     """
-    if exact:
-        mask = sig.samples == 1.0
-    else:
-        mask = sig.samples > 1.0 - sig.step / 2.0
-    return sig.grid[mask]
+    return sig.grid[sig.samples == 1.0]
 
 
 def report(half_extent=4.0, step=0.25, n_stacks=5, seed=0):

@@ -37,12 +37,11 @@ def coord_grid(h, w):
 
 
 class EmbeddingField:
-    """Per-pixel D-dimensional embeddings with a declared channel split.
+    """Per-pixel D-dimensional embeddings and how they were made.
 
-    ``kind`` records whether pixel coordinates were mixed in. For a
-    semiconvolutional field the first two channels are geometric (they carry
-    position) and the rest are appearance; a convolutional field is all
-    appearance.
+    ``kind`` records whether pixel coordinates were mixed in. A
+    semiconvolutional field carries position in its first two (geometric)
+    channels; a convolutional field carries none.
     """
 
     def __init__(self, values, kind):
@@ -54,15 +53,6 @@ class EmbeddingField:
             raise ValueError("semiconvolutional fields need D >= 2")
         self.values = values
         self.kind = kind
-
-    @property
-    def dims(self):
-        return self.values.data.shape[0]
-
-    @property
-    def appearance_dims(self):
-        start = 2 if self.kind == "semiconvolutional" else 0
-        return tuple(range(start, self.dims))
 
     def __repr__(self):
         return f"EmbeddingField(kind={self.kind}, shape={self.values.data.shape})"
@@ -110,21 +100,6 @@ def flatten_rows(values):
 
 
 def field_rows(field):
+    """The field as [H*W, D] rows: what the loss, the kernels and k-means compare."""
     return flatten_rows(field.values)
-
-
-def bilateral_rows(field):
-    """Rows (u_x, u_y, appearance...) with raw coordinates in the geometric slots.
-
-    This is the classic position-plus-appearance affinity vector: the learned
-    displacement is discarded and the pixel's actual location used instead.
-    """
-    d, h, w = field.values.data.shape
-    coords = Tensor(np.ascontiguousarray(
-        coord_grid(h, w).reshape(2, h * w).T))
-    app = list(field.appearance_dims)
-    if not app:
-        return coords
-    app_rows = flatten_rows(T.index_select(field.values, 0, app))
-    return T.concat([coords, app_rows], axis=1)
 

@@ -1,22 +1,23 @@
 """Affinity kernels over pixel embeddings and seed-based score fusion.
 
-A kernel turns embedding distance into a similarity in (0, 1]. Given a score
-map over a region, the fusion step picks a seed pixel, evaluates the kernel
-row between the seed's embedding and every other pixel, and adds the
-log-kernel to the scores. Pixels that embed far from the seed get pushed
-down; the seed itself is untouched. Thresholding the resulting per-pixel
-probabilities cuts out the seed's instance. fuse_boxes fuses many regions at
-once over one concatenated pixel list; fuse_scores is its one-region case,
-plus a soft variant.
+A kernel turns embedding distance into a similarity in (0, 1]. Two families
+exist, the Gaussian and the steered Laplacian, and log_kernel is the one place
+that knows their formulas: the pairwise kernels exponentiate it, and the
+fusion step adds it to the scores. Given a score map over a region, fusion
+picks a seed pixel, evaluates the log-kernel between the seed's embedding and
+every other pixel, and adds it to the scores. Pixels that embed far from the
+seed get pushed down; the seed itself is untouched. Thresholding the
+resulting per-pixel probabilities cuts out the seed's instance. fuse_boxes
+fuses many regions at once over one concatenated pixel list; fuse_scores is
+its one-region case, plus a soft variant.
 """
 
 import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor, NORM_EPS
-from .embedding import field_rows, bilateral_rows
 
-FAMILIES = ("gaussian", "bilateral", "steered_laplacian")
+FAMILIES = ("gaussian", "steered_laplacian")
 
 
 class KernelParams:
@@ -39,9 +40,6 @@ class KernelParams:
     @property
     def sigma(self):
         return float(np.exp(self.log_sigma.data))
-
-    def sigma_tensor(self):
-        return T.exp(self.log_sigma)
 
     def learnables(self):
         return [self.log_sigma] if self.log_sigma.requires_grad else []
@@ -66,15 +64,6 @@ class SeedFusionResult:
         return f"SeedFusionResult(seed={self.seed_index}, n={self.fused_scores.data.size})"
 
 
-def kernel_rows(field, family):
-    """The [N, D] rows a kernel of this family compares, one per pixel.
-
-    The bilateral family compares raw pixel coordinates plus appearance
-    channels; every other family compares the field's own embeddings.
-    """
-    return bilateral_rows(field) if family == "bilateral" else field_rows(field)
-
-
 def _as_vector(v, name):
     t = v if isinstance(v, Tensor) else Tensor(v)
     if t.data.ndim != 1:
@@ -85,37 +74,11 @@ def _as_vector(v, name):
 
 
 def _sumsq(a, b):
-    d = T.sub(a, b)
-    return T.tsum(T.mul(d, d))
-
-
-def gaussian_kernel(a, b):
-    """exp(-||a-b||^2 / 2) as a scalar tensor; 1 exactly at zero distance."""
     a, b = _as_vector(a, "a"), _as_vector(b, "b")
     if a.data.size != b.data.size:
         raise ValueError("embedding dimensions differ")
-    return T.exp(T.mul(_sumsq(a, b), -0.5))
-
-
-def factorized_kernel(u, v, phi_g_u, phi_g_v, phi_a_u, phi_a_v):
-    """Gaussian kernel split into a geometric and an appearance factor.
-
-    The geometric factor compares steered positions u + phi_g; the appearance
-    factor compares the remaining channels. Multiplying the two equals the
-    plain Gaussian kernel on the stacked embedding vectors.
-    """
-    u, v = _as_vector(u, "u"), _as_vector(v, "v")
-    gu, gv = _as_vector(phi_g_u, "phi_g_u"), _as_vector(phi_g_v, "phi_g_v")
-    au, av = _as_vector(phi_a_u, None), _as_vector(phi_a_v, None)
-    if not (u.data.size == v.data.size == gu.data.size == gv.data.size == 2):
-        raise ValueError("geometric parts must be 2-d")
-    if au.data.size != av.data.size:
-        raise ValueError("appearance dimensions differ")
-    geo = T.exp(T.mul(_sumsq(T.add(u, gu), T.add(v, gv)), -0.5))
-    if au.data.size == 0:
-        return geo
-    app = T.exp(T.mul(_sumsq(au, av), -0.5))
-    return T.mul(geo, app)
+    d = T.sub(a, b)
+    return T.tsum(T.mul(d, d))
 
 
 def shifted_norm(sumsq, eps):
@@ -128,16 +91,52 @@ def shifted_norm(sumsq, eps):
     return T.sub(T.sqrt(T.add(sumsq, eps)), float(np.sqrt(eps)))
 
 
+def log_kernel(sumsq, family, sigma=None, eps=NORM_EPS):
+    """log K of a family from squared embedding distances; <= 0, 0 at distance 0.
+
+    -sumsq / 2 for the Gaussian, -shifted_norm(sumsq, eps) / sigma for the
+    steered Laplacian (sigma a positive tensor). The one place that knows a
+    family's formula: the pairwise kernels and the fusion both read it.
+    """
+    if family == "gaussian":
+        return T.mul(sumsq, -0.5)
+    if family == "steered_laplacian":
+        return T.mul(T.div(shifted_norm(sumsq, eps), sigma), -1.0)
+    raise ValueError(f"unknown kernel family '{family}'")
+
+
+def gaussian_kernel(a, b):
+    """exp(-||a-b||^2 / 2) as a scalar tensor; 1 exactly at zero distance."""
+    return T.exp(log_kernel(_sumsq(a, b), "gaussian"))
+
+
+def factorized_kernel(u, v, phi_g_u, phi_g_v, phi_a_u, phi_a_v):
+    """The steered bilateral kernel: a geometric times an appearance Gaussian.
+
+    The geometric factor compares steered positions u + phi_g; the appearance
+    factor compares the remaining channels. Multiplying the two equals the
+    plain Gaussian kernel on the stacked embedding vectors.
+    """
+    u, v = _as_vector(u, "u"), _as_vector(v, "v")
+    gu, gv = _as_vector(phi_g_u, "phi_g_u"), _as_vector(phi_g_v, "phi_g_v")
+    au, av = _as_vector(phi_a_u, None), _as_vector(phi_a_v, None)
+    if not (u.data.size == v.data.size == gu.data.size == gv.data.size == 2):
+        raise ValueError("geometric parts must be 2-d")
+    if au.data.size != av.data.size:
+        raise ValueError("appearance dimensions differ")
+    geo = gaussian_kernel(T.add(u, gu), T.add(v, gv))
+    if au.data.size == 0:
+        return geo
+    return T.mul(geo, gaussian_kernel(au, av))
+
+
 def steered_laplacian(a, b, sigma, eps=NORM_EPS):
     """exp(-||a-b|| / sigma): heavier tails than the Gaussian, learnable scale."""
-    a, b = _as_vector(a, "a"), _as_vector(b, "b")
-    if a.data.size != b.data.size:
-        raise ValueError("embedding dimensions differ")
+    sumsq = _sumsq(a, b)
     st = sigma if isinstance(sigma, Tensor) else Tensor(float(sigma))
     if not np.all(st.data > 0):
         raise ValueError("sigma must be positive")
-    dist = shifted_norm(_sumsq(a, b), eps)
-    return T.exp(T.mul(T.div(dist, st), -1.0))
+    return T.exp(log_kernel(sumsq, "steered_laplacian", st, eps))
 
 
 def _region_scores(scores, rows):
@@ -186,12 +185,13 @@ def fuse_boxes(scores, rows, counts, params):
 def fuse_scores(scores, rows, params, mode="hard"):
     """Combine one region's per-pixel scores with kernel affinity to a seed pixel.
 
-    ``rows`` is the [N, D] tensor of kernel rows aligned with the scores (see
-    kernel_rows). Hard mode is fuse_boxes with a single box: it seeds at the
-    argmax score, ties toward the lowest index. Soft mode replaces the seed
-    row with a softmax-weighted expectation of the rows, which keeps the whole
-    fusion differentiable in the scores. Both modes add log K(seed, i) to
-    score i and squash through a logistic to get per-pixel probabilities.
+    ``rows`` is the [N, D] tensor of embedding rows aligned with the scores
+    (see embedding.field_rows). Hard mode is fuse_boxes with a single box: it
+    seeds at the argmax score, ties toward the lowest index. Soft mode
+    replaces the seed row with a softmax-weighted expectation of the rows,
+    which keeps the whole fusion differentiable in the scores. Both modes add
+    log K(seed, i) to score i and squash through a logistic to get per-pixel
+    probabilities.
     """
     if mode not in ("hard", "soft"):
         raise ValueError(f"unknown fusion mode '{mode}'")
@@ -210,10 +210,5 @@ def _fuse(s, rows, seed_rows, seed_index, params):
     # s + log K(seed row, row) for every pixel, then the logistic
     diff = T.sub(rows, seed_rows)
     sumsq = T.tsum(T.mul(diff, diff), axes=1)
-    if params.family == "steered_laplacian":
-        dist = shifted_norm(sumsq, NORM_EPS)
-        log_kernel = T.mul(T.div(dist, params.sigma_tensor()), -1.0)
-    else:
-        log_kernel = T.mul(sumsq, -0.5)
-    fused = T.add(s, log_kernel)
+    fused = T.add(s, log_kernel(sumsq, params.family, T.exp(params.log_sigma)))
     return SeedFusionResult(seed_index, fused, T.sigmoid(fused))

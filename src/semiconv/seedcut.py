@@ -16,7 +16,8 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .kernels import KernelParams, box_seeds, fuse_boxes, fuse_scores, kernel_rows
+from .kernels import KernelParams, box_seeds, fuse_boxes, fuse_scores
+from .embedding import field_rows
 from .losses import _bce_terms
 from . import synth
 
@@ -85,15 +86,22 @@ def cut_region(region, params, threshold=0.5):
 
 
 def gt_boxes_from_labels(gt, pad=1):
-    """Tight axis-aligned boxes (x0, y0, x1, y1) around each instance id."""
-    labels = gt.labels
-    h, w = labels.shape
-    boxes = []
-    for k in range(1, gt.K + 1):
-        ys, xs = np.nonzero(labels == k)
-        boxes.append((max(int(xs.min()) - pad, 0), max(int(ys.min()) - pad, 0),
-                      min(int(xs.max()) + 1 + pad, w), min(int(ys.max()) + 1 + pad, h)))
-    return boxes
+    """Tight axis-aligned boxes (x0, y0, x1, y1) around each instance id.
+
+    Each box grows by ``pad`` pixels on every side, clipped to the image. One
+    pass over the foreground pixels finds every instance's extent.
+    """
+    h, w = gt.labels.shape
+    ys, xs = np.nonzero(gt.labels)
+    cols = (slice(None), gt.labels[ys, xs] - 1)
+    pts = np.stack([xs, ys])
+    lo = np.full((2, gt.K), max(h, w), dtype=np.intp)
+    hi = np.zeros((2, gt.K), dtype=np.intp)
+    np.minimum.at(lo, cols, pts)
+    np.maximum.at(hi, cols, pts)
+    lo = np.maximum(lo - pad, 0)
+    hi = np.minimum(hi + 1 + pad, [[w], [h]])
+    return [tuple(box) for box in np.concatenate([lo, hi]).T.tolist()]
 
 
 def synthetic_scores(gt, pixels, instances):
@@ -132,7 +140,7 @@ def box_loss(gt, boxes, params):
     weights = Tensor(1.0 / (counts.size * counts[ids]))
 
     def loss(field):
-        rows = T.index_select(kernel_rows(field, params.family), 0, pixels)
+        rows = T.index_select(field_rows(field), 0, pixels)
         fused = fuse_boxes(scores, rows, counts, params)
         return T.mul(T.tsum(T.mul(_bce_terms(fused.probabilities, target), weights)), -1.0)
 
@@ -143,7 +151,7 @@ def train_seedcut(scene, gt_boxes, cfg, params=None):
     """Joint training of the embedding backbone and the kernel scale.
 
     Every step evaluates the pull-to-mean loss on the whole image plus the
-    box_loss over ``gt_boxes``. The box loss reads the same kernel rows as
+    box_loss over ``gt_boxes``. The box loss reads the same embedding rows as
     cut_all_boxes, so training and cutting see one kernel.
 
     Returns (model, params, losses).
@@ -165,7 +173,7 @@ def cut_all_boxes(scene, model, params, cfg_mode="semiconv", threshold=0.5):
     gt = scene.gt
     boxes = gt_boxes_from_labels(gt)
     pixels, ids, counts = region_pixel_indices(boxes, scene.shape)
-    rows = T.index_select(kernel_rows(field, params.family), 0, pixels)
+    rows = T.index_select(field_rows(field), 0, pixels)
     fused = fuse_boxes(synthetic_scores(gt, pixels, ids + 1), rows, counts, params)
     mask = _cut(fused, threshold)
     truth = gt.labels.reshape(-1)[pixels] == ids + 1

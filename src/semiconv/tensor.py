@@ -300,26 +300,6 @@ def broadcast_to(a, shape):
     return _node(np.ascontiguousarray(np.broadcast_to(a.data, shape)), (a,), backward, "broadcast_to")
 
 
-def concat(tensors, axis=0):
-    """Concatenate along ``axis``; backward splits the gradient back."""
-    ts = [_coerce(t) for t in tensors]
-    if not ts:
-        raise ValueError("concat needs at least one tensor")
-    nd = ts[0].data.ndim
-    axis = axis % nd
-    sizes = [t.data.shape[axis] for t in ts]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        for t, off, n in zip(ts, offsets[:-1], sizes):
-            sl = [slice(None)] * nd
-            sl[axis] = slice(off, off + n)
-            _accum(t, g[tuple(sl)])
-
-    return _node(np.concatenate([t.data for t in ts], axis=axis),
-                 tuple(ts), backward, "concat")
-
-
 def index_select(a, axis, indices):
     """Gather slices along ``axis``; backward scatter-adds (duplicates accumulate)."""
     a = _coerce(a)

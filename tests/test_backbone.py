@@ -18,7 +18,6 @@ def test_output_shape_and_dims():
     model = Backbone(small_cfg())
     out = model.forward(Tensor(np.zeros((1, 10, 12))))
     assert out.data.shape == (3, 10, 12)
-    assert model.dims == 3
 
 
 def test_constant_input_constant_output():

@@ -52,6 +52,17 @@ def test_missing_input_file_exit_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--scene", "--config", "--out"])
+def test_directory_as_file_exit_1(tmp_path, scene_path, capsys, flag):
+    # a directory where a file belongs is an input problem, not a traceback
+    argv = {"--scene": scene_path, "--out": tmp_path / "m.bin"}
+    argv[flag] = tmp_path
+    assert run("train", "--epochs", 1, "--dims", 2,
+               *[v for pair in argv.items() for v in pair]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_dilemma_subcommand_report_and_manifest(tmp_path):
     out = tmp_path / "d.json"
     assert run("dilemma", "--out", out) == 0

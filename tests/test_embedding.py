@@ -45,10 +45,13 @@ def test_attach_coords_needs_two_channels():
 
 
 def test_channel_split():
-    f = E.attach_coords(Tensor(np.zeros((5, 3, 3))))
-    assert f.appearance_dims == (2, 3, 4)
-    c = E.conv_field(Tensor(np.zeros((5, 3, 3))))
-    assert c.appearance_dims == (0, 1, 2, 3, 4)
+    # only a semiconvolutional field has geometric channels, and needs two
+    assert E.attach_coords(Tensor(np.zeros((5, 3, 3)))).kind == "semiconvolutional"
+    assert E.conv_field(Tensor(np.zeros((1, 3, 3)))).kind == "convolutional"
+    with pytest.raises(ValueError):
+        E.EmbeddingField(Tensor(np.zeros((1, 3, 3))), "semiconvolutional")
+    with pytest.raises(ValueError):
+        E.EmbeddingField(Tensor(np.zeros((5, 3, 3))), "spectral")
 
 
 def test_displacement_points_at_common_target():
@@ -81,17 +84,6 @@ def test_flatten_rows_layout():
     assert rows.data.shape == (12, 2)
     # pixel (y=1, x=2) is linear index 6
     assert np.array_equal(rows.data[6], [vals.data[0, 1, 2], vals.data[1, 1, 2]])
-
-
-def test_bilateral_rows_use_raw_coords():
-    rng = np.random.default_rng(2)
-    field = E.attach_coords(Tensor(rng.standard_normal((4, 3, 5))))
-    rows = E.bilateral_rows(field).data
-    assert rows.shape == (15, 4)
-    g = E.coord_grid(3, 5).reshape(2, -1)
-    assert np.array_equal(rows[:, 0], g[0])
-    assert np.array_equal(rows[:, 1], g[1])
-    assert np.array_equal(rows[:, 2:], field.values.data[2:].reshape(2, -1).T)
 
 
 def test_period_shift_moves_geometric_dims_only():

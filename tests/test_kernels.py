@@ -3,9 +3,8 @@ import pytest
 
 from semiconv import tensor as T
 from semiconv.tensor import NumericError, Tensor
-from semiconv.embedding import attach_coords
-from semiconv.kernels import (KernelParams, box_seeds, fuse_boxes, fuse_scores,
-                              gaussian_kernel, factorized_kernel, kernel_rows,
+from semiconv.kernels import (FAMILIES, KernelParams, box_seeds, fuse_boxes, fuse_scores,
+                              gaussian_kernel, factorized_kernel, log_kernel,
                               steered_laplacian)
 
 
@@ -107,10 +106,41 @@ def test_kernel_params():
     q = KernelParams("gaussian")
     assert not q.log_sigma.requires_grad
     assert q.learnables() == []
-    with pytest.raises(ValueError):
-        KernelParams("rbf")
+    for unknown in ("rbf", "bilateral"):
+        with pytest.raises(ValueError):
+            KernelParams(unknown)
     with pytest.raises(ValueError):
         KernelParams("gaussian", sigma=0.0)
+
+
+def test_log_kernel_formulas():
+    sumsq = Tensor([0.0, 2.0, 9.0])
+    assert np.array_equal(log_kernel(sumsq, "gaussian").data, [0.0, -1.0, -4.5])
+    lap = log_kernel(sumsq, "steered_laplacian", Tensor(1.5), eps=0.0).data
+    assert np.array_equal(lap, [0.0, -np.sqrt(2.0) / 1.5, -2.0])
+    # the default eps keeps the zero distance at log K = 0 exactly
+    assert log_kernel(sumsq, "steered_laplacian", Tensor(1.5)).data[0] == 0.0
+    with pytest.raises(ValueError):
+        log_kernel(sumsq, "bilateral")
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_fused_scores_are_the_pairwise_kernel_to_the_seed(family):
+    # hard fusion adds log K(seed row, row i) to score i: the same number the
+    # pairwise kernel gives for that pair
+    rng = np.random.default_rng(12)
+    rows = rng.standard_normal((9, 4)) * 2.0
+    s = rng.standard_normal(9)
+    params = KernelParams(family, sigma=0.7)
+    out = fuse_scores(s, Tensor(rows), params)
+    seed = rows[out.seed_index]
+    for i, row in enumerate(rows):
+        if family == "gaussian":
+            want = gaussian_kernel(row, seed).item()
+        else:
+            want = steered_laplacian(row, seed, params.sigma).item()
+        got = np.exp(out.fused_scores.data[i] - s[i])
+        assert abs(got - want) <= 1e-12 * want
 
 
 def test_fuse_hard_seed_untouched():
@@ -180,25 +210,6 @@ def test_fuse_probabilities_are_logistic():
     assert np.allclose(out.probabilities.data, expect, atol=1e-15, rtol=0)
 
 
-def test_fuse_bilateral_ignores_learned_displacement():
-    rng = np.random.default_rng(7)
-    phi = rng.standard_normal((5, 4, 4))
-    f1 = attach_coords(Tensor(phi))
-    phi2 = phi.copy()
-    phi2[:2] += rng.standard_normal((2, 4, 4))  # different steering
-    f2 = attach_coords(Tensor(phi2))
-    s = Tensor(rng.standard_normal(16))
-    p = KernelParams("bilateral")
-    out1 = fuse_scores(s, kernel_rows(f1, "bilateral"), p).fused_scores.data
-    out2 = fuse_scores(s, kernel_rows(f2, "bilateral"), p).fused_scores.data
-    assert np.array_equal(out1, out2)
-    # the gaussian family on the same fields does see the steering
-    g = KernelParams("gaussian")
-    g1 = fuse_scores(s, kernel_rows(f1, "gaussian"), g).fused_scores.data
-    g2 = fuse_scores(s, kernel_rows(f2, "gaussian"), g).fused_scores.data
-    assert not np.array_equal(g1, g2)
-
-
 def test_fuse_validation():
     p = KernelParams("gaussian")
     with pytest.raises(ValueError):
@@ -219,7 +230,7 @@ def overlapping_boxes():
     return rows, scores, idx
 
 
-@pytest.mark.parametrize("family", ["gaussian", "bilateral", "steered_laplacian"])
+@pytest.mark.parametrize("family", FAMILIES)
 def test_fuse_boxes_is_fuse_scores_per_box(family):
     rows, scores, idx = overlapping_boxes()
     params = KernelParams(family, sigma=0.8)

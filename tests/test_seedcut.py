@@ -5,8 +5,8 @@ import pytest
 
 from semiconv import tensor as T
 from semiconv.tensor import NumericError, Tensor
-from semiconv.embedding import attach_coords
-from semiconv.kernels import KernelParams, fuse_scores, kernel_rows
+from semiconv.embedding import attach_coords, field_rows
+from semiconv.kernels import FAMILIES, KernelParams, fuse_scores
 from semiconv.losses import SegmentSet, mask_bce, pull_to_mean_loss
 from semiconv.synth import (InstanceLabeling, TrainConfig, build_field, generate_scene,
                             make_model, train)
@@ -118,7 +118,7 @@ def test_region_rows_match_the_field_crop():
     model, _ = train(scene, cfg)
     field = build_field(model, scene.image, "semiconv")
     pixels, _, _ = region_pixel_indices([(2, 1, 6, 5)], scene.shape)
-    rows = T.index_select(kernel_rows(field, "gaussian"), 0, pixels)
+    rows = T.index_select(field_rows(field), 0, pixels)
     manual = field.values.data[:, 1:5, 2:6].reshape(4, -1).T
     assert np.array_equal(rows.data, manual)
 
@@ -130,6 +130,39 @@ def test_gt_boxes_cover_instances():
     for k, (x0, y0, x1, y1) in enumerate(boxes, start=1):
         inside = scene.gt.labels[y0:y1, x0:x1]
         assert np.count_nonzero(inside == k) == np.count_nonzero(scene.gt.labels == k)
+
+
+def per_instance_boxes(labels, pad):
+    """Reference: one scan of the label map per instance."""
+    h, w = labels.shape
+    boxes = []
+    for k in range(1, int(labels.max()) + 1):
+        ys, xs = np.nonzero(labels == k)
+        boxes.append((max(int(xs.min()) - pad, 0), max(int(ys.min()) - pad, 0),
+                      min(int(xs.max()) + 1 + pad, w), min(int(ys.max()) + 1 + pad, h)))
+    return boxes
+
+
+def test_gt_boxes_match_per_instance_scan():
+    rng = np.random.default_rng(3)
+    for _ in range(30):
+        h, w = (int(n) for n in rng.integers(1, 12, size=2))
+        # scattered ids reach the image edges; renumber the ones present to 0..K
+        raw = rng.integers(0, rng.integers(2, 7), size=(h, w))
+        labels = np.unique(raw, return_inverse=True)[1].reshape(h, w)
+        if labels.max() == 0:
+            continue
+        gt = InstanceLabeling(labels)
+        for pad in (0, 1, 3):
+            got = gt_boxes_from_labels(gt, pad)
+            assert got == per_instance_boxes(gt.labels, pad)
+            assert all(type(v) is int for box in got for v in box)
+    # an instance on the image corner: the pad is clipped to the image
+    labels = np.zeros((4, 5), dtype=int)
+    labels[0, 0] = labels[3, 4] = 1
+    labels[1:3, 2] = 2
+    assert gt_boxes_from_labels(InstanceLabeling(labels), 2) == [(0, 0, 5, 4), (0, 0, 5, 4)]
+    assert gt_boxes_from_labels(InstanceLabeling(labels), 0) == [(0, 0, 5, 4), (2, 1, 3, 3)]
 
 
 def test_synthetic_scores_pattern():
@@ -184,7 +217,7 @@ def test_rle_encode_matches_loop():
 
 def per_box_loss(field, gt, boxes, instances, params):
     """Reference box loss: one fuse_scores and one mask_bce per box, as cut_region cuts."""
-    rows_all = kernel_rows(field, params.family)
+    rows_all = field_rows(field)
     flat = gt.labels.reshape(-1)
     bce = 0.0
     for rect, k in zip(boxes, instances):
@@ -195,9 +228,6 @@ def per_box_loss(field, gt, boxes, instances, params):
         seed_id = flat[idx[fused.seed_index]]
         bce += mask_bce(fused.probabilities, (flat[idx] == seed_id) & (seed_id > 0)).item()
     return bce / len(boxes)
-
-
-FAMILIES = ["gaussian", "bilateral", "steered_laplacian"]
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -281,7 +311,7 @@ def test_seedcut_cuts_match_instances_after_training():
     assert float(np.mean(ious)) > 0.7
     # the batched cut is the per-box cut_region, box for box
     field = build_field(model, scene.image, "semiconv")
-    rows_all = kernel_rows(field, params.family)
+    rows_all = field_rows(field)
     for k, rect in enumerate(boxes, start=1):
         pixels, _, _ = region_pixel_indices([rect], scene.shape)
         region = RegionProposal(rect, synthetic_scores(scene.gt, pixels, k),
