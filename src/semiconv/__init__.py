@@ -15,7 +15,6 @@ from .tensor import Tensor, NumericError, grad_check
 from .embedding import (
     EmbeddingField,
     attach_coords,
-    conv_field,
     coord_grid,
     displacement_field,
     field_rows,
@@ -30,7 +29,7 @@ from .kernels import (
     gaussian_kernel,
     steered_laplacian,
 )
-from .backbone import Backbone, BackboneConfig
+from .backbone import Backbone
 from .synth import (
     InstanceLabeling,
     Scene,
@@ -39,7 +38,6 @@ from .synth import (
     decode_kmeans,
     generate_scene,
     load_scene,
-    save_scene,
     score,
     train,
 )
@@ -57,14 +55,14 @@ from .dilemma import conv_collision_witness, make_signal, semiconv_color
 __all__ = [
     "Tensor", "NumericError", "grad_check",
     "EmbeddingField", "attach_coords",
-    "conv_field", "coord_grid", "displacement_field",
+    "coord_grid", "displacement_field",
     "field_rows", "flatten_rows",
     "SegmentSet", "mask_bce", "pull_to_mean_loss",
     "KernelParams", "SeedFusionResult", "factorized_kernel", "fuse_scores",
     "gaussian_kernel", "steered_laplacian",
-    "Backbone", "BackboneConfig",
+    "Backbone",
     "InstanceLabeling", "Scene", "TrainConfig", "controlled_pair",
-    "decode_kmeans", "generate_scene", "load_scene", "save_scene", "score",
+    "decode_kmeans", "generate_scene", "load_scene", "score",
     "train",
     "RegionProposal", "cut_all_boxes", "cut_region",
     "gt_boxes_from_labels", "rle_decode", "rle_encode", "train_seedcut",

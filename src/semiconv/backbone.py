@@ -8,7 +8,6 @@ coordinate information of its own.
 """
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,48 +16,30 @@ from .tensor import Tensor
 
 MAGIC = b"SCNV"
 FORMAT_VERSION = 1
-
-
-@dataclass
-class BackboneConfig:
-    in_channels: int = 1
-    hidden: tuple = (16, 32)
-    dims: int = 8                  # final layer width = embedding dimension
-    kernels: tuple = (3, 3, 3)
-    seed: int = 0
-
-    def layer_channels(self):
-        return (self.in_channels, *self.hidden, self.dims)
-
-    def validate(self):
-        if self.dims < 1:
-            raise ValueError("dims must be positive")
-        if len(self.kernels) != len(self.hidden) + 1:
-            raise ValueError("need one kernel size per layer")
-        if any(k % 2 == 0 or k < 1 for k in self.kernels):
-            raise ValueError("kernel extents must be odd and positive")
+HIDDEN = (16, 32)   # widths of the two hidden layers
+KERNEL = 3          # every layer's kernel is KERNEL x KERNEL
 
 
 class Backbone:
     """Stack of stride-1 convolutions; owns its weight and bias tensors."""
 
-    def __init__(self, cfg=None, weights=None, biases=None):
-        self.cfg = cfg or BackboneConfig()
-        self.cfg.validate()
-        if weights is not None:
-            self.weights = weights
-            self.biases = biases
-            return
-        chans = self.cfg.layer_channels()
-        rng = np.random.default_rng(self.cfg.seed)
-        self.weights, self.biases = [], []
-        for c_in, c_out, k in zip(chans[:-1], chans[1:], self.cfg.kernels):
-            fan_in = c_in * k * k
-            fan_out = c_out * k * k
-            a = np.sqrt(6.0 / (fan_in + fan_out))
-            w = rng.uniform(-a, a, size=(c_out, c_in, k, k))
-            self.weights.append(Tensor(w, requires_grad=True))
-            self.biases.append(Tensor(np.zeros(c_out), requires_grad=True))
+    def __init__(self, weights, biases):
+        self.weights = weights
+        self.biases = biases
+
+    @classmethod
+    def glorot(cls, in_channels, dims, seed):
+        """Seeded Glorot-uniform weights and zero biases, in_channels -> HIDDEN -> dims."""
+        chans = (in_channels, *HIDDEN, dims)
+        fan = KERNEL * KERNEL
+        rng = np.random.default_rng(seed)
+        weights, biases = [], []
+        for c_in, c_out in zip(chans[:-1], chans[1:]):
+            a = np.sqrt(6.0 / (c_in * fan + c_out * fan))
+            w = rng.uniform(-a, a, size=(c_out, c_in, KERNEL, KERNEL))
+            weights.append(Tensor(w, requires_grad=True))
+            biases.append(Tensor(np.zeros(c_out), requires_grad=True))
+        return cls(weights, biases)
 
     def forward(self, x):
         """Map [C,H,W] input to a [D,H,W] feature map.
@@ -111,13 +92,16 @@ class Backbone:
                 raise ValueError("model file truncated inside a layer header")
             c_in, c_out, kh, kw = struct.unpack_from("<IIII", blob, off)
             off += 16
+            if c_in < 1 or c_out < 1:
+                raise ValueError(f"model layer {layer} has {c_in} input and "
+                                 f"{c_out} output channels")
             if weights and c_in != weights[-1].data.shape[0]:
                 raise ValueError(f"model layer {layer} expects {c_in} input channels, "
                                  f"but layer {layer - 1} outputs "
                                  f"{weights[-1].data.shape[0]}")
-            if kh != kw:
-                raise ValueError(f"model layer {layer} has a non-square "
-                                 f"{kh}x{kw} kernel")
+            if kh != kw or kh % 2 == 0:
+                raise ValueError(f"model layer {layer} has a {kh}x{kw} kernel, "
+                                 "not an odd square")
             nw = c_out * c_in * kh * kw
             if off + 4 * (nw + c_out) > len(blob):
                 raise ValueError("model file truncated inside a layer payload")
@@ -130,8 +114,4 @@ class Backbone:
             biases.append(Tensor(b.astype(np.float64), requires_grad=True))
         if off != len(blob):
             raise ValueError("trailing bytes in model file")
-        chans = [weights[0].data.shape[1]] + [w.data.shape[0] for w in weights]
-        cfg = BackboneConfig(in_channels=chans[0], hidden=tuple(chans[1:-1]),
-                             dims=chans[-1],
-                             kernels=tuple(w.data.shape[2] for w in weights))
-        return cls(cfg, weights=weights, biases=biases)
+        return cls(weights, biases)

@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 usage or input problem, 2 numeric failure.
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -264,6 +265,23 @@ def finite_float(text):
     return x
 
 
+def non_negative_float(text):
+    x = finite_float(text)
+    if x < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative number, got {text}")
+    return x
+
+
+def output_path(text):
+    # checked when the flags are parsed, so a bad path fails before any work
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"{text} is a directory, not a file")
+    parent = os.path.dirname(text) or "."
+    if not os.path.isdir(parent):
+        raise argparse.ArgumentTypeError(f"directory {parent} does not exist")
+    return text
+
+
 def open_unit_float(text):
     x = finite_float(text)
     if not 0.0 < x < 1.0:
@@ -273,7 +291,7 @@ def open_unit_float(text):
 
 def _add_common(p):
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=output_path, required=True)
     p.add_argument("--config", default=None,
                    help="JSON file whose entries override flags")
 
@@ -304,14 +322,15 @@ def build_parser():
     p.add_argument("--cols", type=positive_int, default=4)
     p.add_argument("--radius", type=positive_int, default=3)
     p.add_argument("--spacing", type=positive_int, default=32)
-    p.add_argument("--noise", type=finite_float, default=0.0)
+    p.add_argument("--noise", type=non_negative_float, default=0.0)
     p.set_defaults(func=cmd_synth_gen)
 
     p = sub.add_parser("train", help="fit embeddings to a scene")
     _add_common(p)
     _add_train_flags(p)
     p.add_argument("--scene", required=True)
-    p.add_argument("--losses", default=None, help="also write the loss curve")
+    p.add_argument("--losses", type=output_path, default=None,
+                   help="also write the loss curve")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("cluster", help="k-means decode and score")
@@ -320,7 +339,8 @@ def build_parser():
     p.add_argument("--model", required=True)
     p.add_argument("--mode", choices=("semiconv", "conv"), default="semiconv")
     p.add_argument("--k", type=non_negative_int, default=0, help="0 uses the true count")
-    p.add_argument("--render", default=None, help="also write a cluster PPM")
+    p.add_argument("--render", type=output_path, default=None,
+                   help="also write a cluster PPM")
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("seedcut", help="train and cut instance masks")
@@ -329,7 +349,7 @@ def build_parser():
     p.add_argument("--scene", required=True)
     p.add_argument("--threshold", type=open_unit_float, default=0.5)
     p.add_argument("--sigma-init", type=finite_float, default=1.0)
-    p.add_argument("--render", default=None)
+    p.add_argument("--render", type=output_path, default=None)
     p.set_defaults(func=cmd_seedcut)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient audit")

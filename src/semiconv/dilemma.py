@@ -97,13 +97,14 @@ class ConvStack1D:
         self.biases = biases
 
     @classmethod
-    def random(cls, seed, hidden=(8, 8), ksize=3):
+    def random(cls, seed):
+        """Channels 1 -> 8 -> 8 -> 1, width-3 kernels, He-scaled normal weights."""
         rng = np.random.default_rng(seed)
-        chans = (1, *hidden, 1)
+        chans = (1, 8, 8, 1)
         weights, biases = [], []
         for c_in, c_out in zip(chans[:-1], chans[1:]):
-            scale = np.sqrt(2.0 / (c_in * ksize))
-            weights.append(rng.standard_normal((c_out, c_in, 1, ksize)) * scale)
+            scale = np.sqrt(2.0 / (c_in * 3))
+            weights.append(rng.standard_normal((c_out, c_in, 1, 3)) * scale)
             biases.append(rng.standard_normal(c_out) * 0.1)
         return cls(weights, biases)
 

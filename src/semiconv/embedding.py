@@ -37,30 +37,19 @@ def coord_grid(h, w):
 
 
 class EmbeddingField:
-    """Per-pixel D-dimensional embeddings and how they were made.
+    """Per-pixel D-dimensional embeddings, a [D,H,W] tensor.
 
-    ``kind`` records whether pixel coordinates were mixed in. A
-    semiconvolutional field carries position in its first two (geometric)
-    channels; a convolutional field carries none.
+    A semiconvolutional field (attach_coords) carries pixel position in its
+    first two channels; a convolutional one is the feature map as it is.
     """
 
-    def __init__(self, values, kind):
-        if kind not in ("convolutional", "semiconvolutional"):
-            raise ValueError(f"unknown field kind '{kind}'")
+    def __init__(self, values):
         if values.data.ndim != 3:
             raise ValueError("field values must be [D,H,W]")
-        if kind == "semiconvolutional" and values.data.shape[0] < 2:
-            raise ValueError("semiconvolutional fields need D >= 2")
         self.values = values
-        self.kind = kind
 
     def __repr__(self):
-        return f"EmbeddingField(kind={self.kind}, shape={self.values.data.shape})"
-
-
-def conv_field(phi):
-    """Wrap a feature map as a purely convolutional field (no coordinates)."""
-    return EmbeddingField(phi, "convolutional")
+        return f"EmbeddingField(shape={self.values.data.shape})"
 
 
 def attach_coords(phi):
@@ -76,7 +65,7 @@ def attach_coords(phi):
         raise ValueError("need at least 2 channels to carry coordinates")
     mix = np.zeros((d, h, w))
     mix[:2] = coord_grid(h, w)
-    return EmbeddingField(T.add(phi, Tensor(mix)), "semiconvolutional")
+    return EmbeddingField(T.add(phi, Tensor(mix)))
 
 
 def displacement_field(field):
@@ -84,10 +73,9 @@ def displacement_field(field):
 
     When training succeeds, all pixels of one instance share an embedding
     value, so these vectors point from each pixel toward a common
-    instance-specific location. Used for arrow rendering and diagnostics.
+    instance-specific location. Only a semiconvolutional field has a
+    geometric embedding; the arrow renderer is its one reader.
     """
-    if field.kind != "semiconvolutional":
-        raise ValueError("displacement is only defined for semiconvolutional fields")
     h, w = field.values.data.shape[1:]
     geo = T.index_select(field.values, 0, [0, 1])
     return T.sub(geo, Tensor(coord_grid(h, w)))

@@ -200,14 +200,14 @@ def fuse_scores(scores, rows, params, mode="hard"):
         out.seed_index = int(out.seed_index[0])
         return out
     s = _region_scores(scores, rows)
-    n, d = rows.data.shape
-    wcol = T.broadcast_to(T.reshape(T.softmax(s, axis=0), (n, 1)), (n, d))
-    seed = T.tsum(T.mul(wcol, rows), axes=0, keepdims=True)
-    return _fuse(s, rows, T.broadcast_to(seed, (n, d)), int(np.argmax(s.data)), params)
+    weights = T.reshape(T.softmax(s, axis=0), (s.data.size, 1))
+    seed = T.tsum(T.mul(weights, rows), axes=0)
+    return _fuse(s, rows, seed, int(np.argmax(s.data)), params)
 
 
 def _fuse(s, rows, seed_rows, seed_index, params):
-    # s + log K(seed row, row) for every pixel, then the logistic
+    # s + log K(seed row, row) for every pixel, then the logistic; seed_rows
+    # holds one row per pixel, or one [D] row that broadcasts against all
     diff = T.sub(rows, seed_rows)
     sumsq = T.tsum(T.mul(diff, diff), axes=1)
     fused = T.add(s, log_kernel(sumsq, params.family, T.exp(params.log_sigma)))

@@ -4,21 +4,20 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .embedding import EmbeddingField, flatten_rows
+from .embedding import EmbeddingField, field_rows
 
 BCE_CLAMP = 1e-7
 
 
 class SegmentSet:
-    """Foreground instance pixel sets, background held separately.
+    """Foreground instance pixel sets S_1..S_K, background held separately.
 
-    ``segments`` is a list of 1-d linear pixel index arrays S_1..S_K;
-    ``background`` holds the complementary indices. Segments must be pairwise
-    disjoint, non-empty, and together with the background cover every pixel.
-
-    The loss reads the foreground as one concatenated pixel order:
-    ``pixels`` lists S_1..S_K, ``ids`` gives each of those pixels its
-    segment number 0..K-1, and ``counts`` the K segment sizes.
+    ``segments`` lists 1-d linear pixel index arrays and ``background`` the
+    complementary indices; segments must be non-empty and, with the
+    background, partition the ``total_pixels`` pixels. The loss reads the
+    foreground as one concatenated pixel order: ``pixels`` lists S_1..S_K,
+    ``ids`` gives each of those pixels its segment number 0..K-1, and
+    ``counts`` the K segment sizes.
     """
 
     def __init__(self, segments, background, total_pixels):
@@ -32,9 +31,6 @@ class SegmentSet:
         if (pixels.size != total_pixels or np.any(pixels < 0)
                 or np.any(np.bincount(pixels, minlength=total_pixels) != 1)):
             raise ValueError("segments plus background must partition the pixels")
-        self.segments = segs
-        self.background = bg
-        self.total_pixels = total_pixels
         self.pixels = pixels[:pixels.size - bg.size]
         self.ids = np.repeat(np.arange(sizes.size), sizes)
         self.counts = sizes
@@ -51,7 +47,7 @@ class SegmentSet:
         return cls([run for v, run in runs.items() if v > 0], background, flat.size)
 
     def __len__(self):
-        return len(self.segments)
+        return self.counts.size
 
 
 def pull_to_mean_loss(field, segs):
@@ -63,18 +59,15 @@ def pull_to_mean_loss(field, segs):
     between segments; with position mixed into the embeddings, pulling each
     segment to its own mean is enough to separate them. eps (NORM_EPS) keeps
     the square root differentiable when a segment is already perfectly tight.
-    Background pixels are ignored.
+    Background pixels are ignored. ``field`` is an EmbeddingField or its
+    [N, D] rows.
 
     All segments go through one gather and two segment sums, so the tape has
     the same dozen nodes whatever the number of segments.
     """
-    values = field.values if isinstance(field, EmbeddingField) else field
-    if values.data.ndim == 3:
-        rows = flatten_rows(values)
-    elif values.data.ndim == 2:
-        rows = values
-    else:
-        raise ValueError("expected [D,H,W] field values or [N,D] rows")
+    rows = field_rows(field) if isinstance(field, EmbeddingField) else field
+    if rows.data.ndim != 2:
+        raise ValueError("expected an EmbeddingField or [N,D] rows")
 
     k = len(segs)
     if k == 0:
@@ -83,10 +76,10 @@ def pull_to_mean_loss(field, segs):
 
     sel = T.index_select(rows, 0, segs.pixels)
     sums = T.segment_sum(sel, segs.ids, k)
-    centers = T.mul(sums, Tensor(np.broadcast_to(inv_counts[:, None], sums.data.shape)))
+    centers = T.mul(sums, inv_counts[:, None])
     dev = T.sub(sel, T.index_select(centers, 0, segs.ids))
     dists = T.segment_sum(T.l2norm_rows(dev), segs.ids, k)
-    return T.tsum(T.mul(dists, Tensor(inv_counts)))
+    return T.tsum(T.mul(dists, inv_counts))
 
 
 def _bce_terms(probs, mask):
@@ -109,4 +102,4 @@ def mask_bce(probs, gt_mask):
         raise ValueError(f"probability row has {k.data.size} entries, mask {m.size}")
     if not np.all((m == 0.0) | (m == 1.0)):
         raise ValueError("mask must be binary")
-    return T.mul(T.mean(_bce_terms(T.reshape(k, (m.size,)), m)), -1.0)
+    return T.mul(T.tsum(_bce_terms(T.reshape(k, (m.size,)), m)), -1.0 / m.size)

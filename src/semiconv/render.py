@@ -17,6 +17,7 @@ PALETTE = np.array([
     (255, 179, 71), (203, 153, 201), (100, 149, 237), (189, 183, 107),
     (143, 188, 143), (216, 191, 216), (188, 143, 143), (46, 139, 87),
 ], dtype=np.uint8)
+ARROW_COLOR = (255, 60, 60)
 
 
 def write_ppm(path, rgb):
@@ -39,12 +40,13 @@ def render_labels(labels):
     return rgb
 
 
-def grayscale_base(image, lo=0.0, hi=1.0):
-    """Image channel to a dim gray backdrop for the arrows."""
+def grayscale_base(image):
+    """Image channel to a dim gray backdrop for the arrows: [0, 1] maps to 0..139."""
     arr = np.asarray(getattr(image, "data", image))
     if arr.ndim == 3:
         arr = arr[0]
-    scaled = np.clip((arr - lo) / (hi - lo + 1e-12), 0.0, 1.0)
+    # 1 + 1e-12 puts 1.0 just below the top step, so a dot pixel maps to 139
+    scaled = np.clip(arr / (1.0 + 1e-12), 0.0, 1.0)
     gray = (scaled * 140).astype(np.uint8)
     return np.repeat(gray[:, :, None], 3, axis=2)
 
@@ -62,7 +64,7 @@ def draw_line(rgb, y0, x0, y1, x1, color):
     return rgb
 
 
-def render_arrows(image, displacement, stride=4, color=(255, 60, 60)):
+def render_arrows(image, displacement, stride=4):
     """Overlay displacement vectors as line segments from each sampled pixel.
 
     Each arrow runs from pixel u to u + d(u); pixels where the displacement
@@ -73,7 +75,7 @@ def render_arrows(image, displacement, stride=4, color=(255, 60, 60)):
         raise ValueError("expected a [2,H,W] displacement field")
     rgb = grayscale_base(image)
     h, w = disp.shape[1:]
-    col = np.array(color, dtype=np.uint8)
+    col = np.array(ARROW_COLOR, dtype=np.uint8)
     for y in range(0, h, stride):
         for x in range(0, w, stride):
             dx, dy = disp[0, y, x], disp[1, y, x]

@@ -76,19 +76,19 @@ def _cut(fused, threshold):
     return fused.probabilities.data >= threshold
 
 
-def cut_region(region, params, threshold=0.5):
-    """Binary mask over the region: probability(seed affinity) >= threshold.
+def cut_region(region, params):
+    """Binary mask over the region: probability(seed affinity) >= 0.5.
 
     The seed is the region's highest-scoring pixel (hard fusion).
     """
     fused = fuse_scores(region.scores, region.rows, params, "hard")
-    return _cut(fused, threshold).reshape(region.shape)
+    return _cut(fused, 0.5).reshape(region.shape)
 
 
-def gt_boxes_from_labels(gt, pad=1):
+def gt_boxes_from_labels(gt):
     """Tight axis-aligned boxes (x0, y0, x1, y1) around each instance id.
 
-    Each box grows by ``pad`` pixels on every side, clipped to the image. One
+    Each box grows by one pixel on every side, clipped to the image. One
     pass over the foreground pixels finds every instance's extent.
     """
     h, w = gt.labels.shape
@@ -99,8 +99,8 @@ def gt_boxes_from_labels(gt, pad=1):
     hi = np.zeros((2, gt.K), dtype=np.intp)
     np.minimum.at(lo, cols, pts)
     np.maximum.at(hi, cols, pts)
-    lo = np.maximum(lo - pad, 0)
-    hi = np.minimum(hi + 1 + pad, [[w], [h]])
+    lo = np.maximum(lo - 1, 0)
+    hi = np.minimum(hi + 2, [[w], [h]])  # one past the last pixel, plus the pad
     return [tuple(box) for box in np.concatenate([lo, hi]).T.tolist()]
 
 

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor, NumericError
-from .backbone import Backbone, BackboneConfig
-from .embedding import attach_coords, conv_field, field_rows
+from .backbone import Backbone
+from .embedding import EmbeddingField, attach_coords, field_rows
 from .losses import SegmentSet, pull_to_mean_loss
 
 KMEANS_MAX_ITER = 300
@@ -41,10 +41,6 @@ class InstanceLabeling:
             raise ValueError(f"instance ids {missing} have no pixels")
         self.labels = arr
         self.K = k
-
-    @property
-    def shape(self):
-        return self.labels.shape
 
     def foreground_mask(self):
         return self.labels > 0
@@ -75,6 +71,8 @@ class TrainConfig:
     def validate(self):
         if self.mode not in ("semiconv", "conv"):
             raise ValueError(f"unknown mode '{self.mode}'")
+        if self.dims < 1:
+            raise ValueError("dims must be positive")
         if self.epochs < 0 or self.lr <= 0:
             raise ValueError("epochs must be >= 0 and lr positive")
         if self.lr_decay < 0:
@@ -86,13 +84,15 @@ def generate_scene(rows, cols, dot_radius=3, spacing=32, img_noise_std=0.0, seed
 
     The image extent is rows*spacing by cols*spacing, so under the
     backbone's wrap-around convolutions the scene is exactly periodic: every
-    dot is a bit-identical translate of every other. Requires spacing > 2*dot_radius so dots stay
-    disjoint.
+    dot is a bit-identical translate of every other. Requires spacing >
+    2*dot_radius so dots stay disjoint, and a non-negative noise std.
     """
     if rows < 1 or cols < 1 or dot_radius < 1:
         raise ValueError("rows, cols, dot_radius must be positive")
     if spacing <= 2 * dot_radius:
         raise ValueError("dots overlap: need spacing > 2*dot_radius")
+    if not img_noise_std >= 0:
+        raise ValueError(f"noise std must be non-negative, got {img_noise_std}")
     h, w = rows * spacing, cols * spacing
     yy, xx = np.mgrid[0:h, 0:w]
     image = np.zeros((h, w))
@@ -114,11 +114,7 @@ def generate_scene(rows, cols, dot_radius=3, spacing=32, img_noise_std=0.0, seed
 
 def build_field(model, image, mode):
     phi = model.forward(image)
-    return attach_coords(phi) if mode == "semiconv" else conv_field(phi)
-
-
-def make_model(cfg, in_channels=1):
-    return Backbone(BackboneConfig(in_channels=in_channels, dims=cfg.dims, seed=cfg.seed))
+    return attach_coords(phi) if mode == "semiconv" else EmbeddingField(phi)
 
 
 def sgd_step(params, lr):
@@ -141,7 +137,7 @@ def train(scene, cfg, extra_loss=None, extra_params=()):
     """
     cfg.validate()
     segs = SegmentSet.from_labels(scene.gt)
-    model = make_model(cfg, in_channels=scene.image.data.shape[0])
+    model = Backbone.glorot(scene.image.data.shape[0], cfg.dims, cfg.seed)
     params = model.params() + list(extra_params)
     losses = []
     for step in range(cfg.epochs):
@@ -167,7 +163,9 @@ def decode_kmeans(field, fg_mask, K, seed=0):
     Deterministic k-means: careful seeding (distance-weighted, from the given
     rng), then standard mean/assign iterations until centroids move less than
     KMEANS_TOL, at most KMEANS_MAX_ITER times. An emptied cluster is reseeded
-    on the point farthest from its centroid. Background pixels keep label 0;
+    on the point farthest from its centroid; when every point already sits on
+    its centroid, within the rounding bound of the distances, the decode
+    stops there instead. Background pixels keep label 0;
     clusters get ids 1..K, in cluster order. When coinciding points leave
     clusters empty at the end, the K' filled ones get ids 1..K'.
     """
@@ -219,6 +217,8 @@ def decode_kmeans(field, fg_mask, K, seed=0):
         new[filled] /= counts[filled, None]
         if not np.all(filled):
             own = np.sum((pts - centers[assign]) ** 2, axis=1)
+            if not np.any(own > bound):
+                break  # every point sits on its center: no point to reseed on
             new[~filled] = pts[np.argmax(own)]
         moved = float(np.sqrt(np.max(np.sum((new - centers) ** 2, axis=1))))
         centers = new
@@ -316,11 +316,6 @@ def scene_from_json(doc):
                                 "img_noise_std", "seed") if k in doc}
     return Scene(Tensor(img.astype(np.float64).reshape(1, h, w)),
                  InstanceLabeling(lab.astype(np.int32).reshape(h, w)), meta)
-
-
-def save_scene(scene, path):
-    with open(path, "w") as fh:
-        json.dump(scene_to_json(scene), fh, sort_keys=True)
 
 
 def load_scene(path):

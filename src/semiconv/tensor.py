@@ -7,8 +7,10 @@ topological order. Construction order is deterministic, so replay order (and
 therefore gradient accumulation order) is bit-reproducible.
 
 Design choices: float64 everywhere, no fusion, no views that could alias a
-mutated buffer into a recorded op. Forward ops validate finiteness; NaN/Inf
-raises :class:`NumericError` instead of propagating silently.
+mutated buffer into a recorded op. The elementwise binary ops broadcast like
+NumPy; their backward sums the gradient over the axes an input was stretched
+along. Forward ops validate finiteness; NaN/Inf raises :class:`NumericError`
+instead of propagating silently.
 """
 
 import numpy as np
@@ -38,14 +40,6 @@ class Tensor:
         self._backward = None
         self._op = "leaf"
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self):
         if self.data.size != 1:
             raise ValueError(f"item() on tensor of size {self.data.size}")
@@ -63,32 +57,6 @@ class Tensor:
         for node in reversed(_topo_order(self)):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-
-    # -- operator sugar -------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_coerce(other), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(_coerce(other), self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op}, requires_grad={self.requires_grad})"
@@ -131,30 +99,17 @@ def _node(data, parents, backward_fn, op):
 def _accum(t, g):
     if not t.requires_grad:
         return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    if t.data.shape == ():
-        t.grad = t.grad + np.sum(g)
-    elif g.shape != t.data.shape:  # size-1 tensor fed through scalar broadcasting
-        t.grad = t.grad + np.sum(g).reshape(t.data.shape)
-    else:
-        t.grad = t.grad + g
-
-
-def _binary_shapes(a, b, op):
-    if a.data.shape == b.data.shape:
-        return
-    if a.data.size == 1 or b.data.size == 1:
-        return
-    raise ValueError(f"{op}: shapes {a.data.shape} and {b.data.shape} are not "
-                     "compatible (only scalar-vs-tensor and equal-shape broadcasting)")
+    if g.shape != t.data.shape:  # t was broadcast: sum g over the stretched axes
+        lead = g.ndim - t.data.ndim
+        stretched = [lead + i for i, n in enumerate(t.data.shape) if n != g.shape[lead + i]]
+        g = g.sum(axis=tuple(range(lead)) + tuple(stretched)).reshape(t.data.shape)
+    t.grad = (np.zeros_like(t.data) if t.grad is None else t.grad) + g
 
 
 # -- elementwise ---------------------------------------------------------
 
 def add(a, b):
     a, b = _coerce(a), _coerce(b)
-    _binary_shapes(a, b, "add")
 
     def backward(g):
         _accum(a, g)
@@ -165,7 +120,6 @@ def add(a, b):
 
 def sub(a, b):
     a, b = _coerce(a), _coerce(b)
-    _binary_shapes(a, b, "sub")
 
     def backward(g):
         _accum(a, g)
@@ -176,7 +130,6 @@ def sub(a, b):
 
 def mul(a, b):
     a, b = _coerce(a), _coerce(b)
-    _binary_shapes(a, b, "mul")
 
     def backward(g):
         _accum(a, g * b.data)
@@ -187,7 +140,6 @@ def mul(a, b):
 
 def div(a, b):
     a, b = _coerce(a), _coerce(b)
-    _binary_shapes(a, b, "div")
 
     def backward(g):
         _accum(a, g / b.data)
@@ -284,22 +236,6 @@ def transpose2d(a):
     return _node(np.ascontiguousarray(a.data.T), (a,), backward, "transpose2d")
 
 
-def broadcast_to(a, shape):
-    a = _coerce(a)
-    if np.broadcast_shapes(a.data.shape, tuple(shape)) != tuple(shape):
-        raise ValueError(f"cannot broadcast {a.data.shape} to {shape}")
-    orig = a.data.shape
-    ndiff = len(shape) - len(orig)
-
-    def backward(g):
-        axes = tuple(range(ndiff)) + tuple(
-            i + ndiff for i, n in enumerate(orig) if n == 1 and shape[i + ndiff] != 1)
-        gsum = g.sum(axis=axes, keepdims=False) if axes else g
-        _accum(a, gsum.reshape(orig))
-
-    return _node(np.ascontiguousarray(np.broadcast_to(a.data, shape)), (a,), backward, "broadcast_to")
-
-
 def index_select(a, axis, indices):
     """Gather slices along ``axis``; backward scatter-adds (duplicates accumulate)."""
     a = _coerce(a)
@@ -349,7 +285,7 @@ def _norm_axes(axes, ndim):
     return axes
 
 
-def tsum(a, axes=None, keepdims=False):
+def tsum(a, axes=None):
     a = _coerce(a)
     axes = _norm_axes(axes, a.data.ndim)
     for ax in axes:
@@ -358,21 +294,10 @@ def tsum(a, axes=None, keepdims=False):
     kept = a.data.sum(axis=axes, keepdims=True)
 
     def backward(g):
-        gk = g.reshape(kept.shape)
-        _accum(a, np.broadcast_to(gk, a.data.shape))
+        _accum(a, np.broadcast_to(g.reshape(kept.shape), a.data.shape))
 
-    data = kept if keepdims else kept.reshape(
-        tuple(n for i, n in enumerate(a.data.shape) if i not in axes))
-    return _node(data, (a,), backward, "sum")
-
-
-def mean(a, axes=None, keepdims=False):
-    a = _coerce(a)
-    axes = _norm_axes(axes, a.data.ndim)
-    n = 1
-    for ax in axes:
-        n *= a.data.shape[ax]
-    return mul(tsum(a, axes, keepdims), 1.0 / n)
+    return _node(kept.reshape(tuple(n for i, n in enumerate(a.data.shape) if i not in axes)),
+                 (a,), backward, "sum")
 
 
 def softmax(a, axis=-1):

@@ -5,30 +5,33 @@ import pytest
 
 from semiconv import tensor as T
 from semiconv.tensor import Tensor
-from semiconv.backbone import Backbone, BackboneConfig
+from semiconv.backbone import HIDDEN, KERNEL, Backbone
 
 
-def small_cfg(**kw):
-    base = dict(in_channels=1, hidden=(4, 6), dims=3, seed=0)
-    base.update(kw)
-    return BackboneConfig(**base)
+def small_model(chans=(1, 4, 6, 3), seed=0):
+    """A narrow stack of 3x3 layers with random weights and biases."""
+    rng = np.random.default_rng(seed)
+    pairs = list(zip(chans[:-1], chans[1:]))
+    return Backbone([Tensor(rng.uniform(-0.5, 0.5, (o, i, 3, 3)), requires_grad=True)
+                     for i, o in pairs],
+                    [Tensor(rng.uniform(-0.1, 0.1, o), requires_grad=True) for _, o in pairs])
 
 
 def test_output_shape_and_dims():
-    model = Backbone(small_cfg())
+    model = Backbone.glorot(1, 3, 0)
     out = model.forward(Tensor(np.zeros((1, 10, 12))))
     assert out.data.shape == (3, 10, 12)
 
 
 def test_constant_input_constant_output():
-    model = Backbone(small_cfg())
+    model = small_model()
     out = model.forward(Tensor(np.full((1, 8, 8), 0.37))).data
     for c in range(out.shape[0]):
         assert np.max(np.abs(out[c] - out[c, 0, 0])) < 1e-12
 
 
 def test_circular_shift_equivariance():
-    model = Backbone(small_cfg(seed=3))
+    model = Backbone.glorot(1, 3, 3)
     rng = np.random.default_rng(0)
     x = rng.standard_normal((1, 9, 11))
     base = model.forward(Tensor(x)).data
@@ -39,54 +42,46 @@ def test_circular_shift_equivariance():
 
 def test_seeded_init_is_reproducible():
     x = np.random.default_rng(1).standard_normal((1, 6, 6))
-    a = Backbone(small_cfg(seed=7)).forward(Tensor(x)).data
-    b = Backbone(small_cfg(seed=7)).forward(Tensor(x)).data
+    a = Backbone.glorot(1, 3, 7).forward(Tensor(x)).data
+    b = Backbone.glorot(1, 3, 7).forward(Tensor(x)).data
     assert np.array_equal(a, b)
-    c = Backbone(small_cfg(seed=8)).forward(Tensor(x)).data
+    c = Backbone.glorot(1, 3, 8).forward(Tensor(x)).data
     assert not np.array_equal(a, c)
 
 
 def test_biases_start_at_zero():
-    model = Backbone(small_cfg())
+    model = Backbone.glorot(1, 3, 0)
     for b in model.biases:
         assert np.all(b.data == 0.0)
 
 
 def test_init_scale():
-    cfg = small_cfg(seed=11)
-    model = Backbone(cfg)
-    chans = cfg.layer_channels()
-    for w, c_in, c_out, k in zip(model.weights, chans[:-1], chans[1:], cfg.kernels):
+    model = Backbone.glorot(2, 3, 11)
+    chans = (2, *HIDDEN, 3)
+    k = KERNEL
+    assert [w.data.shape for w in model.weights] == [
+        (c_out, c_in, k, k) for c_in, c_out in zip(chans[:-1], chans[1:])]
+    for w, c_in, c_out in zip(model.weights, chans[:-1], chans[1:]):
         a = np.sqrt(6.0 / (c_in * k * k + c_out * k * k))
         assert np.max(np.abs(w.data)) <= a
         assert np.max(np.abs(w.data)) > 0.5 * a  # actually fills the range
 
 
 def test_channel_mismatch_rejected():
-    model = Backbone(small_cfg())
+    model = small_model()
     with pytest.raises(ValueError):
         model.forward(Tensor(np.zeros((3, 8, 8))))
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        BackboneConfig(kernels=(3, 3)).validate()
-    with pytest.raises(ValueError):
-        BackboneConfig(kernels=(3, 3, 4)).validate()
-    with pytest.raises(ValueError):
-        BackboneConfig(dims=0).validate()
-
-
 def test_weight_gradients_pass_grad_check():
-    cfg = BackboneConfig(in_channels=1, hidden=(3,), dims=2, kernels=(3, 3), seed=5)
-    model = Backbone(cfg)
+    model = small_model(chans=(1, 3, 2), seed=5)
     x = np.random.default_rng(2).standard_normal((1, 5, 5))
 
     for layer in range(len(model.weights)):
         def f(w):
             saved = model.weights[layer]
             model.weights[layer] = w
-            out = T.mean(T.mul(model.forward(Tensor(x)), model.forward(Tensor(x))))
+            out = T.tsum(T.mul(model.forward(Tensor(x)), model.forward(Tensor(x))))
             model.weights[layer] = saved
             return out
 
@@ -94,7 +89,7 @@ def test_weight_gradients_pass_grad_check():
 
 
 def test_serialization_round_trip(tmp_path):
-    model = Backbone(small_cfg(seed=4))
+    model = Backbone.glorot(1, 3, 4)
     p1 = tmp_path / "m.bin"
     p2 = tmp_path / "m2.bin"
     model.save(p1)
@@ -109,7 +104,7 @@ def test_serialization_round_trip(tmp_path):
 
 def test_load_rejects_every_truncation(tmp_path):
     good = tmp_path / "good.bin"
-    Backbone(small_cfg()).save(good)
+    small_model().save(good)
     blob = good.read_bytes()
     cut = tmp_path / "cut.bin"
     for n in range(len(blob)):
@@ -127,18 +122,32 @@ def save_unchecked(path, shapes):
     """Save zero weights of the given (c_out, c_in, kh, kw) shapes, unchecked."""
     weights = [Tensor(np.zeros(s)) for s in shapes]
     biases = [Tensor(np.zeros(s[0])) for s in shapes]
-    Backbone(small_cfg(), weights=weights, biases=biases).save(path)
+    Backbone(weights, biases).save(path)
 
 
 def test_load_rejects_layers_that_do_not_chain(tmp_path):
     p = tmp_path / "m.bin"
     save_unchecked(p, [(5, 1, 3, 3), (4, 5, 3, 3)])
-    assert Backbone.load(p).cfg.hidden == (5,)
+    assert [w.data.shape for w in Backbone.load(p).weights] == [(5, 1, 3, 3), (4, 5, 3, 3)]
     save_unchecked(p, [(5, 1, 3, 3), (4, 6, 3, 3)])
     with pytest.raises(ValueError, match="layer 1 expects 6 input channels"):
         Backbone.load(p)
     save_unchecked(p, [(5, 1, 3, 5), (4, 5, 3, 3)])
-    with pytest.raises(ValueError, match="layer 0 has a non-square 3x5 kernel"):
+    with pytest.raises(ValueError, match="layer 0 has a 3x5 kernel, not an odd square"):
+        Backbone.load(p)
+
+
+@pytest.mark.parametrize("shapes,match", [
+    ([(5, 1, 3, 3), (4, 5, 4, 4)], "layer 1 has a 4x4 kernel"),
+    ([(5, 1, 3, 3), (0, 5, 3, 3)], "layer 1 has 5 input and 0 output channels"),
+    ([(5, 0, 3, 3)], "layer 0 has 0 input and 5 output channels"),
+], ids=["even-kernel", "no-outputs", "no-inputs"])
+def test_load_rejects_even_kernels_and_empty_layers(tmp_path, shapes, match):
+    # the file is the only other source of a model, so it gets the checks
+    # that Backbone.glorot's constants make unnecessary
+    p = tmp_path / "m.bin"
+    save_unchecked(p, shapes)
+    with pytest.raises(ValueError, match=match):
         Backbone.load(p)
 
 
@@ -147,7 +156,7 @@ def test_load_rejects_garbage(tmp_path):
     p.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(ValueError):
         Backbone.load(p)
-    model = Backbone(small_cfg())
+    model = small_model()
     good = tmp_path / "good.bin"
     model.save(good)
     p.write_bytes(good.read_bytes() + b"\x00")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from semiconv import synth
-from semiconv.backbone import Backbone, BackboneConfig
+from semiconv.backbone import Backbone
 from semiconv.cli import canonical_json, main, write_json
 from semiconv.tensor import NumericError, Tensor
 
@@ -61,6 +61,36 @@ def test_directory_as_file_exit_1(tmp_path, scene_path, capsys, flag):
                *[v for pair in argv.items() for v in pair]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("subcommand,flag", [("train", "--out"), ("train", "--losses"),
+                                              ("seedcut", "--out"), ("seedcut", "--render"),
+                                              ("cluster", "--render")])
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_bad_output_path_exit_1_before_training(tmp_path, scene_path, capsys, monkeypatch,
+                                                subcommand, flag, where):
+    def no_training(*args, **kwargs):
+        pytest.fail("training started before the output path was checked")
+
+    monkeypatch.setattr(synth, "train", no_training)
+    monkeypatch.setattr(Backbone, "load", no_training)
+    argv = {"--scene": scene_path, "--out": tmp_path / "out.json"}
+    if subcommand == "cluster":
+        argv["--model"] = tmp_path / "m.bin"
+    argv[flag] = tmp_path if where == "directory" else tmp_path / "absent" / "f"
+    assert run(subcommand, *[v for pair in argv.items() for v in pair]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: argument {flag}: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scene.json", "scene.json.manifest.json"]
+
+
+def test_negative_noise_exit_1(tmp_path, capsys):
+    out = tmp_path / "s.json"
+    assert run("synth-gen", "--noise", "-0.5", "--out", out) == 1
+    err = capsys.readouterr().err
+    assert "argument --noise: must be a non-negative number" in err and err.count("\n") == 1
+    assert not out.exists()
+    assert run("synth-gen", "--noise", "0", "--out", out) == 0
 
 
 def test_dilemma_subcommand_report_and_manifest(tmp_path):
@@ -225,7 +255,7 @@ def test_unchained_model_exit_1(tmp_path, scene_path, capsys):
     weights = [Tensor(np.zeros((5, 1, 3, 3))), Tensor(np.zeros((8, 6, 3, 3)))]
     biases = [Tensor(np.zeros(5)), Tensor(np.zeros(8))]
     model = tmp_path / "m.bin"
-    Backbone(BackboneConfig(), weights=weights, biases=biases).save(model)
+    Backbone(weights, biases).save(model)
     assert run("cluster", "--scene", scene_path, "--model", model,
                "--out", tmp_path / "c.json") == 1
     err = capsys.readouterr().err
@@ -291,7 +321,7 @@ def test_train_config_fields_are_cli_flags(tmp_path, scene_path, monkeypatch):
 
     def fake_train(scene, cfg):
         seen.append(cfg)
-        return synth.make_model(cfg), []
+        return Backbone.glorot(1, cfg.dims, cfg.seed), []
 
     monkeypatch.setattr(synth, "train", fake_train)
     assert run("train", "--scene", scene_path, "--mode", "conv", "--dims", 3,

@@ -20,7 +20,6 @@ def test_coord_grid_layout():
 def test_attach_coords_zero_features():
     phi = Tensor(np.zeros((4, 8, 8)))
     field = E.attach_coords(phi)
-    assert field.kind == "semiconvolutional"
     assert np.array_equal(field.values.data[:, 5, 3], [3.0, 5.0, 0.0, 0.0])
 
 
@@ -45,13 +44,15 @@ def test_attach_coords_needs_two_channels():
 
 
 def test_channel_split():
-    # only a semiconvolutional field has geometric channels, and needs two
-    assert E.attach_coords(Tensor(np.zeros((5, 3, 3)))).kind == "semiconvolutional"
-    assert E.conv_field(Tensor(np.zeros((1, 3, 3)))).kind == "convolutional"
+    # coordinates go to the two geometric channels, the rest pass through;
+    # a conv field of any width is a plain [D,H,W] map
+    phi = np.random.default_rng(4).standard_normal((5, 3, 3))
+    psi = E.attach_coords(Tensor(phi)).values.data
+    assert np.array_equal(psi[2:], phi[2:])
+    assert np.array_equal(psi[:2], phi[:2] + E.coord_grid(3, 3))
+    assert E.EmbeddingField(Tensor(np.zeros((1, 3, 3)))).values.data.shape == (1, 3, 3)
     with pytest.raises(ValueError):
-        E.EmbeddingField(Tensor(np.zeros((1, 3, 3))), "semiconvolutional")
-    with pytest.raises(ValueError):
-        E.EmbeddingField(Tensor(np.zeros((5, 3, 3))), "spectral")
+        E.EmbeddingField(Tensor(np.zeros((9, 2))))
 
 
 def test_displacement_points_at_common_target():
@@ -60,7 +61,7 @@ def test_displacement_points_at_common_target():
     c = np.array([2.5, 1.5])
     vals = np.zeros((2, h, w))
     vals[0], vals[1] = c[0], c[1]
-    field = E.EmbeddingField(Tensor(vals), "semiconvolutional")
+    field = E.EmbeddingField(Tensor(vals))
     disp = E.displacement_field(field).data
     g = E.coord_grid(h, w)
     assert np.array_equal(disp, np.stack([c[0] - g[0], c[1] - g[1]]))
@@ -68,14 +69,8 @@ def test_displacement_points_at_common_target():
     assert np.array_equal(disp[:, 1, 2], [0.5, 0.5])
     vals2 = vals.copy()
     vals2[:, 1, 2] = g[:, 1, 2]
-    disp2 = E.displacement_field(
-        E.EmbeddingField(Tensor(vals2), "semiconvolutional")).data
+    disp2 = E.displacement_field(E.EmbeddingField(Tensor(vals2))).data
     assert np.array_equal(disp2[:, 1, 2], [0.0, 0.0])
-
-
-def test_displacement_requires_semiconv():
-    with pytest.raises(ValueError):
-        E.displacement_field(E.conv_field(Tensor(np.zeros((2, 3, 3)))))
 
 
 def test_flatten_rows_layout():

@@ -11,17 +11,16 @@ from semiconv.synth import generate_scene
 def field_from_rows(rows):
     """[N,D] rows viewed as a D x 1 x N field, linear index = pixel index."""
     arr = np.asarray(rows, dtype=float)
-    return EmbeddingField(Tensor(arr.T.reshape(arr.shape[1], 1, arr.shape[0])),
-                          "convolutional")
+    return EmbeddingField(Tensor(arr.T.reshape(arr.shape[1], 1, arr.shape[0])))
 
 
 def test_segment_set_from_labels():
     labels = np.array([[0, 1, 1], [2, 2, 0]])
     segs = SegmentSet.from_labels(labels)
     assert len(segs) == 2
-    assert np.array_equal(segs.segments[0], [1, 2])
-    assert np.array_equal(segs.segments[1], [3, 4])
-    assert np.array_equal(segs.background, [0, 5])
+    assert np.array_equal(segs.pixels, [1, 2, 3, 4])
+    assert np.array_equal(segs.ids, [0, 0, 1, 1])
+    assert np.array_equal(segs.counts, [2, 2])
 
 
 def test_segment_set_validation():
@@ -83,6 +82,8 @@ def test_loss_rejects_bad_inputs():
     segs = SegmentSet([[0, 1]], [], 2)
     with pytest.raises(ValueError, match="rows"):
         pull_to_mean_loss(Tensor([0.0, 1.0]), segs)
+    with pytest.raises(ValueError, match="rows"):  # field values, not an EmbeddingField
+        pull_to_mean_loss(Tensor(np.zeros((1, 1, 2))), segs)
     with pytest.raises(ValueError, match="no segments"):
         pull_to_mean_loss(field_from_rows([[0.0], [1.0]]), SegmentSet([], [0, 1], 2))
 
@@ -102,11 +103,10 @@ def test_loss_grad_check():
 def loop_pull_to_mean_loss(rows, segs, eps=1e-8):
     """Reference: one tape chain per segment, terms added in segment order."""
     total = None
-    for idx in segs.segments:
+    for idx in np.split(segs.pixels, np.cumsum(segs.counts)[:-1]):
         sel = T.index_select(rows, 0, idx)
-        center = T.mean(sel, axes=0, keepdims=True)
-        dev = T.sub(sel, T.broadcast_to(center, sel.data.shape))
-        term = T.mean(T.l2norm_rows(dev, eps))
+        center = T.mul(T.tsum(sel, axes=0), 1.0 / idx.size)
+        term = T.mul(T.tsum(T.l2norm_rows(T.sub(sel, center), eps)), 1.0 / idx.size)
         total = term if total is None else T.add(total, term)
     return total
 
@@ -134,7 +134,7 @@ def test_loss_tape_size_independent_of_segment_count():
         scene = generate_scene(n, n, dot_radius=2, spacing=8)
         values = Tensor(np.random.default_rng(n).standard_normal((3,) + scene.shape),
                         requires_grad=True)
-        loss = pull_to_mean_loss(EmbeddingField(values, "convolutional"),
+        loss = pull_to_mean_loss(EmbeddingField(values),
                                  SegmentSet.from_labels(scene.gt))
         sizes.append(len(T._topo_order(loss)))
     assert sizes[0] == sizes[1] == sizes[2] < 24

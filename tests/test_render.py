@@ -61,7 +61,8 @@ def test_arrow_endpoint_marked():
     img = np.zeros((1, 9, 9))
     disp = np.zeros((2, 9, 9))
     disp[0, 0, 0] = 4.0  # dx only; arrow should reach (0, 4)
-    rgb = render.render_arrows(img, disp, stride=9, color=(255, 0, 0))
-    assert np.array_equal(rgb[0, 4], [255, 0, 0])
-    assert np.array_equal(rgb[0, 0], [255, 0, 0])
+    rgb = render.render_arrows(img, disp, stride=9)
+    assert np.array_equal(rgb[0, 4], render.ARROW_COLOR)
+    assert np.array_equal(rgb[0, 0], render.ARROW_COLOR)
+    assert not rgb[1:].any() and not rgb[0, 5:].any()  # a black image stays black
 

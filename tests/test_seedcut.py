@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from semiconv import tensor as T
+from semiconv.backbone import Backbone
 from semiconv.tensor import NumericError, Tensor
 from semiconv.embedding import attach_coords, field_rows
 from semiconv.kernels import FAMILIES, KernelParams, fuse_scores
 from semiconv.losses import SegmentSet, mask_bce, pull_to_mean_loss
-from semiconv.synth import (InstanceLabeling, TrainConfig, build_field, generate_scene,
-                            make_model, train)
+from semiconv.synth import InstanceLabeling, TrainConfig, build_field, generate_scene, train
 from semiconv.seedcut import (RegionProposal, box_loss, cut_all_boxes, cut_region,
                               gt_boxes_from_labels, region_pixel_indices, rle_decode,
                               rle_encode, synthetic_scores, train_seedcut)
@@ -59,11 +59,11 @@ def test_cut_two_instances_seed_selects_one():
 
 
 def test_cut_threshold_validation():
-    rows, _ = two_cluster_region()
-    region = make_region(rows, np.zeros(8), (2, 4))
+    scene = generate_scene(2, 2, dot_radius=3, spacing=12, seed=0)
+    model = Backbone.glorot(1, 4, 0)
     for bad in (0.0, 1.0, -0.1):
-        with pytest.raises(ValueError):
-            cut_region(region, KernelParams("gaussian"), threshold=bad)
+        with pytest.raises(ValueError, match="threshold"):
+            cut_all_boxes(scene, model, KernelParams("gaussian"), threshold=bad)
 
 
 def test_region_validation():
@@ -153,16 +153,14 @@ def test_gt_boxes_match_per_instance_scan():
         if labels.max() == 0:
             continue
         gt = InstanceLabeling(labels)
-        for pad in (0, 1, 3):
-            got = gt_boxes_from_labels(gt, pad)
-            assert got == per_instance_boxes(gt.labels, pad)
-            assert all(type(v) is int for box in got for v in box)
-    # an instance on the image corner: the pad is clipped to the image
+        got = gt_boxes_from_labels(gt)
+        assert got == per_instance_boxes(gt.labels, 1)
+        assert all(type(v) is int for box in got for v in box)
+    # an instance on the image corners: the one-pixel pad is clipped to the image
     labels = np.zeros((4, 5), dtype=int)
     labels[0, 0] = labels[3, 4] = 1
     labels[1:3, 2] = 2
-    assert gt_boxes_from_labels(InstanceLabeling(labels), 2) == [(0, 0, 5, 4), (0, 0, 5, 4)]
-    assert gt_boxes_from_labels(InstanceLabeling(labels), 0) == [(0, 0, 5, 4), (2, 1, 3, 3)]
+    assert gt_boxes_from_labels(InstanceLabeling(labels)) == [(0, 0, 5, 4), (1, 0, 4, 4)]
 
 
 def test_synthetic_scores_pattern():
@@ -238,7 +236,7 @@ def test_box_loss_reads_the_rows_the_cut_reads(family):
     _, _, losses = train_seedcut(scene, boxes, cfg, params=KernelParams(family))
     # the same first-step loss, with every box fused and scored on its own
     params = KernelParams(family)
-    field = build_field(make_model(cfg), scene.image, cfg.mode)
+    field = build_field(Backbone.glorot(1, cfg.dims, cfg.seed), scene.image, cfg.mode)
     want = (pull_to_mean_loss(field, SegmentSet.from_labels(scene.gt)).item()
             + per_box_loss(field, scene.gt, boxes, range(1, 5), params))
     assert abs(losses[0] - want) <= 1e-12 * abs(want)
@@ -275,7 +273,7 @@ def test_box_loss_tape_does_not_grow_with_boxes():
     nodes = []
     for rows in (2, 4):
         scene = generate_scene(rows, rows, dot_radius=3, spacing=12, seed=0)
-        field = build_field(make_model(cfg), scene.image, cfg.mode)
+        field = build_field(Backbone.glorot(1, cfg.dims, cfg.seed), scene.image, cfg.mode)
         loss = box_loss(scene.gt, gt_boxes_from_labels(scene.gt), params)(field)
         nodes.append(len(T._topo_order(loss)))
     assert nodes[0] == nodes[1]

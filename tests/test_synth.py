@@ -1,20 +1,22 @@
+import json
+
 import numpy as np
 import pytest
 
+from semiconv import synth
+from semiconv.backbone import Backbone
 from semiconv.tensor import Tensor, NumericError
 from semiconv.embedding import EmbeddingField, field_rows
 from semiconv.synth import (InstanceLabeling, Scene, TrainConfig, build_field,
                             controlled_pair, decode_kmeans, generate_scene,
-                            load_scene, make_model, save_scene, scene_from_json,
-                            scene_to_json, score, train)
+                            load_scene, scene_from_json, scene_to_json, score, train)
 
 DISC3_PIXELS = 29  # lattice points with dx^2 + dy^2 <= 9, counted by hand
 
 
 def rows_field(rows):
     arr = np.asarray(rows, dtype=float)
-    return EmbeddingField(Tensor(arr.T.reshape(arr.shape[1], 1, arr.shape[0])),
-                          "convolutional")
+    return EmbeddingField(Tensor(arr.T.reshape(arr.shape[1], 1, arr.shape[0])))
 
 
 def small_scene(rows=2, cols=2, spacing=12, seed=0):
@@ -69,6 +71,12 @@ def test_scene_rejects_overlap():
         generate_scene(0, 2, dot_radius=3, spacing=16)
 
 
+def test_scene_rejects_negative_noise():
+    # a negative std used to pass and give the noise-free image
+    with pytest.raises(ValueError, match="non-negative"):
+        generate_scene(2, 2, 3, 16, img_noise_std=-0.5)
+
+
 def test_instance_labeling_validation():
     with pytest.raises(ValueError):
         InstanceLabeling(np.array([[0, 2], [2, 0]]))   # id 1 missing
@@ -84,7 +92,7 @@ def test_zero_epochs_keeps_init():
     scene = small_scene()
     cfg = quick_cfg(epochs=0)
     model, losses = train(scene, cfg)
-    fresh = make_model(cfg)
+    fresh = Backbone.glorot(1, cfg.dims, cfg.seed)
     assert losses == []
     for a, b in zip(model.params(), fresh.params()):
         assert np.array_equal(a.data, b.data)
@@ -127,7 +135,7 @@ def test_divergence_reports_step():
 
 def test_train_config_validation():
     for bad in (dict(mode="hybrid"), dict(lr=0.0), dict(epochs=-1),
-                dict(lr_decay=-0.1)):
+                dict(lr_decay=-0.1), dict(dims=0)):
         with pytest.raises(ValueError):
             cfg = quick_cfg()
             for k, v in bad.items():
@@ -260,7 +268,7 @@ def test_kmeans_and_score_match_loops(n, spacing):
     fg = scene.gt.foreground_mask()
     for seed in range(20):
         # an untrained semiconv field: coordinates plus random features
-        field = build_field(make_model(quick_cfg(seed=seed)), scene.image, "semiconv")
+        field = build_field(Backbone.glorot(1, 4, seed), scene.image, "semiconv")
         k = scene.gt.K if seed % 2 == 0 else scene.gt.K // 2 + seed
         pred = decode_kmeans(field, fg, k, seed=seed)
         assert np.array_equal(pred.labels, loop_decode_kmeans(field, fg, k, seed=seed))
@@ -310,6 +318,22 @@ def test_kmeans_conv_field_all_near_ties_renumbers_empty_clusters():
         pred = decode_kmeans(field, fg, scene.gt.K, seed=seed)
         assert np.array_equal(np.unique(pred.labels), np.arange(pred.K + 1))
         assert np.array_equal(pred.labels, renumbered(ref))
+
+
+def test_kmeans_stops_when_every_point_sits_on_its_center(monkeypatch):
+    # the untrained conv field of the periodic 8x8 grid has 29 distinct
+    # embeddings for K=64, so 35 clusters stay empty. Every point sits on its
+    # center within rounding, so the decode stops instead of reseeding an
+    # empty cluster on a "farthest" point for KMEANS_MAX_ITER rounds
+    scene = generate_scene(8, 8, dot_radius=3, spacing=10)
+    field = build_field(Backbone.glorot(1, 8, 0), scene.image, "conv")
+    fg = scene.gt.foreground_mask()
+    labels = []
+    for max_iter in (5, 300):
+        monkeypatch.setattr(synth, "KMEANS_MAX_ITER", max_iter)
+        labels.append(decode_kmeans(field, fg, scene.gt.K, seed=0).labels)
+    assert np.array_equal(labels[0], labels[1])
+    assert labels[0].max() == 29
 
 
 def test_kmeans_exact_tie_goes_to_lower_index():
@@ -378,7 +402,7 @@ def test_scene_json_round_trip(tmp_path):
     assert back.meta["spacing"] == 9
 
     path = tmp_path / "scene.json"
-    save_scene(scene, path)
+    path.write_text(json.dumps(doc))
     again = load_scene(path)
     assert np.array_equal(again.gt.labels, scene.gt.labels)
 

@@ -46,13 +46,32 @@ def test_shape_mismatch_rejected():
 
 
 def test_scalar_broadcasting():
-    out = Tensor([1.0, 2.0]) * 3.0
+    out = T.mul(Tensor([1.0, 2.0]), 3.0)
     assert np.array_equal(out.data, [3.0, 6.0])
     a = Tensor([1.0, 2.0], requires_grad=True)
     s = Tensor(2.0, requires_grad=True)
-    T.tsum(a * s).backward()
+    T.tsum(T.mul(a, s)).backward()
     assert np.array_equal(a.grad, [2.0, 2.0])
     assert s.grad == 3.0
+
+
+def test_broadcast_to_backward_sums():
+    # broadcasting [2, 1] to [2, 3] in add: the gradient sums back over the row
+    a = Tensor(np.array([[1.0], [2.0]]), requires_grad=True)
+    out = T.add(a, np.zeros((2, 3)))
+    assert out.data.shape == (2, 3)
+    T.tsum(out).backward()
+    assert np.array_equal(a.grad, [[3.0], [3.0]])
+    # every stretched axis, leading ones too, on both sides of an op
+    col = Tensor(np.array([[1.0], [2.0]]), requires_grad=True)    # [2, 1]
+    row = Tensor(np.array([10.0, 20.0, 30.0]), requires_grad=True)  # [3]
+    one = Tensor(np.array([[2.0]]), requires_grad=True)            # [1, 1]
+    out = T.mul(T.sub(col, row), one)
+    assert np.array_equal(out.data, 2.0 * (col.data - row.data))
+    T.tsum(out).backward()
+    assert np.array_equal(col.grad, [[6.0], [6.0]])
+    assert np.array_equal(row.grad, [-4.0, -4.0, -4.0])
+    assert one.grad.shape == (1, 1) and one.grad[0, 0] == np.sum(col.data - row.data)
 
 
 def test_log_sqrt_domain_errors():
@@ -84,14 +103,11 @@ def test_l2norm_rows_345():
     assert np.array_equal(out.data, [5.0])
 
 
-def test_mean():
-    assert T.mean(Tensor([1.0, 2.0, 3.0])).item() == 2.0
-
-
 def test_tsum_mean_and_empty_axis():
+    # a mean is a sum times 1/n, as mask_bce takes it
     a = Tensor(np.arange(6.0).reshape(2, 3))
     assert T.tsum(a).item() == 15.0
-    assert np.array_equal(T.mean(a, axes=0).data, [1.5, 2.5, 3.5])
+    assert np.array_equal(T.mul(T.tsum(a, axes=0), 0.5).data, [1.5, 2.5, 3.5])
     with pytest.raises(ValueError):
         T.tsum(Tensor(np.zeros((0, 2))), axes=0)
 
@@ -201,14 +217,6 @@ def test_index_select_accumulates_duplicates():
     assert np.array_equal(a.grad, [[2.0, 0.0, 1.0], [2.0, 0.0, 1.0]])
 
 
-def test_broadcast_to_backward_sums():
-    a = Tensor(np.array([[1.0], [2.0]]), requires_grad=True)
-    out = T.broadcast_to(a, (2, 3))
-    assert out.data.shape == (2, 3)
-    T.tsum(out).backward()
-    assert np.array_equal(a.grad, [[3.0], [3.0]])
-
-
 def test_clamp_gradient_mask():
     a = Tensor(np.array([-1.0, 0.5, 2.0]), requires_grad=True)
     T.tsum(T.clamp(a, 0.0, 1.0)).backward()
@@ -259,9 +267,9 @@ def test_grad_check_relu_strictly_positive():
 
 def test_grad_check_constant_function():
     x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    f = Tensor(np.array(3.0), requires_grad=True) * 1.0
+    f = T.mul(Tensor(np.array(3.0), requires_grad=True), 1.0)
     # f never touches x: gradient must be exactly zero
-    assert T.grad_check(lambda t: Tensor(np.array(3.0)) * 1.0, Tensor([1.0, 2.0])) == 0.0
+    assert T.grad_check(lambda t: T.mul(Tensor(np.array(3.0)), 1.0), Tensor([1.0, 2.0])) == 0.0
     del x, f
 
 
@@ -273,17 +281,21 @@ def test_grad_check_rejects_bad_inputs():
 
 
 OPS_FOR_GRADCHECK = [
-    ("add", lambda t: T.tsum(T.add(t, Tensor(np.full(t.shape, 0.7))))),
-    ("sub", lambda t: T.tsum(T.sub(Tensor(np.full(t.shape, 0.7)), t))),
+    ("add", lambda t: T.tsum(T.add(t, Tensor(np.full(t.data.shape, 0.7))))),
+    ("sub", lambda t: T.tsum(T.sub(Tensor(np.full(t.data.shape, 0.7)), t))),
     ("mul", lambda t: T.tsum(T.mul(t, t))),
     ("div", lambda t: T.tsum(T.div(1.0, T.add(T.mul(t, t), 2.0)))),
     ("exp", lambda t: T.tsum(T.exp(t))),
     ("log", lambda t: T.tsum(T.log(T.add(T.mul(t, t), 1.0)))),
     ("sqrt", lambda t: T.tsum(T.sqrt(T.add(T.mul(t, t), 1.0)))),
     ("sigmoid", lambda t: T.tsum(T.sigmoid(t))),
-    ("softmax", lambda t: T.tsum(T.mul(T.softmax(t, axis=0), Tensor(np.arange(t.size, dtype=float))))),
+    ("softmax", lambda t: T.tsum(T.mul(T.softmax(t, axis=0), Tensor(np.arange(8.0))))),
     ("l2norm", lambda t: T.tsum(T.l2norm_rows(T.reshape(t, (2, -1))))),
-    ("mean", lambda t: T.mean(T.mul(t, t))),
+    ("mean", lambda t: T.mul(T.tsum(T.mul(t, t)), 1.0 / 8)),
+    ("broadcast_mul_sub", lambda t: T.tsum(T.mul(T.reshape(t, (8, 1)),
+                                                 T.sub(T.reshape(t, (1, 8)), 0.3)))),
+    ("broadcast_div", lambda t: T.tsum(T.div(T.reshape(t, (2, 1, 4)),
+                                             T.add(T.mul(T.reshape(t, (8, 1)), T.reshape(t, (8, 1))), 3.0)))),
     ("segment_sum", lambda t: T.tsum(T.sqrt(T.add(T.mul(
         T.segment_sum(T.reshape(t, (4, 2)), [2, 0, 2, 1], 4),
         T.segment_sum(T.reshape(t, (4, 2)), [1, 1, 0, 3], 4)), 9.0)))),
@@ -307,7 +319,7 @@ def test_forward_backward_bit_reproducible():
         x = Tensor(rng.standard_normal((2, 6, 6)))
         w = Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
         h = T.relu(T.conv2d(x, w))
-        loss = T.mean(T.mul(h, h))
+        loss = T.tsum(T.mul(h, h))
         loss.backward()
         return loss.item(), w.grad.copy()
 
