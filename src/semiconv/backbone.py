@@ -47,13 +47,12 @@ class Backbone:
         ReLU between layers, none after the last so embeddings can go
         negative.
         """
-        h = x if isinstance(x, Tensor) else Tensor(x)
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = T.conv2d(h, w, b)
+            x = T.conv2d(x, w, b)
             if i < last:
-                h = T.relu(h)
-        return h
+                x = T.relu(x)
+        return x
 
     def params(self):
         return list(self.weights) + list(self.biases)
@@ -71,7 +70,10 @@ class Backbone:
 
     @classmethod
     def load(cls, path):
-        """Read a file written by save(); a short or malformed file raises ValueError."""
+        """Read a file written by save().
+
+        A short or malformed file, or a NaN or Inf weight, raises ValueError.
+        """
         with open(path, "rb") as fh:
             blob = fh.read()
         if blob[:4] != MAGIC:
@@ -109,6 +111,8 @@ class Backbone:
             off += 4 * nw
             b = np.frombuffer(blob, dtype="<f4", count=c_out, offset=off)
             off += 4 * c_out
+            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+                raise ValueError(f"model layer {layer} holds a non-finite weight or bias")
             weights.append(Tensor(w.astype(np.float64).reshape(c_out, c_in, kh, kw),
                                   requires_grad=True))
             biases.append(Tensor(b.astype(np.float64), requires_grad=True))

@@ -34,6 +34,10 @@ class UsageError(Exception):
 
 
 class CliParser(argparse.ArgumentParser):
+    # no abbreviated flags: a removed flag must not turn into the flag it prefixes
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     # argparse exits 2 on bad usage; this surface reserves 2 for numeric failure
     def error(self, message):
         raise UsageError(message)
@@ -230,8 +234,6 @@ def cmd_gradcheck(args):
 
 
 def cmd_render_arrows(args):
-    if args.mode != "semiconv":
-        raise UsageError("arrows require --mode semiconv")
     scene = synth.load_scene(args.scene)
     model = Backbone.load(args.model)
     field = synth.build_field(model, scene.image, "semiconv")
@@ -361,7 +363,6 @@ def build_parser():
     _add_common(p)
     p.add_argument("--scene", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--mode", choices=("semiconv", "conv"), default="semiconv")
     p.add_argument("--stride", type=positive_int, default=4)
     p.set_defaults(func=cmd_render_arrows)
 

@@ -16,7 +16,7 @@ bit-exactly.
 
 import numpy as np
 
-from . import tensor as T
+from .backbone import Backbone
 from .tensor import Tensor
 
 
@@ -89,44 +89,30 @@ def interior_mask(sig):
     return sig.samples > 0.0
 
 
-class ConvStack1D:
-    """Random translation-equivariant baseline: circular 1-d conv stack + relu."""
+def random_conv_stack(seed):
+    """Random translation-equivariant baseline: a Backbone of width-3 1-d kernels.
 
-    def __init__(self, weights, biases):
-        self.weights = weights
-        self.biases = biases
-
-    @classmethod
-    def random(cls, seed):
-        """Channels 1 -> 8 -> 8 -> 1, width-3 kernels, He-scaled normal weights."""
-        rng = np.random.default_rng(seed)
-        chans = (1, 8, 8, 1)
-        weights, biases = [], []
-        for c_in, c_out in zip(chans[:-1], chans[1:]):
-            scale = np.sqrt(2.0 / (c_in * 3))
-            weights.append(rng.standard_normal((c_out, c_in, 1, 3)) * scale)
-            biases.append(rng.standard_normal(c_out) * 0.1)
-        return cls(weights, biases)
-
-    def __call__(self, x):
-        """Apply to one circular cycle of samples, [N] -> [N]."""
-        h = Tensor(np.asarray(x, dtype=np.float64).reshape(1, 1, -1))
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = T.conv2d(h, Tensor(w), Tensor(b))
-            if i < last:
-                h = T.relu(h)
-        return h.data.reshape(-1)
+    Channels 1 -> 8 -> 8 -> 1, He-scaled normal weights, small normal biases.
+    """
+    rng = np.random.default_rng(seed)
+    chans = (1, 8, 8, 1)
+    weights, biases = [], []
+    for c_in, c_out in zip(chans[:-1], chans[1:]):
+        scale = np.sqrt(2.0 / (c_in * 3))
+        weights.append(Tensor(rng.standard_normal((c_out, c_in, 1, 3)) * scale))
+        biases.append(Tensor(rng.standard_normal(c_out) * 0.1))
+    return Backbone(weights, biases)
 
 
-def conv_collision_witness(sig, op):
+def conv_collision_witness(sig, stack):
     """Max output spread across the peaks u = 2k under a conv stack.
 
-    Peak neighborhoods are bit-identical by periodic construction, so any
-    stack of circular convolutions and pointwise nonlinearities returns
-    bit-identical values there; the spread quantifies the collision.
+    The stack runs on one circular cycle of samples as a [1,1,N] image. Peak
+    neighborhoods are bit-identical by periodic construction, so any stack of
+    circular convolutions and pointwise nonlinearities returns bit-identical
+    values there; the spread quantifies the collision.
     """
-    y = op(sig.samples[:sig.n_cycle])
+    y = stack.forward(Tensor(sig.samples[:sig.n_cycle].reshape(1, 1, -1))).data.reshape(-1)
     peaks = y[::sig.per_period]
     return float(np.max(peaks) - np.min(peaks))
 
@@ -147,7 +133,7 @@ def report(half_extent=4.0, step=0.25, n_stacks=5, seed=0):
     inside = interior_mask(sig)
     target = 2.0 * np.round(sig.grid / 2.0)
     max_err = float(np.max(np.abs(colors[inside] - target[inside])))
-    spreads = [conv_collision_witness(sig, ConvStack1D.random(seed + i))
+    spreads = [conv_collision_witness(sig, random_conv_stack(seed + i))
                for i in range(n_stacks)]
     centers = pv_verify(sig)
     return {

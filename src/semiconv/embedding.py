@@ -8,21 +8,10 @@ while staying cheap to compute. Everything downstream (the pull-to-mean loss,
 the affinity kernels, the decoders) consumes these fields.
 """
 
-from functools import lru_cache
-
 import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-
-
-@lru_cache(maxsize=16)
-def _grid(h, w):
-    g = np.zeros((2, h, w))
-    g[0] = np.arange(w)[None, :]
-    g[1] = np.arange(h)[:, None]
-    g.setflags(write=False)
-    return g
 
 
 def coord_grid(h, w):
@@ -33,7 +22,7 @@ def coord_grid(h, w):
     """
     if h < 1 or w < 1:
         raise ValueError("grid extents must be positive")
-    return _grid(int(h), int(w))
+    return np.indices((h, w), dtype=np.float64)[::-1]
 
 
 class EmbeddingField:
@@ -81,13 +70,8 @@ def displacement_field(field):
     return T.sub(geo, Tensor(coord_grid(h, w)))
 
 
-def flatten_rows(values):
-    """Reshape a [D,H,W] map to [H*W, D] rows, row-major pixel order."""
-    d = values.data.shape[0]
-    return T.transpose2d(T.reshape(values, (d, -1)))
-
-
 def field_rows(field):
-    """The field as [H*W, D] rows: what the loss, the kernels and k-means compare."""
-    return flatten_rows(field.values)
-
+    """The field as [H*W, D] rows, row-major pixel order: what the loss, the
+    kernels and k-means compare."""
+    d = field.values.data.shape[0]
+    return T.transpose2d(T.reshape(field.values, (d, -1)))

@@ -37,9 +37,8 @@ class SegmentSet:
 
     @classmethod
     def from_labels(cls, labels):
-        """Build from an integer label map; 0 is background, 1..K instances."""
-        arr = np.asarray(getattr(labels, "labels", labels))
-        flat = arr.reshape(-1)
+        """Build from an InstanceLabeling; 0 is background, 1..K instances."""
+        flat = labels.labels.reshape(-1)
         order = np.argsort(flat, kind="stable")
         values, starts = np.unique(flat[order], return_index=True)
         runs = dict(zip(values.tolist(), np.split(order, starts[1:])))
@@ -95,11 +94,10 @@ def _bce_terms(probs, mask):
 
 
 def mask_bce(probs, gt_mask):
-    """Mean binary cross entropy between per-pixel probabilities and a 0/1 mask."""
-    k = probs if isinstance(probs, Tensor) else Tensor(probs)
-    m = np.asarray(getattr(gt_mask, "data", gt_mask), dtype=np.float64).ravel()
-    if k.data.size != m.size:
-        raise ValueError(f"probability row has {k.data.size} entries, mask {m.size}")
+    """Mean binary cross entropy between a probability tensor and a 0/1 mask array."""
+    m = np.asarray(gt_mask, dtype=np.float64).ravel()
+    if probs.data.size != m.size:
+        raise ValueError(f"probability row has {probs.data.size} entries, mask {m.size}")
     if not np.all((m == 0.0) | (m == 1.0)):
         raise ValueError("mask must be binary")
-    return T.mul(T.tsum(_bce_terms(T.reshape(k, (m.size,)), m)), -1.0 / m.size)
+    return T.mul(T.tsum(_bce_terms(T.reshape(probs, (m.size,)), m)), -1.0 / m.size)

@@ -41,12 +41,9 @@ def render_labels(labels):
 
 
 def grayscale_base(image):
-    """Image channel to a dim gray backdrop for the arrows: [0, 1] maps to 0..139."""
-    arr = np.asarray(getattr(image, "data", image))
-    if arr.ndim == 3:
-        arr = arr[0]
+    """A [1,H,W] image tensor as a dim gray arrow backdrop: [0, 1] maps to 0..139."""
     # 1 + 1e-12 puts 1.0 just below the top step, so a dot pixel maps to 139
-    scaled = np.clip(arr / (1.0 + 1e-12), 0.0, 1.0)
+    scaled = np.clip(image.data[0] / (1.0 + 1e-12), 0.0, 1.0)
     gray = (scaled * 140).astype(np.uint8)
     return np.repeat(gray[:, :, None], 3, axis=2)
 
@@ -65,12 +62,13 @@ def draw_line(rgb, y0, x0, y1, x1, color):
 
 
 def render_arrows(image, displacement, stride=4):
-    """Overlay displacement vectors as line segments from each sampled pixel.
+    """Overlay a [2,H,W] displacement tensor on a [1,H,W] image tensor as line
+    segments from each sampled pixel.
 
     Each arrow runs from pixel u to u + d(u); pixels where the displacement
     ends mark the location the embedding voted for.
     """
-    disp = np.asarray(getattr(displacement, "data", displacement))
+    disp = displacement.data
     if disp.ndim != 3 or disp.shape[0] != 2:
         raise ValueError("expected a [2,H,W] displacement field")
     rgb = grayscale_base(image)

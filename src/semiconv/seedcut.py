@@ -27,7 +27,7 @@ class RegionProposal:
     """Axis-aligned rect [x0, x1) x [y0, y1) with a score per pixel inside."""
 
     rect: tuple                 # (x0, y0, x1, y1)
-    scores: object              # Tensor or array, rect height * width entries
+    scores: object              # Tensor, rect height * width entries
     rows: object                # Tensor [N, D], embeddings of the rect's pixels
 
     def __post_init__(self):
@@ -35,9 +35,8 @@ class RegionProposal:
         if not (x0 < x1 and y0 < y1):
             raise ValueError("degenerate rectangle")
         n = (x1 - x0) * (y1 - y0)
-        s = self.scores.data if isinstance(self.scores, Tensor) else np.asarray(self.scores)
-        if s.size != n:
-            raise ValueError(f"score map has {s.size} entries for a {n}-pixel rect")
+        if self.scores.data.size != n:
+            raise ValueError(f"score map has {self.scores.data.size} entries for a {n}-pixel rect")
         if self.rows.data.shape[0] != n:
             raise ValueError("embedding rows do not match the rect extent")
 
@@ -196,15 +195,12 @@ def rle_encode(mask):
 
 
 def rle_decode(doc):
+    """Inverse of rle_encode; run lengths must be non-negative integers covering the mask."""
     h, w = doc["size"]
-    flat = np.zeros(h * w, dtype=bool)
-    pos = 0
-    value = False
-    for run in doc["counts"]:
-        if value:
-            flat[pos:pos + run] = True
-        pos += run
-        value = not value
-    if pos != h * w:
+    runs = np.asarray(doc["counts"])
+    if runs.ndim != 1 or (runs.size and (runs.dtype.kind not in "iu" or runs.min() < 0)):
+        raise ValueError("run lengths must be a list of non-negative integers")
+    if runs.sum() != h * w:
         raise ValueError("run lengths do not cover the mask")
-    return flat.reshape(h, w)
+    # runs alternate between False and True, starting with False
+    return np.repeat(np.arange(runs.size) % 2 == 1, runs.astype(np.intp)).reshape(h, w)

@@ -93,17 +93,12 @@ def generate_scene(rows, cols, dot_radius=3, spacing=32, img_noise_std=0.0, seed
         raise ValueError("dots overlap: need spacing > 2*dot_radius")
     if not img_noise_std >= 0:
         raise ValueError(f"noise std must be non-negative, got {img_noise_std}")
-    h, w = rows * spacing, cols * spacing
-    yy, xx = np.mgrid[0:h, 0:w]
-    image = np.zeros((h, w))
-    labels = np.zeros((h, w), dtype=np.int32)
-    for i in range(rows):
-        for j in range(cols):
-            cy = spacing // 2 + i * spacing
-            cx = spacing // 2 + j * spacing
-            disc = (xx - cx) ** 2 + (yy - cy) ** 2 <= dot_radius ** 2
-            image[disc] = 1.0
-            labels[disc] = i * cols + j + 1
+    yy, xx = np.mgrid[0:rows * spacing, 0:cols * spacing]
+    # each dot sits at its cell's center, and spacing > 2r keeps it inside the cell
+    c = spacing // 2
+    disc = (yy % spacing - c) ** 2 + (xx % spacing - c) ** 2 <= dot_radius ** 2
+    image = disc.astype(np.float64)
+    labels = np.where(disc, (yy // spacing) * cols + xx // spacing + 1, 0).astype(np.int32)
     if img_noise_std > 0:
         rng = np.random.default_rng(seed)
         image = image + rng.normal(0.0, img_noise_std, size=image.shape)
@@ -312,6 +307,8 @@ def scene_from_json(doc):
     lab = np.frombuffer(base64.b64decode(doc["labels"]), dtype="<u2")
     if img.size != h * w or lab.size != h * w:
         raise ValueError("scene payload does not match its declared extent")
+    if not np.all(np.isfinite(img)):
+        raise ValueError("scene image holds a non-finite pixel")
     meta = {k: doc[k] for k in ("rows", "cols", "dot_radius", "spacing",
                                 "img_noise_std", "seed") if k in doc}
     return Scene(Tensor(img.astype(np.float64).reshape(1, h, w)),

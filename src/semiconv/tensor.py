@@ -274,30 +274,17 @@ def segment_sum(rows, ids, K):
 
 # -- reductions -----------------------------------------------------------
 
-def _norm_axes(axes, ndim):
-    if axes is None:
-        return tuple(range(ndim))
-    if isinstance(axes, int):
-        axes = (axes,)
-    axes = tuple(ax % ndim for ax in axes)
-    if len(set(axes)) != len(axes):
-        raise ValueError("duplicate reduction axes")
-    return axes
-
-
 def tsum(a, axes=None):
+    """Sum over one axis, or over every axis when ``axes`` is None."""
     a = _coerce(a)
-    axes = _norm_axes(axes, a.data.ndim)
-    for ax in axes:
-        if a.data.shape[ax] == 0:
-            raise ValueError("empty reduction axis")
+    if 0 in (a.data.shape if axes is None else (a.data.shape[axes],)):
+        raise ValueError("empty reduction axis")
     kept = a.data.sum(axis=axes, keepdims=True)
 
     def backward(g):
         _accum(a, np.broadcast_to(g.reshape(kept.shape), a.data.shape))
 
-    return _node(kept.reshape(tuple(n for i, n in enumerate(a.data.shape) if i not in axes)),
-                 (a,), backward, "sum")
+    return _node(kept.squeeze(axis=axes), (a,), backward, "sum")
 
 
 def softmax(a, axis=-1):
@@ -397,8 +384,7 @@ def grad_check(f, x, h=1e-5):
     """
     if not (1e-6 <= h <= 1e-3):
         raise ValueError("h must lie in [1e-6, 1e-3]")
-    xt = Tensor(np.array(x.data if isinstance(x, Tensor) else x, dtype=np.float64),
-                requires_grad=True)
+    xt = Tensor(x.data.copy(), requires_grad=True)
     out = f(xt)
     if not isinstance(out, Tensor) or out.data.size != 1:
         raise ValueError("f must return a scalar tensor")

@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import json
 import struct
@@ -183,11 +184,16 @@ def test_gradcheck_subcommand(tmp_path):
 
 
 def test_render_arrows_requires_semiconv(tmp_path, scene_path, capsys):
+    # arrows read a semiconv field only, so there is no --mode to choose
     model = tmp_path / "m.bin"
     assert run("train", "--scene", scene_path, "--epochs", 2, "--dims", 4,
                "--out", model) == 0
+    capsys.readouterr()
     assert run("render-arrows", "--scene", scene_path, "--model", model,
-               "--mode", "conv", "--out", tmp_path / "a.ppm") == 1
+               "--mode", "semiconv", "--out", tmp_path / "a.ppm") == 1
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --mode" in err and err.count("\n") == 1
+    assert not (tmp_path / "a.ppm").exists()
     assert run("render-arrows", "--scene", scene_path, "--model", model,
                "--out", tmp_path / "a.ppm") == 0
     assert (tmp_path / "a.ppm").read_bytes().startswith(b"P6")
@@ -261,6 +267,35 @@ def test_unchained_model_exit_1(tmp_path, scene_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "layer 1" in err
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_scene_pixel_exit_1(tmp_path, scene_path, capsys, bad):
+    doc = read(scene_path)
+    image = np.frombuffer(base64.b64decode(doc["image"]), dtype="<f4").copy()
+    image[5] = bad
+    doc["image"] = base64.b64encode(image.tobytes()).decode("ascii")
+    scene = tmp_path / "bad.json"
+    scene.write_text(json.dumps(doc))
+    out = tmp_path / "m.bin"
+    assert run("train", "--scene", scene, "--epochs", 1, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err == "error: scene image holds a non-finite pixel\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("part", ["weights", "biases"])
+def test_non_finite_model_weight_exit_1(tmp_path, scene_path, capsys, bad, part):
+    model = Backbone.glorot(1, 4, 0)
+    getattr(model, part)[1].data.flat[3] = bad
+    path = tmp_path / "m.bin"
+    model.save(path)
+    out = tmp_path / "c.json"
+    assert run("cluster", "--scene", scene_path, "--model", path, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err == "error: model layer 1 holds a non-finite weight or bias\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("doc", [[1], {"h": 2, "w": 2, "image": 5, "labels": ""}],

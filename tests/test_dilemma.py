@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from semiconv.dilemma import (ConvStack1D, conv_collision_witness, interior_mask,
-                              make_signal, pv_verify, report, semiconv_color)
+from semiconv.backbone import Backbone
+from semiconv.dilemma import (conv_collision_witness, interior_mask, make_signal,
+                              pv_verify, random_conv_stack, report, semiconv_color)
+from semiconv.tensor import Tensor
 
 
 def sample_at(sig, u):
@@ -72,13 +74,14 @@ def test_colors_differ_across_regions_by_twice_the_offset():
 
 def test_identity_op_has_zero_spread():
     sig = make_signal(4.0, 0.25)
-    assert conv_collision_witness(sig, lambda x: np.asarray(x)) == 0.0
+    identity = Backbone([Tensor(np.ones((1, 1, 1, 1)))], [Tensor(np.zeros(1))])
+    assert conv_collision_witness(sig, identity) == 0.0
 
 
 def test_conv_stacks_collide():
     sig = make_signal(4.0, 0.25)
     for seed in range(5):
-        spread = conv_collision_witness(sig, ConvStack1D.random(seed))
+        spread = conv_collision_witness(sig, random_conv_stack(seed))
         assert spread < 1e-9
 
 

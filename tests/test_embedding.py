@@ -73,9 +73,9 @@ def test_displacement_points_at_common_target():
     assert np.array_equal(disp2[:, 1, 2], [0.0, 0.0])
 
 
-def test_flatten_rows_layout():
+def test_field_rows_layout():
     vals = Tensor(np.arange(24.0).reshape(2, 3, 4))
-    rows = E.flatten_rows(vals)
+    rows = E.field_rows(E.EmbeddingField(vals))
     assert rows.data.shape == (12, 2)
     # pixel (y=1, x=2) is linear index 6
     assert np.array_equal(rows.data[6], [vals.data[0, 1, 2], vals.data[1, 1, 2]])

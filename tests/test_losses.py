@@ -5,7 +5,7 @@ from semiconv import tensor as T
 from semiconv.tensor import Tensor
 from semiconv.embedding import EmbeddingField
 from semiconv.losses import SegmentSet, pull_to_mean_loss, mask_bce
-from semiconv.synth import generate_scene
+from semiconv.synth import InstanceLabeling, generate_scene
 
 
 def field_from_rows(rows):
@@ -15,8 +15,7 @@ def field_from_rows(rows):
 
 
 def test_segment_set_from_labels():
-    labels = np.array([[0, 1, 1], [2, 2, 0]])
-    segs = SegmentSet.from_labels(labels)
+    segs = SegmentSet.from_labels(InstanceLabeling(np.array([[0, 1, 1], [2, 2, 0]])))
     assert len(segs) == 2
     assert np.array_equal(segs.pixels, [1, 2, 3, 4])
     assert np.array_equal(segs.ids, [0, 0, 1, 1])
@@ -40,8 +39,7 @@ def test_loss_two_point_hand_value():
 
 
 def test_loss_constant_segments_near_zero():
-    labels = np.array([[1, 1, 2, 2]])
-    segs = SegmentSet.from_labels(labels)
+    segs = SegmentSet.from_labels(InstanceLabeling(np.array([[1, 1, 2, 2]])))
     rows = np.array([[5.0, 1.0], [5.0, 1.0], [-3.0, 2.0], [-3.0, 2.0]])
     loss = pull_to_mean_loss(field_from_rows(rows), segs)
     assert 0.0 <= loss.item() < 1e-3
@@ -115,7 +113,7 @@ def test_loss_matches_per_segment_loop():
     for seed in range(5):
         rng = np.random.default_rng(seed)
         labels = rng.integers(0, 7, size=(9, 11))
-        segs = SegmentSet.from_labels(labels)
+        segs = SegmentSet.from_labels(InstanceLabeling(labels))
         rows = rng.standard_normal((labels.size, 4)) * 3.0
         got_rows = Tensor(rows, requires_grad=True)
         got = pull_to_mean_loss(got_rows, segs)

@@ -58,10 +58,9 @@ def test_arrows_render_shape_and_determinism():
 
 
 def test_arrow_endpoint_marked():
-    img = np.zeros((1, 9, 9))
     disp = np.zeros((2, 9, 9))
     disp[0, 0, 0] = 4.0  # dx only; arrow should reach (0, 4)
-    rgb = render.render_arrows(img, disp, stride=9)
+    rgb = render.render_arrows(Tensor(np.zeros((1, 9, 9))), Tensor(disp), stride=9)
     assert np.array_equal(rgb[0, 4], render.ARROW_COLOR)
     assert np.array_equal(rgb[0, 0], render.ARROW_COLOR)
     assert not rgb[1:].any() and not rgb[0, 5:].any()  # a black image stays black

@@ -213,6 +213,31 @@ def test_rle_encode_matches_loop():
     assert rle_encode(np.eye(3, dtype=bool))["counts"] == [0, 1, 3, 1, 3, 1]
 
 
+def loop_rle_decode(doc):
+    """Reference: each run painted in turn, values alternating from False."""
+    h, w = doc["size"]
+    flat = np.zeros(h * w, dtype=bool)
+    pos, value = 0, False
+    for run in doc["counts"]:
+        flat[pos:pos + run] = value
+        pos, value = pos + run, not value
+    return flat.reshape(h, w)
+
+
+def test_rle_decode_matches_loop_and_rejects_bad_runs():
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        counts = rng.integers(0, 4, size=rng.integers(1, 9)).tolist()
+        doc = {"size": [1, sum(counts)], "counts": counts}
+        assert np.array_equal(rle_decode(doc), loop_rle_decode(doc))
+    # empty runs keep the alternation: False 0, True 0, False 1, True 3
+    assert rle_decode({"size": [2, 2], "counts": [0, 0, 1, 3]}).tolist() == [
+        [False, True], [True, True]]
+    for counts in ([1, -1, 4], [1.5, 2.5], [[1, 3]], ["4"]):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            rle_decode({"size": [2, 2], "counts": counts})
+
+
 def per_box_loss(field, gt, boxes, instances, params):
     """Reference box loss: one fuse_scores and one mask_bce per box, as cut_region cuts."""
     rows_all = field_rows(field)
@@ -312,7 +337,7 @@ def test_seedcut_cuts_match_instances_after_training():
     rows_all = field_rows(field)
     for k, rect in enumerate(boxes, start=1):
         pixels, _, _ = region_pixel_indices([rect], scene.shape)
-        region = RegionProposal(rect, synthetic_scores(scene.gt, pixels, k),
+        region = RegionProposal(rect, Tensor(synthetic_scores(scene.gt, pixels, k)),
                                 T.index_select(rows_all, 0, pixels))
         assert np.array_equal(masks[k - 1], cut_region(region, params))
 

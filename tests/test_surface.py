@@ -18,9 +18,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "semiconv").glob("*.py"))
-# the package __init__ only re-exports, so its imports read nothing
-READERS = [p for p in PACKAGE if p.name != "__init__.py"] + sorted(
-    (ROOT / "perfbench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
+READERS = PACKAGE + sorted((ROOT / "perfbench").glob("*.py")) + [
+    ROOT / "tests" / "test_acceptance.py"]
 # "name" (or "Class.name") -> why it stays without a reader
 ALLOWED = {}
 # "Class.member" -> the "module.function" that reads it. A member named like
@@ -182,6 +181,20 @@ def test_every_public_name_has_a_reader(path):
     found = unread(path.read_text(), others, (ROOT / "README.md").read_text(), ambiguous)
     assert [(line, name) for line, name in found
             if name not in ALLOWED and name not in READ_BY] == []
+
+
+def test_package_root_binds_only_its_version():
+    # every name is imported from the module that defines it
+    tree = ast.parse((ROOT / "src" / "semiconv" / "__init__.py").read_text())
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        elif isinstance(node, ast.alias):
+            bound.add(node.asname or node.name.split(".")[0])
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+    assert bound == {"__version__"}
 
 
 def test_read_by_entries_name_their_reader():

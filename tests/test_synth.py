@@ -49,6 +49,31 @@ def test_grid_scene_counts():
     assert np.array_equal(scene.image.data[0] > 0, scene.gt.labels > 0)
 
 
+def loop_scene(rows, cols, dot_radius, spacing):
+    """Reference: one full-image disc mask per dot, painted in turn."""
+    yy, xx = np.mgrid[0:rows * spacing, 0:cols * spacing]
+    image = np.zeros(yy.shape)
+    labels = np.zeros(yy.shape, dtype=np.int32)
+    for i in range(rows):
+        for j in range(cols):
+            cy, cx = spacing // 2 + i * spacing, spacing // 2 + j * spacing
+            disc = (xx - cx) ** 2 + (yy - cy) ** 2 <= dot_radius ** 2
+            image[disc] = 1.0
+            labels[disc] = i * cols + j + 1
+    return image, labels
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 1), (1, 4), (2, 3), (3, 2), (5, 2)])
+def test_scene_matches_per_dot_loop(rows, cols):
+    for radius in (1, 2, 3, 5):
+        for spacing in (2 * radius + 1, 2 * radius + 2, 2 * radius + 5, 32):
+            scene = generate_scene(rows, cols, radius, spacing)
+            image, labels = loop_scene(rows, cols, radius, spacing)
+            assert np.array_equal(scene.image.data[0], image)
+            assert np.array_equal(scene.gt.labels, labels)
+            assert scene.gt.labels.dtype == labels.dtype
+
+
 def test_scene_is_exactly_periodic():
     scene = generate_scene(3, 2, dot_radius=2, spacing=10)
     img = scene.image.data[0]
