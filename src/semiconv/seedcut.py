@@ -194,13 +194,21 @@ def rle_encode(mask):
     return {"size": list(mask.shape), "counts": counts}
 
 
+def _is_int(v):
+    """True for an int or numpy integer; a bool (JSON true/false) is not one."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def rle_decode(doc):
-    """Inverse of rle_encode; run lengths must be non-negative integers covering the mask."""
-    h, w = doc["size"]
-    runs = np.asarray(doc["counts"])
-    if runs.ndim != 1 or (runs.size and (runs.dtype.kind not in "iu" or runs.min() < 0)):
+    """Inverse of rle_encode; size and run lengths must be non-negative, non-bool integers."""
+    size, counts = doc["size"], doc["counts"]
+    if len(size) != 2 or not all(_is_int(v) and v >= 0 for v in size):
+        raise ValueError("size must be two non-negative integers")
+    if not all(_is_int(r) and r >= 0 for r in counts):
         raise ValueError("run lengths must be a list of non-negative integers")
+    h, w = size
+    runs = np.asarray(counts, dtype=np.intp)
     if runs.sum() != h * w:
         raise ValueError("run lengths do not cover the mask")
     # runs alternate between False and True, starting with False
-    return np.repeat(np.arange(runs.size) % 2 == 1, runs.astype(np.intp)).reshape(h, w)
+    return np.repeat(np.arange(runs.size) % 2 == 1, runs).reshape(h, w)

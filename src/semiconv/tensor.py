@@ -103,7 +103,7 @@ def _accum(t, g):
         lead = g.ndim - t.data.ndim
         stretched = [lead + i for i, n in enumerate(t.data.shape) if n != g.shape[lead + i]]
         g = g.sum(axis=tuple(range(lead)) + tuple(stretched)).reshape(t.data.shape)
-    t.grad = (np.zeros_like(t.data) if t.grad is None else t.grad) + g
+    t.grad = g if t.grad is None else t.grad + g
 
 
 # -- elementwise ---------------------------------------------------------
@@ -323,8 +323,6 @@ def _taps(a, kh, kw):
     """
     c, h, w = a.shape
     ph, pw = kh // 2, kw // 2
-    if ph > h or pw > w:
-        raise ValueError("kernel half-extent wider than the input")
     ap = np.pad(a, ((0, 0), (ph, ph), (pw, pw)), mode="wrap")
     cols = np.empty((c, kh, kw, h, w), dtype=np.float64)
     for i in range(kh):
@@ -333,43 +331,93 @@ def _taps(a, kh, kw):
     return cols.reshape(c * kh * kw, h * w)
 
 
+def _fold(z, kh, kw, h, w):
+    """Adjoint of ``_taps``: sum the kh*kw row blocks of z[C*kh*kw, H*W] into [C,H,W].
+
+    Block (i, j) is shifted back by minus its tap with wrap-around, so
+    <_fold(z), a> == <z, _taps(a)> for every a[C,H,W].
+    """
+    ph, pw = kh // 2, kw // 2
+    z = z.reshape(-1, kh, kw, h, w)
+    acc = np.zeros((z.shape[0], h + 2 * ph, w + 2 * pw))
+    for i in range(kh):
+        for j in range(kw):
+            acc[:, i:i + h, j:j + w] += z[:, i, j]
+    # the adjoint of the wrap-pad: each pad strip adds onto the side it copied
+    acc[:, h:h + ph] += acc[:, :ph]
+    acc[:, ph:2 * ph] += acc[:, h + ph:]
+    acc = acc[:, ph:ph + h]
+    acc[:, :, w:w + pw] += acc[:, :, :pw]
+    acc[:, :, pw:2 * pw] += acc[:, :, w + pw:]
+    return np.ascontiguousarray(acc[:, :, pw:pw + w])
+
+
 def conv2d(x, weight, bias=None):
     """Circular 2-d cross-correlation of x[C_in,H,W] with weight[C_out,C_in,kh,kw].
 
     Odd kernels only; stride 1 and wrap-around padding by (kh//2, kw//2), so
     the output is [C_out,H,W] and the operator is exactly equivariant to
-    circular shifts. The input gradient is the same correlation of the output
-    gradient with the kernel flipped in both axes and its channel axes swapped.
+    circular shifts. Each of the three products stacks the taps of the
+    narrower channel side, so no buffer has more than kh*kw*min(C_in, C_out)
+    rows: the forward is ``w @ _taps(x)``, or ``_fold`` of the tap-flipped
+    kernel times x when C_in > C_out; the input gradient is the flipped,
+    channel-swapped kernel times ``_taps(g)``, or ``_fold`` of the kernel
+    times g when C_out > C_in; the weight gradient is g times the forward's
+    taps, or ``_taps(g)`` times x with the tap axes flipped back.
     """
     x, weight = _coerce(x), _coerce(weight)
     if x.data.ndim != 3 or weight.data.ndim != 4:
         raise ValueError("conv2d expects x[C,H,W] and weight[C_out,C_in,kh,kw]")
     c_out, c_in, kh, kw = weight.data.shape
+    _, h, w = x.data.shape
     if x.data.shape[0] != c_in:
         raise ValueError(f"input channels {x.data.shape[0]} != weight c_in {c_in}")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError("kernel extents must be odd")
+    if kh // 2 > h or kw // 2 > w:
+        raise ValueError("kernel half-extent wider than the input")
     if bias is not None:
         bias = _coerce(bias)
         if bias.data.shape != (c_out,):
             raise ValueError("bias must have shape (C_out,)")
 
-    cols = _taps(x.data, kh, kw)
-    w2 = weight.data.reshape(c_out, -1)
-    out = (w2 @ cols).reshape(c_out, *x.data.shape[1:])
+    wd = weight.data
+    x2 = x.data.reshape(c_in, -1)
+    if c_in > c_out:
+        cols = None
+        w_flip = wd[:, :, ::-1, ::-1].transpose(0, 2, 3, 1).reshape(-1, c_in)
+        out = _fold(w_flip @ x2, kh, kw, h, w)
+    else:
+        cols = _taps(x.data, kh, kw)
+        out = (wd.reshape(c_out, -1) @ cols).reshape(c_out, h, w)
     if bias is not None:
         out = out + bias.data[:, None, None]
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(g):
+        g2 = g.reshape(c_out, -1)
+        # the output side's taps serve the weight gradient when the forward
+        # kept none, and the input gradient when C_out <= C_in
+        need_g_cols = cols is None or (c_out == c_in and x.requires_grad)
+        g_cols = _taps(g, kh, kw) if need_g_cols else None
         if weight.requires_grad:
-            _accum(weight, (g.reshape(c_out, -1) @ cols.T).reshape(weight.data.shape))
+            if cols is not None:
+                gw = (g2 @ cols.T).reshape(wd.shape)
+            else:
+                gw = (g_cols @ x2.T).reshape(c_out, kh, kw, c_in)
+                gw = gw[:, ::-1, ::-1].transpose(0, 3, 1, 2)
+            _accum(weight, gw)
         if bias is not None and bias.requires_grad:
             _accum(bias, g.sum(axis=(1, 2)))
         if x.requires_grad:
-            w_adj = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, -1)
-            _accum(x, (w_adj @ _taps(g, kh, kw)).reshape(x.data.shape))
+            if c_out > c_in:
+                w_stack = wd.transpose(1, 2, 3, 0).reshape(-1, c_out)
+                gx = _fold(w_stack @ g2, kh, kw, h, w)
+            else:
+                w_adj = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, -1)
+                gx = (w_adj @ g_cols).reshape(x.data.shape)
+            _accum(x, gx)
 
     return _node(out, parents, backward, "conv2d")
 

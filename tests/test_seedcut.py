@@ -238,6 +238,19 @@ def test_rle_decode_matches_loop_and_rejects_bad_runs():
             rle_decode({"size": [2, 2], "counts": counts})
 
 
+def test_rle_decode_rejects_bool_runs():
+    # numpy would read [true, 3] as the int runs [1, 3]
+    for counts in ([True, 3], [0, False, 4]):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            rle_decode({"size": [2, 2], "counts": counts})
+
+
+def test_rle_decode_rejects_bad_size():
+    for size in ([True, 4], [2.0, 2], [2, -2], [4]):
+        with pytest.raises(ValueError, match="size must be two non-negative integers"):
+            rle_decode({"size": size, "counts": [4]})
+
+
 def per_box_loss(field, gt, boxes, instances, params):
     """Reference box loss: one fuse_scores and one mask_bce per box, as cut_region cuts."""
     rows_all = field_rows(field)

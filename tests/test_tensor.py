@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -133,17 +135,95 @@ def test_conv2d_ones_center():
     assert np.allclose(out.data, expected, atol=1e-12, rtol=0)
 
 
-@pytest.mark.parametrize("kh,kw", [(3, 3), (3, 5), (1, 3), (5, 5)],
-                         ids=["3x3", "3x5", "1x3", "5x5"])
-def test_conv2d_matches_bruteforce(kh, kw):
+# (C_in, C_out) pairs that take each product's branch: the forward and the
+# weight gradient fold when C_in > C_out, the input gradient when C_out > C_in
+BRANCHES = [(2, 3), (3, 2), (2, 2)]
+KERNELS = [(3, 3), (3, 5), (1, 3)]
+BRANCH_KERNELS = [pytest.param(ci, co, kh, kw, id=f"{kh}x{kw}-{ci}to{co}")
+                  for ci, co in BRANCHES for kh, kw in KERNELS]
+
+
+# the 2to3 cases keep their bare kernel ids
+@pytest.mark.parametrize("c_in,c_out,kh,kw", [
+    pytest.param(2, 3, kh, kw, id=f"{kh}x{kw}") for kh, kw in KERNELS + [(5, 5)]
+] + [p for p in BRANCH_KERNELS if p.values[:2] != (2, 3)])
+def test_conv2d_matches_bruteforce(c_in, c_out, kh, kw):
     rng = np.random.default_rng(7)
-    x = rng.standard_normal((2, 7, 9))
-    w = rng.standard_normal((3, 2, kh, kw))
-    b = rng.standard_normal(3)
+    x = rng.standard_normal((c_in, 7, 9))
+    w = rng.standard_normal((c_out, c_in, kh, kw))
+    b = rng.standard_normal(c_out)
     out = T.conv2d(Tensor(x), Tensor(w), Tensor(b))
     expected = conv2d_bruteforce(x, w) + b[:, None, None]
-    assert out.data.shape == (3, 7, 9)
+    assert out.data.shape == (c_out, 7, 9)
     assert np.allclose(out.data, expected, atol=1e-12, rtol=0)
+
+
+def squared_conv_grad_errors(x0, w0):
+    """grad_check errors of sum(conv2d(x, w)^2) in the weight and in the input."""
+    def f_w(w):
+        y = T.conv2d(Tensor(x0), w)
+        return T.tsum(T.mul(y, y))
+
+    def f_x(x):
+        y = T.conv2d(x, Tensor(w0))
+        return T.tsum(T.mul(y, y))
+
+    return T.grad_check(f_w, Tensor(w0), h=1e-5), T.grad_check(f_x, Tensor(x0), h=1e-5)
+
+
+@pytest.mark.parametrize("c_in,c_out,kh,kw", BRANCH_KERNELS)
+def test_conv2d_grads_on_both_branches(c_in, c_out, kh, kw):
+    rng = np.random.default_rng(9)
+    x0 = rng.standard_normal((c_in, 5, 7))
+    w0 = rng.standard_normal((c_out, c_in, kh, kw)) * 0.5
+    err_w, err_x = squared_conv_grad_errors(x0, w0)
+    assert err_w < 1e-6 and err_x < 1e-6
+
+
+@pytest.mark.parametrize("c_in,c_out", [(2, 3), (3, 2)], ids=["2to3", "3to2"])
+def test_conv2d_half_extent_equal_to_input(c_in, c_out):
+    # a 5x5 kernel on a 2x2 input: the wrap-pad copies the whole input once per side
+    rng = np.random.default_rng(13)
+    x0 = rng.standard_normal((c_in, 2, 2))
+    w0 = rng.standard_normal((c_out, c_in, 5, 5)) * 0.5
+    out = T.conv2d(Tensor(x0), Tensor(w0))
+    assert np.allclose(out.data, conv2d_bruteforce(x0, w0), atol=1e-12, rtol=0)
+    err_w, err_x = squared_conv_grad_errors(x0, w0)
+    assert err_w < 1e-6 and err_x < 1e-6
+
+
+@pytest.mark.parametrize("kh,kw,h,w", [(3, 3, 6, 7), (3, 5, 4, 6), (1, 3, 5, 2), (5, 5, 2, 2)])
+def test_fold_is_the_adjoint_of_taps(kh, kw, h, w):
+    rng = np.random.default_rng(17)
+    a = rng.standard_normal((3, h, w))
+    z = rng.standard_normal((3 * kh * kw, h * w))
+    assert abs(np.vdot(T._fold(z, kh, kw, h, w), a) - np.vdot(z, T._taps(a, kh, kw))) < 1e-12
+
+
+def traced_peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_conv2d_buffers_stack_the_narrower_side():
+    # one tap buffer of the 32-channel side at 64x64 is 9 * 32 * 64 * 64 * 8 bytes;
+    # the 8-channel output (forward) and the 16-channel x.grad (backward) are
+    # allocated inside the traced call, so a peak below them means numpy's
+    # buffers went untraced
+    wide = 9 * 32 * 64 * 64 * 8
+    rng = np.random.default_rng(19)
+    x = Tensor(rng.standard_normal((32, 64, 64)))
+    w = Tensor(rng.standard_normal((8, 32, 3, 3)))
+    assert 8 * 64 * 64 * 8 < traced_peak_bytes(lambda: T.conv2d(x, w)) < wide
+
+    x = Tensor(rng.standard_normal((16, 64, 64)), requires_grad=True)
+    w = Tensor(rng.standard_normal((32, 16, 3, 3)), requires_grad=True)
+    loss = T.tsum(T.mul(T.conv2d(x, w), rng.standard_normal((32, 64, 64))))
+    assert 16 * 64 * 64 * 8 < traced_peak_bytes(loss.backward) < wide
 
 
 def test_conv2d_weight_grad_finite_differences():
@@ -198,13 +278,14 @@ def test_conv2d_validation():
 
 def test_conv2d_circular_shift_equivariance():
     rng = np.random.default_rng(11)
-    x = rng.standard_normal((2, 8, 9))
-    w = rng.standard_normal((3, 2, 3, 3))
-    out = T.conv2d(Tensor(x), Tensor(w)).data
-    for dy, dx in [(1, 0), (0, 3), (5, 2)]:
-        xs = np.roll(x, (dy, dx), axis=(1, 2))
-        outs = T.conv2d(Tensor(xs), Tensor(w)).data
-        assert np.max(np.abs(outs - np.roll(out, (dy, dx), axis=(1, 2)))) < 1e-9
+    for c_in, c_out in [(2, 3), (3, 2)]:  # taps of x, then the fold
+        x = rng.standard_normal((c_in, 8, 9))
+        w = rng.standard_normal((c_out, c_in, 3, 3))
+        out = T.conv2d(Tensor(x), Tensor(w)).data
+        for dy, dx in [(1, 0), (0, 3), (5, 2)]:
+            xs = np.roll(x, (dy, dx), axis=(1, 2))
+            outs = T.conv2d(Tensor(xs), Tensor(w)).data
+            assert np.max(np.abs(outs - np.roll(out, (dy, dx), axis=(1, 2)))) < 1e-9
 
 
 # -- shape ops ----------------------------------------------------------------
