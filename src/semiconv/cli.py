@@ -373,8 +373,11 @@ def _config_tokens(args):
     """Entries of the --config JSON object as ``--flag=value`` argv tokens."""
     if not getattr(args, "config", None):
         return []
-    with open(args.config) as fh:
-        overrides = json.load(fh)
+    try:
+        with open(args.config) as fh:
+            overrides = json.load(fh)
+    except RecursionError:
+        raise ValueError(f"config file {args.config} nests too deeply") from None
     if not isinstance(overrides, dict):
         raise UsageError("config file must hold a JSON object")
     tokens = []

@@ -50,6 +50,8 @@ def make_signal(half_extent, step):
     half_extent must be a whole number of periods so the circular wrap is
     seamless.
     """
+    if step <= 0:
+        raise ValueError("step must be positive")
     per = int(round(PeriodicSignal1D.PERIOD / step))
     if per < 2 or abs(per * step - PeriodicSignal1D.PERIOD) > 1e-12:
         raise ValueError("step must divide the period 2 evenly")

@@ -81,27 +81,27 @@ def _sumsq(a, b):
     return T.tsum(T.mul(d, d))
 
 
-def shifted_norm(sumsq, eps):
-    """sqrt(sumsq + eps) - sqrt(eps): zero exactly at zero, differentiable there.
+def shifted_norm(sumsq):
+    """sqrt(sumsq + NORM_EPS) - sqrt(NORM_EPS): zero at zero, differentiable there.
 
     A plain eps inside the root would leave a sqrt(eps) residue at zero
     distance and the kernel value would fall short of 1; shifting the curve
     down restores K = 1 at zero while keeping the gradient finite.
     """
-    return T.sub(T.sqrt(T.add(sumsq, eps)), float(np.sqrt(eps)))
+    return T.sub(T.sqrt(T.add(sumsq, NORM_EPS)), float(np.sqrt(NORM_EPS)))
 
 
-def log_kernel(sumsq, family, sigma=None, eps=NORM_EPS):
+def log_kernel(sumsq, family, sigma=None):
     """log K of a family from squared embedding distances; <= 0, 0 at distance 0.
 
-    -sumsq / 2 for the Gaussian, -shifted_norm(sumsq, eps) / sigma for the
+    -sumsq / 2 for the Gaussian, -shifted_norm(sumsq) / sigma for the
     steered Laplacian (sigma a positive tensor). The one place that knows a
     family's formula: the pairwise kernels and the fusion both read it.
     """
     if family == "gaussian":
         return T.mul(sumsq, -0.5)
     if family == "steered_laplacian":
-        return T.mul(T.div(shifted_norm(sumsq, eps), sigma), -1.0)
+        return T.mul(T.div(shifted_norm(sumsq), sigma), -1.0)
     raise ValueError(f"unknown kernel family '{family}'")
 
 
@@ -130,13 +130,13 @@ def factorized_kernel(u, v, phi_g_u, phi_g_v, phi_a_u, phi_a_v):
     return T.mul(geo, gaussian_kernel(au, av))
 
 
-def steered_laplacian(a, b, sigma, eps=NORM_EPS):
+def steered_laplacian(a, b, sigma):
     """exp(-||a-b|| / sigma): heavier tails than the Gaussian, learnable scale."""
     sumsq = _sumsq(a, b)
     st = sigma if isinstance(sigma, Tensor) else Tensor(float(sigma))
     if not np.all(st.data > 0):
         raise ValueError("sigma must be positive")
-    return T.exp(log_kernel(sumsq, "steered_laplacian", st, eps))
+    return T.exp(log_kernel(sumsq, "steered_laplacian", st))
 
 
 def _region_scores(scores, rows):

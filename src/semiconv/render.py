@@ -53,7 +53,9 @@ def draw_line(rgb, y0, x0, y1, x1, color):
     h, w = rgb.shape[:2]
     y0, x0, y1, x1 = int(round(y0)), int(round(x0)), int(round(y1)), int(round(x1))
     steps = max(abs(y1 - y0), abs(x1 - x0), 1)
-    for t in range(steps + 1):
+    # (y0, x0) lies inside and the dominant coordinate moves one pixel a step,
+    # so no step past max(h, w) can land inside
+    for t in range(min(steps, max(h, w)) + 1):
         y = y0 + (y1 - y0) * t // steps
         x = x0 + (x1 - x0) * t // steps
         if 0 <= y < h and 0 <= x < w:

@@ -316,5 +316,8 @@ def scene_from_json(doc):
 
 
 def load_scene(path):
-    with open(path) as fh:
-        return scene_from_json(json.load(fh))
+    try:
+        with open(path) as fh:
+            return scene_from_json(json.load(fh))
+    except RecursionError:
+        raise ValueError(f"scene file {path} nests too deeply") from None

@@ -14,8 +14,10 @@ instead of propagating silently.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-NORM_EPS = 1e-8  # default epsilon inside norms; keeps sqrt differentiable at 0
+NORM_EPS = 1e-8  # epsilon inside norms; keeps sqrt differentiable at 0
+GRAD_CHECK_STEP = 1e-5  # central-difference step of grad_check
 
 
 class NumericError(ArithmeticError):
@@ -300,70 +302,57 @@ def softmax(a, axis=-1):
     return _node(out_data, (a,), backward, "softmax")
 
 
-def l2norm_rows(a, eps=NORM_EPS):
-    """Row norms of an [N, D] tensor: sqrt(sum_d a[n,d]^2 + eps).
+def l2norm_rows(a):
+    """Row norms of an [N, D] tensor: sqrt(sum_d a[n,d]^2 + NORM_EPS).
 
-    A positive eps keeps the result differentiable at zero rows.
+    NORM_EPS keeps the result differentiable at zero rows.
     """
     a = _coerce(a)
     if a.data.ndim != 2:
         raise ValueError("l2norm_rows expects an [N, D] tensor")
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
-    return sqrt(add(tsum(mul(a, a), axes=1), eps))
+    return sqrt(add(tsum(mul(a, a), axes=1), NORM_EPS))
 
 
 # -- convolution ------------------------------------------------------------
 
 def _taps(a, kh, kw):
-    """Wrap-pad a[C,H,W] by (kh//2, kw//2) and stack its kh*kw shifted views.
+    """The kh*kw windows of a[C,H,W] wrap-padded by (kh//2, kw//2), as [C*kh*kw, H*W].
 
-    Row (c, i, j) of the [C*kh*kw, H*W] result is channel c shifted by tap
-    (i, j), so a kernel reshaped to [C_out, C*kh*kw] correlates by one GEMM.
+    Row (c, i, j) is channel c shifted by tap (i, j), so a kernel reshaped to
+    [C_out, C*kh*kw] correlates by one GEMM.
     """
     c, h, w = a.shape
     ph, pw = kh // 2, kw // 2
     ap = np.pad(a, ((0, 0), (ph, ph), (pw, pw)), mode="wrap")
-    cols = np.empty((c, kh, kw, h, w), dtype=np.float64)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, i, j] = ap[:, i:i + h, j:j + w]
-    return cols.reshape(c * kh * kw, h * w)
+    return sliding_window_view(ap, (h, w), axis=(1, 2)).reshape(c * kh * kw, h * w)
 
 
 def _fold(z, kh, kw, h, w):
     """Adjoint of ``_taps``: sum the kh*kw row blocks of z[C*kh*kw, H*W] into [C,H,W].
 
-    Block (i, j) is shifted back by minus its tap with wrap-around, so
-    <_fold(z), a> == <z, _taps(a)> for every a[C,H,W].
+    Block (i, j) is rolled back by its tap, so <_fold(z), a> == <z, _taps(a)>
+    for every a[C,H,W], and every pixel adds its blocks in the same order.
     """
-    ph, pw = kh // 2, kw // 2
     z = z.reshape(-1, kh, kw, h, w)
-    acc = np.zeros((z.shape[0], h + 2 * ph, w + 2 * pw))
+    out = np.zeros((z.shape[0], h, w))
     for i in range(kh):
         for j in range(kw):
-            acc[:, i:i + h, j:j + w] += z[:, i, j]
-    # the adjoint of the wrap-pad: each pad strip adds onto the side it copied
-    acc[:, h:h + ph] += acc[:, :ph]
-    acc[:, ph:2 * ph] += acc[:, h + ph:]
-    acc = acc[:, ph:ph + h]
-    acc[:, :, w:w + pw] += acc[:, :, :pw]
-    acc[:, :, pw:2 * pw] += acc[:, :, w + pw:]
-    return np.ascontiguousarray(acc[:, :, pw:pw + w])
+            out += np.roll(z[:, i, j], (i - kh // 2, j - kw // 2), axis=(1, 2))
+    return out
 
 
 def conv2d(x, weight, bias=None):
     """Circular 2-d cross-correlation of x[C_in,H,W] with weight[C_out,C_in,kh,kw].
 
     Odd kernels only; stride 1 and wrap-around padding by (kh//2, kw//2), so
-    the output is [C_out,H,W] and the operator is exactly equivariant to
-    circular shifts. Each of the three products stacks the taps of the
-    narrower channel side, so no buffer has more than kh*kw*min(C_in, C_out)
-    rows: the forward is ``w @ _taps(x)``, or ``_fold`` of the tap-flipped
-    kernel times x when C_in > C_out; the input gradient is the flipped,
-    channel-swapped kernel times ``_taps(g)``, or ``_fold`` of the kernel
-    times g when C_out > C_in; the weight gradient is g times the forward's
-    taps, or ``_taps(g)`` times x with the tap axes flipped back.
+    the output is [C_out,H,W]; the forward and the input gradient are exactly
+    equivariant to circular shifts, bit for bit. Each of the three products
+    stacks the taps of the narrower channel side, so no buffer has more than
+    kh*kw*min(C_in, C_out) rows: the forward is ``w @ _taps(x)``, or ``_fold``
+    of the tap-flipped kernel times x when C_in > C_out; the input gradient is
+    the flipped, channel-swapped kernel times ``_taps(g)``, or ``_fold`` of the
+    kernel times g when C_out > C_in; the weight gradient is g times the
+    forward's taps, or ``_taps(g)`` times x with the tap axes flipped back.
     """
     x, weight = _coerce(x), _coerce(weight)
     if x.data.ndim != 3 or weight.data.ndim != 4:
@@ -424,14 +413,12 @@ def conv2d(x, weight, bias=None):
 
 # -- gradient checking ------------------------------------------------------
 
-def grad_check(f, x, h=1e-5):
+def grad_check(f, x):
     """Compare analytic gradients of scalar ``f`` against central differences.
 
     Returns the max over coordinates of
     |analytic - central_difference| / max(1, |central_difference|).
     """
-    if not (1e-6 <= h <= 1e-3):
-        raise ValueError("h must lie in [1e-6, 1e-3]")
     xt = Tensor(x.data.copy(), requires_grad=True)
     out = f(xt)
     if not isinstance(out, Tensor) or out.data.size != 1:
@@ -444,11 +431,11 @@ def grad_check(f, x, h=1e-5):
     max_rel = 0.0
     for i in range(flat.size):
         probe = base.copy()
-        probe.ravel()[i] = flat[i] + h
+        probe.ravel()[i] = flat[i] + GRAD_CHECK_STEP
         fp = f(Tensor(probe)).item()
-        probe.ravel()[i] = flat[i] - h
+        probe.ravel()[i] = flat[i] - GRAD_CHECK_STEP
         fm = f(Tensor(probe)).item()
-        fd = (fp - fm) / (2.0 * h)
+        fd = (fp - fm) / (2.0 * GRAD_CHECK_STEP)
         rel = abs(analytic.ravel()[i] - fd) / max(1.0, abs(fd))
         max_rel = max(max_rel, rel)
     return max_rel

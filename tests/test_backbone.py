@@ -23,6 +23,14 @@ def test_output_shape_and_dims():
     assert out.data.shape == (3, 10, 12)
 
 
+def test_field_on_tiled_image_is_exactly_tiled():
+    # identical translated content gets identical embeddings, bit for bit:
+    # the convolutional half of the paper's dilemma
+    tile = np.random.default_rng(2).random((1, 8, 8))
+    out = Backbone.glorot(1, 8, 0).forward(Tensor(np.tile(tile, (1, 4, 4)))).data
+    assert np.array_equal(out, np.tile(out[:, :8, :8], (1, 4, 4)))
+
+
 def test_constant_input_constant_output():
     model = small_model()
     out = model.forward(Tensor(np.full((1, 8, 8), 0.37))).data

@@ -309,6 +309,28 @@ def test_malformed_scene_exit_1(tmp_path, capsys, doc):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flag", ["--scene", "--config"])
+def test_deeply_nested_json_exit_1(tmp_path, scene_path, capsys, flag):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}")
+    paths = {"--scene": scene_path, "--config": empty, flag: deep}
+    out = tmp_path / "m.bin"
+    assert run("train", "--scene", paths["--scene"], "--config", paths["--config"],
+               "--epochs", 0, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {flag[2:]} file {deep} nests too deeply\n"
+    assert not out.exists()
+
+
+def test_dilemma_zero_step_exit_1(tmp_path, capsys):
+    out = tmp_path / "d.json"
+    assert run("dilemma", "--step", 0, "--out", out) == 1
+    assert capsys.readouterr().err == "error: step must be positive\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [("dilemma", "--half-extent", "inf"),
                                   ("train", "--scene", "s.json", "--lr", "nan"),
                                   ("synth-gen", "--noise", "nan")],

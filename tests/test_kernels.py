@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from semiconv import tensor as T
-from semiconv.tensor import NumericError, Tensor
+from semiconv.tensor import NORM_EPS, NumericError, Tensor
 from semiconv.kernels import (FAMILIES, KernelParams, box_seeds, fuse_boxes, fuse_scores,
                               gaussian_kernel, factorized_kernel, log_kernel,
                               steered_laplacian)
@@ -66,8 +66,9 @@ def test_factorized_requires_2d_geometry():
 def test_laplacian_identity_and_substitution():
     a = [2.0, -3.0]
     assert steered_laplacian(a, a, sigma=0.7).item() == 1.0
-    # exact distance sigma apart, eps disabled for the closed-form check
-    assert steered_laplacian([0.0], [0.5], sigma=0.5, eps=0.0).item() == np.exp(-1.0)
+    # distance sigma apart: exp(-1) up to the shift NORM_EPS puts in the norm
+    shifted = np.sqrt(0.25 + NORM_EPS) - np.sqrt(NORM_EPS)
+    assert steered_laplacian([0.0], [0.5], sigma=0.5).item() == np.exp(-shifted / 0.5)
 
 
 def test_laplacian_monotone_in_distance():
@@ -116,10 +117,11 @@ def test_kernel_params():
 def test_log_kernel_formulas():
     sumsq = Tensor([0.0, 2.0, 9.0])
     assert np.array_equal(log_kernel(sumsq, "gaussian").data, [0.0, -1.0, -4.5])
-    lap = log_kernel(sumsq, "steered_laplacian", Tensor(1.5), eps=0.0).data
-    assert np.array_equal(lap, [0.0, -np.sqrt(2.0) / 1.5, -2.0])
-    # the default eps keeps the zero distance at log K = 0 exactly
-    assert log_kernel(sumsq, "steered_laplacian", Tensor(1.5)).data[0] == 0.0
+    lap = log_kernel(sumsq, "steered_laplacian", Tensor(1.5)).data
+    shifted = np.sqrt(np.array([0.0, 2.0, 9.0]) + NORM_EPS) - np.sqrt(NORM_EPS)
+    assert np.array_equal(lap, -shifted / 1.5)
+    # NORM_EPS keeps the zero distance at log K = 0 exactly
+    assert lap[0] == 0.0
     with pytest.raises(ValueError):
         log_kernel(sumsq, "bilateral")
 

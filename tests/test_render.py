@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -65,3 +67,37 @@ def test_arrow_endpoint_marked():
     assert np.array_equal(rgb[0, 0], render.ARROW_COLOR)
     assert not rgb[1:].any() and not rgb[0, 5:].any()  # a black image stays black
 
+
+
+def draw_line_unbounded(rgb, y0, x0, y1, x1, color):
+    """Reference: walk every step of the line, inside the image or not."""
+    h, w = rgb.shape[:2]
+    y0, x0, y1, x1 = int(round(y0)), int(round(x0)), int(round(y1)), int(round(x1))
+    steps = max(abs(y1 - y0), abs(x1 - x0), 1)
+    for t in range(steps + 1):
+        y = y0 + (y1 - y0) * t // steps
+        x = x0 + (x1 - x0) * t // steps
+        if 0 <= y < h and 0 <= x < w:
+            rgb[y, x] = color
+    return rgb
+
+
+@pytest.mark.parametrize("sigma", [2.0, 10.0, 40.0, 300.0])
+def test_draw_line_matches_unbounded_walk(sigma):
+    rng = np.random.default_rng(int(sigma))
+    h, w = 13, 21
+    for _ in range(50):
+        y0, x0 = rng.integers(0, h), rng.integers(0, w)
+        dy, dx = rng.normal(0.0, sigma, 2)
+        got = render.draw_line(np.zeros((h, w, 3), np.uint8), y0, x0, y0 + dy, x0 + dx, 255)
+        want = draw_line_unbounded(np.zeros((h, w, 3), np.uint8), y0, x0, y0 + dy, x0 + dx, 255)
+        assert np.array_equal(got, want)
+
+
+def test_arrows_of_a_diverged_field_render_quickly():
+    # embeddings of 1.3e17 come out of a diverged run; the walk stops at the border
+    disp = Tensor(np.full((2, 128, 128), 1.3e17))
+    started = time.perf_counter()
+    rgb = render.render_arrows(Tensor(np.zeros((1, 128, 128))), disp)
+    assert time.perf_counter() - started < 1.0
+    assert np.array_equal(rgb[0, 0], render.ARROW_COLOR)

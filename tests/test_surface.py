@@ -32,11 +32,7 @@ READ_BY = {
     "RegionProposal.shape": "seedcut.cut_region",
 }
 # "callee(parameter)" -> why no reader passes it
-ALLOWED_PARAMETERS = {
-    "l2norm_rows(eps)": "tests check the closed form at eps=0",
-    "steered_laplacian(eps)": "tests check the closed form at other eps",
-    "grad_check(h)": "tests check the harness at other step sizes",
-}
+ALLOWED_PARAMETERS = {}
 
 
 def definitions(source):
