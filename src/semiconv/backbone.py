@@ -12,7 +12,7 @@ import struct
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor
+from .tensor import Tensor, NumericError
 
 MAGIC = b"SCNV"
 FORMAT_VERSION = 1
@@ -45,13 +45,16 @@ class Backbone:
         """Map [C,H,W] input to a [D,H,W] feature map.
 
         ReLU between layers, none after the last so embeddings can go
-        negative.
+        negative. A NumericError names the layer it came from.
         """
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            x = T.conv2d(x, w, b)
-            if i < last:
-                x = T.relu(x)
+            try:
+                x = T.conv2d(x, w, b)
+                if i < last:
+                    x = T.relu(x)
+            except NumericError as err:
+                raise NumericError(f"layer {i}: {err}") from err
         return x
 
     def params(self):

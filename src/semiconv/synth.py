@@ -152,11 +152,42 @@ def train(scene, cfg, extra_loss=None, extra_params=()):
     return model, losses
 
 
+def _pairwise_rows(a):
+    """Sum of the rows of ``a`` [n, N], added in numpy's pairwise order.
+
+    This is the order of ``a.T.sum(axis=1)`` on a contiguous ``a.T``: under
+    8 rows one after another; up to 128 in eight strided accumulators, halved
+    pairwise, then the rest one by one; beyond 128 split in two at half the
+    rows rounded down to a multiple of 8. ``a.sum(axis=0)`` is one call, but
+    it adds the rows one after another, which is another order.
+    """
+    n = a.shape[0]
+    if n < 8:
+        out = a[0]
+        for row in a[1:]:
+            out = out + row
+        return out
+    if n <= 128:
+        m = n - n % 8
+        acc = a[:8]
+        for i in range(8, m, 8):
+            acc = acc + a[i:i + 8]
+        while acc.shape[0] > 1:
+            acc = acc[0::2] + acc[1::2]
+        out = acc[0]
+        for row in a[m:]:
+            out += row
+        return out
+    half = n // 2 - (n // 2) % 8
+    return _pairwise_rows(a[:half]) + _pairwise_rows(a[half:])
+
+
 def decode_kmeans(field, fg_mask, K, seed=0):
     """Cluster foreground embeddings into K instances.
 
     Deterministic k-means: careful seeding (distance-weighted, from the given
-    rng), then standard mean/assign iterations until centroids move less than
+    rng; a squared-distance total that overflows raises NumericError), then
+    standard mean/assign iterations until centroids move less than
     KMEANS_TOL, at most KMEANS_MAX_ITER times. An emptied cluster is reseeded
     on the point farthest from its centroid; when every point already sits on
     its centroid, within the rounding bound of the distances, the decode
@@ -173,24 +204,35 @@ def decode_kmeans(field, fg_mask, K, seed=0):
     if K > idx.size:
         raise ValueError(f"K={K} exceeds {idx.size} foreground pixels")
     pts = field_rows(field).data[idx]
+    P = np.ascontiguousarray(pts.T)  # channel-major [D, N]
 
     rng = np.random.default_rng(seed)
     centers = np.empty((K, pts.shape[1]))
     centers[0] = pts[rng.integers(idx.size)]
-    d2 = np.sum((pts - centers[0]) ** 2, axis=1)
+    d2 = _pairwise_rows((P - centers[0][:, None]) ** 2)
     for k in range(1, K):
         total = d2.sum()
         if total <= 0:  # all remaining points coincide with a center
             centers[k:] = pts[rng.integers(idx.size, size=K - k)]
             break
-        centers[k] = pts[rng.choice(idx.size, p=d2 / total)]
-        d2 = np.minimum(d2, np.sum((pts - centers[k]) ** 2, axis=1))
+        if not np.isfinite(total):
+            raise NumericError("k-means seeding: squared embedding distances overflow")
+        # the draw of rng.choice(idx.size, p=d2 / total), without its checks
+        cdf = np.cumsum(d2 / total)
+        cdf /= cdf[-1]
+        centers[k] = pts[cdf.searchsorted(rng.random(), side="right")]
+        np.minimum(d2, _pairwise_rows((P - centers[k][:, None]) ** 2), out=d2)
 
     sq_p = np.sum(pts ** 2, axis=1)
     slack = 16 * pts.shape[1] * np.finfo(float).eps
     for _ in range(KMEANS_MAX_ITER):
         sq_c = np.sum(centers ** 2, axis=1)
-        dists = sq_p[:, None] - 2.0 * (pts @ centers.T) + sq_c
+        # sq_p - 2·(pts @ centers.T) + sq_c, formed in place: adding sq_p to
+        # -2·G gives the same bits as subtracting 2·G from sq_p
+        dists = pts @ centers.T
+        dists *= -2.0
+        dists += sq_p[:, None]
+        dists += sq_c
         assign = np.argmin(dists, axis=1)
         # Both this expanded form (in any summation order) and the exact form
         # np.sum((p - c) ** 2) lie within (2D + 4)·u·(|p|² + |c|²) of the true
@@ -206,8 +248,8 @@ def decode_kmeans(field, fg_mask, K, seed=0):
             assign[sel] = np.argmin(
                 np.sum((pts[sel][:, None, :] - centers[None]) ** 2, axis=2), axis=1)
         counts = np.bincount(assign, minlength=K)
-        new = np.zeros_like(centers)
-        np.add.at(new, assign, pts)  # rows in index order, as pts[sel].sum(axis=0)
+        # rows in index order, as pts[sel].sum(axis=0)
+        new = np.stack([np.bincount(assign, weights=row, minlength=K) for row in P], axis=1)
         filled = counts > 0
         new[filled] /= counts[filled, None]
         if not np.all(filled):

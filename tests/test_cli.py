@@ -167,9 +167,34 @@ def test_malformed_config_json_exit_1(tmp_path, scene_path):
 
 
 def test_divergent_training_exit_2(tmp_path, scene_path, capsys):
-    assert run("train", "--scene", scene_path, "--epochs", 5, "--lr", "1e8",
-               "--lr-decay", 0, "--out", tmp_path / "m.bin") == 2
-    assert "numeric" in capsys.readouterr().err
+    # at lr 1e8 the loss overflows first; at 1e200 the weights already
+    # overflow layer 1 of the next forward pass, and the message names it
+    for lr, where in (("1e8", "step 3: non-finite values produced by op 'mul'"),
+                      ("1e200", "step 1: layer 1: non-finite values produced by op 'conv2d'")):
+        assert run("train", "--scene", scene_path, "--epochs", 5, "--lr", lr,
+                   "--lr-decay", 0, "--out", tmp_path / "m.bin") == 2
+        assert capsys.readouterr().err == f"numeric failure: training diverged at {where}\n"
+
+
+def test_kmeans_seeding_overflow_exit_2(tmp_path, scene_path, capsys):
+    # pixels and weights of 1e38 keep the conv finite (embeddings near 1e157),
+    # but their squared distances overflow in the k-means seeding
+    doc = read(scene_path)
+    image = np.frombuffer(base64.b64decode(doc["image"]), dtype="<f4") * np.float32(1e38)
+    doc["image"] = base64.b64encode(image.tobytes()).decode("ascii")
+    scene = tmp_path / "bright.json"
+    scene.write_text(json.dumps(doc))
+    chans = (1, 16, 32, 8)
+    model = tmp_path / "m.bin"
+    Backbone([Tensor(np.full((c_out, c_in, 3, 3), 1e38)) for c_in, c_out in zip(chans, chans[1:])],
+             [Tensor(np.zeros(c_out)) for c_out in chans[1:]]).save(model)
+    out = tmp_path / "c.json"
+    for mode in ("semiconv", "conv"):
+        assert run("cluster", "--scene", scene, "--model", model, "--mode", mode,
+                   "--out", out) == 2
+        assert capsys.readouterr().err == ("numeric failure: k-means seeding: "
+                                           "squared embedding distances overflow\n")
+        assert not out.exists()
 
 
 def test_gradcheck_subcommand(tmp_path):

@@ -378,6 +378,77 @@ def test_kmeans_exact_tie_goes_to_lower_index():
     assert decode_kmeans(field, fg, K=2, seed=9).labels.tolist() == [[1] * 4 + [2] * 4 + [1]]
 
 
+def test_pairwise_rows_matches_np_sum_bit_for_bit():
+    # the seeding distance update sums channel-major rows in numpy's own
+    # pairwise order; the order changes at 8 and at 128 rows
+    rng = np.random.default_rng(0)
+    for d in [*range(1, 41), 129, 200, 257]:
+        pts = rng.standard_normal((300, d)) * 10.0 ** rng.uniform(-1, 2, size=d)
+        for c in (pts[7], pts[7] + rng.standard_normal(d), np.zeros(d)):
+            want = np.sum((pts - c) ** 2, axis=1)
+            got = synth._pairwise_rows((pts.T - c[:, None]) ** 2)
+            assert np.array_equal(got, want), d
+
+
+def test_seeding_draw_matches_generator_choice():
+    # the cumsum draw in decode_kmeans is the arithmetic of
+    # Generator.choice(n, p=...): same index, same generator state after it
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 2000))
+        d2 = rng.random(n) ** 3 * 10.0 ** rng.uniform(-5, 5)
+        d2[rng.random(n) < rng.random()] = 0.0
+        d2[rng.integers(n)] = 1.0
+        total = d2.sum()
+        a, b = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        for _ in range(3):
+            want = a.choice(n, p=d2 / total)
+            cdf = np.cumsum(d2 / total)
+            cdf /= cdf[-1]
+            got = cdf.searchsorted(b.random(), side="right")
+            assert got == want and d2[got] > 0
+            assert a.bit_generator.state == b.bit_generator.state
+
+
+def first_seen(labels):
+    """Ids renumbered in order of first appearance: the partition, not its numbering."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 16, 17])
+def test_kmeans_matches_loop_across_dims(d):
+    rng = np.random.default_rng(d)
+    fg = np.ones((9, 10), dtype=bool)
+    spread = rows_field(rng.standard_normal((90, d)) * 10.0 ** rng.uniform(-1, 1, size=d))
+    for k in (1, 4, 9):
+        for seed in range(4):
+            ref = loop_decode_kmeans(spread, fg, k, seed=seed)
+            assert np.array_equal(decode_kmeans(spread, fg, k, seed=seed).labels, ref)
+    # five embeddings repeated 18 times: K=8 leaves three clusters empty. The
+    # reference reseeds them round after round and so numbers the five groups
+    # differently; the groups themselves must agree
+    repeated = rows_field(np.repeat(rng.standard_normal((5, d)), 18, axis=0))
+    for k in (3, 8):
+        for seed in range(4):
+            ref = loop_decode_kmeans(repeated, fg, k, seed=seed)
+            pred = decode_kmeans(repeated, fg, k, seed=seed)
+            assert pred.K == min(k, 5)
+            assert np.array_equal(first_seen(pred.labels), first_seen(ref))
+
+
+def test_kmeans_seeding_overflow_raises_numeric_error():
+    # squared distances of embeddings near 1e160 overflow; the seeding draw
+    # then has no distribution to draw from
+    rows = np.random.default_rng(0).standard_normal((40, 8)) * 1e160
+    field = rows_field(rows)
+    fg = np.ones((4, 10), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match="k-means seeding"):
+            decode_kmeans(field, fg, K=4, seed=0)
+        assert np.array_equal(decode_kmeans(field, fg, K=1, seed=0).labels, fg.astype(int))
+
+
 # -- scoring --------------------------------------------------------------------
 
 def test_score_perfect():
