@@ -57,8 +57,13 @@ class Backbone:
                 raise NumericError(f"layer {i}: {err}") from err
         return x
 
+    def named_params(self):
+        """(name, tensor) pairs in layer order: l0.w, l0.b, l1.w, ..."""
+        return [(f"l{i}.{kind}", t) for i, pair in enumerate(zip(self.weights, self.biases))
+                for kind, t in zip("wb", pair)]
+
     def params(self):
-        return list(self.weights) + list(self.biases)
+        return [t for _, t in self.named_params()]
 
     def save(self, path):
         """Write weights to a little-endian binary file (f32 payload)."""
@@ -75,7 +80,9 @@ class Backbone:
     def load(cls, path):
         """Read a file written by save().
 
-        A short or malformed file, or a NaN or Inf weight, raises ValueError.
+        The model is inference-only: its tensors do not require gradients,
+        so a forward pass records no tape. A short or malformed file, or a
+        NaN or Inf weight, raises ValueError.
         """
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -116,9 +123,8 @@ class Backbone:
             off += 4 * c_out
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ValueError(f"model layer {layer} holds a non-finite weight or bias")
-            weights.append(Tensor(w.astype(np.float64).reshape(c_out, c_in, kh, kw),
-                                  requires_grad=True))
-            biases.append(Tensor(b.astype(np.float64), requires_grad=True))
+            weights.append(Tensor(w.astype(np.float64).reshape(c_out, c_in, kh, kw)))
+            biases.append(Tensor(b.astype(np.float64)))
         if off != len(blob):
             raise ValueError("trailing bytes in model file")
         return cls(weights, biases)

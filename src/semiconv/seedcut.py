@@ -158,7 +158,7 @@ def train_seedcut(scene, gt_boxes, cfg, params=None):
     if params is None:
         params = KernelParams("steered_laplacian", sigma=1.0)
     model, losses = synth.train(scene, cfg, extra_loss=box_loss(scene.gt, gt_boxes, params),
-                                extra_params=params.learnables())
+                                extra_params=[("log_sigma", t) for t in params.learnables()])
     return model, params, losses
 
 

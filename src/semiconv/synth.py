@@ -10,6 +10,7 @@ knob except the coordinate mixing, so the contrast isolates that one change.
 """
 
 import base64
+import ctypes
 import json
 from dataclasses import dataclass, replace
 
@@ -119,21 +120,44 @@ def sgd_step(params, lr):
             p.data -= lr * p.grad
 
 
+def _keep_freed_memory():
+    """Have glibc malloc keep freed memory for reuse: no heap trimming, no mmap.
+
+    A training step frees its whole graph during backward, so under the
+    default policy glibc hands the heap back at the end of every step and the
+    next step faults each page in again (a 4x4 grid at 128x128: about 2800
+    minor faults and 15 ms of system time a step). These are the settings the
+    benchmark runs under; they hold for the rest of the process. A C library
+    without mallopt is left as it is.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    m_trim_threshold, m_mmap_max = -1, -4  # glibc's parameter numbers
+    mallopt(m_mmap_max, 0)
+    mallopt(m_trim_threshold, 2**30)
+
+
 def train(scene, cfg, extra_loss=None, extra_params=()):
     """Fit the backbone to the scene by pulling each instance to one embedding.
 
     Returns (model, losses). ``extra_loss(field) -> Tensor`` lets callers add
-    a term to the objective (and ``extra_params`` its learnables) without
-    changing anything else about the loop; with no extra term the trajectory
-    depends only on cfg.
+    a term to the objective (and ``extra_params``, its learnables as
+    (name, tensor) pairs) without changing anything else about the loop; with
+    no extra term the trajectory depends only on cfg.
 
     Divergence (NaN/Inf anywhere in a step) raises NumericError with the
-    offending step number.
+    offending step number; a non-finite gradient also names its parameter
+    (l0.w, l1.b, ..., or an extra one's name).
     """
     cfg.validate()
+    _keep_freed_memory()
     segs = SegmentSet.from_labels(scene.gt)
     model = Backbone.glorot(scene.image.data.shape[0], cfg.dims, cfg.seed)
-    params = model.params() + list(extra_params)
+    named = model.named_params() + list(extra_params)
+    params = [p for _, p in named]
     losses = []
     for step in range(cfg.epochs):
         try:
@@ -141,14 +165,19 @@ def train(scene, cfg, extra_loss=None, extra_params=()):
             loss = pull_to_mean_loss(field, segs)
             if extra_loss is not None:
                 loss = T.add(loss, extra_loss(field))
+            del field  # the graph holds it now, and backward frees the graph as it goes
             for p in params:
                 p.grad = None
             loss.backward()
+            for name, p in named:
+                if p.grad is not None and not np.all(np.isfinite(p.grad)):
+                    raise NumericError(f"non-finite gradient of parameter '{name}'")
             step_lr = cfg.lr / (1.0 + cfg.lr_decay * step)
             sgd_step(params, step_lr)
         except NumericError as err:
             raise NumericError(f"training diverged at step {step}: {err}") from err
         losses.append(loss.item())
+        del loss  # nothing of this step stays alive during the next one
     return model, losses
 
 

@@ -51,14 +51,23 @@ class Tensor:
         """Accumulate gradients of this scalar into every requires_grad leaf.
 
         Replays the recorded backward closures in reverse topological order,
-        visiting each node exactly once.
+        visiting each node exactly once. The walk spends the tape: once an
+        interior node's closure has run, the node drops its ``grad``, its
+        closure and its parent links, so each buffer lives only until its last
+        reader has run. Only leaves keep ``.grad``, and the graph cannot be
+        walked a second time.
         """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar output")
         self.grad = np.ones_like(self.data)
-        for node in reversed(_topo_order(self)):
-            if node._backward is not None and node.grad is not None:
+        order = _topo_order(self)
+        while order:
+            node = order.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad, node._backward, node._parents = None, None, ()
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op}, requires_grad={self.requires_grad})"
@@ -341,12 +350,30 @@ def _fold(z, kh, kw, h, w):
     return out
 
 
+def _pixel_gemm(a, b):
+    """a @ b for b[K, H*W] with pixels along its columns, as a contiguous array.
+
+    OpenBLAS's dgemm sums the last N mod 8 columns of a product in another
+    order than the rest, so a pixel's value would depend on where it sits.
+    When H*W is not a multiple of 8, b gets zero columns up to the next
+    multiple and the product is cropped back; every pixel is then summed in
+    one order.
+    """
+    n = b.shape[1]
+    if n % 8 == 0:
+        return a @ b
+    padded = np.zeros((b.shape[0], n + (-n) % 8))
+    padded[:, :n] = b
+    return np.ascontiguousarray((a @ padded)[:, :n])
+
+
 def conv2d(x, weight, bias=None):
     """Circular 2-d cross-correlation of x[C_in,H,W] with weight[C_out,C_in,kh,kw].
 
     Odd kernels only; stride 1 and wrap-around padding by (kh//2, kw//2), so
     the output is [C_out,H,W]; the forward and the input gradient are exactly
-    equivariant to circular shifts, bit for bit. Each of the three products
+    equivariant to circular shifts, bit for bit, at every H*W (their products
+    go through ``_pixel_gemm``). Each of the three products
     stacks the taps of the narrower channel side, so no buffer has more than
     kh*kw*min(C_in, C_out) rows: the forward is ``w @ _taps(x)``, or ``_fold``
     of the tap-flipped kernel times x when C_in > C_out; the input gradient is
@@ -372,27 +399,30 @@ def conv2d(x, weight, bias=None):
 
     wd = weight.data
     x2 = x.data.reshape(c_in, -1)
-    if c_in > c_out:
+    wide = c_in > c_out  # the forward folds, so it keeps no taps of x
+    if wide:
         cols = None
         w_flip = wd[:, :, ::-1, ::-1].transpose(0, 2, 3, 1).reshape(-1, c_in)
-        out = _fold(w_flip @ x2, kh, kw, h, w)
+        out = _fold(_pixel_gemm(w_flip, x2), kh, kw, h, w)
     else:
         cols = _taps(x.data, kh, kw)
-        out = (wd.reshape(c_out, -1) @ cols).reshape(c_out, h, w)
+        out = _pixel_gemm(wd.reshape(c_out, -1), cols).reshape(c_out, h, w)
     if bias is not None:
-        out = out + bias.data[:, None, None]
+        out += bias.data[:, None, None]  # out is freshly allocated
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(g):
+        nonlocal cols
         g2 = g.reshape(c_out, -1)
         # the output side's taps serve the weight gradient when the forward
         # kept none, and the input gradient when C_out <= C_in
-        need_g_cols = cols is None or (c_out == c_in and x.requires_grad)
+        need_g_cols = wide or (c_out == c_in and x.requires_grad)
         g_cols = _taps(g, kh, kw) if need_g_cols else None
         if weight.requires_grad:
-            if cols is not None:
+            if not wide:
                 gw = (g2 @ cols.T).reshape(wd.shape)
+                cols = None  # its last reader: the input gradient allocates without it
             else:
                 gw = (g_cols @ x2.T).reshape(c_out, kh, kw, c_in)
                 gw = gw[:, ::-1, ::-1].transpose(0, 3, 1, 2)
@@ -402,10 +432,10 @@ def conv2d(x, weight, bias=None):
         if x.requires_grad:
             if c_out > c_in:
                 w_stack = wd.transpose(1, 2, 3, 0).reshape(-1, c_out)
-                gx = _fold(w_stack @ g2, kh, kw, h, w)
+                gx = _fold(_pixel_gemm(w_stack, g2), kh, kw, h, w)
             else:
                 w_adj = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, -1)
-                gx = (w_adj @ g_cols).reshape(x.data.shape)
+                gx = _pixel_gemm(w_adj, g_cols).reshape(x.data.shape)
             _accum(x, gx)
 
     return _node(out, parents, backward, "conv2d")

@@ -110,6 +110,20 @@ def test_serialization_round_trip(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()  # quantization is idempotent
 
 
+def test_loaded_model_is_inference_only(tmp_path):
+    model = Backbone.glorot(1, 4, 5)
+    path = tmp_path / "m.bin"
+    model.save(path)
+    loaded = Backbone.load(path)
+    x = Tensor(np.random.default_rng(6).random((1, 12, 10)))
+    out = loaded.forward(x)
+    assert out._backward is None and out._parents == ()
+    assert not any(p.requires_grad for p in loaded.params())
+    rounded = Backbone(*[[Tensor(t.data.astype(np.float32).astype(np.float64), requires_grad=True)
+                          for t in ts] for ts in (model.weights, model.biases)])
+    assert np.array_equal(out.data, rounded.forward(x).data)
+
+
 def test_load_rejects_every_truncation(tmp_path):
     good = tmp_path / "good.bin"
     small_model().save(good)

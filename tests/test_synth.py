@@ -1,9 +1,11 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from semiconv import synth
+from semiconv import tensor as T
 from semiconv.backbone import Backbone
 from semiconv.tensor import Tensor, NumericError
 from semiconv.embedding import EmbeddingField, field_rows
@@ -156,6 +158,36 @@ def test_divergence_reports_step():
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericError, match="step 0"):
             train(bad, quick_cfg(epochs=3))
+
+
+def test_non_finite_gradient_names_step_and_parameter():
+    # sqrt at 0 has a finite value and an infinite slope: the forward passes,
+    # every gradient is NaN, and the step that made them is the one named
+    scene = small_scene()
+
+    def nan_grad(field):
+        return T.sqrt(T.mul(T.tsum(field.values), 0.0))
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match=r"step 0: non-finite gradient of parameter 'l0\.w'"):
+            train(scene, quick_cfg(epochs=3), extra_loss=nan_grad)
+
+
+def test_training_memory_does_not_grow_with_epochs():
+    # each step's graph is spent by its backward and unbound before the next
+    # step, so four epochs peak where one does
+    scene = generate_scene(2, 2, spacing=32)
+
+    def peak(epochs):
+        tracemalloc.start()
+        try:
+            train(scene, TrainConfig(epochs=epochs))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # warm-up: first-call allocations of numpy and BLAS
+    assert peak(4) <= 1.05 * peak(1)
 
 
 def test_train_config_validation():

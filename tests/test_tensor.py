@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,9 @@ import pytest
 
 from semiconv import tensor as T
 from semiconv.tensor import Tensor, NumericError
+from semiconv.embedding import EmbeddingField
+from semiconv.losses import SegmentSet, pull_to_mean_loss
+from semiconv.synth import InstanceLabeling
 
 
 def conv2d_bruteforce(x, w):
@@ -277,16 +281,20 @@ def test_conv2d_validation():
 
 
 def test_conv2d_circular_shift_equivariance():
-    # bit for bit: each pixel adds its taps in one order on every branch
+    # bit for bit: each pixel adds its taps in one order on every branch. BLAS
+    # sums a product's last N mod 8 columns in another order, so the sizes
+    # whose pixel count is not a multiple of 8 check the column padding
     rng = np.random.default_rng(11)
-    for c_in, c_out in [(2, 3), (3, 2)]:  # the fold in the backward, then in the forward
-        x = rng.standard_normal((c_in, 8, 9))
-        w = rng.standard_normal((c_out, c_in, 3, 3))
-        g = rng.standard_normal((c_out, 8, 9))
+    # the fold in the backward, then in the forward; then the backbone's layers
+    pairs = [(2, 3), (3, 2), (1, 16), (16, 32), (32, 8)]
+    for (c_in, c_out), (h, w) in itertools.product(pairs, [(8, 9), (31, 31), (33, 35)]):
+        x = rng.standard_normal((c_in, h, w))
+        wt = rng.standard_normal((c_out, c_in, 3, 3))
+        g = rng.standard_normal((c_out, h, w))
 
         def forward_and_input_grad(x, g):
             xt = Tensor(x, requires_grad=True)
-            out = T.conv2d(xt, Tensor(w))
+            out = T.conv2d(xt, Tensor(wt))
             T.tsum(T.mul(out, g)).backward()
             return out.data, xt.grad
 
@@ -296,6 +304,38 @@ def test_conv2d_circular_shift_equivariance():
                                                np.roll(g, shift, axis=(1, 2)))
             assert np.array_equal(outs, np.roll(out, shift, axis=(1, 2)))
             assert np.array_equal(gxs, np.roll(gx, shift, axis=(1, 2)))
+
+
+def conv_relu_loss(seed):
+    """A two-layer conv/relu stack under the pull-to-mean loss, plus its leaves."""
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.standard_normal((2, 6, 8)), requires_grad=True)
+    leaves = [x]
+    for c_in, c_out in [(2, 4), (4, 3)]:
+        leaves += [Tensor(rng.standard_normal((c_out, c_in, 3, 3)), requires_grad=True),
+                   Tensor(rng.standard_normal(c_out), requires_grad=True)]
+    h = T.relu(T.conv2d(x, leaves[1], leaves[2]))
+    field = EmbeddingField(T.conv2d(h, leaves[3], leaves[4]))
+    segs = SegmentSet.from_labels(InstanceLabeling(rng.integers(0, 4, size=(6, 8))))
+    return pull_to_mean_loss(field, segs), leaves
+
+
+def test_backward_spends_the_tape_and_keeps_leaf_grads():
+    loss, leaves = conv_relu_loss(31)
+    interior = [n for n in T._topo_order(loss) if n._backward is not None]
+    assert len(interior) > 10
+    loss.backward()
+    for node in interior:
+        assert node.grad is None and node._backward is None and node._parents == ()
+
+    # the same graph walked without freeing anything gives the same leaf grads
+    ref, ref_leaves = conv_relu_loss(31)
+    ref.grad = np.ones_like(ref.data)
+    for node in reversed(T._topo_order(ref)):
+        if node._backward is not None:
+            node._backward(node.grad)
+    for got, want in zip(leaves, ref_leaves):
+        assert np.array_equal(got.grad, want.grad)
 
 
 def taps_loop(a, kh, kw):
