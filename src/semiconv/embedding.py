@@ -66,7 +66,7 @@ def displacement_field(field):
     geometric embedding; the arrow renderer is its one reader.
     """
     h, w = field.values.data.shape[1:]
-    geo = T.index_select(field.values, 0, [0, 1])
+    geo = T.index_select(field.values, [0, 1])
     return T.sub(geo, Tensor(coord_grid(h, w)))
 
 

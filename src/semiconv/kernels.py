@@ -179,7 +179,7 @@ def fuse_boxes(scores, rows, counts, params):
     if np.any(counts <= 0) or counts.sum() != s.data.size:
         raise ValueError(f"box sizes {counts.tolist()} do not split {s.data.size} pixels")
     seeds = box_seeds(s.data, counts)
-    return _fuse(s, rows, T.index_select(rows, 0, np.repeat(seeds, counts)), seeds, params)
+    return _fuse(s, rows, T.index_select(rows, np.repeat(seeds, counts)), seeds, params)
 
 
 def fuse_scores(scores, rows, params, mode="hard"):
@@ -200,7 +200,7 @@ def fuse_scores(scores, rows, params, mode="hard"):
         out.seed_index = int(out.seed_index[0])
         return out
     s = _region_scores(scores, rows)
-    weights = T.reshape(T.softmax(s, axis=0), (s.data.size, 1))
+    weights = T.reshape(T.softmax(s), (s.data.size, 1))
     seed = T.tsum(T.mul(weights, rows), axes=0)
     return _fuse(s, rows, seed, int(np.argmax(s.data)), params)
 

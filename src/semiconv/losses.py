@@ -40,10 +40,8 @@ class SegmentSet:
         """Build from an InstanceLabeling; 0 is background, 1..K instances."""
         flat = labels.labels.reshape(-1)
         order = np.argsort(flat, kind="stable")
-        values, starts = np.unique(flat[order], return_index=True)
-        runs = dict(zip(values.tolist(), np.split(order, starts[1:])))
-        background = runs.pop(0, [])
-        return cls([run for v, run in runs.items() if v > 0], background, flat.size)
+        runs = np.split(order, np.cumsum(np.bincount(flat, minlength=labels.K + 1))[:-1])
+        return cls(runs[1:], runs[0], flat.size)
 
     def __len__(self):
         return self.counts.size
@@ -73,10 +71,10 @@ def pull_to_mean_loss(field, segs):
         raise ValueError("no segments to evaluate")
     inv_counts = 1.0 / segs.counts
 
-    sel = T.index_select(rows, 0, segs.pixels)
+    sel = T.index_select(rows, segs.pixels)
     sums = T.segment_sum(sel, segs.ids, k)
     centers = T.mul(sums, inv_counts[:, None])
-    dev = T.sub(sel, T.index_select(centers, 0, segs.ids))
+    dev = T.sub(sel, T.index_select(centers, segs.ids))
     dists = T.segment_sum(T.l2norm_rows(dev), segs.ids, k)
     return T.tsum(T.mul(dists, inv_counts))
 

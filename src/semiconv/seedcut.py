@@ -139,7 +139,7 @@ def box_loss(gt, boxes, params):
     weights = Tensor(1.0 / (counts.size * counts[ids]))
 
     def loss(field):
-        rows = T.index_select(field_rows(field), 0, pixels)
+        rows = T.index_select(field_rows(field), pixels)
         fused = fuse_boxes(scores, rows, counts, params)
         return T.mul(T.tsum(T.mul(_bce_terms(fused.probabilities, target), weights)), -1.0)
 
@@ -172,7 +172,7 @@ def cut_all_boxes(scene, model, params, cfg_mode="semiconv", threshold=0.5):
     gt = scene.gt
     boxes = gt_boxes_from_labels(gt)
     pixels, ids, counts = region_pixel_indices(boxes, scene.shape)
-    rows = T.index_select(field_rows(field), 0, pixels)
+    rows = T.index_select(field_rows(field), pixels)
     fused = fuse_boxes(synthetic_scores(gt, pixels, ids + 1), rows, counts, params)
     mask = _cut(fused, threshold)
     truth = gt.labels.reshape(-1)[pixels] == ids + 1
@@ -200,15 +200,25 @@ def _is_int(v):
 
 
 def rle_decode(doc):
-    """Inverse of rle_encode; size and run lengths must be non-negative, non-bool integers."""
-    size, counts = doc["size"], doc["counts"]
-    if len(size) != 2 or not all(_is_int(v) and v >= 0 for v in size):
+    """Inverse of rle_encode; any malformed document raises ValueError.
+
+    ``doc`` must be a dict whose "size" is a list of two and whose "counts" a
+    list of non-negative, non-bool integers that add up to the pixel count.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError("a run-length document must be an object")
+    size, counts = doc.get("size"), doc.get("counts")
+    if (not isinstance(size, (list, tuple)) or len(size) != 2
+            or not all(_is_int(v) and v >= 0 for v in size)):
         raise ValueError("size must be two non-negative integers")
-    if not all(_is_int(r) and r >= 0 for r in counts):
+    if not isinstance(counts, (list, tuple)) or not all(_is_int(r) and r >= 0 for r in counts):
         raise ValueError("run lengths must be a list of non-negative integers")
     h, w = size
-    runs = np.asarray(counts, dtype=np.intp)
-    if runs.sum() != h * w:
+    total = sum(int(r) for r in counts)  # Python ints: no run overflows before this check
+    if total != int(h) * int(w):
         raise ValueError("run lengths do not cover the mask")
+    if total > np.iinfo(np.intp).max:
+        raise ValueError("mask too large")
+    runs = np.asarray(counts, dtype=np.intp)
     # runs alternate between False and True, starting with False
     return np.repeat(np.arange(runs.size) % 2 == 1, runs).reshape(h, w)

@@ -181,36 +181,6 @@ def train(scene, cfg, extra_loss=None, extra_params=()):
     return model, losses
 
 
-def _pairwise_rows(a):
-    """Sum of the rows of ``a`` [n, N], added in numpy's pairwise order.
-
-    This is the order of ``a.T.sum(axis=1)`` on a contiguous ``a.T``: under
-    8 rows one after another; up to 128 in eight strided accumulators, halved
-    pairwise, then the rest one by one; beyond 128 split in two at half the
-    rows rounded down to a multiple of 8. ``a.sum(axis=0)`` is one call, but
-    it adds the rows one after another, which is another order.
-    """
-    n = a.shape[0]
-    if n < 8:
-        out = a[0]
-        for row in a[1:]:
-            out = out + row
-        return out
-    if n <= 128:
-        m = n - n % 8
-        acc = a[:8]
-        for i in range(8, m, 8):
-            acc = acc + a[i:i + 8]
-        while acc.shape[0] > 1:
-            acc = acc[0::2] + acc[1::2]
-        out = acc[0]
-        for row in a[m:]:
-            out += row
-        return out
-    half = n // 2 - (n // 2) % 8
-    return _pairwise_rows(a[:half]) + _pairwise_rows(a[half:])
-
-
 def decode_kmeans(field, fg_mask, K, seed=0):
     """Cluster foreground embeddings into K instances.
 
@@ -238,7 +208,7 @@ def decode_kmeans(field, fg_mask, K, seed=0):
     rng = np.random.default_rng(seed)
     centers = np.empty((K, pts.shape[1]))
     centers[0] = pts[rng.integers(idx.size)]
-    d2 = _pairwise_rows((P - centers[0][:, None]) ** 2)
+    d2 = ((P - centers[0][:, None]) ** 2).sum(axis=0)
     for k in range(1, K):
         total = d2.sum()
         if total <= 0:  # all remaining points coincide with a center
@@ -250,7 +220,7 @@ def decode_kmeans(field, fg_mask, K, seed=0):
         cdf = np.cumsum(d2 / total)
         cdf /= cdf[-1]
         centers[k] = pts[cdf.searchsorted(rng.random(), side="right")]
-        np.minimum(d2, _pairwise_rows((P - centers[k][:, None]) ** 2), out=d2)
+        np.minimum(d2, ((P - centers[k][:, None]) ** 2).sum(axis=0), out=d2)
 
     sq_p = np.sum(pts ** 2, axis=1)
     slack = 16 * pts.shape[1] * np.finfo(float).eps

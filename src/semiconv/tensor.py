@@ -247,19 +247,24 @@ def transpose2d(a):
     return _node(np.ascontiguousarray(a.data.T), (a,), backward, "transpose2d")
 
 
-def index_select(a, axis, indices):
-    """Gather slices along ``axis``; backward scatter-adds (duplicates accumulate)."""
+def _scatter(rows, ids, n):
+    """out[n, ...] with out[k] the sum of rows[ids == k], added in index order."""
+    out = np.zeros((n,) + rows.shape[1:])
+    np.add.at(out, ids, rows)
+    return out
+
+
+def index_select(a, indices):
+    """Gather rows along axis 0; backward scatter-adds (duplicates accumulate)."""
     a = _coerce(a)
     idx = np.asarray(indices, dtype=np.intp)
     if idx.ndim != 1:
         raise ValueError("indices must be 1-d")
 
     def backward(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(np.moveaxis(ga, axis, 0), idx, np.moveaxis(g, axis, 0))
-        _accum(a, ga)
+        _accum(a, _scatter(g, idx, a.data.shape[0]))
 
-    return _node(np.take(a.data, idx, axis=axis), (a,), backward, "index_select")
+    return _node(np.take(a.data, idx, axis=0), (a,), backward, "index_select")
 
 
 def segment_sum(rows, ids, K):
@@ -274,13 +279,11 @@ def segment_sum(rows, ids, K):
         raise ValueError("segment_sum needs rows[N, ...] and ids[N]")
     if ids.size and (ids.min() < 0 or ids.max() >= K):
         raise ValueError(f"segment ids must lie in [0, {K})")
-    out = np.zeros((K,) + rows.data.shape[1:])
-    np.add.at(out, ids, rows.data)
 
     def backward(g):
         _accum(rows, g[ids])
 
-    return _node(out, (rows,), backward, "segment_sum")
+    return _node(_scatter(rows.data, ids, K), (rows,), backward, "segment_sum")
 
 
 # -- reductions -----------------------------------------------------------
@@ -298,14 +301,15 @@ def tsum(a, axes=None):
     return _node(kept.squeeze(axis=axes), (a,), backward, "sum")
 
 
-def softmax(a, axis=-1):
+def softmax(a):
+    """Softmax over the last axis."""
     a = _coerce(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+    out_data = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        dot = (g * out_data).sum(axis=axis, keepdims=True)
+        dot = (g * out_data).sum(axis=-1, keepdims=True)
         _accum(a, out_data * (g - dot))
 
     return _node(out_data, (a,), backward, "softmax")
@@ -367,30 +371,46 @@ def _pixel_gemm(a, b):
     return np.ascontiguousarray((a @ padded)[:, :n])
 
 
+def _correlate(a, k):
+    """Circular correlation of a[C_a,H,W] with k[C_o,C_a,kh,kw]: (out[C_o,H,W], taps).
+
+    The one place that picks the narrower channel side, so no buffer has more
+    than kh*kw*min(C_a, C_o) rows. When C_a <= C_o, out is k times
+    ``_taps(a)`` and those taps are returned for reuse; otherwise out is
+    ``_fold`` of the tap-flipped kernel times a, and taps is None. Both
+    products go through ``_pixel_gemm``.
+    """
+    c_o, c_a, kh, kw = k.shape
+    _, h, w = a.shape
+    if c_a <= c_o:
+        taps = _taps(a, kh, kw)
+        return _pixel_gemm(k.reshape(c_o, -1), taps).reshape(c_o, h, w), taps
+    k_flip = k[:, :, ::-1, ::-1].transpose(0, 2, 3, 1).reshape(-1, c_a)
+    return _fold(_pixel_gemm(k_flip, a.reshape(c_a, -1)), kh, kw, h, w), None
+
+
 def conv2d(x, weight, bias=None):
     """Circular 2-d cross-correlation of x[C_in,H,W] with weight[C_out,C_in,kh,kw].
 
     Odd kernels only; stride 1 and wrap-around padding by (kh//2, kw//2), so
-    the output is [C_out,H,W]; the forward and the input gradient are exactly
-    equivariant to circular shifts, bit for bit, at every H*W (their products
-    go through ``_pixel_gemm``). Each of the three products
-    stacks the taps of the narrower channel side, so no buffer has more than
-    kh*kw*min(C_in, C_out) rows: the forward is ``w @ _taps(x)``, or ``_fold``
-    of the tap-flipped kernel times x when C_in > C_out; the input gradient is
-    the flipped, channel-swapped kernel times ``_taps(g)``, or ``_fold`` of the
-    kernel times g when C_out > C_in; the weight gradient is g times the
-    forward's taps, or ``_taps(g)`` times x with the tap axes flipped back.
+    the output is [C_out,H,W]. The forward is ``_correlate(x, weight)``, and
+    the input gradient is the same correlation of the upstream gradient g with
+    the flipped, channel-swapped kernel, ``weight[:, :, ::-1, ::-1]`` with its
+    channel axes swapped; both are exactly equivariant to circular shifts, bit
+    for bit, at every H*W. The weight gradient is g times the taps of x when
+    the forward kept them, else the taps of g times x with the tap axes
+    flipped back; the taps of g come from the input gradient's correlation
+    when it stacked them.
     """
     x, weight = _coerce(x), _coerce(weight)
     if x.data.ndim != 3 or weight.data.ndim != 4:
         raise ValueError("conv2d expects x[C,H,W] and weight[C_out,C_in,kh,kw]")
     c_out, c_in, kh, kw = weight.data.shape
-    _, h, w = x.data.shape
     if x.data.shape[0] != c_in:
         raise ValueError(f"input channels {x.data.shape[0]} != weight c_in {c_in}")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError("kernel extents must be odd")
-    if kh // 2 > h or kw // 2 > w:
+    if kh // 2 > x.data.shape[1] or kw // 2 > x.data.shape[2]:
         raise ValueError("kernel half-extent wider than the input")
     if bias is not None:
         bias = _coerce(bias)
@@ -398,15 +418,7 @@ def conv2d(x, weight, bias=None):
             raise ValueError("bias must have shape (C_out,)")
 
     wd = weight.data
-    x2 = x.data.reshape(c_in, -1)
-    wide = c_in > c_out  # the forward folds, so it keeps no taps of x
-    if wide:
-        cols = None
-        w_flip = wd[:, :, ::-1, ::-1].transpose(0, 2, 3, 1).reshape(-1, c_in)
-        out = _fold(_pixel_gemm(w_flip, x2), kh, kw, h, w)
-    else:
-        cols = _taps(x.data, kh, kw)
-        out = _pixel_gemm(wd.reshape(c_out, -1), cols).reshape(c_out, h, w)
+    out, cols = _correlate(x.data, wd)
     if bias is not None:
         out += bias.data[:, None, None]  # out is freshly allocated
 
@@ -414,29 +426,20 @@ def conv2d(x, weight, bias=None):
 
     def backward(g):
         nonlocal cols
-        g2 = g.reshape(c_out, -1)
-        # the output side's taps serve the weight gradient when the forward
-        # kept none, and the input gradient when C_out <= C_in
-        need_g_cols = wide or (c_out == c_in and x.requires_grad)
-        g_cols = _taps(g, kh, kw) if need_g_cols else None
-        if weight.requires_grad:
-            if not wide:
-                gw = (g2 @ cols.T).reshape(wd.shape)
-                cols = None  # its last reader: the input gradient allocates without it
-            else:
-                gw = (g_cols @ x2.T).reshape(c_out, kh, kw, c_in)
-                gw = gw[:, ::-1, ::-1].transpose(0, 3, 1, 2)
-            _accum(weight, gw)
+        if weight.requires_grad and cols is not None:
+            _accum(weight, (g.reshape(c_out, -1) @ cols.T).reshape(wd.shape))
+        cols = None  # its last reader has run: the input gradient allocates without it
         if bias is not None and bias.requires_grad:
             _accum(bias, g.sum(axis=(1, 2)))
+        g_cols = None
         if x.requires_grad:
-            if c_out > c_in:
-                w_stack = wd.transpose(1, 2, 3, 0).reshape(-1, c_out)
-                gx = _fold(_pixel_gemm(w_stack, g2), kh, kw, h, w)
-            else:
-                w_adj = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, -1)
-                gx = _pixel_gemm(w_adj, g_cols).reshape(x.data.shape)
+            gx, g_cols = _correlate(g, wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
             _accum(x, gx)
+        if weight.requires_grad and c_in > c_out:  # the forward kept no taps of x
+            if g_cols is None:
+                g_cols = _taps(g, kh, kw)
+            gw = (g_cols @ x.data.reshape(c_in, -1).T).reshape(c_out, kh, kw, c_in)
+            _accum(weight, gw[:, ::-1, ::-1].transpose(0, 3, 1, 2))
 
     return _node(out, parents, backward, "conv2d")
 

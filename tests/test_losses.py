@@ -102,7 +102,7 @@ def loop_pull_to_mean_loss(rows, segs):
     """Reference: one tape chain per segment, terms added in segment order."""
     total = None
     for idx in np.split(segs.pixels, np.cumsum(segs.counts)[:-1]):
-        sel = T.index_select(rows, 0, idx)
+        sel = T.index_select(rows, idx)
         center = T.mul(T.tsum(sel, axes=0), 1.0 / idx.size)
         term = T.mul(T.tsum(T.l2norm_rows(T.sub(sel, center))), 1.0 / idx.size)
         total = term if total is None else T.add(total, term)

@@ -118,7 +118,7 @@ def test_region_rows_match_the_field_crop():
     model, _ = train(scene, cfg)
     field = build_field(model, scene.image, "semiconv")
     pixels, _, _ = region_pixel_indices([(2, 1, 6, 5)], scene.shape)
-    rows = T.index_select(field_rows(field), 0, pixels)
+    rows = T.index_select(field_rows(field), pixels)
     manual = field.values.data[:, 1:5, 2:6].reshape(4, -1).T
     assert np.array_equal(rows.data, manual)
 
@@ -251,6 +251,19 @@ def test_rle_decode_rejects_bad_size():
             rle_decode({"size": size, "counts": [4]})
 
 
+@pytest.mark.parametrize("doc", [
+    [2, 2], "4", None,                                   # not an object
+    {"counts": [4]}, {"size": [2, 2]}, {},              # a key missing
+    {"size": 5, "counts": []}, {"size": [2, 2], "counts": 4},
+    {"size": [2, 2], "counts": [2**70]},                 # a run past any intp
+    {"size": [2**35, 2**35], "counts": [2**70]},         # a mask past any intp
+], ids=["list", "str", "null", "no-size", "no-counts", "empty", "int-size", "int-counts",
+        "huge-run", "huge-mask"])
+def test_rle_decode_rejects_every_malformed_document(doc):
+    with pytest.raises(ValueError):
+        rle_decode(doc)
+
+
 def per_box_loss(field, gt, boxes, instances, params):
     """Reference box loss: one fuse_scores and one mask_bce per box, as cut_region cuts."""
     rows_all = field_rows(field)
@@ -260,7 +273,7 @@ def per_box_loss(field, gt, boxes, instances, params):
         x0, y0, x1, y1 = rect
         idx = (np.arange(y0, y1)[:, None] * gt.labels.shape[1] + np.arange(x0, x1)).ravel()
         scores = np.where(flat[idx] == k, 1.0, -1.0)
-        fused = fuse_scores(scores, T.index_select(rows_all, 0, idx), params, "hard")
+        fused = fuse_scores(scores, T.index_select(rows_all, idx), params, "hard")
         seed_id = flat[idx[fused.seed_index]]
         bce += mask_bce(fused.probabilities, (flat[idx] == seed_id) & (seed_id > 0)).item()
     return bce / len(boxes)
@@ -351,7 +364,7 @@ def test_seedcut_cuts_match_instances_after_training():
     for k, rect in enumerate(boxes, start=1):
         pixels, _, _ = region_pixel_indices([rect], scene.shape)
         region = RegionProposal(rect, Tensor(synthetic_scores(scene.gt, pixels, k)),
-                                T.index_select(rows_all, 0, pixels))
+                                T.index_select(rows_all, pixels))
         assert np.array_equal(masks[k - 1], cut_region(region, params))
 
 

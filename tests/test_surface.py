@@ -6,7 +6,8 @@ package module, by its own module, by the benchmark, by the acceptance gate
 or by the README. A defaulted parameter of a public function, method or
 dataclass must be passed, by keyword or by position, by one of the same
 modules (the README aside). A name that only unit tests call, or a value only
-unit tests set, is surface without a user.
+unit tests set, is surface without a user. A parameter of a public top-level
+function that every such call sets to the same literal is a knob nobody turns.
 """
 
 import ast
@@ -130,9 +131,8 @@ def defaulted_parameters(source):
     return out
 
 
-def passed_arguments(source):
-    """The arguments a module's calls pass, as ({(callee, keyword)},
-    {callee: most positional arguments}).
+def calls(source):
+    """Every call a module makes, as (callee, ast.Call) pairs.
 
     A callee is named by its last component, and a name bound by
     ``import ... as`` by what it imports.
@@ -140,16 +140,20 @@ def passed_arguments(source):
     tree = ast.parse(source)
     alias = {a.asname: a.name.rsplit(".", 1)[-1] for node in ast.walk(tree)
              if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names if a.asname}
-    keywords, positional = set(), {}
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
         if isinstance(node.func, ast.Name):
-            callee = alias.get(node.func.id, node.func.id)
+            yield alias.get(node.func.id, node.func.id), node
         elif isinstance(node.func, ast.Attribute):
-            callee = node.func.attr
-        else:
-            continue
+            yield node.func.attr, node
+
+
+def passed_arguments(source):
+    """The arguments a module's calls pass, as ({(callee, keyword)},
+    {callee: most positional arguments})."""
+    keywords, positional = set(), {}
+    for callee, node in calls(source):
         keywords |= {(callee, kw.arg) for kw in node.keywords}
         positional[callee] = max(positional.get(callee, 0), len(node.args))
     return keywords, positional
@@ -168,6 +172,54 @@ def unpassed(source, readers):
             for line, callee, param, position in defaulted_parameters(source)
             if (callee, param) not in keywords
             and (position is None or positional.get(callee, 0) <= position)]
+
+
+def literal(node):
+    """The repr of a literal expression, or None when the node is not one."""
+    try:
+        return repr(ast.literal_eval(node))
+    except (ValueError, TypeError):
+        return None
+
+
+def single_valued(source, readers):
+    """Parameters of public top-level functions that every call passes as one
+    literal, as (line, "callee(parameter)").
+
+    A call's value for a parameter is the argument at its keyword or its
+    position, or else the parameter's default. A parameter is flagged when the
+    module and its readers make at least one call and every call's value is
+    the same literal; a call that unpacks ``*args`` or ``**kwargs`` has no
+    known value. Callees are named as ``calls`` names them.
+    """
+    sites = {}
+    for src in [source, *readers]:
+        for callee, node in calls(src):
+            sites.setdefault(callee, []).append(node)
+    out = []
+    for fn in ast.parse(source).body:
+        if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+            continue
+        args = fn.args.posonlyargs + fn.args.args
+        defaults = dict(zip(args[len(args) - len(fn.args.defaults):], fn.args.defaults))
+        defaults.update(zip(fn.args.kwonlyargs, fn.args.kw_defaults))
+        params = list(enumerate(args)) + [(None, arg) for arg in fn.args.kwonlyargs]
+        for position, arg in params:
+            values = set()
+            for call in sites.get(fn.name, []):
+                keyword = {kw.arg: kw.value for kw in call.keywords}
+                if None in keyword or any(isinstance(a, ast.Starred) for a in call.args):
+                    value = None
+                elif arg.arg in keyword:
+                    value = keyword[arg.arg]
+                elif position is not None and position < len(call.args):
+                    value = call.args[position]
+                else:
+                    value = defaults.get(arg)
+                values.add(None if value is None else literal(value))
+            if len(values) == 1 and None not in values:
+                out.append((fn.lineno, f"{fn.name}({arg.arg})"))
+    return out
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
@@ -209,6 +261,13 @@ def test_every_defaulted_parameter_is_passed(path):
     others = [p.read_text() for p in READERS if p != path]
     found = unpassed(path.read_text(), others)
     assert [(line, name) for line, name in found if name not in ALLOWED_PARAMETERS] == []
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_parameter_takes_one_value(path):
+    # a parameter every caller sets to the same literal is a knob nobody turns
+    others = [p.read_text() for p in READERS if p != path]
+    assert single_valued(path.read_text(), others) == []
 
 
 def test_scan_flags_names_only_tests_read():
@@ -254,3 +313,19 @@ def test_scan_flags_defaults_that_no_reader_passes():
     assert [name for _, name in unpassed(module, [])] == [
         "grow(by)", "grow(clip)", "Box(color)", "scale(k)", "scale(lock)", "unit(side)",
         "Cfg(n)", "Cfg(m)"]
+
+
+def test_scan_flags_parameters_every_call_sets_alike():
+    module = ("def pick(a, axis, idx):\n    return a\n"
+              "def norm(a, p=2, eps=1e-8):\n    return a\n"
+              "def spread(a, *, k=1):\n    return a\n"
+              "def _hidden(a, flag):\n    return a\n"
+              "def unused(a, b=3):\n    return a\n")
+    reader = ("import pkg as P\nP.pick(x, 0, [1])\nP.pick(y, 0, idx)\n"
+              "norm(x, 2)\nnorm(y, p=2, eps=1e-6)\n"
+              "spread(x, k=2)\nspread(x, **opts)\n"
+              "_hidden(x, True)\n")
+    assert single_valued(module, [reader]) == [(1, "pick(axis)"), (3, "norm(p)")]
+    # a call that leaves a parameter out passes its default
+    assert single_valued(module, [reader + "norm(z)\n"]) == [(1, "pick(axis)"), (3, "norm(p)")]
+    assert single_valued(module, [reader + "norm(z, 3)\n"]) == [(1, "pick(axis)")]

@@ -410,18 +410,6 @@ def test_kmeans_exact_tie_goes_to_lower_index():
     assert decode_kmeans(field, fg, K=2, seed=9).labels.tolist() == [[1] * 4 + [2] * 4 + [1]]
 
 
-def test_pairwise_rows_matches_np_sum_bit_for_bit():
-    # the seeding distance update sums channel-major rows in numpy's own
-    # pairwise order; the order changes at 8 and at 128 rows
-    rng = np.random.default_rng(0)
-    for d in [*range(1, 41), 129, 200, 257]:
-        pts = rng.standard_normal((300, d)) * 10.0 ** rng.uniform(-1, 2, size=d)
-        for c in (pts[7], pts[7] + rng.standard_normal(d), np.zeros(d)):
-            want = np.sum((pts - c) ** 2, axis=1)
-            got = synth._pairwise_rows((pts.T - c[:, None]) ** 2)
-            assert np.array_equal(got, want), d
-
-
 def test_seeding_draw_matches_generator_choice():
     # the cumsum draw in decode_kmeans is the arithmetic of
     # Generator.choice(n, p=...): same index, same generator state after it
