@@ -162,17 +162,59 @@ def train_seedcut(scene, gt_boxes, cfg, params=None):
     return model, params, losses
 
 
+def _box_rows(model, image, mode, boxes):
+    """The [P, D] embedding rows of every box pixel, in region_pixel_indices order.
+
+    The same rows as indexing ``build_field(model, image, mode)``, bit for bit,
+    from one forward pass over a mosaic of the boxes' receptive windows: each
+    box grown by the backbone's receptive radius r (the sum of its layers'
+    kernel half-extents), wrapping around the image edges as the circular
+    convolutions do, and laid side by side (below a window shorter than the
+    tallest, its columns run on down the image). A box pixel's receptive field
+    lies inside its window, so only the r-pixel margins see values that differ
+    from the image's. When the mosaic is no smaller than the image, the forward
+    runs over the image itself. A semiconv row then gains its original pixel's
+    (x, y), added as attach_coords adds it, zeros included.
+    """
+    _, h, w = image.data.shape
+    rects = np.asarray(boxes, dtype=np.intp).reshape(-1, 4)
+    pixels, ids, _ = region_pixel_indices(rects, (h, w))
+    ys, xs = np.divmod(pixels, w)
+    r = sum(wt.data.shape[2] // 2 for wt in model.weights)
+    x0, y0, x1, y1 = rects.T
+    widths = x1 - x0 + 2 * r
+    height, width = int((y1 - y0).max()) + 2 * r, int(widths.sum())
+    if height * width < h * w:
+        starts = np.cumsum(widths) - widths
+        win = np.repeat(np.arange(widths.size), widths)  # each mosaic column's window
+        cols = (x0[win] - r + np.arange(width) - starts[win]) % w
+        rows = (y0[win] - r + np.arange(height)[:, None]) % h
+        src = Tensor(image.data[:, rows, cols])
+        at = (ys - y0[ids] + r) * width + xs - x0[ids] + r + starts[ids]
+    else:
+        src, at = image, pixels
+    phi = model.forward(src).data
+    out = phi.reshape(phi.shape[0], -1)[:, at].T
+    if mode == "semiconv":
+        if out.shape[1] < 2:
+            raise ValueError("need at least 2 channels to carry coordinates")
+        mix = np.zeros_like(out)
+        mix[:, 0], mix[:, 1] = xs, ys
+        out = out + mix
+    return Tensor(out)
+
+
 def cut_all_boxes(scene, model, params, cfg_mode="semiconv", threshold=0.5):
     """Cut every ground-truth box; returns (masks, boxes, per-box IoU).
 
     Box k encloses instance k and scores +1 on it; all boxes go through one
-    fuse_boxes call, and the thresholded list splits into the box masks.
+    fuse_boxes call, and the thresholded list splits into the box masks. The
+    backbone runs only over the boxes' receptive windows (see _box_rows).
     """
-    field = synth.build_field(model, scene.image, cfg_mode)
     gt = scene.gt
     boxes = gt_boxes_from_labels(gt)
     pixels, ids, counts = region_pixel_indices(boxes, scene.shape)
-    rows = T.index_select(field_rows(field), pixels)
+    rows = _box_rows(model, scene.image, cfg_mode, boxes)
     fused = fuse_boxes(synthetic_scores(gt, pixels, ids + 1), rows, counts, params)
     mask = _cut(fused, threshold)
     truth = gt.labels.reshape(-1)[pixels] == ids + 1

@@ -224,24 +224,28 @@ def decode_kmeans(field, fg_mask, K, seed=0):
 
     sq_p = np.sum(pts ** 2, axis=1)
     slack = 16 * pts.shape[1] * np.finfo(float).eps
+    cols = np.arange(idx.size)
     for _ in range(KMEANS_MAX_ITER):
         sq_c = np.sum(centers ** 2, axis=1)
-        # sq_p - 2·(pts @ centers.T) + sq_c, formed in place: adding sq_p to
-        # -2·G gives the same bits as subtracting 2·G from sq_p
-        dists = pts @ centers.T
+        # sq_p - 2·(centers @ P) + sq_c, K-major and formed in place: adding
+        # sq_p to -2·G gives the same bits as subtracting 2·G from sq_p
+        dists = centers @ P
         dists *= -2.0
-        dists += sq_p[:, None]
-        dists += sq_c
-        assign = np.argmin(dists, axis=1)
+        dists += sq_p
+        dists += sq_c[:, None]
+        assign = np.argmin(dists, axis=0)
         # Both this expanded form (in any summation order) and the exact form
         # np.sum((p - c) ** 2) lie within (2D + 4)·u·(|p|² + |c|²) of the true
         # distance (u = eps / 2), so `bound` covers each; `tiny` covers what
-        # underflow can add. A row whose runner-up is more than 2·bound above
-        # its best has that argmin in exact form too. Every other row (a NaN
-        # row too) is recomputed in exact form, where ties go to the lowest index.
+        # underflow can add. A point whose runner-up is more than 2·bound above
+        # its best has that argmin in exact form too. Every other point (one
+        # with a NaN distance too) is recomputed in exact form, where ties go
+        # to the lowest index. The runner-up is the least distance once the
+        # best is set to inf.
         bound = slack * (sq_p + sq_c.max()) + np.finfo(float).tiny
-        best = dists[np.arange(idx.size), assign]
-        near = np.count_nonzero(~(dists > (best + 2.0 * bound)[:, None]), axis=1) > 1
+        best = dists[assign, cols]
+        dists[assign, cols] = np.inf
+        near = ~(dists.min(axis=0) > best + 2.0 * bound)
         if np.any(near):
             sel = np.flatnonzero(near)
             assign[sel] = np.argmin(

@@ -10,7 +10,7 @@ from semiconv.embedding import attach_coords, field_rows
 from semiconv.kernels import FAMILIES, KernelParams, fuse_scores
 from semiconv.losses import SegmentSet, mask_bce, pull_to_mean_loss
 from semiconv.synth import InstanceLabeling, TrainConfig, build_field, generate_scene, train
-from semiconv.seedcut import (RegionProposal, box_loss, cut_all_boxes, cut_region,
+from semiconv.seedcut import (RegionProposal, _box_rows, box_loss, cut_all_boxes, cut_region,
                               gt_boxes_from_labels, region_pixel_indices, rle_decode,
                               rle_encode, synthetic_scores, train_seedcut)
 
@@ -64,6 +64,12 @@ def test_cut_threshold_validation():
     for bad in (0.0, 1.0, -0.1):
         with pytest.raises(ValueError, match="threshold"):
             cut_all_boxes(scene, model, KernelParams("gaussian"), threshold=bad)
+
+
+def test_semiconv_cut_needs_two_channels():
+    scene = generate_scene(2, 2, dot_radius=3, spacing=12, seed=0)
+    with pytest.raises(ValueError, match="2 channels"):
+        cut_all_boxes(scene, Backbone.glorot(1, 1, 0), KernelParams("gaussian"))
 
 
 def test_region_validation():
@@ -121,6 +127,89 @@ def test_region_rows_match_the_field_crop():
     rows = T.index_select(field_rows(field), pixels)
     manual = field.values.data[:, 1:5, 2:6].reshape(4, -1).T
     assert np.array_equal(rows.data, manual)
+
+
+def dense_box_rows(model, image, mode, boxes):
+    """The reference for _box_rows: the whole field, indexed at the box pixels."""
+    pixels, _, _ = region_pixel_indices(boxes, image.data.shape[1:])
+    return T.index_select(field_rows(build_field(model, image, mode)), pixels)
+
+
+def forward_inputs(monkeypatch):
+    """Record the [C,H,W] shape of every input Backbone.forward receives."""
+    shapes = []
+    forward = Backbone.forward
+
+    def recording(model, x):
+        shapes.append(x.data.shape)
+        return forward(model, x)
+
+    monkeypatch.setattr(Backbone, "forward", recording)
+    return shapes
+
+
+def random_backbone(rng, kernels, dims):
+    """A backbone with random weights and biases, every tensor requiring grad."""
+    chans = (1, 6, 7, dims)
+    return Backbone(
+        [Tensor(0.4 * rng.standard_normal((c_out, c_in, k, k)), requires_grad=True)
+         for c_in, c_out, k in zip(chans[:-1], chans[1:], kernels)],
+        [Tensor(0.1 * rng.standard_normal(c_out), requires_grad=True) for c_out in chans[1:]])
+
+
+# a 45x61 image (H*W = 2745, not a multiple of 8); boxes as (x0, y0, x1, y1)
+BOX_SETS = {
+    # one at each corner, so the windows wrap at every edge, two overlapping
+    # boxes and a tall thin one; the heights differ, the tallest is 12 and
+    # the widths add up to 31
+    "mosaic": [(0, 0, 5, 4), (56, 41, 61, 45), (0, 38, 3, 45), (57, 0, 61, 6),
+               (3, 2, 9, 8), (6, 5, 12, 10), (30, 10, 32, 22)],
+    # windows with more pixels than the image: the forward runs on the image
+    "full": [(0, 0, 61, 45), (10, 10, 14, 12)],
+}
+
+
+@pytest.mark.parametrize("mode", ["conv", "semiconv"])
+@pytest.mark.parametrize("boxes", sorted(BOX_SETS))
+@pytest.mark.parametrize("kernels", [(3, 3, 3), (5, 1, 5)])
+@pytest.mark.parametrize("loaded", [False, True], ids=["in-memory", "loaded"])
+def test_box_rows_equal_the_dense_rows(monkeypatch, tmp_path, mode, boxes, kernels, loaded):
+    rng = np.random.default_rng(len(boxes) + sum(kernels))
+    model = random_backbone(rng, kernels, dims=5)
+    if loaded:
+        model.save(tmp_path / "m.bin")
+        model = Backbone.load(tmp_path / "m.bin")
+    image = Tensor(rng.standard_normal((1, 45, 61)))
+    want = dense_box_rows(model, image, mode, BOX_SETS[boxes]).data
+    shapes = forward_inputs(monkeypatch)
+    got = _box_rows(model, image, mode, BOX_SETS[boxes]).data
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    r = sum(k // 2 for k in kernels)
+    if boxes == "mosaic":
+        assert shapes == [(1, 12 + 2 * r, 31 + 7 * 2 * r)]
+    else:
+        assert shapes == [(1, 45, 61)]
+
+
+def test_cut_all_boxes_runs_the_backbone_on_the_windows_only(monkeypatch):
+    model = Backbone.glorot(1, 8, 0)
+    params = KernelParams("steered_laplacian", sigma=1.0)
+    scenes = [generate_scene(4, 4, dot_radius=3, spacing=32, img_noise_std=0.05, seed=s)
+              for s in range(8)]
+    monkeypatch.setattr("semiconv.seedcut._box_rows", dense_box_rows)
+    want = [cut_all_boxes(scene, model, params) for scene in scenes]
+    monkeypatch.undo()
+    shapes = forward_inputs(monkeypatch)
+    for scene, (masks, boxes, ious) in zip(scenes, want):
+        got_masks, got_boxes, got_ious = cut_all_boxes(scene, model, params)
+        assert got_boxes == boxes and got_ious == ious
+        assert all(np.array_equal(a, b) for a, b in zip(got_masks, masks))
+    h, w = scenes[0].shape
+    assert len(shapes) == len(scenes)
+    assert all(np.prod(s[1:]) <= 0.25 * h * w for s in shapes)
+    # the comparison is not between empty or full masks
+    assert 0 < np.mean([m.mean() for m in want[0][0]]) < 1
 
 
 def test_gt_boxes_cover_instances():
