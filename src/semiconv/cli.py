@@ -20,7 +20,7 @@ from . import __version__
 from . import tensor as T
 from .tensor import Tensor, NumericError
 from .backbone import Backbone
-from .embedding import displacement_field
+from .embedding import displacement_field, field_rows
 from .kernels import KernelParams, fuse_scores, steered_laplacian
 from .losses import SegmentSet, mask_bce, pull_to_mean_loss
 from . import dilemma as dilemma_mod
@@ -89,7 +89,7 @@ def write_manifest(subcommand, args, outputs, started):
     doc = {
         "subcommand": subcommand,
         "config": cfg,
-        "seeds": [args.seed] if hasattr(args, "seed") else [],
+        "seeds": [args.seed],
         "version": f"semiconv-{__version__}",
         "duration_s": time.perf_counter() - started,
         "outputs": [str(p) for p in outputs],
@@ -187,7 +187,7 @@ def cmd_cluster(args):
     metrics = synth.score(pred, scene.gt)
     segs = SegmentSet.from_labels(scene.gt)
     metrics.update(mode=args.mode,
-                   final_loss=pull_to_mean_loss(field, segs).item())
+                   final_loss=pull_to_mean_loss(field_rows(field), segs).item())
     write_json(args.out, metrics)
     outputs = [args.out]
     if args.render:
@@ -371,7 +371,7 @@ def build_parser():
 
 def _config_tokens(args):
     """Entries of the --config JSON object as ``--flag=value`` argv tokens."""
-    if not getattr(args, "config", None):
+    if not args.config:
         return []
     try:
         with open(args.config) as fh:

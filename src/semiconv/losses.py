@@ -4,7 +4,6 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .embedding import EmbeddingField, field_rows
 
 BCE_CLAMP = 1e-7
 
@@ -47,7 +46,7 @@ class SegmentSet:
         return self.counts.size
 
 
-def pull_to_mean_loss(field, segs):
+def pull_to_mean_loss(rows, segs):
     """Sum over segments of the mean unsquared distance to the segment mean.
 
     For each segment S the term is (1/|S|) * sum_u sqrt(||psi_u - m_S||^2 + eps)
@@ -56,15 +55,14 @@ def pull_to_mean_loss(field, segs):
     between segments; with position mixed into the embeddings, pulling each
     segment to its own mean is enough to separate them. eps (NORM_EPS) keeps
     the square root differentiable when a segment is already perfectly tight.
-    Background pixels are ignored. ``field`` is an EmbeddingField or its
-    [N, D] rows.
+    Background pixels are ignored. ``rows`` holds one [D] embedding per
+    pixel, [N, D] in row-major pixel order (embedding.field_rows).
 
     All segments go through one gather and two segment sums, so the tape has
     the same dozen nodes whatever the number of segments.
     """
-    rows = field_rows(field) if isinstance(field, EmbeddingField) else field
     if rows.data.ndim != 2:
-        raise ValueError("expected an EmbeddingField or [N,D] rows")
+        raise ValueError("expected [N,D] rows")
 
     k = len(segs)
     if k == 0:
@@ -83,7 +81,8 @@ def _bce_terms(probs, mask):
     """Per-pixel m log p + (1 - m) log(1 - p), the negated binary cross entropy.
 
     Probabilities are clamped 1e-7 away from {0, 1} so a saturated kernel
-    cannot produce an infinite term. ``mask`` is a 0/1 array shaped like probs.
+    cannot produce an infinite term. ``mask`` is a 0/1 or boolean array shaped
+    like probs.
     """
     kc = T.clamp(probs, BCE_CLAMP, 1.0 - BCE_CLAMP)
     pos = T.mul(Tensor(mask), T.log(kc))

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .kernels import KernelParams, box_seeds, fuse_boxes, fuse_scores
+from .kernels import KernelParams, fuse_boxes, fuse_scores
 from .embedding import field_rows
 from .losses import _bce_terms
 from . import synth
@@ -103,45 +103,43 @@ def gt_boxes_from_labels(gt):
     return [tuple(box) for box in np.concatenate([lo, hi]).T.tolist()]
 
 
-def synthetic_scores(gt, pixels, instances):
-    """Scores over a pixel list: +1 where the pixel belongs to its instance, -1 elsewhere.
+def _box_list(gt, boxes):
+    """Every box's pixels as one list, marked where they hold the box's instance.
 
-    ``instances`` is one instance id per listed pixel, or one for all of them.
+    Box k encloses instance k + 1, the order gt_boxes_from_labels gives.
+    Returns region_pixel_indices' (pixels, ids, counts) plus ``truth``, True
+    at each listed pixel of its box's instance. A box that holds no pixel of
+    its instance raises ValueError.
     """
-    return np.where(gt.labels.reshape(-1)[pixels] == instances, 1.0, -1.0)
+    pixels, ids, counts = region_pixel_indices(boxes, gt.labels.shape)
+    truth = gt.labels.reshape(-1)[pixels] == ids + 1
+    hits = np.bincount(ids, truth, counts.size)
+    if not hits.all():
+        k = int(np.argmin(hits))
+        raise ValueError(f"box {tuple(int(v) for v in boxes[k])} holds no pixel "
+                         f"of its instance {k + 1}")
+    return pixels, ids, counts, truth
 
 
 def box_loss(gt, boxes, params):
     """The seed-cut box loss, as a function of the embedding field.
 
     The mean over boxes of the cross entropy between the box's fused
-    probabilities and the mask of the instance its (hard) seed lands in. A
-    box's scores are synthetic: +1 on the instance the box encloses (its
-    majority foreground id, ties toward the lower id), -1 elsewhere, standing
-    in for an upstream detector's confidence. They never change, so the pixel
-    list, the seeds and the targets are built once here; each evaluation is
-    one fuse_boxes call and one cross-entropy sum weighted 1/(B * box size).
+    probabilities and the mask of its instance (box k holds instance k + 1,
+    as in cut_all_boxes). A box's scores are synthetic: +1 on its instance,
+    -1 elsewhere, standing in for an upstream detector's confidence, so the
+    seed lands on the instance. They never change, so the pixel list, the
+    scores and the targets are built once here; each evaluation is one
+    fuse_boxes call and one cross-entropy sum weighted 1/(B * box size).
     """
-    flat = np.asarray(gt.labels).reshape(-1)
-    pixels, ids, counts = region_pixel_indices(boxes, gt.labels.shape)
-    labels = flat[pixels]
-    n_ids = int(flat.max()) + 1
-    votes = np.bincount(ids * n_ids + labels, minlength=counts.size * n_ids)
-    votes = votes.reshape(counts.size, n_ids)
-    votes[:, 0] = 0
-    instances = votes.argmax(axis=1)
-    if np.any(instances == 0):
-        empty = boxes[int(np.argmin(instances))]
-        raise ValueError(f"box {tuple(int(v) for v in empty)} contains no foreground")
-    scores = Tensor(synthetic_scores(gt, pixels, instances[ids]))
-    seed_labels = labels[box_seeds(scores.data, counts)][ids]
-    target = ((labels == seed_labels) & (seed_labels > 0)).astype(np.float64)
+    pixels, ids, counts, truth = _box_list(gt, boxes)
+    scores = Tensor(np.where(truth, 1.0, -1.0))
     weights = Tensor(1.0 / (counts.size * counts[ids]))
 
     def loss(field):
         rows = T.index_select(field_rows(field), pixels)
         fused = fuse_boxes(scores, rows, counts, params)
-        return T.mul(T.tsum(T.mul(_bce_terms(fused.probabilities, target), weights)), -1.0)
+        return T.mul(T.tsum(T.mul(_bce_terms(fused.probabilities, truth), weights)), -1.0)
 
     return loss
 
@@ -149,9 +147,10 @@ def box_loss(gt, boxes, params):
 def train_seedcut(scene, gt_boxes, cfg, params=None):
     """Joint training of the embedding backbone and the kernel scale.
 
-    Every step evaluates the pull-to-mean loss on the whole image plus the
-    box_loss over ``gt_boxes``. The box loss reads the same embedding rows as
-    cut_all_boxes, so training and cutting see one kernel.
+    Every step evaluates the pull-to-mean loss over the instance pixels plus
+    the box_loss over ``gt_boxes`` (box k holds instance k + 1). The box loss
+    reads the same embedding rows as cut_all_boxes, so training and cutting
+    see one kernel.
 
     Returns (model, params, losses).
     """
@@ -162,23 +161,23 @@ def train_seedcut(scene, gt_boxes, cfg, params=None):
     return model, params, losses
 
 
-def _box_rows(model, image, mode, boxes):
-    """The [P, D] embedding rows of every box pixel, in region_pixel_indices order.
+def _box_rows(model, image, mode, boxes, pixels, ids):
+    """The [P, D] embedding rows of the boxes' pixel list (region_pixel_indices).
 
-    The same rows as indexing ``build_field(model, image, mode)``, bit for bit,
-    from one forward pass over a mosaic of the boxes' receptive windows: each
-    box grown by the backbone's receptive radius r (the sum of its layers'
-    kernel half-extents), wrapping around the image edges as the circular
-    convolutions do, and laid side by side (below a window shorter than the
-    tallest, its columns run on down the image). A box pixel's receptive field
-    lies inside its window, so only the r-pixel margins see values that differ
-    from the image's. When the mosaic is no smaller than the image, the forward
-    runs over the image itself. A semiconv row then gains its original pixel's
-    (x, y), added as attach_coords adds it, zeros included.
+    The same rows as indexing ``build_field(model, image, mode)`` at ``pixels``,
+    bit for bit, from one forward pass over a mosaic of the boxes' receptive
+    windows: each box grown by the backbone's receptive radius r (the sum of
+    its layers' kernel half-extents), wrapping around the image edges as the
+    circular convolutions do, and laid side by side (below a window shorter
+    than the tallest, its columns run on down the image). A box pixel's
+    receptive field lies inside its window, so only the r-pixel margins see
+    values that differ from the image's. When the mosaic is no smaller than
+    the image, the forward runs over the image itself. A semiconv row then
+    gains its original pixel's (x, y), added as attach_coords adds it, zeros
+    included.
     """
     _, h, w = image.data.shape
     rects = np.asarray(boxes, dtype=np.intp).reshape(-1, 4)
-    pixels, ids, _ = region_pixel_indices(rects, (h, w))
     ys, xs = np.divmod(pixels, w)
     r = sum(wt.data.shape[2] // 2 for wt in model.weights)
     x0, y0, x1, y1 = rects.T
@@ -207,17 +206,16 @@ def _box_rows(model, image, mode, boxes):
 def cut_all_boxes(scene, model, params, cfg_mode="semiconv", threshold=0.5):
     """Cut every ground-truth box; returns (masks, boxes, per-box IoU).
 
-    Box k encloses instance k and scores +1 on it; all boxes go through one
-    fuse_boxes call, and the thresholded list splits into the box masks. The
-    backbone runs only over the boxes' receptive windows (see _box_rows).
+    Box k encloses instance k + 1 and scores +1 on it, as in box_loss; all
+    boxes go through one fuse_boxes call, and the thresholded list splits
+    into the box masks. The backbone runs only over the boxes' receptive
+    windows (see _box_rows).
     """
-    gt = scene.gt
-    boxes = gt_boxes_from_labels(gt)
-    pixels, ids, counts = region_pixel_indices(boxes, scene.shape)
-    rows = _box_rows(model, scene.image, cfg_mode, boxes)
-    fused = fuse_boxes(synthetic_scores(gt, pixels, ids + 1), rows, counts, params)
+    boxes = gt_boxes_from_labels(scene.gt)
+    pixels, ids, counts, truth = _box_list(scene.gt, boxes)
+    rows = _box_rows(model, scene.image, cfg_mode, boxes, pixels, ids)
+    fused = fuse_boxes(np.where(truth, 1.0, -1.0), rows, counts, params)
     mask = _cut(fused, threshold)
-    truth = gt.labels.reshape(-1)[pixels] == ids + 1
     ious = np.bincount(ids, mask & truth, counts.size) / np.bincount(ids, mask | truth, counts.size)
     masks = [m.reshape(y1 - y0, x1 - x0)
              for m, (x0, y0, x1, y1) in zip(np.split(mask, np.cumsum(counts)[:-1]), boxes)]

@@ -34,12 +34,11 @@ class InstanceLabeling:
         if not np.issubdtype(arr.dtype, np.integer):
             raise ValueError("labels must be integers")
         k = int(arr.max())
-        present = set(np.unique(arr).tolist())
-        if arr.min() < 0 or (present - set(range(k + 1))):
+        if arr.min() < 0:
             raise ValueError(f"label values must lie in [0, {k}]")
-        missing = [i for i in range(1, k + 1) if i not in present]
-        if missing:
-            raise ValueError(f"instance ids {missing} have no pixels")
+        missing = np.flatnonzero(np.bincount(arr.reshape(-1))[1:] == 0) + 1
+        if missing.size:
+            raise ValueError(f"instance ids {missing.tolist()} have no pixels")
         self.labels = arr
         self.K = k
 
@@ -162,7 +161,7 @@ def train(scene, cfg, extra_loss=None, extra_params=()):
     for step in range(cfg.epochs):
         try:
             field = build_field(model, scene.image, cfg.mode)
-            loss = pull_to_mean_loss(field, segs)
+            loss = pull_to_mean_loss(field_rows(field), segs)
             if extra_loss is not None:
                 loss = T.add(loss, extra_loss(field))
             del field  # the graph holds it now, and backward frees the graph as it goes

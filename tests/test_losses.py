@@ -3,15 +3,8 @@ import pytest
 
 from semiconv import tensor as T
 from semiconv.tensor import Tensor
-from semiconv.embedding import EmbeddingField
 from semiconv.losses import SegmentSet, pull_to_mean_loss, mask_bce
 from semiconv.synth import InstanceLabeling, generate_scene
-
-
-def field_from_rows(rows):
-    """[N,D] rows viewed as a D x 1 x N field, linear index = pixel index."""
-    arr = np.asarray(rows, dtype=float)
-    return EmbeddingField(Tensor(arr.T.reshape(arr.shape[1], 1, arr.shape[0])))
 
 
 def test_segment_set_from_labels():
@@ -34,14 +27,14 @@ def test_segment_set_validation():
 def test_loss_two_point_hand_value():
     # one segment, 1-d embeddings {0, 2}: mean 1, distances 1 and 1, loss 1
     segs = SegmentSet([[0, 1]], [], 2)
-    loss = pull_to_mean_loss(field_from_rows([[0.0], [2.0]]), segs)
+    loss = pull_to_mean_loss(Tensor([[0.0], [2.0]]), segs)
     assert abs(loss.item() - 1.0) < 1e-6
 
 
 def test_loss_constant_segments_near_zero():
     segs = SegmentSet.from_labels(InstanceLabeling(np.array([[1, 1, 2, 2]])))
     rows = np.array([[5.0, 1.0], [5.0, 1.0], [-3.0, 2.0], [-3.0, 2.0]])
-    loss = pull_to_mean_loss(field_from_rows(rows), segs)
+    loss = pull_to_mean_loss(Tensor(rows), segs)
     assert 0.0 <= loss.item() < 1e-3
 
 
@@ -49,10 +42,10 @@ def test_loss_permutation_invariant():
     rng = np.random.default_rng(0)
     rows = rng.standard_normal((10, 4))
     segs = SegmentSet([list(range(10))], [], 10)
-    base = pull_to_mean_loss(field_from_rows(rows), segs).item()
+    base = pull_to_mean_loss(Tensor(rows), segs).item()
     for seed in range(3):
         perm = np.random.default_rng(seed).permutation(10)
-        shuffled = pull_to_mean_loss(field_from_rows(rows[perm]), segs).item()
+        shuffled = pull_to_mean_loss(Tensor(rows[perm]), segs).item()
         assert abs(shuffled - base) < 1e-12
 
 
@@ -60,8 +53,8 @@ def test_loss_translation_invariant():
     rng = np.random.default_rng(1)
     rows = rng.standard_normal((12, 3))
     segs = SegmentSet([[0, 1, 2, 3], [4, 5, 6, 7, 8]], [9, 10, 11], 12)
-    base = pull_to_mean_loss(field_from_rows(rows), segs).item()
-    shifted = pull_to_mean_loss(field_from_rows(rows + np.array([100.0, -7.0, 0.25])),
+    base = pull_to_mean_loss(Tensor(rows), segs).item()
+    shifted = pull_to_mean_loss(Tensor(rows + np.array([100.0, -7.0, 0.25])),
                                 segs).item()
     assert abs(shifted - base) < 1e-12
 
@@ -70,20 +63,20 @@ def test_loss_ignores_background_exactly():
     rng = np.random.default_rng(2)
     rows = rng.standard_normal((8, 2))
     segs = SegmentSet([[0, 1, 2], [3, 4]], [5, 6, 7], 8)
-    base = pull_to_mean_loss(field_from_rows(rows), segs).item()
+    base = pull_to_mean_loss(Tensor(rows), segs).item()
     rows2 = rows.copy()
     rows2[5:] += 1e6
-    assert pull_to_mean_loss(field_from_rows(rows2), segs).item() == base
+    assert pull_to_mean_loss(Tensor(rows2), segs).item() == base
 
 
 def test_loss_rejects_bad_inputs():
     segs = SegmentSet([[0, 1]], [], 2)
     with pytest.raises(ValueError, match="rows"):
         pull_to_mean_loss(Tensor([0.0, 1.0]), segs)
-    with pytest.raises(ValueError, match="rows"):  # field values, not an EmbeddingField
+    with pytest.raises(ValueError, match="rows"):  # field values, not rows
         pull_to_mean_loss(Tensor(np.zeros((1, 1, 2))), segs)
     with pytest.raises(ValueError, match="no segments"):
-        pull_to_mean_loss(field_from_rows([[0.0], [1.0]]), SegmentSet([], [0, 1], 2))
+        pull_to_mean_loss(Tensor([[0.0], [1.0]]), SegmentSet([], [0, 1], 2))
 
 
 def test_loss_grad_check():
@@ -130,10 +123,9 @@ def test_loss_tape_size_independent_of_segment_count():
     sizes = []
     for n in (2, 4, 6):
         scene = generate_scene(n, n, dot_radius=2, spacing=8)
-        values = Tensor(np.random.default_rng(n).standard_normal((3,) + scene.shape),
-                        requires_grad=True)
-        loss = pull_to_mean_loss(EmbeddingField(values),
-                                 SegmentSet.from_labels(scene.gt))
+        rows = Tensor(np.random.default_rng(n).standard_normal((np.prod(scene.shape), 3)),
+                      requires_grad=True)
+        loss = pull_to_mean_loss(rows, SegmentSet.from_labels(scene.gt))
         sizes.append(len(T._topo_order(loss)))
     assert sizes[0] == sizes[1] == sizes[2] < 24
 

@@ -9,10 +9,11 @@ from semiconv.tensor import NumericError, Tensor
 from semiconv.embedding import attach_coords, field_rows
 from semiconv.kernels import FAMILIES, KernelParams, fuse_scores
 from semiconv.losses import SegmentSet, mask_bce, pull_to_mean_loss
-from semiconv.synth import InstanceLabeling, TrainConfig, build_field, generate_scene, train
+from semiconv.synth import (InstanceLabeling, Scene, TrainConfig, build_field, generate_scene,
+                            train)
 from semiconv.seedcut import (RegionProposal, _box_rows, box_loss, cut_all_boxes, cut_region,
                               gt_boxes_from_labels, region_pixel_indices, rle_decode,
-                              rle_encode, synthetic_scores, train_seedcut)
+                              rle_encode, train_seedcut)
 
 
 def make_region(rows, scores, shape):
@@ -129,9 +130,8 @@ def test_region_rows_match_the_field_crop():
     assert np.array_equal(rows.data, manual)
 
 
-def dense_box_rows(model, image, mode, boxes):
+def dense_box_rows(model, image, mode, boxes, pixels, ids):
     """The reference for _box_rows: the whole field, indexed at the box pixels."""
-    pixels, _, _ = region_pixel_indices(boxes, image.data.shape[1:])
     return T.index_select(field_rows(build_field(model, image, mode)), pixels)
 
 
@@ -180,9 +180,10 @@ def test_box_rows_equal_the_dense_rows(monkeypatch, tmp_path, mode, boxes, kerne
         model.save(tmp_path / "m.bin")
         model = Backbone.load(tmp_path / "m.bin")
     image = Tensor(rng.standard_normal((1, 45, 61)))
-    want = dense_box_rows(model, image, mode, BOX_SETS[boxes]).data
+    pixels, ids, _ = region_pixel_indices(BOX_SETS[boxes], (45, 61))
+    want = dense_box_rows(model, image, mode, BOX_SETS[boxes], pixels, ids).data
     shapes = forward_inputs(monkeypatch)
-    got = _box_rows(model, image, mode, BOX_SETS[boxes]).data
+    got = _box_rows(model, image, mode, BOX_SETS[boxes], pixels, ids).data
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
     r = sum(k // 2 for k in kernels)
@@ -250,15 +251,6 @@ def test_gt_boxes_match_per_instance_scan():
     labels[0, 0] = labels[3, 4] = 1
     labels[1:3, 2] = 2
     assert gt_boxes_from_labels(InstanceLabeling(labels)) == [(0, 0, 5, 4), (1, 0, 4, 4)]
-
-
-def test_synthetic_scores_pattern():
-    scene = generate_scene(1, 1, dot_radius=2, spacing=8, seed=0)
-    pixels, _, _ = region_pixel_indices([(0, 0, 8, 8)], scene.shape)
-    s = synthetic_scores(scene.gt, pixels, 1)
-    inside = scene.gt.labels.reshape(-1) == 1
-    assert np.all(s[inside] == 1.0)
-    assert np.all(s[~inside] == -1.0)
 
 
 def test_rle_round_trip():
@@ -377,34 +369,48 @@ def test_box_loss_reads_the_rows_the_cut_reads(family):
     # the same first-step loss, with every box fused and scored on its own
     params = KernelParams(family)
     field = build_field(Backbone.glorot(1, cfg.dims, cfg.seed), scene.image, cfg.mode)
-    want = (pull_to_mean_loss(field, SegmentSet.from_labels(scene.gt)).item()
+    want = (pull_to_mean_loss(field_rows(field), SegmentSet.from_labels(scene.gt)).item()
             + per_box_loss(field, scene.gt, boxes, range(1, 5), params))
     assert abs(losses[0] - want) <= 1e-12 * abs(want)
 
 
+def l_around_a_square():
+    """12x12 labels: instance 1 an L, instance 2 a larger square inside its box."""
+    labels = np.zeros((12, 12), dtype=int)
+    labels[1:11, 1] = labels[10, 1:11] = 1   # 19 pixels
+    labels[3:8, 4:9] = 2                     # 25 pixels
+    return InstanceLabeling(labels)
+
+
 @pytest.mark.parametrize("family", FAMILIES)
-def test_box_loss_overlapping_boxes_and_tied_seed(family):
-    # 6x8 labels: instance 1 in columns 1-2, instance 2 in columns 4-6
-    labels = np.zeros((6, 8), dtype=int)
-    labels[1:5, 1:3] = 1
-    labels[0:4, 4:7] = 2
-    gt = InstanceLabeling(labels)
-    # box 0 holds all of 1 and part of 2, box 1 overlaps it and holds only 2,
-    # box 2 holds two pixels of each: the vote tie goes to instance 1, whose
-    # two tied +1 pixels (x=2, y=2) and (x=2, y=3) must seed at the first
-    boxes = [(0, 0, 5, 6), (3, 0, 8, 5), (2, 2, 5, 4)]
+def test_box_k_is_instance_k_plus_1_in_the_loss_and_the_cut(family):
+    gt = l_around_a_square()
+    boxes = gt_boxes_from_labels(gt)
+    # box 0 encloses box 1, so the square outnumbers the L in it
+    assert boxes == [(0, 0, 12, 12), (3, 2, 10, 9)]
     rng = np.random.default_rng(0)
-    field = attach_coords(Tensor(rng.standard_normal((4, 6, 8))))
+    field = attach_coords(Tensor(rng.standard_normal((4, 12, 12))))
     params = KernelParams(family, sigma=1.7)
     got = box_loss(gt, boxes, params)(field).item()
-    want = per_box_loss(field, gt, boxes, [1, 2, 1], params)
+    want = per_box_loss(field, gt, boxes, [1, 2], params)
     assert abs(got - want) <= 1e-12 * abs(want)
-    # box 2 seeded at the second tied pixel scores differently, so the match
-    # above pins the seed to the first
-    later = labels.copy()
-    later[2, 2] = 0
-    moved = per_box_loss(field, InstanceLabeling(later), boxes[2:], [1], params)
-    assert abs(moved - per_box_loss(field, gt, boxes[2:], [1], params)) > 1e-6
+    assert abs(per_box_loss(field, gt, boxes, [2, 2], params) - want) > 1e-6
+    # the cut scores the same instances, box for box
+    image = Tensor((gt.labels > 0)[None] + 0.1 * rng.standard_normal((1, 12, 12)))
+    model = Backbone.glorot(1, 4, 0)
+    masks, _, ious = cut_all_boxes(Scene(image, gt, {}), model, params)
+    rows_all = field_rows(build_field(model, image, "semiconv"))
+    for k, rect in enumerate(boxes):
+        pixels, _, _ = region_pixel_indices([rect], (12, 12))
+        truth = gt.labels.reshape(-1)[pixels] == k + 1
+        region = RegionProposal(rect, Tensor(np.where(truth, 1.0, -1.0)),
+                                T.index_select(rows_all, pixels))
+        mask = cut_region(region, params)
+        assert np.array_equal(masks[k], mask)
+        assert ious[k] == np.sum(mask.ravel() & truth) / np.sum(mask.ravel() | truth)
+    # the boxes in the other order: box 0 holds no pixel of instance 1
+    with pytest.raises(ValueError, match="no pixel of its instance 1"):
+        box_loss(gt, boxes[::-1], params)
 
 
 def test_box_loss_tape_does_not_grow_with_boxes():
@@ -452,7 +458,8 @@ def test_seedcut_cuts_match_instances_after_training():
     rows_all = field_rows(field)
     for k, rect in enumerate(boxes, start=1):
         pixels, _, _ = region_pixel_indices([rect], scene.shape)
-        region = RegionProposal(rect, Tensor(synthetic_scores(scene.gt, pixels, k)),
+        scores = np.where(scene.gt.labels.reshape(-1)[pixels] == k, 1.0, -1.0)
+        region = RegionProposal(rect, Tensor(scores),
                                 T.index_select(rows_all, pixels))
         assert np.array_equal(masks[k - 1], cut_region(region, params))
 
@@ -460,5 +467,5 @@ def test_seedcut_cuts_match_instances_after_training():
 def test_train_seedcut_validation():
     scene = generate_scene(1, 1, dot_radius=2, spacing=8, seed=0)
     cfg = TrainConfig(dims=4, epochs=1, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no pixel of its instance 1"):
         train_seedcut(scene, [(0, 0, 2, 2)], cfg)  # box without foreground

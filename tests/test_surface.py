@@ -29,7 +29,7 @@ ALLOWED = {}
 # lets it stay.
 READ_BY = {
     "Tensor.item": "synth.train",
-    "Scene.shape": "seedcut.cut_all_boxes",
+    "Scene.shape": "synth.scene_to_json",
     "RegionProposal.shape": "seedcut.cut_region",
 }
 # "callee(parameter)" -> why no reader passes it

@@ -6,7 +6,7 @@ import pytest
 
 from semiconv import tensor as T
 from semiconv.tensor import Tensor, NumericError
-from semiconv.embedding import EmbeddingField
+from semiconv.embedding import EmbeddingField, field_rows
 from semiconv.losses import SegmentSet, pull_to_mean_loss
 from semiconv.synth import InstanceLabeling
 
@@ -332,7 +332,7 @@ def conv_relu_loss(seed):
     h = T.relu(T.conv2d(x, leaves[1], leaves[2]))
     field = EmbeddingField(T.conv2d(h, leaves[3], leaves[4]))
     segs = SegmentSet.from_labels(InstanceLabeling(rng.integers(0, 4, size=(6, 8))))
-    return pull_to_mean_loss(field, segs), leaves
+    return pull_to_mean_loss(field_rows(field), segs), leaves
 
 
 def test_backward_spends_the_tape_and_keeps_leaf_grads():
