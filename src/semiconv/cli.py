@@ -413,8 +413,10 @@ def main(argv=None):
         with np.errstate(all="ignore"):
             outputs = args.func(args)
         write_manifest(args.subcommand, args, outputs, started)
-    except (UsageError, OSError, KeyError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
+    # a MemoryError comes from a flag that asks for more than the host can
+    # allocate; numpy's message names the size
+    except (UsageError, OSError, KeyError, ValueError, MemoryError) as err:
+        print(f"error: {str(err) or 'out of memory'}", file=sys.stderr)
         return 1
     except NumericError as err:
         print(f"numeric failure: {err}", file=sys.stderr)

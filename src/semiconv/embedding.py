@@ -41,11 +41,14 @@ class EmbeddingField:
         return f"EmbeddingField(shape={self.values.data.shape})"
 
 
-def attach_coords(phi):
+def attach_coords(phi, grid):
     """Mix pixel location into a feature map: out[c] = phi[c] + (x, y, 0, ...).
 
-    Channel 0 gains the pixel's x, channel 1 its y, all others pass through.
-    Differentiable with an identity Jacobian, so gradients reach phi unchanged.
+    ``grid`` holds the [2,H,W] (x, y) of the map's pixels: coord_grid(H, W)
+    for a whole image, or that grid gathered at the same positions as the
+    pixels that produced ``phi``. Channel 0 gains the pixel's x, channel 1
+    its y, all others pass through. Differentiable with an identity
+    Jacobian, so gradients reach phi unchanged.
     """
     if phi.data.ndim != 3:
         raise ValueError("expected a [D,H,W] feature map")
@@ -53,7 +56,7 @@ def attach_coords(phi):
     if d < 2:
         raise ValueError("need at least 2 channels to carry coordinates")
     mix = np.zeros((d, h, w))
-    mix[:2] = coord_grid(h, w)
+    mix[:2] = grid
     return EmbeddingField(T.add(phi, Tensor(mix)))
 
 

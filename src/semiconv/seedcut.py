@@ -17,7 +17,7 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor
 from .kernels import KernelParams, fuse_boxes, fuse_scores
-from .embedding import field_rows
+from .embedding import EmbeddingField, attach_coords, coord_grid, field_rows
 from .losses import _bce_terms
 from . import synth
 
@@ -108,8 +108,10 @@ def _box_list(gt, boxes):
 
     Box k encloses instance k + 1, the order gt_boxes_from_labels gives.
     Returns region_pixel_indices' (pixels, ids, counts) plus ``truth``, True
-    at each listed pixel of its box's instance. A box that holds no pixel of
-    its instance raises ValueError.
+    at each listed pixel of its box's instance, and the box's stand-in
+    detector ``scores``: +1 on its instance, -1 elsewhere, so the seed lands
+    on the instance. A box that holds no pixel of its instance raises
+    ValueError.
     """
     pixels, ids, counts = region_pixel_indices(boxes, gt.labels.shape)
     truth = gt.labels.reshape(-1)[pixels] == ids + 1
@@ -118,7 +120,7 @@ def _box_list(gt, boxes):
         k = int(np.argmin(hits))
         raise ValueError(f"box {tuple(int(v) for v in boxes[k])} holds no pixel "
                          f"of its instance {k + 1}")
-    return pixels, ids, counts, truth
+    return pixels, ids, counts, truth, np.where(truth, 1.0, -1.0)
 
 
 def box_loss(gt, boxes, params):
@@ -126,14 +128,12 @@ def box_loss(gt, boxes, params):
 
     The mean over boxes of the cross entropy between the box's fused
     probabilities and the mask of its instance (box k holds instance k + 1,
-    as in cut_all_boxes). A box's scores are synthetic: +1 on its instance,
-    -1 elsewhere, standing in for an upstream detector's confidence, so the
-    seed lands on the instance. They never change, so the pixel list, the
-    scores and the targets are built once here; each evaluation is one
-    fuse_boxes call and one cross-entropy sum weighted 1/(B * box size).
+    as in cut_all_boxes), with _box_list's stand-in scores. They never
+    change, so the pixel list, the scores and the targets are built once
+    here; each evaluation is one fuse_boxes call and one cross-entropy sum
+    weighted 1/(B * box size).
     """
-    pixels, ids, counts, truth = _box_list(gt, boxes)
-    scores = Tensor(np.where(truth, 1.0, -1.0))
+    pixels, ids, counts, truth, scores = _box_list(gt, boxes)
     weights = Tensor(1.0 / (counts.size * counts[ids]))
 
     def loss(field):
@@ -161,46 +161,43 @@ def train_seedcut(scene, gt_boxes, cfg, params=None):
     return model, params, losses
 
 
-def _box_rows(model, image, mode, boxes, pixels, ids):
+def _box_rows(model, image, mode, boxes):
     """The [P, D] embedding rows of the boxes' pixel list (region_pixel_indices).
 
-    The same rows as indexing ``build_field(model, image, mode)`` at ``pixels``,
-    bit for bit, from one forward pass over a mosaic of the boxes' receptive
+    The same rows as indexing ``build_field(model, image, mode)`` at the
+    boxes' pixels, bit for bit, from one forward pass over a mosaic of
     windows: each box grown by the backbone's receptive radius r (the sum of
     its layers' kernel half-extents), wrapping around the image edges as the
     circular convolutions do, and laid side by side (below a window shorter
     than the tallest, its columns run on down the image). A box pixel's
     receptive field lies inside its window, so only the r-pixel margins see
-    values that differ from the image's. When the mosaic is no smaller than
-    the image, the forward runs over the image itself. A semiconv row then
-    gains its original pixel's (x, y), added as attach_coords adds it, zeros
-    included.
+    values that differ from the image's. When that mosaic would be no
+    smaller than the image, the image itself is the one window, with no
+    margin. The image and its coordinate grid are gathered at the same
+    mosaic positions, so a semiconv row carries its original pixel's (x, y).
+    The cut never backpropagates, so the forward's output is detached.
     """
     _, h, w = image.data.shape
-    rects = np.asarray(boxes, dtype=np.intp).reshape(-1, 4)
-    ys, xs = np.divmod(pixels, w)
+    boxes = np.asarray(boxes, dtype=np.intp).reshape(-1, 4)
     r = sum(wt.data.shape[2] // 2 for wt in model.weights)
-    x0, y0, x1, y1 = rects.T
-    widths = x1 - x0 + 2 * r
-    height, width = int((y1 - y0).max()) + 2 * r, int(widths.sum())
-    if height * width < h * w:
-        starts = np.cumsum(widths) - widths
-        win = np.repeat(np.arange(widths.size), widths)  # each mosaic column's window
-        cols = (x0[win] - r + np.arange(width) - starts[win]) % w
-        rows = (y0[win] - r + np.arange(height)[:, None]) % h
-        src = Tensor(image.data[:, rows, cols])
-        at = (ys - y0[ids] + r) * width + xs - x0[ids] + r + starts[ids]
-    else:
-        src, at = image, pixels
-    phi = model.forward(src).data
-    out = phi.reshape(phi.shape[0], -1)[:, at].T
-    if mode == "semiconv":
-        if out.shape[1] < 2:
-            raise ValueError("need at least 2 channels to carry coordinates")
-        mix = np.zeros_like(out)
-        mix[:, 0], mix[:, 1] = xs, ys
-        out = out + mix
-    return Tensor(out)
+    x0, y0, x1, y1 = (boxes + [-r, -r, r, r]).T  # window k holds box k
+    if (y1 - y0).max() * (x1 - x0).sum() >= h * w:  # one window holds every box
+        x0, y0, x1, y1 = np.array([[0], [0], [w], [h]])
+    widths = x1 - x0
+    starts = np.cumsum(widths) - widths
+    height, width = int((y1 - y0).max()), int(widths.sum())
+    win = np.repeat(np.arange(widths.size), widths)  # each mosaic column's window
+    rows = (y0[win] + np.arange(height)[:, None]) % h
+    at = rows * w + (x0[win] + np.arange(width) - starts[win]) % w  # each mosaic pixel's source
+
+    def gather(a):
+        return np.take(a.reshape(a.shape[0], -1), at, axis=1)
+
+    phi = Tensor(model.forward(Tensor(gather(image.data))).data)
+    grid = gather(coord_grid(h, w))
+    field = attach_coords(phi, grid) if mode == "semiconv" else EmbeddingField(phi)
+    rects = boxes + np.stack([starts - x0, -y0] * 2, axis=1)  # the boxes in the mosaic
+    return T.index_select(field_rows(field), region_pixel_indices(rects, (height, width))[0])
 
 
 def cut_all_boxes(scene, model, params, cfg_mode="semiconv", threshold=0.5):
@@ -212,9 +209,9 @@ def cut_all_boxes(scene, model, params, cfg_mode="semiconv", threshold=0.5):
     windows (see _box_rows).
     """
     boxes = gt_boxes_from_labels(scene.gt)
-    pixels, ids, counts, truth = _box_list(scene.gt, boxes)
-    rows = _box_rows(model, scene.image, cfg_mode, boxes, pixels, ids)
-    fused = fuse_boxes(np.where(truth, 1.0, -1.0), rows, counts, params)
+    _, ids, counts, truth, scores = _box_list(scene.gt, boxes)
+    rows = _box_rows(model, scene.image, cfg_mode, boxes)
+    fused = fuse_boxes(scores, rows, counts, params)
     mask = _cut(fused, threshold)
     ious = np.bincount(ids, mask & truth, counts.size) / np.bincount(ids, mask | truth, counts.size)
     masks = [m.reshape(y1 - y0, x1 - x0)

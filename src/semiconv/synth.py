@@ -19,7 +19,7 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor, NumericError
 from .backbone import Backbone
-from .embedding import EmbeddingField, attach_coords, field_rows
+from .embedding import EmbeddingField, attach_coords, coord_grid, field_rows
 from .losses import SegmentSet, pull_to_mean_loss
 
 KMEANS_MAX_ITER = 300
@@ -73,10 +73,11 @@ class TrainConfig:
             raise ValueError(f"unknown mode '{self.mode}'")
         if self.dims < 1:
             raise ValueError("dims must be positive")
-        if self.epochs < 0 or self.lr <= 0:
-            raise ValueError("epochs must be >= 0 and lr positive")
-        if self.lr_decay < 0:
-            raise ValueError("lr_decay must be >= 0")
+        # written so that NaN fails every comparison and is rejected
+        if self.epochs < 0 or not 0 < self.lr < np.inf:
+            raise ValueError("epochs must be >= 0 and lr positive and finite")
+        if not 0 <= self.lr_decay < np.inf:
+            raise ValueError("lr_decay must be finite and >= 0")
 
 
 def generate_scene(rows, cols, dot_radius=3, spacing=32, img_noise_std=0.0, seed=0):
@@ -109,7 +110,9 @@ def generate_scene(rows, cols, dot_radius=3, spacing=32, img_noise_std=0.0, seed
 
 def build_field(model, image, mode):
     phi = model.forward(image)
-    return attach_coords(phi) if mode == "semiconv" else EmbeddingField(phi)
+    if mode == "semiconv":
+        return attach_coords(phi, coord_grid(*image.data.shape[1:]))
+    return EmbeddingField(phi)
 
 
 def sgd_step(params, lr):

@@ -25,7 +25,7 @@ class NumericError(ArithmeticError):
 
 
 def _check_finite(arr, op):
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError(f"non-finite values produced by op '{op}'")
 
 
@@ -336,7 +336,12 @@ def _taps(a, kh, kw):
     """
     c, h, w = a.shape
     ph, pw = kh // 2, kw // 2
-    ap = np.pad(a, ((0, 0), (ph, ph), (pw, pw)), mode="wrap")
+    # a wrap-padded as np.pad(mode="wrap") pads it, without that call's per-call
+    # bookkeeping, which outweighs the copy on a small map
+    ap = np.empty((c, h + 2 * ph, w + 2 * pw))
+    ap[:, ph:ph + h, pw:pw + w] = a
+    ap[:, :ph, pw:pw + w], ap[:, ph + h:, pw:pw + w] = a[:, h - ph:], a[:, :ph]
+    ap[:, :, :pw], ap[:, :, pw + w:] = ap[:, :, w:w + pw], ap[:, :, pw:2 * pw]
     return sliding_window_view(ap, (h, w), axis=(1, 2)).reshape(c * kh * kw, h * w)
 
 

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from semiconv import synth
+from semiconv import dilemma as dilemma_mod, synth
 from semiconv.backbone import Backbone
 from semiconv.cli import canonical_json, main, write_json
 from semiconv.tensor import NumericError, Tensor
@@ -123,21 +123,56 @@ def test_train_then_cluster_chain(tmp_path, scene_path):
     assert (tmp_path / "c.ppm").read_bytes().startswith(b"P6")
 
 
-def test_identical_flags_identical_bytes(tmp_path, scene_path):
-    outs = []
-    for name in ("a", "b"):
-        model = tmp_path / f"{name}.bin"
-        losses = tmp_path / f"{name}.losses.json"
-        assert run("train", "--scene", scene_path, "--epochs", 20,
-                   "--dims", 4, "--out", model, "--losses", losses) == 0
-        outs.append((model.read_bytes(), losses.read_bytes()))
-    assert outs[0] == outs[1]
-    ma = read(tmp_path / "a.bin.manifest.json")
-    mb = read(tmp_path / "b.bin.manifest.json")
-    ma.pop("duration_s"), mb.pop("duration_s")
-    # manifests agree on everything but wall clock and the output names
-    assert ma["config"].keys() == mb["config"].keys()
-    assert ma["seeds"] == mb["seeds"]
+# (argv without --out, the flag of a second artifact or None); {scene} and
+# {model} stand for an input scene and a saved model
+DETERMINISM_RUNS = {
+    "train": (("train", "--scene", "{scene}", "--epochs", 20, "--dims", 4), "--losses"),
+    "synth-gen": (("synth-gen", "--rows", 2, "--cols", 3, "--noise", 0.1), None),
+    "seedcut": (("seedcut", "--scene", "{scene}", "--epochs", 10, "--dims", 4), "--render"),
+    "render-arrows": (("render-arrows", "--scene", "{scene}", "--model", "{model}"), None),
+    "dilemma": (("dilemma",), None),
+    "gradcheck": (("gradcheck", "--instances", 2), None),
+}
+
+
+@pytest.mark.parametrize("case", DETERMINISM_RUNS)
+def test_identical_flags_identical_bytes(tmp_path, scene_path, case):
+    argv, extra = DETERMINISM_RUNS[case]
+    model = tmp_path / "m.bin"
+    Backbone.glorot(1, 4, 0).save(model)
+    out, second = tmp_path / "out", tmp_path / "second"
+    argv = [str(a).format(scene=scene_path, model=model) for a in argv] + ["--out", out]
+    paths = [out]
+    if extra:
+        argv += [extra, second]
+        paths.append(second)
+    runs = []
+    for _ in range(2):
+        assert run(*argv) == 0
+        manifest = read(str(out) + ".manifest.json")
+        # the manifests agree on everything but wall clock and the output names
+        manifest.pop("duration_s"), manifest.pop("outputs")
+        runs.append(([p.read_bytes() for p in paths], manifest))
+        for p in paths:
+            p.unlink()
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("subcommand,module,work", [("dilemma", dilemma_mod, "report"),
+                                                     ("synth-gen", synth, "generate_scene")],
+                         ids=["dilemma", "synth-gen"])
+@pytest.mark.parametrize("message", ["Unable to allocate 58.2 TiB", ""], ids=["numpy", "bare"])
+def test_memory_error_is_one_error_line(tmp_path, monkeypatch, capsys, subcommand, module, work,
+                                        message):
+    # stands in for an oversized flag (--half-extent 1e12, --rows 100000),
+    # which a host that overcommits memory might grant
+    def too_big(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(module, work, too_big)
+    assert run(subcommand, "--out", tmp_path / "o.json") == 1
+    assert capsys.readouterr().err == f"error: {message or 'out of memory'}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_file_overrides_flags(tmp_path, scene_path):

@@ -19,35 +19,35 @@ def test_coord_grid_layout():
 
 def test_attach_coords_zero_features():
     phi = Tensor(np.zeros((4, 8, 8)))
-    field = E.attach_coords(phi)
+    field = E.attach_coords(phi, E.coord_grid(8, 8))
     assert np.array_equal(field.values.data[:, 5, 3], [3.0, 5.0, 0.0, 0.0])
 
 
 def test_attach_coords_exact_cancellation():
     g = E.coord_grid(6, 7)
-    field = E.attach_coords(Tensor(-g.copy()))
+    field = E.attach_coords(Tensor(-g.copy()), g)
     assert np.all(field.values.data == 0.0)
 
 
 def test_attach_coords_identity_jacobian():
     phi = Tensor(np.random.default_rng(0).standard_normal((3, 4, 4)),
                  requires_grad=True)
-    T.tsum(E.attach_coords(phi).values).backward()
+    T.tsum(E.attach_coords(phi, E.coord_grid(4, 4)).values).backward()
     assert np.all(phi.grad == 1.0)
 
 
 def test_attach_coords_needs_two_channels():
     with pytest.raises(ValueError):
-        E.attach_coords(Tensor(np.zeros((1, 4, 4))))
+        E.attach_coords(Tensor(np.zeros((1, 4, 4))), E.coord_grid(4, 4))
     with pytest.raises(ValueError):
-        E.attach_coords(Tensor(np.zeros((4, 4))))
+        E.attach_coords(Tensor(np.zeros((4, 4))), E.coord_grid(4, 4))
 
 
 def test_channel_split():
     # coordinates go to the two geometric channels, the rest pass through;
     # a conv field of any width is a plain [D,H,W] map
     phi = np.random.default_rng(4).standard_normal((5, 3, 3))
-    psi = E.attach_coords(Tensor(phi)).values.data
+    psi = E.attach_coords(Tensor(phi), E.coord_grid(3, 3)).values.data
     assert np.array_equal(psi[2:], phi[2:])
     assert np.array_equal(psi[:2], phi[:2] + E.coord_grid(3, 3))
     assert E.EmbeddingField(Tensor(np.zeros((1, 3, 3)))).values.data.shape == (1, 3, 3)
@@ -90,7 +90,7 @@ def test_period_shift_moves_geometric_dims_only():
     img = Tensor(np.tile(tile, (1, 3, 3)))
     w = Tensor(rng.standard_normal((4, 1, 3, 3)))
     phi = T.conv2d(img, w)
-    psi = E.attach_coords(phi).values.data
+    psi = E.attach_coords(phi, E.coord_grid(3 * p, 3 * p)).values.data
     a = psi[:, 2, 3]
     b = psi[:, 2 + p, 3 + p]
     assert np.array_equal(b - a, [p, p, 0.0, 0.0])

@@ -6,7 +6,7 @@ import pytest
 from semiconv import tensor as T
 from semiconv.backbone import Backbone
 from semiconv.tensor import NumericError, Tensor
-from semiconv.embedding import attach_coords, field_rows
+from semiconv.embedding import attach_coords, coord_grid, field_rows
 from semiconv.kernels import FAMILIES, KernelParams, fuse_scores
 from semiconv.losses import SegmentSet, mask_bce, pull_to_mean_loss
 from semiconv.synth import (InstanceLabeling, Scene, TrainConfig, build_field, generate_scene,
@@ -130,8 +130,9 @@ def test_region_rows_match_the_field_crop():
     assert np.array_equal(rows.data, manual)
 
 
-def dense_box_rows(model, image, mode, boxes, pixels, ids):
+def dense_box_rows(model, image, mode, boxes):
     """The reference for _box_rows: the whole field, indexed at the box pixels."""
+    pixels, _, _ = region_pixel_indices(boxes, image.data.shape[1:])
     return T.index_select(field_rows(build_field(model, image, mode)), pixels)
 
 
@@ -180,10 +181,9 @@ def test_box_rows_equal_the_dense_rows(monkeypatch, tmp_path, mode, boxes, kerne
         model.save(tmp_path / "m.bin")
         model = Backbone.load(tmp_path / "m.bin")
     image = Tensor(rng.standard_normal((1, 45, 61)))
-    pixels, ids, _ = region_pixel_indices(BOX_SETS[boxes], (45, 61))
-    want = dense_box_rows(model, image, mode, BOX_SETS[boxes], pixels, ids).data
+    want = dense_box_rows(model, image, mode, BOX_SETS[boxes]).data
     shapes = forward_inputs(monkeypatch)
-    got = _box_rows(model, image, mode, BOX_SETS[boxes], pixels, ids).data
+    got = _box_rows(model, image, mode, BOX_SETS[boxes]).data
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
     r = sum(k // 2 for k in kernels)
@@ -389,7 +389,7 @@ def test_box_k_is_instance_k_plus_1_in_the_loss_and_the_cut(family):
     # box 0 encloses box 1, so the square outnumbers the L in it
     assert boxes == [(0, 0, 12, 12), (3, 2, 10, 9)]
     rng = np.random.default_rng(0)
-    field = attach_coords(Tensor(rng.standard_normal((4, 12, 12))))
+    field = attach_coords(Tensor(rng.standard_normal((4, 12, 12))), coord_grid(12, 12))
     params = KernelParams(family, sigma=1.7)
     got = box_loss(gt, boxes, params)(field).item()
     want = per_box_loss(field, gt, boxes, [1, 2], params)

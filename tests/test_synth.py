@@ -192,7 +192,8 @@ def test_training_memory_does_not_grow_with_epochs():
 
 def test_train_config_validation():
     for bad in (dict(mode="hybrid"), dict(lr=0.0), dict(epochs=-1),
-                dict(lr_decay=-0.1), dict(dims=0)):
+                dict(lr_decay=-0.1), dict(dims=0),
+                dict(lr=np.nan), dict(lr=np.inf), dict(lr_decay=np.nan)):
         with pytest.raises(ValueError):
             cfg = quick_cfg()
             for k, v in bad.items():
