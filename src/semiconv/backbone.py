@@ -57,6 +57,11 @@ class Backbone:
                 raise NumericError(f"layer {i}: {err}") from err
         return x
 
+    @property
+    def radius(self):
+        """How far from a pixel its output reads: the layers' kernel half-extents, summed."""
+        return sum(max(w.data.shape[2:]) // 2 for w in self.weights)
+
     def named_params(self):
         """(name, tensor) pairs in layer order: l0.w, l0.b, l1.w, ..."""
         return [(f"l{i}.{kind}", t) for i, pair in enumerate(zip(self.weights, self.biases))

@@ -20,7 +20,7 @@ from . import __version__
 from . import tensor as T
 from .tensor import Tensor, NumericError
 from .backbone import Backbone
-from .embedding import displacement_field, field_rows
+from .embedding import displacement_field, rows_at
 from .kernels import KernelParams, fuse_scores, steered_laplacian
 from .losses import SegmentSet, mask_bce, pull_to_mean_loss
 from . import dilemma as dilemma_mod
@@ -181,13 +181,15 @@ def cmd_train(args):
 def cmd_cluster(args):
     scene = synth.load_scene(args.scene)
     model = Backbone.load(args.model)
-    field = synth.build_field(model, scene.image, args.mode)
+    # both readers look inside the instances' boxes only
+    field = synth.window_field(model, scene.image, synth.gt_boxes_from_labels(scene.gt),
+                               args.mode)
     k = args.k if args.k > 0 else scene.gt.K
     pred = synth.decode_kmeans(field, scene.gt.foreground_mask(), k, args.seed)
     metrics = synth.score(pred, scene.gt)
     segs = SegmentSet.from_labels(scene.gt)
-    metrics.update(mode=args.mode,
-                   final_loss=pull_to_mean_loss(field_rows(field), segs).item())
+    rows = rows_at(field, segs.pixels)
+    metrics.update(mode=args.mode, final_loss=pull_to_mean_loss(rows, segs.listed()).item())
     write_json(args.out, metrics)
     outputs = [args.out]
     if args.render:

@@ -42,6 +42,12 @@ class SegmentSet:
         runs = np.split(order, np.cumsum(np.bincount(flat, minlength=labels.K + 1))[:-1])
         return cls(runs[1:], runs[0], flat.size)
 
+    def listed(self):
+        """The same segments over their own pixel list: rows 0..N-1 are
+        ``pixels`` in order, as rows_at(field, self.pixels) gives them."""
+        n = self.pixels.size
+        return SegmentSet(np.split(np.arange(n), np.cumsum(self.counts)[:-1]), [], n)
+
     def __len__(self):
         return self.counts.size
 
@@ -55,8 +61,10 @@ def pull_to_mean_loss(rows, segs):
     between segments; with position mixed into the embeddings, pulling each
     segment to its own mean is enough to separate them. eps (NORM_EPS) keeps
     the square root differentiable when a segment is already perfectly tight.
-    Background pixels are ignored. ``rows`` holds one [D] embedding per
-    pixel, [N, D] in row-major pixel order (embedding.field_rows).
+    Background pixels are ignored. ``rows`` holds the [N, D] embeddings that
+    segs.pixels indexes: a whole field's rows in row-major pixel order
+    (embedding.field_rows), or the segments' own rows,
+    rows_at(field, segs.pixels), with segs.listed().
 
     All segments go through one gather and two segment sums, so the tape has
     the same dozen nodes whatever the number of segments.

@@ -17,9 +17,10 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor
 from .kernels import KernelParams, fuse_boxes, fuse_scores
-from .embedding import EmbeddingField, attach_coords, coord_grid, field_rows
+from .embedding import rows_at
 from .losses import _bce_terms
 from . import synth
+from .synth import gt_boxes_from_labels
 
 
 @dataclass
@@ -84,25 +85,6 @@ def cut_region(region, params):
     return _cut(fused, 0.5).reshape(region.shape)
 
 
-def gt_boxes_from_labels(gt):
-    """Tight axis-aligned boxes (x0, y0, x1, y1) around each instance id.
-
-    Each box grows by one pixel on every side, clipped to the image. One
-    pass over the foreground pixels finds every instance's extent.
-    """
-    h, w = gt.labels.shape
-    ys, xs = np.nonzero(gt.labels)
-    cols = (slice(None), gt.labels[ys, xs] - 1)
-    pts = np.stack([xs, ys])
-    lo = np.full((2, gt.K), max(h, w), dtype=np.intp)
-    hi = np.zeros((2, gt.K), dtype=np.intp)
-    np.minimum.at(lo, cols, pts)
-    np.maximum.at(hi, cols, pts)
-    lo = np.maximum(lo - 1, 0)
-    hi = np.minimum(hi + 2, [[w], [h]])  # one past the last pixel, plus the pad
-    return [tuple(box) for box in np.concatenate([lo, hi]).T.tolist()]
-
-
 def _box_list(gt, boxes):
     """Every box's pixels as one list, marked where they hold the box's instance.
 
@@ -137,7 +119,7 @@ def box_loss(gt, boxes, params):
     weights = Tensor(1.0 / (counts.size * counts[ids]))
 
     def loss(field):
-        rows = T.index_select(field_rows(field), pixels)
+        rows = rows_at(field, pixels)
         fused = fuse_boxes(scores, rows, counts, params)
         return T.mul(T.tsum(T.mul(_bce_terms(fused.probabilities, truth), weights)), -1.0)
 
@@ -161,56 +143,18 @@ def train_seedcut(scene, gt_boxes, cfg, params=None):
     return model, params, losses
 
 
-def _box_rows(model, image, mode, boxes):
-    """The [P, D] embedding rows of the boxes' pixel list (region_pixel_indices).
-
-    The same rows as indexing ``build_field(model, image, mode)`` at the
-    boxes' pixels, bit for bit, from one forward pass over a mosaic of
-    windows: each box grown by the backbone's receptive radius r (the sum of
-    its layers' kernel half-extents), wrapping around the image edges as the
-    circular convolutions do, and laid side by side (below a window shorter
-    than the tallest, its columns run on down the image). A box pixel's
-    receptive field lies inside its window, so only the r-pixel margins see
-    values that differ from the image's. When that mosaic would be no
-    smaller than the image, the image itself is the one window, with no
-    margin. The image and its coordinate grid are gathered at the same
-    mosaic positions, so a semiconv row carries its original pixel's (x, y).
-    The cut never backpropagates, so the forward's output is detached.
-    """
-    _, h, w = image.data.shape
-    boxes = np.asarray(boxes, dtype=np.intp).reshape(-1, 4)
-    r = sum(wt.data.shape[2] // 2 for wt in model.weights)
-    x0, y0, x1, y1 = (boxes + [-r, -r, r, r]).T  # window k holds box k
-    if (y1 - y0).max() * (x1 - x0).sum() >= h * w:  # one window holds every box
-        x0, y0, x1, y1 = np.array([[0], [0], [w], [h]])
-    widths = x1 - x0
-    starts = np.cumsum(widths) - widths
-    height, width = int((y1 - y0).max()), int(widths.sum())
-    win = np.repeat(np.arange(widths.size), widths)  # each mosaic column's window
-    rows = (y0[win] + np.arange(height)[:, None]) % h
-    at = rows * w + (x0[win] + np.arange(width) - starts[win]) % w  # each mosaic pixel's source
-
-    def gather(a):
-        return np.take(a.reshape(a.shape[0], -1), at, axis=1)
-
-    phi = Tensor(model.forward(Tensor(gather(image.data))).data)
-    grid = gather(coord_grid(h, w))
-    field = attach_coords(phi, grid) if mode == "semiconv" else EmbeddingField(phi)
-    rects = boxes + np.stack([starts - x0, -y0] * 2, axis=1)  # the boxes in the mosaic
-    return T.index_select(field_rows(field), region_pixel_indices(rects, (height, width))[0])
-
-
 def cut_all_boxes(scene, model, params, cfg_mode="semiconv", threshold=0.5):
     """Cut every ground-truth box; returns (masks, boxes, per-box IoU).
 
     Box k encloses instance k + 1 and scores +1 on it, as in box_loss; all
     boxes go through one fuse_boxes call, and the thresholded list splits
     into the box masks. The backbone runs only over the boxes' receptive
-    windows (see _box_rows).
+    windows (synth.window_field), and the cut never backpropagates, so the
+    box rows are detached.
     """
     boxes = gt_boxes_from_labels(scene.gt)
-    _, ids, counts, truth, scores = _box_list(scene.gt, boxes)
-    rows = _box_rows(model, scene.image, cfg_mode, boxes)
+    pixels, ids, counts, truth, scores = _box_list(scene.gt, boxes)
+    rows = Tensor(rows_at(synth.window_field(model, scene.image, boxes, cfg_mode), pixels).data)
     fused = fuse_boxes(scores, rows, counts, params)
     mask = _cut(fused, threshold)
     ious = np.bincount(ids, mask & truth, counts.size) / np.bincount(ids, mask | truth, counts.size)

@@ -19,7 +19,7 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor, NumericError
 from .backbone import Backbone
-from .embedding import EmbeddingField, attach_coords, coord_grid, field_rows
+from .embedding import EmbeddingField, attach_coords, rows_at, window_mosaic
 from .losses import SegmentSet, pull_to_mean_loss
 
 KMEANS_MAX_ITER = 300
@@ -108,11 +108,44 @@ def generate_scene(rows, cols, dot_radius=3, spacing=32, img_noise_std=0.0, seed
     return Scene(Tensor(image[None]), InstanceLabeling(labels), meta)
 
 
+def gt_boxes_from_labels(gt):
+    """Tight axis-aligned boxes (x0, y0, x1, y1) around each instance id.
+
+    Each box grows by one pixel on every side, clipped to the image. One
+    pass over the foreground pixels finds every instance's extent.
+    """
+    h, w = gt.labels.shape
+    ys, xs = np.nonzero(gt.labels)
+    cols = (slice(None), gt.labels[ys, xs] - 1)
+    pts = np.stack([xs, ys])
+    lo = np.full((2, gt.K), max(h, w), dtype=np.intp)
+    hi = np.zeros((2, gt.K), dtype=np.intp)
+    np.minimum.at(lo, cols, pts)
+    np.maximum.at(hi, cols, pts)
+    lo = np.maximum(lo - 1, 0)
+    hi = np.minimum(hi + 2, [[w], [h]])  # one past the last pixel, plus the pad
+    return [tuple(box) for box in np.concatenate([lo, hi]).T.tolist()]
+
+
+def _embed(phi, grid, mode, at):
+    """The field of a backbone output phi whose pixels sit at ``grid`` (x, y)."""
+    values = attach_coords(phi, grid).values if mode == "semiconv" else phi
+    return EmbeddingField(values, at)
+
+
+def window_field(model, image, boxes, mode):
+    """The field of ``model`` over the receptive windows of ``boxes``
+    (embedding.window_mosaic): one forward pass over the mosaic, read with
+    rows_at. The rows of the boxes' pixels are bit-identical to build_field's.
+    """
+    mosaic, grid, at = window_mosaic(image.data, boxes, model.radius)
+    return _embed(model.forward(Tensor(mosaic)), grid, mode, at)
+
+
 def build_field(model, image, mode):
-    phi = model.forward(image)
-    if mode == "semiconv":
-        return attach_coords(phi, coord_grid(*image.data.shape[1:]))
-    return EmbeddingField(phi)
+    """The field over the whole image: window_field's one-window case."""
+    _, h, w = image.data.shape
+    return window_field(model, image, [(0, 0, w, h)], mode)
 
 
 def sgd_step(params, lr):
@@ -145,26 +178,37 @@ def _keep_freed_memory():
 def train(scene, cfg, extra_loss=None, extra_params=()):
     """Fit the backbone to the scene by pulling each instance to one embedding.
 
-    Returns (model, losses). ``extra_loss(field) -> Tensor`` lets callers add
-    a term to the objective (and ``extra_params``, its learnables as
-    (name, tensor) pairs) without changing anything else about the loop; with
-    no extra term the trajectory depends only on cfg.
+    Returns (model, losses). Every loss reads only the instances' boxes, so
+    each step runs the backbone over the mosaic of their receptive windows
+    (embedding.window_mosaic), gathered once, and reads the field with
+    rows_at. ``extra_loss(field) -> Tensor`` lets callers add a term to the
+    objective (and ``extra_params``, its learnables as (name, tensor) pairs)
+    without changing anything else about the loop; it reads ``field`` with
+    rows_at too, at pixels inside the boxes. With no extra term the
+    trajectory depends only on cfg. A scene without instances raises
+    ValueError before any step.
 
     Divergence (NaN/Inf anywhere in a step) raises NumericError with the
     offending step number; a non-finite gradient also names its parameter
     (l0.w, l1.b, ..., or an extra one's name).
     """
     cfg.validate()
-    _keep_freed_memory()
     segs = SegmentSet.from_labels(scene.gt)
+    if not len(segs):
+        raise ValueError("no segments to evaluate")
+    _keep_freed_memory()
     model = Backbone.glorot(scene.image.data.shape[0], cfg.dims, cfg.seed)
     named = model.named_params() + list(extra_params)
     params = [p for _, p in named]
+    # the windows' mosaic is gathered once: every step runs over it
+    mosaic, grid, at = window_mosaic(scene.image.data, gt_boxes_from_labels(scene.gt),
+                                     model.radius)
+    mosaic, listed = Tensor(mosaic), segs.listed()
     losses = []
     for step in range(cfg.epochs):
         try:
-            field = build_field(model, scene.image, cfg.mode)
-            loss = pull_to_mean_loss(field_rows(field), segs)
+            field = _embed(model.forward(mosaic), grid, cfg.mode, at)
+            loss = pull_to_mean_loss(rows_at(field, segs.pixels), listed)
             if extra_loss is not None:
                 loss = T.add(loss, extra_loss(field))
             del field  # the graph holds it now, and backward frees the graph as it goes
@@ -204,7 +248,7 @@ def decode_kmeans(field, fg_mask, K, seed=0):
         raise ValueError("empty foreground")
     if K > idx.size:
         raise ValueError(f"K={K} exceeds {idx.size} foreground pixels")
-    pts = field_rows(field).data[idx]
+    pts = rows_at(field, idx).data
     P = np.ascontiguousarray(pts.T)  # channel-major [D, N]
 
     rng = np.random.default_rng(seed)

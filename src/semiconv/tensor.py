@@ -10,7 +10,9 @@ Design choices: float64 everywhere, no fusion, no views that could alias a
 mutated buffer into a recorded op. The elementwise binary ops broadcast like
 NumPy; their backward sums the gradient over the axes an input was stretched
 along. Forward ops validate finiteness; NaN/Inf raises :class:`NumericError`
-instead of propagating silently.
+instead of propagating silently. An op that only moves values (reshape,
+transpose2d, index_select) checks them only when it moves a leaf's: an op's
+output was checked when it was made.
 """
 
 import numpy as np
@@ -96,8 +98,14 @@ def _coerce(x):
     return Tensor(np.asarray(x, dtype=np.float64))
 
 
+# ops that only move values: over an op's output they move values already checked
+_MOVES = frozenset({"reshape", "transpose2d", "index_select"})
+
+
 def _node(data, parents, backward_fn, op):
-    _check_finite(data, op)
+    # a leaf's data is the only data never checked
+    if op not in _MOVES or parents[0]._op == "leaf":
+        _check_finite(data, op)
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -248,10 +256,16 @@ def transpose2d(a):
 
 
 def _scatter(rows, ids, n):
-    """out[n, ...] with out[k] the sum of rows[ids == k], added in index order."""
-    out = np.zeros((n,) + rows.shape[1:])
-    np.add.at(out, ids, rows)
-    return out
+    """out[n, ...] with out[k] the sum of rows[ids == k], added in index order.
+
+    One bincount over every entry: entry (i, j) of the rows flattened to
+    [N, M] goes to bin ids[i] * M + j, and bincount adds each bin's weights
+    in entry order, from 0.0, as np.add.at does (at about a quarter of
+    np.add.at's time for 8 columns).
+    """
+    m = int(np.prod(rows.shape[1:]))
+    bins = (np.asarray(ids)[:, None] * m + np.arange(m)).reshape(-1)
+    return np.bincount(bins, rows.reshape(-1), n * m).reshape((n,) + rows.shape[1:])
 
 
 def index_select(a, indices):
@@ -260,6 +274,8 @@ def index_select(a, indices):
     idx = np.asarray(indices, dtype=np.intp)
     if idx.ndim != 1:
         raise ValueError("indices must be 1-d")
+    if idx.size and idx.min() < 0:
+        raise ValueError("indices must be non-negative")
 
     def backward(g):
         _accum(a, _scatter(g, idx, a.data.shape[0]))

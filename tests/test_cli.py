@@ -6,9 +6,11 @@ import struct
 import numpy as np
 import pytest
 
-from semiconv import dilemma as dilemma_mod, synth
+from semiconv import dilemma as dilemma_mod, render, synth
 from semiconv.backbone import Backbone
 from semiconv.cli import canonical_json, main, write_json
+from semiconv.embedding import EmbeddingField, attach_coords, coord_grid, field_rows
+from semiconv.losses import SegmentSet, pull_to_mean_loss
 from semiconv.tensor import NumericError, Tensor
 
 
@@ -121,6 +123,30 @@ def test_train_then_cluster_chain(tmp_path, scene_path):
     assert doc["mode"] == "semiconv"
     assert 0.0 <= doc["mean_iou"] <= 1.0
     assert (tmp_path / "c.ppm").read_bytes().startswith(b"P6")
+
+
+@pytest.mark.parametrize("mode", ["conv", "semiconv"])
+def test_cluster_reads_the_windows_as_the_whole_image(tmp_path, mode):
+    # a 2x2 grid at spacing 32 takes the window mosaic; the artifacts are
+    # those of a decode and a loss over the whole image's field, byte for byte
+    scene_file, model = tmp_path / "scene.json", tmp_path / "m.bin"
+    assert run("synth-gen", "--rows", 2, "--cols", 2, "--noise", 0.05, "--out", scene_file) == 0
+    assert run("train", "--scene", scene_file, "--mode", mode, "--epochs", 15,
+               "--out", model) == 0
+    assert run("cluster", "--scene", scene_file, "--model", model, "--mode", mode,
+               "--seed", 4, "--out", tmp_path / "c.json", "--render", tmp_path / "c.ppm") == 0
+    scene = synth.load_scene(scene_file)
+    phi = Backbone.load(model).forward(scene.image)
+    field = attach_coords(phi, coord_grid(*scene.shape)) if mode == "semiconv" else \
+        EmbeddingField(phi)
+    pred = synth.decode_kmeans(field, scene.gt.foreground_mask(), scene.gt.K, 4)
+    want = synth.score(pred, scene.gt)
+    want.update(mode=mode, final_loss=pull_to_mean_loss(
+        field_rows(field), SegmentSet.from_labels(scene.gt)).item())
+    write_json(tmp_path / "want.json", want)
+    render.write_ppm(tmp_path / "want.ppm", render.render_labels(pred))
+    assert (tmp_path / "c.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+    assert (tmp_path / "c.ppm").read_bytes() == (tmp_path / "want.ppm").read_bytes()
 
 
 # (argv without --out, the flag of a second artifact or None); {scene} and
@@ -456,3 +482,17 @@ def test_scene_with_too_many_instances_exit_1(tmp_path, monkeypatch, capsys):
     assert run("synth-gen", "--out", tmp_path / "s.json") == 1
     err = capsys.readouterr().err
     assert "65535" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("subcommand", ["train", "seedcut"])
+@pytest.mark.parametrize("epochs", [0, 3])
+def test_scene_without_instances_exit_1_before_training(tmp_path, scene_path, capsys,
+                                                        subcommand, epochs):
+    doc = read(scene_path)
+    doc["labels"] = base64.b64encode(np.zeros(doc["h"] * doc["w"], "<u2").tobytes()).decode()
+    scene = tmp_path / "empty.json"
+    scene.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run(subcommand, "--scene", scene, "--epochs", epochs, "--out", out) == 1
+    assert capsys.readouterr().err == "error: no segments to evaluate\n"
+    assert not out.exists()

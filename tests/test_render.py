@@ -82,16 +82,51 @@ def draw_line_unbounded(rgb, y0, x0, y1, x1, color):
     return rgb
 
 
+def draw_line_bounded(rgb, y0, x0, y1, x1, color):
+    """Reference: the walk stopped after max(H, W) steps, in Python integers."""
+    h, w = rgb.shape[:2]
+    y0, x0, y1, x1 = int(round(y0)), int(round(x0)), int(round(y1)), int(round(x1))
+    steps = max(abs(y1 - y0), abs(x1 - x0), 1)
+    for t in range(min(steps, max(h, w)) + 1):
+        y = y0 + (y1 - y0) * t // steps
+        x = x0 + (x1 - x0) * t // steps
+        if 0 <= y < h and 0 <= x < w:
+            rgb[y, x] = color
+    return rgb
+
+
+def loop_render_arrows(image, disp, stride, draw):
+    """Reference: one line walk per sampled pixel, in scan order."""
+    rgb = render.grayscale_base(image)
+    h, w = disp.shape[1:]
+    col = np.array(render.ARROW_COLOR, dtype=np.uint8)
+    for y in range(0, h, stride):
+        for x in range(0, w, stride):
+            draw(rgb, y, x, y + disp[1, y, x], x + disp[0, y, x], col)
+    return rgb
+
+
 @pytest.mark.parametrize("sigma", [2.0, 10.0, 40.0, 300.0])
 def test_draw_line_matches_unbounded_walk(sigma):
     rng = np.random.default_rng(int(sigma))
     h, w = 13, 21
-    for _ in range(50):
-        y0, x0 = rng.integers(0, h), rng.integers(0, w)
-        dy, dx = rng.normal(0.0, sigma, 2)
-        got = render.draw_line(np.zeros((h, w, 3), np.uint8), y0, x0, y0 + dy, x0 + dx, 255)
-        want = draw_line_unbounded(np.zeros((h, w, 3), np.uint8), y0, x0, y0 + dy, x0 + dx, 255)
-        assert np.array_equal(got, want)
+    image = Tensor(rng.random((1, h, w)))
+    for stride in (1, 2, 5):
+        disp = rng.normal(0.0, sigma, (2, h, w))
+        got = render.render_arrows(image, Tensor(disp), stride)
+        assert np.array_equal(got, loop_render_arrows(image, disp, stride, draw_line_unbounded))
+        assert np.array_equal(got, loop_render_arrows(image, disp, stride, draw_line_bounded))
+
+
+@pytest.mark.parametrize("scale", [0.5, 1e6, 1.3e17, 1e300])
+def test_arrows_match_the_per_arrow_loop(scale):
+    # beyond about 3e16 at this size, (end - start) * t leaves int64
+    rng = np.random.default_rng(5)
+    image = Tensor(rng.random((1, 40, 56)))
+    for stride in (1, 4):
+        disp = rng.standard_normal((2, 40, 56)) * scale
+        got = render.render_arrows(image, Tensor(disp), stride)
+        assert np.array_equal(got, loop_render_arrows(image, disp, stride, draw_line_bounded))
 
 
 def test_arrows_of_a_diverged_field_render_quickly():
@@ -101,3 +136,5 @@ def test_arrows_of_a_diverged_field_render_quickly():
     rgb = render.render_arrows(Tensor(np.zeros((1, 128, 128))), disp)
     assert time.perf_counter() - started < 1.0
     assert np.array_equal(rgb[0, 0], render.ARROW_COLOR)
+    want = loop_render_arrows(Tensor(np.zeros((1, 128, 128))), disp.data, 4, draw_line_bounded)
+    assert np.array_equal(rgb, want)

@@ -6,12 +6,12 @@ import pytest
 from semiconv import tensor as T
 from semiconv.backbone import Backbone
 from semiconv.tensor import NumericError, Tensor
-from semiconv.embedding import attach_coords, coord_grid, field_rows
+from semiconv.embedding import EmbeddingField, attach_coords, coord_grid, field_rows, rows_at
 from semiconv.kernels import FAMILIES, KernelParams, fuse_scores
 from semiconv.losses import SegmentSet, mask_bce, pull_to_mean_loss
 from semiconv.synth import (InstanceLabeling, Scene, TrainConfig, build_field, generate_scene,
-                            train)
-from semiconv.seedcut import (RegionProposal, _box_rows, box_loss, cut_all_boxes, cut_region,
+                            train, window_field)
+from semiconv.seedcut import (RegionProposal, box_loss, cut_all_boxes, cut_region,
                               gt_boxes_from_labels, region_pixel_indices, rle_decode,
                               rle_encode, train_seedcut)
 
@@ -130,10 +130,18 @@ def test_region_rows_match_the_field_crop():
     assert np.array_equal(rows.data, manual)
 
 
+def dense_field(model, image, boxes, mode):
+    """The reference for window_field: the backbone over the whole image."""
+    phi = model.forward(image)
+    if mode == "semiconv":
+        return attach_coords(phi, coord_grid(*image.data.shape[1:]))
+    return EmbeddingField(phi)
+
+
 def dense_box_rows(model, image, mode, boxes):
-    """The reference for _box_rows: the whole field, indexed at the box pixels."""
+    """The reference for the windows' rows: the whole field, indexed at the box pixels."""
     pixels, _, _ = region_pixel_indices(boxes, image.data.shape[1:])
-    return T.index_select(field_rows(build_field(model, image, mode)), pixels)
+    return T.index_select(field_rows(dense_field(model, image, boxes, mode)), pixels)
 
 
 def forward_inputs(monkeypatch):
@@ -183,7 +191,8 @@ def test_box_rows_equal_the_dense_rows(monkeypatch, tmp_path, mode, boxes, kerne
     image = Tensor(rng.standard_normal((1, 45, 61)))
     want = dense_box_rows(model, image, mode, BOX_SETS[boxes]).data
     shapes = forward_inputs(monkeypatch)
-    got = _box_rows(model, image, mode, BOX_SETS[boxes]).data
+    pixels, _, _ = region_pixel_indices(BOX_SETS[boxes], (45, 61))
+    got = rows_at(window_field(model, image, BOX_SETS[boxes], mode), pixels).data
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
     r = sum(k // 2 for k in kernels)
@@ -198,7 +207,7 @@ def test_cut_all_boxes_runs_the_backbone_on_the_windows_only(monkeypatch):
     params = KernelParams("steered_laplacian", sigma=1.0)
     scenes = [generate_scene(4, 4, dot_radius=3, spacing=32, img_noise_std=0.05, seed=s)
               for s in range(8)]
-    monkeypatch.setattr("semiconv.seedcut._box_rows", dense_box_rows)
+    monkeypatch.setattr("semiconv.synth.window_field", dense_field)
     want = [cut_all_boxes(scene, model, params) for scene in scenes]
     monkeypatch.undo()
     shapes = forward_inputs(monkeypatch)
@@ -469,3 +478,38 @@ def test_train_seedcut_validation():
     cfg = TrainConfig(dims=4, epochs=1, seed=0)
     with pytest.raises(ValueError, match="no pixel of its instance 1"):
         train_seedcut(scene, [(0, 0, 2, 2)], cfg)  # box without foreground
+
+
+@pytest.mark.parametrize("n, spacing", [(4, 32), (8, 10)], ids=["mosaic", "image"])
+def test_a_window_seedcut_step_is_the_whole_image_step(monkeypatch, n, spacing):
+    scene = generate_scene(n, n, dot_radius=3, spacing=spacing, img_noise_std=0.05, seed=3)
+    boxes = gt_boxes_from_labels(scene.gt)
+    cfg = TrainConfig(dims=8, epochs=1, seed=2)
+    grads = []
+    monkeypatch.setattr("semiconv.synth.sgd_step",
+                        lambda params, lr: grads.append([p.grad.copy() for p in params]))
+    _, _, losses = train_seedcut(scene, boxes, cfg,
+                                 params=KernelParams("steered_laplacian", sigma=1.0))
+    # the same step over the whole image
+    model = Backbone.glorot(1, cfg.dims, cfg.seed)
+    params = KernelParams("steered_laplacian", sigma=1.0)
+    field = dense_field(model, scene.image, boxes, "semiconv")
+    loss = T.add(pull_to_mean_loss(field_rows(field), SegmentSet.from_labels(scene.gt)),
+                 box_loss(scene.gt, boxes, params)(field))
+    loss.backward()
+    want = [p.grad for p in model.params() + params.learnables()]
+    assert losses[0] == loss.item()
+    scale = max(np.max(np.abs(g)) for g in want)
+    for got, ref in zip(grads[0], want, strict=True):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * scale
+
+
+def test_train_seedcut_box_outside_its_window_is_one_line_error():
+    # a 2x2 grid at spacing 32 takes the mosaic; box 0 reaches 2 px past its window's interior
+    scene = generate_scene(2, 2, dot_radius=3, spacing=32, seed=0)
+    boxes = gt_boxes_from_labels(scene.gt)
+    x0, y0, x1, y1 = boxes[0]
+    cfg = TrainConfig(dims=4, epochs=1, seed=0)
+    with pytest.raises(ValueError, match="outside every window's interior") as err:
+        train_seedcut(scene, [(x0, y0, x1 + 2, y1)] + boxes[1:], cfg)
+    assert "\n" not in str(err.value)

@@ -8,10 +8,12 @@ from semiconv import synth
 from semiconv import tensor as T
 from semiconv.backbone import Backbone
 from semiconv.tensor import Tensor, NumericError
-from semiconv.embedding import EmbeddingField, field_rows
+from semiconv.embedding import EmbeddingField, attach_coords, coord_grid, field_rows, rows_at
+from semiconv.losses import SegmentSet, pull_to_mean_loss
 from semiconv.synth import (InstanceLabeling, Scene, TrainConfig, build_field,
                             controlled_pair, decode_kmeans, generate_scene,
-                            load_scene, scene_from_json, scene_to_json, score, train)
+                            gt_boxes_from_labels, load_scene, scene_from_json, scene_to_json,
+                            score, train, window_field)
 
 DISC3_PIXELS = 29  # lattice points with dx^2 + dy^2 <= 9, counted by hand
 
@@ -188,6 +190,88 @@ def test_training_memory_does_not_grow_with_epochs():
 
     peak(1)  # warm-up: first-call allocations of numpy and BLAS
     assert peak(4) <= 1.05 * peak(1)
+
+
+# -- the window mosaic ------------------------------------------------------------
+
+# a 4x4 grid at spacing 32 takes the mosaic (22% of the image); an 8x8 grid
+# at spacing 10 would need more pixels than the image, so it takes the image
+WINDOW_SCENES = {"mosaic": (4, 32), "image": (8, 10)}
+
+
+def window_scene(name):
+    n, spacing = WINDOW_SCENES[name]
+    return generate_scene(n, n, dot_radius=3, spacing=spacing, img_noise_std=0.05, seed=3)
+
+
+def dense_field(model, image, mode):
+    """Reference: the backbone over the whole image, coordinates added by hand."""
+    phi = model.forward(image)
+    if mode == "semiconv":
+        return attach_coords(phi, coord_grid(*image.data.shape[1:]))
+    return EmbeddingField(phi)
+
+
+@pytest.mark.parametrize("mode", ["conv", "semiconv"])
+@pytest.mark.parametrize("name", sorted(WINDOW_SCENES))
+def test_window_rows_are_the_whole_field_rows(mode, name):
+    scene = window_scene(name)
+    model = Backbone.glorot(1, 8, 4)
+    for p in model.biases:
+        p.data += np.random.default_rng(1).standard_normal(p.data.shape)
+    boxes = gt_boxes_from_labels(scene.gt)
+    field = window_field(model, scene.image, boxes, mode)
+    h, w = scene.shape
+    assert (field.at is None) == (name == "image")
+    if name == "mosaic":
+        assert field.values.data[0].size <= 0.25 * h * w
+    dense = field_rows(dense_field(model, scene.image, mode)).data
+    pixels = np.flatnonzero(scene.gt.foreground_mask())
+    for got, want in ((rows_at(field, pixels).data, dense[pixels]),
+                      (rows_at(build_field(model, scene.image, mode), np.arange(h * w)).data,
+                       dense)):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_rows_at_outside_every_window_is_an_error():
+    scene = window_scene("mosaic")
+    field = window_field(Backbone.glorot(1, 4, 0), scene.image,
+                         gt_boxes_from_labels(scene.gt), "semiconv")
+    box = gt_boxes_from_labels(scene.gt)[0]
+    inside = box[1] * scene.shape[1] + box[0]  # the box's top-left pixel
+    assert rows_at(field, [inside]).data.shape == (1, 4)
+    with pytest.raises(ValueError, match=r"image pixel \(0, 0\) lies outside every window"):
+        rows_at(field, [inside, 0])
+
+
+def first_step(monkeypatch, run):
+    """The losses and the parameter gradients of one training step."""
+    grads = []
+    monkeypatch.setattr(synth, "sgd_step",
+                        lambda params, lr: grads.append([p.grad.copy() for p in params]))
+    losses = run()
+    return losses, grads[0]
+
+
+def assert_same_step(got_loss, got_grads, want_loss, want_grads):
+    assert got_loss == want_loss
+    scale = max(np.max(np.abs(g)) for g in want_grads)
+    for got, want in zip(got_grads, want_grads, strict=True):
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("mode", ["conv", "semiconv"])
+@pytest.mark.parametrize("name", sorted(WINDOW_SCENES))
+def test_a_window_training_step_is_the_whole_image_step(monkeypatch, mode, name):
+    scene = window_scene(name)
+    cfg = TrainConfig(mode=mode, dims=8, epochs=1, seed=2)
+    losses, grads = first_step(monkeypatch, lambda: train(scene, cfg)[1])
+    model = Backbone.glorot(1, cfg.dims, cfg.seed)
+    loss = pull_to_mean_loss(field_rows(dense_field(model, scene.image, mode)),
+                             SegmentSet.from_labels(scene.gt))
+    loss.backward()
+    assert_same_step(losses[0], grads, loss.item(), [p.grad for p in model.params()])
 
 
 def test_train_config_validation():

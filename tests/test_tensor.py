@@ -97,6 +97,23 @@ def test_nonfinite_is_an_error():
             T.div(Tensor([1.0]), Tensor([0.0]))
 
 
+MOVES = {"reshape": lambda a: T.reshape(a, (-1,)), "transpose2d": T.transpose2d,
+         "index_select": lambda a: T.index_select(a, [1, 0])}
+
+
+@pytest.mark.parametrize("op", sorted(MOVES))
+def test_a_move_checks_a_leaf_and_trusts_an_op_output(monkeypatch, op):
+    nan_leaf = Tensor([[1.0, np.nan], [2.0, 3.0]])
+    with pytest.raises(NumericError, match=f"op '{op}'"):
+        MOVES[op](nan_leaf)
+    # an op's output was checked when it was made: moving it scans nothing
+    made = T.mul(Tensor(np.ones((2, 2))), 2.0)
+    scanned = []
+    monkeypatch.setattr(T, "_check_finite", lambda arr, name: scanned.append(name))
+    MOVES[op](made)
+    assert scanned == []
+
+
 # -- reductions -------------------------------------------------------------
 
 def test_softmax_symmetry():
@@ -378,6 +395,23 @@ def test_index_select_accumulates_duplicates():
     assert np.array_equal(out.data, [[0.0, 1.0], [4.0, 5.0], [0.0, 1.0]])
     T.tsum(T.mul(out, Tensor([[1.0], [10.0], [100.0]]))).backward()
     assert np.array_equal(a.grad, [[101.0, 101.0], [0.0, 0.0], [10.0, 10.0]])
+
+
+@pytest.mark.parametrize("shape", [(40,), (40, 8), (40, 2, 3), (0, 8)])
+def test_scatter_adds_in_index_order_as_add_at(shape):
+    rng = np.random.default_rng(len(shape))
+    rows = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+    rows.reshape(-1)[::7] = -0.0
+    ids = rng.integers(0, 13, size=shape[0])
+    want = np.zeros((13,) + shape[1:])
+    np.add.at(want, ids, rows)
+    got = T._scatter(rows, ids, 13)
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_index_select_rejects_negative_indices():
+    with pytest.raises(ValueError, match="non-negative"):
+        T.index_select(Tensor(np.zeros((3, 2))), [0, -1])
 
 
 def test_clamp_gradient_mask():
