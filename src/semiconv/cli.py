@@ -1,6 +1,6 @@
 """Command-line surface: reproducible experiment runs with stable outputs.
 
-Every subcommand writes canonical JSON (sorted keys, fixed float format) and
+Every subcommand writes JSON (sorted keys, shortest round-trip floats) and
 binary PPM renders, and drops a run manifest next to its main output. Two
 invocations with the same flags produce byte-identical artifacts except for
 the manifest's wall-clock duration.
@@ -43,45 +43,17 @@ class CliParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# -- canonical JSON -----------------------------------------------------------
-
-def format_float(x):
-    if not np.isfinite(x):
-        raise NumericError("non-finite value in JSON output")
-    return "%.17g" % x
-
-
-def canonical_json(obj, indent=0):
-    """Serialize with sorted keys and fixed float formatting, byte-stable."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f'{inner}{json.dumps(str(k))}: {canonical_json(obj[k], indent + 1)}'
-                 for k in sorted(obj, key=str)]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            return "[]"
-        items = [f"{inner}{canonical_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(float(obj))
-    if obj is None:
-        return "null"
-    return json.dumps(str(obj))
-
+# -- JSON output --------------------------------------------------------------
 
 def write_json(path, obj):
+    """Sorted keys, two-space indent, floats in their shortest round-trip form."""
     # serialize first, so a non-finite value leaves no partial file behind
-    text = canonical_json(obj) + "\n"
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise NumericError("non-finite value in JSON output") from None
     with open(path, "w") as fh:
-        fh.write(text)
+        fh.write(text + "\n")
 
 
 def write_manifest(subcommand, args, outputs, started):
@@ -301,11 +273,12 @@ def _add_common(p):
 
 
 def _add_train_flags(p):
-    p.add_argument("--mode", choices=("semiconv", "conv"), default="semiconv")
-    p.add_argument("--epochs", type=non_negative_int, default=400)
-    p.add_argument("--lr", type=finite_float, default=0.03)
-    p.add_argument("--lr-decay", type=finite_float, default=0.02)
-    p.add_argument("--dims", type=positive_int, default=8)
+    d = synth.TrainConfig()
+    p.add_argument("--mode", choices=("semiconv", "conv"), default=d.mode)
+    p.add_argument("--epochs", type=non_negative_int, default=d.epochs)
+    p.add_argument("--lr", type=finite_float, default=d.lr)
+    p.add_argument("--lr-decay", type=finite_float, default=d.lr_decay)
+    p.add_argument("--dims", type=positive_int, default=d.dims)
 
 
 def build_parser():

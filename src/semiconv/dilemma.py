@@ -91,28 +91,15 @@ def interior_mask(sig):
     return sig.samples > 0.0
 
 
-def random_conv_stack(seed):
-    """Random translation-equivariant baseline: a Backbone of width-3 1-d kernels.
-
-    Channels 1 -> 8 -> 8 -> 1, He-scaled normal weights, small normal biases.
-    """
-    rng = np.random.default_rng(seed)
-    chans = (1, 8, 8, 1)
-    weights, biases = [], []
-    for c_in, c_out in zip(chans[:-1], chans[1:]):
-        scale = np.sqrt(2.0 / (c_in * 3))
-        weights.append(Tensor(rng.standard_normal((c_out, c_in, 1, 3)) * scale))
-        biases.append(Tensor(rng.standard_normal(c_out) * 0.1))
-    return Backbone(weights, biases)
-
-
 def conv_collision_witness(sig, stack):
     """Max output spread across the peaks u = 2k under a conv stack.
 
-    The stack runs on one circular cycle of samples as a [1,1,N] image. Peak
-    neighborhoods are bit-identical by periodic construction, so any stack of
-    circular convolutions and pointwise nonlinearities returns bit-identical
-    values there; the spread quantifies the collision.
+    The stack runs on one circular cycle of samples as a [1,1,N] image. Its
+    rows wrap onto the one row, so each KxK kernel acts as the 1xK kernel of
+    its column sums: a 1-d circular conv stack. Peak neighborhoods are
+    bit-identical by periodic construction, so any stack of circular
+    convolutions and pointwise nonlinearities returns bit-identical values
+    there; the spread quantifies the collision.
     """
     y = stack.forward(Tensor(sig.samples[:sig.n_cycle].reshape(1, 1, -1))).data.reshape(-1)
     peaks = y[::sig.per_period]
@@ -135,7 +122,7 @@ def report(half_extent=4.0, step=0.25, n_stacks=5, seed=0):
     inside = interior_mask(sig)
     target = 2.0 * np.round(sig.grid / 2.0)
     max_err = float(np.max(np.abs(colors[inside] - target[inside])))
-    spreads = [conv_collision_witness(sig, random_conv_stack(seed + i))
+    spreads = [conv_collision_witness(sig, Backbone.glorot(1, 1, seed + i))
                for i in range(n_stacks)]
     centers = pv_verify(sig)
     return {

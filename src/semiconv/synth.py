@@ -63,7 +63,7 @@ class Scene:
 class TrainConfig:
     mode: str = "semiconv"         # "semiconv" or "conv"
     dims: int = 8
-    epochs: int = 2000
+    epochs: int = 400
     lr: float = 0.03
     lr_decay: float = 0.02         # lr_t = lr / (1 + lr_decay * t)
     seed: int = 0
@@ -73,6 +73,9 @@ class TrainConfig:
             raise ValueError(f"unknown mode '{self.mode}'")
         if self.dims < 1:
             raise ValueError("dims must be positive")
+        # attach_coords adds x and y to the first two channels
+        if self.mode == "semiconv" and self.dims < 2:
+            raise ValueError("semiconv mode needs dims >= 2")
         # written so that NaN fails every comparison and is rejected
         if self.epochs < 0 or not 0 < self.lr < np.inf:
             raise ValueError("epochs must be >= 0 and lr positive and finite")
@@ -297,8 +300,8 @@ def decode_kmeans(field, fg_mask, K, seed=0):
             assign[sel] = np.argmin(
                 np.sum((pts[sel][:, None, :] - centers[None]) ** 2, axis=2), axis=1)
         counts = np.bincount(assign, minlength=K)
-        # rows in index order, as pts[sel].sum(axis=0)
-        new = np.stack([np.bincount(assign, weights=row, minlength=K) for row in P], axis=1)
+        # rows in index order from 0.0, as pts[sel].sum(axis=0)
+        new = T.segment_sum(Tensor(pts), assign, K).data
         filled = counts > 0
         new[filled] /= counts[filled, None]
         if not np.all(filled):

@@ -8,7 +8,7 @@ import pytest
 
 from semiconv import dilemma as dilemma_mod, render, synth
 from semiconv.backbone import Backbone
-from semiconv.cli import canonical_json, main, write_json
+from semiconv.cli import main, write_json
 from semiconv.embedding import EmbeddingField, attach_coords, coord_grid, field_rows
 from semiconv.losses import SegmentSet, pull_to_mean_loss
 from semiconv.tensor import NumericError, Tensor
@@ -31,12 +31,18 @@ def scene_path(tmp_path):
     return path
 
 
-def test_canonical_json_is_sorted_and_fixed_format():
-    text = canonical_json({"b": 1, "a": 0.1, "c": [True, None]})
-    assert text.index('"a"') < text.index('"b"') < text.index('"c"')
-    assert "0.10000000000000001" in text
+def test_json_is_sorted_and_round_trips(tmp_path):
+    path = tmp_path / "x.json"
+    doc = {"b": 1, "a": 0.1, "d": 1.0, "c": [True, None]}
+    write_json(path, doc)
+    text = path.read_text()
+    assert text.index('"a"') < text.index('"b"') < text.index('"c"') < text.index('"d"')
+    assert '\n  "a": 0.1,\n' in text and text.endswith("}\n")
     assert "true" in text and "null" in text
-    json.loads(text)  # stays valid JSON
+    back = json.loads(text)
+    assert back == doc
+    assert type(back["d"]) is float  # a whole float stays a float
+    assert back["a"] == 0.1  # the shortest form reads back bit for bit
 
 
 def test_no_arguments_is_usage_error(capsys):
@@ -473,6 +479,37 @@ def test_train_config_fields_are_cli_flags(tmp_path, scene_path, monkeypatch):
     # every field carries its flag's value: no setting the CLI cannot reach
     assert dataclasses.asdict(seen[0]) == dict(mode="conv", dims=3, epochs=7, lr=0.5,
                                                lr_decay=0.25, seed=9)
+
+
+def test_train_flag_defaults_are_the_train_config_defaults(tmp_path, scene_path, monkeypatch):
+    seen = []
+
+    def fake_train(scene, cfg):
+        seen.append(cfg)
+        return Backbone.glorot(1, cfg.dims, cfg.seed), []
+
+    monkeypatch.setattr(synth, "train", fake_train)
+    assert run("train", "--scene", scene_path, "--out", tmp_path / "m.bin") == 0
+    assert seen == [synth.TrainConfig()]
+
+
+@pytest.mark.parametrize("subcommand", ["train", "seedcut"])
+@pytest.mark.parametrize("epochs", [0, 3])
+def test_semiconv_with_one_dim_exit_1_before_training(tmp_path, scene_path, capsys,
+                                                      subcommand, epochs):
+    # the x and y offsets need two channels
+    out = tmp_path / "out"
+    assert run(subcommand, "--scene", scene_path, "--dims", 1, "--epochs", epochs,
+               "--out", out) == 1
+    assert capsys.readouterr().err == "error: semiconv mode needs dims >= 2\n"
+    assert not out.exists()
+
+
+def test_conv_with_one_dim_trains(tmp_path, scene_path):
+    out = tmp_path / "m.bin"
+    assert run("train", "--scene", scene_path, "--mode", "conv", "--dims", 1,
+               "--epochs", 3, "--out", out) == 0
+    assert Backbone.load(out).weights[-1].data.shape[0] == 1
 
 
 def test_scene_with_too_many_instances_exit_1(tmp_path, monkeypatch, capsys):

@@ -473,6 +473,20 @@ def test_seedcut_cuts_match_instances_after_training():
         assert np.array_equal(masks[k - 1], cut_region(region, params))
 
 
+def test_a_cut_lies_inside_its_instance_so_its_iou_is_the_recall():
+    # off its instance a box scores -1, where a pixel's probability is at most
+    # sigmoid(-1) ~ 0.269: at 0.5 no cut spills over, and the IoU reads the
+    # share of the instance the cut recovers
+    scene = generate_scene(2, 2, dot_radius=3, spacing=14, img_noise_std=0.05, seed=0)
+    cfg = TrainConfig(dims=4, epochs=40, seed=0)
+    model, params, _ = train_seedcut(scene, gt_boxes_from_labels(scene.gt), cfg)
+    masks, boxes, ious = cut_all_boxes(scene, model, params, threshold=0.5)
+    for k, ((x0, y0, x1, y1), mask, iou) in enumerate(zip(boxes, masks, ious), start=1):
+        inside = scene.gt.labels[y0:y1, x0:x1] == k
+        assert mask.any() and not (mask & ~inside).any()
+        assert iou == mask.sum() / inside.sum()
+
+
 def test_train_seedcut_validation():
     scene = generate_scene(1, 1, dot_radius=2, spacing=8, seed=0)
     cfg = TrainConfig(dims=4, epochs=1, seed=0)
