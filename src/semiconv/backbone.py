@@ -42,25 +42,24 @@ class Backbone:
         return cls(weights, biases)
 
     def forward(self, x):
-        """Map [C,H,W] input to a [D,H,W] feature map.
+        """Map [C,H,W] input to a [D,H,W] feature map, or a Cone of this model
+        to the [D,1,P] features of its output pixels.
 
         ReLU between layers, none after the last so embeddings can go
         negative. A NumericError names the layer it came from.
         """
+        tables = [None] * len(self.weights)
+        if isinstance(x, Cone):
+            x, tables = x.input, x.tables
         last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+        for i, (w, b, table) in enumerate(zip(self.weights, self.biases, tables)):
             try:
-                x = T.conv2d(x, w, b)
+                x = T.conv2d(x, w, b, table=table)
                 if i < last:
                     x = T.relu(x)
             except NumericError as err:
                 raise NumericError(f"layer {i}: {err}") from err
         return x
-
-    @property
-    def radius(self):
-        """How far from a pixel its output reads: the layers' kernel half-extents, summed."""
-        return sum(max(w.data.shape[2:]) // 2 for w in self.weights)
 
     def named_params(self):
         """(name, tensor) pairs in layer order: l0.w, l0.b, l1.w, ..."""
@@ -133,3 +132,44 @@ class Backbone:
         if off != len(blob):
             raise ValueError("trailing bytes in model file")
         return cls(weights, biases)
+
+
+class Cone:
+    """The receptive cone of pixels of a [C,H,W] image under a Backbone: the
+    pixels each layer computes for them, and where its inputs sit.
+
+    ``pixels`` are linear, row-major indices. A pixel's output reads the last
+    layer's input on its kh x kw taps, those read the layer before on
+    theirs, and so on, wrapping around the image edges as the convolutions
+    do. So layer l runs only on the pixels the layers after it read: the
+    list, dilated by each later layer's kernel. Built once, a cone holds:
+
+    - ``input``: the image at layer 0's pixels, a [C, 1, P_0] Tensor;
+    - ``tables``: per layer, the neighbour table tensor.conv2d takes from the
+      layer's input list to its output list;
+    - ``grid``: the (x, y) of the output list, the given pixels sorted and
+      each once, as [2, 1, P] (embedding.attach_coords);
+    - ``at``: the image's [H, W] map to the output rows, -1 off the list (an
+      EmbeddingField's ``at``).
+
+    Backbone.forward(cone) gives the model's [D, 1, P] features at the
+    output list, equal to the whole image's there, bit for bit.
+    """
+
+    def __init__(self, model, image, pixels):
+        kernels = [wt.data.shape[2:] for wt in model.weights]
+        c, h, w = image.shape
+        grown = np.zeros(h * w, dtype=bool)
+        grown[pixels] = True
+        lists, taps = [np.flatnonzero(grown)], []
+        for kh, kw in reversed(kernels):
+            # an odd kernel's centre tap keeps every pixel of the list above
+            taps.insert(0, T.tap_pixels((h, w), lists[0], kh, kw))
+            grown[taps[0]] = True
+            lists.insert(0, np.flatnonzero(grown))
+        self.input = Tensor(image.reshape(c, -1)[:, lists[0]][:, None])
+        self.tables = [T.neighbour_table(t, src, h * w) for t, src in zip(taps, lists)]
+        self.grid = np.stack(np.divmod(lists[-1], w)[::-1]).astype(np.float64)[:, None]
+        at = np.full(h * w, -1, dtype=np.intp)
+        at[lists[-1]] = np.arange(lists[-1].size)
+        self.at = at.reshape(h, w)

@@ -153,9 +153,9 @@ def cmd_train(args):
 def cmd_cluster(args):
     scene = synth.load_scene(args.scene)
     model = Backbone.load(args.model)
-    # both readers look inside the instances' boxes only
-    field = synth.window_field(model, scene.image, synth.gt_boxes_from_labels(scene.gt),
-                               args.mode)
+    # both readers look at the foreground only
+    field = synth.cone_field(model, scene.image, np.flatnonzero(scene.gt.foreground_mask()),
+                             args.mode)
     k = args.k if args.k > 0 else scene.gt.K
     pred = synth.decode_kmeans(field, scene.gt.foreground_mask(), k, args.seed)
     metrics = synth.score(pred, scene.gt)

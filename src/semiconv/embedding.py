@@ -31,10 +31,10 @@ class EmbeddingField:
     A semiconvolutional field (attach_coords) carries pixel position in its
     first two channels; a convolutional one is the feature map as it is.
     ``at`` is None when the field covers the image itself. A field over a
-    mosaic of the image's windows (window_mosaic) holds the image's [H, W]
-    map to its rows instead: row at[y, x] of field_rows(field) is pixel
-    (x, y)'s embedding, and at is -1 where no window's interior holds the
-    pixel. rows_at reads a field either way.
+    pixel list of the image, computed on its receptive cone (backbone.Cone),
+    has [D, 1, P] values and holds the image's [H, W] map to its rows
+    instead: row at[y, x] of field_rows(field) is pixel (x, y)'s embedding,
+    and at is -1 off the list. rows_at reads a field either way.
     """
 
     def __init__(self, values, at=None):
@@ -89,8 +89,8 @@ def field_rows(field):
 def rows_at(field, pixels):
     """The [N, D] field rows of the image pixels ``pixels`` (linear, row-major
     indices), in their order: field_rows(field) indexed at the pixels, or at
-    their mosaic rows (field.at). A pixel outside every window's interior
-    raises ValueError.
+    their rows of a cone's list (field.at). A pixel off that list raises
+    ValueError.
     """
     pixels = np.asarray(pixels, dtype=np.intp)
     rows = pixels
@@ -98,45 +98,5 @@ def rows_at(field, pixels):
         rows = field.at.reshape(-1)[pixels]
         if rows.size and rows.min() < 0:
             y, x = divmod(int(pixels[np.argmin(rows)]), field.at.shape[1])
-            raise ValueError(f"image pixel ({x}, {y}) lies outside every window's interior")
+            raise ValueError(f"image pixel ({x}, {y}) lies outside the field's cone")
     return T.index_select(field_rows(field), rows)
-
-
-def window_mosaic(image, boxes, r):
-    """The boxes' receptive windows of a [C,H,W] image laid side by side:
-    (mosaic image, its coordinate grid, at).
-
-    Window k is box k, (x0, y0, x1, y1), grown by the receptive radius r,
-    wrapping around the image edges as the circular convolutions do; the
-    windows sit side by side (below a window shorter than the tallest, its
-    columns run on down the image). The image and coord_grid(H, W) are
-    gathered at the same mosaic positions, so a mosaic pixel carries its
-    image pixel's (x, y). A box pixel's receptive field lies inside its
-    window, so a backbone of receptive radius r gives it the same value there
-    as over the whole image, bit for bit; only the r-pixel margins differ.
-    ``at`` is the image's [H, W] map to the mosaic pixels that hold box
-    interiors (an EmbeddingField's ``at``), -1 elsewhere; a pixel of two
-    boxes maps to its first place in the mosaic. When the mosaic would be no
-    smaller than the image, or there is no box, the image itself is the one
-    window, with no margin: (image, coord_grid(H, W), None).
-    """
-    _, h, w = image.shape
-    boxes = np.asarray(boxes, dtype=np.intp).reshape(-1, 4)
-    x0, y0, x1, y1 = (boxes + [-r, -r, r, r]).T  # window k holds box k
-    if not 0 < (y1 - y0).max(initial=0) * (x1 - x0).sum() < h * w:
-        return image, coord_grid(h, w), None
-    widths = x1 - x0
-    starts = np.cumsum(widths) - widths
-    height, width = int((y1 - y0).max()), int(widths.sum())
-    win = np.repeat(np.arange(widths.size), widths)  # each mosaic column's window
-    ys, xs = np.arange(height)[:, None], np.arange(width) - starts[win]  # within the window
-    source = ((y0[win] + ys) % h) * w + (x0[win] + xs) % w  # each mosaic pixel's image pixel
-    inner = (ys >= r) & (ys < (y1 - y0)[win] - r) & (xs >= r) & (xs < widths[win] - r)
-    held, first = np.unique(source[inner], return_index=True)
-    at = np.full(h * w, -1, dtype=np.intp)
-    at[held] = np.flatnonzero(inner)[first]
-
-    def gather(a):
-        return np.take(a.reshape(a.shape[0], -1), source, axis=1)
-
-    return gather(image), gather(coord_grid(h, w)), at.reshape(h, w)

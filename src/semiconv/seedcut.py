@@ -20,7 +20,7 @@ from .kernels import KernelParams, fuse_boxes, fuse_scores
 from .embedding import rows_at
 from .losses import _bce_terms
 from . import synth
-from .synth import gt_boxes_from_labels
+from .synth import gt_boxes_from_labels, region_pixel_indices
 
 
 @dataclass
@@ -45,29 +45,6 @@ class RegionProposal:
     def shape(self):
         x0, y0, x1, y1 = self.rect
         return (y1 - y0, x1 - x0)
-
-
-def region_pixel_indices(rects, shape):
-    """All rects of an image as one pixel list: (pixels, ids, counts).
-
-    ``pixels`` holds the linear indices of rect 0's pixels, row-major within
-    the rect, then rect 1's, and so on; ``ids`` gives each entry its rect
-    number and ``counts`` the rect sizes. Rects may overlap, so a pixel can
-    be listed more than once.
-    """
-    rects = np.asarray(rects, dtype=np.intp).reshape(-1, 4)
-    x0, y0, x1, y1 = rects.T
-    h, w = shape
-    bad = (x0 < 0) | (y0 < 0) | (x1 > w) | (y1 > h) | (x0 >= x1) | (y0 >= y1)
-    if bad.any():
-        raise ValueError(f"rect {tuple(rects[bad][0].tolist())} falls outside "
-                         f"the {h}x{w} image or is empty")
-    counts = (x1 - x0) * (y1 - y0)
-    ids = np.repeat(np.arange(counts.size), counts)
-    local = np.arange(ids.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    width = (x1 - x0)[ids]
-    pixels = (y0[ids] + local // width) * w + x0[ids] + local % width
-    return pixels, ids, counts
 
 
 def _cut(fused, threshold):
@@ -148,13 +125,13 @@ def cut_all_boxes(scene, model, params, cfg_mode="semiconv", threshold=0.5):
 
     Box k encloses instance k + 1 and scores +1 on it, as in box_loss; all
     boxes go through one fuse_boxes call, and the thresholded list splits
-    into the box masks. The backbone runs only over the boxes' receptive
-    windows (synth.window_field), and the cut never backpropagates, so the
-    box rows are detached.
+    into the box masks. The backbone runs only over the box pixels'
+    receptive cone (synth.cone_field), and the cut never backpropagates, so
+    the box rows are detached.
     """
     boxes = gt_boxes_from_labels(scene.gt)
     pixels, ids, counts, truth, scores = _box_list(scene.gt, boxes)
-    rows = Tensor(rows_at(synth.window_field(model, scene.image, boxes, cfg_mode), pixels).data)
+    rows = Tensor(rows_at(synth.cone_field(model, scene.image, pixels, cfg_mode), pixels).data)
     fused = fuse_boxes(scores, rows, counts, params)
     mask = _cut(fused, threshold)
     ious = np.bincount(ids, mask & truth, counts.size) / np.bincount(ids, mask | truth, counts.size)

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor, NumericError
-from .backbone import Backbone
-from .embedding import EmbeddingField, attach_coords, rows_at, window_mosaic
+from .backbone import Backbone, Cone
+from .embedding import EmbeddingField, attach_coords, coord_grid, rows_at
 from .losses import SegmentSet, pull_to_mean_loss
 
 KMEANS_MAX_ITER = 300
@@ -130,25 +130,53 @@ def gt_boxes_from_labels(gt):
     return [tuple(box) for box in np.concatenate([lo, hi]).T.tolist()]
 
 
-def _embed(phi, grid, mode, at):
-    """The field of a backbone output phi whose pixels sit at ``grid`` (x, y)."""
+def region_pixel_indices(rects, shape):
+    """All rects of an image as one pixel list: (pixels, ids, counts).
+
+    ``pixels`` holds the linear indices of rect 0's pixels, row-major within
+    the rect, then rect 1's, and so on; ``ids`` gives each entry its rect
+    number and ``counts`` the rect sizes. Rects may overlap, so a pixel can
+    be listed more than once.
+    """
+    rects = np.asarray(rects, dtype=np.intp).reshape(-1, 4)
+    x0, y0, x1, y1 = rects.T
+    h, w = shape
+    bad = (x0 < 0) | (y0 < 0) | (x1 > w) | (y1 > h) | (x0 >= x1) | (y0 >= y1)
+    if bad.any():
+        raise ValueError(f"rect {tuple(rects[bad][0].tolist())} falls outside "
+                         f"the {h}x{w} image or is empty")
+    counts = (x1 - x0) * (y1 - y0)
+    ids = np.repeat(np.arange(counts.size), counts)
+    local = np.arange(ids.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    width = (x1 - x0)[ids]
+    pixels = (y0[ids] + local // width) * w + x0[ids] + local % width
+    return pixels, ids, counts
+
+
+def _embed(phi, mode, cone=None):
+    """The field of a backbone output phi: over the whole image, or over the
+    output pixels of the cone it was computed on."""
+    if cone is None:
+        grid, at = coord_grid(*phi.data.shape[1:]), None
+    else:
+        grid, at = cone.grid, cone.at
     values = attach_coords(phi, grid).values if mode == "semiconv" else phi
     return EmbeddingField(values, at)
 
 
-def window_field(model, image, boxes, mode):
-    """The field of ``model`` over the receptive windows of ``boxes``
-    (embedding.window_mosaic): one forward pass over the mosaic, read with
-    rows_at. The rows of the boxes' pixels are bit-identical to build_field's.
+def cone_field(model, image, pixels, mode):
+    """The field of ``model`` at the image pixels ``pixels`` (linear,
+    row-major indices) and nowhere else: one forward pass over their
+    receptive cone (backbone.Cone), read with rows_at. Their rows are
+    bit-identical to build_field's.
     """
-    mosaic, grid, at = window_mosaic(image.data, boxes, model.radius)
-    return _embed(model.forward(Tensor(mosaic)), grid, mode, at)
+    cone = Cone(model, image.data, pixels)
+    return _embed(model.forward(cone), mode, cone)
 
 
 def build_field(model, image, mode):
-    """The field over the whole image: window_field's one-window case."""
-    _, h, w = image.data.shape
-    return window_field(model, image, [(0, 0, w, h)], mode)
+    """The field over the whole image, from one forward pass over all of it."""
+    return _embed(model.forward(image), mode)
 
 
 def sgd_step(params, lr):
@@ -181,13 +209,13 @@ def _keep_freed_memory():
 def train(scene, cfg, extra_loss=None, extra_params=()):
     """Fit the backbone to the scene by pulling each instance to one embedding.
 
-    Returns (model, losses). Every loss reads only the instances' boxes, so
-    each step runs the backbone over the mosaic of their receptive windows
-    (embedding.window_mosaic), gathered once, and reads the field with
-    rows_at. ``extra_loss(field) -> Tensor`` lets callers add a term to the
-    objective (and ``extra_params``, its learnables as (name, tensor) pairs)
-    without changing anything else about the loop; it reads ``field`` with
-    rows_at too, at pixels inside the boxes. With no extra term the
+    Returns (model, losses). Every loss reads only the instances' pixels,
+    and ``extra_loss(field) -> Tensor``, a term callers add to the objective
+    (with ``extra_params``, its learnables as (name, tensor) pairs) without
+    changing anything else about the loop, reads only pixels inside the
+    instances' boxes (gt_boxes_from_labels). So the receptive cone of those
+    pixels (backbone.Cone) is built once, every step runs the backbone over
+    it, and every loss reads the field with rows_at. With no extra term the
     trajectory depends only on cfg. A scene without instances raises
     ValueError before any step.
 
@@ -203,14 +231,15 @@ def train(scene, cfg, extra_loss=None, extra_params=()):
     model = Backbone.glorot(scene.image.data.shape[0], cfg.dims, cfg.seed)
     named = model.named_params() + list(extra_params)
     params = [p for _, p in named]
-    # the windows' mosaic is gathered once: every step runs over it
-    mosaic, grid, at = window_mosaic(scene.image.data, gt_boxes_from_labels(scene.gt),
-                                     model.radius)
-    mosaic, listed = Tensor(mosaic), segs.listed()
+    read = segs.pixels
+    if extra_loss is not None:
+        boxes = gt_boxes_from_labels(scene.gt)
+        read = np.concatenate([read, region_pixel_indices(boxes, scene.shape)[0]])
+    cone, listed = Cone(model, scene.image.data, read), segs.listed()
     losses = []
     for step in range(cfg.epochs):
         try:
-            field = _embed(model.forward(mosaic), grid, cfg.mode, at)
+            field = _embed(model.forward(cone), cfg.mode, cone)
             loss = pull_to_mean_loss(rows_at(field, segs.pixels), listed)
             if extra_loss is not None:
                 loss = T.add(loss, extra_loss(field))

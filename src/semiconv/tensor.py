@@ -344,12 +344,75 @@ def l2norm_rows(a):
 
 # -- convolution ------------------------------------------------------------
 
-def _taps(a, kh, kw):
+def tap_pixels(shape, pixels, kh, kw):
+    """The image pixel each tap of a circular kh x kw correlation reads, as [kh*kw, N].
+
+    ``pixels`` are N linear, row-major indices of an [H, W] image. Entry
+    [t, n] is the pixel tap t = (i, j) reads for pixels[n]: the one
+    (i - kh//2, j - kw//2) away, wrapping around the image edges as conv2d
+    does. Taps run in _taps' row order.
+    """
+    h, w = shape
+    y, x = np.divmod(np.asarray(pixels, dtype=np.intp), w)
+    ys = (np.arange(kh)[:, None] - kh // 2 + y) % h * w
+    xs = (np.arange(kw)[:, None] - kw // 2 + x) % w
+    return (ys[:, None] + xs).reshape(kh * kw, -1)
+
+
+def neighbour_table(taps, src, n_pixels):
+    """conv2d's table from the pixel list ``src`` to output pixels whose
+    taps read ``taps`` (tap_pixels, [T, N]): each tap's position in ``src``.
+
+    Both lists are linear indices of an image of ``n_pixels`` pixels;
+    ``src`` lists each pixel at most once and must hold every tap.
+    """
+    where = np.full(n_pixels, -1, dtype=np.intp)
+    where[src] = np.arange(len(src))
+    table = where[taps]
+    if table.size and table.min() < 0:
+        raise ValueError("the source list lacks a tap of an output pixel")
+    return table
+
+
+def _adjoint(table, n_src):
+    """The adjoint of a neighbour table [T, N] into n_src source pixels: the
+    table [T, n_src] from the source pixels back to the outputs.
+
+    A tap is a fixed shift, so each row of the table is one-to-one, and
+    output n reads source pixel table[t, n] through tap t exactly when that
+    source pixel's opposite tap, T-1-t, lands on n: adjoint[T-1-t,
+    table[t, n]] = n, and -1 where no output is there.
+    """
+    t = table.shape[0]
+    adjoint = np.full(t * n_src, -1, dtype=np.intp)
+    adjoint[table + (np.arange(t)[::-1, None] * n_src)] = np.arange(table.shape[1])
+    return adjoint.reshape(t, n_src)
+
+
+def _padded(a):
+    """The columns of a[C, ...] flattened to [C, N], then zero columns up to
+    the next multiple of 8 past N: at least one, so a table entry -1 reads
+    zeros, and _pixel_gemm sums every column of a product in one order."""
+    flat = a.reshape(a.shape[0], -1)
+    n = flat.shape[1]
+    out = np.zeros((flat.shape[0], n + 8 - n % 8))
+    out[:, :n] = flat
+    return out
+
+
+def _taps(a, kh, kw, table=None):
     """The kh*kw windows of a[C,H,W] wrap-padded by (kh//2, kw//2), as [C*kh*kw, H*W].
 
     Row (c, i, j) is channel c shifted by tap (i, j), so a kernel reshaped to
-    [C_out, C*kh*kw] correlates by one GEMM.
+    [C_out, C*kh*kw] correlates by one GEMM. Over a pixel list, a[C, 1, P]
+    and a neighbour table [kh*kw, N] into it, row (c, t) holds a's columns at
+    table[t] (zeros at -1), then zero columns up to a multiple of 8.
     """
+    if table is not None:
+        n = table.shape[1]
+        idx = np.full((table.shape[0], n + (-n) % 8), -1)
+        idx[:, :n] = table
+        return np.take(_padded(a), idx, axis=1).reshape(-1, idx.shape[1])
     c, h, w = a.shape
     ph, pw = kh // 2, kw // 2
     # a wrap-padded as np.pad(mode="wrap") pads it, without that call's per-call
@@ -361,14 +424,28 @@ def _taps(a, kh, kw):
     return sliding_window_view(ap, (h, w), axis=(1, 2)).reshape(c * kh * kw, h * w)
 
 
-def _fold(z, kh, kw, h, w):
+def _fold(z, kh, kw, h, w, table=None):
     """Adjoint of ``_taps``: sum the kh*kw row blocks of z[C*kh*kw, H*W] into [C,H,W].
 
     Block (i, j) is rolled back by its tap, so <_fold(z), a> == <z, _taps(a)>
     for every a[C,H,W], and every pixel adds its blocks in the same order.
+    Over a pixel list, z's columns are a source list's with zero columns
+    last (_padded), the [kh*kw, w] table maps w output pixels into them, and
+    h is 1: output n adds block t's column table[T-1-t, n], the pixel the
+    roll of block t would bring to it, in the same block order.
     """
+    t = kh * kw
+    out = np.zeros((z.shape[0] // t, h, w))
+    if table is not None:
+        s = z.shape[1]
+        # block t's columns are t*s.. of each row; an entry -1 reads the zero
+        # column that ends the block before (for block 0, the last block's)
+        blocks = np.take(z.reshape(out.shape[0], -1),
+                         table[::-1] + np.arange(t)[:, None] * s, axis=1)
+        for k in range(t):
+            out[:, 0] += blocks[:, k]
+        return out
     z = z.reshape(-1, kh, kw, h, w)
-    out = np.zeros((z.shape[0], h, w))
     for i in range(kh):
         for j in range(kw):
             out += np.roll(z[:, i, j], (i - kh // 2, j - kw // 2), axis=(1, 2))
@@ -392,25 +469,30 @@ def _pixel_gemm(a, b):
     return np.ascontiguousarray((a @ padded)[:, :n])
 
 
-def _correlate(a, k):
+def _correlate(a, k, table=None):
     """Circular correlation of a[C_a,H,W] with k[C_o,C_a,kh,kw]: (out[C_o,H,W], taps).
 
     The one place that picks the narrower channel side, so no buffer has more
     than kh*kw*min(C_a, C_o) rows. When C_a <= C_o, out is k times
     ``_taps(a)`` and those taps are returned for reuse; otherwise out is
     ``_fold`` of the tap-flipped kernel times a, and taps is None. Both
-    products go through ``_pixel_gemm``.
+    products go through ``_pixel_gemm``. Over a pixel list, a is [C_a, 1, P]
+    and out [C_o, 1, N] at the N output pixels of the [kh*kw, N] neighbour
+    table into a; every output column is then the one the whole image gives
+    its pixel, bit for bit.
     """
     c_o, c_a, kh, kw = k.shape
-    _, h, w = a.shape
+    h, w = a.shape[1:] if table is None else (1, table.shape[1])
     if c_a <= c_o:
-        taps = _taps(a, kh, kw)
-        return _pixel_gemm(k.reshape(c_o, -1), taps).reshape(c_o, h, w), taps
+        taps = _taps(a, kh, kw, table)
+        # over a list the taps carry zero columns up to a multiple of 8: cropped
+        return _pixel_gemm(k.reshape(c_o, -1), taps)[:, :h * w].reshape(c_o, h, w), taps
     k_flip = k[:, :, ::-1, ::-1].transpose(0, 2, 3, 1).reshape(-1, c_a)
-    return _fold(_pixel_gemm(k_flip, a.reshape(c_a, -1)), kh, kw, h, w), None
+    a = a.reshape(c_a, -1) if table is None else _padded(a)
+    return _fold(_pixel_gemm(k_flip, a), kh, kw, h, w, table), None
 
 
-def conv2d(x, weight, bias=None):
+def conv2d(x, weight, bias=None, table=None):
     """Circular 2-d cross-correlation of x[C_in,H,W] with weight[C_out,C_in,kh,kw].
 
     Odd kernels only; stride 1 and wrap-around padding by (kh//2, kw//2), so
@@ -422,6 +504,12 @@ def conv2d(x, weight, bias=None):
     the forward kept them, else the taps of g times x with the tap axes
     flipped back; the taps of g come from the input gradient's correlation
     when it stacked them.
+
+    Over a pixel list of an image, x is [C_in, 1, P] and ``table`` the
+    [kh*kw, N] neighbour table from N output pixels into x's P, which hold
+    every tap (neighbour_table). The output is [C_out, 1, N], each column the
+    whole image's output at its pixel, bit for bit, and the input gradient is
+    the correlation over the adjoint table, from x's pixels to the outputs.
     """
     x, weight = _coerce(x), _coerce(weight)
     if x.data.ndim != 3 or weight.data.ndim != 4:
@@ -431,35 +519,42 @@ def conv2d(x, weight, bias=None):
         raise ValueError(f"input channels {x.data.shape[0]} != weight c_in {c_in}")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError("kernel extents must be odd")
-    if kh // 2 > x.data.shape[1] or kw // 2 > x.data.shape[2]:
-        raise ValueError("kernel half-extent wider than the input")
+    if table is None:
+        if kh // 2 > x.data.shape[1] or kw // 2 > x.data.shape[2]:
+            raise ValueError("kernel half-extent wider than the input")
+    elif (x.data.shape[1] != 1 or table.shape[0] != kh * kw
+          or table.size and not 0 <= table.min() <= table.max() < x.data.shape[2]):
+        raise ValueError("neighbour table does not match the kernel and the pixel list")
     if bias is not None:
         bias = _coerce(bias)
         if bias.data.shape != (c_out,):
             raise ValueError("bias must have shape (C_out,)")
 
     wd = weight.data
-    out, cols = _correlate(x.data, wd)
+    out, cols = _correlate(x.data, wd, table)
     if bias is not None:
         out += bias.data[:, None, None]  # out is freshly allocated
+    n_out, n_in = out[0].size, x.data[0].size  # a list's taps pad columns past these
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(g):
         nonlocal cols
         if weight.requires_grad and cols is not None:
-            _accum(weight, (g.reshape(c_out, -1) @ cols.T).reshape(wd.shape))
+            _accum(weight, (g.reshape(c_out, -1) @ cols[:, :n_out].T).reshape(wd.shape))
         cols = None  # its last reader has run: the input gradient allocates without it
         if bias is not None and bias.requires_grad:
             _accum(bias, g.sum(axis=(1, 2)))
-        g_cols = None
+        g_cols, adj = None, None
+        if table is not None and (x.requires_grad or weight.requires_grad and c_in > c_out):
+            adj = _adjoint(table, n_in)
         if x.requires_grad:
-            gx, g_cols = _correlate(g, wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+            gx, g_cols = _correlate(g, wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), adj)
             _accum(x, gx)
         if weight.requires_grad and c_in > c_out:  # the forward kept no taps of x
             if g_cols is None:
-                g_cols = _taps(g, kh, kw)
-            gw = (g_cols @ x.data.reshape(c_in, -1).T).reshape(c_out, kh, kw, c_in)
+                g_cols = _taps(g, kh, kw, adj)
+            gw = (g_cols[:, :n_in] @ x.data.reshape(c_in, -1).T).reshape(c_out, kh, kw, c_in)
             _accum(weight, gw[:, ::-1, ::-1].transpose(0, 3, 1, 2))
 
     return _node(out, parents, backward, "conv2d")

@@ -133,8 +133,9 @@ def test_train_then_cluster_chain(tmp_path, scene_path):
 
 @pytest.mark.parametrize("mode", ["conv", "semiconv"])
 def test_cluster_reads_the_windows_as_the_whole_image(tmp_path, mode):
-    # a 2x2 grid at spacing 32 takes the window mosaic; the artifacts are
-    # those of a decode and a loss over the whole image's field, byte for byte
+    # cluster runs the backbone on the foreground's receptive cone; the
+    # artifacts are those of a decode and a loss over the whole image's
+    # field, byte for byte
     scene_file, model = tmp_path / "scene.json", tmp_path / "m.bin"
     assert run("synth-gen", "--rows", 2, "--cols", 2, "--noise", 0.05, "--out", scene_file) == 0
     assert run("train", "--scene", scene_file, "--mode", mode, "--epochs", 15,

@@ -9,8 +9,8 @@ from semiconv.tensor import NumericError, Tensor
 from semiconv.embedding import EmbeddingField, attach_coords, coord_grid, field_rows, rows_at
 from semiconv.kernels import FAMILIES, KernelParams, fuse_scores
 from semiconv.losses import SegmentSet, mask_bce, pull_to_mean_loss
-from semiconv.synth import (InstanceLabeling, Scene, TrainConfig, build_field, generate_scene,
-                            train, window_field)
+from semiconv.synth import (InstanceLabeling, Scene, TrainConfig, build_field, cone_field,
+                            generate_scene, train)
 from semiconv.seedcut import (RegionProposal, box_loss, cut_all_boxes, cut_region,
                               gt_boxes_from_labels, region_pixel_indices, rle_decode,
                               rle_encode, train_seedcut)
@@ -130,8 +130,8 @@ def test_region_rows_match_the_field_crop():
     assert np.array_equal(rows.data, manual)
 
 
-def dense_field(model, image, boxes, mode):
-    """The reference for window_field: the backbone over the whole image."""
+def dense_field(model, image, pixels, mode):
+    """The reference for cone_field: the backbone over the whole image."""
     phi = model.forward(image)
     if mode == "semiconv":
         return attach_coords(phi, coord_grid(*image.data.shape[1:]))
@@ -139,18 +139,19 @@ def dense_field(model, image, boxes, mode):
 
 
 def dense_box_rows(model, image, mode, boxes):
-    """The reference for the windows' rows: the whole field, indexed at the box pixels."""
+    """The reference for the cone's rows: the whole field, indexed at the box pixels."""
     pixels, _, _ = region_pixel_indices(boxes, image.data.shape[1:])
     return T.index_select(field_rows(dense_field(model, image, boxes, mode)), pixels)
 
 
 def forward_inputs(monkeypatch):
-    """Record the [C,H,W] shape of every input Backbone.forward receives."""
+    """Record the shape of every input Backbone.forward receives: [C,H,W] for
+    an image, [C,1,P] for the pixels of a cone's layer 0."""
     shapes = []
     forward = Backbone.forward
 
     def recording(model, x):
-        shapes.append(x.data.shape)
+        shapes.append(getattr(x, "input", x).data.shape)
         return forward(model, x)
 
     monkeypatch.setattr(Backbone, "forward", recording)
@@ -168,14 +169,22 @@ def random_backbone(rng, kernels, dims):
 
 # a 45x61 image (H*W = 2745, not a multiple of 8); boxes as (x0, y0, x1, y1)
 BOX_SETS = {
-    # one at each corner, so the windows wrap at every edge, two overlapping
-    # boxes and a tall thin one; the heights differ, the tallest is 12 and
-    # the widths add up to 31
+    # one at each corner, so the cone wraps at every edge, two overlapping
+    # boxes and a tall thin one
     "mosaic": [(0, 0, 5, 4), (56, 41, 61, 45), (0, 38, 3, 45), (57, 0, 61, 6),
                (3, 2, 9, 8), (6, 5, 12, 10), (30, 10, 32, 22)],
-    # windows with more pixels than the image: the forward runs on the image
+    # a box over the whole image: so is every layer's list
     "full": [(0, 0, 61, 45), (10, 10, 14, 12)],
 }
+
+
+def grown(pixels, shape, r):
+    """Reference: the image pixels within r rows and r columns of a listed
+    one, wrapping around the edges."""
+    mask = np.zeros(shape, dtype=bool)
+    mask.reshape(-1)[pixels] = True
+    return np.logical_or.reduce([np.roll(mask, (dy, dx), axis=(0, 1))
+                                 for dy in range(-r, r + 1) for dx in range(-r, r + 1)])
 
 
 @pytest.mark.parametrize("mode", ["conv", "semiconv"])
@@ -192,14 +201,13 @@ def test_box_rows_equal_the_dense_rows(monkeypatch, tmp_path, mode, boxes, kerne
     want = dense_box_rows(model, image, mode, BOX_SETS[boxes]).data
     shapes = forward_inputs(monkeypatch)
     pixels, _, _ = region_pixel_indices(BOX_SETS[boxes], (45, 61))
-    got = rows_at(window_field(model, image, BOX_SETS[boxes], mode), pixels).data
+    got = rows_at(cone_field(model, image, pixels, mode), pixels).data
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
     r = sum(k // 2 for k in kernels)
-    if boxes == "mosaic":
-        assert shapes == [(1, 12 + 2 * r, 31 + 7 * 2 * r)]
-    else:
-        assert shapes == [(1, 45, 61)]
+    n = np.count_nonzero(grown(pixels, (45, 61), r))
+    assert shapes == [(1, 1, n)]
+    assert (n == 45 * 61) == (boxes == "full")
 
 
 def test_cut_all_boxes_runs_the_backbone_on_the_windows_only(monkeypatch):
@@ -207,7 +215,7 @@ def test_cut_all_boxes_runs_the_backbone_on_the_windows_only(monkeypatch):
     params = KernelParams("steered_laplacian", sigma=1.0)
     scenes = [generate_scene(4, 4, dot_radius=3, spacing=32, img_noise_std=0.05, seed=s)
               for s in range(8)]
-    monkeypatch.setattr("semiconv.synth.window_field", dense_field)
+    monkeypatch.setattr("semiconv.synth.cone_field", dense_field)
     want = [cut_all_boxes(scene, model, params) for scene in scenes]
     monkeypatch.undo()
     shapes = forward_inputs(monkeypatch)
@@ -494,7 +502,8 @@ def test_train_seedcut_validation():
         train_seedcut(scene, [(0, 0, 2, 2)], cfg)  # box without foreground
 
 
-@pytest.mark.parametrize("n, spacing", [(4, 32), (8, 10)], ids=["mosaic", "image"])
+@pytest.mark.parametrize("n, spacing", [(4, 32), (8, 10), (2, 12)],
+                         ids=["mosaic", "image", "edge"])
 def test_a_window_seedcut_step_is_the_whole_image_step(monkeypatch, n, spacing):
     scene = generate_scene(n, n, dot_radius=3, spacing=spacing, img_noise_std=0.05, seed=3)
     boxes = gt_boxes_from_labels(scene.gt)
@@ -519,11 +528,11 @@ def test_a_window_seedcut_step_is_the_whole_image_step(monkeypatch, n, spacing):
 
 
 def test_train_seedcut_box_outside_its_window_is_one_line_error():
-    # a 2x2 grid at spacing 32 takes the mosaic; box 0 reaches 2 px past its window's interior
+    # box 0 reaches 2 px past the instances' boxes, which the cone is built for
     scene = generate_scene(2, 2, dot_radius=3, spacing=32, seed=0)
     boxes = gt_boxes_from_labels(scene.gt)
     x0, y0, x1, y1 = boxes[0]
     cfg = TrainConfig(dims=4, epochs=1, seed=0)
-    with pytest.raises(ValueError, match="outside every window's interior") as err:
+    with pytest.raises(ValueError, match="outside the field's cone") as err:
         train_seedcut(scene, [(x0, y0, x1 + 2, y1)] + boxes[1:], cfg)
     assert "\n" not in str(err.value)

@@ -12,8 +12,8 @@ from semiconv.embedding import EmbeddingField, attach_coords, coord_grid, field_
 from semiconv.losses import SegmentSet, pull_to_mean_loss
 from semiconv.synth import (InstanceLabeling, Scene, TrainConfig, build_field,
                             controlled_pair, decode_kmeans, generate_scene,
-                            gt_boxes_from_labels, load_scene, scene_from_json, scene_to_json,
-                            score, train, window_field)
+                            cone_field, gt_boxes_from_labels, load_scene, region_pixel_indices,
+                            scene_from_json, scene_to_json, score, train)
 
 DISC3_PIXELS = 29  # lattice points with dx^2 + dy^2 <= 9, counted by hand
 
@@ -192,15 +192,16 @@ def test_training_memory_does_not_grow_with_epochs():
     assert peak(4) <= 1.05 * peak(1)
 
 
-# -- the window mosaic ------------------------------------------------------------
+# -- the receptive cone ------------------------------------------------------------
 
-# a 4x4 grid at spacing 32 takes the mosaic (22% of the image); an 8x8 grid
-# at spacing 10 would need more pixels than the image, so it takes the image
-WINDOW_SCENES = {"mosaic": (4, 32), "image": (8, 10)}
+# "mosaic", a 4x4 grid at spacing 32: the cone is a fraction of the image;
+# "image", an 8x8 grid at spacing 10: layer 0 runs on the whole image;
+# "edge", a 2x2 grid at spacing 12: the cones reach around the image edges
+CONE_SCENES = {"mosaic": (4, 32), "image": (8, 10), "edge": (2, 12)}
 
 
-def window_scene(name):
-    n, spacing = WINDOW_SCENES[name]
+def cone_scene(name):
+    n, spacing = CONE_SCENES[name]
     return generate_scene(n, n, dot_radius=3, spacing=spacing, img_noise_std=0.05, seed=3)
 
 
@@ -212,37 +213,46 @@ def dense_field(model, image, mode):
     return EmbeddingField(phi)
 
 
+def reader_pixels(scene):
+    """The pixels the readers of a field read: the segments (the loss), the
+    boxes (the seed-cut) and the foreground (k-means)."""
+    return {"segments": SegmentSet.from_labels(scene.gt).pixels,
+            "boxes": region_pixel_indices(gt_boxes_from_labels(scene.gt), scene.shape)[0],
+            "foreground": np.flatnonzero(scene.gt.foreground_mask())}
+
+
 @pytest.mark.parametrize("mode", ["conv", "semiconv"])
-@pytest.mark.parametrize("name", sorted(WINDOW_SCENES))
+@pytest.mark.parametrize("name", sorted(CONE_SCENES))
 def test_window_rows_are_the_whole_field_rows(mode, name):
-    scene = window_scene(name)
+    scene = cone_scene(name)
     model = Backbone.glorot(1, 8, 4)
     for p in model.biases:
         p.data += np.random.default_rng(1).standard_normal(p.data.shape)
-    boxes = gt_boxes_from_labels(scene.gt)
-    field = window_field(model, scene.image, boxes, mode)
     h, w = scene.shape
-    assert (field.at is None) == (name == "image")
-    if name == "mosaic":
-        assert field.values.data[0].size <= 0.25 * h * w
     dense = field_rows(dense_field(model, scene.image, mode)).data
-    pixels = np.flatnonzero(scene.gt.foreground_mask())
-    for got, want in ((rows_at(field, pixels).data, dense[pixels]),
-                      (rows_at(build_field(model, scene.image, mode), np.arange(h * w)).data,
-                       dense)):
-        assert np.array_equal(got, want)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
+    whole = rows_at(build_field(model, scene.image, mode), np.arange(h * w)).data
+    for pixels in reader_pixels(scene).values():
+        field = cone_field(model, scene.image, pixels, mode)
+        assert np.array_equal(np.flatnonzero(field.at.reshape(-1) >= 0), np.unique(pixels))
+        if name == "mosaic":
+            assert field.values.data[0].size <= 0.25 * h * w
+        for got, want in ((rows_at(field, pixels).data, dense[pixels]), (whole, dense)):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_rows_at_outside_every_window_is_an_error():
-    scene = window_scene("mosaic")
-    field = window_field(Backbone.glorot(1, 4, 0), scene.image,
-                         gt_boxes_from_labels(scene.gt), "semiconv")
-    box = gt_boxes_from_labels(scene.gt)[0]
-    inside = box[1] * scene.shape[1] + box[0]  # the box's top-left pixel
-    assert rows_at(field, [inside]).data.shape == (1, 4)
-    with pytest.raises(ValueError, match=r"image pixel \(0, 0\) lies outside every window"):
-        rows_at(field, [inside, 0])
+    for name in ("mosaic", "edge"):
+        scene = cone_scene(name)
+        pixels = reader_pixels(scene)["boxes"]
+        field = cone_field(Backbone.glorot(1, 4, 0), scene.image, pixels, "semiconv")
+        box = gt_boxes_from_labels(scene.gt)[0]
+        inside = box[1] * scene.shape[1] + box[0]  # the box's top-left pixel
+        assert rows_at(field, [inside]).data.shape == (1, 4)
+        with pytest.raises(ValueError,
+                           match=r"image pixel \(0, 0\) lies outside the field's cone") as err:
+            rows_at(field, [inside, 0])
+        assert "\n" not in str(err.value)
 
 
 def first_step(monkeypatch, run):
@@ -262,9 +272,9 @@ def assert_same_step(got_loss, got_grads, want_loss, want_grads):
 
 
 @pytest.mark.parametrize("mode", ["conv", "semiconv"])
-@pytest.mark.parametrize("name", sorted(WINDOW_SCENES))
+@pytest.mark.parametrize("name", sorted(CONE_SCENES))
 def test_a_window_training_step_is_the_whole_image_step(monkeypatch, mode, name):
-    scene = window_scene(name)
+    scene = cone_scene(name)
     cfg = TrainConfig(mode=mode, dims=8, epochs=1, seed=2)
     losses, grads = first_step(monkeypatch, lambda: train(scene, cfg)[1])
     model = Backbone.glorot(1, cfg.dims, cfg.seed)

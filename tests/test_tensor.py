@@ -213,6 +213,35 @@ def test_conv2d_half_extent_equal_to_input(c_in, c_out):
     assert err_w < 1e-6 and err_x < 1e-6
 
 
+@pytest.mark.parametrize("c_in,c_out,kh,kw", BRANCH_KERNELS)
+def test_conv2d_over_a_pixel_list_is_the_image_conv_there(c_in, c_out, kh, kw):
+    # a scattered output list of a 5x7 image and the taps it reads, which
+    # wrap around the edges; the adjoint table reads -1 at taps off the list
+    rng = np.random.default_rng(23)
+    shape = (5, 7)
+    dst = np.flatnonzero(rng.random(35) < 0.3)
+    taps = T.tap_pixels(shape, dst, kh, kw)
+    src = np.unique(taps)
+    table = T.neighbour_table(taps, src, 35)
+    assert (T._adjoint(table, src.size) < 0).any()
+    x0 = rng.standard_normal((c_in, *shape))
+    w0 = rng.standard_normal((c_out, c_in, kh, kw)) * 0.5
+    b = Tensor(rng.standard_normal(c_out))
+    listed = x0.reshape(c_in, -1)[:, src][:, None]
+    got = T.conv2d(Tensor(listed), Tensor(w0), b, table=table).data
+    want = T.conv2d(Tensor(x0), Tensor(w0), b).data.reshape(c_out, -1)[:, dst]
+    assert np.array_equal(got[:, 0], want)
+
+    def squared(x, w):
+        y = T.conv2d(x, w, table=table)
+        return T.tsum(T.mul(y, y))
+
+    assert T.grad_check(lambda w: squared(Tensor(listed), w), Tensor(w0)) < 1e-6
+    assert T.grad_check(lambda x: squared(x, Tensor(w0)), Tensor(listed)) < 1e-6
+    with pytest.raises(ValueError, match="neighbour table"):
+        T.conv2d(Tensor(listed[:, :, 1:]), Tensor(w0), table=table)
+
+
 @pytest.mark.parametrize("kh,kw,h,w", [(3, 3, 6, 7), (3, 5, 4, 6), (1, 3, 5, 2), (5, 5, 2, 2)])
 def test_fold_is_the_adjoint_of_taps(kh, kw, h, w):
     rng = np.random.default_rng(17)
