@@ -12,6 +12,11 @@ knob except the coordinate mixing, so the contrast isolates that one change.
 import base64
 import ctypes
 import json
+import os
+import pickle
+import signal
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -206,6 +211,103 @@ def _keep_freed_memory():
     mallopt(m_trim_threshold, 2**30)
 
 
+def _openblas():
+    """(get_num_threads, set_num_threads) of the OpenBLAS this process has
+    loaded, found through /proc/self/maps, or None when there is none to ask
+    (another BLAS, or a platform without /proc)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = (), ctypes.c_int
+                    put.argtypes, put.restype = (ctypes.c_int,), None
+                    return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Pin the loaded OpenBLAS to one thread inside the block, and put its
+    thread count back after it. Yields whether there was an OpenBLAS to pin."""
+    blas = _openblas()
+    if blas is None:
+        yield False
+        return
+    get, put = blas
+    threads = get()
+    put(1)
+    try:
+        yield True
+    finally:
+        put(threads)
+
+
+class _Forked:
+    """fn(*args) running in a forked child, which pipes back its value or its
+    exception, pickled, and ends with os._exit, so it never runs the exit
+    handlers of the process it was forked from."""
+
+    def __init__(self, fn, *args):
+        read, write = os.pipe()
+        sys.stdout.flush()  # else the child's copy of a buffer is written twice
+        sys.stderr.flush()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read)
+            os.close(write)
+            raise
+        if pid == 0:
+            status = 1
+            try:
+                os.close(read)
+                try:
+                    sent = (True, fn(*args))
+                except Exception as err:
+                    sent = (False, err)
+                with open(write, "wb") as fh:
+                    pickle.dump(sent, fh)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write)
+        self.pid, self.pipe = pid, open(read, "rb")
+
+    def result(self):
+        """Wait for the child; return fn's value or raise its exception."""
+        with self.pipe:
+            blob = self.pipe.read()  # before waitpid: a result can outgrow the pipe
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        if not blob:
+            raise ChildProcessError(f"forked child exited with status "
+                                    f"{os.waitstatus_to_exitcode(status)} before "
+                                    "sending a result")
+        ok, value = pickle.loads(blob)  # bytes this program's own child wrote
+        if not ok:
+            raise value
+        return value
+
+    def kill(self):
+        """SIGKILL and reap the child, unless result() has reaped it."""
+        self.pipe.close()
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
 def train(scene, cfg, extra_loss=None, extra_params=()):
     """Fit the backbone to the scene by pulling each instance to one embedding.
 
@@ -392,12 +494,33 @@ def score(pred, gt):
 
 
 def controlled_pair(scene, cfg):
-    """Train conv and semiconv runs that differ only in coordinate mixing."""
+    """Train conv and semiconv runs that differ only in coordinate mixing.
+
+    Returns ((conv model, losses), (semiconv model, losses)). The two runs
+    share nothing once initialised, so they train at the same time: with the
+    loaded OpenBLAS pinned to one thread, a forked child trains the conv run
+    while this process trains the semiconv run. Each run then takes the bits
+    train gives it under one BLAS thread, on any number of cores. A run's
+    error is raised as train raised it, the conv run's when both fail, and
+    the child is reaped on every path. Without an OpenBLAS to pin, the runs
+    train one after the other: two processes that each keep a pool of BLAS
+    threads spinning slow each other down.
+    """
     conv_cfg = replace(cfg, mode="conv")
     semi_cfg = replace(cfg, mode="semiconv")
-    conv_model, conv_losses = train(scene, conv_cfg)
-    semi_model, semi_losses = train(scene, semi_cfg)
-    return (conv_model, conv_losses), (semi_model, semi_losses)
+    with _one_blas_thread() as pinned:
+        if not pinned:
+            return train(scene, conv_cfg), train(scene, semi_cfg)
+        conv = _Forked(train, scene, conv_cfg)
+        try:
+            try:
+                semi = train(scene, semi_cfg)
+            except Exception:
+                conv.result()  # the conv run fails first, as when run in turn
+                raise
+            return conv.result(), semi
+        finally:
+            conv.kill()
 
 
 # -- scene serialization ------------------------------------------------------

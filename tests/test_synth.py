@@ -1,5 +1,8 @@
 import json
+import os
+import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -152,6 +155,127 @@ def test_controlled_pair_shares_init():
     (conv_model, _), (semi_model, _) = controlled_pair(scene, quick_cfg(epochs=0))
     for a, b in zip(conv_model.params(), semi_model.params()):
         assert np.array_equal(a.data, b.data)
+
+
+# -- the controlled pair: two processes, one BLAS thread each ---------------------
+
+needs_openblas = pytest.mark.skipif(synth._openblas() is None,
+                                    reason="no loaded OpenBLAS to pin")
+
+
+def run_bytes(run):
+    model, losses = run
+    return [p.data.tobytes() for p in model.params()], losses
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_openblas
+def test_controlled_pair_is_each_mode_trained_on_one_blas_thread():
+    # at 64x64 a GEMM splits across BLAS threads, so its bits depend on their count
+    scene = generate_scene(4, 4, dot_radius=3, spacing=16)
+    cfg = quick_cfg(epochs=3)
+    pair = controlled_pair(scene, cfg)
+    assert_no_child_left()
+    with synth._one_blas_thread():
+        for run, mode in zip(pair, ("conv", "semiconv")):
+            assert run_bytes(run) == run_bytes(train(scene, replace(cfg, mode=mode)))
+    assert [run_bytes(run) for run in controlled_pair(scene, cfg)] == \
+        [run_bytes(run) for run in pair]
+
+
+@needs_openblas
+def test_controlled_pair_puts_the_blas_thread_count_back():
+    get, put = synth._openblas()
+    before = get()
+    try:
+        put(3)
+        controlled_pair(small_scene(), quick_cfg(epochs=2))
+        assert get() == 3
+    finally:
+        put(before)
+
+
+def test_controlled_pair_raises_what_train_raises():
+    scene = small_scene()
+    bad = Scene(Tensor(np.full_like(scene.image.data, np.inf)), scene.gt, scene.meta)
+    cfg = quick_cfg(epochs=3)
+    with np.errstate(invalid="ignore"):
+        with synth._one_blas_thread(), pytest.raises(NumericError) as want:
+            train(bad, replace(cfg, mode="conv"))
+        with pytest.raises(NumericError) as got:
+            controlled_pair(bad, cfg)
+    assert str(got.value) == str(want.value)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("failing", [("conv",), ("semiconv",), ("conv", "semiconv")])
+def test_controlled_pair_raises_the_conv_error_first(monkeypatch, failing):
+    def fake_train(scene, cfg):
+        if cfg.mode in failing:
+            raise ValueError(f"{cfg.mode} run failed")
+        return Backbone.glorot(1, 2, 0), [1.0]
+
+    monkeypatch.setattr(synth, "train", fake_train)
+    with pytest.raises(ValueError, match=f"^{failing[0]} run failed$"):
+        controlled_pair(small_scene(), quick_cfg())
+    assert_no_child_left()
+
+
+@needs_openblas
+def test_an_interrupted_pair_kills_and_reaps_its_child(monkeypatch):
+    def fake_train(scene, cfg):
+        if cfg.mode == "conv":
+            time.sleep(60)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(synth, "train", fake_train)
+    started = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        controlled_pair(small_scene(), quick_cfg())
+    assert time.perf_counter() - started < 30
+    assert_no_child_left()
+
+
+@needs_openblas
+def test_a_child_that_dies_without_a_result_is_an_error(monkeypatch):
+    def fake_train(scene, cfg):
+        if cfg.mode == "conv":
+            os._exit(3)
+        return Backbone.glorot(1, 2, 0), [1.0]
+
+    monkeypatch.setattr(synth, "train", fake_train)
+    with pytest.raises(ChildProcessError, match="status 3 before sending a result"):
+        controlled_pair(small_scene(), quick_cfg())
+    assert_no_child_left()
+
+
+@needs_openblas
+def test_a_failed_fork_closes_its_pipe_and_restores_the_threads(monkeypatch):
+    def no_fork():
+        raise BlockingIOError(11, "fork: resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    get, _ = synth._openblas()
+    threads, fds = get(), len(os.listdir("/proc/self/fd"))  # found through /proc
+    with pytest.raises(BlockingIOError):
+        controlled_pair(small_scene(), quick_cfg())
+    assert (get(), len(os.listdir("/proc/self/fd"))) == (threads, fds)
+
+
+def test_controlled_pair_without_openblas_trains_in_turn(monkeypatch):
+    scene, cfg = small_scene(), quick_cfg(epochs=5)
+    want = [run_bytes(train(scene, replace(cfg, mode=mode))) for mode in ("conv", "semiconv")]
+
+    def no_fork():
+        raise AssertionError("forked without an OpenBLAS to pin")
+
+    monkeypatch.setattr(synth, "_openblas", lambda: None)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert [run_bytes(run) for run in controlled_pair(scene, cfg)] == want
 
 
 def test_divergence_reports_step():
