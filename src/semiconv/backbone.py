@@ -135,13 +135,14 @@ class Backbone:
 
 
 class Cone:
-    """The receptive cone of pixels of a [C,H,W] image under a Backbone: the
-    pixels each layer computes for them, and where its inputs sit.
+    """The receptive cone of pixels of a [C,H,W] image Tensor under a
+    Backbone: the pixels each layer computes for them, and where its inputs
+    sit.
 
-    ``pixels`` are linear, row-major indices. A pixel's output reads the last
-    layer's input on its kh x kw taps, those read the layer before on
-    theirs, and so on, wrapping around the image edges as the convolutions
-    do. So layer l runs only on the pixels the layers after it read: the
+    ``pixels`` are linear, row-major indices, at least one. A pixel's output
+    reads the last layer's input on its kh x kw taps, those read the layer
+    before on theirs, and so on, wrapping around the image edges as the
+    convolutions do. So layer l runs only on the pixels the layers after it read: the
     list, dilated by each later layer's kernel. Built once, a cone holds:
 
     - ``input``: the image at layer 0's pixels, a [C, 1, P_0] Tensor;
@@ -157,8 +158,10 @@ class Cone:
     """
 
     def __init__(self, model, image, pixels):
+        if np.size(pixels) == 0:
+            raise ValueError("a receptive cone needs pixels, but the pixel list is empty")
         kernels = [wt.data.shape[2:] for wt in model.weights]
-        c, h, w = image.shape
+        c, h, w = image.data.shape
         grown = np.zeros(h * w, dtype=bool)
         grown[pixels] = True
         lists, taps = [np.flatnonzero(grown)], []
@@ -167,7 +170,7 @@ class Cone:
             taps.insert(0, T.tap_pixels((h, w), lists[0], kh, kw))
             grown[taps[0]] = True
             lists.insert(0, np.flatnonzero(grown))
-        self.input = Tensor(image.reshape(c, -1)[:, lists[0]][:, None])
+        self.input = Tensor(image.data.reshape(c, -1)[:, lists[0]][:, None])
         self.tables = [T.neighbour_table(t, src, h * w) for t, src in zip(taps, lists)]
         self.grid = np.stack(np.divmod(lists[-1], w)[::-1]).astype(np.float64)[:, None]
         at = np.full(h * w, -1, dtype=np.intp)

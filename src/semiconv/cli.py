@@ -20,7 +20,7 @@ from . import __version__
 from . import tensor as T
 from .tensor import Tensor, NumericError
 from .backbone import Backbone
-from .embedding import displacement_field, rows_at
+from .embedding import displacement_field, field_rows
 from .kernels import KernelParams, fuse_scores, steered_laplacian
 from .losses import SegmentSet, mask_bce, pull_to_mean_loss
 from . import dilemma as dilemma_mod
@@ -159,9 +159,8 @@ def cmd_cluster(args):
     k = args.k if args.k > 0 else scene.gt.K
     pred = synth.decode_kmeans(field, scene.gt.foreground_mask(), k, args.seed)
     metrics = synth.score(pred, scene.gt)
-    segs = SegmentSet.from_labels(scene.gt)
-    rows = rows_at(field, segs.pixels)
-    metrics.update(mode=args.mode, final_loss=pull_to_mean_loss(rows, segs.listed()).item())
+    segs = SegmentSet.from_labels(synth.InstanceLabeling(scene.gt.labels[field.at >= 0]))
+    metrics.update(mode=args.mode, final_loss=pull_to_mean_loss(field_rows(field), segs).item())
     write_json(args.out, metrics)
     outputs = [args.out]
     if args.render:

@@ -9,14 +9,18 @@ BCE_CLAMP = 1e-7
 
 
 class SegmentSet:
-    """Foreground instance pixel sets S_1..S_K, background held separately.
+    """Foreground instance sets S_1..S_K over the rows of a field, background
+    held separately.
 
-    ``segments`` lists 1-d linear pixel index arrays and ``background`` the
+    ``segments`` lists 1-d arrays of row indices and ``background`` the
     complementary indices; segments must be non-empty and, with the
-    background, partition the ``total_pixels`` pixels. The loss reads the
-    foreground as one concatenated pixel order: ``pixels`` lists S_1..S_K,
-    ``ids`` gives each of those pixels its segment number 0..K-1, and
-    ``counts`` the K segment sizes.
+    background, partition the ``total_pixels`` rows. A whole image's field
+    has one row per pixel, row-major (embedding.field_rows); a cone's field
+    one per pixel of its list, in the same order, so from_labels of the
+    labels at its rows gives its segments. The loss reads the foreground as
+    one concatenated row order: ``pixels`` lists S_1..S_K, ``ids`` gives each
+    of those rows its segment number 0..K-1, and ``counts`` the K segment
+    sizes.
     """
 
     def __init__(self, segments, background, total_pixels):
@@ -42,12 +46,6 @@ class SegmentSet:
         runs = np.split(order, np.cumsum(np.bincount(flat, minlength=labels.K + 1))[:-1])
         return cls(runs[1:], runs[0], flat.size)
 
-    def listed(self):
-        """The same segments over their own pixel list: rows 0..N-1 are
-        ``pixels`` in order, as rows_at(field, self.pixels) gives them."""
-        n = self.pixels.size
-        return SegmentSet(np.split(np.arange(n), np.cumsum(self.counts)[:-1]), [], n)
-
     def __len__(self):
         return self.counts.size
 
@@ -61,10 +59,8 @@ def pull_to_mean_loss(rows, segs):
     between segments; with position mixed into the embeddings, pulling each
     segment to its own mean is enough to separate them. eps (NORM_EPS) keeps
     the square root differentiable when a segment is already perfectly tight.
-    Background pixels are ignored. ``rows`` holds the [N, D] embeddings that
-    segs.pixels indexes: a whole field's rows in row-major pixel order
-    (embedding.field_rows), or the segments' own rows,
-    rows_at(field, segs.pixels), with segs.listed().
+    Background pixels are ignored. ``rows`` holds a field's [N, D] rows,
+    field_rows(field), and segs.pixels indexes them.
 
     All segments go through one gather and two segment sums, so the tape has
     the same dozen nodes whatever the number of segments.

@@ -24,7 +24,7 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor, NumericError
 from .backbone import Backbone, Cone
-from .embedding import EmbeddingField, attach_coords, coord_grid, rows_at
+from .embedding import EmbeddingField, attach_coords, coord_grid, field_rows, rows_at
 from .losses import SegmentSet, pull_to_mean_loss
 
 KMEANS_MAX_ITER = 300
@@ -175,7 +175,7 @@ def cone_field(model, image, pixels, mode):
     receptive cone (backbone.Cone), read with rows_at. Their rows are
     bit-identical to build_field's.
     """
-    cone = Cone(model, image.data, pixels)
+    cone = Cone(model, image, pixels)
     return _embed(model.forward(cone), mode, cone)
 
 
@@ -311,38 +311,40 @@ class _Forked:
 def train(scene, cfg, extra_loss=None, extra_params=()):
     """Fit the backbone to the scene by pulling each instance to one embedding.
 
-    Returns (model, losses). Every loss reads only the instances' pixels,
-    and ``extra_loss(field) -> Tensor``, a term callers add to the objective
-    (with ``extra_params``, its learnables as (name, tensor) pairs) without
-    changing anything else about the loop, reads only pixels inside the
-    instances' boxes (gt_boxes_from_labels). So the receptive cone of those
-    pixels (backbone.Cone) is built once, every step runs the backbone over
-    it, and every loss reads the field with rows_at. With no extra term the
-    trajectory depends only on cfg. A scene without instances raises
-    ValueError before any step.
+    Returns (model, losses). The pull-to-mean loss reads only the instances'
+    pixels, and ``extra_loss(field) -> Tensor``, a term callers add to the
+    objective (with ``extra_params``, its learnables as (name, tensor)
+    pairs) without changing anything else about the loop, reads only pixels
+    inside the instances' boxes (gt_boxes_from_labels). So the receptive cone
+    of those pixels (backbone.Cone) is built once, and every step runs the
+    backbone over it. The loss reads the field's own rows, through segments
+    made once from the labels at the cone's pixels, where a pixel in a box
+    but in no instance is background. With no extra term the trajectory
+    depends only on cfg. A scene without instances raises ValueError before
+    any step.
 
     Divergence (NaN/Inf anywhere in a step) raises NumericError with the
     offending step number; a non-finite gradient also names its parameter
     (l0.w, l1.b, ..., or an extra one's name).
     """
     cfg.validate()
-    segs = SegmentSet.from_labels(scene.gt)
-    if not len(segs):
+    if not scene.gt.K:
         raise ValueError("no segments to evaluate")
     _keep_freed_memory()
     model = Backbone.glorot(scene.image.data.shape[0], cfg.dims, cfg.seed)
     named = model.named_params() + list(extra_params)
     params = [p for _, p in named]
-    read = segs.pixels
+    read = np.flatnonzero(scene.gt.labels)
     if extra_loss is not None:
         boxes = gt_boxes_from_labels(scene.gt)
         read = np.concatenate([read, region_pixel_indices(boxes, scene.shape)[0]])
-    cone, listed = Cone(model, scene.image.data, read), segs.listed()
+    cone = Cone(model, scene.image, read)
+    segs = SegmentSet.from_labels(InstanceLabeling(scene.gt.labels[cone.at >= 0]))
     losses = []
     for step in range(cfg.epochs):
         try:
             field = _embed(model.forward(cone), cfg.mode, cone)
-            loss = pull_to_mean_loss(rows_at(field, segs.pixels), listed)
+            loss = pull_to_mean_loss(field_rows(field), segs)
             if extra_loss is not None:
                 loss = T.add(loss, extra_loss(field))
             del field  # the graph holds it now, and backward frees the graph as it goes

@@ -522,15 +522,31 @@ def test_scene_with_too_many_instances_exit_1(tmp_path, monkeypatch, capsys):
     assert "65535" in err and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("subcommand", ["train", "seedcut"])
-@pytest.mark.parametrize("epochs", [0, 3])
-def test_scene_without_instances_exit_1_before_training(tmp_path, scene_path, capsys,
-                                                        subcommand, epochs):
+def scene_without_instances(tmp_path, scene_path):
+    """The scene at scene_path with every label 0, written next to it."""
     doc = read(scene_path)
     doc["labels"] = base64.b64encode(np.zeros(doc["h"] * doc["w"], "<u2").tobytes()).decode()
     scene = tmp_path / "empty.json"
     scene.write_text(json.dumps(doc))
+    return scene
+
+
+@pytest.mark.parametrize("subcommand", ["train", "seedcut"])
+@pytest.mark.parametrize("epochs", [0, 3])
+def test_scene_without_instances_exit_1_before_training(tmp_path, scene_path, capsys,
+                                                        subcommand, epochs):
+    scene = scene_without_instances(tmp_path, scene_path)
     out = tmp_path / "out"
     assert run(subcommand, "--scene", scene, "--epochs", epochs, "--out", out) == 1
     assert capsys.readouterr().err == "error: no segments to evaluate\n"
+    assert not out.exists()
+
+
+def test_cluster_on_a_scene_without_instances_exit_1(tmp_path, scene_path, capsys):
+    scene, model = scene_without_instances(tmp_path, scene_path), tmp_path / "m.bin"
+    Backbone.glorot(1, 8, 0).save(model)
+    out = tmp_path / "out"
+    assert run("cluster", "--scene", scene, "--model", model, "--out", out) == 1
+    assert capsys.readouterr().err == ("error: a receptive cone needs pixels, "
+                                       "but the pixel list is empty\n")
     assert not out.exists()

@@ -210,7 +210,7 @@ def test_box_rows_equal_the_dense_rows(monkeypatch, tmp_path, mode, boxes, kerne
     assert (n == 45 * 61) == (boxes == "full")
 
 
-def test_cut_all_boxes_runs_the_backbone_on_the_windows_only(monkeypatch):
+def test_cut_all_boxes_runs_the_backbone_on_the_cone_only(monkeypatch):
     model = Backbone.glorot(1, 8, 0)
     params = KernelParams("steered_laplacian", sigma=1.0)
     scenes = [generate_scene(4, 4, dot_radius=3, spacing=32, img_noise_std=0.05, seed=s)
@@ -508,9 +508,11 @@ def test_a_window_seedcut_step_is_the_whole_image_step(monkeypatch, n, spacing):
     scene = generate_scene(n, n, dot_radius=3, spacing=spacing, img_noise_std=0.05, seed=3)
     boxes = gt_boxes_from_labels(scene.gt)
     cfg = TrainConfig(dims=8, epochs=1, seed=2)
-    grads = []
+    grads, nodes, backward = [], [], Tensor.backward
     monkeypatch.setattr("semiconv.synth.sgd_step",
                         lambda params, lr: grads.append([p.grad.copy() for p in params]))
+    monkeypatch.setattr(Tensor, "backward",
+                        lambda loss: nodes.append(len(T._topo_order(loss))) or backward(loss))
     _, _, losses = train_seedcut(scene, boxes, cfg,
                                  params=KernelParams("steered_laplacian", sigma=1.0))
     # the same step over the whole image
@@ -522,12 +524,13 @@ def test_a_window_seedcut_step_is_the_whole_image_step(monkeypatch, n, spacing):
     loss.backward()
     want = [p.grad for p in model.params() + params.learnables()]
     assert losses[0] == loss.item()
+    assert nodes[0] == nodes[1]  # the cone step's tape, then the whole image's
     scale = max(np.max(np.abs(g)) for g in want)
     for got, ref in zip(grads[0], want, strict=True):
         assert np.max(np.abs(got - ref)) <= 1e-12 * scale
 
 
-def test_train_seedcut_box_outside_its_window_is_one_line_error():
+def test_train_seedcut_box_outside_its_cone_is_one_line_error():
     # box 0 reaches 2 px past the instances' boxes, which the cone is built for
     scene = generate_scene(2, 2, dot_radius=3, spacing=32, seed=0)
     boxes = gt_boxes_from_labels(scene.gt)

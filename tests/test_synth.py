@@ -365,7 +365,7 @@ def test_window_rows_are_the_whole_field_rows(mode, name):
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-def test_rows_at_outside_every_window_is_an_error():
+def test_rows_at_outside_the_cone_is_an_error():
     for name in ("mosaic", "edge"):
         scene = cone_scene(name)
         pixels = reader_pixels(scene)["boxes"]
@@ -380,12 +380,15 @@ def test_rows_at_outside_every_window_is_an_error():
 
 
 def first_step(monkeypatch, run):
-    """The losses and the parameter gradients of one training step."""
-    grads = []
+    """The losses and the parameter gradients of one training step, and the
+    tape size of every backward() from then on, that step's first."""
+    grads, nodes, backward = [], [], Tensor.backward
     monkeypatch.setattr(synth, "sgd_step",
                         lambda params, lr: grads.append([p.grad.copy() for p in params]))
+    monkeypatch.setattr(Tensor, "backward",
+                        lambda loss: nodes.append(len(T._topo_order(loss))) or backward(loss))
     losses = run()
-    return losses, grads[0]
+    return losses, grads[0], nodes
 
 
 def assert_same_step(got_loss, got_grads, want_loss, want_grads):
@@ -400,12 +403,14 @@ def assert_same_step(got_loss, got_grads, want_loss, want_grads):
 def test_a_window_training_step_is_the_whole_image_step(monkeypatch, mode, name):
     scene = cone_scene(name)
     cfg = TrainConfig(mode=mode, dims=8, epochs=1, seed=2)
-    losses, grads = first_step(monkeypatch, lambda: train(scene, cfg)[1])
+    losses, grads, nodes = first_step(monkeypatch, lambda: train(scene, cfg)[1])
     model = Backbone.glorot(1, cfg.dims, cfg.seed)
     loss = pull_to_mean_loss(field_rows(dense_field(model, scene.image, mode)),
                              SegmentSet.from_labels(scene.gt))
     loss.backward()
     assert_same_step(losses[0], grads, loss.item(), [p.grad for p in model.params()])
+    # the cone changes which pixels each layer computes, not the graph of a step
+    assert nodes[0] == nodes[1]
 
 
 def test_train_config_validation():
