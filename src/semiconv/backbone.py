@@ -7,6 +7,7 @@ shifts, since every conv wraps around the image edges) and contains no
 coordinate information of its own.
 """
 
+import functools
 import struct
 
 import numpy as np
@@ -143,15 +144,24 @@ class Cone:
     reads the last layer's input on its kh x kw taps, those read the layer
     before on theirs, and so on, wrapping around the image edges as the
     convolutions do. So layer l runs only on the pixels the layers after it read: the
-    list, dilated by each later layer's kernel. Built once, a cone holds:
+    list, dilated by each later layer's kernel. A cone holds:
 
     - ``input``: the image at layer 0's pixels, a [C, 1, P_0] Tensor;
-    - ``tables``: per layer, the neighbour table tensor.conv2d takes from the
-      layer's input list to its output list;
+    - ``tables``: per layer, the neighbour table and its adjoint that
+      tensor.conv2d takes from the layer's input list to its output list
+      (tensor.neighbour_table);
     - ``grid``: the (x, y) of the output list, the given pixels sorted and
       each once, as [2, 1, P] (embedding.attach_coords);
     - ``at``: the image's [H, W] map to the output rows, -1 off the list (an
       EmbeddingField's ``at``).
+
+    Only ``input`` depends on the image's values. The rest, the geometry,
+    depends only on the image's height and width, the layers' kernel shapes
+    and the set of pixels, so it is built once (_geometry) and shared,
+    read-only, with the next cone over the same set, in whatever order and
+    with whatever repeats its pixels come: a cut reuses the geometry of its
+    training, and a cut of the next image with the same boxes that of the
+    cut before.
 
     Backbone.forward(cone) gives the model's [D, 1, P] features at the
     output list, equal to the whole image's there, bit for bit.
@@ -160,19 +170,38 @@ class Cone:
     def __init__(self, model, image, pixels):
         if np.size(pixels) == 0:
             raise ValueError("a receptive cone needs pixels, but the pixel list is empty")
-        kernels = [wt.data.shape[2:] for wt in model.weights]
         c, h, w = image.data.shape
-        grown = np.zeros(h * w, dtype=bool)
-        grown[pixels] = True
-        lists, taps = [np.flatnonzero(grown)], []
-        for kh, kw in reversed(kernels):
-            # an odd kernel's centre tap keeps every pixel of the list above
-            taps.insert(0, T.tap_pixels((h, w), lists[0], kh, kw))
-            grown[taps[0]] = True
-            lists.insert(0, np.flatnonzero(grown))
-        self.input = Tensor(image.data.reshape(c, -1)[:, lists[0]][:, None])
-        self.tables = [T.neighbour_table(t, src, h * w) for t, src in zip(taps, lists)]
-        self.grid = np.stack(np.divmod(lists[-1], w)[::-1]).astype(np.float64)[:, None]
-        at = np.full(h * w, -1, dtype=np.intp)
-        at[lists[-1]] = np.arange(lists[-1].size)
-        self.at = at.reshape(h, w)
+        listed = np.zeros(h * w, dtype=bool)
+        listed[pixels] = True
+        kernels = tuple(wt.data.shape[2:] for wt in model.weights)
+        source, self.tables, self.grid, self.at = _geometry(
+            (h, w), kernels, np.flatnonzero(listed).tobytes())
+        self.input = Tensor(image.data.reshape(c, -1)[:, source][:, None])
+
+
+@functools.lru_cache(maxsize=1)
+def _geometry(shape, kernels, pixels):
+    """A cone's geometry over an [H, W] image: (layer 0's input list, tables,
+    grid, at), as Cone holds them, every array read-only.
+
+    ``kernels`` are the layers' (kh, kw) and ``pixels`` the bytes of the
+    sorted output list. A pure function of its arguments, so the last
+    geometry built is kept: a cone over the same pixel set reuses it.
+    """
+    h, w = shape
+    grown = np.zeros(h * w, dtype=bool)
+    lists, taps = [np.frombuffer(pixels, dtype=np.intp)], []
+    grown[lists[0]] = True
+    for kh, kw in reversed(kernels):
+        # an odd kernel's centre tap keeps every pixel of the list above
+        taps.insert(0, T.tap_pixels(shape, lists[0], kh, kw))
+        grown[taps[0]] = True
+        lists.insert(0, np.flatnonzero(grown))
+    tables = tuple(T.neighbour_table(t, src, h * w) for t, src in zip(taps, lists))
+    grid = np.stack(np.divmod(lists[-1], w)[::-1]).astype(np.float64)[:, None]
+    at = np.full(h * w, -1, dtype=np.intp)
+    at[lists[-1]] = np.arange(lists[-1].size)
+    at = at.reshape(h, w)
+    for arr in (lists[0], grid, at, *(a for pair in tables for a in pair)):
+        arr.flags.writeable = False
+    return lists[0], tables, grid, at

@@ -10,6 +10,7 @@ kernel scale co-adapt. Both the trainer and the cutter describe all boxes of
 a scene as one concatenated pixel list and fuse them in one pass.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,7 @@ from .kernels import KernelParams, fuse_boxes, fuse_scores
 from .embedding import rows_at
 from .losses import _bce_terms
 from . import synth
-from .synth import gt_boxes_from_labels, region_pixel_indices
+from .synth import InstanceLabeling, gt_boxes_from_labels, region_pixel_indices
 
 
 @dataclass
@@ -120,24 +121,41 @@ def train_seedcut(scene, gt_boxes, cfg, params=None):
     return model, params, losses
 
 
+@functools.lru_cache(maxsize=1)
+def _box_layout(shape, dtype, labels):
+    """The ground-truth boxes of a label map given as its shape, dtype and
+    bytes, as a tuple, and their _box_list, every array read-only. A pure
+    function of its arguments, so the last layout built is kept: a cut of
+    another image with the same labels reuses it."""
+    gt = InstanceLabeling(np.frombuffer(labels, dtype).reshape(shape))
+    boxes = tuple(gt_boxes_from_labels(gt))
+    listed = _box_list(gt, boxes)
+    for arr in listed:
+        arr.flags.writeable = False
+    return boxes, listed
+
+
 def cut_all_boxes(scene, model, params, cfg_mode="semiconv", threshold=0.5):
     """Cut every ground-truth box; returns (masks, boxes, per-box IoU).
 
     Box k encloses instance k + 1 and scores +1 on it, as in box_loss; all
     boxes go through one fuse_boxes call, and the thresholded list splits
-    into the box masks. The backbone runs only over the box pixels'
-    receptive cone (synth.cone_field), and the cut never backpropagates, so
-    the box rows are detached.
+    into the box masks. The boxes and their pixel list are built once per
+    label map (_box_layout); ``boxes`` is the caller's own list. The backbone
+    runs only over the box pixels' receptive cone (synth.cone_field), whose
+    geometry the training of the same scene already built, and the cut never
+    backpropagates, so the box rows are detached.
     """
-    boxes = gt_boxes_from_labels(scene.gt)
-    pixels, ids, counts, truth, scores = _box_list(scene.gt, boxes)
+    labels = scene.gt.labels
+    boxes, (pixels, ids, counts, truth, scores) = _box_layout(
+        labels.shape, labels.dtype, labels.tobytes())
     rows = Tensor(rows_at(synth.cone_field(model, scene.image, pixels, cfg_mode), pixels).data)
     fused = fuse_boxes(scores, rows, counts, params)
     mask = _cut(fused, threshold)
     ious = np.bincount(ids, mask & truth, counts.size) / np.bincount(ids, mask | truth, counts.size)
     masks = [m.reshape(y1 - y0, x1 - x0)
              for m, (x0, y0, x1, y1) in zip(np.split(mask, np.cumsum(counts)[:-1]), boxes)]
-    return masks, boxes, ious.tolist()
+    return masks, list(boxes), ious.tolist()
 
 
 # -- run-length encoding -------------------------------------------------------

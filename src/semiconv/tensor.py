@@ -361,7 +361,8 @@ def tap_pixels(shape, pixels, kh, kw):
 
 def neighbour_table(taps, src, n_pixels):
     """conv2d's table from the pixel list ``src`` to output pixels whose
-    taps read ``taps`` (tap_pixels, [T, N]): each tap's position in ``src``.
+    taps read ``taps`` (tap_pixels, [T, N]): each tap's position in ``src``,
+    paired with its adjoint (_adjoint), which conv2d's backward reads.
 
     Both lists are linear indices of an image of ``n_pixels`` pixels;
     ``src`` lists each pixel at most once and must hold every tap.
@@ -371,7 +372,7 @@ def neighbour_table(taps, src, n_pixels):
     table = where[taps]
     if table.size and table.min() < 0:
         raise ValueError("the source list lacks a tap of an output pixel")
-    return table
+    return table, _adjoint(table, len(src))
 
 
 def _adjoint(table, n_src):
@@ -504,11 +505,12 @@ def conv2d(x, weight, bias=None, table=None):
     flipped back; the taps of g come from the input gradient's correlation
     when it stacked them.
 
-    Over a pixel list of an image, x is [C_in, 1, P] and ``table`` the
-    [kh*kw, N] neighbour table from N output pixels into x's P, which hold
-    every tap (neighbour_table). The output is [C_out, 1, N], each column the
-    whole image's output at its pixel, bit for bit, and the input gradient is
-    the correlation over the adjoint table, from x's pixels to the outputs.
+    Over a pixel list of an image, x is [C_in, 1, P] and ``table`` the pair
+    neighbour_table gives: the [kh*kw, N] table from N output pixels into
+    x's P, which hold every tap, and its [kh*kw, P] adjoint, from x's pixels
+    back to the outputs. The output is [C_out, 1, N], each column the whole
+    image's output at its pixel, bit for bit, and the input gradient is the
+    correlation over the adjoint table, which the backward takes as given.
     """
     x, weight = _coerce(x), _coerce(weight)
     if x.data.ndim != 3 or weight.data.ndim != 4:
@@ -518,10 +520,12 @@ def conv2d(x, weight, bias=None, table=None):
         raise ValueError(f"input channels {x.data.shape[0]} != weight c_in {c_in}")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError("kernel extents must be odd")
+    table, adjoint = (None, None) if table is None else table
     if table is None:
         if kh // 2 > x.data.shape[1] or kw // 2 > x.data.shape[2]:
             raise ValueError("kernel half-extent wider than the input")
     elif (x.data.shape[1] != 1 or table.shape[0] != kh * kw
+          or adjoint.shape != (kh * kw, x.data.shape[2])
           or table.size and not 0 <= table.min() <= table.max() < x.data.shape[2]):
         raise ValueError("neighbour table does not match the kernel and the pixel list")
     if bias is not None:
@@ -544,15 +548,13 @@ def conv2d(x, weight, bias=None, table=None):
         cols = None  # its last reader has run: the input gradient allocates without it
         if bias is not None and bias.requires_grad:
             _accum(bias, g.sum(axis=(1, 2)))
-        g_cols, adj = None, None
-        if table is not None and (x.requires_grad or weight.requires_grad and c_in > c_out):
-            adj = _adjoint(table, n_in)
+        g_cols = None
         if x.requires_grad:
-            gx, g_cols = _correlate(g, wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), adj)
+            gx, g_cols = _correlate(g, wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), adjoint)
             _accum(x, gx)
         if weight.requires_grad and c_in > c_out:  # the forward kept no taps of x
             if g_cols is None:
-                g_cols = _taps(g, kh, kw, adj)
+                g_cols = _taps(g, kh, kw, adjoint)
             gw = (g_cols[:, :n_in] @ x.data.reshape(c_in, -1).T).reshape(c_out, kh, kw, c_in)
             _accum(weight, gw[:, ::-1, ::-1].transpose(0, 3, 1, 2))
 

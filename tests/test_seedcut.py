@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from semiconv import tensor as T
-from semiconv.backbone import Backbone
+from semiconv.backbone import Backbone, _geometry
 from semiconv.tensor import NumericError, Tensor
 from semiconv.embedding import EmbeddingField, attach_coords, coord_grid, field_rows, rows_at
 from semiconv.kernels import FAMILIES, KernelParams, fuse_scores
@@ -13,7 +13,7 @@ from semiconv.synth import (InstanceLabeling, Scene, TrainConfig, build_field, c
                             generate_scene, train)
 from semiconv.seedcut import (RegionProposal, box_loss, cut_all_boxes, cut_region,
                               gt_boxes_from_labels, region_pixel_indices, rle_decode,
-                              rle_encode, train_seedcut)
+                              rle_encode, train_seedcut, _box_layout)
 
 
 def make_region(rows, scores, shape):
@@ -430,6 +430,63 @@ def test_box_k_is_instance_k_plus_1_in_the_loss_and_the_cut(family):
         box_loss(gt, boxes[::-1], params)
 
 
+def per_box_cuts(scene, model, params):
+    """Reference for cut_all_boxes: each ground-truth box cut on its own,
+    from the whole image's field; (masks, IoUs)."""
+    rows_all = field_rows(build_field(model, scene.image, "semiconv"))
+    masks, ious = [], []
+    for k, rect in enumerate(gt_boxes_from_labels(scene.gt), start=1):
+        pixels, _, _ = region_pixel_indices([rect], scene.shape)
+        truth = scene.gt.labels.reshape(-1)[pixels] == k
+        region = RegionProposal(rect, Tensor(np.where(truth, 1.0, -1.0)),
+                                T.index_select(rows_all, pixels))
+        masks.append(cut_region(region, params))
+        ious.append(np.sum(masks[-1].ravel() & truth) / np.sum(masks[-1].ravel() | truth))
+    return masks, ious
+
+
+def test_cut_all_boxes_builds_each_label_maps_boxes_once():
+    # label maps A (int32), B (int64), A, then A's labels under another image
+    a = generate_scene(2, 2, dot_radius=3, spacing=12, img_noise_std=0.05, seed=0)
+    gt = l_around_a_square()
+    rng = np.random.default_rng(0)
+    b = Scene(Tensor((gt.labels > 0)[None] + 0.1 * rng.standard_normal((1, 12, 12))), gt, {})
+    a_again = generate_scene(2, 2, dot_radius=3, spacing=12, img_noise_std=0.05, seed=1)
+    model = Backbone.glorot(1, 4, 0)
+    params = KernelParams("steered_laplacian", sigma=1.0)
+    _box_layout.cache_clear()
+    results = []
+    for scene in (a, b, a, a_again):
+        masks, boxes, ious = cut_all_boxes(scene, model, params)
+        want_masks, want_ious = per_box_cuts(scene, model, params)
+        assert boxes == gt_boxes_from_labels(scene.gt)
+        assert ious == want_ious
+        assert all(np.array_equal(m, w) for m, w in zip(masks, want_masks, strict=True))
+        results.append((masks, list(boxes), ious))
+        boxes[:] = [(0, 0, 1, 1)]  # the caller's own list: no later cut sees this
+    assert results[2][1:] == results[0][1:]
+    assert all(np.array_equal(m, w) for m, w in zip(results[2][0], results[0][0]))
+    info = _box_layout.cache_info()
+    assert (info.misses, info.hits) == (3, 1)
+    labels = a.gt.labels
+    for arr in _box_layout(labels.shape, labels.dtype, labels.tobytes())[1]:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
+
+
+@pytest.mark.parametrize("spacing", [32, 12])
+def test_a_cut_reuses_its_trainings_geometry(spacing):
+    # training's cone reads the instances and their boxes, a set the cut's
+    # boxes already cover, since every instance lies inside its box
+    scene = generate_scene(4, 4, dot_radius=3, spacing=spacing, img_noise_std=0.05, seed=3)
+    cfg = TrainConfig(dims=4, epochs=1, seed=0)
+    _geometry.cache_clear()
+    model, params, _ = train_seedcut(scene, gt_boxes_from_labels(scene.gt), cfg)
+    cut_all_boxes(scene, model, params)
+    info = _geometry.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_box_loss_tape_does_not_grow_with_boxes():
     cfg = TrainConfig(dims=4, epochs=0, seed=0)
     params = KernelParams("steered_laplacian")
@@ -503,8 +560,8 @@ def test_train_seedcut_validation():
 
 
 @pytest.mark.parametrize("n, spacing", [(4, 32), (8, 10), (2, 12)],
-                         ids=["mosaic", "image", "edge"])
-def test_a_window_seedcut_step_is_the_whole_image_step(monkeypatch, n, spacing):
+                         ids=["sparse", "image", "edge"])
+def test_a_cone_seedcut_step_is_the_whole_image_step(monkeypatch, n, spacing):
     scene = generate_scene(n, n, dot_radius=3, spacing=spacing, img_noise_std=0.05, seed=3)
     boxes = gt_boxes_from_labels(scene.gt)
     cfg = TrainConfig(dims=8, epochs=1, seed=2)

@@ -9,7 +9,7 @@ import pytest
 
 from semiconv import synth
 from semiconv import tensor as T
-from semiconv.backbone import Backbone
+from semiconv.backbone import Backbone, Cone, _geometry
 from semiconv.tensor import Tensor, NumericError
 from semiconv.embedding import EmbeddingField, attach_coords, coord_grid, field_rows, rows_at
 from semiconv.losses import SegmentSet, pull_to_mean_loss
@@ -377,6 +377,73 @@ def test_rows_at_outside_the_cone_is_an_error():
                            match=r"image pixel \(0, 0\) lies outside the field's cone") as err:
             rows_at(field, [inside, 0])
         assert "\n" not in str(err.value)
+
+
+def geometry_arrays(cone):
+    """Every array of a cone's geometry: each layer's neighbour table and its
+    adjoint, the grid and the map to the rows."""
+    return [a for pair in cone.tables for a in pair] + [cone.grid, cone.at]
+
+
+def test_cones_over_one_pixel_set_share_one_geometry():
+    # the box pixels, then the same set reversed with every pixel twice, on
+    # two images of one shape
+    scenes = [cone_scene("mosaic"), generate_scene(4, 4, dot_radius=3, spacing=32,
+                                                   img_noise_std=0.05, seed=4)]
+    pixels = reader_pixels(scenes[0])["boxes"]
+    model = Backbone.glorot(1, 8, 4)
+    cones = [Cone(model, scenes[0].image, pixels),
+             Cone(model, scenes[1].image, np.concatenate([pixels[::-1], pixels]))]
+    for a, b in zip(geometry_arrays(cones[0]), geometry_arrays(cones[1]), strict=True):
+        assert a is b
+    assert not np.array_equal(cones[0].input.data, cones[1].input.data)
+    for scene, cone in zip(scenes, cones):
+        want = rows_at(build_field(model, scene.image, "conv"), np.unique(pixels)).data
+        assert np.array_equal(field_rows(EmbeddingField(model.forward(cone))).data, want)
+
+
+def test_a_new_shape_kernel_or_pixel_set_builds_a_new_geometry():
+    scene = cone_scene("edge")
+    pixels = reader_pixels(scene)["segments"]
+    model = Backbone.glorot(1, 4, 0)
+    rng = np.random.default_rng(5)
+    wide = Backbone([Tensor(rng.standard_normal((16, 1, 5, 5)))] + model.weights[1:],
+                    model.biases)
+    taller = Tensor(rng.standard_normal((1, scene.shape[0] + 1, scene.shape[1])))
+    base = Cone(model, scene.image, pixels)
+    for m, image, listed in ((model, taller, pixels), (wide, scene.image, pixels),
+                             (model, scene.image, pixels[1:])):
+        misses = _geometry.cache_info().misses
+        cone = Cone(m, image, listed)
+        assert _geometry.cache_info().misses == misses + 1
+        assert not any(a is b for a, b in zip(geometry_arrays(base), geometry_arrays(cone)))
+        assert np.array_equal(np.flatnonzero(cone.at.reshape(-1) >= 0), np.unique(listed))
+        want = rows_at(build_field(m, image, "conv"), np.unique(listed)).data
+        assert np.array_equal(field_rows(EmbeddingField(m.forward(cone))).data, want)
+
+
+def test_a_cached_geometry_is_read_only():
+    scene = cone_scene("edge")
+    cone = Cone(Backbone.glorot(1, 4, 0), scene.image, reader_pixels(scene)["boxes"])
+    for arr in geometry_arrays(cone):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
+
+
+def test_a_training_step_rebuilds_no_adjoint_table(monkeypatch):
+    # the cone's geometry holds every layer's adjoint table; a backward only
+    # reads it
+    def no_adjoint(*args):
+        raise AssertionError("a backward rebuilt an adjoint table")
+
+    def cone_then_no_adjoint(*args):
+        cone = Cone(*args)
+        monkeypatch.setattr(T, "_adjoint", no_adjoint)
+        return cone
+
+    monkeypatch.setattr(synth, "Cone", cone_then_no_adjoint)
+    _, losses = train(cone_scene("mosaic"), TrainConfig(dims=4, epochs=2, seed=0))
+    assert len(losses) == 2 and np.all(np.isfinite(losses))
 
 
 def first_step(monkeypatch, run):

@@ -223,7 +223,7 @@ def test_conv2d_over_a_pixel_list_is_the_image_conv_there(c_in, c_out, kh, kw):
     taps = T.tap_pixels(shape, dst, kh, kw)
     src = np.unique(taps)
     table = T.neighbour_table(taps, src, 35)
-    assert (T._adjoint(table, src.size) < 0).any()
+    assert (table[1] < 0).any()
     x0 = rng.standard_normal((c_in, *shape))
     w0 = rng.standard_normal((c_out, c_in, kh, kw)) * 0.5
     b = Tensor(rng.standard_normal(c_out))
