@@ -149,7 +149,7 @@ class Cone:
     - ``input``: the image at layer 0's pixels, a [C, 1, P_0] Tensor;
     - ``tables``: per layer, the neighbour table and its adjoint that
       tensor.conv2d takes from the layer's input list to its output list
-      (tensor.neighbour_table);
+      (tensor.neighbour_table, a pair of tensor.Neighbours);
     - ``grid``: the (x, y) of the output list, the given pixels sorted and
       each once, as [2, 1, P] (embedding.attach_coords);
     - ``at``: the image's [H, W] map to the output rows, -1 off the list (an
@@ -202,6 +202,6 @@ def _geometry(shape, kernels, pixels):
     at = np.full(h * w, -1, dtype=np.intp)
     at[lists[-1]] = np.arange(lists[-1].size)
     at = at.reshape(h, w)
-    for arr in (lists[0], grid, at, *(a for pair in tables for a in pair)):
+    for arr in (lists[0], grid, at):  # the tables are read-only as made
         arr.flags.writeable = False
     return lists[0], tables, grid, at

@@ -10,6 +10,7 @@ kernel scale co-adapt. Both the trainer and the cutter describe all boxes of
 a scene as one concatenated pixel list and fuse them in one pass.
 """
 
+import copy
 import functools
 from dataclasses import dataclass
 
@@ -143,14 +144,17 @@ def cut_all_boxes(scene, model, params, cfg_mode="semiconv", threshold=0.5):
     into the box masks. The boxes and their pixel list are built once per
     label map (_box_layout); ``boxes`` is the caller's own list. The backbone
     runs only over the box pixels' receptive cone (synth.cone_field), whose
-    geometry the training of the same scene already built, and the cut never
-    backpropagates, so the box rows are detached.
+    geometry the training of the same scene already built. The cut never
+    backpropagates, so it records no tape: the field is built without one,
+    and the kernel scale is read as a constant.
     """
     labels = scene.gt.labels
     boxes, (pixels, ids, counts, truth, scores) = _box_layout(
         labels.shape, labels.dtype, labels.tobytes())
-    rows = Tensor(rows_at(synth.cone_field(model, scene.image, pixels, cfg_mode), pixels).data)
-    fused = fuse_boxes(scores, rows, counts, params)
+    rows = rows_at(synth.cone_field(model, scene.image, pixels, cfg_mode), pixels)
+    constant = copy.copy(params)
+    constant.log_sigma = Tensor(params.log_sigma.data)
+    fused = fuse_boxes(scores, rows, counts, constant)
     mask = _cut(fused, threshold)
     ious = np.bincount(ids, mask & truth, counts.size) / np.bincount(ids, mask | truth, counts.size)
     masks = [m.reshape(y1 - y0, x1 - x0)

@@ -169,19 +169,33 @@ def _embed(phi, mode, cone=None):
     return EmbeddingField(values, at)
 
 
+def _inference(model):
+    """``model`` with weights that require no gradient: new Tensors over the
+    model's own arrays, so a forward pass over it records no tape and copies
+    no weight, and the model's parameters are left as they are."""
+    return Backbone([Tensor(w.data) for w in model.weights],
+                    [Tensor(b.data) for b in model.biases])
+
+
 def cone_field(model, image, pixels, mode):
     """The field of ``model`` at the image pixels ``pixels`` (linear,
     row-major indices) and nowhere else: one forward pass over their
     receptive cone (backbone.Cone), read with rows_at. Their rows are
-    bit-identical to build_field's.
+    bit-identical to build_field's. The field records no tape, whether or
+    not the model's weights require gradients: a field builder is inference.
     """
     cone = Cone(model, image, pixels)
-    return _embed(model.forward(cone), mode, cone)
+    return _embed(_inference(model).forward(cone), mode, cone)
 
 
 def build_field(model, image, mode):
-    """The field over the whole image, from one forward pass over all of it."""
-    return _embed(model.forward(image), mode)
+    """The field over the whole image, from one forward pass over all of it.
+
+    The field records no tape, whether or not the model's weights require
+    gradients, and each layer holds the taps of one band of rows at a time
+    (tensor._correlate), so the pass keeps no whole-image tap buffer.
+    """
+    return _embed(_inference(model).forward(image), mode)
 
 
 def sgd_step(params, lr):

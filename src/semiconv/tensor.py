@@ -15,11 +15,14 @@ transpose2d, index_select) checks them only when it moves a leaf's: an op's
 output was checked when it was made.
 """
 
+import math
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 NORM_EPS = 1e-8  # epsilon inside norms; keeps sqrt differentiable at 0
 GRAD_CHECK_STEP = 1e-5  # central-difference step of grad_check
+TAP_BAND = 2**19  # floats of the whole-image tap buffer, one band of rows: 4 MB
 
 
 class NumericError(ArithmeticError):
@@ -362,7 +365,8 @@ def tap_pixels(shape, pixels, kh, kw):
 def neighbour_table(taps, src, n_pixels):
     """conv2d's table from the pixel list ``src`` to output pixels whose
     taps read ``taps`` (tap_pixels, [T, N]): each tap's position in ``src``,
-    paired with its adjoint (_adjoint), which conv2d's backward reads.
+    paired with its adjoint (_adjoint), which conv2d's backward reads, each
+    a Neighbours.
 
     Both lists are linear indices of an image of ``n_pixels`` pixels;
     ``src`` lists each pixel at most once and must hold every tap.
@@ -372,7 +376,32 @@ def neighbour_table(taps, src, n_pixels):
     table = where[taps]
     if table.size and table.min() < 0:
         raise ValueError("the source list lacks a tap of an output pixel")
-    return table, _adjoint(table, len(src))
+    return Neighbours(table, len(src)), Neighbours(_adjoint(table, len(src)), table.shape[1])
+
+
+class Neighbours:
+    """A neighbour table [T, N] from N output pixels into a list of n_src
+    pixels, as conv2d reads it, built once and read-only.
+
+    Entry [t, n] of ``table`` is the list position tap t of output n reads,
+    or -1 where no listed pixel is, which reads zeros. ``gather``, _taps'
+    index, is the table followed by -1 columns up to a multiple of 8, and
+    ``table`` is a view of it. An entry outside [-1, n_src) raises
+    ValueError, so conv2d need only check that its input lists n_src pixels.
+    """
+
+    __slots__ = ("table", "gather", "n_src")
+
+    def __init__(self, table, n_src):
+        table = np.asarray(table, dtype=np.intp)
+        if table.ndim != 2 or table.size and not -1 <= table.min() <= table.max() < n_src:
+            raise ValueError(f"a neighbour table's entries must lie in [-1, {n_src})")
+        t, n = table.shape
+        self.gather = np.full((t, n + (-n) % 8), -1, dtype=np.intp)
+        self.gather[:, :n] = table
+        self.gather.flags.writeable = False
+        self.table = self.gather[:, :n]
+        self.n_src = n_src
 
 
 def _adjoint(table, n_src):
@@ -401,29 +430,32 @@ def _padded(a):
     return out
 
 
+def _wrap_pad(a, kh, kw):
+    """a[C,H,W] wrap-padded by (kh//2, kw//2) on each side, as
+    np.pad(mode="wrap") pads it, without that call's per-call bookkeeping,
+    which costs more than the copy on a whole image: 10 us against 31 at
+    1x128x128, 205 against 239 at 16x128x128 (numpy 2.4, a 2-core Xeon)."""
+    c, h, w = a.shape
+    ph, pw = kh // 2, kw // 2
+    ap = np.empty((c, h + 2 * ph, w + 2 * pw))
+    ap[:, ph:ph + h, pw:pw + w] = a
+    ap[:, :ph, pw:pw + w], ap[:, ph + h:, pw:pw + w] = a[:, h - ph:], a[:, :ph]
+    ap[:, :, :pw], ap[:, :, pw + w:] = ap[:, :, w:w + pw], ap[:, :, pw:2 * pw]
+    return ap
+
+
 def _taps(a, kh, kw, table=None):
     """The kh*kw windows of a[C,H,W] wrap-padded by (kh//2, kw//2), as [C*kh*kw, H*W].
 
     Row (c, i, j) is channel c shifted by tap (i, j), so a kernel reshaped to
     [C_out, C*kh*kw] correlates by one GEMM. Over a pixel list, a[C, 1, P]
-    and a neighbour table [kh*kw, N] into it, row (c, t) holds a's columns at
-    table[t] (zeros at -1), then zero columns up to a multiple of 8.
+    and a Neighbours table [kh*kw, N] into it, row (c, t) holds a's columns
+    at table[t] (zeros at -1), then zero columns up to a multiple of 8.
     """
     if table is not None:
-        n = table.shape[1]
-        idx = np.full((table.shape[0], n + (-n) % 8), -1)
-        idx[:, :n] = table
-        return np.take(_padded(a), idx, axis=1).reshape(-1, idx.shape[1])
+        return np.take(_padded(a), table.gather, axis=1).reshape(-1, table.gather.shape[1])
     c, h, w = a.shape
-    ph, pw = kh // 2, kw // 2
-    # a wrap-padded as np.pad(mode="wrap") pads it, without that call's per-call
-    # bookkeeping, which costs more than the copy on a whole image: 10 us against
-    # 31 at 1x128x128, 205 against 239 at 16x128x128 (numpy 2.4, a 2-core Xeon)
-    ap = np.empty((c, h + 2 * ph, w + 2 * pw))
-    ap[:, ph:ph + h, pw:pw + w] = a
-    ap[:, :ph, pw:pw + w], ap[:, ph + h:, pw:pw + w] = a[:, h - ph:], a[:, :ph]
-    ap[:, :, :pw], ap[:, :, pw + w:] = ap[:, :, w:w + pw], ap[:, :, pw:2 * pw]
-    return sliding_window_view(ap, (h, w), axis=(1, 2)).reshape(c * kh * kw, h * w)
+    return sliding_window_view(_wrap_pad(a, kh, kw), (h, w), axis=(1, 2)).reshape(c * kh * kw, h * w)
 
 
 def _fold(z, kh, kw, h, w, table=None):
@@ -432,20 +464,17 @@ def _fold(z, kh, kw, h, w, table=None):
     Block (i, j) is rolled back by its tap, so <_fold(z), a> == <z, _taps(a)>
     for every a[C,H,W], and every pixel adds its blocks in the same order.
     Over a pixel list, z's columns are a source list's with zero columns
-    last (_padded), the [kh*kw, w] table maps w output pixels into them, and
-    h is 1: output n adds block t's column table[T-1-t, n], the pixel the
-    roll of block t would bring to it, in the same block order.
+    last (_padded), the Neighbours table [kh*kw, w] maps w output pixels
+    into them, and h is 1: output n adds block t's column table[T-1-t, n],
+    the pixel the roll of block t would bring to it, in the same block order
+    (an entry -1 reads the block's last column, a zero one).
     """
     t = kh * kw
     out = np.zeros((z.shape[0] // t, h, w))
     if table is not None:
-        s = z.shape[1]
-        # block t's columns are t*s.. of each row; an entry -1 reads the zero
-        # column that ends the block before (for block 0, the last block's)
-        blocks = np.take(z.reshape(out.shape[0], -1),
-                         table[::-1] + np.arange(t)[:, None] * s, axis=1)
+        z = z.reshape(out.shape[0], t, -1)
         for k in range(t):
-            out[:, 0] += blocks[:, k]
+            out[:, 0] += np.take(z[:, k], table.table[t - 1 - k], axis=1)
         return out
     z = z.reshape(-1, kh, kw, h, w)
     for i in range(kh):
@@ -469,24 +498,60 @@ def _pixel_gemm(a, b):
     return np.ascontiguousarray((a @ _padded(b))[:, :n])
 
 
+def _correlate_bands(a, k):
+    """k[C_o,C_a,kh,kw] times the taps of a[C_a,H,W], as out[C_o,H,W], a band
+    of rows at a time.
+
+    The taps of each band go into one buffer of about TAP_BAND floats,
+    reused, and the band's product is written straight into out. A full
+    band's r*W pixels are a multiple of 8, and a band that is not (the last,
+    or the only one) gets zero columns as _pixel_gemm pads, so every pixel
+    is summed in the order _pixel_gemm(k, _taps(a)) sums it, bit for bit.
+    """
+    c_o, c_a, kh, kw = k.shape
+    _, h, w = a.shape
+    ap = _wrap_pad(a, kh, kw)
+    step = 8 // math.gcd(w, 8)  # rows of a band whose pixels are a multiple of 8
+    rows = min(h, max(step, TAP_BAND // (c_a * kh * kw * w) // step * step))
+    buf = np.empty((c_a * kh * kw, rows * w + (-rows * w) % 8))
+    flat = k.reshape(c_o, -1)
+    out = np.empty((c_o, h * w))
+    for y in range(0, h, rows):
+        r = min(rows, h - y)
+        n = r * w
+        cols = buf[:, :n + (-n) % 8]
+        cols[:, :n].reshape(c_a, kh, kw, r, w)[...] = sliding_window_view(
+            ap[:, y:y + r + kh - 1], (r, w), axis=(1, 2))
+        if n % 8 == 0:
+            np.matmul(flat, cols, out=out[:, y * w:y * w + n])
+        else:
+            cols[:, n:] = 0.0
+            out[:, y * w:] = (flat @ cols)[:, :n]
+    return out.reshape(c_o, h, w)
+
+
 def _correlate(a, k, table=None):
     """Circular correlation of a[C_a,H,W] with k[C_o,C_a,kh,kw]: (out[C_o,H,W], taps).
 
     The one place that picks the narrower channel side, so no buffer has more
-    than kh*kw*min(C_a, C_o) rows. When C_a <= C_o, out is k times
-    ``_taps(a)`` and those taps are returned for reuse; otherwise out is
-    ``_fold`` of the tap-flipped kernel times a, and taps is None. Both
-    products go through ``_pixel_gemm``. Over a pixel list, a is [C_a, 1, P]
-    and out [C_o, 1, N] at the N output pixels of the [kh*kw, N] neighbour
+    than kh*kw*min(C_a, C_o) rows. When C_a <= C_o, out is k times the taps
+    of a: over the whole image a band of rows at a time (_correlate_bands),
+    keeping no taps, and over a pixel list as one product whose taps
+    (``_taps(a, table)``) are returned for reuse. Otherwise out is ``_fold``
+    of the tap-flipped kernel times a, and taps is None. Every product sums
+    each pixel in _pixel_gemm's order. Over a pixel list, a is [C_a, 1, P]
+    and out [C_o, 1, N] at the N output pixels of the [kh*kw, N] Neighbours
     table into a; every output column is then the one the whole image gives
     its pixel, bit for bit.
     """
     c_o, c_a, kh, kw = k.shape
-    h, w = a.shape[1:] if table is None else (1, table.shape[1])
+    h, w = a.shape[1:] if table is None else (1, table.table.shape[1])
     if c_a <= c_o:
+        if table is None:
+            return _correlate_bands(a, k), None
         taps = _taps(a, kh, kw, table)
-        # over a list the taps carry zero columns up to a multiple of 8: cropped
-        return _pixel_gemm(k.reshape(c_o, -1), taps)[:, :h * w].reshape(c_o, h, w), taps
+        # the taps carry zero columns up to a multiple of 8: cropped
+        return _pixel_gemm(k.reshape(c_o, -1), taps)[:, :w].reshape(c_o, 1, w), taps
     k_flip = k[:, :, ::-1, ::-1].transpose(0, 2, 3, 1).reshape(-1, c_a)
     a = a.reshape(c_a, -1) if table is None else _padded(a)
     return _fold(_pixel_gemm(k_flip, a), kh, kw, h, w, table), None
@@ -500,17 +565,21 @@ def conv2d(x, weight, bias=None, table=None):
     the input gradient is the same correlation of the upstream gradient g with
     the flipped, channel-swapped kernel, ``weight[:, :, ::-1, ::-1]`` with its
     channel axes swapped; both are exactly equivariant to circular shifts, bit
-    for bit, at every H*W. The weight gradient is g times the taps of x when
-    the forward kept them, else the taps of g times x with the tap axes
-    flipped back; the taps of g come from the input gradient's correlation
-    when it stacked them.
+    for bit, at every H*W. When C_in <= C_out the weight gradient is g times
+    the taps of x: the ones a forward over a pixel list kept, or, since a
+    whole-image forward keeps none, the taps of x built again by the
+    backward. Otherwise it is the taps of g times x with the tap axes flipped
+    back; the taps of g come from the input gradient's correlation when it
+    kept them.
 
     Over a pixel list of an image, x is [C_in, 1, P] and ``table`` the pair
-    neighbour_table gives: the [kh*kw, N] table from N output pixels into
-    x's P, which hold every tap, and its [kh*kw, P] adjoint, from x's pixels
-    back to the outputs. The output is [C_out, 1, N], each column the whole
-    image's output at its pixel, bit for bit, and the input gradient is the
-    correlation over the adjoint table, which the backward takes as given.
+    of Neighbours that neighbour_table gives: the [kh*kw, N] table from N
+    output pixels into x's P, which hold every tap, and its [kh*kw, P]
+    adjoint, from x's pixels back to the outputs. The output is
+    [C_out, 1, N], each column the whole image's output at its pixel, bit for
+    bit, and the input gradient is the correlation over the adjoint table,
+    which the backward takes as given. The tables' entries were checked when
+    they were made, so a table only has to match the kernel and x's P.
     """
     x, weight = _coerce(x), _coerce(weight)
     if x.data.ndim != 3 or weight.data.ndim != 4:
@@ -524,9 +593,10 @@ def conv2d(x, weight, bias=None, table=None):
     if table is None:
         if kh // 2 > x.data.shape[1] or kw // 2 > x.data.shape[2]:
             raise ValueError("kernel half-extent wider than the input")
-    elif (x.data.shape[1] != 1 or table.shape[0] != kh * kw
-          or adjoint.shape != (kh * kw, x.data.shape[2])
-          or table.size and not 0 <= table.min() <= table.max() < x.data.shape[2]):
+    elif (x.data.shape[1] != 1 or table.n_src != x.data.shape[2]
+          or table.table.shape[0] != kh * kw
+          or adjoint.table.shape != (kh * kw, table.n_src)
+          or adjoint.n_src != table.table.shape[1]):
         raise ValueError("neighbour table does not match the kernel and the pixel list")
     if bias is not None:
         bias = _coerce(bias)
@@ -543,7 +613,9 @@ def conv2d(x, weight, bias=None, table=None):
 
     def backward(g):
         nonlocal cols
-        if weight.requires_grad and cols is not None:
+        if weight.requires_grad and c_in <= c_out:
+            if cols is None:  # a whole-image forward kept no taps of x
+                cols = _taps(x.data, kh, kw)
             _accum(weight, (g.reshape(c_out, -1) @ cols[:, :n_out].T).reshape(wd.shape))
         cols = None  # its last reader has run: the input gradient allocates without it
         if bias is not None and bias.requires_grad:

@@ -132,7 +132,7 @@ def test_train_then_cluster_chain(tmp_path, scene_path):
 
 
 @pytest.mark.parametrize("mode", ["conv", "semiconv"])
-def test_cluster_reads_the_windows_as_the_whole_image(tmp_path, mode):
+def test_cluster_reads_the_cone_as_the_whole_image(tmp_path, mode):
     # cluster runs the backbone on the foreground's receptive cone; the
     # artifacts are those of a decode and a loss over the whole image's
     # field, byte for byte

@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from semiconv import tensor as T
-from semiconv.backbone import Backbone, _geometry
+from semiconv.backbone import Backbone, Cone, _geometry
 from semiconv.tensor import NumericError, Tensor
 from semiconv.embedding import EmbeddingField, attach_coords, coord_grid, field_rows, rows_at
-from semiconv.kernels import FAMILIES, KernelParams, fuse_scores
+from semiconv.kernels import FAMILIES, KernelParams, fuse_boxes, fuse_scores
 from semiconv.losses import SegmentSet, mask_bce, pull_to_mean_loss
 from semiconv.synth import (InstanceLabeling, Scene, TrainConfig, build_field, cone_field,
                             generate_scene, train)
 from semiconv.seedcut import (RegionProposal, box_loss, cut_all_boxes, cut_region,
                               gt_boxes_from_labels, region_pixel_indices, rle_decode,
-                              rle_encode, train_seedcut, _box_layout)
+                              rle_encode, train_seedcut, _box_layout, _box_list)
 
 
 def make_region(rows, scores, shape):
@@ -485,6 +485,42 @@ def test_a_cut_reuses_its_trainings_geometry(spacing):
     cut_all_boxes(scene, model, params)
     info = _geometry.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+def test_the_field_builders_and_the_cut_record_no_tape(monkeypatch):
+    # a freshly trained model and kernel scale, whose tensors require
+    # gradients: decoding with them records no tape and leaves them as they are
+    scene = generate_scene(2, 2, dot_radius=3, spacing=12, img_noise_std=0.05, seed=0)
+    model, params, _ = train_seedcut(scene, gt_boxes_from_labels(scene.gt),
+                                     TrainConfig(dims=4, epochs=2, seed=0))
+    learnables = model.params() + params.learnables()
+    for p in learnables:
+        p.grad = None
+    pixels, ids, counts, truth, scores = _box_list(scene.gt, gt_boxes_from_labels(scene.gt))
+    cone = Cone(model, scene.image, pixels)
+    taped = {"image": model.forward(scene.image), "cone": model.forward(cone)}
+    assert all(phi.requires_grad for phi in taped.values())
+    fused, fuse = [], fuse_boxes
+    monkeypatch.setattr("semiconv.seedcut.fuse_boxes",
+                        lambda *args: fused.append(fuse(*args)) or fused[-1])
+    for mode in ("conv", "semiconv"):
+        whole = build_field(model, scene.image, mode)
+        listed = cone_field(model, scene.image, pixels, mode)
+        masks, _, ious = cut_all_boxes(scene, model, params, cfg_mode=mode)
+        for t in (whole.values, listed.values, fused[-1].probabilities):
+            assert not t.requires_grad and t._parents == () and t._backward is None
+        want = {"image": EmbeddingField(taped["image"]), "cone": EmbeddingField(taped["cone"])}
+        if mode == "semiconv":
+            want = {"image": attach_coords(taped["image"], coord_grid(*scene.shape)),
+                    "cone": attach_coords(taped["cone"], cone.grid)}
+        assert np.array_equal(whole.values.data, want["image"].values.data)
+        assert np.array_equal(listed.values.data, want["cone"].values.data)
+        # the cut from the taped rows and the trainable kernel scale
+        rows = T.index_select(field_rows(want["cone"]), cone.at.reshape(-1)[pixels])
+        mask = fuse(scores, rows, counts, params).probabilities.data >= 0.5
+        assert np.array_equal(np.concatenate([m.reshape(-1) for m in masks]), mask)
+        assert ious == (np.bincount(ids, mask & truth) / np.bincount(ids, mask | truth)).tolist()
+    assert all(p.requires_grad and p.grad is None for p in learnables)
 
 
 def test_box_loss_tape_does_not_grow_with_boxes():

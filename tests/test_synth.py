@@ -365,6 +365,60 @@ def test_window_rows_are_the_whole_field_rows(mode, name):
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+@pytest.mark.parametrize("mode", ["conv", "semiconv"])
+def test_a_whole_image_forward_in_bands_is_the_cone_over_every_pixel(monkeypatch, mode):
+    # 37x29 with a 2**11-float tap buffer: layers 0 and 1 take bands of 8
+    # rows, the fewest 29-pixel rows that make a multiple of 8 pixels, and a
+    # last band of 5 rows, 145 pixels, which is padded
+    rng = np.random.default_rng(6)
+    image = Tensor(rng.standard_normal((1, 37, 29)))
+    model = Backbone.glorot(1, 8, 2)
+    for p in model.biases:
+        p.data += rng.standard_normal(p.data.shape)
+    everywhere = np.arange(37 * 29)
+    want = rows_at(cone_field(model, image, everywhere, mode), everywhere).data
+    one_band_grads = whole_image_weight_grads(model, image, mode)
+    bands, windows = [], T.sliding_window_view
+    monkeypatch.setattr(T, "TAP_BAND", 2**11)
+    monkeypatch.setattr(T, "sliding_window_view",
+                        lambda a, shape, axis: bands.append(shape[0]) or windows(a, shape, axis=axis))
+    got = rows_at(build_field(model, image, mode), everywhere).data
+    assert bands == [8, 8, 8, 8, 5] * 2
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    for g, w in zip(whole_image_weight_grads(model, image, mode), one_band_grads, strict=True):
+        assert np.array_equal(g, w)
+
+
+def whole_image_weight_grads(model, image, mode):
+    """The weight gradients of one whole-image step of the pull-to-mean loss
+    over four interleaved instances that cover the image (its backward
+    rebuilds the taps a whole-image forward does not keep)."""
+    h, w = image.data.shape[1:]
+    labels = InstanceLabeling(np.arange(h * w).reshape(h, w) % 4 + 1)
+    field = synth._embed(model.forward(image), mode)
+    for p in model.params():
+        p.grad = None
+    pull_to_mean_loss(field_rows(field), SegmentSet.from_labels(labels)).backward()
+    return [p.grad.copy() for p in model.params()]
+
+
+def test_build_field_holds_one_band_of_taps_and_no_tape():
+    # 128x128 on a model whose weights require gradients: layer 1's
+    # whole-image taps alone would take 18.9 MB, and a tape would hold every
+    # layer's taps and activations until the field is dropped
+    scene = generate_scene(4, 4, dot_radius=3, spacing=32)
+    model = Backbone.glorot(1, 8, 0)
+    build_field(model, scene.image, "semiconv")  # warm-up: first-call allocations
+    tracemalloc.start()
+    try:
+        field = build_field(model, scene.image, "semiconv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert field.values.data.shape == (8, 128, 128)
+    assert peak < 20 * 2**20
+
+
 def test_rows_at_outside_the_cone_is_an_error():
     for name in ("mosaic", "edge"):
         scene = cone_scene(name)
@@ -381,8 +435,10 @@ def test_rows_at_outside_the_cone_is_an_error():
 
 def geometry_arrays(cone):
     """Every array of a cone's geometry: each layer's neighbour table and its
-    adjoint, the grid and the map to the rows."""
-    return [a for pair in cone.tables for a in pair] + [cone.grid, cone.at]
+    adjoint, with the padded index each is a view of, the grid and the map
+    to the rows."""
+    return ([a for pair in cone.tables for nb in pair for a in (nb.table, nb.gather)]
+            + [cone.grid, cone.at])
 
 
 def test_cones_over_one_pixel_set_share_one_geometry():

@@ -223,7 +223,7 @@ def test_conv2d_over_a_pixel_list_is_the_image_conv_there(c_in, c_out, kh, kw):
     taps = T.tap_pixels(shape, dst, kh, kw)
     src = np.unique(taps)
     table = T.neighbour_table(taps, src, 35)
-    assert (table[1] < 0).any()
+    assert (table[1].table < 0).any()
     x0 = rng.standard_normal((c_in, *shape))
     w0 = rng.standard_normal((c_out, c_in, kh, kw)) * 0.5
     b = Tensor(rng.standard_normal(c_out))
@@ -240,6 +240,21 @@ def test_conv2d_over_a_pixel_list_is_the_image_conv_there(c_in, c_out, kh, kw):
     assert T.grad_check(lambda x: squared(x, Tensor(w0)), Tensor(listed)) < 1e-6
     with pytest.raises(ValueError, match="neighbour table"):
         T.conv2d(Tensor(listed[:, :, 1:]), Tensor(w0), table=table)
+
+
+def test_a_neighbour_table_is_checked_where_it_is_made():
+    # conv2d reads a table as made; only the table's maker checks its entries
+    taps = T.tap_pixels((4, 5), [0, 7], 3, 3)
+    with pytest.raises(ValueError, match="source list lacks a tap"):
+        T.neighbour_table(taps, np.unique(taps)[1:], 20)
+    for bad in ([[0, 5, 1]], [[-2, 0, 1]]):
+        with pytest.raises(ValueError, match=r"neighbour table's entries must lie in \[-1, 5\)"):
+            T.Neighbours(np.array(bad), 5)
+    table = T.Neighbours(np.array([[4, -1, 0]]), 5)
+    assert table.gather.tolist() == [[4, -1, 0, -1, -1, -1, -1, -1]]
+    assert table.table.base is table.gather and table.n_src == 5
+    with pytest.raises(ValueError, match="read-only"):
+        table.table[0, 0] = 1
 
 
 @pytest.mark.parametrize("kh,kw,h,w", [(3, 3, 6, 7), (3, 5, 4, 6), (1, 3, 5, 2), (5, 5, 2, 2)])
