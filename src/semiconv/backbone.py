@@ -55,9 +55,7 @@ class Backbone:
         last = len(self.weights) - 1
         for i, (w, b, table) in enumerate(zip(self.weights, self.biases, tables)):
             try:
-                x = T.conv2d(x, w, b, table=table)
-                if i < last:
-                    x = T.relu(x)
+                x = T.conv2d(x, w, b, table=table, relu=i < last)
             except NumericError as err:
                 raise NumericError(f"layer {i}: {err}") from err
         return x

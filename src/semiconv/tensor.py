@@ -6,13 +6,17 @@ parent links is the tape, and ``backward()`` replays the closures in reverse
 topological order. Construction order is deterministic, so replay order (and
 therefore gradient accumulation order) is bit-reproducible.
 
-Design choices: float64 everywhere, no fusion, no views that could alias a
-mutated buffer into a recorded op. The elementwise binary ops broadcast like
-NumPy; their backward sums the gradient over the axes an input was stretched
-along. Forward ops validate finiteness; NaN/Inf raises :class:`NumericError`
-instead of propagating silently. An op that only moves values (reshape,
-transpose2d, index_select) checks them only when it moves a leaf's: an op's
-output was checked when it was made.
+Design choices: float64 everywhere, no views that could alias a mutated
+buffer into a recorded op. An op may apply a ReLU to its own fresh output
+before that output is recorded (conv2d's ``relu``), so a hidden layer keeps
+one activation buffer, not a pre-ReLU copy too. The elementwise binary ops
+broadcast like NumPy; their backward sums the gradient over the axes an input
+was stretched along. Forward ops validate finiteness; NaN/Inf raises
+:class:`NumericError` instead of propagating silently, and an op that
+applies a ReLU checks its output before the ReLU, which would hide a -inf.
+An op that only moves values (reshape, transpose2d, index_select) checks
+them only when it moves a leaf's: an op's output was checked when it was
+made.
 """
 
 import math
@@ -105,9 +109,9 @@ def _coerce(x):
 _MOVES = frozenset({"reshape", "transpose2d", "index_select"})
 
 
-def _node(data, parents, backward_fn, op):
-    # a leaf's data is the only data never checked
-    if op not in _MOVES or parents[0]._op == "leaf":
+def _node(data, parents, backward_fn, op, checked=False):
+    # a leaf's data is the only data never checked; ``checked``: the op did it
+    if not checked and (op not in _MOVES or parents[0]._op == "leaf"):
         _check_finite(data, op)
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
@@ -168,15 +172,6 @@ def div(a, b):
         _accum(b, -g * a.data / (b.data * b.data))
 
     return _node(a.data / b.data, (a, b), backward, "div")
-
-
-def relu(a):
-    a = _coerce(a)
-
-    def backward(g):
-        _accum(a, g * (a.data > 0))
-
-    return _node(np.maximum(a.data, 0.0), (a,), backward, "relu")
 
 
 def exp(a):
@@ -422,7 +417,14 @@ def _adjoint(table, n_src):
 def _padded(a):
     """The columns of a[C, ...] flattened to [C, N], then zero columns up to
     the next multiple of 8 past N: at least one, so a table entry -1 reads
-    zeros, and _pixel_gemm sums every column of a product in one order."""
+    zeros.
+
+    OpenBLAS's dgemm sums the last N mod 8 columns of a product in another
+    order than the rest, so a pixel's value would depend on where it sits.
+    Every product over pixels here has a multiple of 8 columns, zero columns
+    added as these are when it would not, so every pixel is summed in one
+    order.
+    """
     flat = a.reshape(a.shape[0], -1)
     n = flat.shape[1]
     out = np.zeros((flat.shape[0], n + 8 - n % 8))
@@ -458,44 +460,28 @@ def _taps(a, kh, kw, table=None):
     return sliding_window_view(_wrap_pad(a, kh, kw), (h, w), axis=(1, 2)).reshape(c * kh * kw, h * w)
 
 
-def _fold(z, kh, kw, h, w, table=None):
-    """Adjoint of ``_taps``: sum the kh*kw row blocks of z[C*kh*kw, H*W] into [C,H,W].
+def _fold(out, z, i, kh, kw, table=None):
+    """Add kernel row i's share of the adjoint of ``_taps`` into out[C,H,W].
 
-    Block (i, j) is rolled back by its tap, so <_fold(z), a> == <z, _taps(a)>
-    for every a[C,H,W], and every pixel adds its blocks in the same order.
-    Over a pixel list, z's columns are a source list's with zero columns
-    last (_padded), the Neighbours table [kh*kw, w] maps w output pixels
-    into them, and h is 1: output n adds block t's column table[T-1-t, n],
-    the pixel the roll of block t would bring to it, in the same block order
-    (an entry -1 reads the block's last column, a zero one).
+    The adjoint sums the kh*kw row blocks of z[C*kh*kw, H*W] into [C,H,W],
+    block (i, j) rolled back by its tap, so <adjoint(z), a> == <z, _taps(a)>
+    for every a[C,H,W]. Here z holds kernel row i's kw blocks only, as
+    [C*kw, N] in rows (c, j), N >= H*W (columns past H*W, _padded's zeros,
+    are not read); calling this for i = 0, 1, ... into one zero array adds
+    every pixel's blocks in the same order. Over a pixel list, z's columns
+    are a source list's with zero columns last (_padded), out is [C, 1, M]
+    and the Neighbours table [kh*kw, M] maps the M output pixels into z's
+    columns: output n adds block t's column table[T-1-t, n], the pixel the
+    roll of block t would bring to it, in the same block order (an entry -1
+    reads the block's last column, a zero one).
     """
-    t = kh * kw
-    out = np.zeros((z.shape[0] // t, h, w))
-    if table is not None:
-        z = z.reshape(out.shape[0], t, -1)
-        for k in range(t):
-            out[:, 0] += np.take(z[:, k], table.table[t - 1 - k], axis=1)
-        return out
-    z = z.reshape(-1, kh, kw, h, w)
-    for i in range(kh):
-        for j in range(kw):
-            out += np.roll(z[:, i, j], (i - kh // 2, j - kw // 2), axis=(1, 2))
-    return out
-
-
-def _pixel_gemm(a, b):
-    """a @ b for b[K, H*W] with pixels along its columns, as a contiguous array.
-
-    OpenBLAS's dgemm sums the last N mod 8 columns of a product in another
-    order than the rest, so a pixel's value would depend on where it sits.
-    When H*W is not a multiple of 8, b gets zero columns up to the next
-    multiple (_padded) and the product is cropped back; every pixel is then
-    summed in one order.
-    """
-    n = b.shape[1]
-    if n % 8 == 0:
-        return a @ b
-    return np.ascontiguousarray((a @ _padded(b))[:, :n])
+    c, h, w = out.shape
+    z = z.reshape(c, kw, -1)
+    for j in range(kw):
+        if table is not None:
+            out[:, 0] += np.take(z[:, j], table.table[kh * kw - 1 - i * kw - j], axis=1)
+        else:
+            out += np.roll(z[:, j, :h * w].reshape(c, h, w), (i - kh // 2, j - kw // 2), axis=(1, 2))
 
 
 def _correlate_bands(a, k):
@@ -505,8 +491,8 @@ def _correlate_bands(a, k):
     The taps of each band go into one buffer of about TAP_BAND floats,
     reused, and the band's product is written straight into out. A full
     band's r*W pixels are a multiple of 8, and a band that is not (the last,
-    or the only one) gets zero columns as _pixel_gemm pads, so every pixel
-    is summed in the order _pixel_gemm(k, _taps(a)) sums it, bit for bit.
+    or the only one) gets zero columns up to one (_padded), so every pixel
+    is summed in the one order of a padded product, bit for bit.
     """
     c_o, c_a, kh, kw = k.shape
     _, h, w = a.shape
@@ -538,11 +524,14 @@ def _correlate(a, k, table=None):
     of a: over the whole image a band of rows at a time (_correlate_bands),
     keeping no taps, and over a pixel list as one product whose taps
     (``_taps(a, table)``) are returned for reuse. Otherwise out is ``_fold``
-    of the tap-flipped kernel times a, and taps is None. Every product sums
-    each pixel in _pixel_gemm's order. Over a pixel list, a is [C_a, 1, P]
-    and out [C_o, 1, N] at the N output pixels of the [kh*kw, N] Neighbours
-    table into a; every output column is then the one the whole image gives
-    its pixel, bit for bit.
+    of the tap-flipped kernel times a, taken one kernel row at a time, so
+    the product holds kw*C_o rows, not kh*kw*C_o, and taps is None. Every
+    product has a multiple of 8 columns (_padded) and sums each pixel in
+    one order, and a kernel row's product has the bits of its rows of the
+    whole kernel's product. Over a pixel list, a is [C_a, 1, P] and out
+    [C_o, 1, N] at the N output pixels of the [kh*kw, N] Neighbours table
+    into a; every output column is then the one the whole image gives its
+    pixel, bit for bit.
     """
     c_o, c_a, kh, kw = k.shape
     h, w = a.shape[1:] if table is None else (1, table.table.shape[1])
@@ -551,14 +540,19 @@ def _correlate(a, k, table=None):
             return _correlate_bands(a, k), None
         taps = _taps(a, kh, kw, table)
         # the taps carry zero columns up to a multiple of 8: cropped
-        return _pixel_gemm(k.reshape(c_o, -1), taps)[:, :w].reshape(c_o, 1, w), taps
-    k_flip = k[:, :, ::-1, ::-1].transpose(0, 2, 3, 1).reshape(-1, c_a)
-    a = a.reshape(c_a, -1) if table is None else _padded(a)
-    return _fold(_pixel_gemm(k_flip, a), kh, kw, h, w, table), None
+        return (k.reshape(c_o, -1) @ taps)[:, :w].reshape(c_o, 1, w), taps
+    # rows (i; o, j): kernel row i's blocks are k_flip[i]
+    k_flip = k[:, :, ::-1, ::-1].transpose(2, 0, 3, 1).reshape(kh, -1, c_a)
+    a = a.reshape(c_a, -1) if table is None and h * w % 8 == 0 else _padded(a)
+    out = np.zeros((c_o, h, w))
+    for i in range(kh):
+        _fold(out, k_flip[i] @ a, i, kh, kw, table)
+    return out, None
 
 
-def conv2d(x, weight, bias=None, table=None):
-    """Circular 2-d cross-correlation of x[C_in,H,W] with weight[C_out,C_in,kh,kw].
+def conv2d(x, weight, bias=None, table=None, relu=False):
+    """Circular 2-d cross-correlation of x[C_in,H,W] with weight[C_out,C_in,kh,kw],
+    followed by a ReLU when ``relu`` is set.
 
     Odd kernels only; stride 1 and wrap-around padding by (kh//2, kw//2), so
     the output is [C_out,H,W]. The forward is ``_correlate(x, weight)``, and
@@ -580,6 +574,10 @@ def conv2d(x, weight, bias=None, table=None):
     bit, and the input gradient is the correlation over the adjoint table,
     which the backward takes as given. The tables' entries were checked when
     they were made, so a table only has to match the kernel and x's P.
+
+    The ReLU runs in place on the biased output, after its finiteness check,
+    and the backward masks g where the output is not positive: the op keeps
+    one output buffer, as a conv2d and a separate ReLU would keep two.
     """
     x, weight = _coerce(x), _coerce(weight)
     if x.data.ndim != 3 or weight.data.ndim != 4:
@@ -607,12 +605,17 @@ def conv2d(x, weight, bias=None, table=None):
     out, cols = _correlate(x.data, wd, table)
     if bias is not None:
         out += bias.data[:, None, None]  # out is freshly allocated
+    if relu:  # checked first: the ReLU would turn a -inf into 0
+        _check_finite(out, "conv2d")
+        np.maximum(out, 0.0, out=out)
     n_out, n_in = out[0].size, x.data[0].size  # a list's taps pad columns past these
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(g):
         nonlocal cols
+        if relu:
+            g = g * (out > 0)
         if weight.requires_grad and c_in <= c_out:
             if cols is None:  # a whole-image forward kept no taps of x
                 cols = _taps(x.data, kh, kw)
@@ -630,7 +633,7 @@ def conv2d(x, weight, bias=None, table=None):
             gw = (g_cols[:, :n_in] @ x.data.reshape(c_in, -1).T).reshape(c_out, kh, kw, c_in)
             _accum(weight, gw[:, ::-1, ::-1].transpose(0, 3, 1, 2))
 
-    return _node(out, parents, backward, "conv2d")
+    return _node(out, parents, backward, "conv2d", checked=relu)
 
 
 # -- gradient checking ------------------------------------------------------

@@ -347,7 +347,7 @@ def reader_pixels(scene):
 
 @pytest.mark.parametrize("mode", ["conv", "semiconv"])
 @pytest.mark.parametrize("name", sorted(CONE_SCENES))
-def test_window_rows_are_the_whole_field_rows(mode, name):
+def test_cone_rows_are_the_whole_field_rows(mode, name):
     scene = cone_scene(name)
     model = Backbone.glorot(1, 8, 4)
     for p in model.biases:
@@ -405,7 +405,9 @@ def whole_image_weight_grads(model, image, mode):
 def test_build_field_holds_one_band_of_taps_and_no_tape():
     # 128x128 on a model whose weights require gradients: layer 1's
     # whole-image taps alone would take 18.9 MB, and a tape would hold every
-    # layer's taps and activations until the field is dropped
+    # layer's taps and activations until the field is dropped. Layer 2 folds
+    # one kernel row's product at a time, [3*8, H*W] (3.1 MB), where the
+    # whole kernel's would take 9.4 MB and put the peak at 15 MB
     scene = generate_scene(4, 4, dot_radius=3, spacing=32)
     model = Backbone.glorot(1, 8, 0)
     build_field(model, scene.image, "semiconv")  # warm-up: first-call allocations
@@ -416,7 +418,23 @@ def test_build_field_holds_one_band_of_taps_and_no_tape():
     finally:
         tracemalloc.stop()
     assert field.values.data.shape == (8, 128, 128)
-    assert peak < 20 * 2**20
+    assert peak < 13 * 2**20
+
+
+def test_a_training_step_keeps_no_pre_relu_copy_and_folds_a_kernel_row_at_a_time():
+    # the 8x8 grid at spacing 10, once the cone's geometry is built: each
+    # hidden layer keeps one activation, ReLU applied, and the folds (layer
+    # 2's forward, layer 1's input gradient) one kernel row's product. A
+    # separate ReLU and the whole kernel's products put the peak at 11.8 MB
+    scene = generate_scene(8, 8, spacing=10)
+    train(scene, TrainConfig(epochs=1))  # warm-up: builds and keeps the geometry
+    tracemalloc.start()
+    try:
+        train(scene, TrainConfig(epochs=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 11 * 2**20
 
 
 def test_rows_at_outside_the_cone_is_an_error():

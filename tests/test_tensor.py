@@ -36,8 +36,9 @@ def test_add():
 
 
 def test_relu():
-    out = T.relu(Tensor([-1.0, 0.0, 2.0]))
-    assert np.array_equal(out.data, [0.0, 0.0, 2.0])
+    # conv2d's ReLU behind a 1x1 identity kernel
+    out = T.conv2d(Tensor([[[-1.0, 0.0, 2.0]]]), Tensor(np.ones((1, 1, 1, 1))), relu=True)
+    assert np.array_equal(out.data, [[[0.0, 0.0, 2.0]]])
 
 
 def test_exp_grad_at_zero():
@@ -259,10 +260,64 @@ def test_a_neighbour_table_is_checked_where_it_is_made():
 
 @pytest.mark.parametrize("kh,kw,h,w", [(3, 3, 6, 7), (3, 5, 4, 6), (1, 3, 5, 2), (5, 5, 2, 2)])
 def test_fold_is_the_adjoint_of_taps(kh, kw, h, w):
+    # _fold adds one kernel row's blocks of z[(c, i, j), H*W] at a time
     rng = np.random.default_rng(17)
     a = rng.standard_normal((3, h, w))
     z = rng.standard_normal((3 * kh * kw, h * w))
-    assert abs(np.vdot(T._fold(z, kh, kw, h, w), a) - np.vdot(z, T._taps(a, kh, kw))) < 1e-12
+    folded = np.zeros((3, h, w))
+    for i in range(kh):
+        T._fold(folded, z.reshape(3, kh, kw, h * w)[:, i].reshape(3 * kw, h * w), i, kh, kw)
+    assert abs(np.vdot(folded, a) - np.vdot(z, T._taps(a, kh, kw))) < 1e-12
+
+
+def fold_one_product(a, k, table=None):
+    """Reference: _correlate's fold branch as one product of the whole
+    tap-flipped kernel, rows (o, i, j), folded by the adjoint of _taps. The
+    product has zero columns up to a multiple of 8 (_padded) over a pixel
+    list, and over an image whose pixels are not one, cropped back there."""
+    c_o, c_a, kh, kw = k.shape
+    k_flip = k[:, :, ::-1, ::-1].transpose(0, 2, 3, 1).reshape(-1, c_a)
+    t = kh * kw
+    if table is not None:
+        z = (k_flip @ T._padded(a)).reshape(c_o, t, -1)
+        out = np.zeros((c_o, 1, table.table.shape[1]))
+        for b in range(t):
+            out[:, 0] += np.take(z[:, b], table.table[t - 1 - b], axis=1)
+        return out
+    h, w = a.shape[1:]
+    z = k_flip @ (a.reshape(c_a, -1) if h * w % 8 == 0 else T._padded(a))
+    z = z[:, :h * w].reshape(c_o, kh, kw, h, w)
+    out = np.zeros((c_o, h, w))
+    for i in range(kh):
+        for j in range(kw):
+            out += np.roll(z[:, i, j], (i - kh // 2, j - kw // 2), axis=(1, 2))
+    return out
+
+
+@pytest.mark.parametrize("c_a,c_o", [pytest.param(ca, co, id=f"{ca}to{co}")
+                                     for ca, co in [(3, 2), (32, 8), (32, 16)]])
+@pytest.mark.parametrize("kh,kw", [pytest.param(kh, kw, id=f"{kh}x{kw}")
+                                   for kh, kw in KERNELS + [(5, 5)]])
+def test_fold_by_kernel_rows_is_the_one_product_fold(c_a, c_o, kh, kw):
+    # bit for bit, over a whole image and over a neighbour table and its
+    # adjoint. The equality rests on the BLAS giving a row block of a
+    # product the bits of those rows of the whole product
+    rng = np.random.default_rng(37)
+    k = rng.standard_normal((c_o, c_a, kh, kw))
+    for h, w in [(7, 9), (12, 13), (8, 16), (33, 35)]:
+        a = rng.standard_normal((c_a, h, w))
+        got = T._correlate(a, k)
+        assert got[1] is None
+        want = fold_one_product(a, k)
+        assert np.array_equal(got[0], want) and np.array_equal(np.signbit(got[0]), np.signbit(want))
+        dst = np.flatnonzero(rng.random(h * w) < 0.3)
+        taps = T.tap_pixels((h, w), dst, kh, kw)
+        src = np.unique(taps)
+        for table, n_src in zip(T.neighbour_table(taps, src, h * w), (src.size, dst.size)):
+            listed = rng.standard_normal((c_a, 1, n_src))
+            got = T._correlate(listed, k, table)[0]
+            want = fold_one_product(listed, k, table)
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def traced_peak_bytes(fn):
@@ -382,6 +437,50 @@ def test_conv2d_input_grad_is_the_flipped_kernel_correlation(c_in, c_out):
         assert np.array_equal(x.grad, adjoint.data)
 
 
+@pytest.mark.parametrize("listed", [False, True], ids=["image", "list"])
+@pytest.mark.parametrize("c_in,c_out", [(2, 3), (3, 2)], ids=["2to3", "3to2"])
+def test_conv2d_relu_is_the_relu_of_the_conv(c_in, c_out, listed):
+    # the fused ReLU gives np.maximum(conv2d(...), 0) bit for bit, and its
+    # backward the plain conv2d's gradients with g masked by hand
+    rng = np.random.default_rng(41)
+    x0 = rng.standard_normal((c_in, 6, 7))
+    table = None
+    if listed:
+        taps = T.tap_pixels((6, 7), np.flatnonzero(rng.random(42) < 0.4), 3, 3)
+        src = np.unique(taps)
+        table = T.neighbour_table(taps, src, 42)
+        x0 = x0.reshape(c_in, -1)[:, src][:, None]
+    w0 = rng.standard_normal((c_out, c_in, 3, 3))
+    b0 = rng.standard_normal(c_out)
+    plain = T.conv2d(Tensor(x0), Tensor(w0), Tensor(b0), table=table).data
+    assert (plain < 0).any() and (plain > 0).any()
+    g = rng.standard_normal(plain.shape)
+
+    def forward_and_grads(relu, upstream):
+        leaves = [Tensor(a, requires_grad=True) for a in (x0, w0, b0)]
+        out = T.conv2d(*leaves, table=table, relu=relu)
+        T.tsum(T.mul(out, upstream)).backward()
+        return out.data, [t.grad for t in leaves]
+
+    fused, fused_grads = forward_and_grads(True, g)
+    assert np.array_equal(fused, np.maximum(plain, 0.0))
+    _, masked_grads = forward_and_grads(False, g * (plain > 0))
+    for got, want in zip(fused_grads, masked_grads, strict=True):
+        assert np.array_equal(got, want)
+
+
+def test_conv2d_relu_checks_finiteness_once_before_the_relu(monkeypatch):
+    x, w = Tensor(np.ones((1, 3, 3))), Tensor(np.ones((2, 1, 3, 3)))
+    # a -inf pre-activation, which the ReLU would turn into 0
+    with pytest.raises(NumericError, match="op 'conv2d'"):
+        T.conv2d(x, w, Tensor([0.0, -np.inf]), relu=True)
+    scanned, check = [], T._check_finite
+    monkeypatch.setattr(T, "_check_finite", lambda arr, op: scanned.append(op) or check(arr, op))
+    for relu in (False, True):
+        T.conv2d(x, w, Tensor([0.0, -20.0]), relu=relu)
+    assert scanned == ["conv2d", "conv2d"]
+
+
 def conv_relu_loss(seed):
     """A two-layer conv/relu stack under the pull-to-mean loss, plus its leaves."""
     rng = np.random.default_rng(seed)
@@ -390,7 +489,7 @@ def conv_relu_loss(seed):
     for c_in, c_out in [(2, 4), (4, 3)]:
         leaves += [Tensor(rng.standard_normal((c_out, c_in, 3, 3)), requires_grad=True),
                    Tensor(rng.standard_normal(c_out), requires_grad=True)]
-    h = T.relu(T.conv2d(x, leaves[1], leaves[2]))
+    h = T.conv2d(x, leaves[1], leaves[2], relu=True)
     field = EmbeddingField(T.conv2d(h, leaves[3], leaves[4]))
     segs = SegmentSet.from_labels(InstanceLabeling(rng.integers(0, 4, size=(6, 8))))
     return pull_to_mean_loss(field_rows(field), segs), leaves
@@ -503,7 +602,11 @@ def test_grad_check_quadratic():
 
 
 def test_grad_check_relu_strictly_positive():
-    assert T.grad_check(lambda t: T.tsum(T.relu(t)), Tensor([0.5, 1.5, 2.0])) < 1e-7
+    # conv2d's ReLU behind a 1x1 identity kernel
+    def f(t):
+        return T.tsum(T.conv2d(T.reshape(t, (1, 1, 3)), Tensor(np.ones((1, 1, 1, 1))), relu=True))
+
+    assert T.grad_check(f, Tensor([0.5, 1.5, 2.0])) < 1e-7
 
 
 def test_grad_check_constant_function():
@@ -557,7 +660,7 @@ def test_forward_backward_bit_reproducible():
         rng = np.random.default_rng(42)
         x = Tensor(rng.standard_normal((2, 6, 6)))
         w = Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
-        h = T.relu(T.conv2d(x, w))
+        h = T.conv2d(x, w, relu=True)
         loss = T.tsum(T.mul(h, h))
         loss.backward()
         return loss.item(), w.grad.copy()
