@@ -380,15 +380,20 @@ def train(scene, cfg, extra_loss=None, extra_params=()):
 def decode_kmeans(field, fg_mask, K, seed=0):
     """Cluster foreground embeddings into K instances.
 
-    Deterministic k-means: careful seeding (distance-weighted, from the given
-    rng; a squared-distance total that overflows raises NumericError), then
-    standard mean/assign iterations until centroids move less than
-    KMEANS_TOL, at most KMEANS_MAX_ITER times. An emptied cluster is reseeded
-    on the point farthest from its centroid; when every point already sits on
-    its centroid, within the rounding bound of the distances, the decode
-    stops there instead. Background pixels keep label 0;
-    clusters get ids 1..K, in cluster order. When coinciding points leave
-    clusters empty at the end, the K' filled ones get ids 1..K'.
+    Deterministic k-means. Greedy k-means++ seeding from the given rng: a
+    uniform first center, then at each step 2 + int(ln K) candidates drawn
+    with probability proportional to their squared distance to the nearest
+    center, of which the one that leaves the least total is kept, ties to
+    the first drawn. Those distances are expanded-form products measured
+    from the first center and clamped at 0; a squared-distance total that
+    overflows raises NumericError. Then standard mean/assign iterations
+    until centroids move less than KMEANS_TOL, at most KMEANS_MAX_ITER
+    times. An emptied cluster is reseeded on the point farthest from its
+    centroid; when every point already sits on its centroid, within the
+    rounding bound of the distances, the decode stops there instead.
+    Background pixels keep label 0; clusters get ids 1..K, in cluster order.
+    When coinciding points leave clusters empty at the end, the K' filled
+    ones get ids 1..K'.
     """
     mask = np.asarray(fg_mask, dtype=bool)
     idx = np.flatnonzero(mask.reshape(-1))
@@ -403,32 +408,46 @@ def decode_kmeans(field, fg_mask, K, seed=0):
 
     rng = np.random.default_rng(seed)
     centers = np.empty((K, pts.shape[1]))
-    centers[0] = pts[rng.integers(idx.size)]
-    d2 = ((P - centers[0][:, None]) ** 2).sum(axis=0)
+    first = rng.integers(idx.size)
+    centers[0] = pts[first]
+    # points relative to the first center: their squared norms are its
+    # squared distances, and the expanded form below stays accurate under
+    # a large common offset
+    Q = P - P[:, first, None]
+    sq = (Q ** 2).sum(axis=0)
+    closest = sq
+    # [-2c; 1; |c|²] · [q; |q|²; 1] = |q|² - 2·q·c + |c|²: one product gives
+    # every candidate's squared distances in expanded form
+    ones = np.ones_like(sq)
+    Q_lift = np.vstack([Q, sq, ones])
+    C_lift = np.vstack([-2.0 * Q, ones, sq])
+    trials = 2 + int(np.log(K))
     for k in range(1, K):
-        total = d2.sum()
+        cdf = np.cumsum(closest)
+        total = cdf[-1]
         if total <= 0:  # all remaining points coincide with a center
             centers[k:] = pts[rng.integers(idx.size, size=K - k)]
             break
         if not np.isfinite(total):
             raise NumericError("k-means seeding: squared embedding distances overflow")
-        # the draw of rng.choice(idx.size, p=d2 / total), without its checks
-        cdf = np.cumsum(d2 / total)
-        cdf /= cdf[-1]
-        centers[k] = pts[cdf.searchsorted(rng.random(), side="right")]
-        np.minimum(d2, ((P - centers[k][:, None]) ** 2).sum(axis=0), out=d2)
+        cand = np.minimum(cdf.searchsorted(rng.random(trials) * total, side="right"),
+                          idx.size - 1)
+        # keep the candidate that leaves the least potential, ties to the first
+        d = C_lift[:, cand].T @ Q_lift
+        np.maximum(d, 0.0, out=d)
+        np.minimum(d, closest, out=d)
+        best = np.argmin(d.sum(axis=1))
+        centers[k] = pts[cand[best]]
+        closest = d[best]
 
     sq_p = np.sum(pts ** 2, axis=1)
+    P_lift = np.vstack([P, sq_p, np.ones_like(sq_p)])
     slack = 16 * pts.shape[1] * np.finfo(float).eps
     cols = np.arange(idx.size)
     for _ in range(KMEANS_MAX_ITER):
         sq_c = np.sum(centers ** 2, axis=1)
-        # sq_p - 2·(centers @ P) + sq_c, K-major and formed in place: adding
-        # sq_p to -2·G gives the same bits as subtracting 2·G from sq_p
-        dists = centers @ P
-        dists *= -2.0
-        dists += sq_p
-        dists += sq_c[:, None]
+        # |p|² - 2·c·p + |c|², K-major: [-2c, 1, |c|²] · [p; |p|²; 1]
+        dists = np.hstack([-2.0 * centers, np.ones((K, 1)), sq_c[:, None]]) @ P_lift
         assign = np.argmin(dists, axis=0)
         # Both this expanded form (in any summation order) and the exact form
         # np.sum((p - c) ** 2) lie within (2D + 4)·u·(|p|² + |c|²) of the true

@@ -623,22 +623,35 @@ def test_kmeans_identical_points():
     assert out.labels.shape == (2, 5)
 
 
-def loop_decode_kmeans(field, fg_mask, K, seed=0, max_iter=300, tol=1e-6):
-    """Reference: the k-means update as one loop over clusters."""
+def loop_decode_kmeans(field, fg_mask, K, seed=0, max_iter=300, tol=1e-6, trials=None):
+    """Reference: greedy k-means++ one trial at a time, then the k-means
+    update as one loop over clusters. trials=1 is plain k-means++."""
     mask = np.asarray(fg_mask, dtype=bool)
     idx = np.flatnonzero(mask.reshape(-1))
     pts = field_rows(field).data[idx]
+    n = idx.size
+    if trials is None:
+        trials = 2 + int(np.log(K))
     rng = np.random.default_rng(seed)
     centers = np.empty((K, pts.shape[1]))
-    centers[0] = pts[rng.integers(idx.size)]
-    d2 = np.sum((pts - centers[0]) ** 2, axis=1)
+    first = rng.integers(n)
+    centers[0] = pts[first]
+    q = np.ascontiguousarray((pts - pts[first]).T)  # channel-major, as the decode sums
+    sq = np.sum(q ** 2, axis=0)
+    closest = sq
     for k in range(1, K):
-        total = d2.sum()
-        if total <= 0:
-            centers[k:] = pts[rng.integers(idx.size, size=K - k)]
+        cdf = np.cumsum(closest)
+        if cdf[-1] <= 0:
+            centers[k:] = pts[rng.integers(n, size=K - k)]
             break
-        centers[k] = pts[rng.choice(idx.size, p=d2 / total)]
-        d2 = np.minimum(d2, np.sum((pts - centers[k]) ** 2, axis=1))
+        best_pot = np.inf
+        for u in rng.random(trials):
+            c = min(int(np.searchsorted(cdf, u * cdf[-1], side="right")), n - 1)
+            d = np.minimum(np.maximum((-2.0 * q[:, c]) @ q + sq + sq[c], 0.0), closest)
+            if d.sum() < best_pot:
+                best_pot, best_c, best_d = d.sum(), c, d
+        centers[k] = pts[best_c]
+        closest = best_d
     for _ in range(max_iter):
         dists = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         assign = np.argmin(dists, axis=1)
@@ -775,24 +788,99 @@ def test_kmeans_exact_tie_goes_to_lower_index():
     assert decode_kmeans(field, fg, K=2, seed=9).labels.tolist() == [[1] * 4 + [2] * 4 + [1]]
 
 
-def test_seeding_draw_matches_generator_choice():
-    # the cumsum draw in decode_kmeans is the arithmetic of
-    # Generator.choice(n, p=...): same index, same generator state after it
-    for seed in range(200):
+def test_seeding_draw_is_one_random_call_per_step():
+    # decode_kmeans draws a step's trials with one rng.random(trials) scaled by
+    # the cumulative sum of the distances: each candidate is the first index
+    # whose cumulative sum exceeds its draw, clipped to n - 1, and the generator
+    # advances as Generator.choice(n, size=trials, p=...) advances it
+    for seed in range(100):
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 2000))
+        n = int(rng.integers(1, 300))
+        trials = int(rng.integers(1, 8))
         d2 = rng.random(n) ** 3 * 10.0 ** rng.uniform(-5, 5)
         d2[rng.random(n) < rng.random()] = 0.0
         d2[rng.integers(n)] = 1.0
-        total = d2.sum()
         a, b = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        c = np.random.default_rng(seed + 1)
         for _ in range(3):
-            want = a.choice(n, p=d2 / total)
-            cdf = np.cumsum(d2 / total)
-            cdf /= cdf[-1]
-            got = cdf.searchsorted(b.random(), side="right")
-            assert got == want and d2[got] > 0
-            assert a.bit_generator.state == b.bit_generator.state
+            cdf = np.cumsum(d2)
+            got = np.minimum(cdf.searchsorted(a.random(trials) * cdf[-1], side="right"), n - 1)
+            want = []
+            for u in b.random(trials):
+                i = 0
+                while i < n - 1 and cdf[i] <= u * cdf[-1]:
+                    i += 1
+                want.append(i)
+            assert got.tolist() == want
+            assert all(d2[i] > 0 or i == n - 1 for i in want)
+            c.choice(n, size=trials, p=d2 / d2.sum())
+            assert a.bit_generator.state == b.bit_generator.state == c.bit_generator.state
+
+
+def test_kmeans_seeding_tie_goes_to_the_first_candidate():
+    # -1, 0 and 1, with the first center on 0 at both seeds: the candidates
+    # -1 and 1 leave the same potential, so the second center is the one
+    # drawn first
+    field = rows_field([[-1.0], [0.0], [1.0]])
+    fg = np.ones((1, 3), dtype=bool)
+    assert decode_kmeans(field, fg, K=2, seed=1).labels.tolist() == [[1, 1, 2]]  # 1, then -1
+    assert decode_kmeans(field, fg, K=2, seed=9).labels.tolist() == [[2, 1, 1]]  # -1, then 1
+
+
+@pytest.fixture(scope="module")
+def grid16_small_field():
+    """A 4x4 grid at spacing 12, trained 60 epochs, and its semiconv field."""
+    scene = generate_scene(4, 4, dot_radius=3, spacing=12)
+    model, _ = train(scene, quick_cfg())
+    return scene, build_field(model, scene.image, "semiconv")
+
+
+def test_greedy_seeding_separates_what_one_start_merges(grid16_small_field):
+    # from one k-means++ start, Lloyd stops in a local minimum that merges an
+    # instance into another at seed 1, and two instances at seed 34. Greedy
+    # seeding keeps, at each step, the best of 2 + int(ln K) draws and
+    # separates every instance
+    scene, field = grid16_small_field
+    fg = scene.gt.foreground_mask()
+    for seed, merged in ((1, 1), (34, 2)):
+        one = InstanceLabeling(loop_decode_kmeans(field, fg, scene.gt.K, seed=seed, trials=1))
+        assert score(one, scene.gt)["purity"] == 1.0 - merged / scene.gt.K
+    for seed in range(40):
+        pred = decode_kmeans(field, fg, scene.gt.K, seed=seed)
+        assert score(pred, scene.gt) == {"mean_iou": 1.0, "purity": 1.0}
+
+
+def test_kmeans_assignment_from_the_seeded_centers_is_the_exact_argmin(
+        grid16_small_field, monkeypatch):
+    # one round, so both assign from the centers the seeding picked: the
+    # decode's one-product distances, after their near-tie recheck, give the
+    # labels of the exact (p - c)² argmin, also under a 1e8 offset, whose
+    # squared norms dwarf the distances between embeddings
+    monkeypatch.setattr(synth, "KMEANS_MAX_ITER", 1)
+    scene, field = grid16_small_field
+    fg = scene.gt.foreground_mask().reshape(1, -1)
+    for rows in (field_rows(field).data, field_rows(field).data + 1e8):
+        for k in (4, 16, 40):
+            for seed in range(5):
+                ref = loop_decode_kmeans(rows_field(rows), fg, k, seed=seed, max_iter=1)
+                pred = decode_kmeans(rows_field(rows), fg, k, seed=seed)
+                assert np.array_equal(pred.labels, renumbered(ref))
+
+
+def test_kmeans_under_a_large_common_offset(grid16_small_field):
+    # 1e8 added to every embedding: the seeding measures its expanded-form
+    # distances from the first center, so the offset cancels, and the Lloyd
+    # loop settles near ties in exact form; the decode stays deterministic,
+    # raises nothing and gives the labels of the field without the offset
+    scene, field = grid16_small_field
+    fg = scene.gt.foreground_mask().reshape(1, -1)
+    shifted = rows_field(field_rows(field).data + 1e8)
+    for seed in range(10):
+        pred = decode_kmeans(shifted, fg, scene.gt.K, seed=seed)
+        assert np.array_equal(pred.labels, decode_kmeans(shifted, fg, scene.gt.K, seed=seed).labels)
+        assert np.array_equal(np.unique(pred.labels), np.arange(pred.K + 1))
+        assert np.array_equal(pred.labels.reshape(-1),
+                              decode_kmeans(field, fg, scene.gt.K, seed=seed).labels.reshape(-1))
 
 
 def first_seen(labels):
