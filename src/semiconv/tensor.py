@@ -26,7 +26,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 NORM_EPS = 1e-8  # epsilon inside norms; keeps sqrt differentiable at 0
 GRAD_CHECK_STEP = 1e-5  # central-difference step of grad_check
-TAP_BAND = 2**19  # floats of the whole-image tap buffer, one band of rows: 4 MB
+TAP_BAND = 2**18  # floats of the whole-image tap buffer, one band of rows: 2 MB
 
 
 class NumericError(ArithmeticError):
@@ -432,18 +432,23 @@ def _padded(a):
     return out
 
 
-def _wrap_pad(a, kh, kw):
-    """a[C,H,W] wrap-padded by (kh//2, kw//2) on each side, as
-    np.pad(mode="wrap") pads it, without that call's per-call bookkeeping,
-    which costs more than the copy on a whole image: 10 us against 31 at
-    1x128x128, 205 against 239 at 16x128x128 (numpy 2.4, a 2-core Xeon)."""
-    c, h, w = a.shape
+def _halo(a, kh, kw, y, r, out):
+    """Rows y - kh//2 ... y + r + kh//2 - 1 of a[C,H,W], taken modulo H and
+    wrap-padded by kw//2 columns on each side, into out[C, r+kh-1, W+kw-1]:
+    the input that output rows y ... y + r - 1 read. The rows inside the
+    image are one slice; only the rows past the top or bottom edge are a
+    modular take, which also covers H < kh."""
+    h, w = a.shape[1:]
     ph, pw = kh // 2, kw // 2
-    ap = np.empty((c, h + 2 * ph, w + 2 * pw))
-    ap[:, ph:ph + h, pw:pw + w] = a
-    ap[:, :ph, pw:pw + w], ap[:, ph + h:, pw:pw + w] = a[:, h - ph:], a[:, :ph]
-    ap[:, :, :pw], ap[:, :, pw + w:] = ap[:, :, w:w + pw], ap[:, :, pw:2 * pw]
-    return ap
+    top, bottom = y - ph, y + r + ph
+    lo, hi = max(top, 0), min(bottom, h)
+    out[:, lo - top:hi - top, pw:pw + w] = a[:, lo:hi]
+    if top < lo:
+        out[:, :lo - top, pw:pw + w] = a.take(range(top, lo), axis=1, mode="wrap")
+    if hi < bottom:
+        out[:, hi - top:, pw:pw + w] = a.take(range(hi, bottom), axis=1, mode="wrap")
+    out[:, :, :pw], out[:, :, pw + w:] = out[:, :, w:w + pw], out[:, :, pw:2 * pw]
+    return out
 
 
 def _taps(a, kh, kw, table=None):
@@ -457,7 +462,8 @@ def _taps(a, kh, kw, table=None):
     if table is not None:
         return np.take(_padded(a), table.gather, axis=1).reshape(-1, table.gather.shape[1])
     c, h, w = a.shape
-    return sliding_window_view(_wrap_pad(a, kh, kw), (h, w), axis=(1, 2)).reshape(c * kh * kw, h * w)
+    halo = _halo(a, kh, kw, 0, h, np.empty((c, h + kh - 1, w + kw - 1)))
+    return sliding_window_view(halo, (h, w), axis=(1, 2)).reshape(c * kh * kw, h * w)
 
 
 def _fold(out, z, i, kh, kw, table=None):
@@ -466,7 +472,7 @@ def _fold(out, z, i, kh, kw, table=None):
     The adjoint sums the kh*kw row blocks of z[C*kh*kw, H*W] into [C,H,W],
     block (i, j) rolled back by its tap, so <adjoint(z), a> == <z, _taps(a)>
     for every a[C,H,W]. Here z holds kernel row i's kw blocks only, as
-    [C*kw, N] in rows (c, j), N >= H*W (columns past H*W, _padded's zeros,
+    [kw*C, N] in rows (j, c), N >= H*W (columns past H*W, _padded's zeros,
     are not read); calling this for i = 0, 1, ... into one zero array adds
     every pixel's blocks in the same order. Over a pixel list, z's columns
     are a source list's with zero columns last (_padded), out is [C, 1, M]
@@ -476,29 +482,32 @@ def _fold(out, z, i, kh, kw, table=None):
     reads the block's last column, a zero one).
     """
     c, h, w = out.shape
-    z = z.reshape(c, kw, -1)
+    z = z.reshape(kw, c, -1)
     for j in range(kw):
         if table is not None:
-            out[:, 0] += np.take(z[:, j], table.table[kh * kw - 1 - i * kw - j], axis=1)
+            out[:, 0] += np.take(z[j], table.table[kh * kw - 1 - i * kw - j], axis=1)
         else:
-            out += np.roll(z[:, j, :h * w].reshape(c, h, w), (i - kh // 2, j - kw // 2), axis=(1, 2))
+            out += np.roll(z[j, :, :h * w].reshape(c, h, w), (i - kh // 2, j - kw // 2), axis=(1, 2))
 
 
 def _correlate_bands(a, k):
     """k[C_o,C_a,kh,kw] times the taps of a[C_a,H,W], as out[C_o,H,W], a band
     of rows at a time.
 
-    The taps of each band go into one buffer of about TAP_BAND floats,
-    reused, and the band's product is written straight into out. A full
-    band's r*W pixels are a multiple of 8, and a band that is not (the last,
-    or the only one) gets zero columns up to one (_padded), so every pixel
-    is summed in the one order of a padded product, bit for bit.
+    Each band reads its input rows, with the kh//2 halo rows above and below
+    it taken by wrapping (_halo), into one small reused buffer, so no padded
+    copy of the whole input is made. Its taps go into one buffer of about
+    TAP_BAND floats, reused, and the band's product is written straight into
+    out. A full band's r*W pixels are a multiple of 8, and a band that is
+    not (the last, or the only one) gets zero columns up to one (_padded),
+    so every pixel is summed in the one order of a padded product, bit for
+    bit.
     """
     c_o, c_a, kh, kw = k.shape
     _, h, w = a.shape
-    ap = _wrap_pad(a, kh, kw)
     step = 8 // math.gcd(w, 8)  # rows of a band whose pixels are a multiple of 8
     rows = min(h, max(step, TAP_BAND // (c_a * kh * kw * w) // step * step))
+    halo = np.empty((c_a, rows + kh - 1, w + kw - 1))
     buf = np.empty((c_a * kh * kw, rows * w + (-rows * w) % 8))
     flat = k.reshape(c_o, -1)
     out = np.empty((c_o, h * w))
@@ -507,7 +516,7 @@ def _correlate_bands(a, k):
         n = r * w
         cols = buf[:, :n + (-n) % 8]
         cols[:, :n].reshape(c_a, kh, kw, r, w)[...] = sliding_window_view(
-            ap[:, y:y + r + kh - 1], (r, w), axis=(1, 2))
+            _halo(a, kh, kw, y, r, halo[:, :r + kh - 1]), (r, w), axis=(1, 2))
         if n % 8 == 0:
             np.matmul(flat, cols, out=out[:, y * w:y * w + n])
         else:
@@ -541,8 +550,8 @@ def _correlate(a, k, table=None):
         taps = _taps(a, kh, kw, table)
         # the taps carry zero columns up to a multiple of 8: cropped
         return (k.reshape(c_o, -1) @ taps)[:, :w].reshape(c_o, 1, w), taps
-    # rows (i; o, j): kernel row i's blocks are k_flip[i]
-    k_flip = k[:, :, ::-1, ::-1].transpose(2, 0, 3, 1).reshape(kh, -1, c_a)
+    # rows (i; j, o): kernel row i's blocks are k_flip[i], each block contiguous
+    k_flip = k[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(kh, -1, c_a)
     a = a.reshape(c_a, -1) if table is None and h * w % 8 == 0 else _padded(a)
     out = np.zeros((c_o, h, w))
     for i in range(kh):

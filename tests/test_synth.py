@@ -365,25 +365,42 @@ def test_cone_rows_are_the_whole_field_rows(mode, name):
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-@pytest.mark.parametrize("mode", ["conv", "semiconv"])
-def test_a_whole_image_forward_in_bands_is_the_cone_over_every_pixel(monkeypatch, mode):
-    # 37x29 with a 2**11-float tap buffer: layers 0 and 1 take bands of 8
-    # rows, the fewest 29-pixel rows that make a multiple of 8 pixels, and a
-    # last band of 5 rows, 145 pixels, which is padded
+BAND_CASES = [  # (image shape, TAP_BAND, rows of each band of layers 0 and 1)
+    # a 2**11-float tap buffer: layers 0 and 1 take bands of 8 rows, the
+    # fewest 29-pixel rows that make a multiple of 8 pixels, and a last band
+    # of 5 rows, 145 pixels, which is padded
+    ((37, 29), 2**11, [8, 8, 8, 8, 5] * 2),
+    # every halo row wraps onto the image's own rows, as the dilemma's
+    # [1, 1, N] input's do; at 2x16 layer 1 takes bands of one row
+    ((1, 16), 2**11, [1, 1]),
+    ((2, 16), 2**11, [2, 1, 1]),
+    # the default buffer: layer 0 takes one band, and layer 1 bands of 16
+    # rows, the first crossing the top edge and the last, 5 rows and 505
+    # pixels, which is padded, the bottom one
+    ((37, 101), T.TAP_BAND, [37, 16, 16, 5]),
+]
+
+
+@pytest.mark.parametrize("mode,shape,tap_band,bands", [
+    pytest.param(mode, *case, id=mode if case[0] == (37, 29) else f"{case[0][0]}x{case[0][1]}-{mode}")
+    for case in BAND_CASES for mode in ("conv", "semiconv")])
+def test_a_whole_image_forward_in_bands_is_the_cone_over_every_pixel(monkeypatch, mode, shape,
+                                                                     tap_band, bands):
     rng = np.random.default_rng(6)
-    image = Tensor(rng.standard_normal((1, 37, 29)))
+    image = Tensor(rng.standard_normal((1, *shape)))
     model = Backbone.glorot(1, 8, 2)
     for p in model.biases:
         p.data += rng.standard_normal(p.data.shape)
-    everywhere = np.arange(37 * 29)
+    everywhere = np.arange(image.data.size)
     want = rows_at(cone_field(model, image, everywhere, mode), everywhere).data
+    monkeypatch.setattr(T, "TAP_BAND", 2**30)
     one_band_grads = whole_image_weight_grads(model, image, mode)
-    bands, windows = [], T.sliding_window_view
-    monkeypatch.setattr(T, "TAP_BAND", 2**11)
+    got_bands, windows = [], T.sliding_window_view
+    monkeypatch.setattr(T, "TAP_BAND", tap_band)
     monkeypatch.setattr(T, "sliding_window_view",
-                        lambda a, shape, axis: bands.append(shape[0]) or windows(a, shape, axis=axis))
+                        lambda a, shape, axis: got_bands.append(shape[0]) or windows(a, shape, axis=axis))
     got = rows_at(build_field(model, image, mode), everywhere).data
-    assert bands == [8, 8, 8, 8, 5] * 2
+    assert got_bands == bands
     assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
     for g, w in zip(whole_image_weight_grads(model, image, mode), one_band_grads, strict=True):
         assert np.array_equal(g, w)
@@ -405,9 +422,11 @@ def whole_image_weight_grads(model, image, mode):
 def test_build_field_holds_one_band_of_taps_and_no_tape():
     # 128x128 on a model whose weights require gradients: layer 1's
     # whole-image taps alone would take 18.9 MB, and a tape would hold every
-    # layer's taps and activations until the field is dropped. Layer 2 folds
-    # one kernel row's product at a time, [3*8, H*W] (3.1 MB), where the
-    # whole kernel's would take 9.4 MB and put the peak at 15 MB
+    # layer's taps and activations until the field is dropped. Layer 1's
+    # bands read their halo rows from its input into a 2 MB tap buffer, so
+    # the peak, about 9.0 MB, is layer 2's fold: its 4 MB input, one kernel
+    # row's product [3*8, H*W] (3.1 MB), its 1 MB output and a 1 MB roll. The
+    # whole kernel's product would take 9.4 MB and put the peak at 15 MB
     scene = generate_scene(4, 4, dot_radius=3, spacing=32)
     model = Backbone.glorot(1, 8, 0)
     build_field(model, scene.image, "semiconv")  # warm-up: first-call allocations
@@ -418,7 +437,7 @@ def test_build_field_holds_one_band_of_taps_and_no_tape():
     finally:
         tracemalloc.stop()
     assert field.values.data.shape == (8, 128, 128)
-    assert peak < 13 * 2**20
+    assert peak < 10 * 2**20
 
 
 def test_a_training_step_keeps_no_pre_relu_copy_and_folds_a_kernel_row_at_a_time():

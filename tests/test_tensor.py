@@ -260,13 +260,14 @@ def test_a_neighbour_table_is_checked_where_it_is_made():
 
 @pytest.mark.parametrize("kh,kw,h,w", [(3, 3, 6, 7), (3, 5, 4, 6), (1, 3, 5, 2), (5, 5, 2, 2)])
 def test_fold_is_the_adjoint_of_taps(kh, kw, h, w):
-    # _fold adds one kernel row's blocks of z[(c, i, j), H*W] at a time
+    # _fold adds one kernel row's blocks of z[(c, i, j), H*W] at a time, in rows (j, c)
     rng = np.random.default_rng(17)
     a = rng.standard_normal((3, h, w))
     z = rng.standard_normal((3 * kh * kw, h * w))
     folded = np.zeros((3, h, w))
     for i in range(kh):
-        T._fold(folded, z.reshape(3, kh, kw, h * w)[:, i].reshape(3 * kw, h * w), i, kh, kw)
+        row = z.reshape(3, kh, kw, h * w)[:, i].transpose(1, 0, 2)
+        T._fold(folded, row.reshape(kw * 3, h * w), i, kh, kw)
     assert abs(np.vdot(folded, a) - np.vdot(z, T._taps(a, kh, kw))) < 1e-12
 
 
