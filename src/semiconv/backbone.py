@@ -145,9 +145,9 @@ class Cone:
     list, dilated by each later layer's kernel. A cone holds:
 
     - ``input``: the image at layer 0's pixels, a [C, 1, P_0] Tensor;
-    - ``tables``: per layer, the neighbour table and its adjoint that
-      tensor.conv2d takes from the layer's input list to its output list
-      (tensor.neighbour_table, a pair of tensor.Neighbours);
+    - ``tables``: per layer, the tensor.Neighbours that tensor.conv2d takes
+      from the layer's input list to its output list, carrying the adjoint
+      its backward reads (tensor.neighbour_table);
     - ``grid``: the (x, y) of the output list, the given pixels sorted and
       each once, as [2, 1, P] (embedding.attach_coords);
     - ``at``: the image's [H, W] map to the output rows, -1 off the list (an

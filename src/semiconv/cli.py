@@ -74,11 +74,25 @@ def write_manifest(subcommand, args, outputs, started):
 # -- gradient check suite --------------------------------------------------------
 
 def gradcheck_report(instances=20, seed=0):
-    """Finite-difference checks over every differentiable op in the package."""
+    """Finite-difference checks over every differentiable op in the package.
+
+    conv2d is checked over the whole image and over a neighbour table, as
+    training runs it: the corners and the centre of the 5x5 image, whose
+    taps wrap around its edges, in the weights and in the listed input, so
+    the input gradient reads the table's adjoint.
+    """
     worst = {}
 
     def record(name, err):
         worst[name] = max(worst.get(name, 0.0), err)
+
+    taps = T.tap_pixels((5, 5), [0, 4, 12, 20, 24], 3, 3)
+    src = np.unique(taps)
+    table = T.neighbour_table(taps, src, 25)
+
+    def squared_listed(x, w):
+        y = T.conv2d(x, w, table=table)
+        return T.tsum(T.mul(y, y))
 
     for i in range(instances):
         rng = np.random.default_rng(seed + i)
@@ -88,6 +102,9 @@ def gradcheck_report(instances=20, seed=0):
         record("conv2d", T.grad_check(
             lambda w: T.tsum(T.conv2d(Tensor(x), w)),
             Tensor(w0)))
+        listed = Tensor(x.reshape(2, -1)[:, src][:, None])
+        record("conv2d", T.grad_check(lambda w: squared_listed(listed, w), Tensor(w0)))
+        record("conv2d", T.grad_check(lambda xs: squared_listed(xs, Tensor(w0)), listed))
 
         rows = rng.standard_normal((6, 3))
         segs = SegmentSet([[0, 1, 2], [3, 4, 5]], [], 6)

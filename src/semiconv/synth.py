@@ -267,43 +267,46 @@ def _one_blas_thread():
         put(threads)
 
 
-class _Forked:
+@contextmanager
+def _forked(fn, *args):
     """fn(*args) running in a forked child, which pipes back its value or its
     exception, pickled, and ends with os._exit, so it never runs the exit
-    handlers of the process it was forked from."""
+    handlers of the process it was forked from.
 
-    def __init__(self, fn, *args):
-        read, write = os.pipe()
-        sys.stdout.flush()  # else the child's copy of a buffer is written twice
-        sys.stderr.flush()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(read)
-            os.close(write)
-            raise
-        if pid == 0:
-            status = 1
-            try:
-                os.close(read)
-                try:
-                    sent = (True, fn(*args))
-                except Exception as err:
-                    sent = (False, err)
-                with open(write, "wb") as fh:
-                    pickle.dump(sent, fh)
-                status = 0
-            finally:
-                os._exit(status)
+    Yields the function that waits for the child and returns fn's value or
+    raises its exception. Leaving the block SIGKILLs and reaps the child,
+    unless that function has reaped it.
+    """
+    read, write = os.pipe()
+    sys.stdout.flush()  # else the child's copy of a buffer is written twice
+    sys.stderr.flush()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
         os.close(write)
-        self.pid, self.pipe = pid, open(read, "rb")
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            try:
+                sent = (True, fn(*args))
+            except Exception as err:
+                sent = (False, err)
+            with open(write, "wb") as fh:
+                pickle.dump(sent, fh)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    reaped = False
 
-    def result(self):
-        """Wait for the child; return fn's value or raise its exception."""
-        with self.pipe:
-            blob = self.pipe.read()  # before waitpid: a result can outgrow the pipe
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
+    def result():
+        nonlocal reaped
+        blob = pipe.read()  # before waitpid: a result can outgrow the pipe
+        _, status = os.waitpid(pid, 0)
+        reaped = True
         if not blob:
             raise ChildProcessError(f"forked child exited with status "
                                     f"{os.waitstatus_to_exitcode(status)} before "
@@ -313,13 +316,13 @@ class _Forked:
             raise value
         return value
 
-    def kill(self):
-        """SIGKILL and reap the child, unless result() has reaped it."""
-        self.pipe.close()
-        if self.pid is not None:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
+    with open(read, "rb") as pipe:
+        try:
+            yield result
+        finally:
+            if not reaped:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def train(scene, cfg, extra_loss=None, extra_params=()):
@@ -546,16 +549,13 @@ def controlled_pair(scene, cfg):
     with _one_blas_thread() as pinned:
         if not pinned:
             return train(scene, conv_cfg), train(scene, semi_cfg)
-        conv = _Forked(train, scene, conv_cfg)
-        try:
+        with _forked(train, scene, conv_cfg) as conv:
             try:
                 semi = train(scene, semi_cfg)
             except Exception:
-                conv.result()  # the conv run fails first, as when run in turn
+                conv()  # the conv run fails first, as when run in turn
                 raise
-            return conv.result(), semi
-        finally:
-            conv.kill()
+            return conv(), semi
 
 
 # -- scene serialization ------------------------------------------------------

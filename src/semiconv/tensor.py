@@ -358,20 +358,20 @@ def tap_pixels(shape, pixels, kh, kw):
 
 
 def neighbour_table(taps, src, n_pixels):
-    """conv2d's table from the pixel list ``src`` to output pixels whose
+    """conv2d's Neighbours from the pixel list ``src`` to output pixels whose
     taps read ``taps`` (tap_pixels, [T, N]): each tap's position in ``src``,
-    paired with its adjoint (_adjoint), which conv2d's backward reads, each
-    a Neighbours.
+    carrying its adjoint (_adjoint), which conv2d's backward reads.
 
     Both lists are linear indices of an image of ``n_pixels`` pixels;
-    ``src`` lists each pixel at most once and must hold every tap.
+    ``src`` lists each pixel at most once and must hold every tap, so every
+    entry lies in [0, len(src)), and every adjoint entry in [-1, N).
     """
     where = np.full(n_pixels, -1, dtype=np.intp)
     where[src] = np.arange(len(src))
     table = where[taps]
     if table.size and table.min() < 0:
         raise ValueError("the source list lacks a tap of an output pixel")
-    return Neighbours(table, len(src)), Neighbours(_adjoint(table, len(src)), table.shape[1])
+    return Neighbours(table, len(src), Neighbours(_adjoint(table, len(src)), table.shape[1]))
 
 
 class Neighbours:
@@ -381,22 +381,22 @@ class Neighbours:
     Entry [t, n] of ``table`` is the list position tap t of output n reads,
     or -1 where no listed pixel is, which reads zeros. ``gather``, _taps'
     index, is the table followed by -1 columns up to a multiple of 8, and
-    ``table`` is a view of it. An entry outside [-1, n_src) raises
-    ValueError, so conv2d need only check that its input lists n_src pixels.
+    ``table`` is a view of it. ``adjoint`` is the Neighbours [T, n_src] from
+    the listed pixels back to the outputs, which conv2d's backward reads, or
+    None on an adjoint itself. The entries are taken as given: their maker,
+    neighbour_table, writes them in [-1, n_src).
     """
 
-    __slots__ = ("table", "gather", "n_src")
+    __slots__ = ("table", "gather", "n_src", "adjoint")
 
-    def __init__(self, table, n_src):
-        table = np.asarray(table, dtype=np.intp)
-        if table.ndim != 2 or table.size and not -1 <= table.min() <= table.max() < n_src:
-            raise ValueError(f"a neighbour table's entries must lie in [-1, {n_src})")
+    def __init__(self, table, n_src, adjoint=None):
         t, n = table.shape
         self.gather = np.full((t, n + (-n) % 8), -1, dtype=np.intp)
         self.gather[:, :n] = table
         self.gather.flags.writeable = False
         self.table = self.gather[:, :n]
         self.n_src = n_src
+        self.adjoint = adjoint
 
 
 def _adjoint(table, n_src):
@@ -498,10 +498,10 @@ def _correlate_bands(a, k):
     it taken by wrapping (_halo), into one small reused buffer, so no padded
     copy of the whole input is made. Its taps go into one buffer of about
     TAP_BAND floats, reused, and the band's product is written straight into
-    out. A full band's r*W pixels are a multiple of 8, and a band that is
-    not (the last, or the only one) gets zero columns up to one (_padded),
-    so every pixel is summed in the one order of a padded product, bit for
-    bit.
+    out, which has zero columns up to a multiple of 8 past H*W. A full
+    band's r*W pixels are a multiple of 8, and every band's taps get zero
+    columns up to one (_padded; none for a full band), so every pixel is
+    summed in the one order of a padded product, bit for bit.
     """
     c_o, c_a, kh, kw = k.shape
     _, h, w = a.shape
@@ -510,19 +510,16 @@ def _correlate_bands(a, k):
     halo = np.empty((c_a, rows + kh - 1, w + kw - 1))
     buf = np.empty((c_a * kh * kw, rows * w + (-rows * w) % 8))
     flat = k.reshape(c_o, -1)
-    out = np.empty((c_o, h * w))
+    out = np.empty((c_o, h * w + (-h * w) % 8))
     for y in range(0, h, rows):
         r = min(rows, h - y)
         n = r * w
         cols = buf[:, :n + (-n) % 8]
         cols[:, :n].reshape(c_a, kh, kw, r, w)[...] = sliding_window_view(
             _halo(a, kh, kw, y, r, halo[:, :r + kh - 1]), (r, w), axis=(1, 2))
-        if n % 8 == 0:
-            np.matmul(flat, cols, out=out[:, y * w:y * w + n])
-        else:
-            cols[:, n:] = 0.0
-            out[:, y * w:] = (flat @ cols)[:, :n]
-    return out.reshape(c_o, h, w)
+        cols[:, n:] = 0.0
+        np.matmul(flat, cols, out=out[:, y * w:y * w + cols.shape[1]])
+    return out[:, :h * w].reshape(c_o, h, w)
 
 
 def _correlate(a, k, table=None):
@@ -575,14 +572,14 @@ def conv2d(x, weight, bias=None, table=None, relu=False):
     back; the taps of g come from the input gradient's correlation when it
     kept them.
 
-    Over a pixel list of an image, x is [C_in, 1, P] and ``table`` the pair
-    of Neighbours that neighbour_table gives: the [kh*kw, N] table from N
-    output pixels into x's P, which hold every tap, and its [kh*kw, P]
-    adjoint, from x's pixels back to the outputs. The output is
+    Over a pixel list of an image, x is [C_in, 1, P] and ``table`` the
+    Neighbours that neighbour_table gives: the [kh*kw, N] table from N
+    output pixels into x's P, which hold every tap, carrying its [kh*kw, P]
+    ``adjoint``, from x's pixels back to the outputs. The output is
     [C_out, 1, N], each column the whole image's output at its pixel, bit for
-    bit, and the input gradient is the correlation over the adjoint table,
-    which the backward takes as given. The tables' entries were checked when
-    they were made, so a table only has to match the kernel and x's P.
+    bit, and the input gradient is the correlation over ``table.adjoint``.
+    Both tables are read as neighbour_table made them, so the table only has
+    to match the kernel and x's P.
 
     The ReLU runs in place on the biased output, after its finiteness check,
     and the backward masks g where the output is not positive: the op keeps
@@ -596,14 +593,11 @@ def conv2d(x, weight, bias=None, table=None, relu=False):
         raise ValueError(f"input channels {x.data.shape[0]} != weight c_in {c_in}")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError("kernel extents must be odd")
-    table, adjoint = (None, None) if table is None else table
     if table is None:
         if kh // 2 > x.data.shape[1] or kw // 2 > x.data.shape[2]:
             raise ValueError("kernel half-extent wider than the input")
     elif (x.data.shape[1] != 1 or table.n_src != x.data.shape[2]
-          or table.table.shape[0] != kh * kw
-          or adjoint.table.shape != (kh * kw, table.n_src)
-          or adjoint.n_src != table.table.shape[1]):
+          or table.table.shape[0] != kh * kw):
         raise ValueError("neighbour table does not match the kernel and the pixel list")
     if bias is not None:
         bias = _coerce(bias)
@@ -633,6 +627,7 @@ def conv2d(x, weight, bias=None, table=None, relu=False):
         if bias is not None and bias.requires_grad:
             _accum(bias, g.sum(axis=(1, 2)))
         g_cols = None
+        adjoint = None if table is None else table.adjoint
         if x.requires_grad:
             gx, g_cols = _correlate(g, wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), adjoint)
             _accum(x, gx)

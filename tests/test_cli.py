@@ -6,10 +6,11 @@ import struct
 import numpy as np
 import pytest
 
-from semiconv import dilemma as dilemma_mod, render, synth
+from semiconv import dilemma as dilemma_mod, render, seedcut as seedcut_mod, synth
 from semiconv.backbone import Backbone
 from semiconv.cli import main, write_json
 from semiconv.embedding import EmbeddingField, attach_coords, coord_grid, field_rows
+from semiconv.kernels import KernelParams
 from semiconv.losses import SegmentSet, pull_to_mean_loss
 from semiconv.tensor import NumericError, Tensor
 
@@ -100,6 +101,18 @@ def test_negative_noise_exit_1(tmp_path, capsys):
     assert "argument --noise: must be a non-negative number" in err and err.count("\n") == 1
     assert not out.exists()
     assert run("synth-gen", "--noise", "0", "--out", out) == 0
+
+
+@pytest.mark.parametrize("argv", [("train", "--epochs", "-1"),
+                                  ("cluster", "--model", "m.bin", "--k", "-1")],
+                         ids=["train-epochs", "cluster-k"])
+def test_negative_count_exit_1(tmp_path, scene_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run(argv[0], "--scene", scene_path, *argv[1:], "--out", out) == 1
+    err = capsys.readouterr().err
+    assert f"argument {argv[-2]}: must be a non-negative integer, got -1" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_dilemma_subcommand_report_and_manifest(tmp_path):
@@ -391,15 +404,21 @@ def test_non_finite_model_weight_exit_1(tmp_path, scene_path, capsys, bad, part)
     assert not out.exists()
 
 
-@pytest.mark.parametrize("doc", [[1], {"h": 2, "w": 2, "image": 5, "labels": ""}],
-                         ids=["list", "image-not-string"])
-def test_malformed_scene_exit_1(tmp_path, capsys, doc):
+@pytest.mark.parametrize("doc,message", [
+    ([1], "scene file must hold a JSON object"),
+    ({"h": 2, "w": 2, "image": 5, "labels": ""}, "scene field 'image' must be a base64 string"),
+    ({"h": 0, "w": 2, "image": "", "labels": ""}, "scene field 'h' must be a positive integer"),
+    ({"h": True, "w": 2, "image": "", "labels": ""},
+     "scene field 'h' must be a positive integer"),
+    ({"h": 2, "w": "2", "image": "", "labels": ""},
+     "scene field 'w' must be a positive integer"),
+], ids=["list", "image-not-string", "h-zero", "h-bool", "w-string"])
+def test_malformed_scene_exit_1(tmp_path, capsys, doc, message):
     scene = tmp_path / "s.json"
     scene.write_text(json.dumps(doc))
     assert run("train", "--scene", scene, "--epochs", 0,
                "--out", tmp_path / "m.bin") == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("flag", ["--scene", "--config"])
@@ -445,6 +464,23 @@ def test_threshold_outside_open_unit_interval_exit_1(tmp_path, scene_path, capsy
     assert "argument --threshold: must lie strictly between 0 and 1" in err
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+def test_threshold_inside_open_unit_interval_cuts_there(tmp_path, scene_path):
+    out = tmp_path / "cuts.json"
+    assert run("seedcut", "--scene", scene_path, "--epochs", 10, "--dims", 4,
+               "--threshold", "0.3", "--out", out) == 0
+    assert read(str(out) + ".manifest.json")["config"]["threshold"] == 0.3
+    scene = synth.load_scene(scene_path)
+    model, params, _ = seedcut_mod.train_seedcut(
+        scene, seedcut_mod.gt_boxes_from_labels(scene.gt),
+        synth.TrainConfig(dims=4, epochs=10), params=KernelParams("steered_laplacian", sigma=1.0))
+    cuts = {t: seedcut_mod.cut_all_boxes(scene, model, params, threshold=t) for t in (0.3, 0.5)}
+    masks, _, ious = cuts[0.3]
+    doc = read(out)
+    assert doc["masks"] == json.loads(json.dumps([seedcut_mod.rle_encode(m) for m in masks]))
+    assert doc["ious"] == ious
+    assert any(not np.array_equal(a, b) for a, b in zip(masks, cuts[0.5][0]))
 
 
 def test_conv_cluster_with_coinciding_embeddings(tmp_path):

@@ -318,10 +318,10 @@ def test_training_memory_does_not_grow_with_epochs():
 
 # -- the receptive cone ------------------------------------------------------------
 
-# "mosaic", a 4x4 grid at spacing 32: the cone is a fraction of the image;
+# "sparse", a 4x4 grid at spacing 32: the cone is a fraction of the image;
 # "image", an 8x8 grid at spacing 10: layer 0 runs on the whole image;
 # "edge", a 2x2 grid at spacing 12: the cones reach around the image edges
-CONE_SCENES = {"mosaic": (4, 32), "image": (8, 10), "edge": (2, 12)}
+CONE_SCENES = {"sparse": (4, 32), "image": (8, 10), "edge": (2, 12)}
 
 
 def cone_scene(name):
@@ -358,7 +358,7 @@ def test_cone_rows_are_the_whole_field_rows(mode, name):
     for pixels in reader_pixels(scene).values():
         field = cone_field(model, scene.image, pixels, mode)
         assert np.array_equal(np.flatnonzero(field.at.reshape(-1) >= 0), np.unique(pixels))
-        if name == "mosaic":
+        if name == "sparse":
             assert field.values.data[0].size <= 0.25 * h * w
         for got, want in ((rows_at(field, pixels).data, dense[pixels]), (whole, dense)):
             assert np.array_equal(got, want)
@@ -457,7 +457,7 @@ def test_a_training_step_keeps_no_pre_relu_copy_and_folds_a_kernel_row_at_a_time
 
 
 def test_rows_at_outside_the_cone_is_an_error():
-    for name in ("mosaic", "edge"):
+    for name in ("sparse", "edge"):
         scene = cone_scene(name)
         pixels = reader_pixels(scene)["boxes"]
         field = cone_field(Backbone.glorot(1, 4, 0), scene.image, pixels, "semiconv")
@@ -474,14 +474,15 @@ def geometry_arrays(cone):
     """Every array of a cone's geometry: each layer's neighbour table and its
     adjoint, with the padded index each is a view of, the grid and the map
     to the rows."""
-    return ([a for pair in cone.tables for nb in pair for a in (nb.table, nb.gather)]
+    return ([a for table in cone.tables for nb in (table, table.adjoint)
+             for a in (nb.table, nb.gather)]
             + [cone.grid, cone.at])
 
 
 def test_cones_over_one_pixel_set_share_one_geometry():
     # the box pixels, then the same set reversed with every pixel twice, on
     # two images of one shape
-    scenes = [cone_scene("mosaic"), generate_scene(4, 4, dot_radius=3, spacing=32,
+    scenes = [cone_scene("sparse"), generate_scene(4, 4, dot_radius=3, spacing=32,
                                                    img_noise_std=0.05, seed=4)]
     pixels = reader_pixels(scenes[0])["boxes"]
     model = Backbone.glorot(1, 8, 4)
@@ -535,7 +536,7 @@ def test_a_training_step_rebuilds_no_adjoint_table(monkeypatch):
         return cone
 
     monkeypatch.setattr(synth, "Cone", cone_then_no_adjoint)
-    _, losses = train(cone_scene("mosaic"), TrainConfig(dims=4, epochs=2, seed=0))
+    _, losses = train(cone_scene("sparse"), TrainConfig(dims=4, epochs=2, seed=0))
     assert len(losses) == 2 and np.all(np.isfinite(losses))
 
 
@@ -560,7 +561,7 @@ def assert_same_step(got_loss, got_grads, want_loss, want_grads):
 
 @pytest.mark.parametrize("mode", ["conv", "semiconv"])
 @pytest.mark.parametrize("name", sorted(CONE_SCENES))
-def test_a_window_training_step_is_the_whole_image_step(monkeypatch, mode, name):
+def test_a_cone_training_step_is_the_whole_image_step(monkeypatch, mode, name):
     scene = cone_scene(name)
     cfg = TrainConfig(mode=mode, dims=8, epochs=1, seed=2)
     losses, grads, nodes = first_step(monkeypatch, lambda: train(scene, cfg)[1])
