@@ -147,19 +147,21 @@ class Cone:
     - ``input``: the image at layer 0's pixels, a [C, 1, P_0] Tensor;
     - ``tables``: per layer, the tensor.Neighbours that tensor.conv2d takes
       from the layer's input list to its output list, carrying the adjoint
-      its backward reads (tensor.neighbour_table);
+      its backward reads (tensor.neighbour_table). Layer 0's input is the
+      image, which takes no gradient, so its table carries none unless its
+      weight gradient reads one (C_in > C_out);
     - ``grid``: the (x, y) of the output list, the given pixels sorted and
       each once, as [2, 1, P] (embedding.attach_coords);
     - ``at``: the image's [H, W] map to the output rows, -1 off the list (an
       EmbeddingField's ``at``).
 
     Only ``input`` depends on the image's values. The rest, the geometry,
-    depends only on the image's height and width, the layers' kernel shapes
+    depends only on the image's height and width, the layers' weight shapes
     and the set of pixels, so it is built once (_geometry) and shared,
     read-only, with the next cone over the same set, in whatever order and
     with whatever repeats its pixels come: a cut reuses the geometry of its
     training, and a cut of the next image with the same boxes that of the
-    cut before.
+    cut before. Its index arrays, ``at`` and every table, are int32.
 
     Backbone.forward(cone) gives the model's [D, 1, P] features at the
     output list, equal to the whole image's there, bit for bit.
@@ -171,35 +173,42 @@ class Cone:
         c, h, w = image.data.shape
         listed = np.zeros(h * w, dtype=bool)
         listed[pixels] = True
-        kernels = tuple(wt.data.shape[2:] for wt in model.weights)
+        shapes = tuple(wt.data.shape for wt in model.weights)
         source, self.tables, self.grid, self.at = _geometry(
-            (h, w), kernels, np.flatnonzero(listed).tobytes())
+            (h, w), shapes, np.flatnonzero(listed).tobytes())
         self.input = Tensor(image.data.reshape(c, -1)[:, source][:, None])
 
 
 @functools.lru_cache(maxsize=1)
-def _geometry(shape, kernels, pixels):
+def _geometry(shape, weights, pixels):
     """A cone's geometry over an [H, W] image: (layer 0's input list, tables,
-    grid, at), as Cone holds them, every array read-only.
+    grid, at), as Cone holds them, every array read-only and every index
+    array int32.
 
-    ``kernels`` are the layers' (kh, kw) and ``pixels`` the bytes of the
-    sorted output list. A pure function of its arguments, so the last
-    geometry built is kept: a cone over the same pixel set reuses it.
+    ``weights`` are the layers' weight shapes (C_out, C_in, kh, kw) and
+    ``pixels`` the bytes of the sorted output list. A pure function of its
+    arguments, so the last geometry built is kept: a cone over the same
+    pixel set reuses it. A table carries its adjoint only where conv2d's
+    backward reads it: every layer's but the first, whose input never
+    requires a gradient, and the first's too when its weight gradient comes
+    from the taps of the output gradient (C_in > C_out).
     """
     h, w = shape
     grown = np.zeros(h * w, dtype=bool)
     lists, taps = [np.frombuffer(pixels, dtype=np.intp)], []
     grown[lists[0]] = True
-    for kh, kw in reversed(kernels):
+    for _, _, kh, kw in reversed(weights):
         # an odd kernel's centre tap keeps every pixel of the list above
         taps.insert(0, T.tap_pixels(shape, lists[0], kh, kw))
         grown[taps[0]] = True
         lists.insert(0, np.flatnonzero(grown))
-    tables = tuple(T.neighbour_table(t, src, h * w) for t, src in zip(taps, lists))
+    tables = tuple(T.neighbour_table(t, src, h * w, adjoint=i > 0 or c_in > c_out)
+                   for i, (t, src, (c_out, c_in, _, _)) in enumerate(zip(taps, lists, weights)))
     grid = np.stack(np.divmod(lists[-1], w)[::-1]).astype(np.float64)[:, None]
-    at = np.full(h * w, -1, dtype=np.intp)
+    at = np.full(h * w, -1, dtype=np.int32)
     at[lists[-1]] = np.arange(lists[-1].size)
     at = at.reshape(h, w)
-    for arr in (lists[0], grid, at):  # the tables are read-only as made
+    source = lists[0].astype(np.int32)
+    for arr in (source, grid, at):  # the tables are read-only as made
         arr.flags.writeable = False
-    return lists[0], tables, grid, at
+    return source, tables, grid, at

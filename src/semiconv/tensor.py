@@ -357,21 +357,26 @@ def tap_pixels(shape, pixels, kh, kw):
     return (ys[:, None] + xs).reshape(kh * kw, -1)
 
 
-def neighbour_table(taps, src, n_pixels):
+def neighbour_table(taps, src, n_pixels, adjoint=True):
     """conv2d's Neighbours from the pixel list ``src`` to output pixels whose
     taps read ``taps`` (tap_pixels, [T, N]): each tap's position in ``src``,
-    carrying its adjoint (_adjoint), which conv2d's backward reads.
+    carrying its adjoint (_adjoint), which conv2d's backward reads to send a
+    gradient into ``src``. With ``adjoint`` False the table carries None,
+    for a layer whose backward reads none (conv2d says when it does).
 
     Both lists are linear indices of an image of ``n_pixels`` pixels;
     ``src`` lists each pixel at most once and must hold every tap, so every
-    entry lies in [0, len(src)), and every adjoint entry in [-1, N).
+    entry lies in [0, len(src)), and every adjoint entry in [-1, N). The
+    entries are stored as int32, half of intp's width: a list is shorter
+    than 2**31 pixels, whose float64 channel alone would take 16 GB.
     """
-    where = np.full(n_pixels, -1, dtype=np.intp)
+    where = np.full(n_pixels, -1, dtype=np.int32)
     where[src] = np.arange(len(src))
     table = where[taps]
     if table.size and table.min() < 0:
         raise ValueError("the source list lacks a tap of an output pixel")
-    return Neighbours(table, len(src), Neighbours(_adjoint(table, len(src)), table.shape[1]))
+    back = Neighbours(_adjoint(table, len(src)), table.shape[1]) if adjoint else None
+    return Neighbours(table, len(src), back)
 
 
 class Neighbours:
@@ -381,9 +386,11 @@ class Neighbours:
     Entry [t, n] of ``table`` is the list position tap t of output n reads,
     or -1 where no listed pixel is, which reads zeros. ``gather``, _taps'
     index, is the table followed by -1 columns up to a multiple of 8, and
-    ``table`` is a view of it. ``adjoint`` is the Neighbours [T, n_src] from
-    the listed pixels back to the outputs, which conv2d's backward reads, or
-    None on an adjoint itself. The entries are taken as given: their maker,
+    ``table`` is a view of it; both are int32 (np.take widens an index to
+    intp as it reads it). ``adjoint`` is the Neighbours [T, n_src] from the
+    listed pixels back to the outputs, which conv2d's backward reads, or
+    None: on an adjoint itself, and on a table made without one. The
+    entries are taken as given: their maker,
     neighbour_table, writes them in [-1, n_src).
     """
 
@@ -391,7 +398,7 @@ class Neighbours:
 
     def __init__(self, table, n_src, adjoint=None):
         t, n = table.shape
-        self.gather = np.full((t, n + (-n) % 8), -1, dtype=np.intp)
+        self.gather = np.full((t, n + (-n) % 8), -1, dtype=np.int32)
         self.gather[:, :n] = table
         self.gather.flags.writeable = False
         self.table = self.gather[:, :n]
@@ -401,7 +408,7 @@ class Neighbours:
 
 def _adjoint(table, n_src):
     """The adjoint of a neighbour table [T, N] into n_src source pixels: the
-    table [T, n_src] from the source pixels back to the outputs.
+    int32 table [T, n_src] from the source pixels back to the outputs.
 
     A tap is a fixed shift, so each row of the table is one-to-one, and
     output n reads source pixel table[t, n] through tap t exactly when that
@@ -409,7 +416,7 @@ def _adjoint(table, n_src):
     table[t, n]] = n, and -1 where no output is there.
     """
     t = table.shape[0]
-    adjoint = np.full(t * n_src, -1, dtype=np.intp)
+    adjoint = np.full(t * n_src, -1, dtype=np.int32)
     adjoint[table + (np.arange(t)[::-1, None] * n_src)] = np.arange(table.shape[1])
     return adjoint.reshape(t, n_src)
 
@@ -579,7 +586,8 @@ def conv2d(x, weight, bias=None, table=None, relu=False):
     [C_out, 1, N], each column the whole image's output at its pixel, bit for
     bit, and the input gradient is the correlation over ``table.adjoint``.
     Both tables are read as neighbour_table made them, so the table only has
-    to match the kernel and x's P.
+    to match the kernel and x's P, and to carry its adjoint when the backward
+    reads it: when x requires a gradient, or the weight does and C_in > C_out.
 
     The ReLU runs in place on the biased output, after its finiteness check,
     and the backward masks g where the output is not positive: the op keeps
@@ -599,6 +607,9 @@ def conv2d(x, weight, bias=None, table=None, relu=False):
     elif (x.data.shape[1] != 1 or table.n_src != x.data.shape[2]
           or table.table.shape[0] != kh * kw):
         raise ValueError("neighbour table does not match the kernel and the pixel list")
+    elif table.adjoint is None and (x.requires_grad or weight.requires_grad and c_in > c_out):
+        raise ValueError("conv2d's backward reads the neighbour table's adjoint, "
+                         "but this table carries none")
     if bias is not None:
         bias = _coerce(bias)
         if bias.data.shape != (c_out,):

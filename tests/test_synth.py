@@ -1,8 +1,10 @@
+import ctypes
 import json
 import os
 import time
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -278,6 +280,33 @@ def test_controlled_pair_without_openblas_trains_in_turn(monkeypatch):
     assert [run_bytes(run) for run in controlled_pair(scene, cfg)] == want
 
 
+def test_keep_freed_memory_turns_off_heap_trimming_and_mmap(monkeypatch):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+    synth._keep_freed_memory()
+    # glibc's M_MMAP_MAX (-4) to 0, then M_TRIM_THRESHOLD (-1) to 1 GB
+    assert calls == [(-4, 0), (-1, 2**30)]
+    assert mallopt.argtypes == (ctypes.c_int, ctypes.c_int) and mallopt.restype is ctypes.c_int
+
+
+def test_keep_freed_memory_leaves_a_libc_without_mallopt_alone(monkeypatch):
+    libc = SimpleNamespace()
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+    synth._keep_freed_memory()
+    assert vars(libc) == {}
+
+    def no_libc(name):
+        raise OSError("no C library to load")
+
+    monkeypatch.setattr(ctypes, "CDLL", no_libc)
+    synth._keep_freed_memory()
+
+
 def test_divergence_reports_step():
     scene = small_scene()
     bad = Scene(Tensor(np.full_like(scene.image.data, np.inf)), scene.gt, scene.meta)
@@ -472,9 +501,9 @@ def test_rows_at_outside_the_cone_is_an_error():
 
 def geometry_arrays(cone):
     """Every array of a cone's geometry: each layer's neighbour table and its
-    adjoint, with the padded index each is a view of, the grid and the map
-    to the rows."""
-    return ([a for table in cone.tables for nb in (table, table.adjoint)
+    adjoint where it carries one, with the padded index each is a view of,
+    the grid and the map to the rows."""
+    return ([a for table in cone.tables for nb in (table, table.adjoint) if nb is not None
              for a in (nb.table, nb.gather)]
             + [cone.grid, cone.at])
 
@@ -524,9 +553,30 @@ def test_a_cached_geometry_is_read_only():
             arr[...] = 0
 
 
+def test_a_training_cone_keeps_an_int32_geometry_with_no_layer_0_adjoint():
+    # the cone train reads on the 8x8 grid at spacing 10. Layer 0's input is
+    # the image, which takes no gradient, so its table carries no adjoint.
+    # The geometry holds 0.81 MB; with intp indices and layer 0's [9, 6400]
+    # adjoint it held 2.03 MB
+    scene = generate_scene(8, 8, dot_radius=3, spacing=10)
+    model = Backbone.glorot(1, TrainConfig().dims, 0)
+    pixels = np.flatnonzero(scene.gt.labels)
+    cone = Cone(model, scene.image, pixels)
+    source, tables, grid, at = _geometry(
+        scene.shape, tuple(w.data.shape for w in model.weights), pixels.tobytes())
+    assert tables is cone.tables
+    assert tables[0].adjoint is None
+    assert all(t.adjoint is not None for t in tables[1:])
+    made = [nb for t in tables for nb in (t, t.adjoint) if nb is not None]
+    for arr in [source, at] + [a for nb in made for a in (nb.table, nb.gather)]:
+        assert arr.dtype == np.int32
+    held = sum(nb.gather.nbytes for nb in made) + source.nbytes + grid.nbytes + at.nbytes
+    assert held <= 0.9 * 2**20
+
+
 def test_a_training_step_rebuilds_no_adjoint_table(monkeypatch):
-    # the cone's geometry holds every layer's adjoint table; a backward only
-    # reads it
+    # the cone's geometry holds every adjoint table a backward reads; a
+    # backward only reads it
     def no_adjoint(*args):
         raise AssertionError("a backward rebuilt an adjoint table")
 
@@ -739,6 +789,21 @@ def test_kmeans_empty_cluster_matches_loop():
     for seed in range(5):
         out = decode_kmeans(field, fg, K=4, seed=seed)
         assert np.array_equal(out.labels, loop_decode_kmeans(field, fg, 4, seed=seed))
+
+
+def test_kmeans_reseeds_an_emptied_cluster_on_the_farthest_point():
+    # seed 734's greedy seeding picks -0.9, 2.8 and -2.0. The first
+    # assignment, {-0.9, 0.9}, {1.0, 1.0, 2.8} and {-2.0, -1.5}, has means 0,
+    # 1.6 and -1.75; then -0.9 lies nearer -1.75 and 0.9 nearer 1.6 than
+    # either lies to 0, so the first cluster empties. It is reseeded on 2.8,
+    # the point farthest from its centroid, and the decode ends with three
+    # clusters; without the reseed its center would sit at 0 with no point,
+    # and 2.8 would stay with 0.9 and 1.0
+    xs = np.array([[-2.0], [-1.5], [-0.9], [0.9], [1.0], [1.0], [2.8]])
+    fg = np.ones((1, 7), dtype=bool)
+    out = decode_kmeans(rows_field(xs), fg, K=3, seed=734)
+    assert out.labels.tolist() == [[3, 3, 3, 2, 2, 2, 1]]
+    assert np.array_equal(out.labels, loop_decode_kmeans(rows_field(xs), fg, 3, seed=734))
 
 
 def renumbered(labels):

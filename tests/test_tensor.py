@@ -258,6 +258,34 @@ def test_a_neighbour_table_is_checked_where_it_is_made():
         table.table[0, 0] = 1
 
 
+def test_a_table_without_its_adjoint_serves_every_op_that_reads_none():
+    rng = np.random.default_rng(29)
+    taps = T.tap_pixels((5, 7), [3, 17, 30], 3, 3)
+    src = np.unique(taps)
+    full, bare = (T.neighbour_table(taps, src, 35, adjoint=a) for a in (True, False))
+    assert bare.adjoint is None and np.array_equal(bare.gather, full.gather)
+    x = rng.standard_normal((2, 1, src.size))
+    widen, narrow = rng.standard_normal((4, 2, 3, 3)), rng.standard_normal((1, 2, 3, 3))
+    # the weight gradient of a widening layer is g times the kept taps of x,
+    # and a forward alone reads no backward table
+    for w, grad in ((widen, True), (narrow, False)):
+        want, got = (Tensor(w, requires_grad=grad) for _ in range(2))
+        out = [T.conv2d(Tensor(x), wt, table=t) for wt, t in ((want, full), (got, bare))]
+        assert np.array_equal(out[0].data, out[1].data)
+        if grad:
+            for y in out:
+                T.tsum(T.mul(y, y)).backward()
+            assert np.array_equal(got.grad, want.grad)
+    # an input gradient, or a narrowing layer's weight gradient (the taps of g
+    # over the adjoint times x), is refused when the op is made
+    for x_grad, w in ((True, widen), (True, narrow), (False, narrow)):
+        with pytest.raises(ValueError) as err:
+            T.conv2d(Tensor(x, requires_grad=x_grad), Tensor(w, requires_grad=not x_grad),
+                     table=bare)
+        assert str(err.value) == ("conv2d's backward reads the neighbour table's adjoint, "
+                                  "but this table carries none")
+
+
 @pytest.mark.parametrize("kh,kw,h,w", [(3, 3, 6, 7), (3, 5, 4, 6), (1, 3, 5, 2), (5, 5, 2, 2)])
 def test_fold_is_the_adjoint_of_taps(kh, kw, h, w):
     # _fold adds one kernel row's blocks of z[(c, i, j), H*W] at a time, in rows (j, c)
