@@ -235,35 +235,6 @@ def cmd_render_arrows(args):
 
 # -- wiring -------------------------------------------------------------------------
 
-# argparse reports a ValueError from int() as "invalid <type> value"
-def positive_int(text):
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return n
-
-
-def non_negative_int(text):
-    n = int(text)
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
-    return n
-
-
-def finite_float(text):
-    x = float(text)
-    if not np.isfinite(x):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
-    return x
-
-
-def non_negative_float(text):
-    x = finite_float(text)
-    if x < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative number, got {text}")
-    return x
-
-
 def output_path(text):
     # checked when the flags are parsed, so a bad path fails before any work
     if os.path.isdir(text):
@@ -274,11 +245,29 @@ def output_path(text):
     return text
 
 
-def open_unit_float(text):
-    x = finite_float(text)
-    if not 0.0 < x < 1.0:
-        raise argparse.ArgumentTypeError(f"must lie strictly between 0 and 1, got {text}")
-    return x
+def _checked(name, parse, ok, rule):
+    """A flag type that parses its text, then holds the value to ``ok``.
+
+    argparse reports a ValueError from ``parse`` as "invalid <name> value";
+    a parsed value that fails ``ok`` as "must <rule>, got <text>".
+    """
+    def check(text):
+        x = parse(text)
+        if not ok(x):
+            raise argparse.ArgumentTypeError(f"must {rule}, got {text}")
+        return x
+    check.__name__ = name
+    return check
+
+
+positive_int = _checked("positive_int", int, lambda n: n >= 1, "be a positive integer")
+non_negative_int = _checked("non_negative_int", int, lambda n: n >= 0,
+                            "be a non-negative integer")
+finite_float = _checked("finite_float", float, np.isfinite, "be a finite number")
+non_negative_float = _checked("non_negative_float", finite_float, lambda x: x >= 0,
+                              "be a non-negative number")
+open_unit_float = _checked("open_unit_float", finite_float, lambda x: 0.0 < x < 1.0,
+                           "lie strictly between 0 and 1")
 
 
 def _add_common(p):
@@ -385,9 +374,6 @@ def _config_tokens(args):
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    if not argv:
-        parser.print_usage(sys.stderr)
-        return 1
     started = time.perf_counter()
     try:
         args = parser.parse_args(argv)

@@ -92,9 +92,16 @@ def box_loss(gt, boxes, params):
     as in cut_all_boxes), with _box_list's stand-in scores. They never
     change, so the pixel list, the scores and the targets are built once
     here; each evaluation is one fuse_boxes call and one cross-entropy sum
-    weighted 1/(B * box size).
+    weighted 1/(B * box size). synth.train embeds only the pixels its
+    read_pixels lists, so a box with a pixel outside every ground-truth box
+    raises ValueError here, before any step.
     """
     pixels, ids, counts, truth, scores = _box_list(gt, boxes)
+    outside = ~np.isin(pixels, synth.read_pixels(gt, boxes=True))
+    if outside.any():
+        k = ids[np.argmax(outside)]
+        raise ValueError(f"box {tuple(int(v) for v in boxes[k])} reaches outside the "
+                         "ground-truth boxes the training cone covers")
     weights = Tensor(1.0 / (counts.size * counts[ids]))
 
     def loss(field):

@@ -158,6 +158,17 @@ def region_pixel_indices(rects, shape):
     return pixels, ids, counts
 
 
+def read_pixels(gt, boxes=False):
+    """The pixels, as linear indices, whose embeddings a training step reads:
+    the instances' pixels, and with ``boxes`` also every pixel of their boxes
+    (gt_boxes_from_labels), as an extra loss over the boxes does."""
+    read = np.flatnonzero(gt.labels)
+    if boxes:
+        read = np.concatenate([read, region_pixel_indices(gt_boxes_from_labels(gt),
+                                                          gt.labels.shape)[0]])
+    return read
+
+
 def _embed(phi, mode, cone=None):
     """The field of a backbone output phi: over the whole image, or over the
     output pixels of the cone it was computed on."""
@@ -351,11 +362,7 @@ def train(scene, cfg, extra_loss=None, extra_params=()):
     model = Backbone.glorot(scene.image.data.shape[0], cfg.dims, cfg.seed)
     named = model.named_params() + list(extra_params)
     params = [p for _, p in named]
-    read = np.flatnonzero(scene.gt.labels)
-    if extra_loss is not None:
-        boxes = gt_boxes_from_labels(scene.gt)
-        read = np.concatenate([read, region_pixel_indices(boxes, scene.shape)[0]])
-    cone = Cone(model, scene.image, read)
+    cone = Cone(model, scene.image, read_pixels(scene.gt, boxes=extra_loss is not None))
     segs = SegmentSet.from_labels(InstanceLabeling(scene.gt.labels[cone.at >= 0]))
     losses = []
     for step in range(cfg.epochs):

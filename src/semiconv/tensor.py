@@ -14,9 +14,6 @@ broadcast like NumPy; their backward sums the gradient over the axes an input
 was stretched along. Forward ops validate finiteness; NaN/Inf raises
 :class:`NumericError` instead of propagating silently, and an op that
 applies a ReLU checks its output before the ReLU, which would hide a -inf.
-An op that only moves values (reshape, transpose2d, index_select) checks
-them only when it moves a leaf's: an op's output was checked when it was
-made.
 """
 
 import math
@@ -105,13 +102,9 @@ def _coerce(x):
     return Tensor(np.asarray(x, dtype=np.float64))
 
 
-# ops that only move values: over an op's output they move values already checked
-_MOVES = frozenset({"reshape", "transpose2d", "index_select"})
-
-
 def _node(data, parents, backward_fn, op, checked=False):
-    # a leaf's data is the only data never checked; ``checked``: the op did it
-    if not checked and (op not in _MOVES or parents[0]._op == "leaf"):
+    # ``checked``: the op checked its output itself
+    if not checked:
         _check_finite(data, op)
     out = Tensor(data)
     if any(p.requires_grad for p in parents):

@@ -8,7 +8,8 @@ import pytest
 
 from semiconv import dilemma as dilemma_mod, render, seedcut as seedcut_mod, synth
 from semiconv.backbone import Backbone
-from semiconv.cli import main, write_json
+from semiconv import cli
+from semiconv.cli import build_parser, main, write_json
 from semiconv.embedding import EmbeddingField, attach_coords, coord_grid, field_rows
 from semiconv.kernels import KernelParams
 from semiconv.losses import SegmentSet, pull_to_mean_loss
@@ -48,7 +49,7 @@ def test_json_is_sorted_and_round_trips(tmp_path):
 
 def test_no_arguments_is_usage_error(capsys):
     assert main([]) == 1
-    assert "usage" in capsys.readouterr().err
+    assert capsys.readouterr().err == build_parser().format_usage()
 
 
 def test_unknown_subcommand_and_flag_exit_1(tmp_path, capsys):
@@ -240,6 +241,20 @@ def test_config_file_rejects_unknown_key(tmp_path, scene_path, capsys):
     assert "warp_speed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc,message", [
+    ([1], "config file must hold a JSON object"),
+    ({"epochs": [1]}, "config key 'epochs' must be a string or a number"),
+    ({"epochs": True}, "config key 'epochs' must be a string or a number"),
+], ids=["list", "list-value", "bool-value"])
+def test_config_file_of_the_wrong_shape_exit_1(tmp_path, scene_path, capsys, doc, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "m.bin"
+    assert run("train", "--scene", scene_path, "--config", cfg, "--out", out) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_malformed_config_json_exit_1(tmp_path, scene_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{not json")
@@ -287,6 +302,15 @@ def test_gradcheck_subcommand(tmp_path):
                                "steered_laplacian", "fuse_scores_soft",
                                "mask_bce"}
     assert all(v < doc["threshold"] for v in doc["ops"].values())
+
+
+def test_gradcheck_failure_writes_the_report_and_exits_2(tmp_path, capsys, monkeypatch):
+    report = {"ok": False, "ops": {"conv2d": 1.0}, "threshold": 1e-4, "instances_per_op": 2}
+    monkeypatch.setattr(cli, "gradcheck_report", lambda instances, seed: report)
+    out = tmp_path / "gc.json"
+    assert run("gradcheck", "--instances", 2, "--out", out) == 2
+    assert read(out) == report
+    assert capsys.readouterr().err == "numeric failure: gradient check exceeded threshold\n"
 
 
 def test_render_arrows_requires_semiconv(tmp_path, scene_path, capsys):
@@ -453,6 +477,24 @@ def test_non_finite_float_flag_exit_1(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert f"argument {argv[-2]}: must be a finite number" in err and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,name,bad,rule", [
+    (("synth-gen", "--rows"), "positive_int", "0", "be a positive integer"),
+    (("cluster", "--scene", "s", "--model", "m", "--k"), "non_negative_int", "-1",
+     "be a non-negative integer"),
+    (("dilemma", "--step"), "finite_float", "inf", "be a finite number"),
+    (("synth-gen", "--noise"), "non_negative_float", "-0.5", "be a non-negative number"),
+    (("seedcut", "--scene", "s", "--threshold"), "open_unit_float", "1",
+     "lie strictly between 0 and 1"),
+], ids=["positive_int", "non_negative_int", "finite_float", "non_negative_float",
+        "open_unit_float"])
+def test_each_flag_type_names_itself_and_its_rule(tmp_path, capsys, argv, name, bad, rule):
+    out = tmp_path / "out"
+    for value, message in [("x", f"invalid {name} value: 'x'"), (bad, f"must {rule}, got {bad}")]:
+        assert run(*argv, value, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: argument {argv[-1]}: {message}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("threshold", ["1.5", "0", "1"])

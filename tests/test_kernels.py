@@ -6,6 +6,7 @@ from semiconv.tensor import NORM_EPS, NumericError, Tensor
 from semiconv.kernels import (FAMILIES, KernelParams, box_seeds, fuse_boxes, fuse_scores,
                               gaussian_kernel, factorized_kernel, log_kernel,
                               steered_laplacian)
+from semiconv.seedcut import RegionProposal, cut_region
 
 
 def test_gaussian_identity_and_substitution():
@@ -25,6 +26,33 @@ def test_gaussian_symmetric():
 def test_gaussian_dimension_mismatch():
     with pytest.raises(ValueError):
         gaussian_kernel([1.0, 2.0], [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: gaussian_kernel([], []), "a is empty"),
+    (lambda: factorized_kernel([0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [1.0], [1.0, 2.0]),
+     "appearance dimensions differ"),
+    (lambda: fuse_boxes(np.zeros(4), Tensor(np.zeros(4)), [4], KernelParams("gaussian")),
+     "embedding rows must be [N, D]"),
+], ids=["empty", "factorized-appearance", "fuse-boxes-rows"])
+def test_a_malformed_kernel_input_is_a_one_line_error(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_a_score_map_is_read_row_major():
+    # a [2, 4] score map cuts as its row-major flattening does
+    rows = np.array([[0.0, 0.0], [0.0, 0.0], [50.0, 50.0], [50.0, 50.0]] * 2)
+    scores = np.zeros((2, 4))
+    scores[1, 2] = 2.0  # seed on a far pixel
+    params = KernelParams("gaussian")
+    flat = fuse_scores(scores.reshape(-1), Tensor(rows), params)
+    mapped = fuse_scores(scores, Tensor(rows), params)
+    assert mapped.seed_index == flat.seed_index == 6
+    assert np.array_equal(mapped.probabilities.data, flat.probabilities.data)
+    mask = cut_region(RegionProposal((0, 0, 4, 2), Tensor(scores), Tensor(rows)), params)
+    assert mask.tolist() == [[False, False, True, True], [False, False, True, True]]
 
 
 def test_factorized_matches_gaussian():

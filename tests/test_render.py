@@ -33,6 +33,13 @@ def test_ppm_rejects_wrong_shape(tmp_path):
         render.write_ppm(tmp_path / "bad.ppm", np.zeros((4, 4), dtype=np.uint8))
 
 
+@pytest.mark.parametrize("shape", [(3, 4, 4), (2, 4)], ids=["three-channels", "two-d"])
+def test_arrows_reject_a_field_that_is_not_two_by_h_by_w(shape):
+    with pytest.raises(ValueError) as err:
+        render.render_arrows(Tensor(np.zeros((1, 4, 4))), Tensor(np.zeros(shape)))
+    assert str(err.value) == "expected a [2,H,W] displacement field"
+
+
 def test_labels_background_black_and_palette_fixed():
     labels = np.array([[0, 1], [2, 33]])
     rgb = render.render_labels(labels)

@@ -623,12 +623,21 @@ def test_a_cone_seedcut_step_is_the_whole_image_step(monkeypatch, n, spacing):
         assert np.max(np.abs(got - ref)) <= 1e-12 * scale
 
 
-def test_train_seedcut_box_outside_its_cone_is_one_line_error():
-    # box 0 reaches 2 px past the instances' boxes, which the cone is built for
-    scene = generate_scene(2, 2, dot_radius=3, spacing=32, seed=0)
+def test_train_seedcut_box_outside_its_cone_is_one_line_error(monkeypatch):
+    # box 0 reaches past the instances' boxes, which the cone is built for:
+    # 2 px to the right, or 3 px on every side
+    scene = generate_scene(2, 2, dot_radius=3, spacing=16, seed=0)
     boxes = gt_boxes_from_labels(scene.gt)
     x0, y0, x1, y1 = boxes[0]
-    cfg = TrainConfig(dims=4, epochs=1, seed=0)
-    with pytest.raises(ValueError, match="outside the field's cone") as err:
-        train_seedcut(scene, [(x0, y0, x1 + 2, y1)] + boxes[1:], cfg)
-    assert "\n" not in str(err.value)
+    steps = []
+    monkeypatch.setattr("semiconv.synth.sgd_step", lambda params, lr: steps.append(lr))
+    cfg = TrainConfig(dims=4, epochs=2, seed=0)
+    for bad in [(x0, y0, x1 + 2, y1), (x0 - 3, y0 - 3, x1 + 3, y1 + 3)]:
+        with pytest.raises(ValueError) as err:
+            train_seedcut(scene, [bad] + boxes[1:], cfg)
+        assert str(err.value) == (f"box {bad} reaches outside the ground-truth boxes "
+                                  "the training cone covers")
+    assert steps == []
+    # the ground-truth boxes themselves train
+    _, _, losses = train_seedcut(scene, boxes, cfg)
+    assert len(losses) == 2 and len(steps) == 2

@@ -98,21 +98,34 @@ def test_nonfinite_is_an_error():
             T.div(Tensor([1.0]), Tensor([0.0]))
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: T.transpose2d(Tensor(np.zeros((2, 2, 2)))), "transpose2d expects a 2-d tensor"),
+    (lambda: T.index_select(Tensor(np.zeros((3, 2))), [[0, 1]]), "indices must be 1-d"),
+    (lambda: T.l2norm_rows(Tensor(np.zeros(3))), "l2norm_rows expects an [N, D] tensor"),
+    (lambda: T.conv2d(Tensor(np.zeros((4, 4))), Tensor(np.zeros((1, 1, 3, 3)))),
+     "conv2d expects x[C,H,W] and weight[C_out,C_in,kh,kw]"),
+], ids=["transpose2d", "index_select", "l2norm_rows", "conv2d"])
+def test_an_input_of_the_wrong_rank_is_a_one_line_error(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 MOVES = {"reshape": lambda a: T.reshape(a, (-1,)), "transpose2d": T.transpose2d,
          "index_select": lambda a: T.index_select(a, [1, 0])}
 
 
 @pytest.mark.parametrize("op", sorted(MOVES))
-def test_a_move_checks_a_leaf_and_trusts_an_op_output(monkeypatch, op):
+def test_a_move_checks_the_values_it_moves(monkeypatch, op):
     nan_leaf = Tensor([[1.0, np.nan], [2.0, 3.0]])
     with pytest.raises(NumericError, match=f"op '{op}'"):
         MOVES[op](nan_leaf)
-    # an op's output was checked when it was made: moving it scans nothing
+    # a move checks its output like any op, also when it moves an op's output
     made = T.mul(Tensor(np.ones((2, 2))), 2.0)
     scanned = []
     monkeypatch.setattr(T, "_check_finite", lambda arr, name: scanned.append(name))
     MOVES[op](made)
-    assert scanned == []
+    assert scanned == [op]
 
 
 # -- reductions -------------------------------------------------------------
