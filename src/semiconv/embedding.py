@@ -30,18 +30,20 @@ class EmbeddingField:
 
     A semiconvolutional field (attach_coords) carries pixel position in its
     first two channels; a convolutional one is the feature map as it is.
-    ``at`` is None when the field covers the image itself. A field over a
-    pixel list of the image, computed on its receptive cone (backbone.Cone),
-    has [D, 1, P] values and holds the image's [H, W] map to its rows
-    instead: row at[y, x] of field_rows(field) is pixel (x, y)'s embedding,
-    and at is -1 off the list. rows_at reads a field either way.
+    ``at`` maps the image's [H, W] pixels to the field's rows: row at[y, x]
+    of field_rows(field) is pixel (x, y)'s embedding. A field given no map
+    covers the image itself, and its map is the identity of its values'
+    [H, W]. A field over a pixel list of the image, computed on its
+    receptive cone (backbone.Cone), has [D, 1, P] values, and its map is -1
+    off the list. rows_at reads every field through its map.
     """
 
     def __init__(self, values, at=None):
         if values.data.ndim != 3:
             raise ValueError("field values must be [D,H,W]")
         self.values = values
-        self.at = at
+        self.at = np.arange(values.data[0].size, dtype=np.int32).reshape(
+            values.data.shape[1:]) if at is None else at
 
     def __repr__(self):
         return f"EmbeddingField(shape={self.values.data.shape})"
@@ -88,15 +90,15 @@ def field_rows(field):
 
 def rows_at(field, pixels):
     """The [N, D] field rows of the image pixels ``pixels`` (linear, row-major
-    indices), in their order: field_rows(field) indexed at the pixels, or at
-    their rows of a cone's list (field.at). A pixel off that list raises
+    indices), in their order: field_rows(field) indexed at the pixels' rows
+    under the field's map (field.at). A pixel off a cone's list raises
     ValueError.
     """
     pixels = np.asarray(pixels, dtype=np.intp)
-    rows = pixels
-    if field.at is not None:
-        rows = field.at.reshape(-1)[pixels]
-        if rows.size and rows.min() < 0:
-            y, x = divmod(int(pixels[np.argmin(rows)]), field.at.shape[1])
-            raise ValueError(f"image pixel ({x}, {y}) lies outside the field's cone")
+    if pixels.size and not 0 <= pixels.min() <= pixels.max() < field.at.size:
+        raise ValueError(f"a pixel index lies outside the {field.at.size}-pixel image")
+    rows = field.at.reshape(-1)[pixels]
+    if rows.size and rows.min() < 0:
+        y, x = divmod(int(pixels[np.argmin(rows)]), field.at.shape[1])
+        raise ValueError(f"image pixel ({x}, {y}) lies outside the field's cone")
     return T.index_select(field_rows(field), rows)

@@ -169,13 +169,10 @@ def read_pixels(gt, boxes=False):
     return read
 
 
-def _embed(phi, mode, cone=None):
-    """The field of a backbone output phi: over the whole image, or over the
-    output pixels of the cone it was computed on."""
-    if cone is None:
-        grid, at = coord_grid(*phi.data.shape[1:]), None
-    else:
-        grid, at = cone.grid, cone.at
+def _embed(phi, mode, grid, at=None):
+    """The field of a backbone output phi whose pixels have the (x, y)
+    ``grid`` and the image map ``at``: coord_grid(H, W) and the identity for
+    a whole image, or the grid and map of the cone phi was computed on."""
     values = attach_coords(phi, grid).values if mode == "semiconv" else phi
     return EmbeddingField(values, at)
 
@@ -196,7 +193,7 @@ def cone_field(model, image, pixels, mode):
     not the model's weights require gradients: a field builder is inference.
     """
     cone = Cone(model, image, pixels)
-    return _embed(_inference(model).forward(cone), mode, cone)
+    return _embed(_inference(model).forward(cone), mode, cone.grid, cone.at)
 
 
 def build_field(model, image, mode):
@@ -206,7 +203,7 @@ def build_field(model, image, mode):
     gradients, and each layer holds the taps of one band of rows at a time
     (tensor._correlate), so the pass keeps no whole-image tap buffer.
     """
-    return _embed(_inference(model).forward(image), mode)
+    return _embed(_inference(model).forward(image), mode, coord_grid(*image.data.shape[1:]))
 
 
 def sgd_step(params, lr):
@@ -367,7 +364,7 @@ def train(scene, cfg, extra_loss=None, extra_params=()):
     losses = []
     for step in range(cfg.epochs):
         try:
-            field = _embed(model.forward(cone), cfg.mode, cone)
+            field = _embed(model.forward(cone), cfg.mode, cone.grid, cone.at)
             loss = pull_to_mean_loss(field_rows(field), segs)
             if extra_loss is not None:
                 loss = T.add(loss, extra_loss(field))

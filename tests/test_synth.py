@@ -441,7 +441,7 @@ def whole_image_weight_grads(model, image, mode):
     rebuilds the taps a whole-image forward does not keep)."""
     h, w = image.data.shape[1:]
     labels = InstanceLabeling(np.arange(h * w).reshape(h, w) % 4 + 1)
-    field = synth._embed(model.forward(image), mode)
+    field = synth._embed(model.forward(image), mode, coord_grid(h, w))
     for p in model.params():
         p.grad = None
     pull_to_mean_loss(field_rows(field), SegmentSet.from_labels(labels)).backward()
