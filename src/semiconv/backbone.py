@@ -14,6 +14,7 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor, NumericError
+from .embedding import image_pixels
 
 MAGIC = b"SCNV"
 FORMAT_VERSION = 1
@@ -138,11 +139,13 @@ class Cone:
     Backbone: the pixels each layer computes for them, and where its inputs
     sit.
 
-    ``pixels`` are linear, row-major indices, at least one. A pixel's output
+    ``pixels`` are linear, row-major indices, at least one, each inside the
+    image: an empty list, or an index outside the image
+    (embedding.image_pixels), raises a one-line ValueError. A pixel's output
     reads the last layer's input on its kh x kw taps, those read the layer
     before on theirs, and so on, wrapping around the image edges as the
-    convolutions do. So layer l runs only on the pixels the layers after it read: the
-    list, dilated by each later layer's kernel. A cone holds:
+    convolutions do. So layer l runs only on the pixels the layers after it
+    read: the list, dilated by each later layer's kernel. A cone holds:
 
     - ``input``: the image at layer 0's pixels, a [C, 1, P_0] Tensor;
     - ``tables``: per layer, the tensor.Neighbours that tensor.conv2d takes
@@ -172,7 +175,7 @@ class Cone:
             raise ValueError("a receptive cone needs pixels, but the pixel list is empty")
         c, h, w = image.data.shape
         listed = np.zeros(h * w, dtype=bool)
-        listed[pixels] = True
+        listed[image_pixels(pixels, (h, w))] = True
         shapes = tuple(wt.data.shape for wt in model.weights)
         source, self.tables, self.grid, self.at = _geometry(
             (h, w), shapes, np.flatnonzero(listed).tobytes())

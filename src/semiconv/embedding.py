@@ -25,6 +25,18 @@ def coord_grid(h, w):
     return np.indices((h, w), dtype=np.float64)[::-1]
 
 
+def image_pixels(pixels, shape):
+    """``pixels``, linear row-major indices into an image of [H, W] ``shape``,
+    as an intp array. An index outside the image raises ValueError, where
+    numpy would wrap a negative one round to the image's end."""
+    pixels = np.asarray(pixels, dtype=np.intp)
+    outside = (pixels < 0) | (pixels >= shape[0] * shape[1])
+    if outside.any():
+        raise ValueError(f"pixel index {pixels[outside][0]} lies outside the "
+                         f"{shape[0]}x{shape[1]} image")
+    return pixels
+
+
 class EmbeddingField:
     """Per-pixel D-dimensional embeddings, a [D,H,W] tensor.
 
@@ -41,9 +53,9 @@ class EmbeddingField:
     def __init__(self, values, at=None):
         if values.data.ndim != 3:
             raise ValueError("field values must be [D,H,W]")
+        h, w = values.data.shape[1:]
         self.values = values
-        self.at = np.arange(values.data[0].size, dtype=np.int32).reshape(
-            values.data.shape[1:]) if at is None else at
+        self.at = np.arange(h * w, dtype=np.int32).reshape(h, w) if at is None else at
 
     def __repr__(self):
         return f"EmbeddingField(shape={self.values.data.shape})"
@@ -74,9 +86,13 @@ def displacement_field(field):
     When training succeeds, all pixels of one instance share an embedding
     value, so these vectors point from each pixel toward a common
     instance-specific location. Only a semiconvolutional field has a
-    geometric embedding; the arrow renderer is its one reader.
+    geometric embedding; the arrow renderer is its one reader. A field whose
+    values do not cover its map, a cone's, raises ValueError.
     """
-    h, w = field.values.data.shape[1:]
+    h, w = field.at.shape
+    if field.values.data.shape[1:] != (h, w):
+        raise ValueError(f"a displacement field needs the whole {h}x{w} image, but the "
+                         f"field covers {field.values.data[0].size} of its pixels")
     geo = T.index_select(field.values, [0, 1])
     return T.sub(geo, Tensor(coord_grid(h, w)))
 
@@ -91,12 +107,10 @@ def field_rows(field):
 def rows_at(field, pixels):
     """The [N, D] field rows of the image pixels ``pixels`` (linear, row-major
     indices), in their order: field_rows(field) indexed at the pixels' rows
-    under the field's map (field.at). A pixel off a cone's list raises
-    ValueError.
+    under the field's map (field.at). A pixel outside the image
+    (image_pixels) or off a cone's list raises ValueError.
     """
-    pixels = np.asarray(pixels, dtype=np.intp)
-    if pixels.size and not 0 <= pixels.min() <= pixels.max() < field.at.size:
-        raise ValueError(f"a pixel index lies outside the {field.at.size}-pixel image")
+    pixels = image_pixels(pixels, field.at.shape)
     rows = field.at.reshape(-1)[pixels]
     if rows.size and rows.min() < 0:
         y, x = divmod(int(pixels[np.argmin(rows)]), field.at.shape[1])

@@ -403,6 +403,9 @@ def decode_kmeans(field, fg_mask, K, seed=0):
     ones get ids 1..K'.
     """
     mask = np.asarray(fg_mask, dtype=bool)
+    if mask.shape != field.at.shape:
+        raise ValueError(f"a foreground mask of shape {mask.shape} does not match the "
+                         f"field's image of shape {field.at.shape}")
     idx = np.flatnonzero(mask.reshape(-1))
     if K < 1:
         raise ValueError("K must be >= 1")

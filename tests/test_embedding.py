@@ -73,6 +73,24 @@ def test_displacement_points_at_common_target():
     assert np.array_equal(disp2[:, 1, 2], [0.0, 0.0])
 
 
+def test_a_field_without_a_map_maps_the_image_to_itself():
+    field = E.EmbeddingField(Tensor(np.zeros((2, 3, 4))))
+    assert field.at.dtype == np.int32
+    assert np.array_equal(field.at, np.arange(12).reshape(3, 4))
+
+
+def test_displacement_refuses_a_field_that_does_not_cover_its_map():
+    # a cone's field: [2, 1, 3] values for 3 pixels of a 4x5 image. Unchecked,
+    # its displacement comes out [2, 1, 3], measured from the coordinates of
+    # a 1x3 image, and render_arrows fails on it with an IndexError
+    at = np.full((4, 5), -1, dtype=np.int32)
+    at.reshape(-1)[[2, 7, 19]] = np.arange(3)
+    field = E.EmbeddingField(Tensor(np.zeros((2, 1, 3))), at)
+    with pytest.raises(ValueError, match=r"^a displacement field needs the whole 4x5 image, "
+                                         r"but the field covers 3 of its pixels$"):
+        E.displacement_field(field)
+
+
 def test_field_rows_layout():
     vals = Tensor(np.arange(24.0).reshape(2, 3, 4))
     rows = E.field_rows(E.EmbeddingField(vals))

@@ -1,4 +1,5 @@
 import ctypes
+import io
 import json
 import os
 import time
@@ -23,9 +24,11 @@ from semiconv.synth import (InstanceLabeling, Scene, TrainConfig, build_field,
 DISC3_PIXELS = 29  # lattice points with dx^2 + dy^2 <= 9, counted by hand
 
 
-def rows_field(rows):
+def rows_field(rows, shape=None):
+    """The whole-image field whose row-major rows are ``rows``, over an image
+    of [H, W] ``shape``, by default one row of pixels."""
     arr = np.asarray(rows, dtype=float)
-    return EmbeddingField(Tensor(arr.T.reshape(arr.shape[1], 1, arr.shape[0])))
+    return EmbeddingField(Tensor(arr.T.reshape(arr.shape[1], *(shape or (1, arr.shape[0])))))
 
 
 def small_scene(rows=2, cols=2, spacing=12, seed=0):
@@ -307,6 +310,52 @@ def test_keep_freed_memory_leaves_a_libc_without_mallopt_alone(monkeypatch):
     synth._keep_freed_memory()
 
 
+def fake_maps(monkeypatch, *paths):
+    """Have synth's open read a /proc/self/maps that maps ``paths``, and a C
+    library besides."""
+    maps = "".join(f"7f0000000000-7f0000001000 r-xp 00000000 00:00 0 {path}\n"
+                   for path in ("/lib/libc.so.6",) + paths)
+    monkeypatch.setattr(synth, "open", lambda name: io.StringIO(maps), raising=False)
+
+
+def test_openblas_without_a_readable_maps_file_is_none(monkeypatch):
+    def no_maps(name):
+        raise FileNotFoundError(name)
+
+    monkeypatch.setattr(synth, "open", no_maps, raising=False)
+    assert synth._openblas() is None
+
+
+def test_openblas_skips_a_library_that_fails_to_load(monkeypatch):
+    fake_maps(monkeypatch, "/lib/b/libscipy_openblas64_.so", "/lib/a/libopenblas.so")
+    lib = SimpleNamespace(scipy_openblas_get_num_threads64_=SimpleNamespace(),
+                          scipy_openblas_set_num_threads64_=SimpleNamespace())
+    loaded = []
+
+    def cdll(path):
+        loaded.append(path)
+        if path == "/lib/a/libopenblas.so":
+            raise OSError("cannot load")
+        return lib
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    get, put = synth._openblas()
+    assert loaded == ["/lib/a/libopenblas.so", "/lib/b/libscipy_openblas64_.so"]
+    assert get is lib.scipy_openblas_get_num_threads64_
+    assert put is lib.scipy_openblas_set_num_threads64_
+    assert (get.argtypes, get.restype) == ((), ctypes.c_int)
+    assert (put.argtypes, put.restype) == ((ctypes.c_int,), None)
+
+
+def test_openblas_without_a_get_and_set_pair_is_none(monkeypatch):
+    # a getter with no setter, and a setter of another name
+    fake_maps(monkeypatch, "/lib/libopenblas.so")
+    lib = SimpleNamespace(openblas_get_num_threads=SimpleNamespace(),
+                          scipy_openblas_set_num_threads=SimpleNamespace())
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: lib)
+    assert synth._openblas() is None
+
+
 def test_divergence_reports_step():
     scene = small_scene()
     bad = Scene(Tensor(np.full_like(scene.image.data, np.inf)), scene.gt, scene.meta)
@@ -499,6 +548,21 @@ def test_rows_at_outside_the_cone_is_an_error():
         assert "\n" not in str(err.value)
 
 
+@pytest.mark.parametrize("pixel", [-1, 16 * 16], ids=["minus-one", "h-times-w"])
+def test_a_pixel_outside_the_image_is_an_error(pixel):
+    # numpy indexing would wrap -1 round to the last pixel, making its cone
+    # and reading its row of a cone's field, and fail on 256 with an IndexError
+    image = Tensor(np.random.default_rng(7).standard_normal((1, 16, 16)))
+    model = Backbone.glorot(1, 4, 0)
+    outside = rf"^pixel index {pixel} lies outside the 16x16 image$"
+    with pytest.raises(ValueError, match=outside):
+        cone_field(model, image, [0, pixel], "semiconv")
+    for field in (build_field(model, image, "semiconv"),
+                  cone_field(model, image, [0, 255], "semiconv")):
+        with pytest.raises(ValueError, match=outside):
+            rows_at(field, [0, pixel])
+
+
 def geometry_arrays(cone):
     """Every array of a cone's geometry: each layer's neighbour table and its
     adjoint where it carries one, with the padded index each is a view of,
@@ -653,7 +717,7 @@ def test_kmeans_two_blobs_exact():
 def test_kmeans_k1():
     rows = np.random.default_rng(1).standard_normal((20, 3))
     fg = np.ones(20, dtype=bool).reshape(4, 5)
-    out = decode_kmeans(rows_field(rows), fg, K=1, seed=0)
+    out = decode_kmeans(rows_field(rows, fg.shape), fg, K=1, seed=0)
     assert np.all(out.labels == 1)
 
 
@@ -661,7 +725,7 @@ def test_kmeans_respects_background():
     rows = np.random.default_rng(2).standard_normal((12, 2))
     fg = np.zeros(12, dtype=bool)
     fg[3:9] = True
-    out = decode_kmeans(rows_field(rows), fg.reshape(3, 4), K=2, seed=0)
+    out = decode_kmeans(rows_field(rows, (3, 4)), fg.reshape(3, 4), K=2, seed=0)
     assert np.all(out.labels.reshape(-1)[~fg] == 0)
     assert np.all(out.labels.reshape(-1)[fg] > 0)
 
@@ -669,8 +733,8 @@ def test_kmeans_respects_background():
 def test_kmeans_deterministic():
     rows = np.random.default_rng(3).standard_normal((50, 4))
     fg = np.ones(50, dtype=bool).reshape(5, 10)
-    a = decode_kmeans(rows_field(rows), fg, K=5, seed=9)
-    b = decode_kmeans(rows_field(rows), fg, K=5, seed=9)
+    a = decode_kmeans(rows_field(rows, fg.shape), fg, K=5, seed=9)
+    b = decode_kmeans(rows_field(rows, fg.shape), fg, K=5, seed=9)
     assert np.array_equal(a.labels, b.labels)
 
 
@@ -678,18 +742,33 @@ def test_kmeans_validation():
     rows = np.zeros((4, 2))
     fg = np.ones(4, dtype=bool).reshape(2, 2)
     with pytest.raises(ValueError):
-        decode_kmeans(rows_field(rows), fg, K=0)
+        decode_kmeans(rows_field(rows, fg.shape), fg, K=0)
     with pytest.raises(ValueError):
-        decode_kmeans(rows_field(rows), fg, K=5)
+        decode_kmeans(rows_field(rows, fg.shape), fg, K=5)
     with pytest.raises(ValueError):
-        decode_kmeans(rows_field(rows), np.zeros((2, 2), dtype=bool), K=1)
+        decode_kmeans(rows_field(rows, fg.shape), np.zeros((2, 2), dtype=bool), K=1)
+
+
+def test_kmeans_refuses_a_mask_of_another_shape():
+    # unchecked, a 64x64 mask on a 128x128 image decodes the wrong pixels of
+    # the whole-image field into 64x64 labels, and fails on a pixel off the
+    # cone of the image's foreground
+    scene = generate_scene(4, 4, dot_radius=3, spacing=32)
+    small = generate_scene(4, 4, dot_radius=3, spacing=16).gt.foreground_mask()
+    model = Backbone.glorot(1, 4, 0)
+    foreground = np.flatnonzero(scene.gt.foreground_mask())
+    for field in (build_field(model, scene.image, "semiconv"),
+                  cone_field(model, scene.image, foreground, "semiconv")):
+        with pytest.raises(ValueError, match=r"^a foreground mask of shape \(64, 64\) does not "
+                                             r"match the field's image of shape \(128, 128\)$"):
+            decode_kmeans(field, small, K=16)
 
 
 def test_kmeans_identical_points():
     # degenerate: every point equal; seeding must not divide by zero
     rows = np.ones((10, 2))
     fg = np.ones(10, dtype=bool).reshape(2, 5)
-    out = decode_kmeans(rows_field(rows), fg, K=3, seed=0)
+    out = decode_kmeans(rows_field(rows, fg.shape), fg, K=3, seed=0)
     assert out.labels.shape == (2, 5)
 
 
@@ -784,8 +863,8 @@ def test_kmeans_and_score_match_loops(n, spacing):
 def test_kmeans_empty_cluster_matches_loop():
     rows = np.ones((10, 2))
     rows[7] = [1.0, 1.0 + 1e-9]
-    field = rows_field(rows)
     fg = np.ones(10, dtype=bool).reshape(2, 5)
+    field = rows_field(rows, fg.shape)
     for seed in range(5):
         out = decode_kmeans(field, fg, K=4, seed=seed)
         assert np.array_equal(out.labels, loop_decode_kmeans(field, fg, 4, seed=seed))
@@ -958,8 +1037,8 @@ def test_kmeans_under_a_large_common_offset(grid16_small_field):
     # loop settles near ties in exact form; the decode stays deterministic,
     # raises nothing and gives the labels of the field without the offset
     scene, field = grid16_small_field
-    fg = scene.gt.foreground_mask().reshape(1, -1)
-    shifted = rows_field(field_rows(field).data + 1e8)
+    fg = scene.gt.foreground_mask()
+    shifted = rows_field(field_rows(field).data + 1e8, fg.shape)
     for seed in range(10):
         pred = decode_kmeans(shifted, fg, scene.gt.K, seed=seed)
         assert np.array_equal(pred.labels, decode_kmeans(shifted, fg, scene.gt.K, seed=seed).labels)
@@ -978,7 +1057,7 @@ def first_seen(labels):
 def test_kmeans_matches_loop_across_dims(d):
     rng = np.random.default_rng(d)
     fg = np.ones((9, 10), dtype=bool)
-    spread = rows_field(rng.standard_normal((90, d)) * 10.0 ** rng.uniform(-1, 1, size=d))
+    spread = rows_field(rng.standard_normal((90, d)) * 10.0 ** rng.uniform(-1, 1, size=d), fg.shape)
     for k in (1, 4, 9):
         for seed in range(4):
             ref = loop_decode_kmeans(spread, fg, k, seed=seed)
@@ -986,7 +1065,7 @@ def test_kmeans_matches_loop_across_dims(d):
     # five embeddings repeated 18 times: K=8 leaves three clusters empty. The
     # reference reseeds them round after round and so numbers the five groups
     # differently; the groups themselves must agree
-    repeated = rows_field(np.repeat(rng.standard_normal((5, d)), 18, axis=0))
+    repeated = rows_field(np.repeat(rng.standard_normal((5, d)), 18, axis=0), fg.shape)
     for k in (3, 8):
         for seed in range(4):
             ref = loop_decode_kmeans(repeated, fg, k, seed=seed)
@@ -999,8 +1078,8 @@ def test_kmeans_seeding_overflow_raises_numeric_error():
     # squared distances of embeddings near 1e160 overflow; the seeding draw
     # then has no distribution to draw from
     rows = np.random.default_rng(0).standard_normal((40, 8)) * 1e160
-    field = rows_field(rows)
     fg = np.ones((4, 10), dtype=bool)
+    field = rows_field(rows, fg.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError, match="k-means seeding"):
             decode_kmeans(field, fg, K=4, seed=0)
