@@ -43,18 +43,16 @@ class Backbone:
             biases.append(Tensor(np.zeros(c_out), requires_grad=True))
         return cls(weights, biases)
 
-    def forward(self, x):
-        """Map [C,H,W] input to a [D,H,W] feature map, or a Cone of this model
-        to the [D,1,P] features of its output pixels.
+    def forward(self, cone):
+        """Map a Cone of this model to the [D, 1, P] features of its output
+        pixels; the Cone over every pixel gives the whole [D, H, W] map, in
+        row-major order.
 
         ReLU between layers, none after the last so embeddings can go
         negative. A NumericError names the layer it came from.
         """
-        tables = [None] * len(self.weights)
-        if isinstance(x, Cone):
-            x, tables = x.input, x.tables
-        last = len(self.weights) - 1
-        for i, (w, b, table) in enumerate(zip(self.weights, self.biases, tables)):
+        x, last = cone.input, len(self.weights) - 1
+        for i, (w, b, table) in enumerate(zip(self.weights, self.biases, cone.tables)):
             try:
                 x = T.conv2d(x, w, b, table=table, relu=i < last)
             except NumericError as err:
@@ -152,7 +150,8 @@ class Cone:
       from the layer's input list to its output list, carrying the adjoint
       its backward reads (tensor.neighbour_table). Layer 0's input is the
       image, which takes no gradient, so its table carries none unless its
-      weight gradient reads one (C_in > C_out);
+      weight gradient reads one (C_in > C_out) or it is its own adjoint.
+      Layers whose outputs are the whole image share one table;
     - ``grid``: the (x, y) of the output list, the given pixels sorted and
       each once, as [2, 1, P] (embedding.attach_coords);
     - ``at``: the image's [H, W] map to the output rows, -1 off the list (an
@@ -167,7 +166,10 @@ class Cone:
     cut before. Its index arrays, ``at`` and every table, are int32.
 
     Backbone.forward(cone) gives the model's [D, 1, P] features at the
-    output list, equal to the whole image's there, bit for bit.
+    output list, bit for bit those of any other cone that holds its pixels.
+    The cone over every pixel is the whole image: its output list is the
+    image in row-major order, so its features reshape to [D, H, W]
+    (synth.build_field).
     """
 
     def __init__(self, model, image, pixels):
@@ -182,7 +184,7 @@ class Cone:
         self.input = Tensor(image.data.reshape(c, -1)[:, source][:, None])
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=2)
 def _geometry(shape, weights, pixels):
     """A cone's geometry over an [H, W] image: (layer 0's input list, tables,
     grid, at), as Cone holds them, every array read-only and every index
@@ -190,23 +192,31 @@ def _geometry(shape, weights, pixels):
 
     ``weights`` are the layers' weight shapes (C_out, C_in, kh, kw) and
     ``pixels`` the bytes of the sorted output list. A pure function of its
-    arguments, so the last geometry built is kept: a cone over the same
-    pixel set reuses it. A table carries its adjoint only where conv2d's
-    backward reads it: every layer's but the first, whose input never
-    requires a gradient, and the first's too when its weight gradient comes
-    from the taps of the output gradient (C_in > C_out).
+    arguments, so the last two geometries built are kept: a cone over the
+    same pixel set reuses one, and training and whole-image fields over one
+    scene (build_field) do not evict each other. A table carries its adjoint
+    only where conv2d's backward reads it: every layer's but the first,
+    whose input never requires a gradient, and the first's too when its
+    weight gradient comes from the taps of the output gradient
+    (C_in > C_out). A layer whose outputs are the whole image reads it all
+    (neighbour_table: its table is its own adjoint), and so does the layer
+    before it, which takes the same table object when its kernel is the
+    same.
     """
     h, w = shape
     grown = np.zeros(h * w, dtype=bool)
-    lists, taps = [np.frombuffer(pixels, dtype=np.intp)], []
+    lists, tables = [np.frombuffer(pixels, dtype=np.intp)], []
     grown[lists[0]] = True
-    for _, _, kh, kw in reversed(weights):
+    for i in reversed(range(len(weights))):
+        c_out, c_in, kh, kw = weights[i]
+        if tables and tables[0].table.shape[1] == h * w and weights[i + 1][2:] == (kh, kw):
+            tables.insert(0, tables[0])
+            continue
         # an odd kernel's centre tap keeps every pixel of the list above
-        taps.insert(0, T.tap_pixels(shape, lists[0], kh, kw))
-        grown[taps[0]] = True
+        taps = T.tap_pixels(shape, lists[0], kh, kw)
+        grown[taps] = True
         lists.insert(0, np.flatnonzero(grown))
-    tables = tuple(T.neighbour_table(t, src, h * w, adjoint=i > 0 or c_in > c_out)
-                   for i, (t, src, (c_out, c_in, _, _)) in enumerate(zip(taps, lists, weights)))
+        tables.insert(0, T.neighbour_table(taps, lists[0], h * w, adjoint=i > 0 or c_in > c_out))
     grid = np.stack(np.divmod(lists[-1], w)[::-1]).astype(np.float64)[:, None]
     at = np.full(h * w, -1, dtype=np.int32)
     at[lists[-1]] = np.arange(lists[-1].size)
@@ -214,4 +224,4 @@ def _geometry(shape, weights, pixels):
     source = lists[0].astype(np.int32)
     for arr in (source, grid, at):  # the tables are read-only as made
         arr.flags.writeable = False
-    return source, tables, grid, at
+    return source, tuple(tables), grid, at

@@ -76,16 +76,18 @@ def write_manifest(subcommand, args, outputs, started):
 def gradcheck_report(instances=20, seed=0):
     """Finite-difference checks over every differentiable op in the package.
 
-    conv2d is checked over the whole image and over a neighbour table, as
-    training runs it: the corners and the centre of the 5x5 image, whose
-    taps wrap around its edges, in the weights and in the listed input, so
-    the input gradient reads the table's adjoint.
+    conv2d is checked over the table of every pixel of a 5x5 image, and
+    over a neighbour table as training runs it: the corners and the centre
+    of the image, whose taps wrap around its edges, in the weights and in
+    the listed input, so the input gradient reads the table's adjoint.
     """
     worst = {}
 
     def record(name, err):
         worst[name] = max(worst.get(name, 0.0), err)
 
+    every = np.arange(25)
+    whole = T.neighbour_table(T.tap_pixels((5, 5), every, 3, 3), every, 25)
     taps = T.tap_pixels((5, 5), [0, 4, 12, 20, 24], 3, 3)
     src = np.unique(taps)
     table = T.neighbour_table(taps, src, 25)
@@ -100,7 +102,7 @@ def gradcheck_report(instances=20, seed=0):
         x = rng.standard_normal((2, 5, 5))
         w0 = rng.standard_normal((3, 2, 3, 3)) * 0.5
         record("conv2d", T.grad_check(
-            lambda w: T.tsum(T.conv2d(Tensor(x), w)),
+            lambda w: T.tsum(T.conv2d(Tensor(x.reshape(2, 1, -1)), w, table=whole)),
             Tensor(w0)))
         listed = Tensor(x.reshape(2, -1)[:, src][:, None])
         record("conv2d", T.grad_check(lambda w: squared_listed(listed, w), Tensor(w0)))

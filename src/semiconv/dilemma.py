@@ -16,7 +16,7 @@ bit-exactly.
 
 import numpy as np
 
-from .backbone import Backbone
+from .backbone import Backbone, Cone
 from .tensor import Tensor
 
 
@@ -101,7 +101,8 @@ def conv_collision_witness(sig, stack):
     convolutions and pointwise nonlinearities returns bit-identical values
     there; the spread quantifies the collision.
     """
-    y = stack.forward(Tensor(sig.samples[:sig.n_cycle].reshape(1, 1, -1))).data.reshape(-1)
+    image = Tensor(sig.samples[:sig.n_cycle].reshape(1, 1, -1))
+    y = stack.forward(Cone(stack, image, np.arange(sig.n_cycle))).data.reshape(-1)
     peaks = y[::sig.per_period]
     return float(np.max(peaks) - np.min(peaks))
 

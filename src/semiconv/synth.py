@@ -24,7 +24,7 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor, NumericError
 from .backbone import Backbone, Cone
-from .embedding import EmbeddingField, attach_coords, coord_grid, field_rows, rows_at
+from .embedding import EmbeddingField, attach_coords, field_rows, rows_at
 from .losses import SegmentSet, pull_to_mean_loss
 
 KMEANS_MAX_ITER = 300
@@ -169,12 +169,12 @@ def read_pixels(gt, boxes=False):
     return read
 
 
-def _embed(phi, mode, grid, at=None):
-    """The field of a backbone output phi whose pixels have the (x, y)
-    ``grid`` and the image map ``at``: coord_grid(H, W) and the identity for
-    a whole image, or the grid and map of the cone phi was computed on."""
-    values = attach_coords(phi, grid).values if mode == "semiconv" else phi
-    return EmbeddingField(values, at)
+def _embed(phi, mode, cone):
+    """The field of a backbone output phi over ``cone``'s output list: its
+    map is the cone's, and in semiconv mode the cone's (x, y) grid is mixed
+    in."""
+    values = attach_coords(phi, cone.grid).values if mode == "semiconv" else phi
+    return EmbeddingField(values, cone.at)
 
 
 def _inference(model):
@@ -193,17 +193,21 @@ def cone_field(model, image, pixels, mode):
     not the model's weights require gradients: a field builder is inference.
     """
     cone = Cone(model, image, pixels)
-    return _embed(_inference(model).forward(cone), mode, cone.grid, cone.at)
+    return _embed(_inference(model).forward(cone), mode, cone)
 
 
 def build_field(model, image, mode):
-    """The field over the whole image, from one forward pass over all of it.
+    """The field over the whole image: cone_field over every pixel, its
+    values reshaped to [D, H, W], so its map is the identity.
 
     The field records no tape, whether or not the model's weights require
-    gradients, and each layer holds the taps of one band of rows at a time
-    (tensor._correlate), so the pass keeps no whole-image tap buffer.
+    gradients, and each layer gathers the taps of one band of output pixels
+    at a time (tensor._correlate), so the pass keeps no whole-image tap
+    buffer.
     """
-    return _embed(_inference(model).forward(image), mode, coord_grid(*image.data.shape[1:]))
+    h, w = image.data.shape[1:]
+    field = cone_field(model, image, np.arange(h * w), mode)
+    return EmbeddingField(Tensor(field.values.data.reshape(-1, h, w)))
 
 
 def sgd_step(params, lr):
@@ -364,7 +368,7 @@ def train(scene, cfg, extra_loss=None, extra_params=()):
     losses = []
     for step in range(cfg.epochs):
         try:
-            field = _embed(model.forward(cone), cfg.mode, cone.grid, cone.at)
+            field = _embed(model.forward(cone), cfg.mode, cone)
             loss = pull_to_mean_loss(field_rows(field), segs)
             if extra_loss is not None:
                 loss = T.add(loss, extra_loss(field))

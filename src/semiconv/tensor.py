@@ -16,14 +16,11 @@ was stretched along. Forward ops validate finiteness; NaN/Inf raises
 applies a ReLU checks its output before the ReLU, which would hide a -inf.
 """
 
-import math
-
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 NORM_EPS = 1e-8  # epsilon inside norms; keeps sqrt differentiable at 0
 GRAD_CHECK_STEP = 1e-5  # central-difference step of grad_check
-TAP_BAND = 2**18  # floats of the whole-image tap buffer, one band of rows: 2 MB
+TAP_BAND = 2**18  # floats of an inference forward's tap buffer, one band of outputs: 2 MB
 
 
 class NumericError(ArithmeticError):
@@ -357,6 +354,11 @@ def neighbour_table(taps, src, n_pixels, adjoint=True):
     gradient into ``src``. With ``adjoint`` False the table carries None,
     for a layer whose backward reads none (conv2d says when it does).
 
+    A table whose outputs are its source list, output n on listed pixel n as
+    over every pixel of an image, is its own adjoint: each tap then permutes
+    the list, and the opposite tap undoes it. It carries itself, whatever
+    ``adjoint`` says, at no cost.
+
     Both lists are linear indices of an image of ``n_pixels`` pixels;
     ``src`` lists each pixel at most once and must hold every tap, so every
     entry lies in [0, len(src)), and every adjoint entry in [-1, N). The
@@ -368,6 +370,10 @@ def neighbour_table(taps, src, n_pixels, adjoint=True):
     table = where[taps]
     if table.size and table.min() < 0:
         raise ValueError("the source list lacks a tap of an output pixel")
+    if np.array_equal(table[len(table) // 2], np.arange(len(src))):  # the centre tap
+        made = Neighbours(table, len(src))
+        made.adjoint = made
+        return made
     back = Neighbours(_adjoint(table, len(src)), table.shape[1]) if adjoint else None
     return Neighbours(table, len(src), back)
 
@@ -377,17 +383,17 @@ class Neighbours:
     pixels, as conv2d reads it, built once and read-only.
 
     Entry [t, n] of ``table`` is the list position tap t of output n reads,
-    or -1 where no listed pixel is, which reads zeros. ``gather``, _taps'
-    index, is the table followed by -1 columns up to a multiple of 8, and
-    ``table`` is a view of it; both are int32 (np.take widens an index to
-    intp as it reads it). ``adjoint`` is the Neighbours [T, n_src] from the
-    listed pixels back to the outputs, which conv2d's backward reads, or
-    None: on an adjoint itself, and on a table made without one. The
-    entries are taken as given: their maker,
-    neighbour_table, writes them in [-1, n_src).
+    or -1 where no listed pixel is, which reads zeros; ``holes`` says whether
+    any entry is -1. ``gather``, the taps' index, is the table followed by -1
+    columns up to a multiple of 8, and ``table`` is a view of it; both are
+    int32. ``adjoint`` is the Neighbours [T, n_src] from the listed pixels
+    back to the outputs, which conv2d's backward reads: the table itself
+    when its outputs are its list (neighbour_table), and None on any other
+    adjoint and on a table made without one. The entries are taken as given:
+    their maker, neighbour_table, writes them in [-1, n_src).
     """
 
-    __slots__ = ("table", "gather", "n_src", "adjoint")
+    __slots__ = ("table", "gather", "n_src", "adjoint", "holes")
 
     def __init__(self, table, n_src, adjoint=None):
         t, n = table.shape
@@ -397,6 +403,7 @@ class Neighbours:
         self.table = self.gather[:, :n]
         self.n_src = n_src
         self.adjoint = adjoint
+        self.holes = table.size > 0 and table.min() < 0
 
 
 def _adjoint(table, n_src):
@@ -432,155 +439,114 @@ def _padded(a):
     return out
 
 
-def _halo(a, kh, kw, y, r, out):
-    """Rows y - kh//2 ... y + r + kh//2 - 1 of a[C,H,W], taken modulo H and
-    wrap-padded by kw//2 columns on each side, into out[C, r+kh-1, W+kw-1]:
-    the input that output rows y ... y + r - 1 read. The rows inside the
-    image are one slice; only the rows past the top or bottom edge are a
-    modular take, which also covers H < kh."""
-    h, w = a.shape[1:]
-    ph, pw = kh // 2, kw // 2
-    top, bottom = y - ph, y + r + ph
-    lo, hi = max(top, 0), min(bottom, h)
-    out[:, lo - top:hi - top, pw:pw + w] = a[:, lo:hi]
-    if top < lo:
-        out[:, :lo - top, pw:pw + w] = a.take(range(top, lo), axis=1, mode="wrap")
-    if hi < bottom:
-        out[:, hi - top:, pw:pw + w] = a.take(range(hi, bottom), axis=1, mode="wrap")
-    out[:, :, :pw], out[:, :, pw + w:] = out[:, :, w:w + pw], out[:, :, pw:2 * pw]
-    return out
+def _source(a, table):
+    """The columns of a[C, 1, P] that the Neighbours ``table`` into its P
+    pixels reads, as [C, P']: a itself, or, when an entry is -1, _padded(a),
+    whose last column is the zeros -1 reads. Without one, the gather's pad
+    columns past the outputs read a's last pixel, which no product keeps."""
+    return _padded(a) if table.holes else a.reshape(a.shape[0], -1)
 
 
-def _taps(a, kh, kw, table=None):
-    """The kh*kw windows of a[C,H,W] wrap-padded by (kh//2, kw//2), as [C*kh*kw, H*W].
+def _taps(src, index, out=None):
+    """The taps of columns src[C, P'] (_source) at an int32 index [T, M], a
+    Neighbours' gather or a band of its columns: [C*T, M], row (c, t)
+    holding src's columns at index[t], so a kernel reshaped to [C_out, C*T]
+    correlates by one product. ``out`` is a [C, T, M] buffer to fill.
 
-    Row (c, i, j) is channel c shifted by tap (i, j), so a kernel reshaped to
-    [C_out, C*kh*kw] correlates by one GEMM. Over a pixel list, a[C, 1, P]
-    and a Neighbours table [kh*kw, N] into it, row (c, t) holds a's columns
-    at table[t] (zeros at -1), then zero columns up to a multiple of 8.
+    Every gather reads its index in wrap mode, where -1 is the last column,
+    as in numpy's default raise mode, but no entry is bounds-checked:
+    neighbour_table wrote them all in range.
     """
-    if table is not None:
-        return np.take(_padded(a), table.gather, axis=1).reshape(-1, table.gather.shape[1])
-    c, h, w = a.shape
-    halo = _halo(a, kh, kw, 0, h, np.empty((c, h + kh - 1, w + kw - 1)))
-    return sliding_window_view(halo, (h, w), axis=(1, 2)).reshape(c * kh * kw, h * w)
+    return np.take(src, index, axis=1, mode="wrap", out=out).reshape(-1, index.shape[1])
 
 
-def _fold(out, z, i, kh, kw, table=None):
-    """Add kernel row i's share of the adjoint of ``_taps`` into out[C,H,W].
+def _fold(out, z, i, kh, kw, table):
+    """Add kernel row i's share of the adjoint of ``_taps`` into out[C, 1, N].
 
-    The adjoint sums the kh*kw row blocks of z[C*kh*kw, H*W] into [C,H,W],
-    block (i, j) rolled back by its tap, so <adjoint(z), a> == <z, _taps(a)>
-    for every a[C,H,W]. Here z holds kernel row i's kw blocks only, as
-    [kw*C, N] in rows (j, c), N >= H*W (columns past H*W, _padded's zeros,
-    are not read); calling this for i = 0, 1, ... into one zero array adds
-    every pixel's blocks in the same order. Over a pixel list, z's columns
-    are a source list's with zero columns last (_padded), out is [C, 1, M]
-    and the Neighbours table [kh*kw, M] maps the M output pixels into z's
-    columns: output n adds block t's column table[T-1-t, n], the pixel the
-    roll of block t would bring to it, in the same block order (an entry -1
-    reads the block's last column, a zero one).
+    The adjoint sums the kh*kw row blocks of z[C*kh*kw, M] into the N output
+    pixels of the Neighbours table [kh*kw, N], so <adjoint(z), a> == <z, the
+    taps of a over the table's adjoint> for every a[C, 1, N]. Here z holds
+    kernel row i's kw
+    blocks only, as [kw*C, M] in rows (j, c), its columns a source list's,
+    with zero columns last where the table holds -1 (_padded); calling this
+    for i = 0, 1, ... into one zero array adds every pixel's blocks in the
+    same order. Output n adds block t's column table[T-1-t, n], the pixel
+    the opposite tap brings to it (an entry -1 reads the block's last
+    column, a zero one).
     """
-    c, h, w = out.shape
+    c = out.shape[0]
     z = z.reshape(kw, c, -1)
     for j in range(kw):
-        if table is not None:
-            out[:, 0] += np.take(z[j], table.table[kh * kw - 1 - i * kw - j], axis=1)
-        else:
-            out += np.roll(z[j, :, :h * w].reshape(c, h, w), (i - kh // 2, j - kw // 2), axis=(1, 2))
+        out[:, 0] += np.take(z[j], table.table[kh * kw - 1 - i * kw - j], axis=1, mode="wrap")
 
 
-def _correlate_bands(a, k):
-    """k[C_o,C_a,kh,kw] times the taps of a[C_a,H,W], as out[C_o,H,W], a band
-    of rows at a time.
-
-    Each band reads its input rows, with the kh//2 halo rows above and below
-    it taken by wrapping (_halo), into one small reused buffer, so no padded
-    copy of the whole input is made. Its taps go into one buffer of about
-    TAP_BAND floats, reused, and the band's product is written straight into
-    out, which has zero columns up to a multiple of 8 past H*W. A full
-    band's r*W pixels are a multiple of 8, and every band's taps get zero
-    columns up to one (_padded; none for a full band), so every pixel is
-    summed in the one order of a padded product, bit for bit.
-    """
-    c_o, c_a, kh, kw = k.shape
-    _, h, w = a.shape
-    step = 8 // math.gcd(w, 8)  # rows of a band whose pixels are a multiple of 8
-    rows = min(h, max(step, TAP_BAND // (c_a * kh * kw * w) // step * step))
-    halo = np.empty((c_a, rows + kh - 1, w + kw - 1))
-    buf = np.empty((c_a * kh * kw, rows * w + (-rows * w) % 8))
-    flat = k.reshape(c_o, -1)
-    out = np.empty((c_o, h * w + (-h * w) % 8))
-    for y in range(0, h, rows):
-        r = min(rows, h - y)
-        n = r * w
-        cols = buf[:, :n + (-n) % 8]
-        cols[:, :n].reshape(c_a, kh, kw, r, w)[...] = sliding_window_view(
-            _halo(a, kh, kw, y, r, halo[:, :r + kh - 1]), (r, w), axis=(1, 2))
-        cols[:, n:] = 0.0
-        np.matmul(flat, cols, out=out[:, y * w:y * w + cols.shape[1]])
-    return out[:, :h * w].reshape(c_o, h, w)
-
-
-def _correlate(a, k, table=None):
-    """Circular correlation of a[C_a,H,W] with k[C_o,C_a,kh,kw]: (out[C_o,H,W], taps).
+def _correlate(a, k, table, keep=True):
+    """Circular correlation of a[C_a, 1, P] with k[C_o, C_a, kh, kw] at the N
+    output pixels of the Neighbours table [kh*kw, N] into a's P:
+    (out[C_o, 1, N], taps).
 
     The one place that picks the narrower channel side, so no buffer has more
     than kh*kw*min(C_a, C_o) rows. When C_a <= C_o, out is k times the taps
-    of a: over the whole image a band of rows at a time (_correlate_bands),
-    keeping no taps, and over a pixel list as one product whose taps
-    (``_taps(a, table)``) are returned for reuse. Otherwise out is ``_fold``
-    of the tap-flipped kernel times a, taken one kernel row at a time, so
-    the product holds kw*C_o rows, not kh*kw*C_o, and taps is None. Every
-    product has a multiple of 8 columns (_padded) and sums each pixel in
-    one order, and a kernel row's product has the bits of its rows of the
-    whole kernel's product. Over a pixel list, a is [C_a, 1, P] and out
-    [C_o, 1, N] at the N output pixels of the [kh*kw, N] Neighbours table
-    into a; every output column is then the one the whole image gives its
-    pixel, bit for bit.
+    of a (_taps): with ``keep`` one product, whose taps are returned for
+    reuse, and otherwise a band of about TAP_BAND floats of taps at a time,
+    each gathered into one reused buffer, and taps is None. Otherwise out is
+    ``_fold`` of the tap-flipped kernel times a, taken one kernel row at a
+    time, so the product holds kw*C_o rows, not kh*kw*C_o, and taps is None;
+    a is read in place when it has a multiple of 8 pixels and the table no
+    -1. Every product and every band has a multiple of 8 columns (_padded)
+    and sums each pixel in one order, and a kernel row's product has the
+    bits of its rows of the whole kernel's product: every output column is
+    the one any table, the one over every pixel of the image included, gives
+    its pixel, bit for bit.
     """
     c_o, c_a, kh, kw = k.shape
-    h, w = a.shape[1:] if table is None else (1, table.table.shape[1])
+    n = table.table.shape[1]
     if c_a <= c_o:
-        if table is None:
-            return _correlate_bands(a, k), None
-        taps = _taps(a, kh, kw, table)
-        # the taps carry zero columns up to a multiple of 8: cropped
-        return (k.reshape(c_o, -1) @ taps)[:, :w].reshape(c_o, 1, w), taps
+        flat, src, m = k.reshape(c_o, -1), _source(a, table), table.gather.shape[1]
+        band = m if keep else max(8, TAP_BAND // flat.shape[1] // 8 * 8)
+        buf = np.empty(flat.shape[1] * min(band, m))
+        out = np.empty((c_o, m))
+        for lo in range(0, m, band):
+            index = table.gather[:, lo:lo + band]
+            taps = _taps(src, index, buf[:flat.shape[1] * index.shape[1]].reshape(c_a, *index.shape))
+            np.matmul(flat, taps, out=out[:, lo:lo + index.shape[1]])
+        # the gather's pad columns past the outputs: cropped
+        return out[:, :n].reshape(c_o, 1, n), taps if keep else None
     # rows (i; j, o): kernel row i's blocks are k_flip[i], each block contiguous
     k_flip = k[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(kh, -1, c_a)
-    a = a.reshape(c_a, -1) if table is None and h * w % 8 == 0 else _padded(a)
-    out = np.zeros((c_o, h, w))
+    a = a.reshape(c_a, -1) if a.shape[2] % 8 == 0 and not table.holes else _padded(a)
+    out = np.zeros((c_o, 1, n))
     for i in range(kh):
         _fold(out, k_flip[i] @ a, i, kh, kw, table)
     return out, None
 
 
-def conv2d(x, weight, bias=None, table=None, relu=False):
-    """Circular 2-d cross-correlation of x[C_in,H,W] with weight[C_out,C_in,kh,kw],
-    followed by a ReLU when ``relu`` is set.
+def conv2d(x, weight, bias=None, *, table, relu=False):
+    """Circular 2-d cross-correlation of a pixel list x[C_in, 1, P] of an
+    image with weight[C_out, C_in, kh, kw] at the output pixels of the
+    Neighbours ``table``, followed by a ReLU when ``relu`` is set.
 
-    Odd kernels only; stride 1 and wrap-around padding by (kh//2, kw//2), so
-    the output is [C_out,H,W]. The forward is ``_correlate(x, weight)``, and
-    the input gradient is the same correlation of the upstream gradient g with
-    the flipped, channel-swapped kernel, ``weight[:, :, ::-1, ::-1]`` with its
-    channel axes swapped; both are exactly equivariant to circular shifts, bit
-    for bit, at every H*W. When C_in <= C_out the weight gradient is g times
-    the taps of x: the ones a forward over a pixel list kept, or, since a
-    whole-image forward keeps none, the taps of x built again by the
-    backward. Otherwise it is the taps of g times x with the tap axes flipped
-    back; the taps of g come from the input gradient's correlation when it
-    kept them.
+    ``table`` is what neighbour_table gives: the [kh*kw, N] table from N
+    output pixels into x's P, which hold every tap, carrying its
+    [kh*kw, P] ``adjoint``, from x's pixels back to the outputs. Odd kernels
+    only; stride 1, and each tap wraps around the image edges (tap_pixels).
+    The output is [C_out, 1, N], each column the image's correlation at its
+    pixel, with the same bits in whatever list it is computed; over the table
+    of every pixel, its own adjoint, it is the whole image's output in
+    row-major order, and exactly equivariant to circular shifts.
 
-    Over a pixel list of an image, x is [C_in, 1, P] and ``table`` the
-    Neighbours that neighbour_table gives: the [kh*kw, N] table from N
-    output pixels into x's P, which hold every tap, carrying its [kh*kw, P]
-    ``adjoint``, from x's pixels back to the outputs. The output is
-    [C_out, 1, N], each column the whole image's output at its pixel, bit for
-    bit, and the input gradient is the correlation over ``table.adjoint``.
-    Both tables are read as neighbour_table made them, so the table only has
-    to match the kernel and x's P, and to carry its adjoint when the backward
-    reads it: when x requires a gradient, or the weight does and C_in > C_out.
+    The forward is ``_correlate(x, weight, table)``, and the input gradient
+    is the same correlation of the upstream gradient g over
+    ``table.adjoint`` with the flipped, channel-swapped kernel,
+    ``weight[:, :, ::-1, ::-1]`` with its channel axes swapped. When
+    C_in <= C_out the weight gradient is g times the taps of x, which a
+    forward keeps when its weight requires a gradient (and otherwise
+    gathers a band at a time). Otherwise it is the taps of g times x with
+    the tap axes flipped back; the taps of g come from the input gradient's
+    correlation when it kept them. Both tables are read as neighbour_table
+    made them, so the table only has to match the kernel and x's P, and to
+    carry its adjoint when the backward reads it: when x requires a
+    gradient, or the weight does and C_in > C_out.
 
     The ReLU runs in place on the biased output, after its finiteness check,
     and the backward masks g where the output is not positive: the op keeps
@@ -588,19 +554,16 @@ def conv2d(x, weight, bias=None, table=None, relu=False):
     """
     x, weight = _coerce(x), _coerce(weight)
     if x.data.ndim != 3 or weight.data.ndim != 4:
-        raise ValueError("conv2d expects x[C,H,W] and weight[C_out,C_in,kh,kw]")
+        raise ValueError("conv2d expects x[C,1,P] and weight[C_out,C_in,kh,kw]")
     c_out, c_in, kh, kw = weight.data.shape
     if x.data.shape[0] != c_in:
         raise ValueError(f"input channels {x.data.shape[0]} != weight c_in {c_in}")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError("kernel extents must be odd")
-    if table is None:
-        if kh // 2 > x.data.shape[1] or kw // 2 > x.data.shape[2]:
-            raise ValueError("kernel half-extent wider than the input")
-    elif (x.data.shape[1] != 1 or table.n_src != x.data.shape[2]
-          or table.table.shape[0] != kh * kw):
+    if (x.data.shape[1] != 1 or table.n_src != x.data.shape[2]
+            or table.table.shape[0] != kh * kw):
         raise ValueError("neighbour table does not match the kernel and the pixel list")
-    elif table.adjoint is None and (x.requires_grad or weight.requires_grad and c_in > c_out):
+    if table.adjoint is None and (x.requires_grad or weight.requires_grad and c_in > c_out):
         raise ValueError("conv2d's backward reads the neighbour table's adjoint, "
                          "but this table carries none")
     if bias is not None:
@@ -609,7 +572,7 @@ def conv2d(x, weight, bias=None, table=None, relu=False):
             raise ValueError("bias must have shape (C_out,)")
 
     wd = weight.data
-    out, cols = _correlate(x.data, wd, table)
+    out, cols = _correlate(x.data, wd, table, keep=weight.requires_grad)
     if bias is not None:
         out += bias.data[:, None, None]  # out is freshly allocated
     if relu:  # checked first: the ReLU would turn a -inf into 0
@@ -624,20 +587,17 @@ def conv2d(x, weight, bias=None, table=None, relu=False):
         if relu:
             g = g * (out > 0)
         if weight.requires_grad and c_in <= c_out:
-            if cols is None:  # a whole-image forward kept no taps of x
-                cols = _taps(x.data, kh, kw)
             _accum(weight, (g.reshape(c_out, -1) @ cols[:, :n_out].T).reshape(wd.shape))
         cols = None  # its last reader has run: the input gradient allocates without it
         if bias is not None and bias.requires_grad:
             _accum(bias, g.sum(axis=(1, 2)))
         g_cols = None
-        adjoint = None if table is None else table.adjoint
         if x.requires_grad:
-            gx, g_cols = _correlate(g, wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), adjoint)
+            gx, g_cols = _correlate(g, wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), table.adjoint)
             _accum(x, gx)
         if weight.requires_grad and c_in > c_out:  # the forward kept no taps of x
             if g_cols is None:
-                g_cols = _taps(g, kh, kw, adjoint)
+                g_cols = _taps(_source(g, table.adjoint), table.adjoint.gather)
             gw = (g_cols[:, :n_in] @ x.data.reshape(c_in, -1).T).reshape(c_out, kh, kw, c_in)
             _accum(weight, gw[:, ::-1, ::-1].transpose(0, 3, 1, 2))
 

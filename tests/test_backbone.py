@@ -6,6 +6,7 @@ import pytest
 from semiconv import tensor as T
 from semiconv.tensor import Tensor
 from semiconv.backbone import HIDDEN, KERNEL, Backbone
+from whole_image import image_forward
 
 
 def small_model(chans=(1, 4, 6, 3), seed=0):
@@ -19,7 +20,7 @@ def small_model(chans=(1, 4, 6, 3), seed=0):
 
 def test_output_shape_and_dims():
     model = Backbone.glorot(1, 3, 0)
-    out = model.forward(Tensor(np.zeros((1, 10, 12))))
+    out = image_forward(model, Tensor(np.zeros((1, 10, 12))))
     assert out.data.shape == (3, 10, 12)
 
 
@@ -27,13 +28,13 @@ def test_field_on_tiled_image_is_exactly_tiled():
     # identical translated content gets identical embeddings, bit for bit:
     # the convolutional half of the paper's dilemma
     tile = np.random.default_rng(2).random((1, 8, 8))
-    out = Backbone.glorot(1, 8, 0).forward(Tensor(np.tile(tile, (1, 4, 4)))).data
+    out = image_forward(Backbone.glorot(1, 8, 0), Tensor(np.tile(tile, (1, 4, 4)))).data
     assert np.array_equal(out, np.tile(out[:, :8, :8], (1, 4, 4)))
 
 
 def test_constant_input_constant_output():
     model = small_model()
-    out = model.forward(Tensor(np.full((1, 8, 8), 0.37))).data
+    out = image_forward(model, Tensor(np.full((1, 8, 8), 0.37))).data
     for c in range(out.shape[0]):
         assert np.max(np.abs(out[c] - out[c, 0, 0])) < 1e-12
 
@@ -42,18 +43,18 @@ def test_circular_shift_equivariance():
     model = Backbone.glorot(1, 3, 3)
     rng = np.random.default_rng(0)
     x = rng.standard_normal((1, 9, 11))
-    base = model.forward(Tensor(x)).data
+    base = image_forward(model, Tensor(x)).data
     for dy, dx in [(2, 0), (0, 4), (3, 7)]:
-        shifted = model.forward(Tensor(np.roll(x, (dy, dx), axis=(1, 2)))).data
+        shifted = image_forward(model, Tensor(np.roll(x, (dy, dx), axis=(1, 2)))).data
         assert np.max(np.abs(shifted - np.roll(base, (dy, dx), axis=(1, 2)))) < 1e-9
 
 
 def test_seeded_init_is_reproducible():
     x = np.random.default_rng(1).standard_normal((1, 6, 6))
-    a = Backbone.glorot(1, 3, 7).forward(Tensor(x)).data
-    b = Backbone.glorot(1, 3, 7).forward(Tensor(x)).data
+    a = image_forward(Backbone.glorot(1, 3, 7), Tensor(x)).data
+    b = image_forward(Backbone.glorot(1, 3, 7), Tensor(x)).data
     assert np.array_equal(a, b)
-    c = Backbone.glorot(1, 3, 8).forward(Tensor(x)).data
+    c = image_forward(Backbone.glorot(1, 3, 8), Tensor(x)).data
     assert not np.array_equal(a, c)
 
 
@@ -78,7 +79,7 @@ def test_init_scale():
 def test_channel_mismatch_rejected():
     model = small_model()
     with pytest.raises(ValueError):
-        model.forward(Tensor(np.zeros((3, 8, 8))))
+        image_forward(model, Tensor(np.zeros((3, 8, 8))))
 
 
 def test_weight_gradients_pass_grad_check():
@@ -89,7 +90,7 @@ def test_weight_gradients_pass_grad_check():
         def f(w):
             saved = model.weights[layer]
             model.weights[layer] = w
-            out = T.tsum(T.mul(model.forward(Tensor(x)), model.forward(Tensor(x))))
+            out = T.tsum(T.mul(image_forward(model, Tensor(x)), image_forward(model, Tensor(x))))
             model.weights[layer] = saved
             return out
 
@@ -116,12 +117,12 @@ def test_loaded_model_is_inference_only(tmp_path):
     model.save(path)
     loaded = Backbone.load(path)
     x = Tensor(np.random.default_rng(6).random((1, 12, 10)))
-    out = loaded.forward(x)
+    out = image_forward(loaded, x)
     assert out._backward is None and out._parents == ()
     assert not any(p.requires_grad for p in loaded.params())
     rounded = Backbone(*[[Tensor(t.data.astype(np.float32).astype(np.float64), requires_grad=True)
                           for t in ts] for ts in (model.weights, model.biases)])
-    assert np.array_equal(out.data, rounded.forward(x).data)
+    assert np.array_equal(out.data, image_forward(rounded, x).data)
 
 
 def test_load_rejects_every_truncation(tmp_path):

@@ -14,6 +14,7 @@ from semiconv.embedding import EmbeddingField, attach_coords, coord_grid, field_
 from semiconv.kernels import KernelParams
 from semiconv.losses import SegmentSet, pull_to_mean_loss
 from semiconv.tensor import NumericError, Tensor
+from whole_image import image_forward
 
 
 def run(*argv):
@@ -157,7 +158,7 @@ def test_cluster_reads_the_cone_as_the_whole_image(tmp_path, mode):
     assert run("cluster", "--scene", scene_file, "--model", model, "--mode", mode,
                "--seed", 4, "--out", tmp_path / "c.json", "--render", tmp_path / "c.ppm") == 0
     scene = synth.load_scene(scene_file)
-    phi = Backbone.load(model).forward(scene.image)
+    phi = image_forward(Backbone.load(model), scene.image)
     field = attach_coords(phi, coord_grid(*scene.shape)) if mode == "semiconv" else \
         EmbeddingField(phi)
     pred = synth.decode_kmeans(field, scene.gt.foreground_mask(), scene.gt.K, 4)

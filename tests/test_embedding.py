@@ -4,6 +4,7 @@ import pytest
 from semiconv import tensor as T
 from semiconv.tensor import Tensor
 from semiconv import embedding as E
+from whole_image import image_conv
 
 
 def test_coord_grid_layout():
@@ -107,7 +108,7 @@ def test_period_shift_moves_geometric_dims_only():
     tile = rng.standard_normal((1, p, p))
     img = Tensor(np.tile(tile, (1, 3, 3)))
     w = Tensor(rng.standard_normal((4, 1, 3, 3)))
-    phi = T.conv2d(img, w)
+    phi = image_conv(img, w)
     psi = E.attach_coords(phi, E.coord_grid(3 * p, 3 * p)).values.data
     a = psi[:, 2, 3]
     b = psi[:, 2 + p, 3 + p]

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from semiconv import tensor as T
+from semiconv import synth, tensor as T
 from semiconv.backbone import Backbone, Cone, _geometry
 from semiconv.tensor import NumericError, Tensor
 from semiconv.embedding import EmbeddingField, attach_coords, coord_grid, field_rows, rows_at
@@ -14,6 +14,7 @@ from semiconv.synth import (InstanceLabeling, Scene, TrainConfig, build_field, c
 from semiconv.seedcut import (RegionProposal, box_loss, cut_all_boxes, cut_region,
                               gt_boxes_from_labels, region_pixel_indices, rle_decode,
                               rle_encode, train_seedcut, _box_layout, _box_list)
+from whole_image import image_forward, roll_forward
 
 
 def make_region(rows, scores, shape):
@@ -131,17 +132,23 @@ def test_region_rows_match_the_field_crop():
 
 
 def dense_field(model, image, pixels, mode):
-    """The reference for cone_field: the backbone over the whole image."""
-    phi = model.forward(image)
-    if mode == "semiconv":
-        return attach_coords(phi, coord_grid(*image.data.shape[1:]))
-    return EmbeddingField(phi)
+    """The whole image's field, in cone_field's place: the field over the
+    cone of every pixel, tape and all when the weights require gradients."""
+    cone = Cone(model, image, np.arange(image.data[0].size))
+    return synth._embed(model.forward(cone), mode, cone)
 
 
 def dense_box_rows(model, image, mode, boxes):
-    """The reference for the cone's rows: the whole field, indexed at the box pixels."""
+    """The whole field, indexed at the box pixels, after checking it against
+    the np.roll reference."""
     pixels, _, _ = region_pixel_indices(boxes, image.data.shape[1:])
-    return T.index_select(field_rows(dense_field(model, image, boxes, mode)), pixels)
+    rows = field_rows(dense_field(model, image, boxes, mode))
+    want = roll_forward(model, image)
+    if mode == "semiconv":
+        want[:2] += coord_grid(*want.shape[1:])
+    want = want.reshape(want.shape[0], -1).T
+    assert np.max(np.abs(rows.data - want)) <= 1e-12 * np.max(np.abs(want))
+    return T.index_select(rows, pixels)
 
 
 def forward_inputs(monkeypatch):
@@ -498,7 +505,7 @@ def test_the_field_builders_and_the_cut_record_no_tape(monkeypatch):
         p.grad = None
     pixels, ids, counts, truth, scores = _box_list(scene.gt, gt_boxes_from_labels(scene.gt))
     cone = Cone(model, scene.image, pixels)
-    taped = {"image": model.forward(scene.image), "cone": model.forward(cone)}
+    taped = {"image": image_forward(model, scene.image), "cone": model.forward(cone)}
     assert all(phi.requires_grad for phi in taped.values())
     fused, fuse = [], fuse_boxes
     monkeypatch.setattr("semiconv.seedcut.fuse_boxes",
@@ -595,10 +602,12 @@ def test_train_seedcut_validation():
         train_seedcut(scene, [(0, 0, 2, 2)], cfg)  # box without foreground
 
 
-@pytest.mark.parametrize("n, spacing", [(4, 32), (8, 10), (2, 12)],
-                         ids=["sparse", "image", "edge"])
-def test_a_cone_seedcut_step_is_the_whole_image_step(monkeypatch, n, spacing):
-    scene = generate_scene(n, n, dot_radius=3, spacing=spacing, img_noise_std=0.05, seed=3)
+# "tight", a 2x2 grid of radius-2 dots at spacing 8: layers 0 and 1 output
+# the whole image and share its table, and layer 2 outputs part of it
+@pytest.mark.parametrize("n, spacing, radius", [(4, 32, 3), (8, 10, 3), (2, 12, 3), (2, 8, 2)],
+                         ids=["sparse", "image", "edge", "tight"])
+def test_a_cone_seedcut_step_is_the_whole_image_step(monkeypatch, n, spacing, radius):
+    scene = generate_scene(n, n, dot_radius=radius, spacing=spacing, img_noise_std=0.05, seed=3)
     boxes = gt_boxes_from_labels(scene.gt)
     cfg = TrainConfig(dims=8, epochs=1, seed=2)
     grads, nodes, backward = [], [], Tensor.backward

@@ -14,12 +14,13 @@ from semiconv import synth
 from semiconv import tensor as T
 from semiconv.backbone import Backbone, Cone, _geometry
 from semiconv.tensor import Tensor, NumericError
-from semiconv.embedding import EmbeddingField, attach_coords, coord_grid, field_rows, rows_at
+from semiconv.embedding import EmbeddingField, coord_grid, field_rows, rows_at
 from semiconv.losses import SegmentSet, pull_to_mean_loss
 from semiconv.synth import (InstanceLabeling, Scene, TrainConfig, build_field,
                             controlled_pair, decode_kmeans, generate_scene,
                             cone_field, gt_boxes_from_labels, load_scene, region_pixel_indices,
                             scene_from_json, scene_to_json, score, train)
+from whole_image import image_forward, roll_forward
 
 DISC3_PIXELS = 29  # lattice points with dx^2 + dy^2 <= 9, counted by hand
 
@@ -145,7 +146,7 @@ def test_conv_embeddings_collide_after_training():
     scene = small_scene()
     cfg = quick_cfg(mode="conv", epochs=30)
     model, _ = train(scene, cfg)
-    phi = model.forward(scene.image).data
+    phi = image_forward(model, scene.image).data
     sp = scene.meta["spacing"]
     # dots are periodic translates: features at corresponding pixels match
     ref = phi[:, 0:sp, 0:sp]
@@ -407,12 +408,25 @@ def cone_scene(name):
     return generate_scene(n, n, dot_radius=3, spacing=spacing, img_noise_std=0.05, seed=3)
 
 
-def dense_field(model, image, mode):
-    """Reference: the backbone over the whole image, coordinates added by hand."""
-    phi = model.forward(image)
+def whole_field(model, image, mode):
+    """The field of a training step over the cone of every pixel, tape and
+    all: the whole image's."""
+    cone = Cone(model, image, np.arange(image.data[0].size))
+    return synth._embed(model.forward(cone), mode, cone)
+
+
+def roll_rows(model, image, mode):
+    """Reference: the [H*W, D] rows of the backbone over the image by
+    np.roll (roll_forward), coordinates added by hand."""
+    phi = roll_forward(model, image)
     if mode == "semiconv":
-        return attach_coords(phi, coord_grid(*image.data.shape[1:]))
-    return EmbeddingField(phi)
+        phi[:2] += coord_grid(*phi.shape[1:])
+    return phi.reshape(phi.shape[0], -1).T
+
+
+def assert_close(got, want):
+    """Equal up to the rounding of another summation order."""
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def reader_pixels(scene):
@@ -431,31 +445,30 @@ def test_cone_rows_are_the_whole_field_rows(mode, name):
     for p in model.biases:
         p.data += np.random.default_rng(1).standard_normal(p.data.shape)
     h, w = scene.shape
-    dense = field_rows(dense_field(model, scene.image, mode)).data
     whole = rows_at(build_field(model, scene.image, mode), np.arange(h * w)).data
+    assert_close(whole, roll_rows(model, scene.image, mode))
     for pixels in reader_pixels(scene).values():
         field = cone_field(model, scene.image, pixels, mode)
         assert np.array_equal(np.flatnonzero(field.at.reshape(-1) >= 0), np.unique(pixels))
         if name == "sparse":
             assert field.values.data[0].size <= 0.25 * h * w
-        for got, want in ((rows_at(field, pixels).data, dense[pixels]), (whole, dense)):
-            assert np.array_equal(got, want)
-            assert np.array_equal(np.signbit(got), np.signbit(want))
+        got, want = rows_at(field, pixels).data, whole[pixels]
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-BAND_CASES = [  # (image shape, TAP_BAND, rows of each band of layers 0 and 1)
-    # a 2**11-float tap buffer: layers 0 and 1 take bands of 8 rows, the
-    # fewest 29-pixel rows that make a multiple of 8 pixels, and a last band
-    # of 5 rows, 145 pixels, which is padded
-    ((37, 29), 2**11, [8, 8, 8, 8, 5] * 2),
-    # every halo row wraps onto the image's own rows, as the dilemma's
-    # [1, 1, N] input's do; at 2x16 layer 1 takes bands of one row
-    ((1, 16), 2**11, [1, 1]),
-    ((2, 16), 2**11, [2, 1, 1]),
-    # the default buffer: layer 0 takes one band, and layer 1 bands of 16
-    # rows, the first crossing the top edge and the last, 5 rows and 505
-    # pixels, which is padded, the bottom one
-    ((37, 101), T.TAP_BAND, [37, 16, 16, 5]),
+BAND_CASES = [  # (image shape, TAP_BAND, widths of the tap bands of layers 0 and 1)
+    # a 2**11-float tap buffer: layer 0 gathers bands of 224 of its 1080
+    # columns, the 1073 pixels padded to a multiple of 8, and layer 1 bands
+    # of 8, the fewest
+    ((37, 29), 2**11, [224] * 4 + [184] + [8] * 135),
+    # one and two rows, where the taps of a pixel repeat pixels, as on the
+    # dilemma's [1, 1, N] input
+    ((1, 16), 2**11, [16, 8, 8]),
+    ((2, 16), 2**11, [32] + [8] * 4),
+    # the default buffer: layer 0 takes one band, and layer 1 bands of 1816
+    # of its 3744 columns, the 3737 pixels padded
+    ((37, 101), T.TAP_BAND, [3744, 1816, 1816, 112]),
 ]
 
 
@@ -464,47 +477,35 @@ BAND_CASES = [  # (image shape, TAP_BAND, rows of each band of layers 0 and 1)
     for case in BAND_CASES for mode in ("conv", "semiconv")])
 def test_a_whole_image_forward_in_bands_is_the_cone_over_every_pixel(monkeypatch, mode, shape,
                                                                      tap_band, bands):
+    # build_field gathers each layer's taps in bands (its weights take no
+    # gradient); a forward whose weights do keeps each layer's taps, gathered
+    # at once for the backward. Both give the same bits
     rng = np.random.default_rng(6)
     image = Tensor(rng.standard_normal((1, *shape)))
     model = Backbone.glorot(1, 8, 2)
     for p in model.biases:
         p.data += rng.standard_normal(p.data.shape)
     everywhere = np.arange(image.data.size)
-    want = rows_at(cone_field(model, image, everywhere, mode), everywhere).data
-    monkeypatch.setattr(T, "TAP_BAND", 2**30)
-    one_band_grads = whole_image_weight_grads(model, image, mode)
-    got_bands, windows = [], T.sliding_window_view
+    cone = Cone(model, image, everywhere)
+    want = field_rows(synth._embed(model.forward(cone), mode, cone)).data
+    got_bands, taps = [], T._taps
     monkeypatch.setattr(T, "TAP_BAND", tap_band)
-    monkeypatch.setattr(T, "sliding_window_view",
-                        lambda a, shape, axis: got_bands.append(shape[0]) or windows(a, shape, axis=axis))
+    monkeypatch.setattr(T, "_taps", lambda src, index, out: got_bands.append(index.shape[1])
+                        or taps(src, index, out))
     got = rows_at(build_field(model, image, mode), everywhere).data
     assert got_bands == bands
     assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
-    for g, w in zip(whole_image_weight_grads(model, image, mode), one_band_grads, strict=True):
-        assert np.array_equal(g, w)
-
-
-def whole_image_weight_grads(model, image, mode):
-    """The weight gradients of one whole-image step of the pull-to-mean loss
-    over four interleaved instances that cover the image (its backward
-    rebuilds the taps a whole-image forward does not keep)."""
-    h, w = image.data.shape[1:]
-    labels = InstanceLabeling(np.arange(h * w).reshape(h, w) % 4 + 1)
-    field = synth._embed(model.forward(image), mode, coord_grid(h, w))
-    for p in model.params():
-        p.grad = None
-    pull_to_mean_loss(field_rows(field), SegmentSet.from_labels(labels)).backward()
-    return [p.grad.copy() for p in model.params()]
 
 
 def test_build_field_holds_one_band_of_taps_and_no_tape():
     # 128x128 on a model whose weights require gradients: layer 1's
     # whole-image taps alone would take 18.9 MB, and a tape would hold every
-    # layer's taps and activations until the field is dropped. Layer 1's
-    # bands read their halo rows from its input into a 2 MB tap buffer, so
-    # the peak, about 9.0 MB, is layer 2's fold: its 4 MB input, one kernel
-    # row's product [3*8, H*W] (3.1 MB), its 1 MB output and a 1 MB roll. The
-    # whole kernel's product would take 9.4 MB and put the peak at 15 MB
+    # layer's taps and activations until the field is dropped. Layer 1
+    # gathers its taps a band of output pixels at a time into a 2 MB buffer,
+    # so the peak, about 9.4 MB, is layer 2's fold: its 4 MB input, one
+    # kernel row's product [3*8, H*W] (3.1 MB), its 1 MB output and a 1 MB
+    # gathered block. The whole kernel's product would take 9.4 MB and put
+    # the peak at 15 MB. The warm-up builds the whole image's geometry
     scene = generate_scene(4, 4, dot_radius=3, spacing=32)
     model = Backbone.glorot(1, 8, 0)
     build_field(model, scene.image, "semiconv")  # warm-up: first-call allocations
@@ -587,6 +588,48 @@ def test_cones_over_one_pixel_set_share_one_geometry():
     for scene, cone in zip(scenes, cones):
         want = rows_at(build_field(model, scene.image, "conv"), np.unique(pixels)).data
         assert np.array_equal(field_rows(EmbeddingField(model.forward(cone))).data, want)
+
+
+def test_the_whole_image_cone_holds_one_table_its_own_adjoint():
+    scene = cone_scene("edge")
+    h, w = scene.shape
+    cone = Cone(Backbone.glorot(1, 8, 0), scene.image, np.arange(h * w))
+    table = cone.tables[0]
+    assert all(t is table for t in cone.tables) and table.adjoint is table
+    assert table.table.shape == (9, h * w) and cone.input.data.shape == (1, 1, h * w)
+
+
+@pytest.mark.parametrize("spacing,radius", [(8, 2), (12, 3)], ids=["8", "12"])
+def test_a_cone_that_fills_the_image_part_way_is_the_roll_conv(spacing, radius):
+    # the cone of a 2x2 grid's instances and boxes, as a seed-cut trains it.
+    # At spacing 8 layers 0 and 1 output the whole image and share its
+    # table; at 12 layer 0 does and layer 1 reads the whole image. The last
+    # layer outputs part of it either way
+    scene = generate_scene(2, 2, dot_radius=radius, spacing=spacing, img_noise_std=0.05, seed=3)
+    h, w = scene.shape
+    model = Backbone.glorot(1, 8, 4)
+    for p in model.biases:
+        p.data += np.random.default_rng(1).standard_normal(p.data.shape)
+    pixels = synth.read_pixels(scene.gt, boxes=True)
+    cone = Cone(model, scene.image, pixels)
+    outputs = [t.table.shape[1] for t in cone.tables]
+    assert outputs[0] == cone.tables[1].n_src == h * w > outputs[2]
+    assert (cone.tables[0] is cone.tables[1]) == (outputs[1] == h * w) == (spacing == 8)
+    for mode in ("conv", "semiconv"):
+        got = rows_at(cone_field(model, scene.image, pixels, mode), pixels).data
+        assert_close(got, roll_rows(model, scene.image, mode)[pixels])
+        assert np.array_equal(got, rows_at(build_field(model, scene.image, mode), pixels).data)
+
+
+def test_training_and_whole_image_fields_keep_both_geometries():
+    # the cache keeps two geometries, so a training cone and the whole
+    # image's, used by turns on one scene, are each built once
+    scene = cone_scene("edge")
+    _geometry.cache_clear()
+    for _ in range(3):
+        model, _ = train(scene, TrainConfig(dims=4, epochs=1, seed=0))
+        build_field(model, scene.image, "semiconv")
+    assert _geometry.cache_info().misses == 2
 
 
 def test_a_new_shape_kernel_or_pixel_set_builds_a_new_geometry():
@@ -680,7 +723,7 @@ def test_a_cone_training_step_is_the_whole_image_step(monkeypatch, mode, name):
     cfg = TrainConfig(mode=mode, dims=8, epochs=1, seed=2)
     losses, grads, nodes = first_step(monkeypatch, lambda: train(scene, cfg)[1])
     model = Backbone.glorot(1, cfg.dims, cfg.seed)
-    loss = pull_to_mean_loss(field_rows(dense_field(model, scene.image, mode)),
+    loss = pull_to_mean_loss(field_rows(whole_field(model, scene.image, mode)),
                              SegmentSet.from_labels(scene.gt))
     loss.backward()
     assert_same_step(losses[0], grads, loss.item(), [p.grad for p in model.params()])

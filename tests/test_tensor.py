@@ -9,6 +9,7 @@ from semiconv.tensor import Tensor, NumericError
 from semiconv.embedding import EmbeddingField, field_rows
 from semiconv.losses import SegmentSet, pull_to_mean_loss
 from semiconv.synth import InstanceLabeling
+from whole_image import every_pixel_table, image_conv, roll_conv
 
 
 def conv2d_bruteforce(x, w):
@@ -37,7 +38,7 @@ def test_add():
 
 def test_relu():
     # conv2d's ReLU behind a 1x1 identity kernel
-    out = T.conv2d(Tensor([[[-1.0, 0.0, 2.0]]]), Tensor(np.ones((1, 1, 1, 1))), relu=True)
+    out = image_conv(Tensor([[[-1.0, 0.0, 2.0]]]), Tensor(np.ones((1, 1, 1, 1))), relu=True)
     assert np.array_equal(out.data, [[[0.0, 0.0, 2.0]]])
 
 
@@ -102,8 +103,9 @@ def test_nonfinite_is_an_error():
     (lambda: T.transpose2d(Tensor(np.zeros((2, 2, 2)))), "transpose2d expects a 2-d tensor"),
     (lambda: T.index_select(Tensor(np.zeros((3, 2))), [[0, 1]]), "indices must be 1-d"),
     (lambda: T.l2norm_rows(Tensor(np.zeros(3))), "l2norm_rows expects an [N, D] tensor"),
-    (lambda: T.conv2d(Tensor(np.zeros((4, 4))), Tensor(np.zeros((1, 1, 3, 3)))),
-     "conv2d expects x[C,H,W] and weight[C_out,C_in,kh,kw]"),
+    (lambda: T.conv2d(Tensor(np.zeros((4, 4))), Tensor(np.zeros((1, 1, 3, 3))),
+                      table=every_pixel_table((4, 4), 3, 3)),
+     "conv2d expects x[C,1,P] and weight[C_out,C_in,kh,kw]"),
 ], ids=["transpose2d", "index_select", "l2norm_rows", "conv2d"])
 def test_an_input_of_the_wrong_rank_is_a_one_line_error(call, message):
     with pytest.raises(ValueError) as err:
@@ -157,14 +159,14 @@ def test_conv2d_identity_1x1():
     w = np.zeros((3, 3, 1, 1))
     for c in range(3):
         w[c, c, 0, 0] = 1.0
-    out = T.conv2d(Tensor(x), Tensor(w))
+    out = image_conv(Tensor(x), Tensor(w))
     assert np.array_equal(out.data, x)
 
 
 def test_conv2d_ones_center():
     x = np.ones((1, 3, 3))
     w = np.ones((1, 1, 3, 3))
-    out = T.conv2d(Tensor(x), Tensor(w))
+    out = image_conv(Tensor(x), Tensor(w))
     expected = conv2d_bruteforce(x, w)
     assert out.data[0, 1, 1] == 9.0
     assert np.allclose(out.data, expected, atol=1e-12, rtol=0)
@@ -187,7 +189,7 @@ def test_conv2d_matches_bruteforce(c_in, c_out, kh, kw):
     x = rng.standard_normal((c_in, 7, 9))
     w = rng.standard_normal((c_out, c_in, kh, kw))
     b = rng.standard_normal(c_out)
-    out = T.conv2d(Tensor(x), Tensor(w), Tensor(b))
+    out = image_conv(Tensor(x), Tensor(w), Tensor(b))
     expected = conv2d_bruteforce(x, w) + b[:, None, None]
     assert out.data.shape == (c_out, 7, 9)
     assert np.allclose(out.data, expected, atol=1e-12, rtol=0)
@@ -196,11 +198,11 @@ def test_conv2d_matches_bruteforce(c_in, c_out, kh, kw):
 def squared_conv_grad_errors(x0, w0):
     """grad_check errors of sum(conv2d(x, w)^2) in the weight and in the input."""
     def f_w(w):
-        y = T.conv2d(Tensor(x0), w)
+        y = image_conv(Tensor(x0), w)
         return T.tsum(T.mul(y, y))
 
     def f_x(x):
-        y = T.conv2d(x, Tensor(w0))
+        y = image_conv(x, Tensor(w0))
         return T.tsum(T.mul(y, y))
 
     return T.grad_check(f_w, Tensor(w0)), T.grad_check(f_x, Tensor(x0))
@@ -217,11 +219,12 @@ def test_conv2d_grads_on_both_branches(c_in, c_out, kh, kw):
 
 @pytest.mark.parametrize("c_in,c_out", [(2, 3), (3, 2)], ids=["2to3", "3to2"])
 def test_conv2d_half_extent_equal_to_input(c_in, c_out):
-    # a 5x5 kernel on a 2x2 input: the wrap-pad copies the whole input once per side
+    # a 5x5 kernel on a 2x2 input: each tap wraps round the whole input, so
+    # the taps of a pixel repeat pixels
     rng = np.random.default_rng(13)
     x0 = rng.standard_normal((c_in, 2, 2))
     w0 = rng.standard_normal((c_out, c_in, 5, 5)) * 0.5
-    out = T.conv2d(Tensor(x0), Tensor(w0))
+    out = image_conv(Tensor(x0), Tensor(w0))
     assert np.allclose(out.data, conv2d_bruteforce(x0, w0), atol=1e-12, rtol=0)
     err_w, err_x = squared_conv_grad_errors(x0, w0)
     assert err_w < 1e-6 and err_x < 1e-6
@@ -243,8 +246,10 @@ def test_conv2d_over_a_pixel_list_is_the_image_conv_there(c_in, c_out, kh, kw):
     b = Tensor(rng.standard_normal(c_out))
     listed = x0.reshape(c_in, -1)[:, src][:, None]
     got = T.conv2d(Tensor(listed), Tensor(w0), b, table=table).data
-    want = T.conv2d(Tensor(x0), Tensor(w0), b).data.reshape(c_out, -1)[:, dst]
+    want = image_conv(Tensor(x0), Tensor(w0), b).data.reshape(c_out, -1)[:, dst]
     assert np.array_equal(got[:, 0], want)
+    assert np.allclose(want, roll_conv(x0, w0, b.data).reshape(c_out, -1)[:, dst],
+                       atol=1e-12, rtol=0)
 
     def squared(x, w):
         y = T.conv2d(x, w, table=table)
@@ -269,6 +274,27 @@ def test_a_neighbour_table_is_checked_where_it_is_made():
     assert table.table.base is table.gather and table.n_src == 5
     with pytest.raises(ValueError, match="read-only"):
         table.table[0, 0] = 1
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (1, 16), (2, 16)], ids=["5x5", "1x16", "2x16"])
+def test_the_table_of_every_pixel_is_its_own_adjoint(shape):
+    # each tap permutes the image and the opposite tap undoes it. On one and
+    # two rows the rows of a 3x3 kernel wrap onto the image's own, so the
+    # taps of a pixel repeat pixels
+    n = shape[0] * shape[1]
+    table = every_pixel_table(shape, 3, 3)
+    assert table.adjoint is table and not table.holes
+    assert np.array_equal(table.table, T._adjoint(table.table, n))
+    assert np.unique(T.tap_pixels(shape, [0], 3, 3)).size == min(shape[0], 3) * 3
+    rng = np.random.default_rng(43)
+    for c_in, c_out in BRANCHES:
+        w0 = Tensor(rng.standard_normal((c_out, c_in, 3, 3)) * 0.5)
+
+        def squared(x):
+            y = T.conv2d(x, w0, table=table)
+            return T.tsum(T.mul(y, y))
+
+        assert T.grad_check(squared, Tensor(rng.standard_normal((c_in, 1, n)))) < 1e-6
 
 
 def test_a_table_without_its_adjoint_serves_every_op_that_reads_none():
@@ -301,38 +327,38 @@ def test_a_table_without_its_adjoint_serves_every_op_that_reads_none():
 
 @pytest.mark.parametrize("kh,kw,h,w", [(3, 3, 6, 7), (3, 5, 4, 6), (1, 3, 5, 2), (5, 5, 2, 2)])
 def test_fold_is_the_adjoint_of_taps(kh, kw, h, w):
-    # _fold adds one kernel row's blocks of z[(c, i, j), H*W] at a time, in rows (j, c)
+    # _fold over a table adds one kernel row's blocks of z[(c, i, j), M] at a
+    # time, in rows (j, c): the adjoint of the taps over the table's adjoint.
+    # Over every pixel the table is its own adjoint; over a pixel list it is
+    # checked both ways, and an entry -1 of the adjoint reads a zero column
     rng = np.random.default_rng(17)
-    a = rng.standard_normal((3, h, w))
-    z = rng.standard_normal((3 * kh * kw, h * w))
-    folded = np.zeros((3, h, w))
-    for i in range(kh):
-        row = z.reshape(3, kh, kw, h * w)[:, i].transpose(1, 0, 2)
-        T._fold(folded, row.reshape(kw * 3, h * w), i, kh, kw)
-    assert abs(np.vdot(folded, a) - np.vdot(z, T._taps(a, kh, kw))) < 1e-12
+    dst = np.union1d(np.flatnonzero(rng.random(h * w) < 0.4), [0])
+    taps = T.tap_pixels((h, w), dst, kh, kw)
+    listed = T.neighbour_table(taps, np.unique(taps), h * w)
+    every = every_pixel_table((h, w), kh, kw)
+    for table, adjoint in ((every, every), (listed, listed.adjoint), (listed.adjoint, listed)):
+        n_out, n_src = table.table.shape[1], table.n_src
+        a = rng.standard_normal((3, 1, n_out))
+        z = T._padded(rng.standard_normal((3 * kh * kw, n_src)))
+        folded = np.zeros((3, 1, n_out))
+        for i in range(kh):
+            row = z.reshape(3, kh, kw, -1)[:, i].transpose(1, 0, 2)
+            T._fold(folded, row.reshape(kw * 3, -1), i, kh, kw, table)
+        taps_a = taps_of(a, adjoint)[:, :n_src]
+        assert abs(np.vdot(folded, a) - np.vdot(z[:, :n_src], taps_a)) < 1e-12
 
 
-def fold_one_product(a, k, table=None):
+def fold_one_product(a, k, table):
     """Reference: _correlate's fold branch as one product of the whole
-    tap-flipped kernel, rows (o, i, j), folded by the adjoint of _taps. The
-    product has zero columns up to a multiple of 8 (_padded) over a pixel
-    list, and over an image whose pixels are not one, cropped back there."""
+    tap-flipped kernel, rows (o, i, j), with zero columns up to a multiple of
+    8 (_padded), folded over the table block by block."""
     c_o, c_a, kh, kw = k.shape
     k_flip = k[:, :, ::-1, ::-1].transpose(0, 2, 3, 1).reshape(-1, c_a)
     t = kh * kw
-    if table is not None:
-        z = (k_flip @ T._padded(a)).reshape(c_o, t, -1)
-        out = np.zeros((c_o, 1, table.table.shape[1]))
-        for b in range(t):
-            out[:, 0] += np.take(z[:, b], table.table[t - 1 - b], axis=1)
-        return out
-    h, w = a.shape[1:]
-    z = k_flip @ (a.reshape(c_a, -1) if h * w % 8 == 0 else T._padded(a))
-    z = z[:, :h * w].reshape(c_o, kh, kw, h, w)
-    out = np.zeros((c_o, h, w))
-    for i in range(kh):
-        for j in range(kw):
-            out += np.roll(z[:, i, j], (i - kh // 2, j - kw // 2), axis=(1, 2))
+    z = (k_flip @ T._padded(a)).reshape(c_o, t, -1)
+    out = np.zeros((c_o, 1, table.table.shape[1]))
+    for b in range(t):
+        out[:, 0] += np.take(z[:, b], table.table[t - 1 - b], axis=1)
     return out
 
 
@@ -341,24 +367,22 @@ def fold_one_product(a, k, table=None):
 @pytest.mark.parametrize("kh,kw", [pytest.param(kh, kw, id=f"{kh}x{kw}")
                                    for kh, kw in KERNELS + [(5, 5)]])
 def test_fold_by_kernel_rows_is_the_one_product_fold(c_a, c_o, kh, kw):
-    # bit for bit, over a whole image and over a neighbour table and its
+    # bit for bit, over every pixel of an image (read in place when its pixel
+    # count is a multiple of 8, as at 8x16) and over a neighbour table and its
     # adjoint. The equality rests on the BLAS giving a row block of a
     # product the bits of those rows of the whole product
     rng = np.random.default_rng(37)
     k = rng.standard_normal((c_o, c_a, kh, kw))
     for h, w in [(7, 9), (12, 13), (8, 16), (33, 35)]:
-        a = rng.standard_normal((c_a, h, w))
-        got = T._correlate(a, k)
-        assert got[1] is None
-        want = fold_one_product(a, k)
-        assert np.array_equal(got[0], want) and np.array_equal(np.signbit(got[0]), np.signbit(want))
         dst = np.flatnonzero(rng.random(h * w) < 0.3)
         taps = T.tap_pixels((h, w), dst, kh, kw)
         src = np.unique(taps)
         table = T.neighbour_table(taps, src, h * w)
-        for table, n_src in ((table, src.size), (table.adjoint, dst.size)):
+        for table, n_src in ((every_pixel_table((h, w), kh, kw), h * w), (table, src.size),
+                             (table.adjoint, dst.size)):
             listed = rng.standard_normal((c_a, 1, n_src))
-            got = T._correlate(listed, k, table)[0]
+            got, taps_kept = T._correlate(listed, k, table)
+            assert taps_kept is None
             want = fold_one_product(listed, k, table)
             assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -379,13 +403,14 @@ def test_conv2d_buffers_stack_the_narrower_side():
     # buffers went untraced
     wide = 9 * 32 * 64 * 64 * 8
     rng = np.random.default_rng(19)
-    x = Tensor(rng.standard_normal((32, 64, 64)))
+    table = every_pixel_table((64, 64), 3, 3)
+    x = Tensor(rng.standard_normal((32, 1, 64 * 64)))
     w = Tensor(rng.standard_normal((8, 32, 3, 3)))
-    assert 8 * 64 * 64 * 8 < traced_peak_bytes(lambda: T.conv2d(x, w)) < wide
+    assert 8 * 64 * 64 * 8 < traced_peak_bytes(lambda: T.conv2d(x, w, table=table)) < wide
 
-    x = Tensor(rng.standard_normal((16, 64, 64)), requires_grad=True)
+    x = Tensor(rng.standard_normal((16, 1, 64 * 64)), requires_grad=True)
     w = Tensor(rng.standard_normal((32, 16, 3, 3)), requires_grad=True)
-    loss = T.tsum(T.mul(T.conv2d(x, w), rng.standard_normal((32, 64, 64))))
+    loss = T.tsum(T.mul(T.conv2d(x, w, table=table), rng.standard_normal((32, 1, 64 * 64))))
     assert 16 * 64 * 64 * 8 < traced_peak_bytes(loss.backward) < wide
 
 
@@ -395,7 +420,7 @@ def test_conv2d_weight_grad_finite_differences():
     w0 = rng.standard_normal((3, 2, 3, 3)) * 0.5
 
     def f(w):
-        return T.tsum(T.conv2d(Tensor(x), w))
+        return T.tsum(image_conv(Tensor(x), w))
 
     assert T.grad_check(f, Tensor(w0)) < 1e-6
 
@@ -406,7 +431,7 @@ def test_conv2d_input_grad_finite_differences():
     w = rng.standard_normal((2, 2, 3, 3)) * 0.5
 
     def f(x):
-        return T.tsum(T.mul(T.conv2d(x, Tensor(w)), T.conv2d(x, Tensor(w))))
+        return T.tsum(T.mul(image_conv(x, Tensor(w)), image_conv(x, Tensor(w))))
 
     assert T.grad_check(f, Tensor(x0)) < 1e-6
 
@@ -418,25 +443,30 @@ def test_conv2d_input_grad_nonsquare_kernel():
     w = rng.standard_normal((3, 2, 3, 5)) * 0.5
 
     def f(x):
-        y = T.conv2d(x, Tensor(w))
+        y = image_conv(x, Tensor(w))
         return T.tsum(T.mul(y, y))
 
     assert T.grad_check(f, Tensor(x0)) < 1e-6
 
 
 def test_conv2d_validation():
-    x, w = Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((1, 2, 3, 3)))
+    table = every_pixel_table((4, 4), 3, 3)
+    x, w = Tensor(np.zeros((2, 1, 16))), Tensor(np.zeros((1, 2, 3, 3)))
     with pytest.raises(ValueError):
-        T.conv2d(x, Tensor(np.zeros((1, 3, 3, 3))))  # channel mismatch
+        T.conv2d(x, Tensor(np.zeros((1, 3, 3, 3))), table=table)  # channel mismatch
     with pytest.raises(ValueError):
-        T.conv2d(x, Tensor(np.zeros((1, 2, 2, 2))))  # even kernel
+        T.conv2d(x, Tensor(np.zeros((1, 2, 2, 2))), table=table)  # even kernel
     with pytest.raises(ValueError):
-        T.conv2d(x, w, Tensor(np.zeros(2)))  # bias is not (C_out,)
-    with pytest.raises(ValueError):  # half-extent 3 wider than the 2-pixel input
-        T.conv2d(Tensor(np.zeros((1, 2, 2))), Tensor(np.zeros((1, 1, 7, 7))))
-    assert T.conv2d(x, w).data.shape == (1, 4, 4)
-    edge = T.conv2d(Tensor(np.zeros((1, 2, 2))), Tensor(np.zeros((1, 1, 5, 5))))
-    assert edge.data.shape == (1, 2, 2)  # half-extent 2 still fits
+        T.conv2d(x, w, Tensor(np.zeros(2)), table=table)  # bias is not (C_out,)
+    with pytest.raises(TypeError, match="table"):
+        T.conv2d(x, w)  # every conv runs over a neighbour table
+    assert T.conv2d(x, w, table=table).data.shape == (1, 1, 16)
+    # a tap wraps round the image as often as it must: a 7x7 kernel's
+    # half-extent, 3, is wider than the 2x2 image
+    rng = np.random.default_rng(2)
+    x0, w0 = rng.standard_normal((1, 2, 2)), rng.standard_normal((1, 1, 7, 7))
+    assert np.allclose(image_conv(Tensor(x0), Tensor(w0)).data, conv2d_bruteforce(x0, w0),
+                       atol=1e-12, rtol=0)
 
 
 def test_conv2d_circular_shift_equivariance():
@@ -453,7 +483,7 @@ def test_conv2d_circular_shift_equivariance():
 
         def forward_and_input_grad(x, g):
             xt = Tensor(x, requires_grad=True)
-            out = T.conv2d(xt, Tensor(wt))
+            out = image_conv(xt, Tensor(wt))
             T.tsum(T.mul(out, g)).backward()
             return out.data, xt.grad
 
@@ -469,14 +499,15 @@ def test_conv2d_circular_shift_equivariance():
     pytest.param(ci, co, id=f"{ci}to{co}") for ci, co in BRANCHES + [(1, 16), (16, 32), (32, 8)]])
 def test_conv2d_input_grad_is_the_flipped_kernel_correlation(c_in, c_out):
     # the input gradient of a correlation with W is the correlation with the
-    # tap-flipped, channel-swapped W, computed by the same code, bit for bit
+    # tap-flipped, channel-swapped W, computed by the same code, bit for bit:
+    # the backward's one product of kept taps, the forward's bands of taps
     rng = np.random.default_rng(29)
     for h, w in [(33, 35), (128, 128)]:
         x = Tensor(rng.standard_normal((c_in, h, w)), requires_grad=True)
         wt = rng.standard_normal((c_out, c_in, 3, 3))
         g = rng.standard_normal((c_out, h, w))
-        T.tsum(T.mul(T.conv2d(x, Tensor(wt)), g)).backward()
-        adjoint = T.conv2d(Tensor(g), Tensor(wt[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)))
+        T.tsum(T.mul(image_conv(x, Tensor(wt)), g)).backward()
+        adjoint = image_conv(Tensor(g), Tensor(wt[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)))
         assert np.array_equal(x.grad, adjoint.data)
 
 
@@ -486,13 +517,13 @@ def test_conv2d_relu_is_the_relu_of_the_conv(c_in, c_out, listed):
     # the fused ReLU gives np.maximum(conv2d(...), 0) bit for bit, and its
     # backward the plain conv2d's gradients with g masked by hand
     rng = np.random.default_rng(41)
-    x0 = rng.standard_normal((c_in, 6, 7))
-    table = None
+    x0 = rng.standard_normal((c_in, 1, 42))
+    table = every_pixel_table((6, 7), 3, 3)
     if listed:
         taps = T.tap_pixels((6, 7), np.flatnonzero(rng.random(42) < 0.4), 3, 3)
         src = np.unique(taps)
         table = T.neighbour_table(taps, src, 42)
-        x0 = x0.reshape(c_in, -1)[:, src][:, None]
+        x0 = x0[:, :, src]
     w0 = rng.standard_normal((c_out, c_in, 3, 3))
     b0 = rng.standard_normal(c_out)
     plain = T.conv2d(Tensor(x0), Tensor(w0), Tensor(b0), table=table).data
@@ -513,14 +544,15 @@ def test_conv2d_relu_is_the_relu_of_the_conv(c_in, c_out, listed):
 
 
 def test_conv2d_relu_checks_finiteness_once_before_the_relu(monkeypatch):
-    x, w = Tensor(np.ones((1, 3, 3))), Tensor(np.ones((2, 1, 3, 3)))
+    x, w = Tensor(np.ones((1, 1, 9))), Tensor(np.ones((2, 1, 3, 3)))
+    table = every_pixel_table((3, 3), 3, 3)
     # a -inf pre-activation, which the ReLU would turn into 0
     with pytest.raises(NumericError, match="op 'conv2d'"):
-        T.conv2d(x, w, Tensor([0.0, -np.inf]), relu=True)
+        T.conv2d(x, w, Tensor([0.0, -np.inf]), table=table, relu=True)
     scanned, check = [], T._check_finite
     monkeypatch.setattr(T, "_check_finite", lambda arr, op: scanned.append(op) or check(arr, op))
     for relu in (False, True):
-        T.conv2d(x, w, Tensor([0.0, -20.0]), relu=relu)
+        T.conv2d(x, w, Tensor([0.0, -20.0]), table=table, relu=relu)
     assert scanned == ["conv2d", "conv2d"]
 
 
@@ -532,8 +564,8 @@ def conv_relu_loss(seed):
     for c_in, c_out in [(2, 4), (4, 3)]:
         leaves += [Tensor(rng.standard_normal((c_out, c_in, 3, 3)), requires_grad=True),
                    Tensor(rng.standard_normal(c_out), requires_grad=True)]
-    h = T.conv2d(x, leaves[1], leaves[2], relu=True)
-    field = EmbeddingField(T.conv2d(h, leaves[3], leaves[4]))
+    h = image_conv(x, leaves[1], leaves[2], relu=True)
+    field = EmbeddingField(image_conv(h, leaves[3], leaves[4]))
     segs = SegmentSet.from_labels(InstanceLabeling(rng.integers(0, 4, size=(6, 8))))
     return pull_to_mean_loss(field_rows(field), segs), leaves
 
@@ -556,6 +588,11 @@ def test_backward_spends_the_tape_and_keeps_leaf_grads():
         assert np.array_equal(got.grad, want.grad)
 
 
+def taps_of(a, table):
+    """The taps of a[C, 1, P] over the Neighbours table, every output column at once."""
+    return T._taps(T._source(a, table), table.gather)
+
+
 def taps_loop(a, kh, kw):
     """Reference: one strided copy of the wrap-padded input per tap."""
     c, h, w = a.shape
@@ -569,8 +606,24 @@ def taps_loop(a, kh, kw):
 
 @pytest.mark.parametrize("kh,kw,h,w", [(kh, kw, 6, 7) for kh, kw in KERNELS] + [(5, 5, 2, 2)])
 def test_taps_match_loop_reference(kh, kw, h, w):
-    a = np.random.default_rng(23).standard_normal((3, h, w))
-    assert np.array_equal(T._taps(a, kh, kw), taps_loop(a, kh, kw))
+    # over every pixel, over a pixel list, and over the list's adjoint, whose
+    # entries -1 read zeros; the columns past the outputs pad to a multiple of 8
+    rng = np.random.default_rng(23)
+    a = rng.standard_normal((3, h, w))
+    want = taps_loop(a, kh, kw)
+    got = taps_of(a.reshape(3, 1, -1), every_pixel_table((h, w), kh, kw))
+    assert got.shape[1] % 8 == 0 and np.array_equal(got[:, :h * w], want)
+    dst = np.array([0, h * w - 1])
+    taps = T.tap_pixels((h, w), dst, kh, kw)
+    src = np.unique(taps)
+    table = T.neighbour_table(taps, src, h * w)
+    assert np.array_equal(taps_of(a.reshape(3, 1, -1)[:, :, src], table)[:, :2], want[:, dst])
+    # the adjoint's taps are the image's taps, at the listed pixels, of a
+    # that is zero off dst
+    back = np.zeros_like(a).reshape(3, -1)
+    back[:, dst] = a.reshape(3, -1)[:, dst]
+    want = taps_loop(back.reshape(a.shape), kh, kw)[:, src]
+    assert np.array_equal(taps_of(back[:, None, dst], table.adjoint)[:, :src.size], want)
 
 
 # -- shape ops ----------------------------------------------------------------
@@ -647,7 +700,8 @@ def test_grad_check_quadratic():
 def test_grad_check_relu_strictly_positive():
     # conv2d's ReLU behind a 1x1 identity kernel
     def f(t):
-        return T.tsum(T.conv2d(T.reshape(t, (1, 1, 3)), Tensor(np.ones((1, 1, 1, 1))), relu=True))
+        return T.tsum(T.conv2d(T.reshape(t, (1, 1, 3)), Tensor(np.ones((1, 1, 1, 1))),
+                               table=every_pixel_table((1, 3), 1, 1), relu=True))
 
     assert T.grad_check(f, Tensor([0.5, 1.5, 2.0])) < 1e-7
 
@@ -703,7 +757,7 @@ def test_forward_backward_bit_reproducible():
         rng = np.random.default_rng(42)
         x = Tensor(rng.standard_normal((2, 6, 6)))
         w = Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
-        h = T.conv2d(x, w, relu=True)
+        h = image_conv(x, w, relu=True)
         loss = T.tsum(T.mul(h, h))
         loss.backward()
         return loss.item(), w.grad.copy()
