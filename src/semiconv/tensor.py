@@ -466,13 +466,12 @@ def _fold(out, z, i, kh, kw, table):
     The adjoint sums the kh*kw row blocks of z[C*kh*kw, M] into the N output
     pixels of the Neighbours table [kh*kw, N], so <adjoint(z), a> == <z, the
     taps of a over the table's adjoint> for every a[C, 1, N]. Here z holds
-    kernel row i's kw
-    blocks only, as [kw*C, M] in rows (j, c), its columns a source list's,
-    with zero columns last where the table holds -1 (_padded); calling this
-    for i = 0, 1, ... into one zero array adds every pixel's blocks in the
-    same order. Output n adds block t's column table[T-1-t, n], the pixel
-    the opposite tap brings to it (an entry -1 reads the block's last
-    column, a zero one).
+    kernel row i's kw blocks only, as [kw*C, M] in rows (j, c), its columns
+    a source list's, with zero columns last where the table holds -1
+    (_padded); calling this for i = 0, 1, ... into one zero array adds every
+    pixel's blocks in the same order. Output n adds block t's column
+    table[T-1-t, n], the pixel the opposite tap brings to it (an entry -1
+    reads the block's last column, a zero one).
     """
     c = out.shape[0]
     z = z.reshape(kw, c, -1)

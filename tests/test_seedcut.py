@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from semiconv import synth, tensor as T
+from semiconv import tensor as T
 from semiconv.backbone import Backbone, Cone, _geometry
 from semiconv.tensor import NumericError, Tensor
 from semiconv.embedding import EmbeddingField, attach_coords, coord_grid, field_rows, rows_at
@@ -14,7 +14,7 @@ from semiconv.synth import (InstanceLabeling, Scene, TrainConfig, build_field, c
 from semiconv.seedcut import (RegionProposal, box_loss, cut_all_boxes, cut_region,
                               gt_boxes_from_labels, region_pixel_indices, rle_decode,
                               rle_encode, train_seedcut, _box_layout, _box_list)
-from whole_image import image_forward, roll_forward
+from whole_image import assert_close, image_forward, roll_rows, whole_field
 
 
 def make_region(rows, scores, shape):
@@ -132,10 +132,8 @@ def test_region_rows_match_the_field_crop():
 
 
 def dense_field(model, image, pixels, mode):
-    """The whole image's field, in cone_field's place: the field over the
-    cone of every pixel, tape and all when the weights require gradients."""
-    cone = Cone(model, image, np.arange(image.data[0].size))
-    return synth._embed(model.forward(cone), mode, cone)
+    """The whole image's field, in cone_field's place."""
+    return whole_field(model, image, mode)
 
 
 def dense_box_rows(model, image, mode, boxes):
@@ -143,11 +141,7 @@ def dense_box_rows(model, image, mode, boxes):
     the np.roll reference."""
     pixels, _, _ = region_pixel_indices(boxes, image.data.shape[1:])
     rows = field_rows(dense_field(model, image, boxes, mode))
-    want = roll_forward(model, image)
-    if mode == "semiconv":
-        want[:2] += coord_grid(*want.shape[1:])
-    want = want.reshape(want.shape[0], -1).T
-    assert np.max(np.abs(rows.data - want)) <= 1e-12 * np.max(np.abs(want))
+    assert_close(rows.data, roll_rows(model, image, mode))
     return T.index_select(rows, pixels)
 
 

@@ -14,13 +14,13 @@ from semiconv import synth
 from semiconv import tensor as T
 from semiconv.backbone import Backbone, Cone, _geometry
 from semiconv.tensor import Tensor, NumericError
-from semiconv.embedding import EmbeddingField, coord_grid, field_rows, rows_at
+from semiconv.embedding import EmbeddingField, field_rows, rows_at
 from semiconv.losses import SegmentSet, pull_to_mean_loss
 from semiconv.synth import (InstanceLabeling, Scene, TrainConfig, build_field,
                             controlled_pair, decode_kmeans, generate_scene,
                             cone_field, gt_boxes_from_labels, load_scene, region_pixel_indices,
                             scene_from_json, scene_to_json, score, train)
-from whole_image import image_forward, roll_forward
+from whole_image import assert_close, image_forward, roll_rows, whole_field
 
 DISC3_PIXELS = 29  # lattice points with dx^2 + dy^2 <= 9, counted by hand
 
@@ -406,27 +406,6 @@ CONE_SCENES = {"sparse": (4, 32), "image": (8, 10), "edge": (2, 12)}
 def cone_scene(name):
     n, spacing = CONE_SCENES[name]
     return generate_scene(n, n, dot_radius=3, spacing=spacing, img_noise_std=0.05, seed=3)
-
-
-def whole_field(model, image, mode):
-    """The field of a training step over the cone of every pixel, tape and
-    all: the whole image's."""
-    cone = Cone(model, image, np.arange(image.data[0].size))
-    return synth._embed(model.forward(cone), mode, cone)
-
-
-def roll_rows(model, image, mode):
-    """Reference: the [H*W, D] rows of the backbone over the image by
-    np.roll (roll_forward), coordinates added by hand."""
-    phi = roll_forward(model, image)
-    if mode == "semiconv":
-        phi[:2] += coord_grid(*phi.shape[1:])
-    return phi.reshape(phi.shape[0], -1).T
-
-
-def assert_close(got, want):
-    """Equal up to the rounding of another summation order."""
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def reader_pixels(scene):

@@ -1,17 +1,19 @@
 """Whole-image convolution for the tests.
 
-``roll_conv`` and ``roll_forward`` are the reference: a plain circular
-correlation by np.roll, which shares no code with the package. It sums in
-another order than the package's products, so it agrees with them to
-rounding, not bit for bit. ``image_conv`` and ``image_forward`` run the
-package's own conv2d and Backbone.forward over the table, or the cone, of
-every pixel of an image, and give its [C, H, W] map.
+``roll_conv``, ``roll_forward`` and ``roll_rows`` are the reference: a
+plain circular correlation by np.roll, which shares no code with the
+package. It sums in another order than the package's products, so it agrees
+with them to rounding (``assert_close``), not bit for bit. ``image_conv``,
+``image_forward`` and ``whole_field`` run the package's own conv2d,
+Backbone.forward and training field over the table, or the cone, of every
+pixel of an image.
 """
 
 import numpy as np
 
-from semiconv import tensor as T
+from semiconv import synth, tensor as T
 from semiconv.backbone import Cone
+from semiconv.embedding import coord_grid
 
 
 def roll_conv(x, w, b=None):
@@ -38,6 +40,20 @@ def roll_forward(model, image):
     return x
 
 
+def roll_rows(model, image, mode):
+    """The [H*W, D] field rows of roll_forward, with each pixel's (x, y)
+    added to the first two channels in semiconv mode."""
+    phi = roll_forward(model, image)
+    if mode == "semiconv":
+        phi[:2] += coord_grid(*phi.shape[1:])
+    return phi.reshape(phi.shape[0], -1).T
+
+
+def assert_close(got, want):
+    """Equal up to the rounding of another summation order."""
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def every_pixel_table(shape, kh, kw):
     """The neighbour table of a kh x kw kernel over every pixel of an [H, W]
     image, its own adjoint."""
@@ -59,3 +75,10 @@ def image_forward(model, image):
     as a [D, H, W] Tensor that gradients flow through."""
     h, w = image.data.shape[1:]
     return T.reshape(model.forward(Cone(model, image, np.arange(h * w))), (-1, h, w))
+
+
+def whole_field(model, image, mode):
+    """The field of a training step over the cone of every pixel, tape and
+    all when the weights require gradients: the whole image's."""
+    cone = Cone(model, image, np.arange(image.data[0].size))
+    return synth._embed(model.forward(cone), mode, cone)
