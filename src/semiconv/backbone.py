@@ -168,8 +168,10 @@ class Cone:
     Backbone.forward(cone) gives the model's [D, 1, P] features at the
     output list, bit for bit those of any other cone that holds its pixels.
     The cone over every pixel is the whole image: its output list is the
-    image in row-major order, so its features reshape to [D, H, W]
-    (synth.build_field).
+    image in row-major order, so its features reshape to [D, H, W].
+    synth.build_field runs the cone over a band of rows of a rolled image
+    once per band, which is the cone over every pixel when one band holds
+    the image.
     """
 
     def __init__(self, model, image, pixels):
@@ -193,8 +195,9 @@ def _geometry(shape, weights, pixels):
     ``weights`` are the layers' weight shapes (C_out, C_in, kh, kw) and
     ``pixels`` the bytes of the sorted output list. A pure function of its
     arguments, so the last two geometries built are kept: a cone over the
-    same pixel set reuses one, and training and whole-image fields over one
-    scene (build_field) do not evict each other. A table carries its adjoint
+    same pixel set reuses one, and a training cone and the band cone every
+    band of a whole-image field runs on (synth.build_field) do not evict each
+    other. A table carries its adjoint
     only where conv2d's backward reads it: every layer's but the first,
     whose input never requires a gradient, and the first's too when its
     weight gradient comes from the taps of the output gradient

@@ -24,7 +24,7 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor, NumericError
 from .backbone import Backbone, Cone
-from .embedding import EmbeddingField, attach_coords, field_rows, rows_at
+from .embedding import EmbeddingField, attach_coords, coord_grid, field_rows, rows_at
 from .losses import SegmentSet, pull_to_mean_loss
 
 KMEANS_MAX_ITER = 300
@@ -197,8 +197,21 @@ def cone_field(model, image, pixels, mode):
 
 
 def build_field(model, image, mode):
-    """The field over the whole image: cone_field over every pixel, its
-    values reshaped to [D, H, W], so its map is the identity.
+    """The field over the whole image, [D, H, W] values whose map is the
+    identity, built in bands of R rows, one receptive cone (backbone.Cone)
+    for every band.
+
+    R is the most rows whose widest layer output, max C_out * R * W floats,
+    fits in tensor.TAP_BAND, and the last band, which ends at row H,
+    overlaps the one before it. Each band is rolled to rows [s, s + R) of
+    the image, where s is the halo, the sum of the layers' kernel radii, so
+    that its cone reaches round no edge, or H - R where a band starting at
+    the halo would run past row H. So every band is the same cone, whose
+    geometry is built once, and when R >= H the one band is the cone over
+    every pixel. A cone's features are those of any other cone over its
+    pixels, bit for bit, and a circular conv is exactly equivariant to
+    rolls, so the bands give the whole image's bits. In semiconv mode the
+    coordinates are mixed in once over the whole image (coord_grid).
 
     The field records no tape, whether or not the model's weights require
     gradients, and each layer gathers the taps of one band of output pixels
@@ -206,8 +219,22 @@ def build_field(model, image, mode):
     buffer.
     """
     h, w = image.data.shape[1:]
-    field = cone_field(model, image, np.arange(h * w), mode)
-    return EmbeddingField(Tensor(field.values.data.reshape(-1, h, w)))
+    shapes = [wt.data.shape for wt in model.weights]
+    rows = min(h, max(1, T.TAP_BAND // (max(s[0] for s in shapes) * w)))
+    start = min(sum(s[2] // 2 for s in shapes), h - rows)  # the halo, as far as it fits
+    band = np.arange(start * w, (start + rows) * w)
+    net = _inference(model)
+    if rows == h:  # one band, the image itself: nothing to roll or to copy
+        phi = net.forward(Cone(net, image, band)).data.reshape(-1, h, w)
+    else:
+        phi = np.empty((shapes[-1][0], h, w))
+        for top in sorted({*range(0, h - rows, rows), h - rows}):
+            cone = Cone(net, Tensor(np.roll(image.data, start - top, axis=1)), band)
+            phi[:, top:top + rows] = net.forward(cone).data.reshape(-1, rows, w)
+    values = Tensor(phi)
+    if mode == "semiconv":
+        values = attach_coords(values, coord_grid(h, w)).values
+    return EmbeddingField(values)
 
 
 def sgd_step(params, lr):

@@ -1,4 +1,6 @@
+import ctypes
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -30,3 +32,17 @@ def trained_pair():
         "semi_losses": semi_losses,
         "elapsed": elapsed,
     }
+
+
+@pytest.fixture()
+def fake_mallopt(monkeypatch):
+    """A C library whose mallopt records its (param, value) calls in the
+    list this returns, in place of the one ctypes would load."""
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+    return calls

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from semiconv import synth
+from semiconv import backbone, synth
 from semiconv import tensor as T
 from semiconv.backbone import Backbone, Cone, _geometry
 from semiconv.tensor import Tensor, NumericError
@@ -284,17 +284,11 @@ def test_controlled_pair_without_openblas_trains_in_turn(monkeypatch):
     assert [run_bytes(run) for run in controlled_pair(scene, cfg)] == want
 
 
-def test_keep_freed_memory_turns_off_heap_trimming_and_mmap(monkeypatch):
-    calls = []
-
-    def mallopt(param, value):
-        calls.append((param, value))
-        return 1
-
-    monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+def test_keep_freed_memory_turns_off_heap_trimming_and_mmap(fake_mallopt):
     synth._keep_freed_memory()
     # glibc's M_MMAP_MAX (-4) to 0, then M_TRIM_THRESHOLD (-1) to 1 GB
-    assert calls == [(-4, 0), (-1, 2**30)]
+    assert fake_mallopt == [(-4, 0), (-1, 2**30)]
+    mallopt = ctypes.CDLL(None).mallopt
     assert mallopt.argtypes == (ctypes.c_int, ctypes.c_int) and mallopt.restype is ctypes.c_int
 
 
@@ -437,27 +431,44 @@ def test_cone_rows_are_the_whole_field_rows(mode, name):
 
 
 BAND_CASES = [  # (image shape, TAP_BAND, widths of the tap bands of layers 0 and 1)
-    # a 2**11-float tap buffer: layer 0 gathers bands of 224 of its 1080
-    # columns, the 1073 pixels padded to a multiple of 8, and layer 1 bands
-    # of 8, the fewest
-    ((37, 29), 2**11, [224] * 4 + [184] + [8] * 135),
+    # a 2**11-float tap buffer: 32 channels of 29 pixels fill it twice, so
+    # build_field runs bands of 2 rows, 19 of them (the last overlaps the
+    # one before). Layer 0 gathers each band's 6 rows, 174 pixels padded to
+    # 176, at once, and layer 1 its 4 rows in bands of 8 pixels, the fewest
+    ((37, 29), 2**11, ([176] + [8] * 15) * 19),
     # one and two rows, where the taps of a pixel repeat pixels, as on the
-    # dilemma's [1, 1, N] input
+    # dilemma's [1, 1, N] input: one band, the cone over every pixel
     ((1, 16), 2**11, [16, 8, 8]),
     ((2, 16), 2**11, [32] + [8] * 4),
-    # the default buffer: layer 0 takes one band, and layer 1 bands of 1816
-    # of its 3744 columns, the 3737 pixels padded
+    # the default buffer: one band, the cone over every pixel. Layer 0 takes
+    # one tap band, and layer 1 bands of 1816 of its 3744 columns, the 3737
+    # pixels padded
     ((37, 101), T.TAP_BAND, [3744, 1816, 1816, 112]),
+    # bands of 35 rows: one starting at the halo, row 3, would run past the
+    # last row, so each starts at row 2 of the rolled image; layers 0 and 1
+    # output the whole image and share its table, and layer 2 the band
+    ((37, 29), 2**15, ([1080] + [224] * 4 + [184]) * 2),
+    # bands of 18 rows, 8 of them: layer 0 takes 22 rows in one tap band of
+    # 160 columns, and layer 1 20 rows in bands of 24
+    ((130, 7), 2**12, ([160] + [24] * 6) * 8),
 ]
 
 
+def band_case_id(mode, shape, tap_band):
+    h, w = shape
+    if (h, w) == (37, 29):
+        return mode if tap_band == 2**11 else f"37x29-rows35-{mode}"
+    return f"{h}x{w}-{mode}"
+
+
 @pytest.mark.parametrize("mode,shape,tap_band,bands", [
-    pytest.param(mode, *case, id=mode if case[0] == (37, 29) else f"{case[0][0]}x{case[0][1]}-{mode}")
+    pytest.param(mode, *case, id=band_case_id(mode, *case[:2]))
     for case in BAND_CASES for mode in ("conv", "semiconv")])
 def test_a_whole_image_forward_in_bands_is_the_cone_over_every_pixel(monkeypatch, mode, shape,
                                                                      tap_band, bands):
-    # build_field gathers each layer's taps in bands (its weights take no
-    # gradient); a forward whose weights do keeps each layer's taps, gathered
+    # build_field runs bands of rows, each layer gathering its taps in bands
+    # of output pixels (its weights take no gradient); a forward over the
+    # cone of every pixel whose weights do keeps each layer's taps, gathered
     # at once for the backward. Both give the same bits
     rng = np.random.default_rng(6)
     image = Tensor(rng.standard_normal((1, *shape)))
@@ -476,15 +487,45 @@ def test_a_whole_image_forward_in_bands_is_the_cone_over_every_pixel(monkeypatch
     assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
+@pytest.mark.parametrize("mode", ["conv", "semiconv"])
+def test_build_field_bands_a_mixed_kernel_stack_by_the_sum_of_its_kernel_radii(monkeypatch, mode):
+    # 1x1, 5x5 and 3x3 kernels: the halo is 0 + 2 + 1 = 3 rows. Under a
+    # 2**10-float TAP_BAND, 16 channels of 12 pixels make bands of 5 rows,
+    # so each band is rows [3, 8) of a rolled image, and its cone reads
+    # rows [0, 11), no more, and reaches round no edge. Layer 1's product
+    # sums 8*5*5 = 200 terms: OpenBLAS sums a product of more than 384 in an
+    # order that depends on its width, so wider layers would not keep their
+    # bits across bands
+    rng = np.random.default_rng(8)
+    shapes = [(8, 1, 1, 1), (16, 8, 5, 5), (8, 16, 3, 3)]
+    model = Backbone([Tensor(rng.uniform(-0.3, 0.3, s)) for s in shapes],
+                     [Tensor(rng.standard_normal(s[0])) for s in shapes])
+    image = Tensor(rng.standard_normal((1, 40, 12)))
+    everywhere = np.arange(image.data.size)
+    want = field_rows(whole_field(model, image, mode)).data
+    cones = []
+    monkeypatch.setattr(T, "TAP_BAND", 2**10)
+    monkeypatch.setattr(synth, "Cone", lambda *args: cones.append(Cone(*args)) or cones[-1])
+    got = rows_at(build_field(model, image, mode), everywhere).data
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    assert_close(got, roll_rows(model, image, mode))
+    assert len(cones) == 8  # tops 0, 5, ..., 30 and 35, the last overlapping
+    for cone in cones:
+        assert np.array_equal(np.flatnonzero(cone.at.reshape(-1) >= 0), np.arange(3 * 12, 8 * 12))
+        assert cone.input.data.shape == (1, 1, 11 * 12)
+
+
 def test_build_field_holds_one_band_of_taps_and_no_tape():
     # 128x128 on a model whose weights require gradients: layer 1's
     # whole-image taps alone would take 18.9 MB, and a tape would hold every
-    # layer's taps and activations until the field is dropped. Layer 1
-    # gathers its taps a band of output pixels at a time into a 2 MB buffer,
-    # so the peak, about 9.4 MB, is layer 2's fold: its 4 MB input, one
-    # kernel row's product [3*8, H*W] (3.1 MB), its 1 MB output and a 1 MB
-    # gathered block. The whole kernel's product would take 9.4 MB and put
-    # the peak at 15 MB. The warm-up builds the whole image's geometry
+    # layer's taps and activations until the field is dropped. build_field
+    # runs two bands of 64 rows, the most whose 32-channel layer output fits
+    # in TAP_BAND's 2 MB, and layer 1 gathers its taps a band of output
+    # pixels at a time into a 2 MB buffer. So the peak, about 6.4 MB, is
+    # layer 1 of a band: its 1.1 MB input (68 rows of 16 channels), the
+    # buffer, its 2.2 MB output (66 rows of 32 channels) and the 1 MB field
+    # the bands fill. Over the cone of every pixel it was 9.4 MB, in layer
+    # 2's fold. The warm-up builds the bands' geometry
     scene = generate_scene(4, 4, dot_radius=3, spacing=32)
     model = Backbone.glorot(1, 8, 0)
     build_field(model, scene.image, "semiconv")  # warm-up: first-call allocations
@@ -495,7 +536,7 @@ def test_build_field_holds_one_band_of_taps_and_no_tape():
     finally:
         tracemalloc.stop()
     assert field.values.data.shape == (8, 128, 128)
-    assert peak < 10 * 2**20
+    assert peak < 6.75 * 2**20
 
 
 def test_a_training_step_keeps_no_pre_relu_copy_and_folds_a_kernel_row_at_a_time():
@@ -600,15 +641,30 @@ def test_a_cone_that_fills_the_image_part_way_is_the_roll_conv(spacing, radius):
         assert np.array_equal(got, rows_at(build_field(model, scene.image, mode), pixels).data)
 
 
-def test_training_and_whole_image_fields_keep_both_geometries():
-    # the cache keeps two geometries, so a training cone and the whole
-    # image's, used by turns on one scene, are each built once
-    scene = cone_scene("edge")
-    _geometry.cache_clear()
-    for _ in range(3):
-        model, _ = train(scene, TrainConfig(dims=4, epochs=1, seed=0))
-        build_field(model, scene.image, "semiconv")
-    assert _geometry.cache_info().misses == 2
+def test_training_and_whole_image_fields_keep_both_geometries(monkeypatch):
+    # the cache keeps two geometries, so a training cone and build_field's
+    # band cone, used by turns on one scene, are each built once. On the
+    # 24x24 scene the one band is the whole image; the 128x128 one runs two
+    # bands of 64 rows over one cone, and no cone over every pixel is built
+    built = []
+
+    def recorded(shape, weights, pixels):
+        built.append(len(pixels) // np.dtype(np.intp).itemsize)
+        return _geometry(shape, weights, pixels)
+
+    monkeypatch.setattr(backbone, "_geometry", recorded)
+    for scene, band in ((cone_scene("edge"), 24 * 24),
+                        (generate_scene(4, 4, spacing=32), 64 * 128)):
+        _geometry.cache_clear()
+        built.clear()
+        for _ in range(3):
+            model, _ = train(scene, TrainConfig(dims=4, epochs=1, seed=0))
+            build_field(model, scene.image, "semiconv")
+        assert _geometry.cache_info().misses == 2
+        h, w = scene.shape
+        # each round: the training cone, then one cone per band
+        assert built == ([built[0]] + [band] * (h * w // band)) * 3
+        assert (h * w in built) == (band == h * w)
 
 
 def test_a_new_shape_kernel_or_pixel_set_builds_a_new_geometry():
