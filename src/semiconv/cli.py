@@ -172,7 +172,6 @@ def cmd_train(args):
 def cmd_cluster(args):
     scene = synth.load_scene(args.scene)
     model = Backbone.load(args.model)
-    synth._keep_freed_memory()  # the decode allocates as training does
     # both readers look at the foreground only
     field = synth.cone_field(model, scene.image, np.flatnonzero(scene.gt.foreground_mask()),
                              args.mode)
@@ -229,7 +228,7 @@ def cmd_gradcheck(args):
 def cmd_render_arrows(args):
     scene = synth.load_scene(args.scene)
     model = Backbone.load(args.model)
-    synth._keep_freed_memory()
+    synth._keep_freed_memory()  # the decode allocates as training does
     field = synth.build_field(model, scene.image, "semiconv")
     disp = displacement_field(field)
     rgb = render.render_arrows(scene.image, disp, stride=args.stride)

@@ -189,8 +189,10 @@ def cone_field(model, image, pixels, mode):
     """The field of ``model`` at the image pixels ``pixels`` (linear,
     row-major indices) and nowhere else: one forward pass over their
     receptive cone (backbone.Cone), read with rows_at. Their rows are
-    bit-identical to build_field's. The field records no tape, whether or
-    not the model's weights require gradients: a field builder is inference.
+    bit-identical to build_field's while each layer's product sums at most
+    384 terms (C_in * kh * kw), as in every model train makes. The field
+    records no tape, whether or not the model's weights require gradients:
+    a field builder is inference.
     """
     cone = Cone(model, image, pixels)
     return _embed(_inference(model).forward(cone), mode, cone)
@@ -202,16 +204,15 @@ def build_field(model, image, mode):
     for every band.
 
     R is the most rows whose widest layer output, max C_out * R * W floats,
-    fits in tensor.TAP_BAND, and the last band, which ends at row H,
-    overlaps the one before it. Each band is rolled to rows [s, s + R) of
-    the image, where s is the halo, the sum of the layers' kernel radii, so
-    that its cone reaches round no edge, or H - R where a band starting at
-    the halo would run past row H. So every band is the same cone, whose
-    geometry is built once, and when R >= H the one band is the cone over
-    every pixel. A cone's features are those of any other cone over its
-    pixels, bit for bit, and a circular conv is exactly equivariant to
-    rolls, so the bands give the whole image's bits. In semiconv mode the
-    coordinates are mixed in once over the whole image (coord_grid).
+    fits in tensor.TAP_BAND. Each band is rolled to the image's first R
+    rows, so every band is the same cone, whose geometry is built once; the
+    last band ends at row H and overlaps the one before it, and when R >= H
+    the one band is the cone over every pixel. A circular conv is exactly
+    equivariant to rolls, and a cone's features are those of any other cone
+    over its pixels, bit for bit while each layer's product sums at most
+    384 terms (C_in * kh * kw), as in every model train makes; so the bands
+    give the whole image's bits (README). In semiconv mode the coordinates
+    are mixed in once over the whole image (coord_grid).
 
     The field records no tape, whether or not the model's weights require
     gradients, and each layer gathers the taps of one band of output pixels
@@ -221,16 +222,12 @@ def build_field(model, image, mode):
     h, w = image.data.shape[1:]
     shapes = [wt.data.shape for wt in model.weights]
     rows = min(h, max(1, T.TAP_BAND // (max(s[0] for s in shapes) * w)))
-    start = min(sum(s[2] // 2 for s in shapes), h - rows)  # the halo, as far as it fits
-    band = np.arange(start * w, (start + rows) * w)
+    band = np.arange(rows * w)
     net = _inference(model)
-    if rows == h:  # one band, the image itself: nothing to roll or to copy
-        phi = net.forward(Cone(net, image, band)).data.reshape(-1, h, w)
-    else:
-        phi = np.empty((shapes[-1][0], h, w))
-        for top in sorted({*range(0, h - rows, rows), h - rows}):
-            cone = Cone(net, Tensor(np.roll(image.data, start - top, axis=1)), band)
-            phi[:, top:top + rows] = net.forward(cone).data.reshape(-1, rows, w)
+    phi = np.empty((shapes[-1][0], h, w))
+    for top in sorted({*range(0, h - rows, rows), h - rows}):
+        cone = Cone(net, Tensor(np.roll(image.data, -top, axis=1)), band)
+        phi[:, top:top + rows] = net.forward(cone).data.reshape(-1, rows, w)
     values = Tensor(phi)
     if mode == "semiconv":
         values = attach_coords(values, coord_grid(h, w)).values

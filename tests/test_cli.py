@@ -171,20 +171,19 @@ def test_cluster_reads_the_cone_as_the_whole_image(tmp_path, mode):
     assert (tmp_path / "c.ppm").read_bytes() == (tmp_path / "want.ppm").read_bytes()
 
 
-@pytest.mark.parametrize("subcommand,builder", [("cluster", "cone_field"),
-                                                ("render-arrows", "build_field")])
-def test_a_decode_keeps_freed_memory_as_training_does(tmp_path, scene_path, monkeypatch,
-                                                      fake_mallopt, subcommand, builder):
+def test_render_arrows_keeps_freed_memory_as_training_does(tmp_path, scene_path, monkeypatch,
+                                                           fake_mallopt):
     # the malloc settings train runs under, no heap trimming and no mmap,
-    # are set before the field is built
+    # are set before the whole-image field is built
     model = tmp_path / "m.bin"
     assert run("train", "--scene", scene_path, "--epochs", 2, "--dims", 4, "--out", model) == 0
     fake_mallopt.clear()
-    build = getattr(synth, builder)
-    monkeypatch.setattr(synth, builder, lambda *args: fake_mallopt.append(builder) or build(*args))
-    assert run(subcommand, "--scene", scene_path, "--model", model,
+    build = synth.build_field
+    monkeypatch.setattr(synth, "build_field",
+                        lambda *args: fake_mallopt.append("build_field") or build(*args))
+    assert run("render-arrows", "--scene", scene_path, "--model", model,
                "--out", tmp_path / "out") == 0
-    assert fake_mallopt == [(-4, 0), (-1, 2**30), builder]
+    assert fake_mallopt == [(-4, 0), (-1, 2**30), "build_field"]
 
 
 # (argv without --out, the flag of a second artifact or None); {scene} and

@@ -430,49 +430,65 @@ def test_cone_rows_are_the_whole_field_rows(mode, name):
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-BAND_CASES = [  # (image shape, TAP_BAND, widths of the tap bands of layers 0 and 1)
+MIXED = [(8, 1, 1, 1), (16, 8, 5, 5), (8, 16, 3, 3)]  # the weight shapes of mixed kernels
+
+BAND_CASES = [  # (image shape, TAP_BAND, widths of the tap bands of layers 0 and 1,
+    #              weight shapes, or None for Backbone.glorot's 3x3 stack)
     # a 2**11-float tap buffer: 32 channels of 29 pixels fill it twice, so
     # build_field runs bands of 2 rows, 19 of them (the last overlaps the
     # one before). Layer 0 gathers each band's 6 rows, 174 pixels padded to
     # 176, at once, and layer 1 its 4 rows in bands of 8 pixels, the fewest
-    ((37, 29), 2**11, ([176] + [8] * 15) * 19),
+    ((37, 29), 2**11, ([176] + [8] * 15) * 19, None),
     # one and two rows, where the taps of a pixel repeat pixels, as on the
     # dilemma's [1, 1, N] input: one band, the cone over every pixel
-    ((1, 16), 2**11, [16, 8, 8]),
-    ((2, 16), 2**11, [32] + [8] * 4),
+    ((1, 16), 2**11, [16, 8, 8], None),
+    ((2, 16), 2**11, [32] + [8] * 4, None),
     # the default buffer: one band, the cone over every pixel. Layer 0 takes
     # one tap band, and layer 1 bands of 1816 of its 3744 columns, the 3737
     # pixels padded
-    ((37, 101), T.TAP_BAND, [3744, 1816, 1816, 112]),
-    # bands of 35 rows: one starting at the halo, row 3, would run past the
-    # last row, so each starts at row 2 of the rolled image; layers 0 and 1
-    # output the whole image and share its table, and layer 2 the band
-    ((37, 29), 2**15, ([1080] + [224] * 4 + [184]) * 2),
+    ((37, 101), T.TAP_BAND, [3744, 1816, 1816, 112], None),
+    # bands of 35 rows, two of them, whose cones wrap round both edges:
+    # layers 0 and 1 output the whole image and share its table, and
+    # layer 2 the band
+    ((37, 29), 2**15, ([1080] + [224] * 4 + [184]) * 2, None),
     # bands of 18 rows, 8 of them: layer 0 takes 22 rows in one tap band of
     # 160 columns, and layer 1 20 rows in bands of 24
-    ((130, 7), 2**12, ([160] + [24] * 6) * 8),
+    ((130, 7), 2**12, ([160] + [24] * 6) * 8, None),
+    # 1x1, 5x5 and 3x3 kernels: 16 channels of 12 pixels make bands of 5
+    # rows, 8 of them. Layer 0 takes the 5 + 2 * (2 + 1) = 11 rows of a
+    # band's cone, 132 pixels padded to 136, and layer 1 its 7 rows in
+    # bands of 8. Layer 1's product sums 8*5*5 = 200 terms, within the 384
+    # that keep a cone's bits (README)
+    ((40, 12), 2**10, ([136] + [8] * 11) * 8, MIXED),
 ]
 
 
-def band_case_id(mode, shape, tap_band):
+def band_case_id(mode, shape, tap_band, kernels):
     h, w = shape
+    if kernels is MIXED:
+        return f"mixed-kernels-{mode}"
     if (h, w) == (37, 29):
         return mode if tap_band == 2**11 else f"37x29-rows35-{mode}"
     return f"{h}x{w}-{mode}"
 
 
-@pytest.mark.parametrize("mode,shape,tap_band,bands", [
-    pytest.param(mode, *case, id=band_case_id(mode, *case[:2]))
+@pytest.mark.parametrize("mode,shape,tap_band,bands,kernels", [
+    pytest.param(mode, *case, id=band_case_id(mode, case[0], case[1], case[3]))
     for case in BAND_CASES for mode in ("conv", "semiconv")])
 def test_a_whole_image_forward_in_bands_is_the_cone_over_every_pixel(monkeypatch, mode, shape,
-                                                                     tap_band, bands):
+                                                                     tap_band, bands, kernels):
     # build_field runs bands of rows, each layer gathering its taps in bands
     # of output pixels (its weights take no gradient); a forward over the
     # cone of every pixel whose weights do keeps each layer's taps, gathered
-    # at once for the backward. Both give the same bits
+    # at once for the backward. Both give the same bits, and the np.roll
+    # reference's to rounding
     rng = np.random.default_rng(6)
     image = Tensor(rng.standard_normal((1, *shape)))
-    model = Backbone.glorot(1, 8, 2)
+    if kernels is None:
+        model = Backbone.glorot(1, 8, 2)
+    else:
+        model = Backbone([Tensor(rng.uniform(-0.3, 0.3, s), requires_grad=True) for s in kernels],
+                         [Tensor(np.zeros(s[0]), requires_grad=True) for s in kernels])
     for p in model.biases:
         p.data += rng.standard_normal(p.data.shape)
     everywhere = np.arange(image.data.size)
@@ -485,34 +501,7 @@ def test_a_whole_image_forward_in_bands_is_the_cone_over_every_pixel(monkeypatch
     got = rows_at(build_field(model, image, mode), everywhere).data
     assert got_bands == bands
     assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
-
-
-@pytest.mark.parametrize("mode", ["conv", "semiconv"])
-def test_build_field_bands_a_mixed_kernel_stack_by_the_sum_of_its_kernel_radii(monkeypatch, mode):
-    # 1x1, 5x5 and 3x3 kernels: the halo is 0 + 2 + 1 = 3 rows. Under a
-    # 2**10-float TAP_BAND, 16 channels of 12 pixels make bands of 5 rows,
-    # so each band is rows [3, 8) of a rolled image, and its cone reads
-    # rows [0, 11), no more, and reaches round no edge. Layer 1's product
-    # sums 8*5*5 = 200 terms: OpenBLAS sums a product of more than 384 in an
-    # order that depends on its width, so wider layers would not keep their
-    # bits across bands
-    rng = np.random.default_rng(8)
-    shapes = [(8, 1, 1, 1), (16, 8, 5, 5), (8, 16, 3, 3)]
-    model = Backbone([Tensor(rng.uniform(-0.3, 0.3, s)) for s in shapes],
-                     [Tensor(rng.standard_normal(s[0])) for s in shapes])
-    image = Tensor(rng.standard_normal((1, 40, 12)))
-    everywhere = np.arange(image.data.size)
-    want = field_rows(whole_field(model, image, mode)).data
-    cones = []
-    monkeypatch.setattr(T, "TAP_BAND", 2**10)
-    monkeypatch.setattr(synth, "Cone", lambda *args: cones.append(Cone(*args)) or cones[-1])
-    got = rows_at(build_field(model, image, mode), everywhere).data
-    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
     assert_close(got, roll_rows(model, image, mode))
-    assert len(cones) == 8  # tops 0, 5, ..., 30 and 35, the last overlapping
-    for cone in cones:
-        assert np.array_equal(np.flatnonzero(cone.at.reshape(-1) >= 0), np.arange(3 * 12, 8 * 12))
-        assert cone.input.data.shape == (1, 1, 11 * 12)
 
 
 def test_build_field_holds_one_band_of_taps_and_no_tape():
