@@ -197,11 +197,10 @@ def _geometry(shape, weights, pixels):
     arguments, so the last two geometries built are kept: a cone over the
     same pixel set reuses one, and a training cone and the band cone every
     band of a whole-image field runs on (synth.build_field) do not evict each
-    other. A table carries its adjoint
-    only where conv2d's backward reads it: every layer's but the first,
-    whose input never requires a gradient, and the first's too when its
-    weight gradient comes from the taps of the output gradient
-    (C_in > C_out). A layer whose outputs are the whole image reads it all
+    other. A table carries its adjoint only where conv2d's backward reads
+    it: every layer's but the first, whose input never requires a gradient,
+    and the first's too when its weight gradient comes from the taps of the
+    output gradient (C_in > C_out). A layer whose outputs are the whole image reads it all
     (neighbour_table: its table is its own adjoint), and so does the layer
     before it, which takes the same table object when its kernel is the
     same.
