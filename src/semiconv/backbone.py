@@ -44,8 +44,8 @@ class Backbone:
         return cls(weights, biases)
 
     def forward(self, cone):
-        """Map a Cone of this model to the [D, 1, P] features of its output
-        pixels; the Cone over every pixel gives the whole [D, H, W] map, in
+        """Map a Cone of this model to the [D, P] features of its output
+        pixels; the Cone over every pixel gives the whole image's columns, in
         row-major order.
 
         ReLU between layers, none after the last so embeddings can go
@@ -145,7 +145,7 @@ class Cone:
     convolutions do. So layer l runs only on the pixels the layers after it
     read: the list, dilated by each later layer's kernel. A cone holds:
 
-    - ``input``: the image at layer 0's pixels, a [C, 1, P_0] Tensor;
+    - ``input``: the image at layer 0's pixels, a [C, P_0] Tensor;
     - ``tables``: per layer, the tensor.Neighbours that tensor.conv2d takes
       from the layer's input list to its output list, carrying the adjoint
       its backward reads (tensor.neighbour_table). Layer 0's input is the
@@ -153,7 +153,7 @@ class Cone:
       weight gradient reads one (C_in > C_out) or it is its own adjoint.
       Layers whose outputs are the whole image share one table;
     - ``grid``: the (x, y) of the output list, the given pixels sorted and
-      each once, as [2, 1, P] (embedding.attach_coords);
+      each once, as [2, P] (embedding.attach_coords);
     - ``at``: the image's [H, W] map to the output rows, -1 off the list (an
       EmbeddingField's ``at``).
 
@@ -165,7 +165,7 @@ class Cone:
     training, and a cut of the next image with the same boxes that of the
     cut before. Its index arrays, ``at`` and every table, are int32.
 
-    Backbone.forward(cone) gives the model's [D, 1, P] features at the
+    Backbone.forward(cone) gives the model's [D, P] features at the
     output list, bit for bit those of any other cone that holds its pixels.
     The cone over every pixel is the whole image: its output list is the
     image in row-major order, so its features reshape to [D, H, W].
@@ -183,7 +183,7 @@ class Cone:
         shapes = tuple(wt.data.shape for wt in model.weights)
         source, self.tables, self.grid, self.at = _geometry(
             (h, w), shapes, np.flatnonzero(listed).tobytes())
-        self.input = Tensor(image.data.reshape(c, -1)[:, source][:, None])
+        self.input = Tensor(image.data.reshape(c, -1)[:, source])
 
 
 @functools.lru_cache(maxsize=2)
@@ -219,7 +219,7 @@ def _geometry(shape, weights, pixels):
         grown[taps] = True
         lists.insert(0, np.flatnonzero(grown))
         tables.insert(0, T.neighbour_table(taps, lists[0], h * w, adjoint=i > 0 or c_in > c_out))
-    grid = np.stack(np.divmod(lists[-1], w)[::-1]).astype(np.float64)[:, None]
+    grid = np.stack(np.divmod(lists[-1], w)[::-1]).astype(np.float64)
     at = np.full(h * w, -1, dtype=np.int32)
     at[lists[-1]] = np.arange(lists[-1].size)
     at = at.reshape(h, w)

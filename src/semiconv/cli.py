@@ -102,9 +102,9 @@ def gradcheck_report(instances=20, seed=0):
         x = rng.standard_normal((2, 5, 5))
         w0 = rng.standard_normal((3, 2, 3, 3)) * 0.5
         record("conv2d", T.grad_check(
-            lambda w: T.tsum(T.conv2d(Tensor(x.reshape(2, 1, -1)), w, table=whole)),
+            lambda w: T.tsum(T.conv2d(Tensor(x.reshape(2, -1)), w, table=whole)),
             Tensor(w0)))
-        listed = Tensor(x.reshape(2, -1)[:, src][:, None])
+        listed = Tensor(x.reshape(2, -1)[:, src])
         record("conv2d", T.grad_check(lambda w: squared_listed(listed, w), Tensor(w0)))
         record("conv2d", T.grad_check(lambda xs: squared_listed(xs, Tensor(w0)), listed))
 
@@ -178,7 +178,7 @@ def cmd_cluster(args):
     k = args.k if args.k > 0 else scene.gt.K
     pred = synth.decode_kmeans(field, scene.gt.foreground_mask(), k, args.seed)
     metrics = synth.score(pred, scene.gt)
-    segs = SegmentSet.from_labels(synth.InstanceLabeling(scene.gt.labels[field.at >= 0]))
+    segs = synth.field_segments(scene.gt, field.at)
     metrics.update(mode=args.mode, final_loss=pull_to_mean_loss(field_rows(field), segs).item())
     write_json(args.out, metrics)
     outputs = [args.out]

@@ -102,7 +102,7 @@ def conv_collision_witness(sig, stack):
     there; the spread quantifies the collision.
     """
     image = Tensor(sig.samples[:sig.n_cycle].reshape(1, 1, -1))
-    y = stack.forward(Cone(stack, image, np.arange(sig.n_cycle))).data.reshape(-1)
+    y = stack.forward(Cone(stack, image, np.arange(sig.n_cycle))).data[0]
     peaks = y[::sig.per_period]
     return float(np.max(peaks) - np.min(peaks))
 

@@ -38,46 +38,48 @@ def image_pixels(pixels, shape):
 
 
 class EmbeddingField:
-    """Per-pixel D-dimensional embeddings, a [D,H,W] tensor.
+    """Per-pixel D-dimensional embeddings over a pixel list of an image.
 
-    A semiconvolutional field (attach_coords) carries pixel position in its
+    ``values`` is a [D, ...] tensor whose flattened columns are the listed
+    pixels, in list order, and ``at`` maps the image's [H, W] pixels to
+    those columns, -1 off the list: column at[y, x] is pixel (x, y)'s
+    embedding. A field over a pixel list, computed on its receptive cone
+    (backbone.Cone), has [D, P] values. A field given no map covers the
+    image: its values are a [D, H, W] image, and its map the identity.
+    Values whose column count is not the map's count of listed pixels are
+    a one-line error. rows_at reads every field through its map. A
+    semiconvolutional field (attach_coords) carries pixel position in its
     first two channels; a convolutional one is the feature map as it is.
-    ``at`` maps the image's [H, W] pixels to the field's rows: row at[y, x]
-    of field_rows(field) is pixel (x, y)'s embedding. A field given no map
-    covers the image itself, and its map is the identity of its values'
-    [H, W]. A field over a pixel list of the image, computed on its
-    receptive cone (backbone.Cone), has [D, 1, P] values, and its map is -1
-    off the list. rows_at reads every field through its map.
     """
 
     def __init__(self, values, at=None):
-        if values.data.ndim != 3:
-            raise ValueError("field values must be [D,H,W]")
-        h, w = values.data.shape[1:]
+        if at is None and values.data.ndim == 3:  # an image: its map is the identity
+            at = np.arange(values.data[0].size, dtype=np.int32).reshape(values.data.shape[1:])
+        if at is None or values.data.ndim < 2 or values.data[0].size != np.count_nonzero(at >= 0):
+            raise ValueError(f"field values of shape {values.data.shape} do not hold one "
+                             "column per pixel of an image map")
         self.values = values
-        self.at = np.arange(h * w, dtype=np.int32).reshape(h, w) if at is None else at
+        self.at = at
 
     def __repr__(self):
         return f"EmbeddingField(shape={self.values.data.shape})"
 
 
 def attach_coords(phi, grid):
-    """Mix pixel location into a feature map: out[c] = phi[c] + (x, y, 0, ...).
+    """Mix pixel location into features: out[c] = phi[c] + (x, y, 0, ...).
 
-    ``grid`` holds the [2,H,W] (x, y) of the map's pixels: coord_grid(H, W)
-    for a whole image, or that grid gathered at the same positions as the
-    pixels that produced ``phi``. Channel 0 gains the pixel's x, channel 1
-    its y, all others pass through. Differentiable with an identity
-    Jacobian, so gradients reach phi unchanged.
+    ``phi`` holds [D, ...] features and ``grid`` the [2, ...] (x, y) of
+    their pixels: coord_grid(H, W) for a [D, H, W] image, or a cone's grid
+    (backbone.Cone) for its [D, P] features. Channel 0 gains the pixel's x,
+    channel 1 its y, all others pass through. Returns the mixed Tensor,
+    differentiable with an identity Jacobian, so gradients reach phi
+    unchanged.
     """
-    if phi.data.ndim != 3:
-        raise ValueError("expected a [D,H,W] feature map")
-    d, h, w = phi.data.shape
-    if d < 2:
+    if phi.data.ndim < 2 or phi.data.shape[0] < 2:
         raise ValueError("need at least 2 channels to carry coordinates")
-    mix = np.zeros((d, h, w))
+    mix = np.zeros(phi.data.shape)
     mix[:2] = grid
-    return EmbeddingField(T.add(phi, Tensor(mix)))
+    return T.add(phi, Tensor(mix))
 
 
 def displacement_field(field):
@@ -98,21 +100,20 @@ def displacement_field(field):
 
 
 def field_rows(field):
-    """The field as [H*W, D] rows, row-major pixel order: what the loss, the
-    kernels and k-means compare."""
-    d = field.values.data.shape[0]
-    return T.transpose2d(T.reshape(field.values, (d, -1)))
+    """The field as [P, D] rows, one per listed pixel in list order (over a
+    whole image, row-major pixel order): what the loss compares."""
+    return T.take_columns(field.values, np.arange(field.values.data[0].size))
 
 
 def rows_at(field, pixels):
     """The [N, D] field rows of the image pixels ``pixels`` (linear, row-major
-    indices), in their order: field_rows(field) indexed at the pixels' rows
-    under the field's map (field.at). A pixel outside the image
-    (image_pixels) or off a cone's list raises ValueError.
+    indices), in their order: the field's columns at the pixels' positions
+    under its map (field.at), gathered in one tape node. A pixel outside the
+    image (image_pixels) or off a cone's list raises ValueError.
     """
     pixels = image_pixels(pixels, field.at.shape)
     rows = field.at.reshape(-1)[pixels]
     if rows.size and rows.min() < 0:
         y, x = divmod(int(pixels[np.argmin(rows)]), field.at.shape[1])
         raise ValueError(f"image pixel ({x}, {y}) lies outside the field's cone")
-    return T.index_select(field_rows(field), rows)
+    return T.take_columns(field.values, rows)

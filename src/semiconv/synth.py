@@ -170,11 +170,17 @@ def read_pixels(gt, boxes=False):
 
 
 def _embed(phi, mode, cone):
-    """The field of a backbone output phi over ``cone``'s output list: its
-    map is the cone's, and in semiconv mode the cone's (x, y) grid is mixed
-    in."""
-    values = attach_coords(phi, cone.grid).values if mode == "semiconv" else phi
-    return EmbeddingField(values, cone.at)
+    """The field of a backbone output phi[D, P] over ``cone``'s output list:
+    its map is the cone's, and in semiconv mode the cone's (x, y) grid is
+    mixed in."""
+    return EmbeddingField(attach_coords(phi, cone.grid) if mode == "semiconv" else phi, cone.at)
+
+
+def field_segments(gt, at):
+    """The segments (losses.SegmentSet) of the pixels a field's map ``at``
+    lists, over the field's rows: the instances of the InstanceLabeling
+    ``gt`` at those pixels, in list order, and 0 as background."""
+    return SegmentSet.from_labels(InstanceLabeling(gt.labels[at >= 0]))
 
 
 def _inference(model):
@@ -229,9 +235,7 @@ def build_field(model, image, mode):
         cone = Cone(net, Tensor(np.roll(image.data, -top, axis=1)), band)
         phi[:, top:top + rows] = net.forward(cone).data.reshape(-1, rows, w)
     values = Tensor(phi)
-    if mode == "semiconv":
-        values = attach_coords(values, coord_grid(h, w)).values
-    return EmbeddingField(values)
+    return EmbeddingField(attach_coords(values, coord_grid(h, w)) if mode == "semiconv" else values)
 
 
 def sgd_step(params, lr):
@@ -388,7 +392,7 @@ def train(scene, cfg, extra_loss=None, extra_params=()):
     named = model.named_params() + list(extra_params)
     params = [p for _, p in named]
     cone = Cone(model, scene.image, read_pixels(scene.gt, boxes=extra_loss is not None))
-    segs = SegmentSet.from_labels(InstanceLabeling(scene.gt.labels[cone.at >= 0]))
+    segs = field_segments(scene.gt, cone.at)
     losses = []
     for step in range(cfg.epochs):
         try:

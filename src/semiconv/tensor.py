@@ -232,17 +232,6 @@ def reshape(a, shape):
     return _node(a.data.reshape(shape), (a,), backward, "reshape")
 
 
-def transpose2d(a):
-    a = _coerce(a)
-    if a.data.ndim != 2:
-        raise ValueError("transpose2d expects a 2-d tensor")
-
-    def backward(g):
-        _accum(a, g.T)
-
-    return _node(np.ascontiguousarray(a.data.T), (a,), backward, "transpose2d")
-
-
 def _scatter(rows, ids, n):
     """out[n, ...] with out[k] the sum of rows[ids == k], added in index order.
 
@@ -269,6 +258,29 @@ def index_select(a, indices):
         _accum(a, _scatter(g, idx, a.data.shape[0]))
 
     return _node(np.take(a.data, idx, axis=0), (a,), backward, "index_select")
+
+
+def take_columns(a, indices):
+    """The columns of a[C, ...], its trailing axes flattened to [C, P], at
+    ``indices``, as contiguous [N, C] rows: row n is column indices[n].
+
+    Backward scatter-adds the rows into the columns (duplicates accumulate)
+    and hands on the transpose of the [P, C] sum, a [C, P] array in Fortran
+    order, reshaped to a's shape. An index that is not 1-d, or off the P
+    columns, is a one-line error.
+    """
+    a = _coerce(a)
+    idx = np.asarray(indices, dtype=np.intp)
+    cols = a.data.reshape(a.data.shape[0], -1)
+    if idx.ndim != 1:
+        raise ValueError("column indices must be 1-d")
+    if idx.size and (idx.min() < 0 or idx.max() >= cols.shape[1]):
+        raise ValueError(f"column indices must lie in [0, {cols.shape[1]})")
+
+    def backward(g):
+        _accum(a, _scatter(g, idx, cols.shape[1]).T.reshape(a.data.shape))
+
+    return _node(np.take(cols.T, idx, axis=0), (a,), backward, "take_columns")
 
 
 def segment_sum(rows, ids, K):
@@ -422,9 +434,8 @@ def _adjoint(table, n_src):
 
 
 def _padded(a):
-    """The columns of a[C, ...] flattened to [C, N], then zero columns up to
-    the next multiple of 8 past N: at least one, so a table entry -1 reads
-    zeros.
+    """The columns of a[C, N], then zero columns up to the next multiple of
+    8 past N: at least one, so a table entry -1 reads zeros.
 
     OpenBLAS's dgemm sums the last N mod 8 columns of a product in another
     order than the rest, so a pixel's value would depend on where it sits.
@@ -432,26 +443,22 @@ def _padded(a):
     added as these are when it would not, so every pixel is summed in one
     order.
     """
-    flat = a.reshape(a.shape[0], -1)
-    n = flat.shape[1]
-    out = np.zeros((flat.shape[0], n + 8 - n % 8))
-    out[:, :n] = flat
+    n = a.shape[1]
+    out = np.zeros((a.shape[0], n + 8 - n % 8))
+    out[:, :n] = a
     return out
 
 
-def _source(a, table):
-    """The columns of a[C, 1, P] that the Neighbours ``table`` into its P
-    pixels reads, as [C, P']: a itself, or, when an entry is -1, _padded(a),
-    whose last column is the zeros -1 reads. Without one, the gather's pad
-    columns past the outputs read a's last pixel, which no product keeps."""
-    return _padded(a) if table.holes else a.reshape(a.shape[0], -1)
-
-
 def _taps(src, index, out=None):
-    """The taps of columns src[C, P'] (_source) at an int32 index [T, M], a
+    """The taps of columns src[C, P'] at an int32 index [T, M], a
     Neighbours' gather or a band of its columns: [C*T, M], row (c, t)
     holding src's columns at index[t], so a kernel reshaped to [C_out, C*T]
     correlates by one product. ``out`` is a [C, T, M] buffer to fill.
+
+    ``src`` is the P columns a Neighbours table reads, or _padded of them
+    when the table holds a -1 (Neighbours.holes): its last column is the
+    zeros -1 reads. Without one, the gather's pad columns past the outputs
+    read the last pixel, which no product keeps.
 
     Every gather reads its index in wrap mode, where -1 is the last column,
     as in numpy's default raise mode, but no entry is bounds-checked:
@@ -461,11 +468,11 @@ def _taps(src, index, out=None):
 
 
 def _fold(out, z, i, kh, kw, table):
-    """Add kernel row i's share of the adjoint of ``_taps`` into out[C, 1, N].
+    """Add kernel row i's share of the adjoint of ``_taps`` into out[C, N].
 
     The adjoint sums the kh*kw row blocks of z[C*kh*kw, M] into the N output
     pixels of the Neighbours table [kh*kw, N], so <adjoint(z), a> == <z, the
-    taps of a over the table's adjoint> for every a[C, 1, N]. Here z holds
+    taps of a over the table's adjoint> for every a[C, N]. Here z holds
     kernel row i's kw blocks only, as [kw*C, M] in rows (j, c), its columns
     a source list's, with zero columns last where the table holds -1
     (_padded); calling this for i = 0, 1, ... into one zero array adds every
@@ -476,13 +483,13 @@ def _fold(out, z, i, kh, kw, table):
     c = out.shape[0]
     z = z.reshape(kw, c, -1)
     for j in range(kw):
-        out[:, 0] += np.take(z[j], table.table[kh * kw - 1 - i * kw - j], axis=1, mode="wrap")
+        out += np.take(z[j], table.table[kh * kw - 1 - i * kw - j], axis=1, mode="wrap")
 
 
 def _correlate(a, k, table, keep=True):
-    """Circular correlation of a[C_a, 1, P] with k[C_o, C_a, kh, kw] at the N
+    """Circular correlation of a[C_a, P] with k[C_o, C_a, kh, kw] at the N
     output pixels of the Neighbours table [kh*kw, N] into a's P:
-    (out[C_o, 1, N], taps).
+    (out[C_o, N], taps).
 
     The one place that picks the narrower channel side, so no buffer has more
     than kh*kw*min(C_a, C_o) rows. When C_a <= C_o, out is k times the taps
@@ -501,7 +508,8 @@ def _correlate(a, k, table, keep=True):
     c_o, c_a, kh, kw = k.shape
     n = table.table.shape[1]
     if c_a <= c_o:
-        flat, src, m = k.reshape(c_o, -1), _source(a, table), table.gather.shape[1]
+        flat, m = k.reshape(c_o, -1), table.gather.shape[1]
+        src = _padded(a) if table.holes else a
         band = m if keep else max(8, TAP_BAND // flat.shape[1] // 8 * 8)
         buf = np.empty(flat.shape[1] * min(band, m))
         out = np.empty((c_o, m))
@@ -510,18 +518,18 @@ def _correlate(a, k, table, keep=True):
             taps = _taps(src, index, buf[:flat.shape[1] * index.shape[1]].reshape(c_a, *index.shape))
             np.matmul(flat, taps, out=out[:, lo:lo + index.shape[1]])
         # the gather's pad columns past the outputs: cropped
-        return out[:, :n].reshape(c_o, 1, n), taps if keep else None
+        return out[:, :n], taps if keep else None
     # rows (i; j, o): kernel row i's blocks are k_flip[i], each block contiguous
     k_flip = k[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(kh, -1, c_a)
-    a = a.reshape(c_a, -1) if a.shape[2] % 8 == 0 and not table.holes else _padded(a)
-    out = np.zeros((c_o, 1, n))
+    a = a if a.shape[1] % 8 == 0 and not table.holes else _padded(a)
+    out = np.zeros((c_o, n))
     for i in range(kh):
         _fold(out, k_flip[i] @ a, i, kh, kw, table)
     return out, None
 
 
 def conv2d(x, weight, bias=None, *, table, relu=False):
-    """Circular 2-d cross-correlation of a pixel list x[C_in, 1, P] of an
+    """Circular 2-d cross-correlation of a pixel list x[C_in, P] of an
     image with weight[C_out, C_in, kh, kw] at the output pixels of the
     Neighbours ``table``, followed by a ReLU when ``relu`` is set.
 
@@ -529,7 +537,7 @@ def conv2d(x, weight, bias=None, *, table, relu=False):
     output pixels into x's P, which hold every tap, carrying its
     [kh*kw, P] ``adjoint``, from x's pixels back to the outputs. Odd kernels
     only; stride 1, and each tap wraps around the image edges (tap_pixels).
-    The output is [C_out, 1, N], each column the image's correlation at its
+    The output is [C_out, N], each column the image's correlation at its
     pixel, with the same bits in whatever list it is computed; over the table
     of every pixel, its own adjoint, it is the whole image's output in
     row-major order, and exactly equivariant to circular shifts.
@@ -552,15 +560,14 @@ def conv2d(x, weight, bias=None, *, table, relu=False):
     one output buffer, as a conv2d and a separate ReLU would keep two.
     """
     x, weight = _coerce(x), _coerce(weight)
-    if x.data.ndim != 3 or weight.data.ndim != 4:
-        raise ValueError("conv2d expects x[C,1,P] and weight[C_out,C_in,kh,kw]")
+    if x.data.ndim != 2 or weight.data.ndim != 4:
+        raise ValueError("conv2d expects x[C,P] and weight[C_out,C_in,kh,kw]")
     c_out, c_in, kh, kw = weight.data.shape
     if x.data.shape[0] != c_in:
         raise ValueError(f"input channels {x.data.shape[0]} != weight c_in {c_in}")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError("kernel extents must be odd")
-    if (x.data.shape[1] != 1 or table.n_src != x.data.shape[2]
-            or table.table.shape[0] != kh * kw):
+    if table.n_src != x.data.shape[1] or table.table.shape[0] != kh * kw:
         raise ValueError("neighbour table does not match the kernel and the pixel list")
     if table.adjoint is None and (x.requires_grad or weight.requires_grad and c_in > c_out):
         raise ValueError("conv2d's backward reads the neighbour table's adjoint, "
@@ -573,11 +580,11 @@ def conv2d(x, weight, bias=None, *, table, relu=False):
     wd = weight.data
     out, cols = _correlate(x.data, wd, table, keep=weight.requires_grad)
     if bias is not None:
-        out += bias.data[:, None, None]  # out is freshly allocated
+        out += bias.data[:, None]  # out is freshly allocated
     if relu:  # checked first: the ReLU would turn a -inf into 0
         _check_finite(out, "conv2d")
         np.maximum(out, 0.0, out=out)
-    n_out, n_in = out[0].size, x.data[0].size  # a list's taps pad columns past these
+    n_out, n_in = out.shape[1], x.data.shape[1]  # a list's taps pad columns past these
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
@@ -586,18 +593,18 @@ def conv2d(x, weight, bias=None, *, table, relu=False):
         if relu:
             g = g * (out > 0)
         if weight.requires_grad and c_in <= c_out:
-            _accum(weight, (g.reshape(c_out, -1) @ cols[:, :n_out].T).reshape(wd.shape))
+            _accum(weight, (g @ cols[:, :n_out].T).reshape(wd.shape))
         cols = None  # its last reader has run: the input gradient allocates without it
         if bias is not None and bias.requires_grad:
-            _accum(bias, g.sum(axis=(1, 2)))
+            _accum(bias, g.sum(axis=1))
         g_cols = None
         if x.requires_grad:
             gx, g_cols = _correlate(g, wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), table.adjoint)
             _accum(x, gx)
         if weight.requires_grad and c_in > c_out:  # the forward kept no taps of x
             if g_cols is None:
-                g_cols = _taps(_source(g, table.adjoint), table.adjoint.gather)
-            gw = (g_cols[:, :n_in] @ x.data.reshape(c_in, -1).T).reshape(c_out, kh, kw, c_in)
+                g_cols = _taps(_padded(g) if table.adjoint.holes else g, table.adjoint.gather)
+            gw = (g_cols[:, :n_in] @ x.data.T).reshape(c_out, kh, kw, c_in)
             _accum(weight, gw[:, ::-1, ::-1].transpose(0, 3, 1, 2))
 
     return _node(out, parents, backward, "conv2d", checked=relu)

@@ -159,8 +159,8 @@ def test_cluster_reads_the_cone_as_the_whole_image(tmp_path, mode):
                "--seed", 4, "--out", tmp_path / "c.json", "--render", tmp_path / "c.ppm") == 0
     scene = synth.load_scene(scene_file)
     phi = image_forward(Backbone.load(model), scene.image)
-    field = attach_coords(phi, coord_grid(*scene.shape)) if mode == "semiconv" else \
-        EmbeddingField(phi)
+    field = EmbeddingField(attach_coords(phi, coord_grid(*scene.shape)) if mode == "semiconv"
+                           else phi)
     pred = synth.decode_kmeans(field, scene.gt.foreground_mask(), scene.gt.K, 4)
     want = synth.score(pred, scene.gt)
     want.update(mode=mode, final_loss=pull_to_mean_loss(

@@ -20,39 +20,41 @@ def test_coord_grid_layout():
 
 def test_attach_coords_zero_features():
     phi = Tensor(np.zeros((4, 8, 8)))
-    field = E.attach_coords(phi, E.coord_grid(8, 8))
-    assert np.array_equal(field.values.data[:, 5, 3], [3.0, 5.0, 0.0, 0.0])
+    psi = E.attach_coords(phi, E.coord_grid(8, 8))
+    assert np.array_equal(psi.data[:, 5, 3], [3.0, 5.0, 0.0, 0.0])
 
 
 def test_attach_coords_exact_cancellation():
     g = E.coord_grid(6, 7)
-    field = E.attach_coords(Tensor(-g.copy()), g)
-    assert np.all(field.values.data == 0.0)
+    assert np.all(E.attach_coords(Tensor(-g.copy()), g).data == 0.0)
 
 
 def test_attach_coords_identity_jacobian():
     phi = Tensor(np.random.default_rng(0).standard_normal((3, 4, 4)),
                  requires_grad=True)
-    T.tsum(E.attach_coords(phi, E.coord_grid(4, 4)).values).backward()
+    T.tsum(E.attach_coords(phi, E.coord_grid(4, 4))).backward()
     assert np.all(phi.grad == 1.0)
 
 
 def test_attach_coords_needs_two_channels():
     with pytest.raises(ValueError):
         E.attach_coords(Tensor(np.zeros((1, 4, 4))), E.coord_grid(4, 4))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError):  # a grid of other pixels
         E.attach_coords(Tensor(np.zeros((4, 4))), E.coord_grid(4, 4))
+    # a pixel list's [D, P] features and the [2, P] grid of its pixels
+    psi = E.attach_coords(Tensor(np.zeros((3, 2))), np.array([[4.0, 1.0], [0.0, 2.0]]))
+    assert np.array_equal(psi.data, [[4.0, 1.0], [0.0, 2.0], [0.0, 0.0]])
 
 
 def test_channel_split():
     # coordinates go to the two geometric channels, the rest pass through;
     # a conv field of any width is a plain [D,H,W] map
     phi = np.random.default_rng(4).standard_normal((5, 3, 3))
-    psi = E.attach_coords(Tensor(phi), E.coord_grid(3, 3)).values.data
+    psi = E.attach_coords(Tensor(phi), E.coord_grid(3, 3)).data
     assert np.array_equal(psi[2:], phi[2:])
     assert np.array_equal(psi[:2], phi[:2] + E.coord_grid(3, 3))
     assert E.EmbeddingField(Tensor(np.zeros((1, 3, 3)))).values.data.shape == (1, 3, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="do not hold one column per pixel of an image map"):
         E.EmbeddingField(Tensor(np.zeros((9, 2))))
 
 
@@ -80,13 +82,23 @@ def test_a_field_without_a_map_maps_the_image_to_itself():
     assert np.array_equal(field.at, np.arange(12).reshape(3, 4))
 
 
-def test_displacement_refuses_a_field_that_does_not_cover_its_map():
-    # a cone's field: [2, 1, 3] values for 3 pixels of a 4x5 image. Unchecked,
-    # its displacement comes out [2, 1, 3], measured from the coordinates of
-    # a 1x3 image, and render_arrows fails on it with an IndexError
+def test_a_field_holds_one_column_per_pixel_its_map_lists():
+    # a cone's field: [D, P] values for the P pixels its map lists
     at = np.full((4, 5), -1, dtype=np.int32)
     at.reshape(-1)[[2, 7, 19]] = np.arange(3)
-    field = E.EmbeddingField(Tensor(np.zeros((2, 1, 3))), at)
+    assert E.EmbeddingField(Tensor(np.zeros((2, 3))), at).at is at
+    for shape in [(2, 4), (2, 2), (3,)]:
+        with pytest.raises(ValueError, match="do not hold one column per pixel of an image map"):
+            E.EmbeddingField(Tensor(np.zeros(shape)), at)
+
+
+def test_displacement_refuses_a_field_that_does_not_cover_its_map():
+    # a cone's field: [2, 3] values for 3 pixels of a 4x5 image. Unchecked,
+    # its displacement would be measured from the coordinates of another
+    # image, and render_arrows would fail on it with an IndexError
+    at = np.full((4, 5), -1, dtype=np.int32)
+    at.reshape(-1)[[2, 7, 19]] = np.arange(3)
+    field = E.EmbeddingField(Tensor(np.zeros((2, 3))), at)
     with pytest.raises(ValueError, match=r"^a displacement field needs the whole 4x5 image, "
                                          r"but the field covers 3 of its pixels$"):
         E.displacement_field(field)
@@ -100,6 +112,18 @@ def test_field_rows_layout():
     assert np.array_equal(rows.data[6], [vals.data[0, 1, 2], vals.data[1, 1, 2]])
 
 
+def test_rows_at_reads_a_whole_image_field_in_one_node():
+    # the N rows come straight from the field's values: one take_columns
+    # node, no transposed copy of the whole field before the gather
+    rng = np.random.default_rng(6)
+    values = Tensor(rng.standard_normal((8, 128, 128)), requires_grad=True)
+    pixels = rng.choice(128 * 128, size=464, replace=False)
+    rows = E.rows_at(E.EmbeddingField(values), pixels)
+    assert rows._op == "take_columns" and rows._parents == (values,)
+    assert T._topo_order(rows) == [values, rows]
+    assert np.array_equal(rows.data, values.data.reshape(8, -1)[:, pixels].T)
+
+
 def test_period_shift_moves_geometric_dims_only():
     # periodic image + circular conv: embeddings of period-shifted pixels
     # differ exactly by the period in the coordinate channels, 0 elsewhere
@@ -109,7 +133,7 @@ def test_period_shift_moves_geometric_dims_only():
     img = Tensor(np.tile(tile, (1, 3, 3)))
     w = Tensor(rng.standard_normal((4, 1, 3, 3)))
     phi = image_conv(img, w)
-    psi = E.attach_coords(phi, E.coord_grid(3 * p, 3 * p)).values.data
+    psi = E.attach_coords(phi, E.coord_grid(3 * p, 3 * p)).data
     a = psi[:, 2, 3]
     b = psi[:, 2 + p, 3 + p]
     assert np.array_equal(b - a, [p, p, 0.0, 0.0])

@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from semiconv.embedding import attach_coords, coord_grid, displacement_field
+from semiconv.embedding import EmbeddingField, attach_coords, coord_grid, displacement_field
 from semiconv.tensor import Tensor
 from semiconv import render
 from semiconv.synth import InstanceLabeling
@@ -58,7 +58,8 @@ def test_labels_accepts_labeling_object():
 def test_arrows_render_shape_and_determinism():
     rng = np.random.default_rng(0)
     img = Tensor(rng.random((1, 12, 12)))
-    field = attach_coords(Tensor(rng.standard_normal((4, 12, 12))), coord_grid(12, 12))
+    field = EmbeddingField(attach_coords(Tensor(rng.standard_normal((4, 12, 12))),
+                                         coord_grid(12, 12)))
     disp = displacement_field(field)
     a = render.render_arrows(img, disp, stride=3)
     b = render.render_arrows(img, disp, stride=3)

@@ -207,7 +207,7 @@ def test_box_rows_equal_the_dense_rows(monkeypatch, tmp_path, mode, boxes, kerne
     assert np.array_equal(np.signbit(got), np.signbit(want))
     r = sum(k // 2 for k in kernels)
     n = np.count_nonzero(grown(pixels, (45, 61), r))
-    assert shapes == [(1, 1, n)]
+    assert shapes == [(1, n)]
     assert (n == 45 * 61) == (boxes == "full")
 
 
@@ -407,7 +407,8 @@ def test_box_k_is_instance_k_plus_1_in_the_loss_and_the_cut(family):
     # box 0 encloses box 1, so the square outnumbers the L in it
     assert boxes == [(0, 0, 12, 12), (3, 2, 10, 9)]
     rng = np.random.default_rng(0)
-    field = attach_coords(Tensor(rng.standard_normal((4, 12, 12))), coord_grid(12, 12))
+    field = EmbeddingField(attach_coords(Tensor(rng.standard_normal((4, 12, 12))),
+                                         coord_grid(12, 12)))
     params = KernelParams(family, sigma=1.7)
     got = box_loss(gt, boxes, params)(field).item()
     want = per_box_loss(field, gt, boxes, [1, 2], params)
@@ -510,14 +511,14 @@ def test_the_field_builders_and_the_cut_record_no_tape(monkeypatch):
         masks, _, ious = cut_all_boxes(scene, model, params, cfg_mode=mode)
         for t in (whole.values, listed.values, fused[-1].probabilities):
             assert not t.requires_grad and t._parents == () and t._backward is None
-        want = {"image": EmbeddingField(taped["image"]), "cone": EmbeddingField(taped["cone"])}
+        want = taped
         if mode == "semiconv":
             want = {"image": attach_coords(taped["image"], coord_grid(*scene.shape)),
                     "cone": attach_coords(taped["cone"], cone.grid)}
-        assert np.array_equal(whole.values.data, want["image"].values.data)
-        assert np.array_equal(listed.values.data, want["cone"].values.data)
+        assert np.array_equal(whole.values.data, want["image"].data)
+        assert np.array_equal(listed.values.data, want["cone"].data)
         # the cut from the taped rows and the trainable kernel scale
-        rows = T.index_select(field_rows(want["cone"]), cone.at.reshape(-1)[pixels])
+        rows = rows_at(EmbeddingField(want["cone"], cone.at), pixels)
         mask = fuse(scores, rows, counts, params).probabilities.data >= 0.5
         assert np.array_equal(np.concatenate([m.reshape(-1) for m in masks]), mask)
         assert ious == (np.bincount(ids, mask & truth) / np.bincount(ids, mask | truth)).tolist()

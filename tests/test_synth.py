@@ -596,7 +596,8 @@ def test_cones_over_one_pixel_set_share_one_geometry():
     assert not np.array_equal(cones[0].input.data, cones[1].input.data)
     for scene, cone in zip(scenes, cones):
         want = rows_at(build_field(model, scene.image, "conv"), np.unique(pixels)).data
-        assert np.array_equal(field_rows(EmbeddingField(model.forward(cone))).data, want)
+        assert np.array_equal(field_rows(EmbeddingField(model.forward(cone), cone.at)).data,
+                              want)
 
 
 def test_the_whole_image_cone_holds_one_table_its_own_adjoint():
@@ -605,7 +606,7 @@ def test_the_whole_image_cone_holds_one_table_its_own_adjoint():
     cone = Cone(Backbone.glorot(1, 8, 0), scene.image, np.arange(h * w))
     table = cone.tables[0]
     assert all(t is table for t in cone.tables) and table.adjoint is table
-    assert table.table.shape == (9, h * w) and cone.input.data.shape == (1, 1, h * w)
+    assert table.table.shape == (9, h * w) and cone.input.data.shape == (1, h * w)
 
 
 @pytest.mark.parametrize("spacing,radius", [(8, 2), (12, 3)], ids=["8", "12"])
@@ -673,7 +674,7 @@ def test_a_new_shape_kernel_or_pixel_set_builds_a_new_geometry():
         assert not any(a is b for a, b in zip(geometry_arrays(base), geometry_arrays(cone)))
         assert np.array_equal(np.flatnonzero(cone.at.reshape(-1) >= 0), np.unique(listed))
         want = rows_at(build_field(m, image, "conv"), np.unique(listed)).data
-        assert np.array_equal(field_rows(EmbeddingField(m.forward(cone))).data, want)
+        assert np.array_equal(field_rows(EmbeddingField(m.forward(cone), cone.at)).data, want)
 
 
 def test_a_cached_geometry_is_read_only():

@@ -100,20 +100,26 @@ def test_nonfinite_is_an_error():
 
 
 @pytest.mark.parametrize("call,message", [
-    (lambda: T.transpose2d(Tensor(np.zeros((2, 2, 2)))), "transpose2d expects a 2-d tensor"),
+    (lambda: T.take_columns(Tensor(np.zeros((2, 3))), [[0, 1]]), "column indices must be 1-d"),
+    (lambda: T.take_columns(Tensor(np.zeros((2, 3))), [0, -1]),
+     "column indices must lie in [0, 3)"),
+    (lambda: T.take_columns(Tensor(np.zeros((2, 2, 2))), [4]),
+     "column indices must lie in [0, 4)"),
     (lambda: T.index_select(Tensor(np.zeros((3, 2))), [[0, 1]]), "indices must be 1-d"),
     (lambda: T.l2norm_rows(Tensor(np.zeros(3))), "l2norm_rows expects an [N, D] tensor"),
-    (lambda: T.conv2d(Tensor(np.zeros((4, 4))), Tensor(np.zeros((1, 1, 3, 3))),
+    (lambda: T.conv2d(Tensor(np.zeros((1, 4, 4))), Tensor(np.zeros((1, 1, 3, 3))),
                       table=every_pixel_table((4, 4), 3, 3)),
-     "conv2d expects x[C,1,P] and weight[C_out,C_in,kh,kw]"),
-], ids=["transpose2d", "index_select", "l2norm_rows", "conv2d"])
+     "conv2d expects x[C,P] and weight[C_out,C_in,kh,kw]"),
+], ids=["take_columns", "take_columns-negative", "take_columns-past-the-end",
+        "index_select", "l2norm_rows", "conv2d"])
 def test_an_input_of_the_wrong_rank_is_a_one_line_error(call, message):
     with pytest.raises(ValueError) as err:
         call()
     assert str(err.value) == message
 
 
-MOVES = {"reshape": lambda a: T.reshape(a, (-1,)), "transpose2d": T.transpose2d,
+MOVES = {"reshape": lambda a: T.reshape(a, (-1,)),
+         "take_columns": lambda a: T.take_columns(a, [1, 0]),
          "index_select": lambda a: T.index_select(a, [1, 0])}
 
 
@@ -244,10 +250,10 @@ def test_conv2d_over_a_pixel_list_is_the_image_conv_there(c_in, c_out, kh, kw):
     x0 = rng.standard_normal((c_in, *shape))
     w0 = rng.standard_normal((c_out, c_in, kh, kw)) * 0.5
     b = Tensor(rng.standard_normal(c_out))
-    listed = x0.reshape(c_in, -1)[:, src][:, None]
+    listed = x0.reshape(c_in, -1)[:, src]
     got = T.conv2d(Tensor(listed), Tensor(w0), b, table=table).data
     want = image_conv(Tensor(x0), Tensor(w0), b).data.reshape(c_out, -1)[:, dst]
-    assert np.array_equal(got[:, 0], want)
+    assert np.array_equal(got, want)
     assert np.allclose(want, roll_conv(x0, w0, b.data).reshape(c_out, -1)[:, dst],
                        atol=1e-12, rtol=0)
 
@@ -258,7 +264,7 @@ def test_conv2d_over_a_pixel_list_is_the_image_conv_there(c_in, c_out, kh, kw):
     assert T.grad_check(lambda w: squared(Tensor(listed), w), Tensor(w0)) < 1e-6
     assert T.grad_check(lambda x: squared(x, Tensor(w0)), Tensor(listed)) < 1e-6
     with pytest.raises(ValueError, match="neighbour table"):
-        T.conv2d(Tensor(listed[:, :, 1:]), Tensor(w0), table=table)
+        T.conv2d(Tensor(listed[:, 1:]), Tensor(w0), table=table)
 
 
 def test_a_neighbour_table_is_checked_where_it_is_made():
@@ -294,7 +300,7 @@ def test_the_table_of_every_pixel_is_its_own_adjoint(shape):
             y = T.conv2d(x, w0, table=table)
             return T.tsum(T.mul(y, y))
 
-        assert T.grad_check(squared, Tensor(rng.standard_normal((c_in, 1, n)))) < 1e-6
+        assert T.grad_check(squared, Tensor(rng.standard_normal((c_in, n)))) < 1e-6
 
 
 def test_a_table_without_its_adjoint_serves_every_op_that_reads_none():
@@ -303,7 +309,7 @@ def test_a_table_without_its_adjoint_serves_every_op_that_reads_none():
     src = np.unique(taps)
     full, bare = (T.neighbour_table(taps, src, 35, adjoint=a) for a in (True, False))
     assert bare.adjoint is None and np.array_equal(bare.gather, full.gather)
-    x = rng.standard_normal((2, 1, src.size))
+    x = rng.standard_normal((2, src.size))
     widen, narrow = rng.standard_normal((4, 2, 3, 3)), rng.standard_normal((1, 2, 3, 3))
     # the weight gradient of a widening layer is g times the kept taps of x,
     # and a forward alone reads no backward table
@@ -338,9 +344,9 @@ def test_fold_is_the_adjoint_of_taps(kh, kw, h, w):
     every = every_pixel_table((h, w), kh, kw)
     for table, adjoint in ((every, every), (listed, listed.adjoint), (listed.adjoint, listed)):
         n_out, n_src = table.table.shape[1], table.n_src
-        a = rng.standard_normal((3, 1, n_out))
+        a = rng.standard_normal((3, n_out))
         z = T._padded(rng.standard_normal((3 * kh * kw, n_src)))
-        folded = np.zeros((3, 1, n_out))
+        folded = np.zeros((3, n_out))
         for i in range(kh):
             row = z.reshape(3, kh, kw, -1)[:, i].transpose(1, 0, 2)
             T._fold(folded, row.reshape(kw * 3, -1), i, kh, kw, table)
@@ -356,9 +362,9 @@ def fold_one_product(a, k, table):
     k_flip = k[:, :, ::-1, ::-1].transpose(0, 2, 3, 1).reshape(-1, c_a)
     t = kh * kw
     z = (k_flip @ T._padded(a)).reshape(c_o, t, -1)
-    out = np.zeros((c_o, 1, table.table.shape[1]))
+    out = np.zeros((c_o, table.table.shape[1]))
     for b in range(t):
-        out[:, 0] += np.take(z[:, b], table.table[t - 1 - b], axis=1)
+        out += np.take(z[:, b], table.table[t - 1 - b], axis=1)
     return out
 
 
@@ -380,7 +386,7 @@ def test_fold_by_kernel_rows_is_the_one_product_fold(c_a, c_o, kh, kw):
         table = T.neighbour_table(taps, src, h * w)
         for table, n_src in ((every_pixel_table((h, w), kh, kw), h * w), (table, src.size),
                              (table.adjoint, dst.size)):
-            listed = rng.standard_normal((c_a, 1, n_src))
+            listed = rng.standard_normal((c_a, n_src))
             got, taps_kept = T._correlate(listed, k, table)
             assert taps_kept is None
             want = fold_one_product(listed, k, table)
@@ -404,13 +410,13 @@ def test_conv2d_buffers_stack_the_narrower_side():
     wide = 9 * 32 * 64 * 64 * 8
     rng = np.random.default_rng(19)
     table = every_pixel_table((64, 64), 3, 3)
-    x = Tensor(rng.standard_normal((32, 1, 64 * 64)))
+    x = Tensor(rng.standard_normal((32, 64 * 64)))
     w = Tensor(rng.standard_normal((8, 32, 3, 3)))
     assert 8 * 64 * 64 * 8 < traced_peak_bytes(lambda: T.conv2d(x, w, table=table)) < wide
 
-    x = Tensor(rng.standard_normal((16, 1, 64 * 64)), requires_grad=True)
+    x = Tensor(rng.standard_normal((16, 64 * 64)), requires_grad=True)
     w = Tensor(rng.standard_normal((32, 16, 3, 3)), requires_grad=True)
-    loss = T.tsum(T.mul(T.conv2d(x, w, table=table), rng.standard_normal((32, 1, 64 * 64))))
+    loss = T.tsum(T.mul(T.conv2d(x, w, table=table), rng.standard_normal((32, 64 * 64))))
     assert 16 * 64 * 64 * 8 < traced_peak_bytes(loss.backward) < wide
 
 
@@ -451,7 +457,7 @@ def test_conv2d_input_grad_nonsquare_kernel():
 
 def test_conv2d_validation():
     table = every_pixel_table((4, 4), 3, 3)
-    x, w = Tensor(np.zeros((2, 1, 16))), Tensor(np.zeros((1, 2, 3, 3)))
+    x, w = Tensor(np.zeros((2, 16))), Tensor(np.zeros((1, 2, 3, 3)))
     with pytest.raises(ValueError):
         T.conv2d(x, Tensor(np.zeros((1, 3, 3, 3))), table=table)  # channel mismatch
     with pytest.raises(ValueError):
@@ -460,7 +466,7 @@ def test_conv2d_validation():
         T.conv2d(x, w, Tensor(np.zeros(2)), table=table)  # bias is not (C_out,)
     with pytest.raises(TypeError, match="table"):
         T.conv2d(x, w)  # every conv runs over a neighbour table
-    assert T.conv2d(x, w, table=table).data.shape == (1, 1, 16)
+    assert T.conv2d(x, w, table=table).data.shape == (1, 16)
     # a tap wraps round the image as often as it must: a 7x7 kernel's
     # half-extent, 3, is wider than the 2x2 image
     rng = np.random.default_rng(2)
@@ -517,13 +523,13 @@ def test_conv2d_relu_is_the_relu_of_the_conv(c_in, c_out, listed):
     # the fused ReLU gives np.maximum(conv2d(...), 0) bit for bit, and its
     # backward the plain conv2d's gradients with g masked by hand
     rng = np.random.default_rng(41)
-    x0 = rng.standard_normal((c_in, 1, 42))
+    x0 = rng.standard_normal((c_in, 42))
     table = every_pixel_table((6, 7), 3, 3)
     if listed:
         taps = T.tap_pixels((6, 7), np.flatnonzero(rng.random(42) < 0.4), 3, 3)
         src = np.unique(taps)
         table = T.neighbour_table(taps, src, 42)
-        x0 = x0[:, :, src]
+        x0 = x0[:, src]
     w0 = rng.standard_normal((c_out, c_in, 3, 3))
     b0 = rng.standard_normal(c_out)
     plain = T.conv2d(Tensor(x0), Tensor(w0), Tensor(b0), table=table).data
@@ -544,7 +550,7 @@ def test_conv2d_relu_is_the_relu_of_the_conv(c_in, c_out, listed):
 
 
 def test_conv2d_relu_checks_finiteness_once_before_the_relu(monkeypatch):
-    x, w = Tensor(np.ones((1, 1, 9))), Tensor(np.ones((2, 1, 3, 3)))
+    x, w = Tensor(np.ones((1, 9))), Tensor(np.ones((2, 1, 3, 3)))
     table = every_pixel_table((3, 3), 3, 3)
     # a -inf pre-activation, which the ReLU would turn into 0
     with pytest.raises(NumericError, match="op 'conv2d'"):
@@ -589,8 +595,9 @@ def test_backward_spends_the_tape_and_keeps_leaf_grads():
 
 
 def taps_of(a, table):
-    """The taps of a[C, 1, P] over the Neighbours table, every output column at once."""
-    return T._taps(T._source(a, table), table.gather)
+    """The taps of a[C, P] over the Neighbours table, every output column at
+    once, then columns that no output reads."""
+    return T._taps(T._padded(a), table.gather)
 
 
 def taps_loop(a, kh, kw):
@@ -611,19 +618,19 @@ def test_taps_match_loop_reference(kh, kw, h, w):
     rng = np.random.default_rng(23)
     a = rng.standard_normal((3, h, w))
     want = taps_loop(a, kh, kw)
-    got = taps_of(a.reshape(3, 1, -1), every_pixel_table((h, w), kh, kw))
+    got = taps_of(a.reshape(3, -1), every_pixel_table((h, w), kh, kw))
     assert got.shape[1] % 8 == 0 and np.array_equal(got[:, :h * w], want)
     dst = np.array([0, h * w - 1])
     taps = T.tap_pixels((h, w), dst, kh, kw)
     src = np.unique(taps)
     table = T.neighbour_table(taps, src, h * w)
-    assert np.array_equal(taps_of(a.reshape(3, 1, -1)[:, :, src], table)[:, :2], want[:, dst])
+    assert np.array_equal(taps_of(a.reshape(3, -1)[:, src], table)[:, :2], want[:, dst])
     # the adjoint's taps are the image's taps, at the listed pixels, of a
     # that is zero off dst
     back = np.zeros_like(a).reshape(3, -1)
     back[:, dst] = a.reshape(3, -1)[:, dst]
     want = taps_loop(back.reshape(a.shape), kh, kw)[:, src]
-    assert np.array_equal(taps_of(back[:, None, dst], table.adjoint)[:, :src.size], want)
+    assert np.array_equal(taps_of(back[:, dst], table.adjoint)[:, :src.size], want)
 
 
 # -- shape ops ----------------------------------------------------------------
@@ -634,6 +641,20 @@ def test_index_select_accumulates_duplicates():
     assert np.array_equal(out.data, [[0.0, 1.0], [4.0, 5.0], [0.0, 1.0]])
     T.tsum(T.mul(out, Tensor([[1.0], [10.0], [100.0]]))).backward()
     assert np.array_equal(a.grad, [[101.0, 101.0], [0.0, 0.0], [10.0, 10.0]])
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (3, 1, 5)], ids=["list", "image"])
+def test_take_columns_hands_on_the_transposed_scatter(shape):
+    # contiguous rows forward; backward the [P, C] scatter-add of the rows,
+    # handed on transposed, so a [C, P] gradient stays in Fortran order
+    a = Tensor(np.arange(15.0).reshape(shape), requires_grad=True)
+    out = T.take_columns(a, [4, 0, 4])
+    assert out.data.flags.c_contiguous
+    assert np.array_equal(out.data, [[4.0, 9.0, 14.0], [0.0, 5.0, 10.0], [4.0, 9.0, 14.0]])
+    T.tsum(T.mul(out, Tensor(np.arange(9.0).reshape(3, 3)))).backward()
+    want = [[3.0, 0, 0, 0, 6.0], [4.0, 0, 0, 0, 8.0], [5.0, 0, 0, 0, 10.0]]
+    assert np.array_equal(a.grad.reshape(3, 5), want) and a.grad.shape == shape
+    assert a.grad.reshape(3, 5).flags.f_contiguous
 
 
 @pytest.mark.parametrize("shape", [(40,), (40, 8), (40, 2, 3), (0, 8)])
@@ -700,7 +721,7 @@ def test_grad_check_quadratic():
 def test_grad_check_relu_strictly_positive():
     # conv2d's ReLU behind a 1x1 identity kernel
     def f(t):
-        return T.tsum(T.conv2d(T.reshape(t, (1, 1, 3)), Tensor(np.ones((1, 1, 1, 1))),
+        return T.tsum(T.conv2d(T.reshape(t, (1, 3)), Tensor(np.ones((1, 1, 1, 1))),
                                table=every_pixel_table((1, 3), 1, 1), relu=True))
 
     assert T.grad_check(f, Tensor([0.5, 1.5, 2.0])) < 1e-7
@@ -735,6 +756,11 @@ OPS_FOR_GRADCHECK = [
                                                  T.sub(T.reshape(t, (1, 8)), 0.3)))),
     ("broadcast_div", lambda t: T.tsum(T.div(T.reshape(t, (2, 1, 4)),
                                              T.add(T.mul(T.reshape(t, (8, 1)), T.reshape(t, (8, 1))), 3.0)))),
+    # columns of a [D, P] and a [D, H, W] input, repeated ones accumulating
+    ("take_columns", lambda t: T.tsum(T.mul(T.take_columns(T.reshape(t, (2, 4)), [3, 0, 3, 1, 3]),
+                                            Tensor(np.arange(10.0).reshape(5, 2))))),
+    ("take_columns_image", lambda t: T.tsum(T.sqrt(T.add(T.mul(*2 * [
+        T.take_columns(T.reshape(t, (2, 2, 2)), [2, 2, 0, 3, 0])]), 9.0)))),
     ("segment_sum", lambda t: T.tsum(T.sqrt(T.add(T.mul(
         T.segment_sum(T.reshape(t, (4, 2)), [2, 0, 2, 1], 4),
         T.segment_sum(T.reshape(t, (4, 2)), [1, 1, 0, 3], 4)), 9.0)))),

@@ -66,7 +66,7 @@ def image_conv(x, w, b=None, relu=False):
     every pixel, as a [C_out, H, W] Tensor that gradients flow through."""
     c, h, wd = x.data.shape
     table = every_pixel_table((h, wd), *w.data.shape[2:])
-    return T.reshape(T.conv2d(T.reshape(x, (c, 1, h * wd)), w, b, table=table, relu=relu),
+    return T.reshape(T.conv2d(T.reshape(x, (c, h * wd)), w, b, table=table, relu=relu),
                      (-1, h, wd))
 
 
