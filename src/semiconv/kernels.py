@@ -186,7 +186,7 @@ def fuse_scores(scores, rows, params, mode="hard"):
     """Combine one region's per-pixel scores with kernel affinity to a seed pixel.
 
     ``rows`` is the [N, D] tensor of embedding rows aligned with the scores
-    (see embedding.field_rows). Hard mode is fuse_boxes with a single box: it
+    (see embedding.rows_at). Hard mode is fuse_boxes with a single box: it
     seeds at the argmax score, ties toward the lowest index. Soft mode
     replaces the seed row with a softmax-weighted expectation of the rows,
     which keeps the whole fusion differentiable in the scores. Both modes add

@@ -14,10 +14,10 @@ class SegmentSet:
 
     ``segments`` lists 1-d arrays of row indices and ``background`` the
     complementary indices; segments must be non-empty and, with the
-    background, partition the ``total_pixels`` rows. A whole image's field
-    has one row per pixel, row-major (embedding.field_rows); a cone's field
-    one per pixel of its list, in the same order, so from_labels of the
-    labels at its rows gives its segments. The loss reads the foreground as
+    background, partition the ``total_pixels`` rows. A field's rows
+    (embedding.field_rows) are its listed pixels in row-major order, one per
+    pixel over a whole image, so from_labels of the labels at its listed
+    pixels gives its segments (synth.field_segments). The loss reads the foreground as
     one concatenated row order: ``pixels`` lists S_1..S_K, ``ids`` gives each
     of those rows its segment number 0..K-1, and ``counts`` the K segment
     sizes.
