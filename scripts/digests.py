@@ -26,6 +26,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -155,8 +156,6 @@ def moved(old, new):
 
 
 def main():
-    import tempfile
-
     env = environment()
     if env["openblas_core"] is None:
         print("error: no loaded OpenBLAS to pin; the digests belong to one BLAS kernel",

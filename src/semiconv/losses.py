@@ -17,10 +17,10 @@ class SegmentSet:
     background, partition the ``total_pixels`` rows. A field's rows
     (embedding.field_rows) are its listed pixels in row-major order, one per
     pixel over a whole image, so from_labels of the labels at its listed
-    pixels gives its segments (synth.field_segments). The loss reads the foreground as
-    one concatenated row order: ``pixels`` lists S_1..S_K, ``ids`` gives each
-    of those rows its segment number 0..K-1, and ``counts`` the K segment
-    sizes.
+    pixels gives its segments (synth.field_segments). The loss reads the
+    foreground as one concatenated row order: ``pixels`` lists S_1..S_K,
+    ``ids`` gives each of those rows its segment number 0..K-1, and
+    ``counts`` the K segment sizes.
     """
 
     def __init__(self, segments, background, total_pixels):

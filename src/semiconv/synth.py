@@ -376,9 +376,9 @@ def train(scene, cfg, extra_loss=None, extra_params=()):
     of those pixels (backbone.Cone) is built once, and every step runs the
     backbone over it. The loss reads the field's own rows, through segments
     made once from the labels at the cone's pixels (field_segments), where a
-    pixel in a box but in no instance is background. With no extra term the trajectory
-    depends only on cfg. A scene without instances raises ValueError before
-    any step.
+    pixel in a box but in no instance is background. With no extra term the
+    trajectory depends only on cfg. A scene without instances raises
+    ValueError before any step.
 
     Divergence (NaN/Inf anywhere in a step) raises NumericError with the
     offending step number; a non-finite gradient also names its parameter

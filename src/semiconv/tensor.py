@@ -280,7 +280,7 @@ def take_columns(a, indices):
     def backward(g):
         _accum(a, _scatter(g, idx, cols.shape[1]).T.reshape(a.data.shape))
 
-    return _node(np.take(cols.T, idx, axis=0), (a,), backward, "take_columns")
+    return _node(cols.T[idx], (a,), backward, "take_columns")
 
 
 def segment_sum(rows, ids, K):
