@@ -20,7 +20,7 @@ from . import __version__
 from . import tensor as T
 from .tensor import Tensor, NumericError
 from .backbone import Backbone
-from .embedding import displacement_field, field_rows
+from .embedding import displacement_field
 from .kernels import KernelParams, fuse_scores, steered_laplacian
 from .losses import SegmentSet, mask_bce, pull_to_mean_loss
 from . import dilemma as dilemma_mod
@@ -178,8 +178,8 @@ def cmd_cluster(args):
     k = args.k if args.k > 0 else scene.gt.K
     pred = synth.decode_kmeans(field, scene.gt.foreground_mask(), k, args.seed)
     metrics = synth.score(pred, scene.gt)
-    segs = synth.field_segments(scene.gt, field.at)
-    metrics.update(mode=args.mode, final_loss=pull_to_mean_loss(field_rows(field), segs).item())
+    segs = SegmentSet.from_labels(scene.gt)
+    metrics.update(mode=args.mode, final_loss=pull_to_mean_loss(field, segs).item())
     write_json(args.out, metrics)
     outputs = [args.out]
     if args.render:

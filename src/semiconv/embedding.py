@@ -101,7 +101,9 @@ def displacement_field(field):
 
 def field_rows(field):
     """The field as [P, D] rows, one per listed pixel in list order (over a
-    whole image, row-major pixel order): what the loss compares."""
+    whole image, row-major pixel order), in one tape node. The package reads
+    fields through rows_at; tests compare fields by these rows, and
+    perfbench's span table times this function by name."""
     return T.take_columns(field.values, np.arange(field.values.data[0].size))
 
 

@@ -3,24 +3,23 @@
 import numpy as np
 
 from . import tensor as T
+from .embedding import rows_at
 from .tensor import Tensor
 
 BCE_CLAMP = 1e-7
 
 
 class SegmentSet:
-    """Foreground instance sets S_1..S_K over the rows of a field, background
-    held separately.
+    """Foreground instance sets S_1..S_K over the pixels of an image,
+    background held separately.
 
-    ``segments`` lists 1-d arrays of row indices and ``background`` the
+    ``segments`` lists 1-d arrays of pixel indices and ``background`` the
     complementary indices; segments must be non-empty and, with the
-    background, partition the ``total_pixels`` rows. A field's rows
-    (embedding.field_rows) are its listed pixels in row-major order, one per
-    pixel over a whole image, so from_labels of the labels at its listed
-    pixels gives its segments (synth.field_segments). The loss reads the
-    foreground as one concatenated row order: ``pixels`` lists S_1..S_K,
-    ``ids`` gives each of those rows its segment number 0..K-1, and
-    ``counts`` the K segment sizes.
+    background, partition the ``total_pixels`` pixels. from_labels builds
+    them from an image's labels, over its linear row-major pixels. The loss
+    reads the foreground as one concatenated pixel order: ``pixels`` lists
+    S_1..S_K, ``ids`` gives each of those pixels its segment number 0..K-1,
+    and ``counts`` the K segment sizes.
     """
 
     def __init__(self, segments, background, total_pixels):
@@ -50,7 +49,7 @@ class SegmentSet:
         return self.counts.size
 
 
-def pull_to_mean_loss(rows, segs):
+def pull_to_mean_loss(field, segs):
     """Sum over segments of the mean unsquared distance to the segment mean.
 
     For each segment S the term is (1/|S|) * sum_u sqrt(||psi_u - m_S||^2 + eps)
@@ -59,21 +58,27 @@ def pull_to_mean_loss(rows, segs):
     between segments; with position mixed into the embeddings, pulling each
     segment to its own mean is enough to separate them. eps (NORM_EPS) keeps
     the square root differentiable when a segment is already perfectly tight.
-    Background pixels are ignored. ``rows`` holds a field's [N, D] rows,
-    field_rows(field), and segs.pixels indexes them.
+    Background pixels are ignored.
+
+    ``field`` is an EmbeddingField and ``segs`` its image's segments
+    (SegmentSet.from_labels): the segment pixels' rows are read through the
+    field's map (embedding.rows_at), one gather, and a segment pixel off a
+    cone field's list raises ValueError. A Tensor of [N, D] rows is read at
+    segs.pixels as its row indices instead.
 
     All segments go through one gather and two segment sums, so the tape has
     the same dozen nodes whatever the number of segments.
     """
-    if rows.data.ndim != 2:
-        raise ValueError("expected [N,D] rows")
+    rows = isinstance(field, Tensor)
+    if rows and field.data.ndim != 2:
+        raise ValueError("expected an EmbeddingField or [N,D] rows")
 
     k = len(segs)
     if k == 0:
         raise ValueError("no segments to evaluate")
     inv_counts = 1.0 / segs.counts
 
-    sel = T.index_select(rows, segs.pixels)
+    sel = T.index_select(field, segs.pixels) if rows else rows_at(field, segs.pixels)
     sums = T.segment_sum(sel, segs.ids, k)
     centers = T.mul(sums, inv_counts[:, None])
     dev = T.sub(sel, T.index_select(centers, segs.ids))

@@ -24,7 +24,7 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor, NumericError
 from .backbone import Backbone, Cone
-from .embedding import EmbeddingField, attach_coords, coord_grid, field_rows, rows_at
+from .embedding import EmbeddingField, attach_coords, coord_grid, rows_at
 from .losses import SegmentSet, pull_to_mean_loss
 
 KMEANS_MAX_ITER = 300
@@ -174,13 +174,6 @@ def _embed(phi, mode, cone):
     its map is the cone's, and in semiconv mode the cone's (x, y) grid is
     mixed in."""
     return EmbeddingField(attach_coords(phi, cone.grid) if mode == "semiconv" else phi, cone.at)
-
-
-def field_segments(gt, at):
-    """The segments (losses.SegmentSet) of the pixels a field's map ``at``
-    lists, over the field's rows: the instances of the InstanceLabeling
-    ``gt`` at those pixels, in list order, and 0 as background."""
-    return SegmentSet.from_labels(InstanceLabeling(gt.labels[at >= 0]))
 
 
 def _inference(model):
@@ -374,11 +367,11 @@ def train(scene, cfg, extra_loss=None, extra_params=()):
     pairs) without changing anything else about the loop, reads only pixels
     inside the instances' boxes (gt_boxes_from_labels). So the receptive cone
     of those pixels (backbone.Cone) is built once, and every step runs the
-    backbone over it. The loss reads the field's own rows, through segments
-    made once from the labels at the cone's pixels (field_segments), where a
-    pixel in a box but in no instance is background. With no extra term the
-    trajectory depends only on cfg. A scene without instances raises
-    ValueError before any step.
+    backbone over it. The loss's segments are the labels' instances over the
+    image's pixels (SegmentSet.from_labels), made once, and each step reads
+    their rows through the field's map. With no extra term the trajectory
+    depends only on cfg. A scene without instances raises ValueError before
+    any step.
 
     Divergence (NaN/Inf anywhere in a step) raises NumericError with the
     offending step number; a non-finite gradient also names its parameter
@@ -392,12 +385,12 @@ def train(scene, cfg, extra_loss=None, extra_params=()):
     named = model.named_params() + list(extra_params)
     params = [p for _, p in named]
     cone = Cone(model, scene.image, read_pixels(scene.gt, boxes=extra_loss is not None))
-    segs = field_segments(scene.gt, cone.at)
+    segs = SegmentSet.from_labels(scene.gt)
     losses = []
     for step in range(cfg.epochs):
         try:
             field = _embed(model.forward(cone), cfg.mode, cone)
-            loss = pull_to_mean_loss(field_rows(field), segs)
+            loss = pull_to_mean_loss(field, segs)
             if extra_loss is not None:
                 loss = T.add(loss, extra_loss(field))
             del field  # the graph holds it now, and backward frees the graph as it goes

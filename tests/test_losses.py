@@ -3,6 +3,7 @@ import pytest
 
 from semiconv import tensor as T
 from semiconv.tensor import Tensor
+from semiconv.embedding import EmbeddingField, field_rows
 from semiconv.losses import SegmentSet, pull_to_mean_loss, mask_bce
 from semiconv.synth import InstanceLabeling, generate_scene
 
@@ -117,17 +118,36 @@ def test_loss_matches_per_segment_loop():
         want.backward()
         scale = np.max(np.abs(want_rows.grad))
         assert np.max(np.abs(got_rows.grad - want_rows.grad)) <= 1e-12 * scale
+        # a field, over the whole image or over a cone's list of the instance
+        # pixels and some background, read through its map: bit for bit its
+        # rows (field_rows) under segments over its listed rows
+        listed = (labels > 0) | (rng.random(labels.shape) < 0.5)
+        at = np.full(labels.shape, -1)
+        at[listed] = np.arange(np.count_nonzero(listed))
+        for values, field_at in ((rows.T.reshape(4, 9, 11), None),
+                                 (rows[listed.ravel()].T, at)):
+            field = EmbeddingField(Tensor(values, requires_grad=True), field_at)
+            got = pull_to_mean_loss(field, segs)
+            want = EmbeddingField(Tensor(values, requires_grad=True), field_at)
+            want_loss = pull_to_mean_loss(field_rows(want), SegmentSet.from_labels(
+                InstanceLabeling(labels[field.at >= 0])))
+            assert got.item() == want_loss.item()
+            got.backward()
+            want_loss.backward()
+            assert np.array_equal(field.values.grad, want.values.grad)
 
 
 def test_loss_tape_size_independent_of_segment_count():
     sizes = []
     for n in (2, 4, 6):
         scene = generate_scene(n, n, dot_radius=2, spacing=8)
-        rows = Tensor(np.random.default_rng(n).standard_normal((np.prod(scene.shape), 3)),
-                      requires_grad=True)
-        loss = pull_to_mean_loss(rows, SegmentSet.from_labels(scene.gt))
-        sizes.append(len(T._topo_order(loss)))
-    assert sizes[0] == sizes[1] == sizes[2] < 24
+        values = np.random.default_rng(n).standard_normal((3, *scene.shape))
+        # [N, D] rows, and a field read through its map
+        for form in (Tensor(values.reshape(3, -1).T, requires_grad=True),
+                     EmbeddingField(Tensor(values, requires_grad=True))):
+            loss = pull_to_mean_loss(form, SegmentSet.from_labels(scene.gt))
+            sizes.append(len(T._topo_order(loss)))
+    assert len(set(sizes)) == 1 and sizes[0] < 24
 
 
 def test_bce_perfect_prediction():

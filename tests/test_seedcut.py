@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -609,19 +610,23 @@ def test_a_cone_seedcut_step_is_the_whole_image_step(monkeypatch, n, spacing, ra
     monkeypatch.setattr("semiconv.synth.sgd_step",
                         lambda params, lr: grads.append([p.grad.copy() for p in params]))
     monkeypatch.setattr(Tensor, "backward",
-                        lambda loss: nodes.append(len(T._topo_order(loss))) or backward(loss))
+                        lambda loss: nodes.append(Counter(n._op for n in T._topo_order(loss)))
+                        or backward(loss))
     _, _, losses = train_seedcut(scene, boxes, cfg,
                                  params=KernelParams("steered_laplacian", sigma=1.0))
     # the same step over the whole image
     model = Backbone.glorot(1, cfg.dims, cfg.seed)
     params = KernelParams("steered_laplacian", sigma=1.0)
     field = dense_field(model, scene.image, boxes, "semiconv")
-    loss = T.add(pull_to_mean_loss(field_rows(field), SegmentSet.from_labels(scene.gt)),
+    loss = T.add(pull_to_mean_loss(field, SegmentSet.from_labels(scene.gt)),
                  box_loss(scene.gt, boxes, params)(field))
     loss.backward()
     want = [p.grad for p in model.params() + params.learnables()]
     assert losses[0] == loss.item()
     assert nodes[0] == nodes[1]  # the cone step's tape, then the whole image's
+    # a column gather each for the pull-to-mean loss and the box loss; the row
+    # gathers are the loss's segment means and fuse_boxes' seed rows
+    assert (nodes[0]["take_columns"], nodes[0]["index_select"]) == (2, 2)
     scale = max(np.max(np.abs(g)) for g in want)
     for got, ref in zip(grads[0], want, strict=True):
         assert np.max(np.abs(got - ref)) <= 1e-12 * scale

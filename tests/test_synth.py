@@ -4,6 +4,7 @@ import json
 import os
 import time
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -556,6 +557,14 @@ def test_rows_at_outside_the_cone_is_an_error():
                            match=r"image pixel \(0, 0\) lies outside the field's cone") as err:
             rows_at(field, [inside, 0])
         assert "\n" not in str(err.value)
+        # a cone that misses one instance pixel: the loss names it, where
+        # segments over the cone's own list would drop it from its instance
+        fg = reader_pixels(scene)["foreground"]
+        y, x = divmod(int(fg[0]), scene.shape[1])
+        short = cone_field(Backbone.glorot(1, 4, 0), scene.image, fg[1:], "semiconv")
+        with pytest.raises(ValueError,
+                           match=rf"^image pixel \({x}, {y}\) lies outside the field's cone$"):
+            pull_to_mean_loss(short, SegmentSet.from_labels(scene.gt))
 
 
 @pytest.mark.parametrize("pixel", [-1, 16 * 16], ids=["minus-one", "h-times-w"])
@@ -722,14 +731,19 @@ def test_a_training_step_rebuilds_no_adjoint_table(monkeypatch):
     assert len(losses) == 2 and np.all(np.isfinite(losses))
 
 
+def tape_ops(loss):
+    """How many nodes of each op the tape of ``loss`` holds."""
+    return Counter(n._op for n in T._topo_order(loss))
+
+
 def first_step(monkeypatch, run):
     """The losses and the parameter gradients of one training step, and the
-    tape size of every backward() from then on, that step's first."""
+    tape (tape_ops) of every backward() from then on, that step's first."""
     grads, nodes, backward = [], [], Tensor.backward
     monkeypatch.setattr(synth, "sgd_step",
                         lambda params, lr: grads.append([p.grad.copy() for p in params]))
     monkeypatch.setattr(Tensor, "backward",
-                        lambda loss: nodes.append(len(T._topo_order(loss))) or backward(loss))
+                        lambda loss: nodes.append(tape_ops(loss)) or backward(loss))
     losses = run()
     return losses, grads[0], nodes
 
@@ -748,12 +762,19 @@ def test_a_cone_training_step_is_the_whole_image_step(monkeypatch, mode, name):
     cfg = TrainConfig(mode=mode, dims=8, epochs=1, seed=2)
     losses, grads, nodes = first_step(monkeypatch, lambda: train(scene, cfg)[1])
     model = Backbone.glorot(1, cfg.dims, cfg.seed)
-    loss = pull_to_mean_loss(field_rows(whole_field(model, scene.image, mode)),
-                             SegmentSet.from_labels(scene.gt))
+    field = whole_field(model, scene.image, mode)
+    loss = pull_to_mean_loss(field, SegmentSet.from_labels(scene.gt))
+    # the loss reads its rows from the field's columns in one gather, and
+    # reads that gather's rows as they are
+    tape = T._topo_order(loss)
+    gathers = [n for n in tape if n._op == "take_columns"]
+    assert [g._parents for g in gathers] == [(field.values,)]
+    assert not any(n._op == "index_select" and n._parents[0] is gathers[0] for n in tape)
     loss.backward()
     assert_same_step(losses[0], grads, loss.item(), [p.grad for p in model.params()])
     # the cone changes which pixels each layer computes, not the graph of a step
     assert nodes[0] == nodes[1]
+    assert (nodes[0]["take_columns"], nodes[0]["index_select"]) == (1, 1)
 
 
 def test_train_config_validation():
