@@ -69,8 +69,8 @@ def pull_to_mean_loss(field, segs):
     All segments go through one gather and two segment sums, so the tape has
     the same dozen nodes whatever the number of segments.
     """
-    rows = isinstance(field, Tensor)
-    if rows and field.data.ndim != 2:
+    is_rows = isinstance(field, Tensor)
+    if is_rows and field.data.ndim != 2:
         raise ValueError("expected an EmbeddingField or [N,D] rows")
 
     k = len(segs)
@@ -78,7 +78,7 @@ def pull_to_mean_loss(field, segs):
         raise ValueError("no segments to evaluate")
     inv_counts = 1.0 / segs.counts
 
-    sel = T.index_select(field, segs.pixels) if rows else rows_at(field, segs.pixels)
+    sel = T.index_select(field, segs.pixels) if is_rows else rows_at(field, segs.pixels)
     sums = T.segment_sum(sel, segs.ids, k)
     centers = T.mul(sums, inv_counts[:, None])
     dev = T.sub(sel, T.index_select(centers, segs.ids))

@@ -128,13 +128,13 @@ def test_loss_matches_per_segment_loop():
                                  (rows[listed.ravel()].T, at)):
             field = EmbeddingField(Tensor(values, requires_grad=True), field_at)
             got = pull_to_mean_loss(field, segs)
-            want = EmbeddingField(Tensor(values, requires_grad=True), field_at)
-            want_loss = pull_to_mean_loss(field_rows(want), SegmentSet.from_labels(
+            ref = EmbeddingField(Tensor(values, requires_grad=True), field_at)
+            ref_loss = pull_to_mean_loss(field_rows(ref), SegmentSet.from_labels(
                 InstanceLabeling(labels[field.at >= 0])))
-            assert got.item() == want_loss.item()
+            assert got.item() == ref_loss.item()
             got.backward()
-            want_loss.backward()
-            assert np.array_equal(field.values.grad, want.values.grad)
+            ref_loss.backward()
+            assert np.array_equal(field.values.grad, ref.values.grad)
 
 
 def test_loss_tape_size_independent_of_segment_count():

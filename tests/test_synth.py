@@ -731,19 +731,16 @@ def test_a_training_step_rebuilds_no_adjoint_table(monkeypatch):
     assert len(losses) == 2 and np.all(np.isfinite(losses))
 
 
-def tape_ops(loss):
-    """How many nodes of each op the tape of ``loss`` holds."""
-    return Counter(n._op for n in T._topo_order(loss))
-
-
 def first_step(monkeypatch, run):
     """The losses and the parameter gradients of one training step, and the
-    tape (tape_ops) of every backward() from then on, that step's first."""
+    count of each op on the tape of every backward() from then on, that
+    step's first."""
     grads, nodes, backward = [], [], Tensor.backward
     monkeypatch.setattr(synth, "sgd_step",
                         lambda params, lr: grads.append([p.grad.copy() for p in params]))
     monkeypatch.setattr(Tensor, "backward",
-                        lambda loss: nodes.append(tape_ops(loss)) or backward(loss))
+                        lambda loss: nodes.append(Counter(n._op for n in T._topo_order(loss)))
+                        or backward(loss))
     losses = run()
     return losses, grads[0], nodes
 
