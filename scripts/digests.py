@@ -36,6 +36,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from semiconv import cli, dilemma, seedcut, synth  # noqa: E402
+from semiconv.kernels import KernelParams  # noqa: E402
 
 FILE = ROOT / "tests" / "digests.json"
 EPOCHS = 8
@@ -137,7 +138,8 @@ def compute(workdir):
         out[f"train.{name}.losses"] = sha1(np.array(losses))
         fields(out, f"train.{name}", model, scene, mode)
     boxes = seedcut.gt_boxes_from_labels(grid16.gt)
-    model, params, losses = seedcut.train_seedcut(grid16, boxes, cfg)
+    model, params, losses = seedcut.train_seedcut(
+        grid16, boxes, cfg, KernelParams("steered_laplacian", sigma=1.0))
     out["seedcut.grid16.train"] = sha1(*(p.data for p in model.params()),
                                        params.log_sigma.data, np.array(losses))
     masks, _, ious = seedcut.cut_all_boxes(grid16, model, params)

@@ -147,23 +147,28 @@ class Cone:
 
     - ``input``: the image at layer 0's pixels, a [C, P_0] Tensor;
     - ``tables``: per layer, the tensor.Neighbours that tensor.conv2d takes
-      from the layer's input list to its output list, carrying the adjoint
-      its backward reads (tensor.neighbour_table). Layer 0's input is the
-      image, which takes no gradient, so its table carries none unless its
-      weight gradient reads one (C_in > C_out) or it is its own adjoint.
-      Layers whose outputs are the whole image share one table;
+      from the layer's input list to its output list
+      (tensor.neighbour_table), carrying its adjoint exactly when the
+      layer's backward reads it. That is when the model trains, some weight
+      of it requiring a gradient, and the layer's input takes a gradient or
+      its weight gradient reads the taps of the output gradient (C_in >
+      C_out). Layer 0's input is the image, which takes none. So a cone
+      of a model that takes no gradient carries no adjoint at all. Layers
+      whose outputs are the whole image share one table;
     - ``grid``: the (x, y) of the output list, the given pixels sorted and
       each once, as [2, P] (embedding.attach_coords);
     - ``at``: the image's [H, W] map to the output rows, -1 off the list (an
       EmbeddingField's ``at``).
 
     Only ``input`` depends on the image's values. The rest, the geometry,
-    depends only on the image's height and width, the layers' weight shapes
-    and the set of pixels, so it is built once (_geometry) and shared,
-    read-only, with the next cone over the same set, in whatever order and
-    with whatever repeats its pixels come: a cut reuses the geometry of its
-    training, and a cut of the next image with the same boxes that of the
-    cut before. Its index arrays, ``at`` and every table, are int32.
+    depends only on the image's height and width, the layers' weight shapes,
+    the set of pixels and whether the model trains, so it is built once
+    (_geometry) and shared, read-only, with the next cone over the same set,
+    in whatever order and with whatever repeats its pixels come: a cut,
+    whose cone is over the trained model (synth.cone_field), reuses the
+    geometry of its training, and a cut of the next image with the same
+    boxes that of the cut before. Its index arrays, ``at`` and every table,
+    are int32.
 
     Backbone.forward(cone) gives the model's [D, P] features at the
     output list, bit for bit those of any other cone that holds its pixels.
@@ -181,27 +186,29 @@ class Cone:
         listed = np.zeros(h * w, dtype=bool)
         listed[image_pixels(pixels, (h, w))] = True
         shapes = tuple(wt.data.shape for wt in model.weights)
+        trains = any(p.requires_grad for p in model.params())
         source, self.tables, self.grid, self.at = _geometry(
-            (h, w), shapes, np.flatnonzero(listed).tobytes())
+            (h, w), shapes, np.flatnonzero(listed).tobytes(), trains)
         self.input = Tensor(image.data.reshape(c, -1)[:, source])
 
 
 @functools.lru_cache(maxsize=2)
-def _geometry(shape, weights, pixels):
+def _geometry(shape, weights, pixels, trains):
     """A cone's geometry over an [H, W] image: (layer 0's input list, tables,
     grid, at), as Cone holds them, every array read-only and every index
     array int32.
 
-    ``weights`` are the layers' weight shapes (C_out, C_in, kh, kw) and
-    ``pixels`` the bytes of the sorted output list. A pure function of its
-    arguments, so the last two geometries built are kept: a cone over the
-    same pixel set reuses one, and a training cone and the band cone every
-    band of a whole-image field runs on (synth.build_field) do not evict each
-    other. A table carries its adjoint only where conv2d's backward reads
-    it: every layer's but the first, whose input never requires a gradient,
-    and the first's too when its weight gradient comes from the taps of the
-    output gradient (C_in > C_out). A layer whose outputs are the whole image reads it all
-    (neighbour_table: its table is its own adjoint), and so does the layer
+    ``weights`` are the layers' weight shapes (C_out, C_in, kh, kw),
+    ``pixels`` the bytes of the sorted output list and ``trains`` whether
+    the model's weights take gradients. A pure function of its arguments,
+    so the last two geometries built are kept: a cone over the same pixel
+    set reuses one, and a training cone and the band cone every band of a
+    whole-image field runs on (synth.build_field) do not evict each other.
+    A table carries its adjoint exactly where conv2d's backward reads it:
+    when the model trains, on every layer but the first, whose input never
+    requires a gradient, and on the first too when its weight gradient
+    comes from the taps of the output gradient (C_in > C_out). A layer
+    whose outputs are the whole image reads it all, and so does the layer
     before it, which takes the same table object when its kernel is the
     same.
     """
@@ -218,7 +225,8 @@ def _geometry(shape, weights, pixels):
         taps = T.tap_pixels(shape, lists[0], kh, kw)
         grown[taps] = True
         lists.insert(0, np.flatnonzero(grown))
-        tables.insert(0, T.neighbour_table(taps, lists[0], h * w, adjoint=i > 0 or c_in > c_out))
+        tables.insert(0, T.neighbour_table(taps, lists[0], h * w,
+                                           adjoint=trains and (i > 0 or c_in > c_out)))
     grid = np.stack(np.divmod(lists[-1], w)[::-1]).astype(np.float64)
     at = np.full(h * w, -1, dtype=np.int32)
     at[lists[-1]] = np.arange(lists[-1].size)

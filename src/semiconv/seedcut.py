@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .kernels import KernelParams, fuse_boxes, fuse_scores
+from .kernels import fuse_boxes, fuse_scores
 from .embedding import rows_at
 from .losses import _bce_terms
 from . import synth
@@ -112,8 +112,9 @@ def box_loss(gt, boxes, params):
     return loss
 
 
-def train_seedcut(scene, gt_boxes, cfg, params=None):
-    """Joint training of the embedding backbone and the kernel scale.
+def train_seedcut(scene, gt_boxes, cfg, params):
+    """Joint training of the embedding backbone and the kernel scale of
+    ``params`` (KernelParams), whose log-sigma is trained in place.
 
     Every step evaluates the pull-to-mean loss over the instance pixels plus
     the box_loss over ``gt_boxes`` (box k holds instance k + 1). The box loss
@@ -122,8 +123,6 @@ def train_seedcut(scene, gt_boxes, cfg, params=None):
 
     Returns (model, params, losses).
     """
-    if params is None:
-        params = KernelParams("steered_laplacian", sigma=1.0)
     model, losses = synth.train(scene, cfg, extra_loss=box_loss(scene.gt, gt_boxes, params),
                                 extra_params=[("log_sigma", t) for t in params.learnables()])
     return model, params, losses

@@ -169,11 +169,11 @@ def read_pixels(gt, boxes=False):
     return read
 
 
-def _embed(phi, mode, cone):
-    """The field of a backbone output phi[D, P] over ``cone``'s output list:
-    its map is the cone's, and in semiconv mode the cone's (x, y) grid is
-    mixed in."""
-    return EmbeddingField(attach_coords(phi, cone.grid) if mode == "semiconv" else phi, cone.at)
+def _embed(phi, mode, grid, at=None):
+    """The field of a backbone output phi[D, ...] whose pixels sit at the
+    (x, y) ``grid`` [2, ...]: its map is ``at`` (EmbeddingField), and in
+    semiconv mode the grid is mixed in (attach_coords)."""
+    return EmbeddingField(attach_coords(phi, grid) if mode == "semiconv" else phi, at)
 
 
 def _inference(model):
@@ -191,10 +191,14 @@ def cone_field(model, image, pixels, mode):
     bit-identical to build_field's while each layer's product sums at most
     384 terms (C_in * kh * kw), as in every model train makes. The field
     records no tape, whether or not the model's weights require gradients:
-    a field builder is inference.
+    a field builder is inference. Its cone is over ``model`` itself, not
+    over the inference copy the forward runs: over a trained model that is
+    the cone its training built, adjoint tables and all, so a cut reuses
+    its training's geometry (backbone._geometry), where a cone without
+    adjoints would build a second one.
     """
     cone = Cone(model, image, pixels)
-    return _embed(_inference(model).forward(cone), mode, cone)
+    return _embed(_inference(model).forward(cone), mode, cone.grid, cone.at)
 
 
 def build_field(model, image, mode):
@@ -227,8 +231,7 @@ def build_field(model, image, mode):
     for top in sorted({*range(0, h - rows, rows), h - rows}):
         cone = Cone(net, Tensor(np.roll(image.data, -top, axis=1)), band)
         phi[:, top:top + rows] = net.forward(cone).data.reshape(-1, rows, w)
-    values = Tensor(phi)
-    return EmbeddingField(attach_coords(values, coord_grid(h, w)) if mode == "semiconv" else values)
+    return _embed(Tensor(phi), mode, coord_grid(h, w))
 
 
 def sgd_step(params, lr):
@@ -389,7 +392,7 @@ def train(scene, cfg, extra_loss=None, extra_params=()):
     losses = []
     for step in range(cfg.epochs):
         try:
-            field = _embed(model.forward(cone), cfg.mode, cone)
+            field = _embed(model.forward(cone), cfg.mode, cone.grid, cone.at)
             loss = pull_to_mean_loss(field, segs)
             if extra_loss is not None:
                 loss = T.add(loss, extra_loss(field))

@@ -364,12 +364,9 @@ def neighbour_table(taps, src, n_pixels, adjoint=True):
     taps read ``taps`` (tap_pixels, [T, N]): each tap's position in ``src``,
     carrying its adjoint (_adjoint), which conv2d's backward reads to send a
     gradient into ``src``. With ``adjoint`` False the table carries None,
-    for a layer whose backward reads none (conv2d says when it does).
-
-    A table whose outputs are its source list, output n on listed pixel n as
-    over every pixel of an image, is its own adjoint: each tap then permutes
-    the list, and the opposite tap undoes it. It carries itself, whatever
-    ``adjoint`` says, at no cost.
+    for a layer whose backward reads none (conv2d says when it does). Over
+    every pixel of an image each tap permutes the pixels, so the adjoint
+    holds the table's own entries, with no -1.
 
     Both lists are linear indices of an image of ``n_pixels`` pixels;
     ``src`` lists each pixel at most once and must hold every tap, so every
@@ -382,10 +379,6 @@ def neighbour_table(taps, src, n_pixels, adjoint=True):
     table = where[taps]
     if table.size and table.min() < 0:
         raise ValueError("the source list lacks a tap of an output pixel")
-    if np.array_equal(table[len(table) // 2], np.arange(len(src))):  # the centre tap
-        made = Neighbours(table, len(src))
-        made.adjoint = made
-        return made
     back = Neighbours(_adjoint(table, len(src)), table.shape[1]) if adjoint else None
     return Neighbours(table, len(src), back)
 
@@ -399,8 +392,7 @@ class Neighbours:
     any entry is -1. ``gather``, the taps' index, is the table followed by -1
     columns up to a multiple of 8, and ``table`` is a view of it; both are
     int32. ``adjoint`` is the Neighbours [T, n_src] from the listed pixels
-    back to the outputs, which conv2d's backward reads: the table itself
-    when its outputs are its list (neighbour_table), and None on any other
+    back to the outputs, which conv2d's backward reads, and None on an
     adjoint and on a table made without one. The entries are taken as given:
     their maker, neighbour_table, writes them in [-1, n_src).
     """
@@ -539,8 +531,8 @@ def conv2d(x, weight, bias=None, *, table, relu=False):
     only; stride 1, and each tap wraps around the image edges (tap_pixels).
     The output is [C_out, N], each column the image's correlation at its
     pixel, with the same bits in whatever list it is computed; over the table
-    of every pixel, its own adjoint, it is the whole image's output in
-    row-major order, and exactly equivariant to circular shifts.
+    of every pixel it is the whole image's output in row-major order, and
+    exactly equivariant to circular shifts.
 
     The forward is ``_correlate(x, weight, table)``, and the input gradient
     is the same correlation of the upstream gradient g over
@@ -549,11 +541,12 @@ def conv2d(x, weight, bias=None, *, table, relu=False):
     C_in <= C_out the weight gradient is g times the taps of x, which a
     forward keeps when its weight requires a gradient (and otherwise
     gathers a band at a time). Otherwise it is the taps of g times x with
-    the tap axes flipped back; the taps of g come from the input gradient's
-    correlation when it kept them. Both tables are read as neighbour_table
-    made them, so the table only has to match the kernel and x's P, and to
-    carry its adjoint when the backward reads it: when x requires a
-    gradient, or the weight does and C_in > C_out.
+    the tap axes flipped back, the taps that the input gradient's
+    correlation keeps. The backward reads the adjoint, and runs that
+    correlation, exactly when x requires a gradient, or the weight does and
+    C_in > C_out; only then must the table carry its adjoint. Both tables
+    are read as neighbour_table made them, so the table only has to match
+    the kernel and x's P.
 
     The ReLU runs in place on the biased output, after its finiteness check,
     and the backward masks g where the output is not positive: the op keeps
@@ -569,7 +562,8 @@ def conv2d(x, weight, bias=None, *, table, relu=False):
         raise ValueError("kernel extents must be odd")
     if table.n_src != x.data.shape[1] or table.table.shape[0] != kh * kw:
         raise ValueError("neighbour table does not match the kernel and the pixel list")
-    if table.adjoint is None and (x.requires_grad or weight.requires_grad and c_in > c_out):
+    reads_adjoint = x.requires_grad or weight.requires_grad and c_in > c_out
+    if reads_adjoint and table.adjoint is None:
         raise ValueError("conv2d's backward reads the neighbour table's adjoint, "
                          "but this table carries none")
     if bias is not None:
@@ -597,13 +591,12 @@ def conv2d(x, weight, bias=None, *, table, relu=False):
         cols = None  # its last reader has run: the input gradient allocates without it
         if bias is not None and bias.requires_grad:
             _accum(bias, g.sum(axis=1))
-        g_cols = None
+        if not reads_adjoint:
+            return
+        gx, g_cols = _correlate(g, wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), table.adjoint)
         if x.requires_grad:
-            gx, g_cols = _correlate(g, wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), table.adjoint)
             _accum(x, gx)
         if weight.requires_grad and c_in > c_out:  # the forward kept no taps of x
-            if g_cols is None:
-                g_cols = _taps(_padded(g) if table.adjoint.holes else g, table.adjoint.gather)
             gw = (g_cols[:, :n_in] @ x.data.T).reshape(c_out, kh, kw, c_in)
             _accum(weight, gw[:, ::-1, ::-1].transpose(0, 3, 1, 2))
 

@@ -484,7 +484,8 @@ def test_a_cut_reuses_its_trainings_geometry(spacing):
     scene = generate_scene(4, 4, dot_radius=3, spacing=spacing, img_noise_std=0.05, seed=3)
     cfg = TrainConfig(dims=4, epochs=1, seed=0)
     _geometry.cache_clear()
-    model, params, _ = train_seedcut(scene, gt_boxes_from_labels(scene.gt), cfg)
+    model, params, _ = train_seedcut(scene, gt_boxes_from_labels(scene.gt), cfg,
+                                     KernelParams("steered_laplacian", sigma=1.0))
     cut_all_boxes(scene, model, params)
     info = _geometry.cache_info()
     assert (info.misses, info.hits) == (1, 1)
@@ -495,7 +496,8 @@ def test_the_field_builders_and_the_cut_record_no_tape(monkeypatch):
     # gradients: decoding with them records no tape and leaves them as they are
     scene = generate_scene(2, 2, dot_radius=3, spacing=12, img_noise_std=0.05, seed=0)
     model, params, _ = train_seedcut(scene, gt_boxes_from_labels(scene.gt),
-                                     TrainConfig(dims=4, epochs=2, seed=0))
+                                     TrainConfig(dims=4, epochs=2, seed=0),
+                                     KernelParams("steered_laplacian", sigma=1.0))
     learnables = model.params() + params.learnables()
     for p in learnables:
         p.grad = None
@@ -562,7 +564,8 @@ def test_seedcut_cuts_match_instances_after_training():
     scene = generate_scene(2, 2, dot_radius=3, spacing=14, seed=0)
     cfg = TrainConfig(dims=6, epochs=150, seed=0)
     boxes = gt_boxes_from_labels(scene.gt)
-    model, params, _ = train_seedcut(scene, boxes, cfg)
+    model, params, _ = train_seedcut(scene, boxes, cfg,
+                                     KernelParams("steered_laplacian", sigma=1.0))
     masks, boxes, ious = cut_all_boxes(scene, model, params)
     assert len(masks) == 4
     assert float(np.mean(ious)) > 0.7
@@ -583,7 +586,8 @@ def test_a_cut_lies_inside_its_instance_so_its_iou_is_the_recall():
     # share of the instance the cut recovers
     scene = generate_scene(2, 2, dot_radius=3, spacing=14, img_noise_std=0.05, seed=0)
     cfg = TrainConfig(dims=4, epochs=40, seed=0)
-    model, params, _ = train_seedcut(scene, gt_boxes_from_labels(scene.gt), cfg)
+    model, params, _ = train_seedcut(scene, gt_boxes_from_labels(scene.gt), cfg,
+                                     KernelParams("steered_laplacian", sigma=1.0))
     masks, boxes, ious = cut_all_boxes(scene, model, params, threshold=0.5)
     for k, ((x0, y0, x1, y1), mask, iou) in enumerate(zip(boxes, masks, ious), start=1):
         inside = scene.gt.labels[y0:y1, x0:x1] == k
@@ -595,7 +599,8 @@ def test_train_seedcut_validation():
     scene = generate_scene(1, 1, dot_radius=2, spacing=8, seed=0)
     cfg = TrainConfig(dims=4, epochs=1, seed=0)
     with pytest.raises(ValueError, match="no pixel of its instance 1"):
-        train_seedcut(scene, [(0, 0, 2, 2)], cfg)  # box without foreground
+        # a box without foreground
+        train_seedcut(scene, [(0, 0, 2, 2)], cfg, KernelParams("steered_laplacian", sigma=1.0))
 
 
 # "tight", a 2x2 grid of radius-2 dots at spacing 8: layers 0 and 1 output
@@ -643,10 +648,11 @@ def test_train_seedcut_box_outside_its_cone_is_one_line_error(monkeypatch):
     cfg = TrainConfig(dims=4, epochs=2, seed=0)
     for bad in [(x0, y0, x1 + 2, y1), (x0 - 3, y0 - 3, x1 + 3, y1 + 3)]:
         with pytest.raises(ValueError) as err:
-            train_seedcut(scene, [bad] + boxes[1:], cfg)
+            train_seedcut(scene, [bad] + boxes[1:], cfg,
+                          KernelParams("steered_laplacian", sigma=1.0))
         assert str(err.value) == (f"box {bad} reaches outside the ground-truth boxes "
                                   "the training cone covers")
     assert steps == []
     # the ground-truth boxes themselves train
-    _, _, losses = train_seedcut(scene, boxes, cfg)
+    _, _, losses = train_seedcut(scene, boxes, cfg, KernelParams("steered_laplacian", sigma=1.0))
     assert len(losses) == 2 and len(steps) == 2

@@ -494,7 +494,7 @@ def test_a_whole_image_forward_in_bands_is_the_cone_over_every_pixel(monkeypatch
         p.data += rng.standard_normal(p.data.shape)
     everywhere = np.arange(image.data.size)
     cone = Cone(model, image, everywhere)
-    want = field_rows(synth._embed(model.forward(cone), mode, cone)).data
+    want = field_rows(synth._embed(model.forward(cone), mode, cone.grid, cone.at)).data
     got_bands, taps = [], T._taps
     monkeypatch.setattr(T, "TAP_BAND", tap_band)
     monkeypatch.setattr(T, "_taps", lambda src, index, out: got_bands.append(index.shape[1])
@@ -610,11 +610,13 @@ def test_cones_over_one_pixel_set_share_one_geometry():
 
 
 def test_the_whole_image_cone_holds_one_table_its_own_adjoint():
+    # the adjoint its training reads holds the table's own entries
     scene = cone_scene("edge")
     h, w = scene.shape
     cone = Cone(Backbone.glorot(1, 8, 0), scene.image, np.arange(h * w))
     table = cone.tables[0]
-    assert all(t is table for t in cone.tables) and table.adjoint is table
+    assert all(t is table for t in cone.tables)
+    assert np.array_equal(table.adjoint.table, table.table)
     assert table.table.shape == (9, h * w) and cone.input.data.shape == (1, h * w)
 
 
@@ -647,9 +649,9 @@ def test_training_and_whole_image_fields_keep_both_geometries(monkeypatch):
     # bands of 64 rows over one cone, and no cone over every pixel is built
     built = []
 
-    def recorded(shape, weights, pixels):
+    def recorded(shape, weights, pixels, trains):
         built.append(len(pixels) // np.dtype(np.intp).itemsize)
-        return _geometry(shape, weights, pixels)
+        return _geometry(shape, weights, pixels, trains)
 
     monkeypatch.setattr(backbone, "_geometry", recorded)
     for scene, band in ((cone_scene("edge"), 24 * 24),
@@ -704,7 +706,7 @@ def test_a_training_cone_keeps_an_int32_geometry_with_no_layer_0_adjoint():
     pixels = np.flatnonzero(scene.gt.labels)
     cone = Cone(model, scene.image, pixels)
     source, tables, grid, at = _geometry(
-        scene.shape, tuple(w.data.shape for w in model.weights), pixels.tobytes())
+        scene.shape, tuple(w.data.shape for w in model.weights), pixels.tobytes(), True)
     assert tables is cone.tables
     assert tables[0].adjoint is None
     assert all(t.adjoint is not None for t in tables[1:])
@@ -713,6 +715,40 @@ def test_a_training_cone_keeps_an_int32_geometry_with_no_layer_0_adjoint():
         assert arr.dtype == np.int32
     held = sum(nb.gather.nbytes for nb in made) + source.nbytes + grid.nbytes + at.nbytes
     assert held <= 0.9 * 2**20
+
+
+def test_an_inference_cone_carries_no_adjoint(monkeypatch, tmp_path):
+    # no backward reads the cones of build_field's bands, whose model is
+    # inference, or of a loaded model, as cluster's, so none carries an
+    # adjoint table. The 128x128 band cone holds 1.06 MB; with the adjoints
+    # of layers 1 and 2 it held 1.65 MB
+    scene = generate_scene(4, 4, dot_radius=3, spacing=32)
+    model = Backbone.glorot(1, TrainConfig().dims, 0)
+    model.save(tmp_path / "model.bin")
+    cones = []
+    monkeypatch.setattr(synth, "Cone", lambda *args: cones.append(Cone(*args)) or cones[-1])
+    build_field(model, scene.image, "semiconv")
+    cone_field(Backbone.load(tmp_path / "model.bin"), scene.image,
+               np.flatnonzero(scene.gt.foreground_mask()), "semiconv")
+    assert len(cones) == 3 and cones[0].tables is cones[1].tables
+    assert all(t.adjoint is None for cone in cones for t in cone.tables)
+    band = cones[0]
+    made = {id(nb): nb for t in band.tables for nb in (t, t.adjoint) if nb is not None}
+    held = sum(nb.gather.nbytes for nb in made.values()) + band.grid.nbytes + band.at.nbytes
+    assert held <= 1.1 * 2**20
+
+
+def test_a_training_forward_over_an_inference_cone_is_refused():
+    # the weights require gradients, so layer 1's input does, and its
+    # backward would read an adjoint the inference cone does not carry:
+    # conv2d refuses when the op is made, before a backward could run
+    scene = cone_scene("edge")
+    model = Backbone.glorot(1, 4, 0)
+    cone = Cone(synth._inference(model), scene.image, reader_pixels(scene)["segments"])
+    with pytest.raises(ValueError) as err:
+        model.forward(cone)
+    assert str(err.value) == ("conv2d's backward reads the neighbour table's adjoint, "
+                              "but this table carries none")
 
 
 def test_a_training_step_rebuilds_no_adjoint_table(monkeypatch):

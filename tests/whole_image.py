@@ -56,7 +56,7 @@ def assert_close(got, want):
 
 def every_pixel_table(shape, kh, kw):
     """The neighbour table of a kh x kw kernel over every pixel of an [H, W]
-    image, its own adjoint."""
+    image, carrying its adjoint, whose entries are its own."""
     every = np.arange(shape[0] * shape[1])
     return T.neighbour_table(T.tap_pixels(shape, every, kh, kw), every, every.size)
 
@@ -81,4 +81,4 @@ def whole_field(model, image, mode):
     """The field of a training step over the cone of every pixel, tape and
     all when the weights require gradients: the whole image's."""
     cone = Cone(model, image, np.arange(image.data[0].size))
-    return synth._embed(model.forward(cone), mode, cone)
+    return synth._embed(model.forward(cone), mode, cone.grid, cone.at)
