@@ -45,28 +45,11 @@ CLI_EPOCHS = "6"
 
 def environment():
     """The numpy version and the loaded OpenBLAS's config string and core
-    name, found as synth._openblas finds the library (None where none is)."""
-    env = {"numpy": np.__version__, "openblas_config": None, "openblas_core": None}
-    try:
-        with open("/proc/self/maps") as fh:
-            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-    except OSError:
-        return env
-    for path in libs:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix in ("scipy_openblas", "openblas"):
-            for suffix in ("64_", ""):
-                names = [f"{prefix}_get_config{suffix}", f"{prefix}_get_corename{suffix}"]
-                fns = [getattr(lib, name, None) for name in names]
-                if None not in fns:
-                    for key, fn in zip(("openblas_config", "openblas_core"), fns):
-                        fn.argtypes, fn.restype = (), ctypes.c_char_p
-                        env[key] = fn().decode()
-                    return env
-    return env
+    name (synth._openblas; None where there is no OpenBLAS)."""
+    calls = synth._openblas(get_config=((), ctypes.c_char_p),
+                            get_corename=((), ctypes.c_char_p))
+    config, core = (None, None) if calls is None else (fn().decode() for fn in calls)
+    return {"numpy": np.__version__, "openblas_config": config, "openblas_core": core}
 
 
 def sha1(*parts):

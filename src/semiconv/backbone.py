@@ -23,7 +23,12 @@ KERNEL = 3          # every layer's kernel is KERNEL x KERNEL
 
 
 class Backbone:
-    """Stack of stride-1 convolutions; owns its weight and bias tensors."""
+    """Stack of stride-1 convolutions; owns its weight and bias tensors.
+
+    Every model the package makes is inference-only: its tensors take no
+    gradient, so a forward pass records no tape. synth.train, the one
+    function that learns, steps a learnable twin over the model's own arrays.
+    """
 
     def __init__(self, weights, biases):
         self.weights = weights
@@ -31,7 +36,8 @@ class Backbone:
 
     @classmethod
     def glorot(cls, in_channels, dims, seed):
-        """Seeded Glorot-uniform weights and zero biases, in_channels -> HIDDEN -> dims."""
+        """Seeded Glorot-uniform weights and zero biases, in_channels -> HIDDEN -> dims,
+        inference-only (Backbone)."""
         chans = (in_channels, *HIDDEN, dims)
         fan = KERNEL * KERNEL
         rng = np.random.default_rng(seed)
@@ -39,8 +45,8 @@ class Backbone:
         for c_in, c_out in zip(chans[:-1], chans[1:]):
             a = np.sqrt(6.0 / (c_in * fan + c_out * fan))
             w = rng.uniform(-a, a, size=(c_out, c_in, KERNEL, KERNEL))
-            weights.append(Tensor(w, requires_grad=True))
-            biases.append(Tensor(np.zeros(c_out), requires_grad=True))
+            weights.append(Tensor(w))
+            biases.append(Tensor(np.zeros(c_out)))
         return cls(weights, biases)
 
     def forward(self, cone):
@@ -80,11 +86,9 @@ class Backbone:
 
     @classmethod
     def load(cls, path):
-        """Read a file written by save().
-
-        The model is inference-only: its tensors do not require gradients,
-        so a forward pass records no tape. A short or malformed file, or a
-        NaN or Inf weight, raises ValueError.
+        """Read a file written by save() into an inference-only model
+        (Backbone). A short or malformed file, or a NaN or Inf weight, raises
+        ValueError.
         """
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -150,11 +154,12 @@ class Cone:
       from the layer's input list to its output list
       (tensor.neighbour_table), carrying its adjoint exactly when the
       layer's backward reads it. That is when the model trains, some weight
-      of it requiring a gradient, and the layer's input takes a gradient or
-      its weight gradient reads the taps of the output gradient (C_in >
-      C_out). Layer 0's input is the image, which takes none. So a cone
-      of a model that takes no gradient carries no adjoint at all. Layers
-      whose outputs are the whole image share one table;
+      of it requiring a gradient (only synth.train's learnable twin has
+      one), and the layer's input takes a gradient or its weight gradient
+      reads the taps of the output gradient (C_in > C_out). Layer 0's input
+      is the image, which takes none. So a cone of a model that takes no
+      gradient carries no adjoint at all. Layers whose outputs are the whole
+      image share one table;
     - ``grid``: the (x, y) of the output list, the given pixels sorted and
       each once, as [2, P] (embedding.attach_coords);
     - ``at``: the image's [H, W] map to the output rows, -1 off the list (an
@@ -164,11 +169,9 @@ class Cone:
     depends only on the image's height and width, the layers' weight shapes,
     the set of pixels and whether the model trains, so it is built once
     (_geometry) and shared, read-only, with the next cone over the same set,
-    in whatever order and with whatever repeats its pixels come: a cut,
-    whose cone is over the trained model (synth.cone_field), reuses the
-    geometry of its training, and a cut of the next image with the same
-    boxes that of the cut before. Its index arrays, ``at`` and every table,
-    are int32.
+    in whatever order and with whatever repeats its pixels come: a cut of
+    the next image with the same boxes reuses that of the cut before. Its
+    index arrays, ``at`` and every table, are int32.
 
     Backbone.forward(cone) gives the model's [D, P] features at the
     output list, bit for bit those of any other cone that holds its pixels.
@@ -200,10 +203,11 @@ def _geometry(shape, weights, pixels, trains):
 
     ``weights`` are the layers' weight shapes (C_out, C_in, kh, kw),
     ``pixels`` the bytes of the sorted output list and ``trains`` whether
-    the model's weights take gradients. A pure function of its arguments,
-    so the last two geometries built are kept: a cone over the same pixel
-    set reuses one, and a training cone and the band cone every band of a
-    whole-image field runs on (synth.build_field) do not evict each other.
+    the model's weights take gradients, as only synth.train's learnable twin
+    does. A pure function of its arguments, so the last two geometries built
+    are kept: a cone over the same pixel set reuses one, and a training cone
+    and the band cone every band of a whole-image field runs on
+    (synth.build_field) do not evict each other.
     A table carries its adjoint exactly where conv2d's backward reads it:
     when the model trains, on every layer but the first, whose input never
     requires a gradient, and on the first too when its weight gradient

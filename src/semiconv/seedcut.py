@@ -150,7 +150,7 @@ def cut_all_boxes(scene, model, params, cfg_mode="semiconv", threshold=0.5):
     into the box masks. The boxes and their pixel list are built once per
     label map (_box_layout); ``boxes`` is the caller's own list. The backbone
     runs only over the box pixels' receptive cone (synth.cone_field), whose
-    geometry the training of the same scene already built. The cut never
+    geometry the next cut with the same boxes reuses. The cut never
     backpropagates, so it records no tape: the field is built without one,
     and the kernel scale is read as a constant.
     """

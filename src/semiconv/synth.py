@@ -176,29 +176,16 @@ def _embed(phi, mode, grid, at=None):
     return EmbeddingField(attach_coords(phi, grid) if mode == "semiconv" else phi, at)
 
 
-def _inference(model):
-    """``model`` with weights that require no gradient: new Tensors over the
-    model's own arrays, so a forward pass over it records no tape and copies
-    no weight, and the model's parameters are left as they are."""
-    return Backbone([Tensor(w.data) for w in model.weights],
-                    [Tensor(b.data) for b in model.biases])
-
-
 def cone_field(model, image, pixels, mode):
     """The field of ``model`` at the image pixels ``pixels`` (linear,
     row-major indices) and nowhere else: one forward pass over their
     receptive cone (backbone.Cone), read with rows_at. Their rows are
     bit-identical to build_field's while each layer's product sums at most
-    384 terms (C_in * kh * kw), as in every model train makes. The field
-    records no tape, whether or not the model's weights require gradients:
-    a field builder is inference. Its cone is over ``model`` itself, not
-    over the inference copy the forward runs: over a trained model that is
-    the cone its training built, adjoint tables and all, so a cut reuses
-    its training's geometry (backbone._geometry), where a cone without
-    adjoints would build a second one.
+    384 terms (C_in * kh * kw), as in every model train makes. Over every
+    model the package makes the field records no tape.
     """
     cone = Cone(model, image, pixels)
-    return _embed(_inference(model).forward(cone), mode, cone.grid, cone.at)
+    return _embed(model.forward(cone), mode, cone.grid, cone.at)
 
 
 def build_field(model, image, mode):
@@ -217,20 +204,18 @@ def build_field(model, image, mode):
     give the whole image's bits (README). In semiconv mode the coordinates
     are mixed in once over the whole image (coord_grid).
 
-    The field records no tape, whether or not the model's weights require
-    gradients, and each layer gathers the taps of one band of output pixels
-    at a time (tensor._correlate), so the pass keeps no whole-image tap
-    buffer.
+    Over every model the package makes the field records no tape, and each
+    layer gathers the taps of one band of output pixels at a time
+    (tensor._correlate), so the pass keeps no whole-image tap buffer.
     """
     h, w = image.data.shape[1:]
     shapes = [wt.data.shape for wt in model.weights]
     rows = min(h, max(1, T.TAP_BAND // (max(s[0] for s in shapes) * w)))
     band = np.arange(rows * w)
-    net = _inference(model)
     phi = np.empty((shapes[-1][0], h, w))
     for top in sorted({*range(0, h - rows, rows), h - rows}):
-        cone = Cone(net, Tensor(np.roll(image.data, -top, axis=1)), band)
-        phi[:, top:top + rows] = net.forward(cone).data.reshape(-1, rows, w)
+        cone = Cone(model, Tensor(np.roll(image.data, -top, axis=1)), band)
+        phi[:, top:top + rows] = model.forward(cone).data.reshape(-1, rows, w)
     return _embed(Tensor(phi), mode, coord_grid(h, w))
 
 
@@ -261,10 +246,16 @@ def _keep_freed_memory():
     mallopt(m_trim_threshold, 2**30)
 
 
-def _openblas():
-    """(get_num_threads, set_num_threads) of the OpenBLAS this process has
-    loaded, found through /proc/self/maps, or None when there is none to ask
-    (another BLAS, or a platform without /proc)."""
+def _openblas(**signatures):
+    """The functions of the OpenBLAS this process has loaded, found through
+    /proc/self/maps: (get_num_threads, set_num_threads) by default, else
+    those named by the keys of ``signatures`` and typed by their (argtypes,
+    restype) values, in their order. Each is looked up as
+    prefix_name_suffix, under the first of the builds' prefixes and suffixes
+    that has them all. None when there is none to ask (another BLAS, or a
+    platform without /proc)."""
+    signatures = signatures or {"get_num_threads": ((), ctypes.c_int),
+                                "set_num_threads": ((ctypes.c_int,), None)}
     try:
         with open("/proc/self/maps") as fh:
             libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
@@ -277,12 +268,11 @@ def _openblas():
             continue
         for prefix in ("scipy_openblas", "openblas"):
             for suffix in ("64_", ""):
-                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-                put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-                if get is not None and put is not None:
-                    get.argtypes, get.restype = (), ctypes.c_int
-                    put.argtypes, put.restype = (ctypes.c_int,), None
-                    return get, put
+                fns = [getattr(lib, f"{prefix}_{name}{suffix}", None) for name in signatures]
+                if None not in fns:
+                    for fn, types in zip(fns, signatures.values()):
+                        fn.argtypes, fn.restype = types
+                    return tuple(fns)
     return None
 
 
@@ -364,13 +354,18 @@ def _forked(fn, *args):
 def train(scene, cfg, extra_loss=None, extra_params=()):
     """Fit the backbone to the scene by pulling each instance to one embedding.
 
-    Returns (model, losses). The pull-to-mean loss reads only the instances'
-    pixels, and ``extra_loss(field) -> Tensor``, a term callers add to the
-    objective (with ``extra_params``, its learnables as (name, tensor)
-    pairs) without changing anything else about the loop, reads only pixels
-    inside the instances' boxes (gt_boxes_from_labels). So the receptive cone
-    of those pixels (backbone.Cone) is built once, and every step runs the
-    backbone over it. The loss's segments are the labels' instances over the
+    Returns (model, losses), the model inference-only like every other
+    (Backbone). The steps run on its learnable twin, Tensors that require
+    gradients over the model's own arrays, and sgd_step updates those arrays
+    in place: the model holds what the twin learnt, and no gradient.
+
+    The pull-to-mean loss reads only the instances' pixels, and
+    ``extra_loss(field) -> Tensor``, a term callers add to the objective
+    (with ``extra_params``, its learnables as (name, tensor) pairs) without
+    changing anything else about the loop, reads only pixels inside the
+    instances' boxes (gt_boxes_from_labels). So the receptive cone of those
+    pixels (backbone.Cone) is built once, and every step runs the twin over
+    it. The loss's segments are the labels' instances over the
     image's pixels (SegmentSet.from_labels), made once, and each step reads
     their rows through the field's map. With no extra term the trajectory
     depends only on cfg. A scene without instances raises ValueError before
@@ -385,14 +380,16 @@ def train(scene, cfg, extra_loss=None, extra_params=()):
         raise ValueError("no segments to evaluate")
     _keep_freed_memory()
     model = Backbone.glorot(scene.image.data.shape[0], cfg.dims, cfg.seed)
-    named = model.named_params() + list(extra_params)
+    twin = Backbone(*[[Tensor(t.data, requires_grad=True) for t in ts]
+                      for ts in (model.weights, model.biases)])
+    named = twin.named_params() + list(extra_params)
     params = [p for _, p in named]
-    cone = Cone(model, scene.image, read_pixels(scene.gt, boxes=extra_loss is not None))
+    cone = Cone(twin, scene.image, read_pixels(scene.gt, boxes=extra_loss is not None))
     segs = SegmentSet.from_labels(scene.gt)
     losses = []
     for step in range(cfg.epochs):
         try:
-            field = _embed(model.forward(cone), cfg.mode, cone.grid, cone.at)
+            field = _embed(twin.forward(cone), cfg.mode, cone.grid, cone.at)
             loss = pull_to_mean_loss(field, segs)
             if extra_loss is not None:
                 loss = T.add(loss, extra_loss(field))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from semiconv.backbone import Backbone
+from semiconv import dilemma
+from semiconv.backbone import Backbone, Cone
 from semiconv.dilemma import (conv_collision_witness, interior_mask, make_signal,
                               pv_verify, report, semiconv_color)
 from semiconv.tensor import Tensor
@@ -88,6 +89,19 @@ def test_conv_stacks_collide():
         assert conv_collision_witness(sig, stack) == 0.0
         # a constant output would collide trivially
         assert np.ptp(image_forward(stack, x).data) > 0
+
+
+def test_the_report_records_no_tape(monkeypatch):
+    # its stacks are inference-only models, as every model the package
+    # makes: their forwards record no tape, and their cones carry no adjoint
+    cones, outputs, forward = [], [], Backbone.forward
+    monkeypatch.setattr(dilemma, "Cone", lambda *args: cones.append(Cone(*args)) or cones[-1])
+    monkeypatch.setattr(Backbone, "forward",
+                        lambda model, cone: outputs.append(forward(model, cone)) or outputs[-1])
+    report(n_stacks=2)
+    assert len(cones) == len(outputs) == 2
+    assert all(t.adjoint is None for cone in cones for t in cone.tables)
+    assert not any(y.requires_grad or y._parents for y in outputs)
 
 
 def test_semiconv_color_escapes_the_collision():

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from semiconv import tensor as T
+from semiconv import synth, tensor as T
 from semiconv.backbone import Backbone, Cone, _geometry
 from semiconv.tensor import NumericError, Tensor
 from semiconv.embedding import EmbeddingField, attach_coords, coord_grid, field_rows, rows_at
@@ -15,7 +15,7 @@ from semiconv.synth import (InstanceLabeling, Scene, TrainConfig, build_field, c
 from semiconv.seedcut import (RegionProposal, box_loss, cut_all_boxes, cut_region,
                               gt_boxes_from_labels, region_pixel_indices, rle_decode,
                               rle_encode, train_seedcut, _box_layout, _box_list)
-from whole_image import assert_close, image_forward, roll_rows, whole_field
+from whole_image import assert_close, image_forward, learnable, roll_rows, whole_field
 
 
 def make_region(rows, scores, shape):
@@ -161,12 +161,13 @@ def forward_inputs(monkeypatch):
 
 
 def random_backbone(rng, kernels, dims):
-    """A backbone with random weights and biases, every tensor requiring grad."""
+    """A backbone with random weights and biases, inference-only as every
+    model the package makes."""
     chans = (1, 6, 7, dims)
     return Backbone(
-        [Tensor(0.4 * rng.standard_normal((c_out, c_in, k, k)), requires_grad=True)
+        [Tensor(0.4 * rng.standard_normal((c_out, c_in, k, k)))
          for c_in, c_out, k in zip(chans[:-1], chans[1:], kernels)],
-        [Tensor(0.1 * rng.standard_normal(c_out), requires_grad=True) for c_out in chans[1:]])
+        [Tensor(0.1 * rng.standard_normal(c_out)) for c_out in chans[1:]])
 
 
 # a 45x61 image (H*W = 2745, not a multiple of 8); boxes as (x0, y0, x1, y1)
@@ -478,32 +479,41 @@ def test_cut_all_boxes_builds_each_label_maps_boxes_once():
 
 
 @pytest.mark.parametrize("spacing", [32, 12])
-def test_a_cut_reuses_its_trainings_geometry(spacing):
-    # training's cone reads the instances and their boxes, a set the cut's
-    # boxes already cover, since every instance lies inside its box
+def test_a_cut_builds_an_inference_geometry_the_next_cut_reuses(monkeypatch, spacing):
+    # training's cone reads the instances and their boxes, the set the cut's
+    # boxes cover, since every instance lies inside its box. The cut's cone
+    # carries no adjoint, so the first cut builds a geometry of its own and
+    # the next cut reuses it
     scene = generate_scene(4, 4, dot_radius=3, spacing=spacing, img_noise_std=0.05, seed=3)
     cfg = TrainConfig(dims=4, epochs=1, seed=0)
     _geometry.cache_clear()
     model, params, _ = train_seedcut(scene, gt_boxes_from_labels(scene.gt), cfg,
                                      KernelParams("steered_laplacian", sigma=1.0))
-    cut_all_boxes(scene, model, params)
+    cones = []
+    monkeypatch.setattr(synth, "Cone", lambda *args: cones.append(Cone(*args)) or cones[-1])
+    for _ in range(2):
+        cut_all_boxes(scene, model, params)
     info = _geometry.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    assert (info.misses, info.hits) == (2, 1)
+    assert len(cones) == 2 and cones[0].tables is cones[1].tables
+    assert all(t.adjoint is None for t in cones[0].tables)
 
 
 def test_the_field_builders_and_the_cut_record_no_tape(monkeypatch):
-    # a freshly trained model and kernel scale, whose tensors require
-    # gradients: decoding with them records no tape and leaves them as they are
+    # a freshly trained model and kernel scale, whose log-sigma requires a
+    # gradient: decoding with them records no tape and leaves the scale as it
+    # is. The reference forwards the model's learnable twin, taped
     scene = generate_scene(2, 2, dot_radius=3, spacing=12, img_noise_std=0.05, seed=0)
     model, params, _ = train_seedcut(scene, gt_boxes_from_labels(scene.gt),
                                      TrainConfig(dims=4, epochs=2, seed=0),
                                      KernelParams("steered_laplacian", sigma=1.0))
-    learnables = model.params() + params.learnables()
+    learnables = params.learnables()
     for p in learnables:
         p.grad = None
     pixels, ids, counts, truth, scores = _box_list(scene.gt, gt_boxes_from_labels(scene.gt))
-    cone = Cone(model, scene.image, pixels)
-    taped = {"image": image_forward(model, scene.image), "cone": model.forward(cone)}
+    twin = learnable(model)
+    cone = Cone(twin, scene.image, pixels)
+    taped = {"image": image_forward(twin, scene.image), "cone": twin.forward(cone)}
     assert all(phi.requires_grad for phi in taped.values())
     fused, fuse = [], fuse_boxes
     monkeypatch.setattr("semiconv.seedcut.fuse_boxes",
@@ -620,7 +630,7 @@ def test_a_cone_seedcut_step_is_the_whole_image_step(monkeypatch, n, spacing, ra
     _, _, losses = train_seedcut(scene, boxes, cfg,
                                  params=KernelParams("steered_laplacian", sigma=1.0))
     # the same step over the whole image
-    model = Backbone.glorot(1, cfg.dims, cfg.seed)
+    model = learnable(Backbone.glorot(1, cfg.dims, cfg.seed))
     params = KernelParams("steered_laplacian", sigma=1.0)
     field = dense_field(model, scene.image, boxes, "semiconv")
     loss = T.add(pull_to_mean_loss(field, SegmentSet.from_labels(scene.gt)),

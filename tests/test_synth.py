@@ -16,12 +16,14 @@ from semiconv import tensor as T
 from semiconv.backbone import Backbone, Cone, _geometry
 from semiconv.tensor import Tensor, NumericError
 from semiconv.embedding import EmbeddingField, field_rows, rows_at
+from semiconv.kernels import KernelParams
 from semiconv.losses import SegmentSet, pull_to_mean_loss
+from semiconv.seedcut import train_seedcut
 from semiconv.synth import (InstanceLabeling, Scene, TrainConfig, build_field,
                             controlled_pair, decode_kmeans, generate_scene,
                             cone_field, gt_boxes_from_labels, load_scene, region_pixel_indices,
                             scene_from_json, scene_to_json, score, train)
-from whole_image import assert_close, image_forward, roll_rows, whole_field
+from whole_image import assert_close, image_forward, learnable, roll_rows, whole_field
 
 DISC3_PIXELS = 29  # lattice points with dx^2 + dy^2 <= 9, counted by hand
 
@@ -135,6 +137,26 @@ def test_zero_epochs_keeps_init():
     assert losses == []
     for a, b in zip(model.params(), fresh.params()):
         assert np.array_equal(a.data, b.data)
+
+
+def test_every_model_the_package_makes_is_inference_only(tmp_path):
+    # glorot, load, train and train_seedcut: no tensor requires a gradient
+    # or holds one, so a forward over any of them records no tape. train
+    # steps a learnable twin whose in-place updates land in the model's own
+    # arrays
+    scene = small_scene()
+    cfg = quick_cfg(epochs=2)
+    fresh = Backbone.glorot(1, cfg.dims, cfg.seed)
+    fresh.save(tmp_path / "m.bin")
+    trained, _ = train(scene, cfg)
+    cut, _, _ = train_seedcut(scene, gt_boxes_from_labels(scene.gt), cfg,
+                              KernelParams("steered_laplacian", sigma=1.0))
+    for model in (fresh, Backbone.load(tmp_path / "m.bin"), trained, cut):
+        assert len(model.params()) == 6
+        assert not any(p.requires_grad or p.grad is not None for p in model.params())
+        assert not image_forward(model, scene.image).requires_grad
+    for model in (trained, cut):
+        assert not any(np.array_equal(a.data, b.data) for a, b in zip(model.weights, fresh.weights))
 
 
 def test_semiconv_training_reduces_loss():
@@ -480,21 +502,20 @@ def test_a_whole_image_forward_in_bands_is_the_cone_over_every_pixel(monkeypatch
                                                                      tap_band, bands, kernels):
     # build_field runs bands of rows, each layer gathering its taps in bands
     # of output pixels (its weights take no gradient); a forward over the
-    # cone of every pixel whose weights do keeps each layer's taps, gathered
-    # at once for the backward. Both give the same bits, and the np.roll
-    # reference's to rounding
+    # cone of every pixel whose weights do, the model's learnable twin,
+    # keeps each layer's taps, gathered at once for the backward. Both give
+    # the same bits, and the np.roll reference's to rounding
     rng = np.random.default_rng(6)
     image = Tensor(rng.standard_normal((1, *shape)))
     if kernels is None:
         model = Backbone.glorot(1, 8, 2)
     else:
-        model = Backbone([Tensor(rng.uniform(-0.3, 0.3, s), requires_grad=True) for s in kernels],
-                         [Tensor(np.zeros(s[0]), requires_grad=True) for s in kernels])
+        model = Backbone([Tensor(rng.uniform(-0.3, 0.3, s)) for s in kernels],
+                         [Tensor(np.zeros(s[0])) for s in kernels])
     for p in model.biases:
         p.data += rng.standard_normal(p.data.shape)
     everywhere = np.arange(image.data.size)
-    cone = Cone(model, image, everywhere)
-    want = field_rows(synth._embed(model.forward(cone), mode, cone.grid, cone.at)).data
+    want = field_rows(whole_field(learnable(model), image, mode)).data
     got_bands, taps = [], T._taps
     monkeypatch.setattr(T, "TAP_BAND", tap_band)
     monkeypatch.setattr(T, "_taps", lambda src, index, out: got_bands.append(index.shape[1])
@@ -613,7 +634,7 @@ def test_the_whole_image_cone_holds_one_table_its_own_adjoint():
     # the adjoint its training reads holds the table's own entries
     scene = cone_scene("edge")
     h, w = scene.shape
-    cone = Cone(Backbone.glorot(1, 8, 0), scene.image, np.arange(h * w))
+    cone = Cone(learnable(Backbone.glorot(1, 8, 0)), scene.image, np.arange(h * w))
     table = cone.tables[0]
     assert all(t is table for t in cone.tables)
     assert np.array_equal(table.adjoint.table, table.table)
@@ -702,7 +723,7 @@ def test_a_training_cone_keeps_an_int32_geometry_with_no_layer_0_adjoint():
     # The geometry holds 0.81 MB; with intp indices and layer 0's [9, 6400]
     # adjoint it held 2.03 MB
     scene = generate_scene(8, 8, dot_radius=3, spacing=10)
-    model = Backbone.glorot(1, TrainConfig().dims, 0)
+    model = learnable(Backbone.glorot(1, TrainConfig().dims, 0))
     pixels = np.flatnonzero(scene.gt.labels)
     cone = Cone(model, scene.image, pixels)
     source, tables, grid, at = _geometry(
@@ -739,14 +760,15 @@ def test_an_inference_cone_carries_no_adjoint(monkeypatch, tmp_path):
 
 
 def test_a_training_forward_over_an_inference_cone_is_refused():
-    # the weights require gradients, so layer 1's input does, and its
-    # backward would read an adjoint the inference cone does not carry:
-    # conv2d refuses when the op is made, before a backward could run
+    # the learnable twin's weights require gradients, so layer 1's input
+    # does, and its backward would read an adjoint the inference cone does
+    # not carry: conv2d refuses when the op is made, before a backward could
+    # run
     scene = cone_scene("edge")
     model = Backbone.glorot(1, 4, 0)
-    cone = Cone(synth._inference(model), scene.image, reader_pixels(scene)["segments"])
+    cone = Cone(model, scene.image, reader_pixels(scene)["segments"])
     with pytest.raises(ValueError) as err:
-        model.forward(cone)
+        learnable(model).forward(cone)
     assert str(err.value) == ("conv2d's backward reads the neighbour table's adjoint, "
                               "but this table carries none")
 
@@ -794,7 +816,7 @@ def test_a_cone_training_step_is_the_whole_image_step(monkeypatch, mode, name):
     scene = cone_scene(name)
     cfg = TrainConfig(mode=mode, dims=8, epochs=1, seed=2)
     losses, grads, nodes = first_step(monkeypatch, lambda: train(scene, cfg)[1])
-    model = Backbone.glorot(1, cfg.dims, cfg.seed)
+    model = learnable(Backbone.glorot(1, cfg.dims, cfg.seed))
     field = whole_field(model, scene.image, mode)
     loss = pull_to_mean_loss(field, SegmentSet.from_labels(scene.gt))
     # the loss reads its rows from the field's columns in one gather, and

@@ -6,13 +6,14 @@ package. It sums in another order than the package's products, so it agrees
 with them to rounding (``assert_close``), not bit for bit. ``image_conv``,
 ``image_forward`` and ``whole_field`` run the package's own conv2d,
 Backbone.forward and training field over the table, or the cone, of every
-pixel of an image.
+pixel of an image; over ``learnable(model)``, as synth.train steps, they
+record a tape.
 """
 
 import numpy as np
 
 from semiconv import synth, tensor as T
-from semiconv.backbone import Cone
+from semiconv.backbone import Backbone, Cone
 from semiconv.embedding import coord_grid
 
 
@@ -75,6 +76,13 @@ def image_forward(model, image):
     as a [D, H, W] Tensor that gradients flow through."""
     h, w = image.data.shape[1:]
     return T.reshape(model.forward(Cone(model, image, np.arange(h * w))), (-1, h, w))
+
+
+def learnable(model):
+    """The learnable twin synth.train steps: Tensors that require gradients
+    over the Backbone ``model``'s own arrays."""
+    return Backbone(*[[T.Tensor(t.data, requires_grad=True) for t in ts]
+                      for ts in (model.weights, model.biases)])
 
 
 def whole_field(model, image, mode):
