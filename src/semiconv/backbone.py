@@ -27,7 +27,8 @@ class Backbone:
 
     Every model the package makes is inference-only: its tensors take no
     gradient, so a forward pass records no tape. synth.train, the one
-    function that learns, steps a learnable twin over the model's own arrays.
+    function that learns a model, steps a learnable twin over the model's
+    own arrays, as seedcut.train_seedcut does for the kernel scale.
     """
 
     def __init__(self, weights, biases):
@@ -155,11 +156,12 @@ class Cone:
       (tensor.neighbour_table), carrying its adjoint exactly when the
       layer's backward reads it. That is when the model trains, some weight
       of it requiring a gradient (only synth.train's learnable twin has
-      one), and the layer's input takes a gradient or its weight gradient
-      reads the taps of the output gradient (C_in > C_out). Layer 0's input
-      is the image, which takes none. So a cone of a model that takes no
-      gradient carries no adjoint at all. Layers whose outputs are the whole
-      image share one table;
+      one; no model or kernel scale the package makes takes one), and the
+      layer's input takes a gradient or its weight gradient reads the taps
+      of the output gradient (C_in > C_out). Layer 0's input is the image,
+      which takes none. So a cone of a model that takes no gradient carries
+      no adjoint at all. Layers whose outputs are the whole image share one
+      table;
     - ``grid``: the (x, y) of the output list, the given pixels sorted and
       each once, as [2, P] (embedding.attach_coords);
     - ``at``: the image's [H, W] map to the output rows, -1 off the list (an
@@ -204,10 +206,11 @@ def _geometry(shape, weights, pixels, trains):
     ``weights`` are the layers' weight shapes (C_out, C_in, kh, kw),
     ``pixels`` the bytes of the sorted output list and ``trains`` whether
     the model's weights take gradients, as only synth.train's learnable twin
-    does. A pure function of its arguments, so the last two geometries built
-    are kept: a cone over the same pixel set reuses one, and a training cone
-    and the band cone every band of a whole-image field runs on
-    (synth.build_field) do not evict each other.
+    does (no model or kernel scale the package makes takes one). A pure
+    function of its arguments, so the last two geometries built are kept: a
+    cone over the same pixel set reuses one, and a training cone and the
+    band cone every band of a whole-image field runs on (synth.build_field)
+    do not evict each other.
     A table carries its adjoint exactly where conv2d's backward reads it:
     when the model trains, on every layer but the first, whose input never
     requires a gradient, and on the first too when its weight gradient

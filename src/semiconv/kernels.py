@@ -21,11 +21,12 @@ FAMILIES = ("gaussian", "steered_laplacian")
 
 
 class KernelParams:
-    """Kernel family plus its scale.
+    """Kernel family plus its scale, inference-only like backbone.Backbone.
 
     sigma is stored as log(sigma) so gradient steps can never push it out of
-    the positive range; it is a learnable tensor for the steered Laplacian
-    family, the only one whose kernel reads it.
+    the positive range; only the steered Laplacian family's kernel reads it.
+    The log-sigma takes no gradient. seedcut.train_seedcut, the function
+    that learns the scale, steps a learnable twin over its array instead.
     """
 
     def __init__(self, family="gaussian", sigma=1.0):
@@ -34,15 +35,11 @@ class KernelParams:
         if not sigma > 0:
             raise ValueError("sigma must be positive")
         self.family = family
-        self.log_sigma = Tensor(np.log(sigma),
-                                requires_grad=family == "steered_laplacian")
+        self.log_sigma = Tensor(np.log(sigma))
 
     @property
     def sigma(self):
         return float(np.exp(self.log_sigma.data))
-
-    def learnables(self):
-        return [self.log_sigma] if self.log_sigma.requires_grad else []
 
     def __repr__(self):
         return f"KernelParams(family={self.family}, sigma={self.sigma:.6g})"

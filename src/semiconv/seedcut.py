@@ -10,7 +10,6 @@ kernel scale co-adapt. Both the trainer and the cutter describe all boxes of
 a scene as one concatenated pixel list and fuse them in one pass.
 """
 
-import copy
 import functools
 from dataclasses import dataclass
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .kernels import fuse_boxes, fuse_scores
+from .kernels import KernelParams, fuse_boxes, fuse_scores
 from .embedding import rows_at
 from .losses import _bce_terms
 from . import synth
@@ -92,9 +91,12 @@ def box_loss(gt, boxes, params):
     as in cut_all_boxes), with _box_list's stand-in scores. They never
     change, so the pixel list, the scores and the targets are built once
     here; each evaluation is one fuse_boxes call and one cross-entropy sum
-    weighted 1/(B * box size). synth.train embeds only the pixels its
-    read_pixels lists, so a box with a pixel outside every ground-truth box
-    raises ValueError here, before any step.
+    weighted 1/(B * box size). The kernel scale is read from ``params``
+    at each evaluation, so its gradient reaches ``params.log_sigma`` only
+    when that requires one, as train_seedcut's learnable twin does.
+    synth.train embeds only the pixels its read_pixels lists, so a box with
+    a pixel outside every ground-truth box raises ValueError here, before
+    any step.
     """
     pixels, ids, counts, truth, scores = _box_list(gt, boxes)
     outside = ~np.isin(pixels, synth.read_pixels(gt, boxes=True))
@@ -121,10 +123,19 @@ def train_seedcut(scene, gt_boxes, cfg, params):
     reads the same embedding rows as cut_all_boxes, so training and cutting
     see one kernel.
 
+    Like the model, ``params`` takes no gradient. The box loss reads its
+    learnable twin, a KernelParams of the same family whose log-sigma
+    requires a gradient over ``params``' own array, and synth.train steps
+    that log-sigma next to the model's twin (as its extra "log_sigma"), in
+    place: ``params`` holds what the twin learnt, and no gradient. The
+    Gaussian kernel never reads sigma, so its scale stays as it was.
+
     Returns (model, params, losses).
     """
-    model, losses = synth.train(scene, cfg, extra_loss=box_loss(scene.gt, gt_boxes, params),
-                                extra_params=[("log_sigma", t) for t in params.learnables()])
+    twin = KernelParams(params.family)
+    twin.log_sigma = Tensor(params.log_sigma.data, requires_grad=True)
+    model, losses = synth.train(scene, cfg, extra_loss=box_loss(scene.gt, gt_boxes, twin),
+                                extra_params=[("log_sigma", twin.log_sigma)])
     return model, params, losses
 
 
@@ -151,16 +162,14 @@ def cut_all_boxes(scene, model, params, cfg_mode="semiconv", threshold=0.5):
     label map (_box_layout); ``boxes`` is the caller's own list. The backbone
     runs only over the box pixels' receptive cone (synth.cone_field), whose
     geometry the next cut with the same boxes reuses. The cut never
-    backpropagates, so it records no tape: the field is built without one,
-    and the kernel scale is read as a constant.
+    backpropagates, and over the model and the kernel scale the package
+    makes, neither of which takes a gradient, it records no tape.
     """
     labels = scene.gt.labels
     boxes, (pixels, ids, counts, truth, scores) = _box_layout(
         labels.shape, labels.dtype, labels.tobytes())
     rows = rows_at(synth.cone_field(model, scene.image, pixels, cfg_mode), pixels)
-    constant = copy.copy(params)
-    constant.log_sigma = Tensor(params.log_sigma.data)
-    fused = fuse_boxes(scores, rows, counts, constant)
+    fused = fuse_boxes(scores, rows, counts, params)
     mask = _cut(fused, threshold)
     ious = np.bincount(ids, mask & truth, counts.size) / np.bincount(ids, mask | truth, counts.size)
     masks = [m.reshape(y1 - y0, x1 - x0)

@@ -231,8 +231,10 @@ def _keep_freed_memory():
 
     A training step frees its whole graph during backward, so under the
     default policy glibc hands the heap back at the end of every step and the
-    next step faults each page in again (a 4x4 grid at 128x128: about 2800
-    minor faults and 15 ms of system time a step). These are the settings the
+    next step faults each page in again (a 4x4 grid at 128x128, 1 BLAS
+    thread on 2 cores: about 510 minor faults and 0.7 ms of system time a
+    step, which takes 3.7-3.9 ms against 2.7-3.0 ms with the settings
+    below, and faults none). These are the settings the
     benchmark runs under; they hold for the rest of the process. A C library
     without mallopt is left as it is.
     """
@@ -361,11 +363,14 @@ def train(scene, cfg, extra_loss=None, extra_params=()):
 
     The pull-to-mean loss reads only the instances' pixels, and
     ``extra_loss(field) -> Tensor``, a term callers add to the objective
-    (with ``extra_params``, its learnables as (name, tensor) pairs) without
-    changing anything else about the loop, reads only pixels inside the
-    instances' boxes (gt_boxes_from_labels). So the receptive cone of those
-    pixels (backbone.Cone) is built once, and every step runs the twin over
-    it. The loss's segments are the labels' instances over the
+    without changing anything else about the loop, reads only pixels inside
+    the instances' boxes (gt_boxes_from_labels). So the receptive cone of
+    those pixels (backbone.Cone) is built once, and every step runs the twin
+    over it. ``extra_params`` lists the Tensors the extra term learns, as
+    (name, tensor) pairs, and sgd_step updates their arrays in place too.
+    The caller makes them learnable, as seedcut.train_seedcut makes the
+    twin of its kernel scale, since no parameter the package makes takes a
+    gradient. The loss's segments are the labels' instances over the
     image's pixels (SegmentSet.from_labels), made once, and each step reads
     their rows through the field's map. With no extra term the trajectory
     depends only on cfg. A scene without instances raises ValueError before

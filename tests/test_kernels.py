@@ -7,6 +7,7 @@ from semiconv.kernels import (FAMILIES, KernelParams, box_seeds, fuse_boxes, fus
                               gaussian_kernel, factorized_kernel, log_kernel,
                               steered_laplacian)
 from semiconv.seedcut import RegionProposal, cut_region
+from whole_image import learnable_scale
 
 
 def test_gaussian_identity_and_substitution():
@@ -128,13 +129,12 @@ def test_laplacian_grad_through_sigma():
 
 
 def test_kernel_params():
+    # inference-only in every family: the scale is learnt through a twin
     p = KernelParams("steered_laplacian", sigma=2.0)
     assert abs(p.sigma - 2.0) < 1e-12
-    assert p.log_sigma.requires_grad
-    assert p.learnables() == [p.log_sigma]
+    assert not p.log_sigma.requires_grad
     q = KernelParams("gaussian")
     assert not q.log_sigma.requires_grad
-    assert q.learnables() == []
     for unknown in ("rbf", "bilateral"):
         with pytest.raises(ValueError):
             KernelParams(unknown)
@@ -330,7 +330,7 @@ def test_fuse_sigma_grad_reaches_log_sigma():
     rng = np.random.default_rng(9)
     rows = Tensor(rng.standard_normal((5, 3)))
     s = Tensor(rng.standard_normal(5))
-    params = KernelParams("steered_laplacian", sigma=1.0)
+    params = learnable_scale(KernelParams("steered_laplacian", sigma=1.0))
     out = fuse_scores(s, rows, params, "hard")
     from semiconv.losses import mask_bce
     loss = mask_bce(out.probabilities, np.array([1.0, 0.0, 0.0, 1.0, 0.0]))

@@ -15,7 +15,8 @@ from semiconv.synth import (InstanceLabeling, Scene, TrainConfig, build_field, c
 from semiconv.seedcut import (RegionProposal, box_loss, cut_all_boxes, cut_region,
                               gt_boxes_from_labels, region_pixel_indices, rle_decode,
                               rle_encode, train_seedcut, _box_layout, _box_list)
-from whole_image import assert_close, image_forward, learnable, roll_rows, whole_field
+from whole_image import (assert_close, image_forward, learnable, learnable_scale, roll_rows,
+                         whole_field)
 
 
 def make_region(rows, scores, shape):
@@ -500,18 +501,17 @@ def test_a_cut_builds_an_inference_geometry_the_next_cut_reuses(monkeypatch, spa
 
 
 def test_the_field_builders_and_the_cut_record_no_tape(monkeypatch):
-    # a freshly trained model and kernel scale, whose log-sigma requires a
+    # a freshly trained model and kernel scale, neither of which takes a
     # gradient: decoding with them records no tape and leaves the scale as it
-    # is. The reference forwards the model's learnable twin, taped
+    # is. The reference forwards the model's learnable twin, taped, and fuses
+    # with the scale's
     scene = generate_scene(2, 2, dot_radius=3, spacing=12, img_noise_std=0.05, seed=0)
     model, params, _ = train_seedcut(scene, gt_boxes_from_labels(scene.gt),
                                      TrainConfig(dims=4, epochs=2, seed=0),
                                      KernelParams("steered_laplacian", sigma=1.0))
-    learnables = params.learnables()
-    for p in learnables:
-        p.grad = None
+    log_sigma = params.log_sigma.data.copy()
     pixels, ids, counts, truth, scores = _box_list(scene.gt, gt_boxes_from_labels(scene.gt))
-    twin = learnable(model)
+    twin, scale = learnable(model), learnable_scale(params)
     cone = Cone(twin, scene.image, pixels)
     taped = {"image": image_forward(twin, scene.image), "cone": twin.forward(cone)}
     assert all(phi.requires_grad for phi in taped.values())
@@ -530,12 +530,14 @@ def test_the_field_builders_and_the_cut_record_no_tape(monkeypatch):
                     "cone": attach_coords(taped["cone"], cone.grid)}
         assert np.array_equal(whole.values.data, want["image"].data)
         assert np.array_equal(listed.values.data, want["cone"].data)
-        # the cut from the taped rows and the trainable kernel scale
+        # the cut from the taped rows and the learnable kernel scale
         rows = rows_at(EmbeddingField(want["cone"], cone.at), pixels)
-        mask = fuse(scores, rows, counts, params).probabilities.data >= 0.5
+        mask = fuse(scores, rows, counts, scale).probabilities.data >= 0.5
         assert np.array_equal(np.concatenate([m.reshape(-1) for m in masks]), mask)
         assert ious == (np.bincount(ids, mask & truth) / np.bincount(ids, mask | truth)).tolist()
-    assert all(p.requires_grad and p.grad is None for p in learnables)
+    assert scale.log_sigma.requires_grad and scale.log_sigma.grad is None
+    assert not params.log_sigma.requires_grad and params.log_sigma.grad is None
+    assert np.array_equal(params.log_sigma.data, log_sigma)
 
 
 def test_box_loss_tape_does_not_grow_with_boxes():
@@ -631,12 +633,12 @@ def test_a_cone_seedcut_step_is_the_whole_image_step(monkeypatch, n, spacing, ra
                                  params=KernelParams("steered_laplacian", sigma=1.0))
     # the same step over the whole image
     model = learnable(Backbone.glorot(1, cfg.dims, cfg.seed))
-    params = KernelParams("steered_laplacian", sigma=1.0)
+    params = learnable_scale(KernelParams("steered_laplacian", sigma=1.0))
     field = dense_field(model, scene.image, boxes, "semiconv")
     loss = T.add(pull_to_mean_loss(field, SegmentSet.from_labels(scene.gt)),
                  box_loss(scene.gt, boxes, params)(field))
     loss.backward()
-    want = [p.grad for p in model.params() + params.learnables()]
+    want = [p.grad for p in model.params() + [params.log_sigma]]
     assert losses[0] == loss.item()
     assert nodes[0] == nodes[1]  # the cone step's tape, then the whole image's
     # a column gather each for the pull-to-mean loss and the box loss; the row

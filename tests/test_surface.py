@@ -8,6 +8,8 @@ dataclass must be passed, by keyword or by position, by one of the same
 modules (the README aside). A name that only unit tests call, or a value only
 unit tests set, is surface without a user. A parameter of a public top-level
 function that every such call sets to the same literal is a knob nobody turns.
+And only the two trainers and the gradient check make a Tensor that takes a
+gradient: every model and kernel scale the package makes is inference-only.
 """
 
 import ast
@@ -329,3 +331,60 @@ def test_scan_flags_parameters_every_call_sets_alike():
     # a call that leaves a parameter out passes its default
     assert single_valued(module, [reader + "norm(z)\n"]) == [(1, "pick(axis)"), (3, "norm(p)")]
     assert single_valued(module, [reader + "norm(z, 3)\n"]) == [(1, "pick(axis)")]
+
+
+# the functions that make a Tensor requiring a gradient: the two trainers'
+# learnable twins and the gradient check's probe
+LEARNABLE_MAKERS = {"synth.train", "seedcut.train_seedcut", "tensor.grad_check"}
+
+
+def learnable_makers(source, module):
+    """The functions of a module that make a Tensor which may require a
+    gradient, as {"module.function"} (a method as "module.Class.method").
+
+    A maker is a call that passes ``requires_grad`` as anything but the
+    literal False, by keyword or as Tensor's second positional argument; a
+    nested function counts as the top-level function or method it is in.
+    """
+    found = set()
+
+    def scan(node, name):
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            values = [kw.value for kw in call.keywords if kw.arg == "requires_grad"]
+            callee = call.func.id if isinstance(call.func, ast.Name) else getattr(
+                call.func, "attr", None)
+            if callee == "Tensor" and len(call.args) > 1:
+                values.append(call.args[1])
+            if any(literal(v) != "False" for v in values):
+                found.add(f"{module}.{name}")
+
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                scan(item, f"{node.name}.{item.name}" if isinstance(item, ast.FunctionDef)
+                     else node.name)
+        elif isinstance(node, ast.FunctionDef):
+            scan(node, node.name)
+        else:
+            scan(node, "<module>")
+    return found
+
+
+def test_only_the_trainers_and_the_gradient_check_make_learnables():
+    found = set().union(*(learnable_makers(p.read_text(), p.stem) for p in PACKAGE))
+    assert found == LEARNABLE_MAKERS
+
+
+def test_scan_names_every_maker_of_a_learnable():
+    module = ("import numpy as np\nfrom .tensor import Tensor\nfrom . import tensor as T\n"
+              "def fit(x):\n    def twin(a):\n        return Tensor(a, requires_grad=True)\n"
+              "    return twin(x)\n"
+              "def frozen(x):\n    return Tensor(x, requires_grad=False), Tensor(x)\n"
+              "def flagged(x, family):\n    return T.Tensor(x, family == 'steered')\n"
+              "class Params:\n    def __init__(self, x):\n"
+              "        self.t = Tensor(x, requires_grad=bool(x))\n"
+              "PROBE = Tensor(0.0, requires_grad=True)\n")
+    assert learnable_makers(module, "pkg") == {"pkg.fit", "pkg.flagged", "pkg.Params.__init__",
+                                               "pkg.<module>"}

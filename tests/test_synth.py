@@ -16,7 +16,7 @@ from semiconv import tensor as T
 from semiconv.backbone import Backbone, Cone, _geometry
 from semiconv.tensor import Tensor, NumericError
 from semiconv.embedding import EmbeddingField, field_rows, rows_at
-from semiconv.kernels import KernelParams
+from semiconv.kernels import FAMILIES, KernelParams
 from semiconv.losses import SegmentSet, pull_to_mean_loss
 from semiconv.seedcut import train_seedcut
 from semiconv.synth import (InstanceLabeling, Scene, TrainConfig, build_field,
@@ -157,6 +157,24 @@ def test_every_model_the_package_makes_is_inference_only(tmp_path):
         assert not image_forward(model, scene.image).requires_grad
     for model in (trained, cut):
         assert not any(np.array_equal(a.data, b.data) for a, b in zip(model.weights, fresh.weights))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_every_kernel_scale_the_package_makes_is_inference_only(family):
+    # fresh and trained, the log-sigma neither requires nor holds a gradient.
+    # train_seedcut steps a learnable twin over the caller's own array: the
+    # steered Laplacian's scale moves in place, and the Gaussian kernel never
+    # reads sigma, so its twin gets no gradient and its scale keeps its bits
+    scene = small_scene()
+    params = KernelParams(family, sigma=1.0)
+    start = params.log_sigma.data
+    before = start.copy()
+    assert not params.log_sigma.requires_grad and params.log_sigma.grad is None
+    _, trained, _ = train_seedcut(scene, gt_boxes_from_labels(scene.gt), quick_cfg(epochs=2),
+                                  params)
+    assert trained is params and trained.log_sigma.data is start
+    assert not trained.log_sigma.requires_grad and trained.log_sigma.grad is None
+    assert (start.tobytes() == before.tobytes()) == (family == "gaussian")
 
 
 def test_semiconv_training_reduces_loss():
@@ -393,6 +411,15 @@ def test_non_finite_gradient_names_step_and_parameter():
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(NumericError, match=r"step 0: non-finite gradient of parameter 'l0\.w'"):
             train(scene, quick_cfg(epochs=3), extra_loss=nan_grad)
+
+    # only an extra parameter's gradient is non-finite: it is named too
+    p = Tensor(1.0, requires_grad=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(NumericError) as err:
+            train(scene, quick_cfg(epochs=3), extra_loss=lambda field: T.sqrt(T.sub(p, 1.0)),
+                  extra_params=[("log_sigma", p)])
+    assert str(err.value) == ("training diverged at step 0: "
+                              "non-finite gradient of parameter 'log_sigma'")
 
 
 def test_training_memory_does_not_grow_with_epochs():

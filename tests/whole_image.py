@@ -7,7 +7,8 @@ with them to rounding (``assert_close``), not bit for bit. ``image_conv``,
 ``image_forward`` and ``whole_field`` run the package's own conv2d,
 Backbone.forward and training field over the table, or the cone, of every
 pixel of an image; over ``learnable(model)``, as synth.train steps, they
-record a tape.
+record a tape. ``learnable_scale(params)`` is the kernel scale's twin, as
+seedcut.train_seedcut steps it.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ import numpy as np
 from semiconv import synth, tensor as T
 from semiconv.backbone import Backbone, Cone
 from semiconv.embedding import coord_grid
+from semiconv.kernels import KernelParams
 
 
 def roll_conv(x, w, b=None):
@@ -83,6 +85,15 @@ def learnable(model):
     over the Backbone ``model``'s own arrays."""
     return Backbone(*[[T.Tensor(t.data, requires_grad=True) for t in ts]
                       for ts in (model.weights, model.biases)])
+
+
+def learnable_scale(params):
+    """The learnable twin seedcut.train_seedcut steps: a KernelParams of
+    ``params``' family whose log-sigma requires a gradient over the
+    KernelParams ``params``' own array."""
+    twin = KernelParams(params.family)
+    twin.log_sigma = T.Tensor(params.log_sigma.data, requires_grad=True)
+    return twin
 
 
 def whole_field(model, image, mode):
