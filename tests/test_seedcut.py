@@ -541,14 +541,18 @@ def test_the_field_builders_and_the_cut_record_no_tape(monkeypatch):
 
 
 def test_box_loss_tape_does_not_grow_with_boxes():
+    # over the learnable twins of the model and the kernel scale, as
+    # train_seedcut steps them, so the rows and the scale are both taped
     cfg = TrainConfig(dims=4, epochs=0, seed=0)
-    params = KernelParams("steered_laplacian")
+    params = learnable_scale(KernelParams("steered_laplacian"))
+    model = learnable(Backbone.glorot(1, cfg.dims, cfg.seed))
     nodes = []
     for rows in (2, 4):
         scene = generate_scene(rows, rows, dot_radius=3, spacing=12, seed=0)
-        field = build_field(Backbone.glorot(1, cfg.dims, cfg.seed), scene.image, cfg.mode)
+        field = whole_field(model, scene.image, cfg.mode)
         loss = box_loss(scene.gt, gt_boxes_from_labels(scene.gt), params)(field)
         nodes.append(len(T._topo_order(loss)))
+    assert nodes[0] > 1
     assert nodes[0] == nodes[1]
 
 

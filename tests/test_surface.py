@@ -343,20 +343,26 @@ def learnable_makers(source, module):
     gradient, as {"module.function"} (a method as "module.Class.method").
 
     A maker is a call that passes ``requires_grad`` as anything but the
-    literal False, by keyword or as Tensor's second positional argument; a
-    nested function counts as the top-level function or method it is in.
+    literal False, by keyword or as Tensor's second positional argument, or
+    an assignment of anything but the literal False to an attribute
+    ``requires_grad``; a nested function counts as the top-level function or
+    method it is in.
     """
     found = set()
 
     def scan(node, name):
-        for call in ast.walk(node):
-            if not isinstance(call, ast.Call):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Assign):
+                values = [sub.value for t in sub.targets
+                          if isinstance(t, ast.Attribute) and t.attr == "requires_grad"]
+            elif isinstance(sub, ast.Call):
+                values = [kw.value for kw in sub.keywords if kw.arg == "requires_grad"]
+                callee = sub.func.id if isinstance(sub.func, ast.Name) else getattr(
+                    sub.func, "attr", None)
+                if callee == "Tensor" and len(sub.args) > 1:
+                    values.append(sub.args[1])
+            else:
                 continue
-            values = [kw.value for kw in call.keywords if kw.arg == "requires_grad"]
-            callee = call.func.id if isinstance(call.func, ast.Name) else getattr(
-                call.func, "attr", None)
-            if callee == "Tensor" and len(call.args) > 1:
-                values.append(call.args[1])
             if any(literal(v) != "False" for v in values):
                 found.add(f"{module}.{name}")
 
@@ -372,9 +378,15 @@ def learnable_makers(source, module):
     return found
 
 
+# the functions that set the flag without making a learnable: the
+# constructor stores its argument, and an op's output requires a gradient
+# only when one of its parents does
+FLAG_SETTERS = {"tensor.Tensor.__init__", "tensor._node"}
+
+
 def test_only_the_trainers_and_the_gradient_check_make_learnables():
     found = set().union(*(learnable_makers(p.read_text(), p.stem) for p in PACKAGE))
-    assert found == LEARNABLE_MAKERS
+    assert found == LEARNABLE_MAKERS | FLAG_SETTERS
 
 
 def test_scan_names_every_maker_of_a_learnable():
@@ -385,6 +397,8 @@ def test_scan_names_every_maker_of_a_learnable():
               "def flagged(x, family):\n    return T.Tensor(x, family == 'steered')\n"
               "class Params:\n    def __init__(self, x):\n"
               "        self.t = Tensor(x, requires_grad=bool(x))\n"
-              "PROBE = Tensor(0.0, requires_grad=True)\n")
+              "PROBE = Tensor(0.0, requires_grad=True)\n"
+              "def thaw(t):\n    t.requires_grad = True\n    return t\n"
+              "def freeze(t):\n    t.requires_grad = False\n    return t\n")
     assert learnable_makers(module, "pkg") == {"pkg.fit", "pkg.flagged", "pkg.Params.__init__",
-                                               "pkg.<module>"}
+                                               "pkg.<module>", "pkg.thaw"}
