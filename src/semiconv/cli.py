@@ -229,9 +229,11 @@ def cmd_render_arrows(args):
     scene = synth.load_scene(args.scene)
     model = Backbone.load(args.model)
     synth._keep_freed_memory()  # the decode allocates as training does
-    field = synth.build_field(model, scene.image, "semiconv")
-    disp = displacement_field(field)
-    rgb = render.render_arrows(scene.image, disp, stride=args.stride)
+    # one arrow from every stride-th pixel of every stride-th row, read on their cone
+    grid = np.arange(scene.image.data[0].size).reshape(scene.shape)
+    pixels = grid[::args.stride, ::args.stride].ravel()
+    field = synth.cone_field(model, scene.image, pixels, "semiconv")
+    rgb = render.render_arrows(scene.image, pixels, displacement_field(field, pixels))
     render.write_ppm(args.out, rgb)
     return [args.out]
 

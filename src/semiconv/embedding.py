@@ -82,21 +82,23 @@ def attach_coords(phi, grid):
     return T.add(phi, Tensor(mix))
 
 
-def displacement_field(field):
-    """Per-pixel offset vectors: geometric embedding minus the pixel's own position.
+def displacement_field(field, pixels):
+    """The offset vectors of the image pixels ``pixels`` (linear, row-major
+    indices): each pixel's geometric embedding minus its own (x, y), as a
+    [2, N] Tensor in the pixels' order.
 
     When training succeeds, all pixels of one instance share an embedding
     value, so these vectors point from each pixel toward a common
     instance-specific location. Only a semiconvolutional field has a
-    geometric embedding; the arrow renderer is its one reader. A field whose
-    values do not cover its map, a cone's, raises ValueError.
+    geometric embedding; the arrow renderer is its one reader. The rows are
+    read through the field's map (rows_at), so a cone's field and a
+    whole-image field give the same vectors at the pixels both hold, and a
+    pixel off a cone's list is rows_at's one-line error.
     """
-    h, w = field.at.shape
-    if field.values.data.shape[1:] != (h, w):
-        raise ValueError(f"a displacement field needs the whole {h}x{w} image, but the "
-                         f"field covers {field.values.data[0].size} of its pixels")
-    geo = T.index_select(field.values, [0, 1])
-    return T.sub(geo, Tensor(coord_grid(h, w)))
+    rows = rows_at(field, pixels)
+    y, x = np.divmod(np.asarray(pixels, dtype=np.intp), field.at.shape[1])
+    # take_columns of the [N, D] rows picks their x and y columns as [2, N]
+    return T.sub(T.take_columns(rows, [0, 1]), Tensor(np.stack([x, y]).astype(np.float64)))
 
 
 def field_rows(field):

@@ -6,6 +6,8 @@ be diffed directly.
 
 import numpy as np
 
+from .embedding import image_pixels
+
 # 32 visually distinct colors; instance id k > 0 uses entry (k-1) mod 32
 PALETTE = np.array([
     (230, 25, 75), (60, 180, 75), (255, 225, 25), (0, 130, 200),
@@ -48,9 +50,10 @@ def grayscale_base(image):
     return np.repeat(gray[:, :, None], 3, axis=2)
 
 
-def render_arrows(image, displacement, stride=4):
-    """Overlay a [2,H,W] displacement tensor on a [1,H,W] image tensor as line
-    segments from each sampled pixel.
+def render_arrows(image, pixels, displacement):
+    """Overlay arrows on a [1,H,W] image tensor: one from each of the image
+    pixels ``pixels`` (linear, row-major indices) along its column of the
+    [2,N] displacement tensor (embedding.displacement_field).
 
     Each arrow runs from pixel u to u + d(u), its end rounded half to even;
     pixels where the displacement ends mark the location the embedding voted
@@ -61,14 +64,13 @@ def render_arrows(image, displacement, stride=4):
     exact: int64 while it cannot overflow, Python integers for arrows that
     reach further (a diverged field).
     """
-    disp = displacement.data
-    if disp.ndim != 3 or disp.shape[0] != 2:
-        raise ValueError("expected a [2,H,W] displacement field")
+    h, w = image.data.shape[1:]
+    start = np.stack(np.divmod(image_pixels(pixels, (h, w)), w))  # (y, x) of each arrow
+    if displacement.data.shape != start.shape:
+        raise ValueError(f"expected a [2,{start.shape[1]}] displacement, one column per pixel")
     rgb = grayscale_base(image)
-    h, w = disp.shape[1:]
     span = max(h, w)
-    start = np.mgrid[0:h:stride, 0:w:stride].reshape(2, -1)  # (y, x) of each arrow
-    end = np.rint(start + disp[::-1, ::stride, ::stride].reshape(2, -1))
+    end = np.rint(start + displacement.data[::-1])
     end = (end.astype(np.int64) if (np.abs(end).max() + span) * span < 2**62
            else np.frompyfunc(int, 1, 1)(end))
     delta = end - start

@@ -206,7 +206,9 @@ def build_field(model, image, mode):
 
     Over every model the package makes the field records no tape, and each
     layer gathers the taps of one band of output pixels at a time
-    (tensor._correlate), so the pass keeps no whole-image tap buffer.
+    (tensor._correlate), so the pass keeps no whole-image tap buffer. The
+    acceptance gate and the bench decode this field; the CLI's commands read
+    the cones of their pixels (cone_field).
     """
     h, w = image.data.shape[1:]
     shapes = [wt.data.shape for wt in model.weights]

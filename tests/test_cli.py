@@ -10,7 +10,8 @@ from semiconv import dilemma as dilemma_mod, render, seedcut as seedcut_mod, syn
 from semiconv.backbone import Backbone
 from semiconv import cli
 from semiconv.cli import build_parser, main, write_json
-from semiconv.embedding import EmbeddingField, attach_coords, coord_grid, field_rows
+from semiconv.embedding import (EmbeddingField, attach_coords, coord_grid, displacement_field,
+                                field_rows)
 from semiconv.kernels import KernelParams
 from semiconv.losses import SegmentSet, pull_to_mean_loss
 from semiconv.tensor import NumericError, Tensor
@@ -174,16 +175,45 @@ def test_cluster_reads_the_cone_as_the_whole_image(tmp_path, mode):
 def test_render_arrows_keeps_freed_memory_as_training_does(tmp_path, scene_path, monkeypatch,
                                                            fake_mallopt):
     # the malloc settings train runs under, no heap trimming and no mmap,
-    # are set before the whole-image field is built
+    # are set before the arrows' field is built
     model = tmp_path / "m.bin"
     assert run("train", "--scene", scene_path, "--epochs", 2, "--dims", 4, "--out", model) == 0
     fake_mallopt.clear()
-    build = synth.build_field
-    monkeypatch.setattr(synth, "build_field",
-                        lambda *args: fake_mallopt.append("build_field") or build(*args))
+    build = synth.cone_field
+    monkeypatch.setattr(synth, "cone_field",
+                        lambda *args: fake_mallopt.append("cone_field") or build(*args))
     assert run("render-arrows", "--scene", scene_path, "--model", model,
                "--out", tmp_path / "out") == 0
-    assert fake_mallopt == [(-4, 0), (-1, 2**30), "build_field"]
+    assert fake_mallopt == [(-4, 0), (-1, 2**30), "cone_field"]
+
+
+def test_render_arrows_draws_the_whole_image_field_from_the_cone_of_its_arrows(
+        tmp_path, scene_path, monkeypatch):
+    # the arrows are those of the whole-image field at the stride grid, and
+    # the field forwarded lists the grid's pixels and no other
+    model_path = tmp_path / "m.bin"
+    assert run("train", "--scene", scene_path, "--epochs", 20, "--dims", 4,
+               "--out", model_path) == 0
+    scene, model = synth.load_scene(scene_path), Backbone.load(model_path)
+    h, w = scene.shape
+    whole = synth.build_field(model, scene.image, "semiconv")
+    fields = []
+    build = synth.cone_field
+
+    def recording(*args):
+        fields.append(build(*args))
+        return fields[-1]
+
+    monkeypatch.setattr(synth, "cone_field", recording)
+    for stride in (1, 2, 3, 4, 8):
+        pixels = np.arange(h * w).reshape(h, w)[::stride, ::stride].ravel()
+        want = render.render_arrows(scene.image, pixels, displacement_field(whole, pixels))
+        render.write_ppm(tmp_path / "want.ppm", want)
+        assert run("render-arrows", "--scene", scene_path, "--model", model_path,
+                   "--stride", stride, "--out", tmp_path / "got.ppm") == 0
+        assert (tmp_path / "got.ppm").read_bytes() == (tmp_path / "want.ppm").read_bytes()
+        assert np.array_equal(np.flatnonzero(fields[-1].at.reshape(-1) >= 0), pixels)
+    assert len(fields) == 5
 
 
 # (argv without --out, the flag of a second artifact or None); {scene} and

@@ -4,6 +4,8 @@ import pytest
 from semiconv import tensor as T
 from semiconv.tensor import Tensor
 from semiconv import embedding as E
+from semiconv.backbone import Backbone
+from semiconv.synth import build_field, cone_field
 from whole_image import image_conv
 
 
@@ -65,15 +67,16 @@ def test_displacement_points_at_common_target():
     vals = np.zeros((2, h, w))
     vals[0], vals[1] = c[0], c[1]
     field = E.EmbeddingField(Tensor(vals))
-    disp = E.displacement_field(field).data
+    everywhere = np.arange(h * w)
+    disp = E.displacement_field(field, everywhere).data.reshape(2, h, w)
     g = E.coord_grid(h, w)
     assert np.array_equal(disp, np.stack([c[0] - g[0], c[1] - g[1]]))
     # a pixel sitting exactly at the target has a zero arrow
     assert np.array_equal(disp[:, 1, 2], [0.5, 0.5])
     vals2 = vals.copy()
     vals2[:, 1, 2] = g[:, 1, 2]
-    disp2 = E.displacement_field(E.EmbeddingField(Tensor(vals2))).data
-    assert np.array_equal(disp2[:, 1, 2], [0.0, 0.0])
+    disp2 = E.displacement_field(E.EmbeddingField(Tensor(vals2)), everywhere).data
+    assert np.array_equal(disp2.reshape(2, h, w)[:, 1, 2], [0.0, 0.0])
 
 
 def test_a_field_without_a_map_maps_the_image_to_itself():
@@ -92,16 +95,27 @@ def test_a_field_holds_one_column_per_pixel_its_map_lists():
             E.EmbeddingField(Tensor(np.zeros(shape)), at)
 
 
-def test_displacement_refuses_a_field_that_does_not_cover_its_map():
-    # a cone's field: [2, 3] values for 3 pixels of a 4x5 image. Unchecked,
-    # its displacement would be measured from the coordinates of another
-    # image, and render_arrows would fail on it with an IndexError
+def test_a_cone_fields_displacement_is_the_whole_image_fields():
+    # each pixel's offset is measured from its own (x, y), read through the
+    # field's map, so a cone's field and the whole image's agree bit for bit
+    rng = np.random.default_rng(4)
+    model = Backbone.glorot(1, 4, 2)
+    image = Tensor(rng.random((1, 9, 11)))
+    pixels = np.array([98, 0, 40, 13, 57, 40])  # unsorted, one repeat
+    whole = E.displacement_field(build_field(model, image, "semiconv"), pixels).data
+    cone = E.displacement_field(cone_field(model, image, pixels, "semiconv"), pixels).data
+    assert cone.shape == (2, 6)
+    assert np.array_equal(cone, whole)
+
+
+def test_displacement_off_the_cone_is_rows_ats_error():
+    # a cone's field: [2, 3] values for 3 pixels of a 4x5 image
     at = np.full((4, 5), -1, dtype=np.int32)
     at.reshape(-1)[[2, 7, 19]] = np.arange(3)
     field = E.EmbeddingField(Tensor(np.zeros((2, 3))), at)
-    with pytest.raises(ValueError, match=r"^a displacement field needs the whole 4x5 image, "
-                                         r"but the field covers 3 of its pixels$"):
-        E.displacement_field(field)
+    assert E.displacement_field(field, [19, 2]).data.tolist() == [[-4.0, -2.0], [-3.0, 0.0]]
+    with pytest.raises(ValueError, match=r"^image pixel \(3, 1\) lies outside the field's cone$"):
+        E.displacement_field(field, [2, 8])
 
 
 def test_field_rows_layout():

@@ -33,11 +33,22 @@ def test_ppm_rejects_wrong_shape(tmp_path):
         render.write_ppm(tmp_path / "bad.ppm", np.zeros((4, 4), dtype=np.uint8))
 
 
-@pytest.mark.parametrize("shape", [(3, 4, 4), (2, 4)], ids=["three-channels", "two-d"])
-def test_arrows_reject_a_field_that_is_not_two_by_h_by_w(shape):
+def stride_grid(h, w, stride):
+    """The linear indices of every stride-th pixel of every stride-th row."""
+    return np.arange(h * w).reshape(h, w)[::stride, ::stride].ravel()
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (2,), (2, 4, 4), (2, 5)],
+                         ids=["three-channels", "one-d", "an-image", "wrong-count"])
+def test_arrows_reject_a_displacement_that_is_not_two_by_n(shape):
     with pytest.raises(ValueError) as err:
-        render.render_arrows(Tensor(np.zeros((1, 4, 4))), Tensor(np.zeros(shape)))
-    assert str(err.value) == "expected a [2,H,W] displacement field"
+        render.render_arrows(Tensor(np.zeros((1, 4, 4))), [0, 2, 8, 10], Tensor(np.zeros(shape)))
+    assert str(err.value) == "expected a [2,4] displacement, one column per pixel"
+
+
+def test_arrows_refuse_a_pixel_outside_the_image():
+    with pytest.raises(ValueError, match=r"^pixel index 16 lies outside the 4x4 image$"):
+        render.render_arrows(Tensor(np.zeros((1, 4, 4))), [0, 16], Tensor(np.zeros((2, 2))))
 
 
 def test_labels_background_black_and_palette_fixed():
@@ -60,17 +71,18 @@ def test_arrows_render_shape_and_determinism():
     img = Tensor(rng.random((1, 12, 12)))
     field = EmbeddingField(attach_coords(Tensor(rng.standard_normal((4, 12, 12))),
                                          coord_grid(12, 12)))
-    disp = displacement_field(field)
-    a = render.render_arrows(img, disp, stride=3)
-    b = render.render_arrows(img, disp, stride=3)
+    pixels = stride_grid(12, 12, 3)
+    disp = displacement_field(field, pixels)
+    a = render.render_arrows(img, pixels, disp)
+    b = render.render_arrows(img, pixels, disp)
     assert a.shape == (12, 12, 3) and a.dtype == np.uint8
     assert np.array_equal(a, b)
 
 
 def test_arrow_endpoint_marked():
-    disp = np.zeros((2, 9, 9))
-    disp[0, 0, 0] = 4.0  # dx only; arrow should reach (0, 4)
-    rgb = render.render_arrows(Tensor(np.zeros((1, 9, 9))), Tensor(disp), stride=9)
+    disp = np.zeros((2, 1))
+    disp[0, 0] = 4.0  # dx only; arrow should reach (0, 4)
+    rgb = render.render_arrows(Tensor(np.zeros((1, 9, 9))), [0], Tensor(disp))
     assert np.array_equal(rgb[0, 4], render.ARROW_COLOR)
     assert np.array_equal(rgb[0, 0], render.ARROW_COLOR)
     assert not rgb[1:].any() and not rgb[0, 5:].any()  # a black image stays black
@@ -104,7 +116,8 @@ def draw_line_bounded(rgb, y0, x0, y1, x1, color):
 
 
 def loop_render_arrows(image, disp, stride, draw):
-    """Reference: one line walk per sampled pixel, in scan order."""
+    """Reference: one line walk per sampled pixel of a [2,H,W] displacement
+    image, in scan order."""
     rgb = render.grayscale_base(image)
     h, w = disp.shape[1:]
     col = np.array(render.ARROW_COLOR, dtype=np.uint8)
@@ -114,6 +127,13 @@ def loop_render_arrows(image, disp, stride, draw):
     return rgb
 
 
+def grid_arrows(image, disp, stride):
+    """render_arrows from the stride grid of a [2,H,W] displacement image."""
+    h, w = disp.shape[1:]
+    pixels = stride_grid(h, w, stride)
+    return render.render_arrows(image, pixels, Tensor(disp.reshape(2, -1)[:, pixels]))
+
+
 @pytest.mark.parametrize("sigma", [2.0, 10.0, 40.0, 300.0])
 def test_draw_line_matches_unbounded_walk(sigma):
     rng = np.random.default_rng(int(sigma))
@@ -121,7 +141,7 @@ def test_draw_line_matches_unbounded_walk(sigma):
     image = Tensor(rng.random((1, h, w)))
     for stride in (1, 2, 5):
         disp = rng.normal(0.0, sigma, (2, h, w))
-        got = render.render_arrows(image, Tensor(disp), stride)
+        got = grid_arrows(image, disp, stride)
         assert np.array_equal(got, loop_render_arrows(image, disp, stride, draw_line_unbounded))
         assert np.array_equal(got, loop_render_arrows(image, disp, stride, draw_line_bounded))
 
@@ -133,16 +153,16 @@ def test_arrows_match_the_per_arrow_loop(scale):
     image = Tensor(rng.random((1, 40, 56)))
     for stride in (1, 4):
         disp = rng.standard_normal((2, 40, 56)) * scale
-        got = render.render_arrows(image, Tensor(disp), stride)
+        got = grid_arrows(image, disp, stride)
         assert np.array_equal(got, loop_render_arrows(image, disp, stride, draw_line_bounded))
 
 
 def test_arrows_of_a_diverged_field_render_quickly():
     # embeddings of 1.3e17 come out of a diverged run; the walk stops at the border
-    disp = Tensor(np.full((2, 128, 128), 1.3e17))
+    disp = np.full((2, 128, 128), 1.3e17)
     started = time.perf_counter()
-    rgb = render.render_arrows(Tensor(np.zeros((1, 128, 128))), disp)
+    rgb = grid_arrows(Tensor(np.zeros((1, 128, 128))), disp, 4)
     assert time.perf_counter() - started < 1.0
     assert np.array_equal(rgb[0, 0], render.ARROW_COLOR)
-    want = loop_render_arrows(Tensor(np.zeros((1, 128, 128))), disp.data, 4, draw_line_bounded)
+    want = loop_render_arrows(Tensor(np.zeros((1, 128, 128))), disp, 4, draw_line_bounded)
     assert np.array_equal(rgb, want)

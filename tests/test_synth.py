@@ -1295,6 +1295,27 @@ def test_score_greedy_matching_one_to_one():
     assert abs(out["mean_iou"] - (2.0 / 3.0 + 0.5) / 2.0) < 1e-12
 
 
+
+@pytest.mark.parametrize("rows, spacing, iou, loss",
+                         [(4, 32, 1.0, 32.47), (8, 10, 0.966, 129.90)],
+                         ids=["grid16", "grid64"])
+def test_a_zero_weight_semiconv_model_clusters_the_grid_by_position_alone(rows, spacing,
+                                                                          iou, loss):
+    # a model that learnt nothing embeds each pixel at its own (x, y); on the
+    # dot grids k-means of those points alone finds (nearly) every dot, so the
+    # semiconv IoU shows no learning. The untrained pull-to-mean loss does: a
+    # trained model's on the 4x4 grid is about 0.6
+    scene = generate_scene(rows, rows, dot_radius=3, spacing=spacing)
+    shaped = Backbone.glorot(1, 8, 0)
+    zero = Backbone([Tensor(np.zeros_like(w.data)) for w in shaped.weights],
+                    [Tensor(np.zeros_like(b.data)) for b in shaped.biases])
+    fg = scene.gt.foreground_mask()
+    field = cone_field(zero, scene.image, np.flatnonzero(fg), "semiconv")
+    assert round(score(decode_kmeans(field, fg, scene.gt.K, seed=0), scene.gt)["mean_iou"],
+                 3) == iou
+    assert round(pull_to_mean_loss(field, SegmentSet.from_labels(scene.gt)).item(), 2) == loss
+
+
 # -- serialization ----------------------------------------------------------------
 
 def test_scene_json_round_trip(tmp_path):
