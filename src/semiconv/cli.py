@@ -79,7 +79,8 @@ def gradcheck_report(instances=20, seed=0):
     conv2d is checked over the table of every pixel of a 5x5 image, and
     over a neighbour table as training runs it: the corners and the centre
     of the image, whose taps wrap around its edges, in the weights and in
-    the listed input, so the input gradient reads the table's adjoint.
+    the listed input, so the input gradient scatters back through the
+    table into a list that is not the output list.
     """
     worst = {}
 

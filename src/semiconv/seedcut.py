@@ -160,10 +160,12 @@ def cut_all_boxes(scene, model, params, cfg_mode="semiconv", threshold=0.5):
     boxes go through one fuse_boxes call, and the thresholded list splits
     into the box masks. The boxes and their pixel list are built once per
     label map (_box_layout); ``boxes`` is the caller's own list. The backbone
-    runs only over the box pixels' receptive cone (synth.cone_field), whose
-    geometry the next cut with the same boxes reuses. The cut never
-    backpropagates, and over the model and the kernel scale the package
-    makes, neither of which takes a gradient, it records no tape.
+    runs only over the box pixels' receptive cone (synth.cone_field), the
+    pixel set train_seedcut's cone covers when it trains on these boxes: a
+    cut reuses the geometry its training built, and the next cut with the
+    same boxes that of the cut before. The cut never backpropagates, and
+    over the model and the kernel scale the package makes, neither of which
+    takes a gradient, it records no tape.
     """
     labels = scene.gt.labels
     boxes, (pixels, ids, counts, truth, scores) = _box_layout(

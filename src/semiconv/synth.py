@@ -181,8 +181,10 @@ def cone_field(model, image, pixels, mode):
     row-major indices) and nowhere else: one forward pass over their
     receptive cone (backbone.Cone), read with rows_at. Their rows are
     bit-identical to build_field's while each layer's product sums at most
-    384 terms (C_in * kh * kw), as in every model train makes. Over every
-    model the package makes the field records no tape.
+    384 terms (C_in * kh * kw), as in every model train makes. The cone's
+    geometry is shared with every cone over the same pixel set, a training
+    cone included (backbone.Cone). Over every model the package makes the
+    field records no tape.
     """
     cone = Cone(model, image, pixels)
     return _embed(model.forward(cone), mode, cone.grid, cone.at)

@@ -359,75 +359,51 @@ def tap_pixels(shape, pixels, kh, kw):
     return (ys[:, None] + xs).reshape(kh * kw, -1)
 
 
-def neighbour_table(taps, src, n_pixels, adjoint=True):
+def neighbour_table(taps, src, n_pixels):
     """conv2d's Neighbours from the pixel list ``src`` to output pixels whose
-    taps read ``taps`` (tap_pixels, [T, N]): each tap's position in ``src``,
-    carrying its adjoint (_adjoint), which conv2d's backward reads to send a
-    gradient into ``src``. With ``adjoint`` False the table carries None,
-    for a layer whose backward reads none (conv2d says when it does). Over
-    every pixel of an image each tap permutes the pixels, so the adjoint
-    holds the table's own entries, with no -1.
+    taps read ``taps`` (tap_pixels, [T, N]): each tap's position in ``src``.
 
     Both lists are linear indices of an image of ``n_pixels`` pixels;
     ``src`` lists each pixel at most once and must hold every tap, so every
-    entry lies in [0, len(src)), and every adjoint entry in [-1, N). The
-    entries are stored as int32, half of intp's width: a list is shorter
-    than 2**31 pixels, whose float64 channel alone would take 16 GB.
+    entry lies in [0, len(src)). The entries are stored as int32, half of
+    intp's width: a list is shorter than 2**31 pixels, whose float64 channel
+    alone would take 16 GB.
     """
     where = np.full(n_pixels, -1, dtype=np.int32)
     where[src] = np.arange(len(src))
     table = where[taps]
     if table.size and table.min() < 0:
         raise ValueError("the source list lacks a tap of an output pixel")
-    back = Neighbours(_adjoint(table, len(src)), table.shape[1]) if adjoint else None
-    return Neighbours(table, len(src), back)
+    return Neighbours(table, len(src))
 
 
 class Neighbours:
     """A neighbour table [T, N] from N output pixels into a list of n_src
     pixels, as conv2d reads it, built once and read-only.
 
-    Entry [t, n] of ``table`` is the list position tap t of output n reads,
-    or -1 where no listed pixel is, which reads zeros; ``holes`` says whether
-    any entry is -1. ``gather``, the taps' index, is the table followed by -1
-    columns up to a multiple of 8, and ``table`` is a view of it; both are
-    int32. ``adjoint`` is the Neighbours [T, n_src] from the listed pixels
-    back to the outputs, which conv2d's backward reads, and None on an
-    adjoint and on a table made without one. The entries are taken as given:
-    their maker, neighbour_table, writes them in [-1, n_src).
+    Entry [t, n] of ``table`` is the list position tap t of output n reads.
+    A tap is a fixed shift, so each row of the table is one-to-one: conv2d's
+    forward gathers through it and its backward scatters back through it.
+    ``gather``, the taps' index, is the table followed by -1 columns up to a
+    multiple of 8, and ``table`` is a view of it; both are int32. The entries
+    are taken as given: their maker, neighbour_table, writes them in
+    [0, n_src).
     """
 
-    __slots__ = ("table", "gather", "n_src", "adjoint", "holes")
+    __slots__ = ("table", "gather", "n_src")
 
-    def __init__(self, table, n_src, adjoint=None):
+    def __init__(self, table, n_src):
         t, n = table.shape
         self.gather = np.full((t, n + (-n) % 8), -1, dtype=np.int32)
         self.gather[:, :n] = table
         self.gather.flags.writeable = False
         self.table = self.gather[:, :n]
         self.n_src = n_src
-        self.adjoint = adjoint
-        self.holes = table.size > 0 and table.min() < 0
-
-
-def _adjoint(table, n_src):
-    """The adjoint of a neighbour table [T, N] into n_src source pixels: the
-    int32 table [T, n_src] from the source pixels back to the outputs.
-
-    A tap is a fixed shift, so each row of the table is one-to-one, and
-    output n reads source pixel table[t, n] through tap t exactly when that
-    source pixel's opposite tap, T-1-t, lands on n: adjoint[T-1-t,
-    table[t, n]] = n, and -1 where no output is there.
-    """
-    t = table.shape[0]
-    adjoint = np.full(t * n_src, -1, dtype=np.int32)
-    adjoint[table + (np.arange(t)[::-1, None] * n_src)] = np.arange(table.shape[1])
-    return adjoint.reshape(t, n_src)
 
 
 def _padded(a):
-    """The columns of a[C, N], then zero columns up to the next multiple of
-    8 past N: at least one, so a table entry -1 reads zeros.
+    """a[C, N] with zero columns up to the next multiple of 8 past N, or a
+    itself when N is one.
 
     OpenBLAS's dgemm sums the last N mod 8 columns of a product in another
     order than the rest, so a pixel's value would depend on where it sits.
@@ -436,46 +412,25 @@ def _padded(a):
     order.
     """
     n = a.shape[1]
+    if n % 8 == 0:
+        return a
     out = np.zeros((a.shape[0], n + 8 - n % 8))
     out[:, :n] = a
     return out
 
 
 def _taps(src, index, out=None):
-    """The taps of columns src[C, P'] at an int32 index [T, M], a
-    Neighbours' gather or a band of its columns: [C*T, M], row (c, t)
-    holding src's columns at index[t], so a kernel reshaped to [C_out, C*T]
-    correlates by one product. ``out`` is a [C, T, M] buffer to fill.
+    """The taps of columns src[C, P] at an int32 index [T, M], a Neighbours'
+    gather or a band of its columns: [C*T, M], row (c, t) holding src's
+    columns at index[t], so a kernel reshaped to [C_out, C*T] correlates by
+    one product. ``out`` is a [C, T, M] buffer to fill.
 
-    ``src`` is the P columns a Neighbours table reads, or _padded of them
-    when the table holds a -1 (Neighbours.holes): its last column is the
-    zeros -1 reads. Without one, the gather's pad columns past the outputs
-    read the last pixel, which no product keeps.
-
-    Every gather reads its index in wrap mode, where -1 is the last column,
-    as in numpy's default raise mode, but no entry is bounds-checked:
-    neighbour_table wrote them all in range.
+    The gather's pad columns past the outputs read the last pixel, which no
+    product keeps. Every gather reads its index in wrap mode, where -1 is
+    the last column, as in numpy's default raise mode, but no entry is
+    bounds-checked: neighbour_table wrote them all in range.
     """
     return np.take(src, index, axis=1, mode="wrap", out=out).reshape(-1, index.shape[1])
-
-
-def _fold(out, z, i, kh, kw, table):
-    """Add kernel row i's share of the adjoint of ``_taps`` into out[C, N].
-
-    The adjoint sums the kh*kw row blocks of z[C*kh*kw, M] into the N output
-    pixels of the Neighbours table [kh*kw, N], so <adjoint(z), a> == <z, the
-    taps of a over the table's adjoint> for every a[C, N]. Here z holds
-    kernel row i's kw blocks only, as [kw*C, M] in rows (j, c), its columns
-    a source list's, with zero columns last where the table holds -1
-    (_padded); calling this for i = 0, 1, ... into one zero array adds every
-    pixel's blocks in the same order. Output n adds block t's column
-    table[T-1-t, n], the pixel the opposite tap brings to it (an entry -1
-    reads the block's last column, a zero one).
-    """
-    c = out.shape[0]
-    z = z.reshape(kw, c, -1)
-    for j in range(kw):
-        out += np.take(z[j], table.table[kh * kw - 1 - i * kw - j], axis=1, mode="wrap")
 
 
 def _correlate(a, k, table, keep=True):
@@ -483,41 +438,81 @@ def _correlate(a, k, table, keep=True):
     output pixels of the Neighbours table [kh*kw, N] into a's P:
     (out[C_o, N], taps).
 
-    The one place that picks the narrower channel side, so no buffer has more
-    than kh*kw*min(C_a, C_o) rows. When C_a <= C_o, out is k times the taps
-    of a (_taps): with ``keep`` one product, whose taps are returned for
-    reuse, and otherwise a band of about TAP_BAND floats of taps at a time,
-    each gathered into one reused buffer, and taps is None. Otherwise out is
-    ``_fold`` of the tap-flipped kernel times a, taken one kernel row at a
-    time, so the product holds kw*C_o rows, not kh*kw*C_o, and taps is None;
-    a is read in place when it has a multiple of 8 pixels and the table no
-    -1. Every product and every band has a multiple of 8 columns (_padded)
-    and sums each pixel in one order, and a kernel row's product has the
-    bits of its rows of the whole kernel's product: every output column is
-    the one any table, the one over every pixel of the image included, gives
-    its pixel, bit for bit.
+    The one place that picks the narrower channel side of the forward, so no
+    buffer has more than kh*kw*min(C_a, C_o) rows. When C_a <= C_o, out is k
+    times the taps of a (_taps): with ``keep`` one product, whose taps are
+    returned for reuse, and otherwise a band of about TAP_BAND floats of
+    taps at a time, each gathered into one reused buffer, and taps is None.
+    Otherwise the tap-flipped kernel times a is folded one kernel row i at a
+    time, each row's product written into one reused buffer, so it holds
+    kw*C_o rows, not kh*kw*C_o, and taps is None: output n adds each of the
+    product's kw blocks z[j][C_o, M] in turn at column table[T-1-i*kw-j, n],
+    the pixel that block's tap reads for it. Every product and every band
+    has a multiple of 8 columns (_padded) and sums each pixel in one order,
+    and a kernel row's product has the bits of its rows of the whole
+    kernel's product: every output column is the one any table, the one
+    over every pixel of the image included, gives its pixel, bit for bit.
+    _transpose is its exact transpose.
     """
     c_o, c_a, kh, kw = k.shape
     n = table.table.shape[1]
     if c_a <= c_o:
         flat, m = k.reshape(c_o, -1), table.gather.shape[1]
-        src = _padded(a) if table.holes else a
         band = m if keep else max(8, TAP_BAND // flat.shape[1] // 8 * 8)
         buf = np.empty(flat.shape[1] * min(band, m))
         out = np.empty((c_o, m))
         for lo in range(0, m, band):
             index = table.gather[:, lo:lo + band]
-            taps = _taps(src, index, buf[:flat.shape[1] * index.shape[1]].reshape(c_a, *index.shape))
+            taps = _taps(a, index, buf[:flat.shape[1] * index.shape[1]].reshape(c_a, *index.shape))
             np.matmul(flat, taps, out=out[:, lo:lo + index.shape[1]])
         # the gather's pad columns past the outputs: cropped
         return out[:, :n], taps if keep else None
     # rows (i; j, o): kernel row i's blocks are k_flip[i], each block contiguous
     k_flip = k[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(kh, -1, c_a)
-    a = a if a.shape[1] % 8 == 0 and not table.holes else _padded(a)
-    out = np.zeros((c_o, n))
+    a = _padded(a)
+    out, z = np.zeros((c_o, n)), np.empty((kw, c_o, a.shape[1]))  # z: a kernel row's product
     for i in range(kh):
-        _fold(out, k_flip[i] @ a, i, kh, kw, table)
+        np.matmul(k_flip[i], a, out=z.reshape(kw * c_o, -1))
+        for j in range(kw):
+            out += np.take(z[j], table.table[kh * kw - 1 - i * kw - j], axis=1, mode="wrap")
     return out, None
+
+
+def _transpose(g, k, table):
+    """The transpose of _correlate(., k, table) at g[C_o, N]: (gx[C_a, P],
+    taps), with <_correlate(a, k, table), g> == <a, gx> for every a[C_a, P].
+    It scatters back through the table _correlate gathers through, and picks
+    the narrower channel side as _correlate does.
+
+    When C_o <= C_a, taps are the [C_o*T, M] taps of g, M the P source
+    pixels with zero columns up to a multiple of 8: row (o, T-1-t) holds
+    g[o] at table[t], the source pixels tap t reads, and zeros elsewhere
+    (no two outputs read one source pixel through one tap). gx is the
+    tap-flipped, channel-swapped kernel times them, one product. Otherwise
+    taps is None, and gx adds, for each kernel row i in turn, one product's
+    kw blocks z[j][C_a, N] at table[i*kw + j], the products written into one
+    reused buffer; g is _padded for them. Either way a source pixel sums its
+    terms in the order the correlation of g with the flipped, channel-swapped
+    kernel sums them, so over the table of every pixel gx is that
+    correlation, bit for bit.
+    """
+    c_o, c_a, kh, kw = k.shape
+    t, (n, p) = kh * kw, (table.table.shape[1], table.n_src)
+    if c_o <= c_a:
+        flat = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_a, -1)
+        taps = np.zeros((c_o * t, p + (-p) % 8))
+        for s in range(t):  # rows (o, T-1-s): a view that the write goes through
+            taps[t - 1 - s::t][:, table.table[s]] = g
+        return (flat @ taps)[:, :p], taps
+    # rows (i; j, c): kernel row i's blocks, each block contiguous
+    k_rows = k.transpose(2, 3, 1, 0).reshape(kh, -1, c_o)
+    g = _padded(g)
+    gx, z = np.zeros((p, c_a)), np.empty((kw, c_a, g.shape[1]))
+    for i in range(kh):
+        np.matmul(k_rows[i], g, out=z.reshape(kw * c_a, -1))
+        for j in range(kw):
+            gx[table.table[i * kw + j]] += z[j, :, :n].T  # pixel-major: adds whole rows
+    return gx.T, None
 
 
 def conv2d(x, weight, bias=None, *, table, relu=False):
@@ -526,27 +521,23 @@ def conv2d(x, weight, bias=None, *, table, relu=False):
     Neighbours ``table``, followed by a ReLU when ``relu`` is set.
 
     ``table`` is what neighbour_table gives: the [kh*kw, N] table from N
-    output pixels into x's P, which hold every tap, carrying its
-    [kh*kw, P] ``adjoint``, from x's pixels back to the outputs. Odd kernels
-    only; stride 1, and each tap wraps around the image edges (tap_pixels).
-    The output is [C_out, N], each column the image's correlation at its
-    pixel, with the same bits in whatever list it is computed; over the table
-    of every pixel it is the whole image's output in row-major order, and
-    exactly equivariant to circular shifts.
+    output pixels into x's P, which hold every tap. Odd kernels only; stride
+    1, and each tap wraps around the image edges (tap_pixels). The output is
+    [C_out, N], each column the image's correlation at its pixel, with the
+    same bits in whatever list it is computed; over the table of every pixel
+    it is the whole image's output in row-major order, and exactly
+    equivariant to circular shifts.
 
     The forward is ``_correlate(x, weight, table)``, and the input gradient
-    is the same correlation of the upstream gradient g over
-    ``table.adjoint`` with the flipped, channel-swapped kernel,
-    ``weight[:, :, ::-1, ::-1]`` with its channel axes swapped. When
-    C_in <= C_out the weight gradient is g times the taps of x, which a
-    forward keeps when its weight requires a gradient (and otherwise
-    gathers a band at a time). Otherwise it is the taps of g times x with
-    the tap axes flipped back, the taps that the input gradient's
-    correlation keeps. The backward reads the adjoint, and runs that
-    correlation, exactly when x requires a gradient, or the weight does and
-    C_in > C_out; only then must the table carry its adjoint. Both tables
-    are read as neighbour_table made them, so the table only has to match
-    the kernel and x's P.
+    is its transpose, ``_transpose`` of the upstream gradient g through the
+    same table: over the table of every pixel, the correlation of g with the
+    flipped, channel-swapped kernel, ``weight[:, :, ::-1, ::-1]`` with its
+    channel axes swapped. When C_in <= C_out the weight gradient is g times
+    the taps of x, which a forward keeps when its weight requires a gradient
+    (and otherwise gathers a band at a time). Otherwise it is the taps of g
+    that _transpose builds, times x, with the tap axes flipped back. The
+    backward runs _transpose exactly when x requires a gradient, or the
+    weight does and C_in > C_out.
 
     The ReLU runs in place on the biased output, after its finiteness check,
     and the backward masks g where the output is not positive: the op keeps
@@ -562,10 +553,6 @@ def conv2d(x, weight, bias=None, *, table, relu=False):
         raise ValueError("kernel extents must be odd")
     if table.n_src != x.data.shape[1] or table.table.shape[0] != kh * kw:
         raise ValueError("neighbour table does not match the kernel and the pixel list")
-    reads_adjoint = x.requires_grad or weight.requires_grad and c_in > c_out
-    if reads_adjoint and table.adjoint is None:
-        raise ValueError("conv2d's backward reads the neighbour table's adjoint, "
-                         "but this table carries none")
     if bias is not None:
         bias = _coerce(bias)
         if bias.data.shape != (c_out,):
@@ -591,14 +578,13 @@ def conv2d(x, weight, bias=None, *, table, relu=False):
         cols = None  # its last reader has run: the input gradient allocates without it
         if bias is not None and bias.requires_grad:
             _accum(bias, g.sum(axis=1))
-        if not reads_adjoint:
-            return
-        gx, g_cols = _correlate(g, wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), table.adjoint)
-        if x.requires_grad:
-            _accum(x, gx)
-        if weight.requires_grad and c_in > c_out:  # the forward kept no taps of x
-            gw = (g_cols[:, :n_in] @ x.data.T).reshape(c_out, kh, kw, c_in)
-            _accum(weight, gw[:, ::-1, ::-1].transpose(0, 3, 1, 2))
+        if x.requires_grad or weight.requires_grad and c_in > c_out:
+            gx, g_cols = _transpose(g, wd, table)
+            if x.requires_grad:
+                _accum(x, gx)
+            if weight.requires_grad and c_in > c_out:  # the forward kept no taps of x
+                gw = (g_cols[:, :n_in] @ x.data.T).reshape(c_out, kh, kw, c_in)
+                _accum(weight, gw[:, ::-1, ::-1].transpose(0, 3, 1, 2))
 
     return _node(out, parents, backward, "conv2d", checked=relu)
 

@@ -480,24 +480,22 @@ def test_cut_all_boxes_builds_each_label_maps_boxes_once():
 
 
 @pytest.mark.parametrize("spacing", [32, 12])
-def test_a_cut_builds_an_inference_geometry_the_next_cut_reuses(monkeypatch, spacing):
+def test_a_cut_reuses_its_trainings_geometry(monkeypatch, spacing):
     # training's cone reads the instances and their boxes, the set the cut's
-    # boxes cover, since every instance lies inside its box. The cut's cone
-    # carries no adjoint, so the first cut builds a geometry of its own and
-    # the next cut reuses it
+    # boxes cover, since every instance lies inside its box: both cuts reuse
+    # the geometry training built
     scene = generate_scene(4, 4, dot_radius=3, spacing=spacing, img_noise_std=0.05, seed=3)
     cfg = TrainConfig(dims=4, epochs=1, seed=0)
     _geometry.cache_clear()
-    model, params, _ = train_seedcut(scene, gt_boxes_from_labels(scene.gt), cfg,
-                                     KernelParams("steered_laplacian", sigma=1.0))
     cones = []
     monkeypatch.setattr(synth, "Cone", lambda *args: cones.append(Cone(*args)) or cones[-1])
+    model, params, _ = train_seedcut(scene, gt_boxes_from_labels(scene.gt), cfg,
+                                     KernelParams("steered_laplacian", sigma=1.0))
     for _ in range(2):
         cut_all_boxes(scene, model, params)
     info = _geometry.cache_info()
-    assert (info.misses, info.hits) == (2, 1)
-    assert len(cones) == 2 and cones[0].tables is cones[1].tables
-    assert all(t.adjoint is None for t in cones[0].tables)
+    assert (info.misses, info.hits) == (1, 2)
+    assert len(cones) == 3 and cones[0].tables is cones[1].tables is cones[2].tables
 
 
 def test_the_field_builders_and_the_cut_record_no_tape(monkeypatch):

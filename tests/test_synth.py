@@ -579,8 +579,8 @@ def test_build_field_holds_one_band_of_taps_and_no_tape():
 
 def test_a_training_step_keeps_no_pre_relu_copy_and_folds_a_kernel_row_at_a_time():
     # the 8x8 grid at spacing 10, once the cone's geometry is built: each
-    # hidden layer keeps one activation, ReLU applied, and the folds (layer
-    # 2's forward, layer 1's input gradient) one kernel row's product. A
+    # hidden layer keeps one activation, ReLU applied, and layer 2's forward
+    # fold and layer 1's input-gradient scatter one kernel row's product. A
     # separate ReLU and the whole kernel's products put the peak at 11.8 MB
     scene = generate_scene(8, 8, spacing=10)
     train(scene, TrainConfig(epochs=1))  # warm-up: builds and keeps the geometry
@@ -631,12 +631,9 @@ def test_a_pixel_outside_the_image_is_an_error(pixel):
 
 
 def geometry_arrays(cone):
-    """Every array of a cone's geometry: each layer's neighbour table and its
-    adjoint where it carries one, with the padded index each is a view of,
-    the grid and the map to the rows."""
-    return ([a for table in cone.tables for nb in (table, table.adjoint) if nb is not None
-             for a in (nb.table, nb.gather)]
-            + [cone.grid, cone.at])
+    """Every array of a cone's geometry: each layer's neighbour table, with
+    the padded index it is a view of, the grid and the map to the rows."""
+    return [a for table in cone.tables for a in (table.table, table.gather)] + [cone.grid, cone.at]
 
 
 def test_cones_over_one_pixel_set_share_one_geometry():
@@ -657,14 +654,14 @@ def test_cones_over_one_pixel_set_share_one_geometry():
                               want)
 
 
-def test_the_whole_image_cone_holds_one_table_its_own_adjoint():
-    # the adjoint its training reads holds the table's own entries
+def test_the_whole_image_cone_holds_one_table():
+    # training's cone over every pixel: every layer gathers and scatters
+    # through the one table
     scene = cone_scene("edge")
     h, w = scene.shape
     cone = Cone(learnable(Backbone.glorot(1, 8, 0)), scene.image, np.arange(h * w))
     table = cone.tables[0]
     assert all(t is table for t in cone.tables)
-    assert np.array_equal(table.adjoint.table, table.table)
     assert table.table.shape == (9, h * w) and cone.input.data.shape == (1, h * w)
 
 
@@ -697,9 +694,9 @@ def test_training_and_whole_image_fields_keep_both_geometries(monkeypatch):
     # bands of 64 rows over one cone, and no cone over every pixel is built
     built = []
 
-    def recorded(shape, weights, pixels, trains):
+    def recorded(shape, weights, pixels):
         built.append(len(pixels) // np.dtype(np.intp).itemsize)
-        return _geometry(shape, weights, pixels, trains)
+        return _geometry(shape, weights, pixels)
 
     monkeypatch.setattr(backbone, "_geometry", recorded)
     for scene, band in ((cone_scene("edge"), 24 * 24),
@@ -744,76 +741,47 @@ def test_a_cached_geometry_is_read_only():
             arr[...] = 0
 
 
-def test_a_training_cone_keeps_an_int32_geometry_with_no_layer_0_adjoint():
-    # the cone train reads on the 8x8 grid at spacing 10. Layer 0's input is
-    # the image, which takes no gradient, so its table carries no adjoint.
-    # The geometry holds 0.81 MB; with intp indices and layer 0's [9, 6400]
-    # adjoint it held 2.03 MB
+def test_a_cone_keeps_an_int32_geometry(monkeypatch):
+    # the cone train reads on the 8x8 grid at spacing 10 holds 0.47 MB, and
+    # the cone of build_field's 128x128 band 1.06 MB
     scene = generate_scene(8, 8, dot_radius=3, spacing=10)
     model = learnable(Backbone.glorot(1, TrainConfig().dims, 0))
     pixels = np.flatnonzero(scene.gt.labels)
     cone = Cone(model, scene.image, pixels)
     source, tables, grid, at = _geometry(
-        scene.shape, tuple(w.data.shape for w in model.weights), pixels.tobytes(), True)
+        scene.shape, tuple(w.data.shape for w in model.weights), pixels.tobytes())
     assert tables is cone.tables
-    assert tables[0].adjoint is None
-    assert all(t.adjoint is not None for t in tables[1:])
-    made = [nb for t in tables for nb in (t, t.adjoint) if nb is not None]
-    for arr in [source, at] + [a for nb in made for a in (nb.table, nb.gather)]:
+    for arr in [source, at] + [a for t in tables for a in (t.table, t.gather)]:
         assert arr.dtype == np.int32
-    held = sum(nb.gather.nbytes for nb in made) + source.nbytes + grid.nbytes + at.nbytes
-    assert held <= 0.9 * 2**20
+    held = sum(t.gather.nbytes for t in tables) + source.nbytes + grid.nbytes + at.nbytes
+    assert held <= 0.5 * 2**20
 
-
-def test_an_inference_cone_carries_no_adjoint(monkeypatch, tmp_path):
-    # no backward reads the cones of build_field's bands, whose model is
-    # inference, or of a loaded model, as cluster's, so none carries an
-    # adjoint table. The 128x128 band cone holds 1.06 MB; with the adjoints
-    # of layers 1 and 2 it held 1.65 MB
     scene = generate_scene(4, 4, dot_radius=3, spacing=32)
-    model = Backbone.glorot(1, TrainConfig().dims, 0)
-    model.save(tmp_path / "model.bin")
     cones = []
     monkeypatch.setattr(synth, "Cone", lambda *args: cones.append(Cone(*args)) or cones[-1])
-    build_field(model, scene.image, "semiconv")
-    cone_field(Backbone.load(tmp_path / "model.bin"), scene.image,
-               np.flatnonzero(scene.gt.foreground_mask()), "semiconv")
-    assert len(cones) == 3 and cones[0].tables is cones[1].tables
-    assert all(t.adjoint is None for cone in cones for t in cone.tables)
+    build_field(Backbone.glorot(1, TrainConfig().dims, 0), scene.image, "semiconv")
     band = cones[0]
-    made = {id(nb): nb for t in band.tables for nb in (t, t.adjoint) if nb is not None}
-    held = sum(nb.gather.nbytes for nb in made.values()) + band.grid.nbytes + band.at.nbytes
+    made = {id(t): t for t in band.tables}
+    held = sum(t.gather.nbytes for t in made.values()) + band.grid.nbytes + band.at.nbytes
     assert held <= 1.1 * 2**20
 
 
-def test_a_training_forward_over_an_inference_cone_is_refused():
-    # the learnable twin's weights require gradients, so layer 1's input
-    # does, and its backward would read an adjoint the inference cone does
-    # not carry: conv2d refuses when the op is made, before a backward could
-    # run
+def test_a_training_forward_runs_on_an_inference_models_cone():
+    # one geometry per pixel set, whether its model trains or not: the
+    # learnable twin backpropagates over the cone its inference model built,
+    # with the whole image's gradients at the cone's pixels
     scene = cone_scene("edge")
     model = Backbone.glorot(1, 4, 0)
-    cone = Cone(model, scene.image, reader_pixels(scene)["segments"])
-    with pytest.raises(ValueError) as err:
-        learnable(model).forward(cone)
-    assert str(err.value) == ("conv2d's backward reads the neighbour table's adjoint, "
-                              "but this table carries none")
-
-
-def test_a_training_step_rebuilds_no_adjoint_table(monkeypatch):
-    # the cone's geometry holds every adjoint table a backward reads; a
-    # backward only reads it
-    def no_adjoint(*args):
-        raise AssertionError("a backward rebuilt an adjoint table")
-
-    def cone_then_no_adjoint(*args):
-        cone = Cone(*args)
-        monkeypatch.setattr(T, "_adjoint", no_adjoint)
-        return cone
-
-    monkeypatch.setattr(synth, "Cone", cone_then_no_adjoint)
-    _, losses = train(cone_scene("sparse"), TrainConfig(dims=4, epochs=2, seed=0))
-    assert len(losses) == 2 and np.all(np.isfinite(losses))
+    pixels = np.unique(reader_pixels(scene)["segments"])
+    cone = Cone(model, scene.image, pixels)
+    over_cone, over_image = learnable(model), learnable(model)
+    assert Cone(over_cone, scene.image, pixels).tables is cone.tables
+    r = np.random.default_rng(8).standard_normal((4, pixels.size))
+    T.tsum(T.mul(over_cone.forward(cone), r)).backward()
+    phi = T.reshape(image_forward(over_image, scene.image), (4, -1))
+    T.tsum(T.mul(T.take_columns(phi, pixels), r.T)).backward()
+    for got, want in zip(over_cone.params(), over_image.params(), strict=True):
+        assert_close(got.grad, want.grad)
 
 
 def first_step(monkeypatch, run):

@@ -239,14 +239,13 @@ def test_conv2d_half_extent_equal_to_input(c_in, c_out):
 @pytest.mark.parametrize("c_in,c_out,kh,kw", BRANCH_KERNELS)
 def test_conv2d_over_a_pixel_list_is_the_image_conv_there(c_in, c_out, kh, kw):
     # a scattered output list of a 5x7 image and the taps it reads, which
-    # wrap around the edges; the adjoint table reads -1 at taps off the list
+    # wrap around the edges; the backward scatters into the listed pixels
     rng = np.random.default_rng(23)
     shape = (5, 7)
     dst = np.flatnonzero(rng.random(35) < 0.3)
     taps = T.tap_pixels(shape, dst, kh, kw)
     src = np.unique(taps)
     table = T.neighbour_table(taps, src, 35)
-    assert (table.adjoint.table < 0).any()
     x0 = rng.standard_normal((c_in, *shape))
     w0 = rng.standard_normal((c_out, c_in, kh, kw)) * 0.5
     b = Tensor(rng.standard_normal(c_out))
@@ -273,86 +272,32 @@ def test_a_neighbour_table_is_checked_where_it_is_made():
     with pytest.raises(ValueError, match="source list lacks a tap"):
         T.neighbour_table(taps, np.unique(taps)[1:], 20)
     made = T.neighbour_table(taps, np.unique(taps), 20)
-    assert made.table.shape == (9, 2) and made.adjoint.table.shape == (9, made.n_src)
-    assert made.adjoint.n_src == 2 and made.adjoint.adjoint is None
-    table = T.Neighbours(np.array([[4, -1, 0]]), 5)
-    assert table.gather.tolist() == [[4, -1, 0, -1, -1, -1, -1, -1]]
+    assert made.table.shape == (9, 2) and made.n_src == np.unique(taps).size
+    assert made.table.dtype == made.gather.dtype == np.int32
+    table = T.Neighbours(np.array([[4, 1, 0]]), 5)
+    assert table.gather.tolist() == [[4, 1, 0, -1, -1, -1, -1, -1]]
     assert table.table.base is table.gather and table.n_src == 5
     with pytest.raises(ValueError, match="read-only"):
         table.table[0, 0] = 1
 
 
-@pytest.mark.parametrize("shape", [(5, 5), (1, 16), (2, 16)], ids=["5x5", "1x16", "2x16"])
-def test_the_table_of_every_pixel_is_its_own_adjoint(shape):
-    # each tap permutes the image and the opposite tap undoes it, so the
-    # adjoint the table carries holds its entries, with no -1. On one and
-    # two rows the rows of a 3x3 kernel wrap onto the image's own, so the
-    # taps of a pixel repeat pixels
-    n = shape[0] * shape[1]
-    table = every_pixel_table(shape, 3, 3)
-    assert not table.holes and not table.adjoint.holes
-    assert np.array_equal(table.adjoint.table, table.table) and table.adjoint.n_src == n
-    assert np.unique(T.tap_pixels(shape, [0], 3, 3)).size == min(shape[0], 3) * 3
-    rng = np.random.default_rng(43)
-    for c_in, c_out in BRANCHES:
-        w0 = Tensor(rng.standard_normal((c_out, c_in, 3, 3)) * 0.5)
-
-        def squared(x):
-            y = T.conv2d(x, w0, table=table)
-            return T.tsum(T.mul(y, y))
-
-        assert T.grad_check(squared, Tensor(rng.standard_normal((c_in, n)))) < 1e-6
-
-
-def test_a_table_without_its_adjoint_serves_every_op_that_reads_none():
-    rng = np.random.default_rng(29)
-    taps = T.tap_pixels((5, 7), [3, 17, 30], 3, 3)
-    src = np.unique(taps)
-    full, bare = (T.neighbour_table(taps, src, 35, adjoint=a) for a in (True, False))
-    assert bare.adjoint is None and np.array_equal(bare.gather, full.gather)
-    x = rng.standard_normal((2, src.size))
-    widen, narrow = rng.standard_normal((4, 2, 3, 3)), rng.standard_normal((1, 2, 3, 3))
-    # the weight gradient of a widening layer is g times the kept taps of x,
-    # and a forward alone reads no backward table
-    for w, grad in ((widen, True), (narrow, False)):
-        want, got = (Tensor(w, requires_grad=grad) for _ in range(2))
-        out = [T.conv2d(Tensor(x), wt, table=t) for wt, t in ((want, full), (got, bare))]
-        assert np.array_equal(out[0].data, out[1].data)
-        if grad:
-            for y in out:
-                T.tsum(T.mul(y, y)).backward()
-            assert np.array_equal(got.grad, want.grad)
-    # an input gradient, or a narrowing layer's weight gradient (the taps of g
-    # over the adjoint times x), is refused when the op is made
-    for x_grad, w in ((True, widen), (True, narrow), (False, narrow)):
-        with pytest.raises(ValueError) as err:
-            T.conv2d(Tensor(x, requires_grad=x_grad), Tensor(w, requires_grad=not x_grad),
-                     table=bare)
-        assert str(err.value) == ("conv2d's backward reads the neighbour table's adjoint, "
-                                  "but this table carries none")
-
-
-@pytest.mark.parametrize("kh,kw,h,w", [(3, 3, 6, 7), (3, 5, 4, 6), (1, 3, 5, 2), (5, 5, 2, 2)])
-def test_fold_is_the_adjoint_of_taps(kh, kw, h, w):
-    # _fold over a table adds one kernel row's blocks of z[(c, i, j), M] at a
-    # time, in rows (j, c): the adjoint of the taps over the table's adjoint.
-    # Over every pixel the table is its own adjoint; over a pixel list it is
-    # checked both ways, and an entry -1 of the adjoint reads a zero column
+@pytest.mark.parametrize("c_in,c_out,kh,kw", BRANCH_KERNELS)
+def test_the_scatter_is_the_transpose_of_the_gather(c_in, c_out, kh, kw):
+    # <_correlate(a), g> == <a, _transpose(g)> over a scattered output list
+    # of a 5x7 image, whose taps wrap around the edges, and over every pixel,
+    # on both channel sides of the forward and of the backward
     rng = np.random.default_rng(17)
-    dst = np.union1d(np.flatnonzero(rng.random(h * w) < 0.4), [0])
-    taps = T.tap_pixels((h, w), dst, kh, kw)
-    listed = T.neighbour_table(taps, np.unique(taps), h * w)
-    every = every_pixel_table((h, w), kh, kw)
-    for table, adjoint in ((every, every), (listed, listed.adjoint), (listed.adjoint, listed)):
-        n_out, n_src = table.table.shape[1], table.n_src
-        a = rng.standard_normal((3, n_out))
-        z = T._padded(rng.standard_normal((3 * kh * kw, n_src)))
-        folded = np.zeros((3, n_out))
-        for i in range(kh):
-            row = z.reshape(3, kh, kw, -1)[:, i].transpose(1, 0, 2)
-            T._fold(folded, row.reshape(kw * 3, -1), i, kh, kw, table)
-        taps_a = taps_of(a, adjoint)[:, :n_src]
-        assert abs(np.vdot(folded, a) - np.vdot(z[:, :n_src], taps_a)) < 1e-12
+    dst = np.union1d(np.flatnonzero(rng.random(35) < 0.3), [0])
+    taps = T.tap_pixels((5, 7), dst, kh, kw)
+    k = rng.standard_normal((c_out, c_in, kh, kw))
+    for table in (T.neighbour_table(taps, np.unique(taps), 35),
+                  every_pixel_table((5, 7), kh, kw)):
+        a = rng.standard_normal((c_in, table.n_src))
+        g = rng.standard_normal((c_out, table.table.shape[1]))
+        gx, g_taps = T._transpose(g, k, table)
+        assert gx.shape == a.shape and (g_taps is None) == (c_out > c_in)
+        want = np.vdot(T._correlate(a, k, table)[0], g)
+        assert abs(np.vdot(a, gx) - want) <= 1e-12 * abs(want)
 
 
 def fold_one_product(a, k, table):
@@ -369,28 +314,46 @@ def fold_one_product(a, k, table):
     return out
 
 
+def scatter_one_product(g, k, table):
+    """Reference: _transpose's wide side as one product of the whole
+    channel-swapped kernel, rows (i, j, c), with zero columns up to a
+    multiple of 8 (_padded), scattered through the table block by block."""
+    c_o, c_a, kh, kw = k.shape
+    n = table.table.shape[1]
+    z = (k.transpose(2, 3, 1, 0).reshape(-1, c_o) @ T._padded(g)).reshape(kh * kw, c_a, -1)
+    out = np.zeros((c_a, table.n_src))
+    for b in range(kh * kw):
+        out[:, table.table[b]] += z[b, :, :n]
+    return out
+
+
 @pytest.mark.parametrize("c_a,c_o", [pytest.param(ca, co, id=f"{ca}to{co}")
                                      for ca, co in [(3, 2), (32, 8), (32, 16)]])
 @pytest.mark.parametrize("kh,kw", [pytest.param(kh, kw, id=f"{kh}x{kw}")
                                    for kh, kw in KERNELS + [(5, 5)]])
 def test_fold_by_kernel_rows_is_the_one_product_fold(c_a, c_o, kh, kw):
     # bit for bit, over every pixel of an image (read in place when its pixel
-    # count is a multiple of 8, as at 8x16) and over a neighbour table and its
-    # adjoint. The equality rests on the BLAS giving a row block of a
-    # product the bits of those rows of the whole product
+    # count is a multiple of 8, as at 8x16) and over a neighbour table, and
+    # so is the scatter of the backward's wide side, a kernel row at a time.
+    # The equality rests on the BLAS giving a row block of a product the
+    # bits of those rows of the whole product
     rng = np.random.default_rng(37)
     k = rng.standard_normal((c_o, c_a, kh, kw))
     for h, w in [(7, 9), (12, 13), (8, 16), (33, 35)]:
         dst = np.flatnonzero(rng.random(h * w) < 0.3)
         taps = T.tap_pixels((h, w), dst, kh, kw)
         src = np.unique(taps)
-        table = T.neighbour_table(taps, src, h * w)
-        for table, n_src in ((every_pixel_table((h, w), kh, kw), h * w), (table, src.size),
-                             (table.adjoint, dst.size)):
-            listed = rng.standard_normal((c_a, n_src))
+        for table in (every_pixel_table((h, w), kh, kw), T.neighbour_table(taps, src, h * w)):
+            listed = rng.standard_normal((c_a, table.n_src))
             got, taps_kept = T._correlate(listed, k, table)
             assert taps_kept is None
             want = fold_one_product(listed, k, table)
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+            # the transpose of a C_a -> C_o correlation, C_o < C_a
+            g = rng.standard_normal((c_a, table.table.shape[1]))
+            got, taps_kept = T._transpose(g, k.transpose(1, 0, 2, 3), table)
+            assert taps_kept is None
+            want = scatter_one_product(g, k.transpose(1, 0, 2, 3), table)
             assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
@@ -598,7 +561,7 @@ def test_backward_spends_the_tape_and_keeps_leaf_grads():
 def taps_of(a, table):
     """The taps of a[C, P] over the Neighbours table, every output column at
     once, then columns that no output reads."""
-    return T._taps(T._padded(a), table.gather)
+    return T._taps(a, table.gather)
 
 
 def taps_loop(a, kh, kw):
@@ -614,8 +577,9 @@ def taps_loop(a, kh, kw):
 
 @pytest.mark.parametrize("kh,kw,h,w", [(kh, kw, 6, 7) for kh, kw in KERNELS] + [(5, 5, 2, 2)])
 def test_taps_match_loop_reference(kh, kw, h, w):
-    # over every pixel, over a pixel list, and over the list's adjoint, whose
-    # entries -1 read zeros; the columns past the outputs pad to a multiple of 8
+    # over every pixel and over a pixel list, and the taps the backward
+    # scatters from a gradient over the list; the columns past the outputs
+    # pad to a multiple of 8
     rng = np.random.default_rng(23)
     a = rng.standard_normal((3, h, w))
     want = taps_loop(a, kh, kw)
@@ -626,12 +590,13 @@ def test_taps_match_loop_reference(kh, kw, h, w):
     src = np.unique(taps)
     table = T.neighbour_table(taps, src, h * w)
     assert np.array_equal(taps_of(a.reshape(3, -1)[:, src], table)[:, :2], want[:, dst])
-    # the adjoint's taps are the image's taps, at the listed pixels, of a
-    # that is zero off dst
+    # the taps _transpose scatters a gradient at dst into are the image's
+    # taps, at the listed pixels, of a that is zero off dst
     back = np.zeros_like(a).reshape(3, -1)
     back[:, dst] = a.reshape(3, -1)[:, dst]
     want = taps_loop(back.reshape(a.shape), kh, kw)[:, src]
-    assert np.array_equal(taps_of(back[:, dst], table.adjoint)[:, :src.size], want)
+    _, g_taps = T._transpose(back[:, dst], np.zeros((3, 3, kh, kw)), table)
+    assert g_taps.shape[1] % 8 == 0 and np.array_equal(g_taps[:, :src.size], want)
 
 
 # -- shape ops ----------------------------------------------------------------

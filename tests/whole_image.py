@@ -59,7 +59,7 @@ def assert_close(got, want):
 
 def every_pixel_table(shape, kh, kw):
     """The neighbour table of a kh x kw kernel over every pixel of an [H, W]
-    image, carrying its adjoint, whose entries are its own."""
+    image."""
     every = np.arange(shape[0] * shape[1])
     return T.neighbour_table(T.tap_pixels(shape, every, kh, kw), every, every.size)
 
