@@ -285,7 +285,7 @@ def _add_common(p):
 
 def _add_train_flags(p):
     d = synth.TrainConfig()
-    p.add_argument("--mode", choices=("semiconv", "conv"), default=d.mode)
+    p.add_argument("--mode", choices=synth.MODES, default=d.mode)
     p.add_argument("--epochs", type=non_negative_int, default=d.epochs)
     p.add_argument("--lr", type=finite_float, default=d.lr)
     p.add_argument("--lr-decay", type=finite_float, default=d.lr_decay)
@@ -325,7 +325,7 @@ def build_parser():
     _add_common(p)
     p.add_argument("--scene", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--mode", choices=("semiconv", "conv"), default="semiconv")
+    p.add_argument("--mode", choices=synth.MODES, default="semiconv")
     p.add_argument("--k", type=non_negative_int, default=0, help="0 uses the true count")
     p.add_argument("--render", type=output_path, default=None,
                    help="also write a cluster PPM")

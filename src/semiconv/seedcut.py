@@ -93,17 +93,13 @@ def box_loss(gt, boxes, params):
     here; each evaluation is one fuse_boxes call and one cross-entropy sum
     weighted 1/(B * box size). The kernel scale is read from ``params``
     at each evaluation, so its gradient reaches ``params.log_sigma`` only
-    when that requires one, as train_seedcut's learnable twin does.
-    synth.train embeds only the pixels its read_pixels lists, so a box with
-    a pixel outside every ground-truth box raises ValueError here, before
-    any step.
+    when that requires one, as train_seedcut's learnable twin does. Any
+    field that holds the boxes' pixels evaluates, the whole image's
+    (synth.build_field) included; a box pixel off the field's cone, such as
+    a pixel outside every ground-truth box under synth.train's cone, raises
+    rows_at's ValueError at the evaluation.
     """
     pixels, ids, counts, truth, scores = _box_list(gt, boxes)
-    outside = ~np.isin(pixels, synth.read_pixels(gt, boxes=True))
-    if outside.any():
-        k = ids[np.argmax(outside)]
-        raise ValueError(f"box {tuple(int(v) for v in boxes[k])} reaches outside the "
-                         "ground-truth boxes the training cone covers")
     weights = Tensor(1.0 / (counts.size * counts[ids]))
 
     def loss(field):
@@ -160,10 +156,11 @@ def cut_all_boxes(scene, model, params, cfg_mode="semiconv", threshold=0.5):
     boxes go through one fuse_boxes call, and the thresholded list splits
     into the box masks. The boxes and their pixel list are built once per
     label map (_box_layout); ``boxes`` is the caller's own list. The backbone
-    runs only over the box pixels' receptive cone (synth.cone_field), the
-    pixel set train_seedcut's cone covers when it trains on these boxes: a
-    cut reuses the geometry its training built, and the next cut with the
-    same boxes that of the cut before. The cut never backpropagates, and
+    runs in ``cfg_mode``, one of synth.MODES, only over the box pixels'
+    receptive cone (synth.cone_field). synth.train builds its cone over the
+    same ground-truth box pixels when it trains with a box loss, so a cut
+    reuses the geometry train_seedcut built, and the next cut with the same
+    boxes that of the cut before. The cut never backpropagates, and
     over the model and the kernel scale the package makes, neither of which
     takes a gradient, it records no tape.
     """

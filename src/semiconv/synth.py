@@ -29,6 +29,7 @@ from .losses import SegmentSet, pull_to_mean_loss
 
 KMEANS_MAX_ITER = 300
 KMEANS_TOL = 1e-6  # stop once no centroid moves farther than this
+MODES = ("semiconv", "conv")  # with or without the coordinates mixed in (_embed)
 
 
 class InstanceLabeling:
@@ -66,7 +67,7 @@ class Scene:
 
 @dataclass
 class TrainConfig:
-    mode: str = "semiconv"         # "semiconv" or "conv"
+    mode: str = "semiconv"         # one of MODES
     dims: int = 8
     epochs: int = 400
     lr: float = 0.03
@@ -74,7 +75,7 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self):
-        if self.mode not in ("semiconv", "conv"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode '{self.mode}'")
         if self.dims < 1:
             raise ValueError("dims must be positive")
@@ -158,21 +159,13 @@ def region_pixel_indices(rects, shape):
     return pixels, ids, counts
 
 
-def read_pixels(gt, boxes=False):
-    """The pixels, as linear indices, whose embeddings a training step reads:
-    the instances' pixels, and with ``boxes`` also every pixel of their boxes
-    (gt_boxes_from_labels), as an extra loss over the boxes does."""
-    read = np.flatnonzero(gt.labels)
-    if boxes:
-        read = np.concatenate([read, region_pixel_indices(gt_boxes_from_labels(gt),
-                                                          gt.labels.shape)[0]])
-    return read
-
-
 def _embed(phi, mode, grid, at=None):
     """The field of a backbone output phi[D, ...] whose pixels sit at the
     (x, y) ``grid`` [2, ...]: its map is ``at`` (EmbeddingField), and in
-    semiconv mode the grid is mixed in (attach_coords)."""
+    semiconv mode the grid is mixed in (attach_coords). A mode not in MODES
+    raises ValueError."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode '{mode}'")
     return EmbeddingField(attach_coords(phi, grid) if mode == "semiconv" else phi, at)
 
 
@@ -365,20 +358,22 @@ def train(scene, cfg, extra_loss=None, extra_params=()):
     gradients over the model's own arrays, and sgd_step updates those arrays
     in place: the model holds what the twin learnt, and no gradient.
 
-    The pull-to-mean loss reads only the instances' pixels, and
-    ``extra_loss(field) -> Tensor``, a term callers add to the objective
-    without changing anything else about the loop, reads only pixels inside
-    the instances' boxes (gt_boxes_from_labels). So the receptive cone of
-    those pixels (backbone.Cone) is built once, and every step runs the twin
-    over it. ``extra_params`` lists the Tensors the extra term learns, as
-    (name, tensor) pairs, and sgd_step updates their arrays in place too.
-    The caller makes them learnable, as seedcut.train_seedcut makes the
-    twin of its kernel scale, since no parameter the package makes takes a
-    gradient. The loss's segments are the labels' instances over the
-    image's pixels (SegmentSet.from_labels), made once, and each step reads
-    their rows through the field's map. With no extra term the trajectory
-    depends only on cfg. A scene without instances raises ValueError before
-    any step.
+    The steps read the field at the instances' pixels, which the
+    pull-to-mean loss reads, or, with ``extra_loss(field) -> Tensor``, a
+    term callers add to the objective without changing anything else about
+    the loop, at every pixel of the instances' boxes (gt_boxes_from_labels),
+    each of which holds its instance. The receptive cone of those pixels
+    (backbone.Cone) is built once, and every step runs the twin over it; an
+    extra term that reads a pixel off it raises rows_at's ValueError at the
+    first step, before any update. ``extra_params`` lists the Tensors the
+    extra term learns, as (name, tensor) pairs, and sgd_step updates their
+    arrays in place too. The caller makes them learnable, as
+    seedcut.train_seedcut makes the twin of its kernel scale, since no
+    parameter the package makes takes a gradient. The loss's segments are
+    the labels' instances over the image's pixels (SegmentSet.from_labels),
+    made once, and each step reads their rows through the field's map. With
+    no extra term the trajectory depends only on cfg. A scene without
+    instances raises ValueError before any step.
 
     Divergence (NaN/Inf anywhere in a step) raises NumericError with the
     offending step number; a non-finite gradient also names its parameter
@@ -393,7 +388,9 @@ def train(scene, cfg, extra_loss=None, extra_params=()):
                       for ts in (model.weights, model.biases)])
     named = twin.named_params() + list(extra_params)
     params = [p for _, p in named]
-    cone = Cone(twin, scene.image, read_pixels(scene.gt, boxes=extra_loss is not None))
+    read = (np.flatnonzero(scene.gt.labels) if extra_loss is None else
+            region_pixel_indices(gt_boxes_from_labels(scene.gt), scene.shape)[0])
+    cone = Cone(twin, scene.image, read)
     segs = SegmentSet.from_labels(scene.gt)
     losses = []
     for step in range(cfg.epochs):

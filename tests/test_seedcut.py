@@ -653,20 +653,36 @@ def test_a_cone_seedcut_step_is_the_whole_image_step(monkeypatch, n, spacing, ra
 
 def test_train_seedcut_box_outside_its_cone_is_one_line_error(monkeypatch):
     # box 0 reaches past the instances' boxes, which the cone is built for:
-    # 2 px to the right, or 3 px on every side
+    # 2 px to the right, or 3 px on every side. The first forward's box loss
+    # reads the field at the box's first pixel off the cone, row-major
     scene = generate_scene(2, 2, dot_radius=3, spacing=16, seed=0)
     boxes = gt_boxes_from_labels(scene.gt)
     x0, y0, x1, y1 = boxes[0]
     steps = []
     monkeypatch.setattr("semiconv.synth.sgd_step", lambda params, lr: steps.append(lr))
     cfg = TrainConfig(dims=4, epochs=2, seed=0)
-    for bad in [(x0, y0, x1 + 2, y1), (x0 - 3, y0 - 3, x1 + 3, y1 + 3)]:
+    for bad, off in [((x0, y0, x1 + 2, y1), (x1, y0)),
+                     ((x0 - 3, y0 - 3, x1 + 3, y1 + 3), (x0 - 3, y0 - 3))]:
         with pytest.raises(ValueError) as err:
             train_seedcut(scene, [bad] + boxes[1:], cfg,
                           KernelParams("steered_laplacian", sigma=1.0))
-        assert str(err.value) == (f"box {bad} reaches outside the ground-truth boxes "
-                                  "the training cone covers")
+        assert str(err.value) == f"image pixel {off} lies outside the field's cone"
     assert steps == []
     # the ground-truth boxes themselves train
     _, _, losses = train_seedcut(scene, boxes, cfg, KernelParams("steered_laplacian", sigma=1.0))
     assert len(losses) == 2 and len(steps) == 2
+
+
+def test_box_loss_reads_any_field_that_holds_its_boxes():
+    # the box 2 px wider than its instance's box reaches off a training
+    # cone, but the whole image holds it, and so does the cone of its pixels
+    scene = generate_scene(2, 2, dot_radius=3, spacing=16, seed=0)
+    boxes = gt_boxes_from_labels(scene.gt)
+    x0, y0, x1, y1 = boxes[0]
+    boxes[0] = (x0, y0, x1 + 2, y1)
+    model = Backbone.glorot(1, 4, 0)
+    loss = box_loss(scene.gt, boxes, KernelParams("steered_laplacian", sigma=1.0))
+    got = loss(build_field(model, scene.image, "semiconv")).item()
+    assert np.isfinite(got) and got > 0
+    pixels = region_pixel_indices(boxes, scene.shape)[0]
+    assert got == loss(cone_field(model, scene.image, pixels, "semiconv")).item()

@@ -18,7 +18,7 @@ from semiconv.tensor import Tensor, NumericError
 from semiconv.embedding import EmbeddingField, field_rows, rows_at
 from semiconv.kernels import FAMILIES, KernelParams
 from semiconv.losses import SegmentSet, pull_to_mean_loss
-from semiconv.seedcut import train_seedcut
+from semiconv.seedcut import cut_all_boxes, train_seedcut
 from semiconv.synth import (InstanceLabeling, Scene, TrainConfig, build_field,
                             controlled_pair, decode_kmeans, generate_scene,
                             cone_field, gt_boxes_from_labels, load_scene, region_pixel_indices,
@@ -676,7 +676,7 @@ def test_a_cone_that_fills_the_image_part_way_is_the_roll_conv(spacing, radius):
     model = Backbone.glorot(1, 8, 4)
     for p in model.biases:
         p.data += np.random.default_rng(1).standard_normal(p.data.shape)
-    pixels = synth.read_pixels(scene.gt, boxes=True)
+    pixels = region_pixel_indices(gt_boxes_from_labels(scene.gt), scene.shape)[0]
     cone = Cone(model, scene.image, pixels)
     outputs = [t.table.shape[1] for t in cone.tables]
     assert outputs[0] == cone.tables[1].n_src == h * w > outputs[2]
@@ -836,6 +836,22 @@ def test_train_config_validation():
             for k, v in bad.items():
                 setattr(cfg, k, v)
             cfg.validate()
+
+
+def test_a_mode_outside_modes_is_one_line_error():
+    # every reader of a mode knows the same two, and reads no other as conv
+    scene = generate_scene(2, 2, dot_radius=2, spacing=8, seed=0)
+    model = Backbone.glorot(1, 4, 0)
+    pixels = np.flatnonzero(scene.gt.labels)
+    params = KernelParams("steered_laplacian", sigma=1.0)
+    for mode in ("semi", "Conv", ""):
+        for read in (lambda: build_field(model, scene.image, mode),
+                     lambda: cone_field(model, scene.image, pixels, mode),
+                     lambda: cut_all_boxes(scene, model, params, cfg_mode=mode)):
+            with pytest.raises(ValueError) as err:
+                read()
+            assert str(err.value) == f"unknown mode '{mode}'"
+    assert synth.MODES == ("semiconv", "conv")
 
 
 # -- k-means decoding ----------------------------------------------------------
